@@ -64,7 +64,6 @@ from .coverage import (
     coverage_exact,
     coverage_mc,
     dip_search,
-    dip_scaling_exponent,
     hpd_contains,
     onesided_coverage_exact,
     predicted_dip_level,
@@ -125,7 +124,6 @@ __all__ = [
     "coverage_exact",
     "coverage_mc",
     "dip_search",
-    "dip_scaling_exponent",
     "hpd_contains",
     "onesided_coverage_exact",
     "predicted_dip_level",

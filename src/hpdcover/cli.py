@@ -5,7 +5,9 @@ Subcommands mirror the library: ``hpd`` prints one credible set as JSON,
 ``postselect`` / ``postselect-coverage`` handle the inverted sets, and
 ``figure N`` (N = 1..5) emits the data behind the standard diagnostic
 figures with a JSON sidecar.  A ``--config`` file in key=value form supplies
-defaults that explicit flags override; HPD_THREADS caps parallelism.
+defaults that explicit flags override; --threads (capped by HPD_THREADS) sets
+the worker count of Monte Carlo coverage curves, while exact scans are
+single-threaded batches.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def _cmd_bounds(rc: RunConfig) -> int:
         raise ValueError("bounds requires --grid a:b:n")
     grid = parse_grid_spec(rc.grid)
     cfg = rc.prior()
-    report = check_coverage_bounds(cfg, grid, rc.scan_settings(), threads=_threads(rc))
+    report = check_coverage_bounds(cfg, grid, rc.scan_settings())
     _write_text(rc.out, _json_text(report.to_dict()))
     return 0 if report.passed else 1
 
@@ -299,7 +301,7 @@ def cmd_figure(fig_id: int, rc: RunConfig) -> list[Path]:
         side_extra["w_sweep"] = ws
         side_extra["w_sweep_is_default_assumption"] = rc.w == (1.0,)
         header, rows = coverage_panels_rows(
-            dists, list(rc.lam), ws, rc.alpha, rc.fig_grid_n, rc.mirror, scan, _threads(rc)
+            dists, list(rc.lam), ws, rc.alpha, rc.fig_grid_n, rc.mirror, scan
         )
         side = {}
     elif fig_id == 2:
@@ -348,7 +350,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--n-base", dest="n_base", type=int, help="base scan grid size")
     p.add_argument("--n-dense", dest="n_dense", type=int, help="extra points near special abscissas")
     p.add_argument("--tol-tail", dest="tol_tail", type=float, help="mass allowed outside scan windows")
-    p.add_argument("--threads", type=int, help="worker threads (HPD_THREADS caps this)")
+    p.add_argument("--threads", type=int,
+                   help="worker threads for Monte Carlo curves (HPD_THREADS caps this)")
     p.add_argument("--out", help="output path (default: stdout)")
 
 
@@ -412,7 +415,7 @@ def main(argv=None) -> int:
         if args.command == "figure":
             return _cmd_figure(rc, args.fig)
         return _HANDLERS[args.command](rc)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,13 @@ piecewise smooth with known jump loci, that set is a finite interval union;
 it is recovered by a densified membership scan with bisected boundaries and
 summed as exact CDF differences.  A seeded inverse-CDF Monte Carlo estimator
 serves as an independent cross-check.
+
+U and L do not depend on theta0, so a whole theta0 grid is scanned as one
+batch on the calling thread: one endpoint table on a grid over the union of
+the scan windows (chunked to at most _GRID_CAP points), a sliver guard that
+refines every extremum of U and L grazing any requested level, and one
+bisection batch over the transition cells of every theta0.  coverage_exact
+is that batch on a single point.
 """
 
 from __future__ import annotations
@@ -27,7 +34,16 @@ from .hpd import (
     upper_values,
 )
 from .posterior import PriorConfig
-from .scanning import ScanSettings, build_grid, graze_points, member_intervals
+from .scanning import (
+    ScanSettings,
+    bisect_iters,
+    build_grid,
+    golden_extrema,
+    graze_cells,
+    graze_points,
+    member_intervals,
+    refine_flag_boundaries,
+)
 
 __all__ = [
     "CoveragePoint",
@@ -41,7 +57,6 @@ __all__ = [
     "coverage_curve",
     "onesided_coverage_exact",
     "dip_search",
-    "dip_scaling_exponent",
     "predicted_dip_level",
     "check_coverage_bounds",
     "thread_count",
@@ -51,7 +66,7 @@ _REGIME_KEYS = ("I", "II", "III", "IV")
 
 
 def thread_count(requested: int | None = None) -> int:
-    """Worker count for grid-parallel loops, capped by HPD_THREADS."""
+    """Worker count for Monte Carlo coverage curves, capped by HPD_THREADS."""
     cap = os.environ.get("HPD_THREADS", "").strip()
     cap_n = int(cap) if cap else (os.cpu_count() or 1)
     n = requested if requested else (os.cpu_count() or 1)
@@ -91,20 +106,16 @@ class CoveragePoint:
     fractions: dict[str, float] = field(default_factory=dict)
 
 
-def _window(cfg: PriorConfig, theta0: float, scan: ScanSettings) -> tuple[float, float]:
+# Points of one shared grid; longer theta0 arrays are scanned in chunks.
+_GRID_CAP = 1 << 17
+
+
+def _half_width(cfg: PriorConfig, scan: ScanSettings) -> float:
     # Members satisfy |x - theta0| <= sup r3 <= G^{-1}(1 - alpha*G(-lam)),
     # so the window can be truncated there with zero mass error; the
     # tail-probability cap applies when that bound is very wide.
     r3_sup = float(cfg.dist.ppf_upper(cfg.alpha * float(cfg.dist.cdf(-cfg.lam))))
-    half = min(float(cfg.dist.ppf_upper(scan.tol_tail / 2.0)), r3_sup + 0.5)
-    return theta0 - half, theta0 + half
-
-
-def _specials(cfg: PriorConfig, theta0: float) -> list[float]:
-    pts = [cfg.lam, -cfg.lam, theta0]
-    if math.isfinite(cfg.t_alpha):
-        pts += [cfg.t_alpha, -cfg.t_alpha]
-    return pts
+    return min(float(cfg.dist.ppf_upper(scan.tol_tail / 2.0)), r3_sup + 0.5)
 
 
 def _mass_of(cfg: PriorConfig, intervals, theta0: float) -> float:
@@ -113,19 +124,6 @@ def _mass_of(cfg: PriorConfig, intervals, theta0: float) -> float:
     a = np.array([p[0] for p in intervals]) - theta0
     b = np.array([p[1] for p in intervals]) - theta0
     return float(np.sum(interval_mass(cfg.dist, a, b)))
-
-
-def _regime_fractions(cfg: PriorConfig, intervals, theta0: float, total: float, n_sub: int = 64):
-    masses = np.zeros(5)
-    for a, b in intervals:
-        edges = np.linspace(a, b, n_sub + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        codes = regime_codes(cfg, mids)
-        sub = interval_mass(cfg.dist, edges[:-1] - theta0, edges[1:] - theta0)
-        np.add.at(masses, codes, sub)
-    if total <= 0.0:
-        return {k: 0.0 for k in _REGIME_KEYS}
-    return {k: float(masses[Regime[k]] / total) for k in _REGIME_KEYS}
 
 
 def _membership_flags(grid, upper, lower, theta0):
@@ -141,66 +139,110 @@ def _membership_flags(grid, upper, lower, theta0):
     return f_full, f_minus, f_plus
 
 
-def _assemble(lo, hi, flags, cuts):
-    edges = np.concatenate([[lo], np.sort(cuts), [hi]])
-    out = []
-    state = bool(flags[0])
-    for a, b in zip(edges[:-1], edges[1:]):
-        if state and b > a:
-            out.append((float(a), float(b)))
-        state = not state
-    return out
+def _chunks(ts: np.ndarray, half: float, scan: ScanSettings):
+    """Runs of the sorted theta0 array whose shared grids stay under _GRID_CAP
+    points: one full window and five dense blocks, then per further theta0 its
+    window's new stretch, its own block and three single points."""
+    first = scan.n_base + 5 * (scan.n_dense + 3)
+    added = np.minimum(np.diff(ts), 2.0 * half) * (scan.n_base - 1) / (2.0 * half)
+    start, used = 0, first
+    for k, cost in enumerate(added + scan.n_dense + 3, start=1):
+        if used + cost > _GRID_CAP:
+            yield slice(start, k)
+            start, used = k, first
+        else:
+            used += cost
+    yield slice(start, ts.size)
 
 
-def _scan_membership(cfg: PriorConfig, theta0: float, scan: ScanSettings):
-    """Member-interval lists for the full/minus/plus predicates in one pass."""
-    lo, hi = _window(cfg, theta0, scan)
-    grid = build_grid(lo, hi, _specials(cfg, theta0), scan)
+def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSettings) -> np.ndarray:
+    """Rows (C, C-, C+, frac_I..frac_IV) for one chunk of sorted theta0."""
+    n_t = ts.size
+    grid = build_grid(ts - half, ts + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha, *ts], scan)
     upper, lower = endpoint_values(cfg, grid)
 
-    def u_of(xs):
-        return endpoint_values(cfg, xs)[0]
-
-    def l_of(xs):
-        return endpoint_values(cfg, xs)[1]
-
-    extras = graze_points(grid, upper, theta0, u_of) + graze_points(grid, lower, theta0, l_of)
-    extras = [p for p in extras if lo < p < hi]
-    if extras:
-        grid = np.unique(np.concatenate([grid, np.asarray(extras, float)]))
-        upper, lower = endpoint_values(cfg, grid)
-
-    flag_sets = _membership_flags(grid, upper, lower, theta0)
-    cells_lo, cells_hi, lo_flag, which = [], [], [], []
-    for k, flags in enumerate(flag_sets):
-        idx = np.nonzero(flags[1:] != flags[:-1])[0]
-        cells_lo.append(grid[idx])
-        cells_hi.append(grid[idx + 1])
-        lo_flag.append(flags[idx])
-        which.append(np.full(idx.size, k))
-    lo_x = np.concatenate(cells_lo).astype(float)
-    hi_x = np.concatenate(cells_hi).astype(float)
-    lflag = np.concatenate(lo_flag)
-    wid = np.concatenate(which)
-    if lo_x.size:
-        width = float(np.max(hi_x - lo_x))
-        iters = 1 if width <= scan.bisect_tol else min(
-            80, int(math.ceil(math.log2(width / scan.bisect_tol))) + 1
+    # Sliver guard: extrema of U and L grazing any requested level.
+    iu, max_u = graze_cells(upper, ts)
+    il, max_l = graze_cells(lower, ts)
+    if iu.size + il.size:
+        on_u = np.repeat([True, False], [iu.size, il.size])
+        idx = np.concatenate([iu, il])
+        extra = golden_extrema(
+            lambda xs: np.where(on_u, *endpoint_values(cfg, xs)),
+            grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l]),
         )
-        for _ in range(iters):
-            mid = 0.5 * (lo_x + hi_x)
-            u_m, l_m = endpoint_values(cfg, mid)
-            fm = _membership_flags(mid, u_m, l_m, theta0)
-            flag_mid = np.where(wid == 0, fm[0], np.where(wid == 1, fm[1], fm[2]))
-            same = flag_mid == lflag
-            lo_x = np.where(same, mid, lo_x)
-            hi_x = np.where(same, hi_x, mid)
-        cuts = 0.5 * (lo_x + hi_x)
-    else:
-        cuts = lo_x
-    return [
-        _assemble(lo, hi, flag_sets[k], cuts[wid == k]) for k in range(3)
-    ], (lo, hi)
+        extra = np.setdiff1d(extra, grid)
+        u_x, l_x = endpoint_values(cfg, extra)
+        at = np.searchsorted(grid, extra)
+        grid, upper, lower = (np.insert(v, at, x) for v, x in ((grid, extra), (upper, u_x), (lower, l_x)))
+
+    # Transition cells of the three predicates inside each theta0's window.
+    # The atom covers theta0 = 0 from every x; nothing covers the band.
+    atom0 = (ts == 0.0) & cfg.has_atom
+    fixed = atom0 | ((cfg.lam > 0.0) & (np.abs(ts) < cfg.lam))
+    i0 = np.searchsorted(grid, ts - half, "left")
+    i1 = np.searchsorted(grid, ts + half, "right")
+    start = np.zeros((n_t, 3), dtype=bool)
+    cells = []
+    for j in range(n_t):
+        s = slice(i0[j], i1[j])
+        f = np.array(_membership_flags(grid[s], upper[s], lower[s], ts[j]))
+        if fixed[j]:
+            f[0] = atom0[j]
+        start[j] = f[:, 0]
+        k, i = np.divmod(np.flatnonzero(f[:, 1:] != f[:, :-1]), f.shape[1] - 1)
+        cells.append((np.full(k.size, j), k, i + i0[j], f[k, i]))
+    owner, kind, cell, lo_flag = (np.concatenate(c) for c in zip(*cells))
+
+    # One bisection batch over every cell of every theta0.
+    def flags_at(xs):
+        return np.choose(kind, _membership_flags(xs, *endpoint_values(cfg, xs), ts[owner]))
+
+    lo_x, hi_x = grid[cell], grid[cell + 1]
+    iters = bisect_iters(float(np.max(hi_x - lo_x)), scan.bisect_tol) if cell.size else 0
+    cuts = refine_flag_boundaries(flags_at, lo_x, hi_x, lo_flag, iters)
+
+    # Member intervals: the stretches between consecutive cuts of each
+    # (theta0, predicate) group, alternating from the flag at the window start.
+    group = owner * 3 + kind
+    n_cut = np.bincount(group, minlength=3 * n_t)
+    first = np.cumsum(n_cut) - n_cut
+    left = np.insert(cuts, first, np.repeat(ts - half, 3))
+    right = np.insert(cuts, first + n_cut, np.repeat(ts + half, 3))
+    group = np.repeat(np.arange(3 * n_t), n_cut + 1)
+    pos = np.arange(group.size) - (first + np.arange(3 * n_t))[group]
+    on = (start.ravel()[group] ^ (pos % 2 == 1)) & (right > left)
+    a, b, group = left[on], right[on], group[on]
+    owner, t = group // 3, ts[group // 3]
+
+    sums = np.bincount(group, weights=interval_mass(cfg.dist, a - t, b - t), minlength=3 * n_t)
+    sums = sums.reshape(n_t, 3)
+    total = np.where(atom0, 1.0, sums[:, 0])
+
+    # Regime fractions of C by a 64-subcell midpoint rule on each interval.
+    full = group % 3 == 0
+    edges = np.linspace(a[full], b[full], 65, axis=-1)
+    t_full = t[full, None]
+    sub = interval_mass(cfg.dist, edges[:, :-1] - t_full, edges[:, 1:] - t_full).ravel()
+    codes = regime_codes(cfg, (0.5 * (edges[:, :-1] + edges[:, 1:])).ravel())
+    by_regime = np.bincount(np.repeat(owner[full], 64) * 5 + codes, weights=sub, minlength=5 * n_t)
+    fracs = by_regime.reshape(n_t, 5)[:, 1:] / np.where(total > 0.0, total, 1.0)[:, None]
+    return np.column_stack([np.minimum(total, 1.0), sums[:, 1], sums[:, 2], fracs])
+
+
+def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings) -> np.ndarray:
+    """Exact coverage rows (C, C-, C+, frac_I..frac_IV), one per theta0, in input order."""
+    ts = np.asarray(theta0, float).ravel()
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"theta0 must be finite, got {float(ts[~np.isfinite(ts)][0])!r}")
+    out = np.empty((ts.size, 7))
+    if ts.size:
+        order = np.argsort(ts, kind="stable")
+        half = _half_width(cfg, scan)
+        out[order] = np.concatenate(
+            [_exact_sorted(cfg, ts[order][s], half, scan) for s in _chunks(ts[order], half, scan)]
+        )
+    return out
 
 
 def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> CoveragePoint:
@@ -209,31 +251,10 @@ def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSet
     C- counts draws with theta0 in [L(x), x] (empty when L(x) > x), C+ those
     with theta0 in (x, U(x)]; both restricted to |x| > t_alpha.  Boundary
     abscissas are bisected to scan.bisect_tol and masses accumulated as
-    tail-accurate CDF differences.
+    tail-accurate CDF differences.  This is the batch scan on one point.
     """
-    if not math.isfinite(theta0):
-        raise ValueError(f"theta0 must be finite, got {theta0!r}")
-    (full, minus, plus), (lo, hi) = _scan_membership(cfg, theta0, scan)
-    atom_everywhere = theta0 == 0.0 and cfg.has_atom
-    in_band = cfg.lam > 0.0 and abs(theta0) < cfg.lam and not atom_everywhere
-    if atom_everywhere:
-        c_total = 1.0
-        full = [(lo, hi)]
-    elif in_band:
-        c_total = 0.0
-        full = []
-    else:
-        c_total = _mass_of(cfg, full, theta0)
-    c_minus = _mass_of(cfg, minus, theta0)
-    c_plus = _mass_of(cfg, plus, theta0)
-    fracs = _regime_fractions(cfg, full, theta0, c_total if c_total > 0 else 1.0)
-    return CoveragePoint(
-        theta0=float(theta0),
-        C=min(c_total, 1.0),
-        C_minus=c_minus,
-        C_plus=c_plus,
-        fractions=fracs,
-    )
+    c, c_minus, c_plus, *fracs = (float(v) for v in _exact_batch(cfg, [theta0], scan)[0])
+    return CoveragePoint(float(theta0), c, c_minus, c_plus, dict(zip(_REGIME_KEYS, fracs)))
 
 
 def _mc_draws(cfg: PriorConfig, theta0: float, n: int, seed: int, chunk: int = 1 << 20):
@@ -327,32 +348,39 @@ def coverage_curve(
     seed: int = 0,
     threads: int | None = None,
 ) -> CoverageReport:
-    """Coverage over a sorted theta0 grid; points run in parallel, output in order."""
+    """Coverage over a sorted theta0 grid.
+
+    The exact scan runs the whole grid as one batch on the calling thread;
+    Monte Carlo points run in parallel on up to ``threads`` workers.
+    """
     grid = np.asarray(grid, float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("theta0 grid must be a non-empty 1-d array")
     if np.any(np.diff(grid) < 0):
         raise ValueError("theta0 grid must be sorted")
     if method == "exact":
-        work = lambda t0: coverage_exact(cfg, t0, scan)
+        cols = _exact_batch(cfg, grid, scan).T
         label = "exact_scan"
     elif method == "mc":
         work = lambda t0: _mc_point(cfg, t0, n, seed)
+        workers = thread_count(threads)
+        if workers > 1 and grid.size > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                points = list(pool.map(work, grid))
+        else:
+            points = [work(t0) for t0 in grid]
+        cols = np.array(
+            [[p.C, p.C_minus, p.C_plus, *(p.fractions[k] for k in _REGIME_KEYS)] for p in points]
+        ).T
         label = f"monte_carlo(seed={seed}, n={n})"
     else:
         raise ValueError(f"unknown method {method!r}")
-    workers = thread_count(threads)
-    if workers > 1 and grid.size > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(work, grid))
-    else:
-        points = [work(t0) for t0 in grid]
     return CoverageReport(
         theta0=grid,
-        C=np.array([p.C for p in points]),
-        C_minus=np.array([p.C_minus for p in points]),
-        C_plus=np.array([p.C_plus for p in points]),
-        fractions={k: np.array([p.fractions[k] for p in points]) for k in _REGIME_KEYS},
+        C=cols[0],
+        C_minus=cols[1],
+        C_plus=cols[2],
+        fractions=dict(zip(_REGIME_KEYS, cols[3:])),
         method=label,
         n=n if method == "mc" else 0,
         seed=seed if method == "mc" else 0,
@@ -413,26 +441,11 @@ def _min_upper_from_band_edge(cfg: PriorConfig, scan: ScanSettings) -> float:
     xs = np.linspace(lo, hi, 4 * scan.n_base)
     ups = upper_values(cfg, xs)
     i = int(np.nanargmin(ups))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, xs.size - 1)]
     # Golden-section sharpening of the grid minimum.
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    fc = float(upper_values(cfg, c)[0])
-    fd = float(upper_values(cfg, d_)[0])
-    for _ in range(90):
-        if b - a < 1e-13 * (1.0 + abs(a)):
-            break
-        if fc < fd:
-            b, d_, fd = d_, c, fc
-            c = b - invphi * (b - a)
-            fc = float(upper_values(cfg, c)[0])
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + invphi * (b - a)
-            fd = float(upper_values(cfg, d_)[0])
-    return min(fc, fd, float(ups[i]))
+    x_min = golden_extrema(
+        lambda x: upper_values(cfg, x), [xs[max(i - 1, 0)]], [xs[min(i + 1, xs.size - 1)]], False, iters=90
+    )
+    return min(float(upper_values(cfg, x_min)[0]), float(ups[i]))
 
 
 @dataclass(frozen=True)
@@ -455,28 +468,20 @@ def dip_search(
     scan: ScanSettings = ScanSettings(),
     n_grid: int = 160,
     refine_rounds: int = 2,
-    threads: int | None = None,
 ) -> DipResult:
     """Locate min C(theta0) over {theta0 : sup U^{-1}(theta0) >= lam}.
 
     That domain is the half-line [min U on [lam or t_alpha, inf), inf) since
     U is continuous there and grows without bound.  The minimum is found on
-    a grid and sharpened by local re-gridding.
+    a grid and sharpened by local re-gridding; each grid is one batch scan.
     """
     domain_lo = _min_upper_from_band_edge(cfg, scan)
     hi = cfg.lam + 3.2 * float(cfg.dist.ppf_upper(cfg.alpha / 2.0))
     hi = max(hi, domain_lo + 1.0)
     grid = np.linspace(domain_lo + 1e-7, hi, n_grid)
 
-    def c_of(t0: float) -> float:
-        return coverage_exact(cfg, t0, scan).C
-
-    workers = thread_count(threads)
     def c_many(ts):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return np.array(list(pool.map(c_of, ts)))
-        return np.array([c_of(t) for t in ts])
+        return _exact_batch(cfg, ts, scan)[:, 0]
 
     vals = c_many(grid)
     for _ in range(refine_rounds):
@@ -492,32 +497,6 @@ def dip_search(
         predicted=predicted_dip_level(cfg),
         domain_lo=float(domain_lo),
     )
-
-
-def dip_scaling_exponent(
-    dist,
-    lam: float,
-    w: float,
-    alphas=(0.05, 0.02, 0.01),
-    scan: ScanSettings = ScanSettings(),
-    threads: int | None = None,
-) -> tuple[float, dict[float, float]]:
-    """Log-log regression slope of the dip deviation |observed - predicted|
-    against alpha, over repeated dip searches.
-
-    The deviation decays like alpha**(1+gamma) up to higher-order terms, so
-    the fitted slope estimates the remainder's rate.  Returns the slope and
-    the per-alpha deviations.
-    """
-    devs: dict[float, float] = {}
-    for a in alphas:
-        cfg = PriorConfig(dist=dist, lam=lam, w=w, alpha=a)
-        devs[a] = dip_search(cfg, scan, threads=threads).deviation
-    xs = np.log(np.array(list(devs.keys())))
-    ys = np.log(np.maximum(np.array(list(devs.values())), 1e-300))
-    design = np.vstack([xs, np.ones_like(xs)]).T
-    slope = float(np.linalg.lstsq(design, ys, rcond=None)[0][0])
-    return slope, devs
 
 
 @dataclass(frozen=True)
@@ -550,7 +529,6 @@ def check_coverage_bounds(
     scan: ScanSettings = ScanSettings(),
     slack_coeff: float | None = None,
     dip_slack: float | None = None,
-    threads: int | None = None,
 ) -> BoundReport:
     """Verify the coverage bounds on a theta0 grid, reporting margins.
 
@@ -579,19 +557,7 @@ def check_coverage_bounds(
     checks: list[BoundCheck] = []
 
     above = grid[grid > max(cfg.lam, cfg.t_alpha)]
-    workers = thread_count(threads)
-    if above.size:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                pts = list(pool.map(lambda t0: coverage_exact(cfg, t0, scan), above))
-        else:
-            pts = [coverage_exact(cfg, t0, scan) for t0 in above]
-        c_minus = np.array([p.C_minus for p in pts])
-        c_all = np.array([p.C for p in pts])
-    else:
-        pts = []
-        c_minus = np.empty(0)
-        c_all = np.empty(0)
+    c_all, c_minus = _exact_batch(cfg, above, scan)[:, :2].T
 
     # (a) ceiling on the below-x part.
     if above.size:
@@ -632,7 +598,7 @@ def check_coverage_bounds(
 
     # (c) dip level against its predicted value.
     if has_tail and g_lam_ok and t_below_lam:
-        dip = dip_search(cfg, scan, threads=threads)
+        dip = dip_search(cfg, scan)
         if dip_slack is None:
             k = dip.deviation / alpha ** (1.0 + gamma) * 1.25
             slack = k * alpha ** (1.0 + gamma)
@@ -686,7 +652,7 @@ def check_coverage_bounds(
     # (e) above-x part in (lam, t_alpha) is at most G(-2*lam).
     if cfg.t_alpha > cfg.lam and math.isfinite(cfg.t_alpha):
         inner = np.linspace(cfg.lam, cfg.t_alpha, 9)[1:-1]
-        cp = np.array([coverage_exact(cfg, t0, scan).C_plus for t0 in inner])
+        cp = _exact_batch(cfg, inner, scan)[:, 2]
         bound = float(d.cdf(-2.0 * cfg.lam))
         margin = float(bound + 1e-9 - cp.max())
         checks.append(

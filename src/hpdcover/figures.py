@@ -62,7 +62,6 @@ def coverage_panels_rows(
     grid_n: int,
     mirror: bool,
     scan: ScanSettings,
-    threads: int | None,
 ):
     """Coverage curves with regime attribution for every (dist, lam, w) panel line."""
     header = [
@@ -75,7 +74,7 @@ def coverage_panels_rows(
             grid = _coverage_grid(dist, lam, alpha, grid_n, mirror)
             for w in ws:
                 cfg = PriorConfig(dist=dist, lam=lam, w=w, alpha=alpha)
-                rep = coverage_curve(cfg, grid, scan, threads=threads)
+                rep = coverage_curve(cfg, grid, scan)
                 for r in rep.rows():
                     rows.append(
                         [dist.name, lam, w, r["theta0"], r["C"], r["C_minus"], r["C_plus"],

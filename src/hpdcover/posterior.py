@@ -35,6 +35,11 @@ __all__ = [
 _BRACKET_LIMIT = 1e6
 
 
+def _is_real(value) -> bool:
+    """Python or numpy real scalar; booleans are not numbers here."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PriorConfig:
     """Prior parameters and credibility level for the one-observation model.
@@ -50,11 +55,11 @@ class PriorConfig:
     alpha: float
 
     def __post_init__(self):
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam)) or self.lam < 0:
+        if not (_is_real(self.lam) and math.isfinite(self.lam)) or self.lam < 0:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if not (isinstance(self.w, (int, float)) and 0.0 < self.w <= 1.0):
+        if not (_is_real(self.w) and 0.0 < self.w <= 1.0):
             raise ValueError(f"w must lie in (0, 1], got {self.w!r}")
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
+        if not (_is_real(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "w", float(self.w))

@@ -4,7 +4,8 @@ The credible-set endpoints are piecewise smooth with isolated jumps, so
 measurable sets like {x : L(x) <= t <= U(x)} are found by scanning a dense
 grid, refining every flag transition by bisection, and guarding against
 near-tangent slivers by locating local extrema of the endpoint curves that
-graze the target level.
+graze a target level.  Grids, graze candidates and golden-section searches
+are vectorized so that one pass can serve many windows and levels at once.
 """
 
 from __future__ import annotations
@@ -42,29 +43,39 @@ class ScanSettings:
             raise ValueError("bisect_tol must lie in (0, 1)")
 
 
-def build_grid(lo: float, hi: float, specials, scan: ScanSettings) -> np.ndarray:
-    """Sorted deduplicated grid over [lo, hi] densified near special points."""
-    if not lo < hi:
-        raise ValueError(f"empty scan window [{lo}, {hi}]")
-    parts = [np.linspace(lo, hi, scan.n_base)]
-    for p in specials:
-        if p is None or not math.isfinite(p):
-            continue
-        a, b = max(lo, p - 1.0), min(hi, p + 1.0)
-        if a < b and scan.n_dense:
-            parts.append(np.linspace(a, b, scan.n_dense))
-        if lo <= p <= hi:
-            parts.append(np.array([p]))
+def build_grid(lo, hi, specials, scan: ScanSettings) -> np.ndarray:
+    """Sorted deduplicated grid over [lo, hi] densified near special points.
+
+    lo and hi may also be sorted arrays of equal-width windows: the grid then
+    covers their union, each connected piece at one window's base step
+    (hi - lo) / (n_base - 1), with every window edge a grid point.  Each
+    special abscissa gets n_dense points on its unit-halfwidth block clipped
+    to the piece and is itself a grid point when inside it.
+    """
+    lo, hi = np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(hi, float))
+    if not np.all(lo < hi):
+        raise ValueError(f"empty scan window [{lo[0]}, {hi[0]}]")
+    pts = np.array([p for p in specials if p is not None], float)
+    pts = pts[np.isfinite(pts)]
+    step = (hi[0] - lo[0]) / (scan.n_base - 1)
+    breaks = np.nonzero(lo[1:] > hi[:-1])[0]
+    parts = [lo, hi]
+    for a, b in zip(np.concatenate([lo[:1], lo[breaks + 1]]), np.concatenate([hi[breaks], hi[-1:]])):
+        parts.append(np.linspace(a, b, int(math.ceil((b - a) / step - 1e-6)) + 1))
+        lo_d, hi_d = np.maximum(a, pts - 1.0), np.minimum(b, pts + 1.0)
+        keep = lo_d < hi_d
+        parts.append(np.linspace(lo_d[keep], hi_d[keep], scan.n_dense, axis=-1).ravel())
+        parts.append(pts[(a <= pts) & (pts <= b)])
     return np.unique(np.concatenate(parts))
 
 
-def _bisect_iters(width: float, tol: float) -> int:
+def bisect_iters(width: float, tol: float) -> int:
     if width <= tol:
         return 1
     return min(80, int(math.ceil(math.log2(width / tol))) + 1)
 
 
-def _refine_flag_boundaries(pred, lo, hi, lo_flag, iters: int) -> np.ndarray:
+def refine_flag_boundaries(pred, lo, hi, lo_flag, iters: int) -> np.ndarray:
     """Vectorized boolean bisection: one transition point per (lo, hi) cell."""
     lo = lo.astype(float).copy()
     hi = hi.astype(float).copy()
@@ -76,50 +87,69 @@ def _refine_flag_boundaries(pred, lo, hi, lo_flag, iters: int) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def graze_points(grid: np.ndarray, vals: np.ndarray, level: float, fn) -> list[float]:
-    """Refined local extrema of fn that graze ``level`` between grid points.
+def graze_cells(vals: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
+    """Grid extrema of ``vals`` that may graze one of ``levels`` between grid points.
 
-    A local maximum of ``vals`` sitting just below ``level`` (or a local
-    minimum just above) can hide a membership sliver narrower than the grid
-    step.  Candidate cells are detected from slope sign changes and the
-    extremum is located by golden-section search on fn.
+    A local maximum sitting just below a level (or a local minimum just
+    above) can hide a membership sliver narrower than the grid step.  Returns
+    the indices of such extrema (detected from slope sign changes, within
+    four local slope spans of the nearest level on the grazing side) and
+    whether each is a maximum.
     """
-    out: list[float] = []
+    levels = np.sort(np.atleast_1d(np.asarray(levels, float)))
     dv = np.diff(vals)
     with np.errstate(invalid="ignore"):
-        peaks = np.nonzero((dv[:-1] > 0) & (dv[1:] < 0))[0] + 1
-        pits = np.nonzero((dv[:-1] < 0) & (dv[1:] > 0))[0] + 1
-    for idx, maximize in ((peaks, True), (pits, False)):
-        for i in idx:
-            margin = level - vals[i] if maximize else vals[i] - level
-            span = abs(dv[i - 1]) + abs(dv[i])
-            if not (np.isfinite(margin) and np.isfinite(span)):
-                continue
-            if 0.0 <= margin < 4.0 * span:
-                out.append(_golden_extremum(fn, grid[i - 1], grid[i + 1], maximize))
-    return out
+        peak = (dv[:-1] > 0) & (dv[1:] < 0)
+        pit = (dv[:-1] < 0) & (dv[1:] > 0)
+    idx = np.nonzero(peak | pit)[0] + 1
+    maximize = peak[idx - 1]
+    v = vals[idx]
+    # the nearest level at or above a peak, at or below a pit
+    j = np.where(maximize, np.searchsorted(levels, v, "left"), np.searchsorted(levels, v, "right") - 1)
+    ok = (j >= 0) & (j < levels.size)
+    level = levels[np.clip(j, 0, levels.size - 1)]
+    margin = np.where(maximize, level - v, v - level)
+    span = np.abs(dv[idx - 1]) + np.abs(dv[idx])
+    with np.errstate(invalid="ignore"):
+        ok &= np.isfinite(margin) & np.isfinite(span) & (margin >= 0.0) & (margin < 4.0 * span)
+    return idx[ok], maximize[ok]
+
+
+def graze_points(grid: np.ndarray, vals: np.ndarray, level, fn) -> list[float]:
+    """Refined local extrema of fn that graze ``level`` (one or more levels)
+    between grid points, located by golden-section search on fn."""
+    idx, maximize = graze_cells(vals, level)
+    return golden_extrema(fn, grid[idx - 1], grid[idx + 1], maximize).tolist()
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_extremum(fn, a: float, b: float, maximize: bool, iters: int = 60) -> float:
-    sgn = 1.0 if maximize else -1.0
+def golden_extrema(fn, a, b, maximize, iters: int = 60) -> np.ndarray:
+    """Vectorized golden-section search: one extremum of fn per bracket [a_i, b_i].
+
+    fn maps an abscissa array to values elementwise; ``maximize`` selects a
+    maximum or a minimum per bracket.  The search stops once every bracket
+    is narrower than 1e-13 relative; brackets that got there earlier keep
+    shrinking meanwhile, which only sharpens them.
+    """
+    a, b = np.array(a, float), np.array(b, float)
+    if a.size == 0:
+        return a
+    sgn = np.where(maximize, 1.0, -1.0)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = sgn * float(fn(np.array([c]))[0])
-    fd = sgn * float(fn(np.array([d]))[0])
+    fc = sgn * fn(c)
+    fd = sgn * fn(d)
     for _ in range(iters):
-        if b - a < 1e-13 * (1.0 + abs(a)):
+        if np.all(b - a < 1e-13 * (1.0 + np.abs(a))):
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = sgn * float(fn(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = sgn * float(fn(np.array([d]))[0])
+        # fc > fd: the extremum lies in [a, d], else in [c, b]
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = sgn * fn(x)
+        c, d, fc, fd = np.where(left, x, d), np.where(left, c, x), np.where(left, fx, fd), np.where(left, fc, fx)
     return 0.5 * (a + b)
 
 
@@ -146,8 +176,8 @@ def member_intervals(
             flags = pred(grid)
     trans = np.nonzero(flags[1:] != flags[:-1])[0]
     if trans.size:
-        iters = _bisect_iters(float(np.max(grid[trans + 1] - grid[trans])), scan.bisect_tol)
-        cuts = _refine_flag_boundaries(pred, grid[trans], grid[trans + 1], flags[trans], iters)
+        iters = bisect_iters(float(np.max(grid[trans + 1] - grid[trans])), scan.bisect_tol)
+        cuts = refine_flag_boundaries(pred, grid[trans], grid[trans + 1], flags[trans], iters)
     else:
         cuts = np.empty(0)
     edges = np.concatenate([[lo], cuts, [hi]])
@@ -196,7 +226,7 @@ def sign_change_roots(
         lo_x = grid[cells].astype(float).copy()
         hi_x = grid[cells + 1].astype(float).copy()
         lo_s = sign[cells]
-        iters = _bisect_iters(float(np.max(hi_x - lo_x)), scan.bisect_tol)
+        iters = bisect_iters(float(np.max(hi_x - lo_x)), scan.bisect_tol)
         for _ in range(iters):
             mid = 0.5 * (lo_x + hi_x)
             same = np.sign(fn(mid)) == lo_s

@@ -169,6 +169,20 @@ def test_cli_error_exit_code(tmp_path):
     assert main(["hpd", "--dist", "laplace"]) == 2  # missing --x
 
 
+def test_cli_runtime_error_exit_code(capsys):
+    # No draw reaches |X| >= 60 under laplace noise at theta0 = 0, so the
+    # conditional coverage estimator raises RuntimeError; the CLI must turn
+    # it into an error line and exit code 2, not a traceback.
+    code = main([
+        "postselect-coverage", "--dist", "laplace", "--lambda", "60", "--w", "1",
+        "--theta0", "0", "--n", "10000", "--seed", "1",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "selection event" in err
+    assert "Traceback" not in err
+
+
 def test_figure_emitters_smoke(tmp_path):
     rc = RunConfig(dist="laplace", lam=(5.0,), w=(1.0,), alpha=0.05,
                    fig_grid_n=40, mirror=False, outdir=str(tmp_path),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hpdcover import (
+    PriorConfig,
     ScanSettings,
     check_coverage_bounds,
     coverage_curve,
@@ -17,8 +18,11 @@ from hpdcover import (
     onesided_coverage_exact,
     predicted_dip_level,
 )
+from hpdcover import coverage as coverage_mod
+from hpdcover.cli import parse_dist_spec
+from hpdcover.figures import _coverage_grid
 
-from conftest import ALL_CONFIGS, config, dist
+from conftest import ALL_CONFIGS, ALPHA, config, dist
 
 
 def test_uniform_prior_coverage_is_exact():
@@ -263,3 +267,95 @@ def test_membership_tolerates_infinite_draws():
     xs = np.array([-np.inf, np.inf, 1.0])
     flags = hpd_contains(cfg, xs, 2.0)
     assert not flags[0] and not flags[1]
+
+
+# (law, lam, w, alpha, theta0, C, C-, C+, (frac_I, frac_II, frac_III, frac_IV)),
+# recorded from the per-point scan that preceded the batched one.  They cover
+# theta0 = 0 with and without an atom, theta0 inside the band, the dip, an
+# atom threshold beyond the band edge (t_alpha > lam), lam = 0 and subexp.
+PINNED = [
+    ('gaussian', 0.5, 0.25, 0.05, 0.0, 1.0, 0.40956869246915995, 0.40956869246143984,
+     (0.02290335056738199, 0.07647448244954866, 0.8163093127069486, 0.07647448244954866)),
+    ('gaussian', 0.5, 1.0, 0.05, 0.0, 0.0, 0.4357356309326397, 0.4357356309249196,
+     (0.0, 0.0, 0.0, 0.0)),
+    ('laplace', 5.0, 1.0, 0.05, 3.0, 0.0, 0.0, 0.4960138443258194,
+     (0.0, 0.0, 0.0, 0.0)),
+    ('laplace', 5.0, 1.0, 0.05, 9.7, 0.9272815549549688, 0.4748915298940164, 0.4523900250609524,
+     (1.0000000000000002, 0.0, 0.0, 0.0)),
+    ('laplace', 0.3, 0.02, 0.05, 0.4, 0.0, 0.0, 0.0,
+     (0.0, 0.0, 0.0, 0.0)),
+    ('laplace', 0.3, 0.25, 0.5, 0.8, 0.1125207347587005, 0.07954106204487504, 0.03297967271382546,
+     (1.0000000000000004, 0.0, 0.0, 0.0)),
+    ('laplace', 0.3, 0.25, 0.5, -1.6, 0.3219983513421707, 0.12768280389774866, 0.19431554744442203,
+     (1.0000000000000002, 0.0, 0.0, 0.0)),
+    ('gaussian', 0.0, 1.0, 0.05, 1.3, 0.9499999999994663, 0.47500000000358344, 0.4749999999958828,
+     (0.23709375796622256, 0.0, 0.7629062420337775, 0.0)),
+    ('t3', 0.0, 0.5, 0.05, -2.2, 0.9429852969206338, 0.46806643620390254, 0.47491886071673123,
+     (0.17998252728223613, 0.0, 0.8200174727177636, 0.0)),
+    ('subexp:0.5', 5.0, 1.0, 0.05, 7.0, 0.9441458521457228, 0.46791630706080767, 0.47622954508491505,
+     (0.009787692232301784, 0.03896210062618377, 0.9512502071415141, 0.0)),
+    ('subexp:0.5', 0.5, 0.25, 0.05, 0.9, 0.948729589602948, 0.4738500224458323, 0.47487956715711566,
+     (0.0017461617423105416, 0.0, 0.9982538382576891, 0.0)),
+    ('t3', 5.0, 1.0, 0.05, 6.0, 0.9664033827886496, 0.4679351453043718, 0.49846823748427777,
+     (0.09837804707072705, 0.8728802922126518, 0.028741660716621324, 0.0)),
+    ('gaussian', 5.0, 0.125, 0.05, 5.3, 0.9630129415610433, 0.4673864485950791, 0.49562649296596417,
+     (0.05716400678128268, 0.9428359932187175, 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("law, lam, w, alpha, theta0, c, c_minus, c_plus, fracs", PINNED)
+def test_coverage_exact_pinned_values(law, lam, w, alpha, theta0, c, c_minus, c_plus, fracs):
+    pt = coverage_exact(PriorConfig(parse_dist_spec(law), lam, w, alpha), theta0)
+    assert pt.C == pytest.approx(c, abs=1e-10)
+    assert pt.C_minus == pytest.approx(c_minus, abs=1e-10)
+    assert pt.C_plus == pytest.approx(c_plus, abs=1e-10)
+    got = [pt.fractions[k] for k in ("I", "II", "III", "IV")]
+    assert got == pytest.approx(list(fracs), abs=1e-9)
+
+
+@pytest.mark.parametrize("name, lam, w", [("gaussian", 0.5, 0.25), ("laplace", 5.0, 1.0), ("t3", 5.0, 0.5)])
+def test_coverage_curve_matches_pointwise_on_mirrored_figure_grid(name, lam, w):
+    # The curve scans its whole grid as one batch on a shared endpoint
+    # table; every point must agree with the single-point scan.
+    cfg = config(name, lam, w)
+    grid = _coverage_grid(cfg.dist, lam, ALPHA, 4, True)
+    assert 0.0 in grid
+    rep = coverage_curve(cfg, grid)
+    for i, theta0 in enumerate(grid):
+        pt = coverage_exact(cfg, float(theta0))
+        assert rep.C[i] == pytest.approx(pt.C, abs=1e-10)
+        assert rep.C_minus[i] == pytest.approx(pt.C_minus, abs=1e-10)
+        assert rep.C_plus[i] == pytest.approx(pt.C_plus, abs=1e-10)
+        for k in ("I", "II", "III", "IV"):
+            assert rep.fractions[k][i] == pytest.approx(pt.fractions[k], abs=1e-10)
+
+
+def test_coverage_curve_chunked_matches_single_batch(monkeypatch):
+    cfg = config("laplace", 5.0, 1.0)
+    grid = np.linspace(-12.0, 14.0, 40)
+    whole = coverage_curve(cfg, grid)
+    sizes = []
+    real_build_grid = coverage_mod.build_grid
+
+    def counting_build_grid(*args):
+        out = real_build_grid(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(coverage_mod, "build_grid", counting_build_grid)
+    monkeypatch.setattr(coverage_mod, "_GRID_CAP", 12_000)
+    chunked = coverage_curve(cfg, grid)
+    assert len(sizes) > 2 and max(sizes) <= 12_000
+    for a, b in ((whole.C, chunked.C), (whole.C_minus, chunked.C_minus), (whole.C_plus, chunked.C_plus)):
+        assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_exact_batch_keeps_input_order():
+    cfg = config("gaussian", 0.5, 0.25)
+    theta = np.array([3.1, -0.2, 0.0, 7.5, 1.4, -4.0])
+    rows = coverage_mod._exact_batch(cfg, theta, ScanSettings())
+    order = np.argsort(theta)
+    assert np.array_equal(rows[order], coverage_mod._exact_batch(cfg, theta[order], ScanSettings()))
+    assert rows[2, 0] == 1.0 and rows[1, 0] == 0.0
+    with pytest.raises(ValueError):
+        coverage_exact(cfg, math.nan)

@@ -36,6 +36,21 @@ def test_prior_config_validation():
         PriorConfig(dist=d, lam=1.0, w=1.0, alpha=1.0)
 
 
+def test_prior_config_accepts_numpy_scalars():
+    d = dist("laplace")
+    cfg = PriorConfig(dist=d, lam=np.float32(1.0), w=np.float64(0.5), alpha=np.float32(0.25))
+    assert (cfg.lam, cfg.w, cfg.alpha) == (1.0, 0.5, 0.25)
+    assert all(type(v) is float for v in (cfg.lam, cfg.w, cfg.alpha))
+
+
+@pytest.mark.parametrize("field", ["lam", "w", "alpha"])
+@pytest.mark.parametrize("flag", [True, np.bool_(True)])
+def test_prior_config_rejects_booleans(field, flag):
+    values = {"lam": 1.0, "w": 1.0, "alpha": 0.05, field: flag}
+    with pytest.raises(ValueError):
+        PriorConfig(dist=dist("laplace"), **values)
+
+
 def test_gap_mass_laplace_closed_forms():
     # Band mass centered at 0 is 1 - 2G(-lam) = 1 - e^-lam for the Laplace law.
     cfg = config("laplace", math.log(2.0), 1.0)
