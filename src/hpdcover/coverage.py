@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import interval_mass
+from .distributions import draw_chunks, interval_mass
 from .hpd import (
     Regime,
     endpoint_values,
+    endpoints,
     onesided_lower_endpoint,
     onesided_upper_endpoint,
     regime_codes,
@@ -257,27 +258,12 @@ def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSet
     return CoveragePoint(float(theta0), c, c_minus, c_plus, dict(zip(_REGIME_KEYS, fracs)))
 
 
-def _mc_draws(cfg: PriorConfig, theta0: float, n: int, seed: int, chunk: int = 1 << 20):
-    """Yield reproducible chunks of X = theta0 + noise via inverse-CDF sampling.
-
-    Chunks come from counter-based Philox streams spawned from the seed, so
-    the draw sequence is independent of chunking or worker scheduling.
-    """
-    n_chunks = (n + chunk - 1) // chunk
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    for i in range(n_chunks):
-        m = min(chunk, n - i * chunk)
-        gen = np.random.Generator(np.random.Philox(children[i]))
-        u = gen.random(m)
-        yield theta0 + cfg.dist.ppf(u)
-
-
 def coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) -> tuple[float, float]:
     """Monte Carlo coverage estimate and its binomial standard error."""
     if n < 1000:
         raise ValueError(f"need at least 1000 draws, got {n}")
     hits = 0
-    for x in _mc_draws(cfg, theta0, n, seed):
+    for x in draw_chunks(cfg.dist, theta0, n, seed):
         hits += int(np.count_nonzero(hpd_contains(cfg, x, theta0)))
     c_hat = hits / n
     return c_hat, math.sqrt(max(c_hat * (1.0 - c_hat), 1e-300) / n)
@@ -289,8 +275,8 @@ def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoi
     in_band = cfg.lam > 0.0 and 0.0 < abs(theta0) < cfg.lam
     hits = np.zeros(3, dtype=np.int64)
     regime_hits = np.zeros(5, dtype=np.int64)
-    for x in _mc_draws(cfg, theta0, n, seed):
-        up, low = endpoint_values(cfg, x)
+    for x in draw_chunks(cfg.dist, theta0, n, seed):
+        up, low, codes = endpoints(cfg, x)
         f_full, f_minus, f_plus = _membership_flags(x, up, low, theta0)
         if atom_everywhere:
             f_full = np.ones(x.shape, dtype=bool)
@@ -299,8 +285,7 @@ def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoi
         hits += np.array(
             [np.count_nonzero(f_full), np.count_nonzero(f_minus), np.count_nonzero(f_plus)]
         )
-        codes = regime_codes(cfg, x[f_full])
-        regime_hits += np.bincount(codes, minlength=5)
+        regime_hits += np.bincount(codes[f_full], minlength=5)
     c = hits[0] / n
     denom = hits[0] if hits[0] else 1
     fracs = {k: float(regime_hits[Regime[k]] / denom) for k in _REGIME_KEYS}

@@ -145,13 +145,24 @@ class StudentT3(Distribution):
         eps = np.cbrt(1.5 * np.abs(half_pi - np.abs(c)))
         theta = np.where(np.abs(c) < 1.2, 0.5 * c, np.sign(c) * (half_pi - eps))
         cap = half_pi - 1e-12
-        theta = np.clip(theta, -cap, cap)
+        theta = np.clip(theta, -cap, cap, out=np.empty(p.shape))
+        two, f, fp = np.empty(p.shape), np.empty(p.shape), np.empty(p.shape)
         # quadratic convergence from these starts: 4 sweeps reach 1e-16
-        # residuals over the whole open interval, the fifth is margin
+        # residuals over the whole open interval, the fifth is margin.  Each
+        # sweep is one clipped Newton step on theta + sin(2 theta)/2 = c,
+        # computed in preallocated buffers.
         for _ in range(5):
-            f = theta + 0.5 * np.sin(2.0 * theta) - c
-            fp = np.maximum(1.0 + np.cos(2.0 * theta), 1e-300)
-            theta = np.clip(theta - f / fp, -cap, cap)
+            np.multiply(2.0, theta, out=two)
+            np.sin(two, out=f)
+            f *= 0.5
+            np.add(theta, f, out=f)
+            f -= c
+            np.cos(two, out=fp)
+            np.add(1.0, fp, out=fp)
+            np.maximum(fp, 1e-300, out=fp)
+            f /= fp
+            np.subtract(theta, f, out=theta)
+            np.clip(theta, -cap, cap, out=theta)
         with np.errstate(over="ignore"):
             out = _SQRT3 * np.tan(theta)
         out = np.where(p <= 0.0, -np.inf, out)
@@ -232,6 +243,20 @@ def make_distribution(name: str, eta: float | None = None) -> Distribution:
             raise ValueError(f"{name} takes no shape parameter")
         return _ALIASES[key]()
     raise ValueError(f"unknown distribution {name!r}")
+
+
+def draw_chunks(dist: Distribution, theta0: float, n: int, seed: int, chunk: int = 1 << 20):
+    """Yield n draws of X = theta0 + Z, Z ~ dist, by inverse-CDF sampling in chunks.
+
+    Chunk i comes from the i-th Philox stream spawned from the seed, so the
+    draws depend only on (seed, chunk) and not on worker scheduling.
+    """
+    n_chunks = (n + chunk - 1) // chunk
+    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    for i in range(n_chunks):
+        m = min(chunk, n - i * chunk)
+        gen = np.random.Generator(np.random.Philox(children[i]))
+        yield theta0 + dist.ppf(gen.random(m))
 
 
 def interval_mass(dist: Distribution, a, b):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coverage import coverage_curve
 from .distributions import Distribution
-from .hpd import Regime, hpd_length, hpd_radii, lower_values, regime_codes, upper_values
+from .hpd import Regime, endpoints, hpd_length, hpd_radii, regime_codes
 from .posterior import PriorConfig, atom_mass, posterior_normalizer
 from .scanning import ScanSettings
 
@@ -133,9 +133,7 @@ def endpoint_curves_rows(dist: Distribution, alpha: float):
     for lam, w in _ENDPOINT_PANELS:
         cfg = PriorConfig(dist=dist, lam=lam, w=w, alpha=alpha)
         xs = _panel_xgrid(dist, lam, alpha)
-        up = upper_values(cfg, xs)
-        low = lower_values(cfg, xs)
-        codes = regime_codes(cfg, xs)
+        up, low, codes = endpoints(cfg, xs)
         for i in range(xs.size):
             rows.append([lam, w, xs[i], low[i], up[i], Regime(int(codes[i])).name])
     return header, rows

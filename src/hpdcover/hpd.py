@@ -7,8 +7,11 @@ already carries 1 - alpha of the posterior (|x| <= t_alpha), and otherwise
 
 where U is built from three radius functions r1, r2, r3.  The real line
 splits into four regimes (plus the atom region) on which U takes the forms
-x + r1, x + r2, x + r3, and -lam; L(x) = -U(-x) by symmetry.  The module
-also provides the set-valued inverses of U and L, a monotone fixed-point
+x + r1, x + r2, x + r3, and -lam; L(x) = -U(-x) by symmetry.  One evaluator,
+``endpoints``, returns U, L and the regime codes from a single pass that
+computes each radius only where its regime uses it: r1 at every x, r3 off
+regime I, and r2 (one call at -|x| for both signs) on the band edge.  The
+module also provides the set-valued inverses of U and L, a monotone fixed-point
 iteration for the smallest element of L^{-1}, and the one-sided analogue
 (uniform prior on (lam, inf)) used as a comparison baseline.
 """
@@ -42,6 +45,7 @@ __all__ = [
     "upper_values",
     "lower_values",
     "endpoint_values",
+    "endpoints",
     "hpd_set",
     "hpd_length",
     "invert_upper",
@@ -116,21 +120,46 @@ def hpd_radii(cfg: PriorConfig, x):
     return r1, r2, r3
 
 
-def regime_codes(cfg: PriorConfig, x) -> np.ndarray:
-    """Vectorized regime classification; values are Regime codes (int)."""
+def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U(x), L(x) and the Regime codes in one pass; U and L are NaN on the atom region.
+
+    Each radius is evaluated only where its regime uses it: r1 everywhere,
+    r3 off regime I, and r2 on the band-edge regimes II/IV alone.  The gap
+    mass and the spike term are even in x, so one call at -|x| gives the
+    pinned radius of U for x > 0 and of the reflection L(x) = -U(-x) for x < 0.
+    """
     arr = np.atleast_1d(np.asarray(x, float))
-    r1, _, r3 = _radii_arrays(cfg, arr)
-    s = np.abs(arr)
-    codes = np.where(
-        s <= cfg.t_alpha,
-        Regime.ATOM,
-        np.where(
-            s > cfg.lam + r1,
-            Regime.I,
-            np.where(s <= r3 - cfg.lam, Regime.III, np.where(arr > 0, Regime.II, Regime.IV)),
-        ),
-    )
-    return codes.astype(np.int8)
+    d, lam, alpha = cfg.dist, cfg.lam, cfg.alpha
+    s = gap_complement(cfg, arr)
+    kg = (1.0 - cfg.w) / cfg.w * d.pdf(arr)
+    sk = s + kg
+    sabs = np.abs(arr)
+    r = _ppf_upper_ext(d, 0.5 - 0.5 * ((1.0 - alpha) * s - alpha * kg))
+    codes = np.full(arr.shape, Regime.I, dtype=np.int8)
+    # Off regime I: III where r3 clears the band, the band edge II/IV elsewhere.
+    edge = np.flatnonzero(~(sabs > lam + r))
+    if edge.size:
+        r[edge] = _ppf_upper_ext(d, 0.5 * alpha * sk[edge])
+        codes[edge] = Regime.III
+        edge = edge[~(sabs[edge] <= r[edge] - lam)]
+    upper = arr + r
+    upper_refl = r - arr  # U(-x), so that L(x) = -U(-x)
+    if edge.size:
+        xe = arr[edge]
+        r2 = _ppf_upper_ext(d, alpha * sk[edge] - d.cdf(-lam - sabs[edge]))
+        codes[edge] = np.where(xe > 0, Regime.II, Regime.IV)
+        upper[edge] = np.where(xe > 0, xe + r2, -lam)
+        upper_refl[edge] = np.where(xe < 0, r2 - xe, -lam)
+    lower = -upper_refl
+    atom = sabs <= cfg.t_alpha
+    upper[atom] = lower[atom] = np.nan
+    codes[atom] = Regime.ATOM
+    return upper, lower, codes
+
+
+def regime_codes(cfg: PriorConfig, x) -> np.ndarray:
+    """Vectorized regime classification; values are Regime codes (int8)."""
+    return endpoints(cfg, x)[2]
 
 
 def classify_regime(cfg: PriorConfig, x: float) -> Regime:
@@ -142,59 +171,17 @@ def classify_regime(cfg: PriorConfig, x: float) -> Regime:
 
 def upper_values(cfg: PriorConfig, x) -> np.ndarray:
     """Vectorized upper endpoint U(x); NaN where the set is the atom alone."""
-    arr = np.atleast_1d(np.asarray(x, float))
-    r1, r2, r3 = _radii_arrays(cfg, arr)
-    s = np.abs(arr)
-    atom = s <= cfg.t_alpha
-    one = s > cfg.lam + r1
-    three = s <= r3 - cfg.lam
-    with np.errstate(invalid="ignore"):
-        upper = np.where(
-            one,
-            arr + r1,
-            np.where(three, arr + r3, np.where(arr > 0, arr + r2, -cfg.lam)),
-        )
-    return np.where(atom, np.nan, upper)
+    return endpoints(cfg, x)[0]
 
 
 def lower_values(cfg: PriorConfig, x) -> np.ndarray:
-    """Vectorized lower endpoint via the reflection L(x) = -U(-x)."""
-    arr = np.atleast_1d(np.asarray(x, float))
-    return -upper_values(cfg, -arr)
+    """Vectorized lower endpoint L(x) = -U(-x); NaN where the set is the atom alone."""
+    return endpoints(cfg, x)[1]
 
 
 def endpoint_values(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray]:
-    """Both endpoints (U(x), L(x)) in one pass; NaN on the atom region.
-
-    r1 and r3 are even in x, so only the pinned-edge radius r2 needs a
-    second tail evaluation for the reflected point.  This is the workhorse
-    for membership scans and Monte Carlo, where both endpoints are needed
-    at every abscissa.
-    """
-    arr = np.atleast_1d(np.asarray(x, float))
-    d = cfg.dist
-    lam = cfg.lam
-    alpha = cfg.alpha
-    s = gap_complement(cfg, arr)
-    kg = (1.0 - cfg.w) / cfg.w * d.pdf(arr)
-    r1 = _ppf_upper_ext(d, 0.5 - 0.5 * ((1.0 - alpha) * s - alpha * kg))
-    r3 = _ppf_upper_ext(d, 0.5 * alpha * (s + kg))
-    base = alpha * (s + kg)
-    r2_pos = _ppf_upper_ext(d, base - d.cdf(-lam - arr))
-    r2_neg = _ppf_upper_ext(d, base - d.cdf(arr - lam))
-    sabs = np.abs(arr)
-    atom = sabs <= cfg.t_alpha
-    one = sabs > lam + r1
-    three = sabs <= r3 - lam
-    with np.errstate(invalid="ignore"):
-        upper = np.where(
-            one, arr + r1, np.where(three, arr + r3, np.where(arr > 0, arr + r2_pos, -lam))
-        )
-        upper_refl = np.where(
-            one, -arr + r1, np.where(three, -arr + r3, np.where(arr < 0, -arr + r2_neg, -lam))
-        )
-    nan = np.where(atom, np.nan, 1.0)
-    return upper * nan, -upper_refl * nan
+    """Both endpoints (U(x), L(x)); NaN on the atom region."""
+    return endpoints(cfg, x)[:2]
 
 
 def _require_interval_part(cfg: PriorConfig, x: float):
@@ -258,7 +245,8 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
     """Assemble the full credible set at observation x."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    regime = classify_regime(cfg, x)
+    up, low, codes = endpoints(cfg, x)
+    regime = Regime(int(codes[0]))
     mass0 = float(atom_mass(cfg, x))
     if regime is Regime.ATOM:
         return CredibleSet(
@@ -270,8 +258,7 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
             atom_included=True,
             atom_mass=mass0,
         )
-    upper = upper_endpoint(cfg, x)
-    lower = lower_endpoint(cfg, x)
+    upper, lower = float(up[0]), float(low[0])
     lam = cfg.lam
     if lam == 0.0:
         pieces = [(lower, upper)]

@@ -122,8 +122,9 @@ def atom_mass(cfg: PriorConfig, x):
     arr, scalar = _as_array(x)
     if cfg.w >= 1.0:
         return _ret(np.zeros_like(arr), scalar)
-    ratio = cfg.w / (1.0 - cfg.w) * gap_complement(cfg, arr) / cfg.dist.pdf(arr)
-    return _ret(1.0 / (1.0 + ratio), scalar)
+    # The spike's share kg / (kg + s) stays finite where the density underflows.
+    kg = (1.0 - cfg.w) / cfg.w * cfg.dist.pdf(arr)
+    return _ret(kg / (kg + gap_complement(cfg, arr)), scalar)
 
 
 def atom_threshold(cfg: PriorConfig) -> float:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hpd import hpd_set, lower_values, upper_values
+from .distributions import draw_chunks
+from .hpd import endpoint_values, hpd_set, lower_values, upper_values
 from .posterior import PriorConfig
 from .scanning import ScanSettings, graze_points, member_intervals
 
@@ -48,8 +49,7 @@ def credible_set_contains(cfg: PriorConfig, data_values, x: float):
     to L(theta) <= x <= U(theta).
     """
     thetas = np.atleast_1d(np.asarray(data_values, float))
-    up = upper_values(cfg, thetas)
-    low = lower_values(cfg, thetas)
+    up, low = endpoint_values(cfg, thetas)
     with np.errstate(invalid="ignore"):
         return (low <= x) & (x <= up)
 
@@ -80,8 +80,7 @@ def post_selection_set(cfg: PriorConfig, x: float, scan: ScanSettings = ScanSett
         return credible_set_contains(cfg, thetas, x)
 
     def graze(grid):
-        ups = upper_values(cfg, grid)
-        lows = lower_values(cfg, grid)
+        ups, lows = endpoint_values(cfg, grid)
         pts = graze_points(grid, ups, x, lambda ts: upper_values(cfg, ts))
         pts += graze_points(grid, lows, x, lambda ts: lower_values(cfg, ts))
         return pts
@@ -118,12 +117,7 @@ def conditional_coverage_mc(
     pieces = cs.intervals
     kept = 0
     covered = 0
-    n_chunks = (n + chunk - 1) // chunk
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    for i in range(n_chunks):
-        m = min(chunk, n - i * chunk)
-        gen = np.random.Generator(np.random.Philox(children[i]))
-        x = theta0 + cfg.dist.ppf(gen.random(m))
+    for x in draw_chunks(cfg.dist, theta0, n, seed, chunk):
         sel = np.abs(x) >= cfg.lam
         kept += int(np.count_nonzero(sel))
         xs = x[sel]

@@ -359,3 +359,54 @@ def test_exact_batch_keeps_input_order():
     assert rows[2, 0] == 1.0 and rows[1, 0] == 0.0
     with pytest.raises(ValueError):
         coverage_exact(cfg, math.nan)
+
+
+# (law, lam, w, theta0 for coverage_mc, (C, se), theta0 grid, curve rows
+# (C, C-, C+, frac_I..frac_IV)), recorded at seed MC_PIN_SEED with
+# MC_PIN_N draws from the evaluator that computed every radius at every x.
+# A faster endpoint or sampler path must reproduce every draw's verdict.
+MC_PIN_N = (1 << 16) + 1000
+MC_PIN_SEED = 2024
+MC_PINNED = [
+    ('gaussian', 0.5, 0.25, 1.5, (0.9299927858602861, 0.0009891971204315495),
+     [0.0, 0.3, 1.0, 2.5],
+     [
+         (1.0, 0.4094174582181075, 0.41189731874473967, 0.031321389924251535, 0.07341890104605026, 0.8213147769628472, 0.07394493206685103),
+         (0.0, 0.3491343032343393, 0.4512594685583744, 0.0, 0.0, 0.0, 0.0),
+         (0.9313003486834195, 0.4701514969339906, 0.4611488517494289, 0.10313886871621077, 0.2606632776567417, 0.6361978536270475, 0.0),
+         (0.9354785379343513, 0.47428459781171095, 0.46119394012264037, 0.6550616133541121, 0.25663930080490976, 0.0882990858409781, 0.0),
+     ]),
+    ('laplace', 5.0, 1.0, 6.5, (0.9725411807141998, 0.0006335291247260274),
+     [-6.0, 0.0, 6.5, 9.0],
+     [
+         (0.9694751713358182, 0.49827161236022605, 0.4712035589755922, 0.10256569258197039, 0.0, 0.0074722889698472985, 0.8899620184481823),
+         (0.0, 0.41932187086689915, 0.4222375856679091, 0.0, 0.0, 0.0, 0.0),
+         (0.9725411807141998, 0.47138391246843814, 0.5011572682457617, 0.19236891313418536, 0.8035358296372993, 0.004095257228515353, 0.0),
+         (0.930624023085247, 0.4741192737766021, 0.45650474930864493, 0.946156330749354, 0.053843669250645994, 0.0, 0.0),
+     ]),
+    ('t3', 0.5, 1.0, 1.0, (0.947937958398461, 0.0008612360695067422),
+     [-1.0, 0.2, 1.0, 3.0],
+     [
+         (0.9473668390044487, 0.4754268365997355, 0.47194000240471323, 0.022575118190183076, 0.0, 0.9354475362502777, 0.041977345559539296),
+         (0.0, 0.4565949260550679, 0.4708879403631117, 0.0, 0.0, 0.0, 0.0),
+         (0.947937958398461, 0.46976073103282434, 0.47817722736563667, 0.02317985794013191, 0.04179350583460172, 0.9350266362252664, 0.0),
+         (0.956865456294337, 0.4733828303474811, 0.4834826259468558, 0.3747212012691232, 0.22431124933245375, 0.400967549398423, 0.0),
+     ]),
+    ('subexp:0.5', 2.0, 0.5, 3.0, (0.9477726343633521, 0.0008625271977953812),
+     [0.0, 2.5, 4.0, 7.0],
+     [
+         (1.0, 0.46980581940603583, 0.4720001202356619, 0.047718528315498374, 0.005004809426475893, 0.9418059396416977, 0.005470722616328003),
+         (0.9475321630395576, 0.47052723337741975, 0.4770049296621378, 0.0015385835514315173, 0.007359822349115711, 0.9911015940994528, 0.0),
+         (0.9481934591799928, 0.47111338222916915, 0.4770800769508236, 0.00737054003075021, 0.008274025582906687, 0.9843554343863431, 0.0),
+         (0.9491403150174341, 0.4719550318624504, 0.47718528315498376, 0.020300228021281987, 0.01255700532049658, 0.9671427666582214, 0.0),
+     ]),
+]
+
+
+@pytest.mark.parametrize("law, lam, w, theta_mc, mc, grid, rows", MC_PINNED)
+def test_monte_carlo_pinned_values(law, lam, w, theta_mc, mc, grid, rows):
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+    assert coverage_mc(cfg, theta_mc, MC_PIN_N, MC_PIN_SEED) == mc
+    rep = coverage_curve(cfg, grid, method="mc", n=MC_PIN_N, seed=MC_PIN_SEED, threads=1)
+    got = np.column_stack([rep.C, rep.C_minus, rep.C_plus, *(rep.fractions[k] for k in ("I", "II", "III", "IV"))])
+    assert np.array_equal(got, np.array(rows))

@@ -5,9 +5,11 @@ import pytest
 
 from hpdcover import (
     InversionError,
+    PriorConfig,
     Regime,
     classify_regime,
     endpoint_values,
+    endpoints,
     hpd_length,
     hpd_radii,
     hpd_set,
@@ -24,6 +26,7 @@ from hpdcover import (
     upper_endpoint_alt,
     upper_values,
 )
+from hpdcover.cli import parse_dist_spec
 
 from conftest import ALL_CONFIGS, config, sample_x
 
@@ -125,6 +128,44 @@ def test_endpoint_pair_matches_separate_evaluations():
         ok = np.isfinite(u_sep)
         assert np.array_equal(u_pair[ok], u_sep[ok])
         assert np.array_equal(l_pair[ok], l_sep[ok])
+
+
+def _paper_upper(cfg, xs):
+    """U and the regime codes from all three radii at every x, by the
+    closed form of each regime (first matching condition wins)."""
+    r1, r2, r3 = hpd_radii(cfg, xs)
+    s, lam = np.abs(xs), cfg.lam
+    conds = [s <= cfg.t_alpha, s > lam + r1, s <= r3 - lam, xs > 0]
+    codes = np.select(conds, [Regime.ATOM, Regime.I, Regime.III, Regime.II], Regime.IV)
+    return np.select(conds, [np.nan, xs + r1, xs + r3, xs + r2], -lam), codes
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_evaluator_matches_per_regime_formulas(law):
+    # The one-pass evaluator computes each radius only where its regime uses
+    # it; U, L (by reflection) and the codes must equal the full evaluation
+    # exactly, NaN positions included.
+    rng = np.random.default_rng(404)
+    for lam in (0.0, 0.5, 5.0):
+        for w in (1.0, 0.25, 0.02):
+            cfg = PriorConfig(parse_dist_spec(law), lam, w, 0.05)
+            t = cfg.t_alpha
+            specials = [0.0, lam, -lam] + ([t, -t] if math.isfinite(t) else [])
+            xs = np.concatenate([
+                rng.uniform(-1.0, 1.0, 1500) * (lam + 8.0),
+                rng.uniform(-40.0, 40.0, 500),
+                rng.uniform(-1e3, 1e3, 200),
+                specials,
+            ])
+            up, codes = _paper_upper(cfg, xs)
+            low = -_paper_upper(cfg, -xs)[0]
+            got_u, got_l, got_codes = endpoints(cfg, xs)
+            for got, want in ((got_u, up), (got_l, low), (upper_values(cfg, xs), up),
+                              (lower_values(cfg, xs), low), *zip(endpoint_values(cfg, xs), (up, low))):
+                assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(got_codes, codes)
+            assert np.array_equal(regime_codes(cfg, xs), codes)
+            assert [classify_regime(cfg, float(x)) for x in xs[::50]] == list(codes[::50])
 
 
 def test_regime_four_upper_is_band_edge():

@@ -103,6 +103,31 @@ def test_atom_mass_even_and_nonincreasing():
         assert np.max(np.abs(atom_mass(cfg, -xs) - h)) <= 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [40.0, -40.0])
+def test_atom_mass_where_density_underflows(x):
+    # g(40) underflows to 0 for the Gaussian law: the atom's share is 0,
+    # reached without dividing by the density.
+    cfg = config("gaussian", 2.0, 0.25)
+    assert cfg.dist.pdf(x) == 0.0
+    assert atom_mass(cfg, x) == 0.0
+    cs = hpd_set(cfg, x)
+    assert cs.atom_mass == 0.0 and cs.atom_included
+    assert all(math.isfinite(v) for iv in cs.intervals for v in iv)
+
+
+def test_atom_mass_matches_odds_form():
+    # Where the density is positive, kg / (kg + s) equals the odds form
+    # 1 / (1 + w/(1-w) * s / g) to rounding.
+    for name, lam, w in ALL_CONFIGS + [("laplace", 5.0, 0.125), ("t3", 2.0, 0.02)]:
+        if w == 1.0:
+            continue
+        cfg = config(name, lam, w)
+        xs = np.linspace(-30.0, 30.0, 2001)
+        odds = w / (1.0 - w) * gap_complement(cfg, xs) / cfg.dist.pdf(xs)
+        assert np.max(np.abs(atom_mass(cfg, xs) - 1.0 / (1.0 + odds))) <= 1e-15
+
+
 def test_atom_threshold_no_atom():
     assert atom_threshold(config("laplace", 4.0, 1.0)) == -math.inf
 

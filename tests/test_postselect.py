@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from hpdcover import (
+    PriorConfig,
     conditional_coverage_mc,
     credible_set_contains,
     hpd_set,
     post_selection_set,
 )
+from hpdcover.cli import parse_dist_spec
 
 from conftest import config
 
@@ -109,3 +111,20 @@ def test_conditional_coverage_reproducible():
     a = conditional_coverage_mc(cfg, 2.0, 10**4, seed=5)
     b = conditional_coverage_mc(cfg, 2.0, 10**4, seed=5)
     assert a == b
+
+
+# (law, (c_hat, se, selection rate)) at lam = 1, theta0 = 1.5, n = 30000,
+# seed 7 and two sampler chunks, recorded before conditional_coverage_mc
+# shared the coverage sampler: the draws must be the same bit for bit.
+CONDITIONAL_PINNED = [
+    ('gaussian', (0.9510783798001052, 0.0014916645527442269, 0.6970333333333333)),
+    ('laplace', (0.9501241254795757, 0.0014625124019634712, 0.7385)),
+    ('t3', (0.9501668829964769, 0.0014815413092743725, 0.7190666666666666)),
+    ('subexp:0.5', (0.9498576399873457, 0.0013723800748898778, 0.8429333333333333)),
+]
+
+
+@pytest.mark.parametrize("law, expected", CONDITIONAL_PINNED)
+def test_conditional_coverage_pinned_values(law, expected):
+    cfg = PriorConfig(parse_dist_spec(law), 1.0, 1.0, 0.05)
+    assert conditional_coverage_mc(cfg, 1.5, 30_000, seed=7, chunk=1 << 14) == expected
