@@ -2,8 +2,15 @@
 
 Every model here has a positive continuous density on the real line,
 symmetric about zero and strictly decreasing on (0, inf).  CDFs are accurate
-to better than 1e-12 absolute and quantiles invert the CDF to better than
-1e-10 over [1e-8, 1 - 1e-8].  All evaluators accept scalars or numpy arrays.
+to better than 1e-12 absolute; the t3 one and the sub-exponential one at
+integer 1/eta <= 3 keep about 1e-15 relative accuracy in the lower tail.
+Quantiles are solved on the tail mass q = min(p, 1 - p), so tiny tails keep
+relative accuracy.  The Student t3 quantile and the sub-exponential one at
+integer 1/eta <= 3 are closed-form starts followed by a fixed number of
+Halley steps; against a 30-digit mpmath oracle they are within
+1e-14 * max(1, |x|) for p log-spaced over [1e-300, 1 - 1e-16] and for seeded
+uniforms (measured: at most 2.2e-15).  All evaluators accept scalars or numpy
+arrays.
 
 ``tail_gamma`` / ``tail_cstar``, when set, certify the essentially
 exponential tail condition
@@ -37,6 +44,163 @@ __all__ = [
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT3 = math.sqrt(3.0)
+
+# Taylor coefficients of (psi - sin psi) / psi**3 in psi**2, highest first:
+# eight terms reach 1e-17 relative at psi = 1, the cut below which the t3 CDF
+# and quantile use the series because psi - sin psi cancels.
+_KEPLER_SERIES = tuple((-1) ** j / math.factorial(2 * j + 3) for j in reversed(range(8)))
+_KEPLER_CUT = 1.0
+
+# Shapes k = 1/eta that are integers up to this value use the Erlang closed
+# form Q(k, y) = exp(-y) * sum_{j<k} y**j / j! for the CDF and the quantile;
+# other shapes go through scipy's gammaincc / gammainccinv.  Measured against
+# a 30-digit mpmath oracle (p log-spaced over [1e-300, 0.5] and 20000 seeded
+# uniforms), the closed-form quantile is within 2.1e-15 * max(1, |x|) at
+# k = 3 (gammainccinv 2.9e-15) but only 1.05e-14 at k = 4 (gammainccinv
+# 3.5e-15), where log Q cancels near the centre.  Speed is not the limit:
+# at k = 4 the closed form takes 132 against 700 ns/elem at 2^20 elements.
+_ERLANG_MAX_SHAPE = 3
+# Beyond this y, Q(k, y) rounds to zero for every k <= _ERLANG_MAX_SHAPE;
+# capping y there keeps exp(-y) * S(y) from forming 0 * inf at |x| = inf.
+_ERLANG_Y_CAP = 1e3
+
+# The closed-form kernels run on blocks of this many elements, which keeps
+# their temporaries in cache and out of peak memory (t3 ppf at 2^20 elements:
+# 73 ns/elem and 17.5 MB peak, against 77 ns/elem and 21.6 MB in blocks of
+# 2^16).  Arrays of up to _SCALAR_MAX elements go element by element as numpy
+# scalars, which skips most of the per-call cost of array ufuncs: t3 ppf
+# takes 17 us at one element and 28 at three, against 46 at eight and 70 or
+# more at 64.
+_BLOCK = 1 << 14
+_SCALAR_MAX = 4
+
+
+def _is_real(value) -> bool:
+    """Python or numpy real scalar; booleans are not numbers here."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _where(cond, a, b):
+    """np.where that keeps numpy scalars scalar, so one solver serves both."""
+    return np.where(cond, a, b) if np.ndim(cond) else (a if cond else b)
+
+
+def _elementwise(fn, a, *args):
+    """fn(a, *args) over the flat array a, in blocks or element by element.
+
+    fn is elementwise, so neither way changes a bit: numpy scalars run the
+    same ufunc loops as arrays, and blocks keep fn's temporaries small.
+    """
+    if a.size <= _SCALAR_MAX:
+        return np.array([fn(v, *args) for v in a], dtype=float)
+    out = np.empty_like(a)
+    for i in range(0, a.size, _BLOCK):
+        out[i : i + _BLOCK] = fn(a[i : i + _BLOCK], *args)
+    return out
+
+
+def _kepler(psi):
+    """psi - sin(psi) by its Taylor series; accurate for |psi| <= _KEPLER_CUT."""
+    z = psi * psi
+    acc = _KEPLER_SERIES[0] * z + _KEPLER_SERIES[1]
+    for c in _KEPLER_SERIES[2:]:
+        acc = acc * z + c
+    return acc * z * psi
+
+
+def _psi_minus_sin(psi, sin_psi):
+    """psi - sin(psi) given sin(psi); the Taylor series below _KEPLER_CUT, where
+    the difference cancels (evaluated only there)."""
+    if np.ndim(psi) == 0:
+        return _kepler(psi) if psi < _KEPLER_CUT else psi - sin_psi
+    out = psi - sin_psi
+    small = np.flatnonzero(psi < _KEPLER_CUT)
+    if small.size:
+        out[small] = _kepler(psi[small])
+    return out
+
+
+def _t3_half_tail(ax):
+    """G(-|x|) = (psi - sin psi) / (2 pi), psi = 2 arctan(tau), tau = sqrt(3) / |x|.
+
+    sin psi = 2 / (tau + 1 / tau) holds at tau = 0 and inf too; below
+    psi = _KEPLER_CUT the Taylor series keeps the tail mass relatively exact.
+    """
+    tau = _SQRT3 / ax
+    psi = 2.0 * np.arctan(tau)
+    return _psi_minus_sin(psi, 2.0 / (tau + 1.0 / tau)) / (2.0 * math.pi)
+
+
+def _t3_tail_root(q):
+    """|x| with G(-|x|) = q for Student t3, from Kepler's equation at e = 1.
+
+    psi - sin(psi) = 2 pi q with psi = 2 arctan(sqrt(3) / |x|): Lagrange
+    series start, then two Halley steps in t = tan(psi / 2), where
+    sin psi = 2t / (1 + t^2) and f' = 1 - cos psi = 2t^2 / (1 + t^2).
+    """
+    c = (2.0 * math.pi) * q
+    s = np.cbrt(6.0 * c)
+    z = s * s
+    psi = s * (1.0 + z * (1.0 / 60.0 + z * (1.0 / 1400.0 + z * (1.0 / 25200.0))))
+    for _ in range(2):
+        t = np.tan(0.5 * psi)
+        u = t * t + 1.0
+        d = (_psi_minus_sin(psi, 2.0 * t / u) - c) * u / (2.0 * t * t)  # Newton step f / f'
+        # Halley: psi -= d / (1 - d f'' / (2 f')), and f'' / (2 f') = 1 / (2t)
+        t = 2.0 * t
+        psi = psi - t * d / (t - d)
+    return _SQRT3 / np.tan(0.5 * psi)
+
+
+def _erlang_partial_sum(y, k: int):
+    """S(y) - 1 = sum_{1 <= j < k} y**j / j!, by Horner."""
+    acc = 0.0 * y
+    for j in range(k - 1, 0, -1):
+        acc = (acc + 1.0) * y / j
+    return acc
+
+
+def _erlang_half_tail(y, k: int):
+    """Q(k, y) / 2 = exp(-y) S(y) / 2, the lower-tail mass at |x| = y**k."""
+    y = np.minimum(y, _ERLANG_Y_CAP)
+    return 0.5 * np.exp(-y) * (1.0 + _erlang_partial_sum(y, k))
+
+
+def _erlang_tail_root(q, k: int):
+    """y >= 0 with Q(k, y) = 2q, by three Halley steps on log Q.
+
+    With v = -log(2q) the equation reads y - log S(y) = v.  The start is the
+    centre series y = s (1 + s / (k + 1)), s = (k! v)**(1/k), for v < 2, and
+    one fixed-point sweep y = v + log S(v) beyond; from either, three steps
+    reach the accuracy floor of the log-Q residual for k <= 3.
+    """
+    v = -np.log(2.0 * q)
+    s = np.power(math.factorial(k) * v, 1.0 / k)
+    y = _where(v < 2.0, s * (1.0 + s / (k + 1)), v + np.log1p(_erlang_partial_sum(v, k)))
+    for _ in range(3):
+        s1 = _erlang_partial_sum(y, k)
+        ratio = 1.0 / math.factorial(k - 1)
+        for _ in range(k - 1):
+            ratio = ratio * y
+        ratio = ratio / (1.0 + s1)  # T / S = -f', with T = y**(k-1) / (k-1)!
+        step = (np.log1p(s1) - y + v) / ratio  # Newton step -f / f'
+        curv = (k - 1) / y + ratio - 1.0  # f'' / f'
+        y = y + step / (1.0 + 0.5 * step * curv)
+    return y
+
+
+def _signed_quantile(p, q, mag):
+    """Quantile from its magnitude on the tail mass q = min(p, 1 - p).
+
+    ``q`` and ``mag`` are the flattened arrays of a tail solver; the ends and
+    the centre, where the solvers divide zero by zero, are set exactly: q = 0
+    gives infinity, q = 1/2 gives 0, and p outside [0, 1] gives NaN.
+    """
+    mag[q == 0.0] = np.inf
+    mag[q == 0.5] = 0.0
+    mag[q < 0.0] = np.nan
+    np.negative(mag, out=mag, where=(p < 0.5).reshape(-1))
+    return mag.reshape(p.shape)
 
 
 class Distribution:
@@ -115,9 +279,15 @@ class StudentT3(Distribution):
     """Student t errors with three degrees of freedom (scale 1).
 
     Polynomial tails: no exponential tail certificate is available.  With
-    theta = arctan(x / sqrt(3)) the CDF is 1/2 + (theta + sin(2 theta)/2)/pi,
-    so the quantile solves a Kepler-type equation; a guarded Newton iteration
-    inverts it to full precision far faster than generic t-quantile routines.
+    psi = 2 arctan(sqrt(3) / |x|) the lower tail is G(-|x|) = (psi - sin psi)
+    / (2 pi), which the CDF evaluates (by the Taylor series of psi - sin psi
+    below psi = 1, so that tail masses keep relative accuracy).  On the tail
+    mass q = min(p, 1 - p) this is Kepler's equation at eccentricity one,
+    psi - sin(psi) = 2 pi q, with |x| = sqrt(3) / tan(psi / 2).  The quantile
+    starts from the Lagrange series in s = (12 pi q)**(1/3) and takes two
+    Halley steps, written in t = tan(psi / 2) (sin psi = 2t / (1 + t^2),
+    1 - cos psi = 2 sin^2(psi/2) = 2t^2 / (1 + t^2)), with the same series
+    for the residual below psi = 1.
     """
 
     name = "student_t3"
@@ -131,60 +301,42 @@ class StudentT3(Distribution):
 
     def cdf(self, x):
         x = np.asarray(x, float)
-        u = x / _SQRT3
-        with np.errstate(invalid="ignore"):
-            rational = np.where(np.isfinite(u), u / (1.0 + u * u), 0.0)
-        return 0.5 + (rational + np.arctan(u)) / math.pi
+        with np.errstate(divide="ignore"):
+            lower = _elementwise(_t3_half_tail, np.abs(x).reshape(-1)).reshape(x.shape)
+        return np.where(x <= 0, lower, 1.0 - lower)
 
     def ppf(self, p):
         p = np.asarray(p, float)
-        c = math.pi * (p - 0.5)
-        half_pi = 0.5 * math.pi
-        # Newton start: linearization near the center, the cube-root tail
-        # expansion pi/2 - c = (2/3) eps**3 + O(eps**5) near the edges.
-        eps = np.cbrt(1.5 * np.abs(half_pi - np.abs(c)))
-        theta = np.where(np.abs(c) < 1.2, 0.5 * c, np.sign(c) * (half_pi - eps))
-        cap = half_pi - 1e-12
-        theta = np.clip(theta, -cap, cap, out=np.empty(p.shape))
-        two, f, fp = np.empty(p.shape), np.empty(p.shape), np.empty(p.shape)
-        # quadratic convergence from these starts: 4 sweeps reach 1e-16
-        # residuals over the whole open interval, the fifth is margin.  Each
-        # sweep is one clipped Newton step on theta + sin(2 theta)/2 = c,
-        # computed in preallocated buffers.
-        for _ in range(5):
-            np.multiply(2.0, theta, out=two)
-            np.sin(two, out=f)
-            f *= 0.5
-            np.add(theta, f, out=f)
-            f -= c
-            np.cos(two, out=fp)
-            np.add(1.0, fp, out=fp)
-            np.maximum(fp, 1e-300, out=fp)
-            f /= fp
-            np.subtract(theta, f, out=theta)
-            np.clip(theta, -cap, cap, out=theta)
-        with np.errstate(over="ignore"):
-            out = _SQRT3 * np.tan(theta)
-        out = np.where(p <= 0.0, -np.inf, out)
-        return np.where(p >= 1.0, np.inf, out)
+        q = np.minimum(p, 1.0 - p).reshape(-1)
+        # q = 0 meets t = 0 and 0/0; _signed_quantile sets those entries.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = _elementwise(_t3_tail_root, q)
+        return _signed_quantile(p, q, x)
 
 
 class SubExponential(Distribution):
     """Errors with density proportional to exp(-|x|**eta), eta in (0, 1].
 
     eta = 1 recovers the Laplace model.  The normalizing constant is
-    eta / (2 * Gamma(1/eta)); CDF and quantile go through the regularized
-    upper incomplete gamma function and its inverse.
+    eta / (2 * Gamma(1/eta)), and G(-|x|) = Q(1/eta, |x|**eta) / 2 with Q the
+    regularized upper incomplete gamma function.  When k = 1/eta is an
+    integer up to ``_ERLANG_MAX_SHAPE`` (eta = 1, 1/2, 1/3), Q has the Erlang
+    closed form exp(-y) * sum_{j<k} y**j / j!: the CDF evaluates it and the
+    quantile takes three Halley steps on log Q(k, y) = log(2q) for the tail
+    mass q = min(p, 1 - p).  Other shapes use scipy's gammaincc and
+    gammainccinv.
     """
 
     def __init__(self, eta: float):
-        if not (isinstance(eta, (int, float)) and math.isfinite(eta)):
-            raise ValueError(f"subexp shape must be finite, got {eta!r}")
+        if not (_is_real(eta) and math.isfinite(eta)):
+            raise ValueError(f"subexp shape must be a finite real number, got {eta!r}")
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"subexp shape must lie in (0, 1], got {eta}")
         self.eta = float(eta)
         self.name = f"subexp({self.eta:g})"
         self._shape = 1.0 / self.eta
+        k = self._shape
+        self._erlang = int(k) if k == int(k) and k <= _ERLANG_MAX_SHAPE else 0
         self._norm = self.eta / (2.0 * special.gamma(self._shape))
         self.tail_gamma = 0.8 * (1.5**self.eta - 1.0)
         self.tail_cstar = self._calibrate_cstar(self.tail_gamma)
@@ -195,15 +347,25 @@ class SubExponential(Distribution):
 
     def cdf(self, x):
         x = np.asarray(x, float)
-        lower = 0.5 * special.gammaincc(self._shape, np.abs(x) ** self.eta)
+        if self._erlang:
+            # y = |x|**eta is not kept past the call, so it is freed before the select
+            lower = _elementwise(_erlang_half_tail, np.abs(x).reshape(-1) ** self.eta, self._erlang)
+            lower = lower.reshape(x.shape)
+        else:
+            lower = 0.5 * special.gammaincc(self._shape, np.abs(x) ** self.eta)
         return np.where(x <= 0, lower, 1.0 - lower)
 
     def ppf(self, p):
         p = np.asarray(p, float)
-        q = np.where(p <= 0.5, p, 1.0 - p)
-        y = special.gammainccinv(self._shape, 2.0 * q)
-        r = y ** (1.0 / self.eta)
-        return np.where(p <= 0.5, -r, r)
+        if not self._erlang:
+            q = np.where(p <= 0.5, p, 1.0 - p)
+            y = special.gammainccinv(self._shape, 2.0 * q)
+            r = y ** (1.0 / self.eta)
+            return np.where(p <= 0.5, -r, r)
+        q = np.minimum(p, 1.0 - p).reshape(-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = _elementwise(_erlang_tail_root, q, self._erlang)
+        return _signed_quantile(p, q, y**self._shape)
 
     def _calibrate_cstar(self, gamma: float) -> float:
         # Empirical envelope of both tail-decay ratios, with a 2x margin.

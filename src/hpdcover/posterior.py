@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import Distribution, interval_mass
+from .distributions import Distribution, _is_real, interval_mass
 
 __all__ = [
     "PriorConfig",
@@ -33,11 +33,11 @@ __all__ = [
 # Bracket-growth cap for the atom-threshold search; beyond this the atom is
 # reported as never dropping below the credibility level.
 _BRACKET_LIMIT = 1e6
-
-
-def _is_real(value) -> bool:
-    """Python or numpy real scalar; booleans are not numbers here."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+# Cells per multisection round of the threshold search: one vectorized call
+# narrows the bracket 32-fold, so a unit bracket takes 7 calls (scipy's
+# brentq would take fewer, but importing scipy.optimize adds about 0.22 s to
+# every process start).
+_SECTIONS = 32
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,13 @@ def atom_threshold(cfg: PriorConfig) -> float:
         hi *= 2.0
         if hi > _BRACKET_LIMIT:
             return math.inf
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if atom_mass(cfg, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
+    # Multisection: each round evaluates the bracket at 33 points in one call
+    # and keeps the first cell where the atom drops below the level, until
+    # the bracket is under 1e-10 wide.
+    for _ in range(math.ceil(math.log((hi - lo) / 1e-10, _SECTIONS))):
+        t = np.linspace(lo, hi, _SECTIONS + 1)
+        i = int(np.argmin(atom_mass(cfg, t) >= target))
+        lo, hi = float(t[i - 1]), float(t[i])
     return 0.5 * (lo + hi)
 
 

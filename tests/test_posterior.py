@@ -177,6 +177,43 @@ def test_atom_threshold_saturated_flagged_as_inf():
     assert cfg.t_alpha == math.inf
 
 
+def _bisection_threshold(cfg):
+    """The scalar bisection atom_threshold used before its bracketing solver."""
+    target = 1.0 - cfg.alpha
+    if cfg.w >= 1.0 or atom_mass(cfg, 0.0) < target:
+        return -math.inf
+    lo, hi = 0.0, 1.0
+    while atom_mass(cfg, hi) >= target:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e6:
+            return math.inf
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if atom_mass(cfg, mid) >= target else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_atom_threshold_agrees_with_bisection():
+    rng = np.random.default_rng(300)
+    laws = ["gaussian", "laplace", "t3", "subexp"]
+    finite = 0
+    for i in range(300):
+        law = laws[i % 4]
+        d = make_distribution(law, eta=0.5 if law == "subexp" else None)
+        lam = float(rng.choice([0.0, 0.5, 2.0, 5.0, 12.0]) * rng.uniform(0.5, 1.5))
+        w = float(10 ** rng.uniform(-6.0, -0.01))
+        alpha = float(10 ** rng.uniform(-4.0, -0.3))
+        cfg = PriorConfig(d, lam, w, alpha)
+        want = _bisection_threshold(cfg)
+        got = atom_threshold(cfg)
+        if math.isfinite(want):
+            finite += 1
+            assert abs(got - want) <= 1e-10, (law, lam, w, alpha)
+        else:
+            assert got == want
+    assert finite > 150
+
+
 def test_posterior_normalizer_positive():
     for name, lam, w in ALL_CONFIGS:
         cfg = config(name, lam, w)
