@@ -3,16 +3,18 @@
 The coverage at a true mean theta0 is the error-law probability of the
 membership set {x : theta0 in HPD(x)}.  Because the endpoint maps are
 piecewise smooth with known jump loci, that set is a finite interval union;
-it is recovered by a densified membership scan with bisected boundaries and
-summed as exact CDF differences.  A seeded inverse-CDF Monte Carlo estimator
-serves as an independent cross-check.
+it is recovered by a densified membership scan with boundaries refined by
+multisection, and summed as exact CDF differences.  A seeded inverse-CDF
+Monte Carlo estimator serves as an independent cross-check.
 
 U and L do not depend on theta0, so a whole theta0 grid is scanned as one
 batch on the calling thread: one endpoint table on a grid over the union of
 the scan windows (chunked to at most _GRID_CAP points), a sliver guard that
 refines every extremum of U and L grazing any requested level, and one
-bisection batch over the transition cells of every theta0.  coverage_exact
-is that batch on a single point.
+multisection batch over the transition cells of every theta0 (7-14 rounds
+of one endpoint call, with U and L evaluated once per distinct abscissa).
+C-/C+ cells that flip at theta0 itself are cut there without refinement.
+coverage_exact is that batch on a single point.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .hpd import (
     Regime,
     endpoint_values,
     endpoints,
+    onesided_endpoints,
     onesided_lower_endpoint,
     onesided_upper_endpoint,
     regime_codes,
@@ -119,14 +122,6 @@ def _half_width(cfg: PriorConfig, scan: ScanSettings) -> float:
     return min(float(cfg.dist.ppf_upper(scan.tol_tail / 2.0)), r3_sup + 0.5)
 
 
-def _mass_of(cfg: PriorConfig, intervals, theta0: float) -> float:
-    if not intervals:
-        return 0.0
-    a = np.array([p[0] for p in intervals]) - theta0
-    b = np.array([p[1] for p in intervals]) - theta0
-    return float(np.sum(interval_mass(cfg.dist, a, b)))
-
-
 def _membership_flags(grid, upper, lower, theta0):
     """Flags for the three membership predicates from cached endpoint curves.
 
@@ -194,14 +189,26 @@ def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSetti
         k, i = np.divmod(np.flatnonzero(f[:, 1:] != f[:, :-1]), f.shape[1] - 1)
         cells.append((np.full(k.size, j), k, i + i0[j], f[k, i]))
     owner, kind, cell, lo_flag = (np.concatenate(c) for c in zip(*cells))
+    lo_x, hi_x, t = grid[cell], grid[cell + 1], ts[owner]
 
-    # One bisection batch over every cell of every theta0.
-    def flags_at(xs):
-        return np.choose(kind, _membership_flags(xs, *endpoint_values(cfg, xs), ts[owner]))
+    # theta0 is a grid point.  C- is false short of it (x < theta0), so a C-
+    # cell ending there flips exactly at theta0; C+ is false at it, so a C+
+    # cell ending there does too when theta0 <= U at both ends (one crossing
+    # per cell is what the refinement assumes as well).
+    at_t = (hi_x == t) & ((kind == 1) | ((kind == 2) & (t <= upper[cell + 1])))
+    rest = np.flatnonzero(~at_t)
 
-    lo_x, hi_x = grid[cell], grid[cell + 1]
-    iters = bisect_iters(float(np.max(hi_x - lo_x)), scan.bisect_tol) if cell.size else 0
-    cuts = refine_flag_boundaries(flags_at, lo_x, hi_x, lo_flag, iters)
+    # One multisection batch over the other cells of every theta0.  U and L
+    # are evaluated once per distinct abscissa and shared by the three
+    # predicates, whose L and U crossings often lie in the same cell.
+    def flags_at(xs, rows):
+        uniq, inv = np.unique(xs, return_inverse=True)
+        upper_x, lower_x = endpoint_values(cfg, uniq)
+        return np.choose(kind[rest[rows]], _membership_flags(xs, upper_x[inv], lower_x[inv], t[rest[rows]]))
+
+    cuts = t.copy()
+    iters = bisect_iters(hi_x[rest] - lo_x[rest], scan.bisect_tol)
+    cuts[rest] = refine_flag_boundaries(flags_at, lo_x[rest], hi_x[rest], lo_flag[rest], iters)
 
     # Member intervals: the stretches between consecutive cuts of each
     # (theta0, predicate) group, alternating from the flag at the window start.
@@ -251,7 +258,7 @@ def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSet
 
     C- counts draws with theta0 in [L(x), x] (empty when L(x) > x), C+ those
     with theta0 in (x, U(x)]; both restricted to |x| > t_alpha.  Boundary
-    abscissas are bisected to scan.bisect_tol and masses accumulated as
+    abscissas are refined to scan.bisect_tol and masses accumulated as
     tail-accurate CDF differences.  This is the batch scan on one point.
     """
     c, c_minus, c_plus, *fracs = (float(v) for v in _exact_batch(cfg, [theta0], scan)[0])
@@ -387,22 +394,19 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings 
     hi = theta0 + float(d.ppf_upper(cfg.alpha / 2.0)) + 0.5
 
     def pred(xs):
-        arr = np.atleast_1d(np.asarray(xs, float))
-        return (onesided_lower_endpoint(cfg, arr) <= theta0) & (
-            theta0 <= onesided_upper_endpoint(cfg, arr)
-        )
+        ups, lows = onesided_endpoints(cfg, xs)
+        return (lows <= theta0) & (theta0 <= ups), (ups, lows)
 
-    def graze(grid):
-        ups = onesided_upper_endpoint(cfg, grid)
-        lows = onesided_lower_endpoint(cfg, grid)
+    def graze(grid, table):
+        ups, lows = table
         pts = graze_points(grid, ups, theta0, lambda xs: onesided_upper_endpoint(cfg, xs))
         pts += graze_points(grid, lows, theta0, lambda xs: onesided_lower_endpoint(cfg, xs))
         return pts
 
     switch = cfg.lam + float(d.ppf(1.0 / (1.0 + cfg.alpha)))
     specials = [cfg.lam, switch, theta0]
-    intervals = member_intervals(pred, lo, hi, specials, scan, graze=graze)
-    return _mass_of(cfg, intervals, theta0)
+    ends = np.array(member_intervals(pred, lo, hi, specials, scan, graze=graze)).reshape(-1, 2) - theta0
+    return float(np.sum(interval_mass(d, ends[:, 0], ends[:, 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +565,9 @@ def check_coverage_bounds(
     # (b) floor on the below-x part, alpha**(1+gamma)-scale slack.
     if above.size and has_tail:
         shortfall = (0.5 - alpha) - c_minus
-        if slack_coeff is None:
-            k = max(float(shortfall.max()), 0.0) / alpha ** (1.0 + gamma) * 1.25
-            calibrated = True
-        else:
-            k = slack_coeff
-            calibrated = False
-        slack = k * alpha ** (1.0 + gamma)
-        margin = float(slack - shortfall.max())
+        calibrated = slack_coeff is None
+        k = max(float(shortfall.max()), 0.0) / alpha ** (1.0 + gamma) * 1.25 if calibrated else slack_coeff
+        margin = float(k * alpha ** (1.0 + gamma) - shortfall.max())
         checks.append(
             BoundCheck(
                 "c_minus_floor",
@@ -584,15 +583,9 @@ def check_coverage_bounds(
     # (c) dip level against its predicted value.
     if has_tail and g_lam_ok and t_below_lam:
         dip = dip_search(cfg, scan)
-        if dip_slack is None:
-            k = dip.deviation / alpha ** (1.0 + gamma) * 1.25
-            slack = k * alpha ** (1.0 + gamma)
-            calibrated = True
-        else:
-            k = dip_slack
-            slack = k * alpha ** (1.0 + gamma)
-            calibrated = False
-        margin = float(slack - dip.deviation)
+        calibrated = dip_slack is None
+        k = dip.deviation / alpha ** (1.0 + gamma) * 1.25 if calibrated else dip_slack
+        margin = float(k * alpha ** (1.0 + gamma) - dip.deviation)
         checks.append(
             BoundCheck(
                 "dip_level",

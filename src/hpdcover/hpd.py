@@ -24,11 +24,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .posterior import (
-    PriorConfig,
-    atom_mass,
-    gap_complement,
-)
+from .posterior import PriorConfig, atom_mass
 from .scanning import ScanSettings, sign_change_roots
 
 __all__ = [
@@ -52,6 +48,7 @@ __all__ = [
     "invert_lower",
     "smallest_lower_inverse",
     "onesided_radii",
+    "onesided_endpoints",
     "onesided_upper_endpoint",
     "onesided_lower_endpoint",
 ]
@@ -89,19 +86,35 @@ def _ppf_upper_ext(dist, q):
     return out
 
 
+def _tail_levels(cfg: PriorConfig, sabs: np.ndarray):
+    """(s + kg, q1, B) at |x| = sabs, from two CDF calls.
+
+    s = gap_complement(x) is the slab's share of the shifted error mass, kg
+    the spike term, q1 the tail level of r1 and B = G(-lam - |x|).  With
+    T = G(-| |x| - lam |), s = (|x| > lam ? 1 - T : T) + B and the band mass
+    1 - s = (|x| > lam ? T : 1 - T) - B, so q1 = 0.5 - 0.5((1 - alpha) s -
+    alpha kg) is formed as the sum 0.5 (alpha (s + kg) + (1 - s)), which
+    keeps relative accuracy when q1 is far below 1/2 (|x| beyond the band).
+    """
+    d, lam = cfg.dist, cfg.lam
+    far = sabs > lam
+    tail = d.cdf(-np.abs(sabs - lam))
+    rest = 1.0 - tail
+    below = d.cdf(-lam - sabs)
+    sk = np.where(far, rest, tail) + below + (1.0 - cfg.w) / cfg.w * d.pdf(sabs)
+    gap = np.where(far, tail, rest) - below
+    return sk, 0.5 * (cfg.alpha * sk + gap), below
+
+
 def _radii_arrays(cfg: PriorConfig, x: np.ndarray):
     """Vectorized (r1, r2, r3).  r1, r3 are finite wherever |x| > t_alpha."""
     d = cfg.dist
-    alpha = cfg.alpha
-    s = gap_complement(cfg, x)
-    kg = (1.0 - cfg.w) / cfg.w * d.pdf(x)
-    q1 = 0.5 - 0.5 * ((1.0 - alpha) * s - alpha * kg)
-    q2 = alpha * (s + kg) - d.cdf(-cfg.lam - x)
-    q3 = 0.5 * alpha * (s + kg)
+    sk, q1, _ = _tail_levels(cfg, np.abs(x))
+    q2 = cfg.alpha * sk - d.cdf(-cfg.lam - x)
     return (
         _ppf_upper_ext(d, q1),
         _ppf_upper_ext(d, q2),
-        _ppf_upper_ext(d, q3),
+        _ppf_upper_ext(d, 0.5 * cfg.alpha * sk),
     )
 
 
@@ -130,11 +143,9 @@ def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     arr = np.atleast_1d(np.asarray(x, float))
     d, lam, alpha = cfg.dist, cfg.lam, cfg.alpha
-    s = gap_complement(cfg, arr)
-    kg = (1.0 - cfg.w) / cfg.w * d.pdf(arr)
-    sk = s + kg
     sabs = np.abs(arr)
-    r = _ppf_upper_ext(d, 0.5 - 0.5 * ((1.0 - alpha) * s - alpha * kg))
+    sk, q1, below = _tail_levels(cfg, sabs)
+    r = _ppf_upper_ext(d, q1)
     codes = np.full(arr.shape, Regime.I, dtype=np.int8)
     # Off regime I: III where r3 clears the band, the band edge II/IV elsewhere.
     edge = np.flatnonzero(~(sabs > lam + r))
@@ -146,7 +157,7 @@ def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     upper_refl = r - arr  # U(-x), so that L(x) = -U(-x)
     if edge.size:
         xe = arr[edge]
-        r2 = _ppf_upper_ext(d, alpha * sk[edge] - d.cdf(-lam - sabs[edge]))
+        r2 = _ppf_upper_ext(d, alpha * sk[edge] - below[edge])
         codes[edge] = np.where(xe > 0, Regime.II, Regime.IV)
         upper[edge] = np.where(xe > 0, xe + r2, -lam)
         upper_refl[edge] = np.where(xe < 0, r2 - xe, -lam)
@@ -329,15 +340,10 @@ def _invert_endpoint(cfg: PriorConfig, values_fn, theta0: float, scan: ScanSetti
     if math.isfinite(t):
         specials += [t, -t]
     accept = 1e-6 * (1.0 + abs(theta0))
-    if math.isfinite(t) and t >= 0.0:
-        halves = [(-b, -t), (t, b)] if t > 0 else [(-b, b)]
-    else:
-        halves = [(-b, b)]
-    roots = []
-    for lo, hi in halves:
-        if lo < hi:
-            roots.append(sign_change_roots(fn, lo, hi, specials, scan, accept))
-    allr = np.sort(np.concatenate(roots)) if roots else np.empty(0)
+    # With an atom region (t > 0) the halves (-b, -t) and (t, b) are one union
+    # grid and one solver batch; the cell across the gap has NaN ends.
+    lo, hi = (np.array([-b, t]), np.array([-t, b])) if math.isfinite(t) and t > 0.0 else (-b, b)
+    allr = sign_change_roots(fn, lo, hi, specials, scan, accept) if t < b else np.empty(0)
     if allr.size == 0:
         raise InversionError(
             f"no solutions of the endpoint equation at target {theta0} "
@@ -348,12 +354,18 @@ def _invert_endpoint(cfg: PriorConfig, values_fn, theta0: float, scan: ScanSetti
 
 
 def invert_upper(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> InverseSet:
-    """The set {x : |x| > t_alpha, U(x) = theta0}, by scan plus bisection."""
+    """The set {x : |x| > t_alpha, U(x) = theta0}.
+
+    Sign changes of U - theta0 on a dense grid over both sides of the atom
+    region are refined in one multisection batch (four or five rounds of
+    one endpoint call each) to scan.bisect_tol; jumps of U are dropped.
+    """
     return _invert_endpoint(cfg, upper_values, theta0, scan)
 
 
 def invert_lower(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> InverseSet:
-    """The set {x : |x| > t_alpha, L(x) = theta0}, by scan plus bisection."""
+    """The set {x : |x| > t_alpha, L(x) = theta0}, by the same multisection
+    scan as invert_upper."""
     return _invert_endpoint(cfg, lower_values, theta0, scan)
 
 
@@ -406,17 +418,20 @@ def onesided_radii(cfg: PriorConfig, x):
     return r1, r2
 
 
-def onesided_upper_endpoint(cfg: PriorConfig, x):
-    """Upper end of the one-sided HPD: x + max(r1, r2)."""
+def onesided_endpoints(cfg: PriorConfig, x):
+    """(U1(x), L1(x)) of the one-sided HPD from one radius evaluation:
+    x + max(r1, r2) and the interior value x - r1 floored at lam."""
     _require_onesided(cfg)
     arr = np.asarray(x, float)
     r1, r2 = onesided_radii(cfg, arr)
-    return arr + np.maximum(r1, r2)
+    return arr + np.maximum(r1, r2), np.maximum(cfg.lam, arr - r1)
+
+
+def onesided_upper_endpoint(cfg: PriorConfig, x):
+    """Upper end of the one-sided HPD: x + max(r1, r2)."""
+    return onesided_endpoints(cfg, x)[0]
 
 
 def onesided_lower_endpoint(cfg: PriorConfig, x):
     """Lower end of the one-sided HPD: the interior value x - r1, floored at lam."""
-    _require_onesided(cfg)
-    arr = np.asarray(x, float)
-    r1, _ = onesided_radii(cfg, arr)
-    return np.maximum(cfg.lam, arr - r1)
+    return onesided_endpoints(cfg, x)[1]

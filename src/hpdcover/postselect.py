@@ -6,6 +6,9 @@ Conditionally on the selection event |X| >= lam, PS covers the true mean
 with probability at least 1 - alpha, because the conditional law of X given
 selection has exactly the renormalized-slab form of the posterior, so
 P(X in CS(theta0) | |X| >= lam) equals the posterior credibility of CS(theta0).
+PS(x) is found by the membership scan of the scanning module: one endpoint
+table on a grid over theta, shared by the membership flags and the sliver
+guard, with every boundary refined by the multisection solver.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def post_selection_set(cfg: PriorConfig, x: float, scan: ScanSettings = ScanSett
 
     Any theta with x within the credible set it would generate belongs to
     PS(x); the set is a finite interval union found by the same scan plus
-    bisection machinery used for coverage.
+    multisection machinery used for coverage.
     """
     _require_selected(cfg, x)
     d = cfg.dist
@@ -77,10 +80,12 @@ def post_selection_set(cfg: PriorConfig, x: float, scan: ScanSettings = ScanSett
     lo, hi = x - half, x + half
 
     def pred(thetas):
-        return credible_set_contains(cfg, thetas, x)
+        ups, lows = endpoint_values(cfg, thetas)
+        with np.errstate(invalid="ignore"):
+            return (lows <= x) & (x <= ups), (ups, lows)
 
-    def graze(grid):
-        ups, lows = endpoint_values(cfg, grid)
+    def graze(grid, table):
+        ups, lows = table
         pts = graze_points(grid, ups, x, lambda ts: upper_values(cfg, ts))
         pts += graze_points(grid, lows, x, lambda ts: lower_values(cfg, ts))
         return pts

@@ -380,6 +380,24 @@ def test_fixed_point_domain_validation():
         smallest_lower_inverse(cfg, 4.0)
 
 
+def test_smallest_lower_inverse_far_beyond_band():
+    # Tiny alpha far beyond the band puts q1 near 1e-7..1e-4 relative to 1/2;
+    # formed as 0.5 - 0.5((1 - alpha) s - alpha kg) it kept only an absolute
+    # 5.5e-17, and the noise in r1 made these iterates decrease.
+    for spec, lam, alpha, theta0 in [
+        ("t3", 5.21, 2.1877616239495517e-06, 15.7),
+        ("t3", 0.95, 1.0232929922807536e-05, 7.03),
+        ("t3", 21.58, 1.7378008287493763e-06, 48.43),
+        ("subexp:0.5", 11.25, 0.0004570881896148752, 34.81),
+        ("subexp:0.5", 0.58, 0.001174897554939529, 4.21),
+        ("subexp:0.5", 24.4, 1.698243652461746e-06, 28.41),
+    ]:
+        cfg = PriorConfig(parse_dist_spec(spec), lam, 1.0, alpha)
+        fp = smallest_lower_inverse(cfg, theta0)
+        assert abs(theta0 + hpd_radii(cfg, fp)[0] - fp) <= 1e-12 * fp
+        assert lower_endpoint(cfg, fp) == pytest.approx(theta0, abs=1e-9 * fp)
+
+
 def test_onesided_requires_pure_slab():
     cfg = config("laplace", 1.0, 0.5)
     with pytest.raises(ValueError):
