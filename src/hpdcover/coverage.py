@@ -9,12 +9,14 @@ Monte Carlo estimator serves as an independent cross-check.
 
 U and L do not depend on theta0, so a whole theta0 grid is scanned as one
 batch on the calling thread: one endpoint table on a grid over the union of
-the scan windows (chunked to at most _GRID_CAP points), a sliver guard that
-refines every extremum of U and L grazing any requested level, and one
+the scan windows (chunked to at most _GRID_CAP points), the scanning
+module's sliver guard over every requested level at once, and one
 multisection batch over the transition cells of every theta0 (7-14 rounds
 of one endpoint call, with U and L evaluated once per distinct abscissa).
 C-/C+ cells that flip at theta0 itself are cut there without refinement.
-coverage_exact is that batch on a single point.
+coverage_exact is that batch on a single point.  The atom/band rule
+(_fixed_cover) and the Monte Carlo counter (_mc_point) are each written once,
+for the exact scan, hpd_contains, coverage_mc and Monte Carlo curves alike.
 """
 
 from __future__ import annotations
@@ -27,23 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import draw_chunks, interval_mass
-from .hpd import (
-    Regime,
-    endpoint_values,
-    endpoints,
-    onesided_endpoints,
-    onesided_lower_endpoint,
-    onesided_upper_endpoint,
-    regime_codes,
-    upper_values,
-)
+from .hpd import Regime, endpoint_values, endpoints, onesided_endpoints, regime_codes, upper_values
 from .posterior import PriorConfig
 from .scanning import (
     ScanSettings,
     bisect_iters,
     build_grid,
+    covers,
     golden_extrema,
-    graze_cells,
     graze_points,
     member_intervals,
     refine_flag_boundaries,
@@ -77,26 +70,27 @@ def thread_count(requested: int | None = None) -> int:
     return max(1, min(n, cap_n))
 
 
-def hpd_contains(cfg: PriorConfig, x, theta0: float):
-    """Vectorized indicator of theta0 in HPD(x).
+def _fixed_cover(cfg: PriorConfig, theta0):
+    """The atom/band rule, vectorised over theta0: (fixed, covered).
 
-    Handles the atom (theta0 = 0 with w < 1, and the all-atom region
-    |x| <= t_alpha), the excluded band (zero coverage for 0 < |theta0| < lam),
-    and the interval part L(x) <= theta0 <= U(x) otherwise.
+    Where fixed, membership of theta0 is the same from every x and equals
+    covered: with w < 1 the atom covers theta0 = 0; otherwise, once lam > 0,
+    nothing covers |theta0| < lam, theta0 = 0 included.  Elsewhere the
+    interval part L(x) <= theta0 <= U(x) decides.
     """
+    t = np.asarray(theta0, float)
+    covered = (t == 0.0) & cfg.has_atom
+    return covered | ((cfg.lam > 0.0) & (np.abs(t) < cfg.lam)), covered
+
+
+def hpd_contains(cfg: PriorConfig, x, theta0: float):
+    """Vectorized indicator of theta0 in HPD(x): the atom/band rule where it
+    decides, else L(x) <= theta0 <= U(x) (false on the all-atom region)."""
     arr = np.atleast_1d(np.asarray(x, float))
-    if theta0 == 0.0 and cfg.has_atom:
-        return np.ones(arr.shape, dtype=bool)
-    if theta0 == 0.0:
-        # w = 1: only an interval can cover zero, impossible once lam > 0.
-        if cfg.lam > 0.0:
-            return np.zeros(arr.shape, dtype=bool)
-    elif cfg.lam > 0.0 and abs(theta0) < cfg.lam:
-        return np.zeros(arr.shape, dtype=bool)
-    upper, lower = endpoint_values(cfg, arr)
-    with np.errstate(invalid="ignore"):
-        inside = (lower <= theta0) & (theta0 <= upper)
-    return inside
+    fixed, covered = _fixed_cover(cfg, theta0)
+    if fixed:
+        return np.full(arr.shape, bool(covered))
+    return covers(*endpoint_values(cfg, arr), theta0)
 
 
 @dataclass(frozen=True)
@@ -129,10 +123,9 @@ def _membership_flags(grid, upper, lower, theta0):
     |x| > t_alpha restriction each predicate carries.
     """
     with np.errstate(invalid="ignore"):
-        f_full = (lower <= theta0) & (theta0 <= upper)
         f_minus = (lower <= theta0) & (grid >= theta0)
         f_plus = (grid < theta0) & (theta0 <= upper)
-    return f_full, f_minus, f_plus
+    return covers(upper, lower, theta0), f_minus, f_plus
 
 
 def _chunks(ts: np.ndarray, half: float, scan: ScanSettings):
@@ -155,27 +148,12 @@ def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSetti
     """Rows (C, C-, C+, frac_I..frac_IV) for one chunk of sorted theta0."""
     n_t = ts.size
     grid = build_grid(ts - half, ts + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha, *ts], scan)
-    upper, lower = endpoint_values(cfg, grid)
+    curves = lambda xs: endpoint_values(cfg, xs)
+    grid, (upper, lower) = graze_points(grid, curves(grid), ts, curves)
 
-    # Sliver guard: extrema of U and L grazing any requested level.
-    iu, max_u = graze_cells(upper, ts)
-    il, max_l = graze_cells(lower, ts)
-    if iu.size + il.size:
-        on_u = np.repeat([True, False], [iu.size, il.size])
-        idx = np.concatenate([iu, il])
-        extra = golden_extrema(
-            lambda xs: np.where(on_u, *endpoint_values(cfg, xs)),
-            grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l]),
-        )
-        extra = np.setdiff1d(extra, grid)
-        u_x, l_x = endpoint_values(cfg, extra)
-        at = np.searchsorted(grid, extra)
-        grid, upper, lower = (np.insert(v, at, x) for v, x in ((grid, extra), (upper, u_x), (lower, l_x)))
-
-    # Transition cells of the three predicates inside each theta0's window.
-    # The atom covers theta0 = 0 from every x; nothing covers the band.
-    atom0 = (ts == 0.0) & cfg.has_atom
-    fixed = atom0 | ((cfg.lam > 0.0) & (np.abs(ts) < cfg.lam))
+    # Transition cells of the three predicates inside each theta0's window;
+    # C itself is constant where the atom/band rule fixes it.
+    fixed, atom0 = _fixed_cover(cfg, ts)
     i0 = np.searchsorted(grid, ts - half, "left")
     i1 = np.searchsorted(grid, ts + half, "right")
     start = np.zeros((n_t, 3), dtype=bool)
@@ -266,29 +244,25 @@ def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSet
 
 
 def coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo coverage estimate and its binomial standard error."""
+    """Monte Carlo coverage estimate and its binomial standard error: the C
+    of the Monte Carlo curve point at the same seed (_mc_point), n >= 1000."""
     if n < 1000:
         raise ValueError(f"need at least 1000 draws, got {n}")
-    hits = 0
-    for x in draw_chunks(cfg.dist, theta0, n, seed):
-        hits += int(np.count_nonzero(hpd_contains(cfg, x, theta0)))
-    c_hat = hits / n
+    c_hat = float(_mc_point(cfg, theta0, n, seed).C)
     return c_hat, math.sqrt(max(c_hat * (1.0 - c_hat), 1e-300) / n)
 
 
 def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoint:
-    """Full Monte Carlo analogue of coverage_exact (splits and fractions)."""
-    atom_everywhere = theta0 == 0.0 and cfg.has_atom
-    in_band = cfg.lam > 0.0 and 0.0 < abs(theta0) < cfg.lam
+    """Full Monte Carlo analogue of coverage_exact (splits and fractions);
+    the one counter of Monte Carlo membership."""
+    fixed, covered = _fixed_cover(cfg, theta0)
     hits = np.zeros(3, dtype=np.int64)
     regime_hits = np.zeros(5, dtype=np.int64)
     for x in draw_chunks(cfg.dist, theta0, n, seed):
         up, low, codes = endpoints(cfg, x)
         f_full, f_minus, f_plus = _membership_flags(x, up, low, theta0)
-        if atom_everywhere:
-            f_full = np.ones(x.shape, dtype=bool)
-        elif in_band or (theta0 == 0.0 and cfg.lam > 0.0):
-            f_full = np.zeros(x.shape, dtype=bool)
+        if fixed:
+            f_full = np.full(x.shape, bool(covered))
         hits += np.array(
             [np.count_nonzero(f_full), np.count_nonzero(f_minus), np.count_nonzero(f_plus)]
         )
@@ -385,27 +359,18 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings 
 
     The one-sided set always sits inside [lam, inf); its membership region
     can stretch to -inf in x, so only the left window edge is probabilistic
-    (mass below it is under scan.tol_tail / 2).
+    (mass below it is under scan.tol_tail / 2).  The membership region is one
+    level-set scan of the curve pair (U1, L1) at level theta0.
     """
     if cfg.w != 1.0:
         raise ValueError("one-sided baseline coverage requires w = 1")
     d = cfg.dist
     lo = theta0 - float(d.ppf_upper(scan.tol_tail / 2.0))
     hi = theta0 + float(d.ppf_upper(cfg.alpha / 2.0)) + 0.5
-
-    def pred(xs):
-        ups, lows = onesided_endpoints(cfg, xs)
-        return (lows <= theta0) & (theta0 <= ups), (ups, lows)
-
-    def graze(grid, table):
-        ups, lows = table
-        pts = graze_points(grid, ups, theta0, lambda xs: onesided_upper_endpoint(cfg, xs))
-        pts += graze_points(grid, lows, theta0, lambda xs: onesided_lower_endpoint(cfg, xs))
-        return pts
-
     switch = cfg.lam + float(d.ppf(1.0 / (1.0 + cfg.alpha)))
-    specials = [cfg.lam, switch, theta0]
-    ends = np.array(member_intervals(pred, lo, hi, specials, scan, graze=graze)).reshape(-1, 2) - theta0
+    curves = lambda xs: onesided_endpoints(cfg, xs)
+    intervals = member_intervals(curves, theta0, lo, hi, [cfg.lam, switch, theta0], scan)
+    ends = np.array(intervals).reshape(-1, 2) - theta0
     return float(np.sum(interval_mass(d, ends[:, 0], ends[:, 1])))
 
 

@@ -106,18 +106,6 @@ def _tail_levels(cfg: PriorConfig, sabs: np.ndarray):
     return sk, 0.5 * (cfg.alpha * sk + gap), below
 
 
-def _radii_arrays(cfg: PriorConfig, x: np.ndarray):
-    """Vectorized (r1, r2, r3).  r1, r3 are finite wherever |x| > t_alpha."""
-    d = cfg.dist
-    sk, q1, _ = _tail_levels(cfg, np.abs(x))
-    q2 = cfg.alpha * sk - d.cdf(-cfg.lam - x)
-    return (
-        _ppf_upper_ext(d, q1),
-        _ppf_upper_ext(d, q2),
-        _ppf_upper_ext(d, 0.5 * cfg.alpha * sk),
-    )
-
-
 def hpd_radii(cfg: PriorConfig, x):
     """The three interval radii (r1, r2, r3) at observation x.
 
@@ -125,9 +113,13 @@ def hpd_radii(cfg: PriorConfig, x):
     band's mass is redistributed, and r2 the right extension used when the
     interval is pinned to the band edge.  r2 follows the extended-real
     convention (+inf / -inf) when its defining tail mass leaves (0, 1).
+    r1 and r3 are finite wherever |x| > t_alpha.
     """
     arr = np.asarray(x, float)
-    r1, r2, r3 = _radii_arrays(cfg, np.atleast_1d(arr))
+    xs, d = np.atleast_1d(arr), cfg.dist
+    sk, q1, _ = _tail_levels(cfg, np.abs(xs))
+    q2 = cfg.alpha * sk - d.cdf(-cfg.lam - xs)
+    r1, r2, r3 = (_ppf_upper_ext(d, q) for q in (q1, q2, 0.5 * cfg.alpha * sk))
     if arr.ndim == 0:
         return float(r1[0]), float(r2[0]), float(r3[0])
     return r1, r2, r3
@@ -291,21 +283,19 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
 
 
 def hpd_length(cfg: PriorConfig, x) -> float | np.ndarray:
-    """Length of the interval part: 2*r1, r2 + x - lam, 2*r3 - 2*lam, or
-    r2(-x) - x - lam by regime; zero in the atom region."""
+    """Length of the interval part from one endpoints pass: the measure of
+    [L, U] minus the band (-lam, lam), clipped as hpd_set clips its pieces;
+    zero in the atom region."""
     arr = np.atleast_1d(np.asarray(x, float))
-    r1, r2, r3 = _radii_arrays(cfg, arr)
-    codes = regime_codes(cfg, arr)
-    lengths = np.zeros_like(arr)
-    lengths[codes == Regime.I] = 2.0 * r1[codes == Regime.I]
-    m2 = codes == Regime.II
-    lengths[m2] = r2[m2] + arr[m2] - cfg.lam
-    m3 = codes == Regime.III
-    lengths[m3] = 2.0 * r3[m3] - 2.0 * cfg.lam
-    m4 = codes == Regime.IV
-    if np.any(m4):
-        r2_neg = _radii_arrays(cfg, -arr[m4])[1]
-        lengths[m4] = r2_neg - arr[m4] - cfg.lam
+    up, low, codes = endpoints(cfg, arr)
+    lam = cfg.lam
+    with np.errstate(invalid="ignore"):
+        if lam == 0.0:
+            lengths = up - low
+        else:
+            lengths = np.where(low <= -lam, np.minimum(up, -lam) - low, 0.0)
+            lengths += np.where(up >= lam, up - np.maximum(low, lam), 0.0)
+    lengths[codes == Regime.ATOM] = 0.0
     if np.asarray(x).ndim == 0:
         return float(lengths[0])
     return lengths

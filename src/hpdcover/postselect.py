@@ -6,9 +6,11 @@ Conditionally on the selection event |X| >= lam, PS covers the true mean
 with probability at least 1 - alpha, because the conditional law of X given
 selection has exactly the renormalized-slab form of the posterior, so
 P(X in CS(theta0) | |X| >= lam) equals the posterior credibility of CS(theta0).
-PS(x) is found by the membership scan of the scanning module: one endpoint
-table on a grid over theta, shared by the membership flags and the sliver
-guard, with every boundary refined by the multisection solver.
+PS(x) is one call of the scanning module's level-set scan on the curve pair
+theta -> (U(theta), L(theta)) at level x: one endpoint table on a grid over
+theta, shared by the membership flags and the sliver guard (one endpoint call
+per golden-section round for both curves), with every boundary refined by
+the multisection solver.  The window is the coverage scan's half-width.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import draw_chunks
-from .hpd import endpoint_values, hpd_set, lower_values, upper_values
+from .coverage import _half_width
+from .hpd import endpoint_values, hpd_set
 from .posterior import PriorConfig
-from .scanning import ScanSettings, graze_points, member_intervals
+from .scanning import ScanSettings, covers, member_intervals
 
 __all__ = [
     "PostSelectionSet",
@@ -52,9 +55,7 @@ def credible_set_contains(cfg: PriorConfig, data_values, x: float):
     to L(theta) <= x <= U(theta).
     """
     thetas = np.atleast_1d(np.asarray(data_values, float))
-    up, low = endpoint_values(cfg, thetas)
-    with np.errstate(invalid="ignore"):
-        return (low <= x) & (x <= up)
+    return covers(*endpoint_values(cfg, thetas), x)
 
 
 def _require_selected(cfg: PriorConfig, x: float):
@@ -74,24 +75,9 @@ def post_selection_set(cfg: PriorConfig, x: float, scan: ScanSettings = ScanSett
     multisection machinery used for coverage.
     """
     _require_selected(cfg, x)
-    d = cfg.dist
-    r3_sup = float(d.ppf_upper(cfg.alpha * float(d.cdf(-cfg.lam))))
-    half = min(float(d.ppf_upper(scan.tol_tail / 2.0)), r3_sup + 0.5)
-    lo, hi = x - half, x + half
-
-    def pred(thetas):
-        ups, lows = endpoint_values(cfg, thetas)
-        with np.errstate(invalid="ignore"):
-            return (lows <= x) & (x <= ups), (ups, lows)
-
-    def graze(grid, table):
-        ups, lows = table
-        pts = graze_points(grid, ups, x, lambda ts: upper_values(cfg, ts))
-        pts += graze_points(grid, lows, x, lambda ts: lower_values(cfg, ts))
-        return pts
-
-    specials = [cfg.lam, -cfg.lam, x, -x]
-    intervals = member_intervals(pred, lo, hi, specials, scan, graze=graze)
+    half = _half_width(cfg, scan)
+    curves = lambda thetas: endpoint_values(cfg, thetas)
+    intervals = member_intervals(curves, x, x - half, x + half, [cfg.lam, -cfg.lam, x, -x], scan)
     return PostSelectionSet(
         x=float(x),
         alpha=cfg.alpha,

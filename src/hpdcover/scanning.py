@@ -1,16 +1,18 @@
 """Grid-scan utilities: membership sets, sign-change roots, extremum refinement.
 
-The credible-set endpoints are piecewise smooth with isolated jumps, so
-measurable sets like {x : L(x) <= t <= U(x)} are found by scanning a dense
-grid, refining every flag transition with one vectorised multisection
-solver, and guarding against near-tangent slivers by locating local extrema
-of the endpoint curves that graze a target level.  A multisection round
-evaluates sections - 1 interior points of every open cell in one call, so a
-boundary reaches bisect_tol / 2 in ceil(iters / log2(sections)) rounds, not
-the iters rounds of bisection (four or five instead of 26-30 for the few
-cells of a query), jump cells included; section_count sizes the sections
-from the cell count.  Everything is vectorized so that one pass can serve
-many windows and levels at once.
+The credible-set endpoints are piecewise smooth with isolated jumps, so a
+level set {x : L(x) <= t <= U(x)} of a curve pair curves(xs) -> (U, L) is
+found by scanning a dense grid, refining every flag transition with one
+vectorised multisection solver, and guarding against near-tangent slivers
+with graze_points, the one sliver guard: it locates the local extrema of U
+and L that graze a target level in one golden-section batch that calls
+curves once per round for both endpoints.  A multisection round evaluates
+sections - 1 interior points of every open cell in one call, so a boundary
+reaches bisect_tol / 2 in ceil(iters / log2(sections)) rounds, not the iters
+rounds of bisection (four or five instead of 26-30 for the few cells of a
+query), jump cells included; section_count sizes the sections from the cell
+count.  Everything is vectorized so that one pass can serve many windows
+and levels at once.
 """
 
 from __future__ import annotations
@@ -154,11 +156,32 @@ def graze_cells(vals: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
     return idx[ok], maximize[ok]
 
 
-def graze_points(grid: np.ndarray, vals: np.ndarray, level, fn) -> list[float]:
-    """Refined local extrema of fn that graze ``level`` (one or more levels)
-    between grid points, located by golden-section search on fn."""
-    idx, maximize = graze_cells(vals, level)
-    return golden_extrema(fn, grid[idx - 1], grid[idx + 1], maximize).tolist()
+def covers(upper, lower, level):
+    """Elementwise L <= level <= U; NaN endpoints (the atom region) compare false."""
+    with np.errstate(invalid="ignore"):
+        return (lower <= level) & (level <= upper)
+
+
+def graze_points(grid: np.ndarray, table, levels, curves):
+    """The sliver guard: the grid and its curve table (U, L) with every local
+    extremum of U or L that grazes one of ``levels`` between grid points added.
+
+    The candidates of both columns (graze_cells) are refined in one
+    golden-section batch that calls curves(xs) -> (U, L) once per round for
+    both endpoints; only the new abscissas are then evaluated, once, and
+    merged into the sorted grid and table.
+    """
+    (iu, max_u), (il, max_l) = graze_cells(table[0], levels), graze_cells(table[1], levels)
+    on_u = np.repeat([True, False], [iu.size, il.size])
+    idx = np.concatenate([iu, il])
+    if idx.size == 0:
+        return grid, table
+    extra = golden_extrema(
+        lambda xs: np.where(on_u, *curves(xs)), grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l])
+    )
+    extra = np.setdiff1d(extra, grid)
+    at = np.searchsorted(grid, extra)
+    return np.insert(grid, at, extra), tuple(np.insert(v, at, x) for v, x in zip(table, curves(extra)))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -191,27 +214,21 @@ def golden_extrema(fn, a, b, maximize, iters: int = 60) -> np.ndarray:
 
 
 def member_intervals(
-    pred, lo: float, hi: float, specials, scan: ScanSettings, graze=None
+    curves, level: float, lo: float, hi: float, specials, scan: ScanSettings
 ) -> list[tuple[float, float]]:
-    """Connected components of {x in [lo, hi] : pred(x)} via scan + multisection.
+    """Connected components of {x in [lo, hi] : L(x) <= level <= U(x)}.
 
-    pred(xs) returns the membership flags at xs together with the curve
-    table they were computed from, as (flags, table).  graze, when given,
-    maps the grid and its table to extra abscissas worth sampling (sliver
-    protection), so the table is evaluated once for both; the extras alone
-    are then evaluated and merged into the grid.
+    curves(xs) -> (U, L) is the curve pair; NaN values compare false.  The
+    grid's table is evaluated once and passed through the graze_points
+    sliver guard, and every flag transition is refined by multisection.
     """
     grid = build_grid(lo, hi, specials, scan)
-    flags, table = pred(grid)
-    if graze is not None:
-        extra = np.setdiff1d([p for p in graze(grid, table) if lo < p < hi], grid)
-        if extra.size:
-            at = np.searchsorted(grid, extra)
-            grid, flags = np.insert(grid, at, extra), np.insert(flags, at, pred(extra)[0])
+    grid, table = graze_points(grid, curves(grid), level, curves)
+    flags = covers(*table, level)
     trans = np.flatnonzero(flags[1:] != flags[:-1])
     a, b = grid[trans], grid[trans + 1]
     iters = bisect_iters(b - a, scan.bisect_tol)
-    cuts = refine_flag_boundaries(lambda xs, rows: pred(xs)[0], a, b, flags[trans], iters)
+    cuts = refine_flag_boundaries(lambda xs, rows: covers(*curves(xs), level), a, b, flags[trans], iters)
     # Member stretches alternate between cuts from the flag at lo; stretches
     # that touch (within 1e-15) are merged.
     edges = np.concatenate([[lo], cuts, [hi]])[0 if flags[0] else 1 :]

@@ -141,6 +141,35 @@ def test_membership_agrees_with_hpd_set():
             assert flag == hpd_set(cfg, float(x)).contains(theta0)
 
 
+# (lam, w, theta0) where the atom/band rule, or the band edge, decides
+# membership: lam = 0 with and without an atom at theta0 = 0, theta0 = +-lam
+# exactly with and without an atom, theta0 = 0 at w = 1 with lam > 0, and
+# theta0 inside the band.
+SPECIAL_CASES = [
+    (0.0, 1.0, 0.0),
+    (0.0, 0.25, 0.0),
+    (2.0, 1.0, 2.0),
+    (2.0, 1.0, -2.0),
+    (2.0, 0.25, 2.0),
+    (2.0, 0.25, -2.0),
+    (2.0, 1.0, 0.0),
+    (2.0, 1.0, 1.3),
+    (2.0, 0.25, -0.7),
+]
+
+
+@pytest.mark.parametrize("lam, w, theta0", SPECIAL_CASES)
+def test_special_case_membership_table(lam, w, theta0):
+    cfg = config("laplace", lam, w)
+    xs = np.random.default_rng(8).uniform(-8.0, 8.0, 300)
+    flags = hpd_contains(cfg, xs, theta0)
+    assert [bool(f) for f in flags] == [hpd_set(cfg, float(x)).contains(theta0) for x in xs]
+    c_hat, se = coverage_mc(cfg, theta0, 20_000, seed=31)
+    rep = coverage_curve(cfg, [theta0], method="mc", n=20_000, seed=31, threads=1)
+    assert c_hat == rep.C[0]
+    assert abs(c_hat - coverage_exact(cfg, theta0).C) <= 4.0 * se
+
+
 def test_coverage_curve_report():
     cfg = config("laplace", 0.5, 1.0)
     grid = np.array([0.7, 1.0, 2.0, 4.0])

@@ -53,17 +53,38 @@ def test_golden_extrema_vectorized():
 
 
 def test_graze_points_multiple_levels():
-    # sin has peaks at value 1 and pits at value -1 on the grid; only levels
-    # just above a peak or just below a pit make them grazing candidates.
+    # U = sin has peaks of value 1 at pi/2, 5pi/2 and pits of -1 at 3pi/2,
+    # 7pi/2; L = cos(x - 1) peaks at 1, 1 + 2pi and has pits at 1 + pi,
+    # 1 + 3pi.  Only levels just above a peak or just below a pit make them
+    # grazing candidates, refined for both columns at once.
     grid = np.linspace(0.0, 4.0 * np.pi, 200)
-    vals = np.sin(grid)
-    assert graze_points(grid, vals, 5.0, np.sin) == []
-    peaks = graze_points(grid, vals, 1.0 + 1e-6, np.sin)
-    pits = graze_points(grid, vals, -1.0 - 1e-6, np.sin)
-    both = graze_points(grid, vals, [-1.0 - 1e-6, 1.0 + 1e-6], np.sin)
-    assert np.allclose(peaks, [0.5 * np.pi, 2.5 * np.pi], atol=1e-7)
-    assert np.allclose(pits, [1.5 * np.pi, 3.5 * np.pi], atol=1e-7)
-    assert np.allclose(sorted(both), sorted(peaks + pits), rtol=0.0, atol=1e-12)
+    calls = []
+
+    def curves(xs):
+        calls.append(xs.size)
+        return np.sin(xs), np.cos(xs - 1.0)
+
+    table = curves(grid)
+
+    def added(levels):
+        calls.clear()
+        new_grid, new_table = graze_points(grid, table, levels, curves)
+        extra = np.setdiff1d(new_grid, grid)
+        assert new_grid.size == grid.size + extra.size and np.all(np.diff(new_grid) > 0)
+        assert all(np.array_equal(v, ref) for v, ref in zip(new_table, (np.sin(new_grid), np.cos(new_grid - 1.0))))
+        # Every golden round is one call for both curves, and the final call
+        # evaluates the new abscissas alone.
+        assert set(calls) <= {extra.size}
+        return extra
+
+    assert added(5.0).size == 0 and calls == []
+    assert graze_points(grid, table, 5.0, curves)[0] is grid
+    peaks = added(1.0 + 1e-6)
+    pits = added(-1.0 - 1e-6)
+    both = added([-1.0 - 1e-6, 1.0 + 1e-6])
+    assert np.allclose(peaks, np.sort([0.5 * np.pi, 2.5 * np.pi, 1.0, 1.0 + 2.0 * np.pi]), rtol=0.0, atol=1e-7)
+    assert np.allclose(pits, np.sort([1.5 * np.pi, 3.5 * np.pi, 1.0 + np.pi, 1.0 + 3.0 * np.pi]), rtol=0.0, atol=1e-7)
+    assert np.allclose(both, np.sort(np.concatenate([peaks, pits])), rtol=0.0, atol=1e-12)
 
 
 def _bisection_reference(pred, lo, hi, lo_flag, iters):
