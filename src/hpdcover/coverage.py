@@ -9,14 +9,21 @@ Monte Carlo estimator serves as an independent cross-check.
 
 U and L do not depend on theta0, so a whole theta0 grid is scanned as one
 batch on the calling thread: one endpoint table on a grid over the union of
-the scan windows (chunked to at most _GRID_CAP points), the scanning
-module's sliver guard over every requested level at once, and one
-multisection batch over the transition cells of every theta0 (7-14 rounds
-of one endpoint call, with U and L evaluated once per distinct abscissa).
-C-/C+ cells that flip at theta0 itself are cut there without refinement.
-coverage_exact is that batch on a single point.  The atom/band rule
-(_fixed_cover) and the Monte Carlo counter (_mc_point) are each written once,
-for the exact scan, hpd_contains, coverage_mc and Monte Carlo curves alike.
+the scan windows (chunked to at most _GRID_CAP points) and the scanning
+module's sliver guard over every requested level at once.  No theta0 is
+scanned on its own: scanning.crossing_cells counts, once per grid point and
+endpoint column, the theta0 on the false side of L <= theta0 and of
+theta0 <= U, which yields every cell where either flips for some theta0.
+Those cells, plus the cell ending at each theta0 (where x >= theta0 flips),
+are the only candidates; the three predicates are evaluated at their ends
+alone, and one multisection batch refines the transition cells of every
+theta0 (7-14 rounds of one endpoint call, with U and L evaluated once per
+distinct abscissa).  C-/C+ cells that flip at theta0 itself are cut there
+without refinement.  coverage_exact is that batch on a single point, and
+the one-sided baseline is the same level-set scan of its own curve pair,
+batched over theta0 too.  The atom/band rule (_fixed_cover) and the Monte
+Carlo counter (_mc_point) are each written once, for the exact scan,
+hpd_contains, coverage_mc and Monte Carlo curves alike.
 """
 
 from __future__ import annotations
@@ -36,10 +43,12 @@ from .scanning import (
     bisect_iters,
     build_grid,
     covers,
+    crossing_cells,
     golden_extrema,
     graze_points,
     member_intervals,
     refine_flag_boundaries,
+    _member_stretches,
 )
 
 __all__ = [
@@ -131,7 +140,8 @@ def _membership_flags(grid, upper, lower, theta0):
 def _chunks(ts: np.ndarray, half: float, scan: ScanSettings):
     """Runs of the sorted theta0 array whose shared grids stay under _GRID_CAP
     points: one full window and five dense blocks, then per further theta0 its
-    window's new stretch, its own block and three single points."""
+    window's new stretch, its own block and three single points (an upper
+    bound for the one-sided scan, which has fewer fixed special points)."""
     first = scan.n_base + 5 * (scan.n_dense + 3)
     added = np.minimum(np.diff(ts), 2.0 * half) * (scan.n_base - 1) / (2.0 * half)
     start, used = 0, first
@@ -151,22 +161,28 @@ def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSetti
     curves = lambda xs: endpoint_values(cfg, xs)
     grid, (upper, lower) = graze_points(grid, curves(grid), ts, curves)
 
-    # Transition cells of the three predicates inside each theta0's window;
-    # C itself is constant where the atom/band rule fixes it.
+    # Candidate cells inside each theta0's window: the crossings of L <= theta0
+    # or theta0 <= U, and the cell ending at theta0 (a grid point), where the
+    # x >= theta0 factor of C-/C+ flips.  The three predicates are evaluated
+    # at the ends of those cells alone; C itself is constant where the
+    # atom/band rule fixes it.
     fixed, atom0 = _fixed_cover(cfg, ts)
     i0 = np.searchsorted(grid, ts - half, "left")
     i1 = np.searchsorted(grid, ts + half, "right")
-    start = np.zeros((n_t, 3), dtype=bool)
-    cells = []
-    for j in range(n_t):
-        s = slice(i0[j], i1[j])
-        f = np.array(_membership_flags(grid[s], upper[s], lower[s], ts[j]))
-        if fixed[j]:
-            f[0] = atom0[j]
-        start[j] = f[:, 0]
-        k, i = np.divmod(np.flatnonzero(f[:, 1:] != f[:, :-1]), f.shape[1] - 1)
-        cells.append((np.full(k.size, j), k, i + i0[j], f[k, i]))
-    owner, kind, cell, lo_flag = (np.concatenate(c) for c in zip(*cells))
+    j, k = crossing_cells((upper, lower), ts, i0, i1)
+    ending = np.arange(n_t) * grid.size + np.searchsorted(grid, ts) - 1
+    j, k = np.divmod(np.union1d(j * grid.size + k, ending), grid.size)
+
+    def flags(at, owner):
+        f = np.array(_membership_flags(grid[at], upper[at], lower[at], ts[owner]))
+        f[0] = np.where(fixed[owner], atom0[owner], f[0])
+        return f
+
+    start, f_lo = flags(i0, np.arange(n_t)).T, flags(k, j)
+    kind, c = np.nonzero(f_lo != flags(k + 1, j))
+    order = np.argsort(j[c], kind="stable")
+    kind, c = kind[order], c[order]
+    owner, cell, lo_flag = j[c], k[c], f_lo[kind, c]
     lo_x, hi_x, t = grid[cell], grid[cell + 1], ts[owner]
 
     # theta0 is a grid point.  C- is false short of it (x < theta0), so a C-
@@ -190,15 +206,8 @@ def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSetti
 
     # Member intervals: the stretches between consecutive cuts of each
     # (theta0, predicate) group, alternating from the flag at the window start.
-    group = owner * 3 + kind
-    n_cut = np.bincount(group, minlength=3 * n_t)
-    first = np.cumsum(n_cut) - n_cut
-    left = np.insert(cuts, first, np.repeat(ts - half, 3))
-    right = np.insert(cuts, first + n_cut, np.repeat(ts + half, 3))
-    group = np.repeat(np.arange(3 * n_t), n_cut + 1)
-    pos = np.arange(group.size) - (first + np.arange(3 * n_t))[group]
-    on = (start.ravel()[group] ^ (pos % 2 == 1)) & (right > left)
-    a, b, group = left[on], right[on], group[on]
+    lo, hi = np.repeat(ts - half, 3), np.repeat(ts + half, 3)
+    group, a, b = _member_stretches(cuts, owner * 3 + kind, start.ravel(), lo, hi)
     owner, t = group // 3, ts[group // 3]
 
     sums = np.bincount(group, weights=interval_mass(cfg.dist, a - t, b - t), minlength=3 * n_t)
@@ -354,24 +363,32 @@ def coverage_curve(
     )
 
 
-def onesided_coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> float:
+def onesided_coverage_exact(cfg: PriorConfig, theta0, scan: ScanSettings = ScanSettings()):
     """Exact coverage of the one-sided baseline set [L1(x), U1(x)] at theta0.
 
-    The one-sided set always sits inside [lam, inf); its membership region
-    can stretch to -inf in x, so only the left window edge is probabilistic
-    (mass below it is under scan.tol_tail / 2).  The membership region is one
-    level-set scan of the curve pair (U1, L1) at level theta0.
+    theta0 is a scalar (returns a float) or a 1-d array in any order
+    (returns an array in input order).  The one-sided set always sits
+    inside [lam, inf); its membership region can stretch to -inf in x, so
+    only the left window edge is probabilistic (mass below it is under
+    scan.tol_tail / 2).  The membership regions of all distinct theta0 are
+    one level-set scan of the curve pair (U1, L1) at the sorted levels
+    theta0, in runs whose shared grid stays under _GRID_CAP points.
     """
     if cfg.w != 1.0:
         raise ValueError("one-sided baseline coverage requires w = 1")
     d = cfg.dist
-    lo = theta0 - float(d.ppf_upper(scan.tol_tail / 2.0))
-    hi = theta0 + float(d.ppf_upper(cfg.alpha / 2.0)) + 0.5
+    ts, inv = np.unique(np.asarray(theta0, float).ravel(), return_inverse=True)
+    left, right = float(d.ppf_upper(scan.tol_tail / 2.0)), float(d.ppf_upper(cfg.alpha / 2.0))
     switch = cfg.lam + float(d.ppf(1.0 / (1.0 + cfg.alpha)))
     curves = lambda xs: onesided_endpoints(cfg, xs)
-    intervals = member_intervals(curves, theta0, lo, hi, [cfg.lam, switch, theta0], scan)
-    ends = np.array(intervals).reshape(-1, 2) - theta0
-    return float(np.sum(interval_mass(d, ends[:, 0], ends[:, 1])))
+    out = np.empty(ts.size)
+    for s in _chunks(ts, 0.5 * (left + right + 0.5), scan) if ts.size else ():
+        t = ts[s]
+        owner, a, b = member_intervals(curves, t, t - left, t + right + 0.5, [cfg.lam, switch, *t], scan)
+        out[s] = np.bincount(owner, weights=interval_mass(d, a - t[owner], b - t[owner]), minlength=t.size)
+    if np.ndim(theta0) == 0:
+        return float(out[0])
+    return out[inv].reshape(np.shape(theta0))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +506,8 @@ def check_coverage_bounds(
     Checks: (a) the below-x part never exceeds (1-alpha)/2; (b) it stays
     above 1/2 - alpha minus an alpha**(1+gamma)-scale slack; (c) the dip
     minimum sits at its predicted level within slack; (d) for w = 1 the
-    one-sided baseline coverage is strictly below C + G(-theta0); (e) when
+    one-sided baseline coverage is strictly below C + G(-theta0), with the
+    baseline of every theta0 above lam v t_alpha from one batched scan; (e) when
     the atom threshold exceeds lam, the above-x part below the threshold is
     at most G(-2*lam).  Hypotheses (tail certificate present, G(-lam) <=
     alpha, t_alpha <= lam, w = 1) are evaluated and unmet ones produce
@@ -577,7 +595,7 @@ def check_coverage_bounds(
 
     # (d) one-sided baseline comparison, strict.
     if cfg.w == 1.0 and above.size:
-        ms = np.array([onesided_coverage_exact(cfg, t0, scan) for t0 in above])
+        ms = onesided_coverage_exact(cfg, above, scan)
         slackless = c_all + np.asarray(d.cdf(-above), float) - ms
         margin = float(slackless.min())
         checks.append(

@@ -133,6 +133,11 @@ def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mass and the spike term are even in x, so one call at -|x| gives the
     pinned radius of U for x > 0 and of the reflection L(x) = -U(-x) for x < 0.
     """
+    return _endpoint_pass(cfg, x)[:3]
+
+
+def _endpoint_pass(cfg: PriorConfig, x):
+    """endpoints and the symmetric radius r: r1 on regime I, r3 elsewhere."""
     arr = np.atleast_1d(np.asarray(x, float))
     d, lam, alpha = cfg.dist, cfg.lam, cfg.alpha
     sabs = np.abs(arr)
@@ -157,7 +162,7 @@ def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     atom = sabs <= cfg.t_alpha
     upper[atom] = lower[atom] = np.nan
     codes[atom] = Regime.ATOM
-    return upper, lower, codes
+    return upper, lower, codes, r
 
 
 def regime_codes(cfg: PriorConfig, x) -> np.ndarray:
@@ -283,11 +288,11 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
 
 
 def hpd_length(cfg: PriorConfig, x) -> float | np.ndarray:
-    """Length of the interval part from one endpoints pass: the measure of
-    [L, U] minus the band (-lam, lam), clipped as hpd_set clips its pieces;
-    zero in the atom region."""
+    """Length of the interval part from one endpoints pass: 2 r1 in regime I,
+    elsewhere the measure of [L, U] minus the band (-lam, lam), clipped as
+    hpd_set clips its pieces; zero in the atom region."""
     arr = np.atleast_1d(np.asarray(x, float))
-    up, low, codes = endpoints(cfg, arr)
+    up, low, codes, r = _endpoint_pass(cfg, arr)
     lam = cfg.lam
     with np.errstate(invalid="ignore"):
         if lam == 0.0:
@@ -295,6 +300,9 @@ def hpd_length(cfg: PriorConfig, x) -> float | np.ndarray:
         else:
             lengths = np.where(low <= -lam, np.minimum(up, -lam) - low, 0.0)
             lengths += np.where(up >= lam, up - np.maximum(low, lam), 0.0)
+    # Regime I is [x - r1, x + r1] clear of the band: 2 r1 from the radius
+    # keeps the accuracy that U - L loses to the rounding of x +- r1.
+    lengths = np.where(codes == Regime.I, 2.0 * r, lengths)
     lengths[codes == Regime.ATOM] = 0.0
     if np.asarray(x).ndim == 0:
         return float(lengths[0])

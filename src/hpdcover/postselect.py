@@ -7,10 +7,10 @@ with probability at least 1 - alpha, because the conditional law of X given
 selection has exactly the renormalized-slab form of the posterior, so
 P(X in CS(theta0) | |X| >= lam) equals the posterior credibility of CS(theta0).
 PS(x) is one call of the scanning module's level-set scan on the curve pair
-theta -> (U(theta), L(theta)) at level x: one endpoint table on a grid over
-theta, shared by the membership flags and the sliver guard (one endpoint call
-per golden-section round for both curves), with every boundary refined by
-the multisection solver.  The window is the coverage scan's half-width.
+theta -> (U(theta), L(theta)) at the single level x: one endpoint table on a
+grid over theta, shared by the crossing counts and the sliver guard (one
+endpoint call per golden-section round for both curves), with every boundary
+refined by the multisection solver.  The window is the coverage scan's half-width.
 """
 
 from __future__ import annotations
@@ -77,13 +77,8 @@ def post_selection_set(cfg: PriorConfig, x: float, scan: ScanSettings = ScanSett
     _require_selected(cfg, x)
     half = _half_width(cfg, scan)
     curves = lambda thetas: endpoint_values(cfg, thetas)
-    intervals = member_intervals(curves, x, x - half, x + half, [cfg.lam, -cfg.lam, x, -x], scan)
-    return PostSelectionSet(
-        x=float(x),
-        alpha=cfg.alpha,
-        lam=cfg.lam,
-        intervals=tuple((float(a), float(b)) for a, b in intervals),
-    )
+    _, a, b = member_intervals(curves, x, x - half, x + half, [cfg.lam, -cfg.lam, x, -x], scan)
+    return PostSelectionSet(x=float(x), alpha=cfg.alpha, lam=cfg.lam, intervals=tuple(zip(a.tolist(), b.tolist())))
 
 
 def conditional_coverage_mc(

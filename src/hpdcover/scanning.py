@@ -1,11 +1,16 @@
 """Grid-scan utilities: membership sets, sign-change roots, extremum refinement.
 
-The credible-set endpoints are piecewise smooth with isolated jumps, so a
-level set {x : L(x) <= t <= U(x)} of a curve pair curves(xs) -> (U, L) is
-found by scanning a dense grid, refining every flag transition with one
-vectorised multisection solver, and guarding against near-tangent slivers
-with graze_points, the one sliver guard: it locates the local extrema of U
-and L that graze a target level in one golden-section batch that calls
+The credible-set endpoints are piecewise smooth with isolated jumps, so the
+level sets {x : L(x) <= t_j <= U(x)} of a curve pair curves(xs) -> (U, L)
+are found by scanning one dense grid for all levels at once.  crossing_cells
+is the one level-set primitive: one searchsorted per endpoint column counts,
+at each grid point, the levels on the false side of L <= t and of t <= U, and
+a cell flips level j exactly when j lies between the counts at its two ends,
+so no level scans its window on its own and the predicates are evaluated
+only at the ends of the cells it returns.  Every flag transition is refined
+with one vectorised multisection solver, and near-tangent slivers are
+guarded by graze_points, the one sliver guard: it locates the local extrema
+of U and L that graze a target level in one golden-section batch that calls
 curves once per round for both endpoints.  A multisection round evaluates
 sections - 1 interior points of every open cell in one call, so a boundary
 reaches bisect_tol / 2 in ceil(iters / log2(sections)) rounds, not the iters
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ScanSettings", "member_intervals", "sign_change_roots"]
+__all__ = ["ScanSettings", "crossing_cells", "member_intervals", "sign_change_roots"]
 
 # Fixed cost of one predicate call in points' worth: an endpoint table costs
 # 120-300 us per call plus 0.13-0.5 us per point.  Median of 10 interleaved
@@ -213,29 +218,93 @@ def golden_extrema(fn, a, b, maximize, iters: int = 60) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def member_intervals(
-    curves, level: float, lo: float, hi: float, specials, scan: ScanSettings
-) -> list[tuple[float, float]]:
-    """Connected components of {x in [lo, hi] : L(x) <= level <= U(x)}.
+def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray]:
+    """Every (level j, cell k) where L <= t_j or t_j <= U flips on grid cell k -> k + 1.
 
-    curves(xs) -> (U, L) is the curve pair; NaN values compare false.  The
-    grid's table is evaluated once and passed through the graze_points
-    sliver guard, and every flag transition is refined by multisection.
+    table = (U, L) on a sorted grid, levels t sorted, and level j's window
+    the grid points i0[j] .. i1[j] - 1 (i0 and i1 nondecreasing, as for
+    equal-width windows about sorted levels); only cells inside the window
+    are returned.  One searchsorted per column counts, at each grid point,
+    the levels on the false side of each factor, NaN counting as +inf in L
+    and -inf in U so that it compares false, as in covers; a cell flips
+    level j exactly when j lies between the counts at its two ends.  The
+    pairs come back sorted by level, then cell.
     """
+    upper, lower = table
+    levels = np.atleast_1d(np.asarray(levels, float))
+    m, size = levels.size, upper.size
+    # L <= t_j for j >= c_l; t_j <= U for j < m - c_u (searchsorted sorts NaN
+    # above every level, so a NaN end is false for every level).
+    c_l = np.searchsorted(levels, lower, "left")
+    c_u = np.searchsorted(-levels[::-1], -upper, "left")
+    k = np.flatnonzero((c_l[1:] != c_l[:-1]) | (c_u[1:] != c_u[:-1]))
+    # The L flips of each cell, then its U flips, clipped to the levels whose
+    # window holds the cell (i0[j] <= k and k + 1 < i1[j]).
+    a = np.concatenate([c_l[k], m - c_u[k]])
+    b = np.concatenate([c_l[k + 1], m - c_u[k + 1]])
+    k = np.concatenate([k, k])
+    lo = np.maximum(np.minimum(a, b), np.searchsorted(i1, k + 1, "right"))
+    n = np.maximum(np.minimum(np.maximum(a, b), np.searchsorted(i0, k, "right")) - lo, 0)
+    end = np.cumsum(n)
+    j = np.repeat(lo - end + n, n) + np.arange(end[-1] if end.size else 0)
+    # A cell where both factors flip one level is listed once.
+    key = np.sort(j * size + np.repeat(k, n))
+    key = key[np.append(True, key[1:] != key[:-1])[: key.size]]
+    return key // size, key % size
+
+
+def _member_stretches(cuts, group, start, lo, hi):
+    """(group, a, b) for every stretch on which a flag is set, in group order.
+
+    Group g's flag is start[g] at lo[g] and flips at each of its sorted cuts
+    (cuts ordered by group) up to hi[g]; empty stretches are dropped.
+    """
+    n_group = start.size
+    n_cut = np.bincount(group, minlength=n_group)
+    # Group g's edges lo[g], its cuts, hi[g] as one block of the flat edges.
+    block = np.cumsum(n_cut + 2) - n_cut - 2
+    edges = np.empty(cuts.size + 2 * n_group)
+    edges[block], edges[block + n_cut + 1] = lo, hi
+    edges[np.arange(cuts.size) + 2 * group + 1] = cuts
+    group = np.repeat(np.arange(n_group), n_cut + 2)[:-1]
+    pos = np.arange(group.size) - block[group]
+    left, right = edges[:-1], edges[1:]
+    on = (start[group] ^ (pos % 2 == 1)) & (pos <= n_cut[group]) & (right > left)
+    return group[on], left[on], right[on]
+
+
+def member_intervals(curves, levels, lo, hi, specials, scan: ScanSettings):
+    """Connected components of {x in [lo_j, hi_j] : L(x) <= t_j <= U(x)} for every level t_j.
+
+    curves(xs) -> (U, L) is the curve pair; NaN values compare false.  levels
+    are sorted with equal-width windows [lo_j, hi_j] (or scalars for one
+    level).  One endpoint table on a grid over the union of the windows
+    passes through the graze_points sliver guard for all levels, the
+    crossings of every level come from crossing_cells, the flags are
+    evaluated at the ends of those cells alone, and every flag transition is
+    refined in one multisection batch.  Returns flat arrays (owner, a, b),
+    grouped by level; stretches of one level that touch (within 1e-15) are
+    merged.
+    """
+    levels, lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in (levels, lo, hi))
     grid = build_grid(lo, hi, specials, scan)
-    grid, table = graze_points(grid, curves(grid), level, curves)
-    flags = covers(*table, level)
-    trans = np.flatnonzero(flags[1:] != flags[:-1])
-    a, b = grid[trans], grid[trans + 1]
+    grid, table = graze_points(grid, curves(grid), levels, curves)
+    i0, i1 = np.searchsorted(grid, lo, "left"), np.searchsorted(grid, hi, "right")
+    owner, cell = crossing_cells(table, levels, i0, i1)
+    ends = np.concatenate([cell, cell + 1, i0])
+    flags = covers(table[0][ends], table[1][ends], np.concatenate([levels[owner], levels[owner], levels]))
+    n = cell.size
+    lo_flag, start = flags[:n], flags[2 * n :]
+    trans = lo_flag != flags[n : 2 * n]
+    owner, cell, lo_flag = owner[trans], cell[trans], lo_flag[trans]
+    a, b = grid[cell], grid[cell + 1]
     iters = bisect_iters(b - a, scan.bisect_tol)
-    cuts = refine_flag_boundaries(lambda xs, rows: covers(*curves(xs), level), a, b, flags[trans], iters)
-    # Member stretches alternate between cuts from the flag at lo; stretches
-    # that touch (within 1e-15) are merged.
-    edges = np.concatenate([[lo], cuts, [hi]])[0 if flags[0] else 1 :]
-    a, b = edges[0:-1:2], edges[1::2]
-    a, b = a[b > a], b[b > a]
-    new = np.flatnonzero(a > np.append(-np.inf, b[:-1])[: a.size] + 1e-15)
-    return list(zip(a[new].tolist(), b[np.append(new[1:], a.size)[: new.size] - 1].tolist()))
+    pred = lambda xs, rows: covers(*curves(xs), levels[owner[rows]])
+    cuts = refine_flag_boundaries(pred, a, b, lo_flag, iters)
+    owner, a, b = _member_stretches(cuts, owner, start, lo, hi)
+    touch = (a[1:] <= b[:-1] + 1e-15) & (owner[1:] == owner[:-1])
+    new = np.flatnonzero(np.append(True, ~touch)[: a.size])
+    return owner[new], a[new], b[np.append(new[1:], a.size)[: new.size] - 1]
 
 
 def sign_change_roots(fn, lo, hi, specials, scan: ScanSettings, accept_tol: float) -> np.ndarray:

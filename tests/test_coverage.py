@@ -390,6 +390,91 @@ def test_exact_batch_keeps_input_order():
         coverage_exact(cfg, math.nan)
 
 
+def _exact_sorted_per_theta0(cfg, ts, half, scan):
+    """The exact scan with its transition cells found by a per-theta0 flag
+    scan of each window, the loop that crossing_cells replaced."""
+    cv = coverage_mod
+    n_t = ts.size
+    grid = cv.build_grid(ts - half, ts + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha, *ts], scan)
+    curves = lambda xs: cv.endpoint_values(cfg, xs)
+    grid, (upper, lower) = cv.graze_points(grid, curves(grid), ts, curves)
+    fixed, atom0 = cv._fixed_cover(cfg, ts)
+    i0 = np.searchsorted(grid, ts - half, "left")
+    i1 = np.searchsorted(grid, ts + half, "right")
+    start = np.zeros((n_t, 3), dtype=bool)
+    cells = []
+    for j in range(n_t):
+        s = slice(i0[j], i1[j])
+        f = np.array(cv._membership_flags(grid[s], upper[s], lower[s], ts[j]))
+        if fixed[j]:
+            f[0] = atom0[j]
+        start[j] = f[:, 0]
+        k, i = np.divmod(np.flatnonzero(f[:, 1:] != f[:, :-1]), f.shape[1] - 1)
+        cells.append((np.full(k.size, j), k, i + i0[j], f[k, i]))
+    owner, kind, cell, lo_flag = (np.concatenate(c) for c in zip(*cells))
+    lo_x, hi_x, t = grid[cell], grid[cell + 1], ts[owner]
+    at_t = (hi_x == t) & ((kind == 1) | ((kind == 2) & (t <= upper[cell + 1])))
+    rest = np.flatnonzero(~at_t)
+
+    def flags_at(xs, rows):
+        uniq, inv = np.unique(xs, return_inverse=True)
+        upper_x, lower_x = cv.endpoint_values(cfg, uniq)
+        return np.choose(kind[rest[rows]], cv._membership_flags(xs, upper_x[inv], lower_x[inv], t[rest[rows]]))
+
+    cuts = t.copy()
+    iters = cv.bisect_iters(hi_x[rest] - lo_x[rest], scan.bisect_tol)
+    cuts[rest] = cv.refine_flag_boundaries(flags_at, lo_x[rest], hi_x[rest], lo_flag[rest], iters)
+    group = owner * 3 + kind
+    n_cut = np.bincount(group, minlength=3 * n_t)
+    first = np.cumsum(n_cut) - n_cut
+    left = np.insert(cuts, first, np.repeat(ts - half, 3))
+    right = np.insert(cuts, first + n_cut, np.repeat(ts + half, 3))
+    group = np.repeat(np.arange(3 * n_t), n_cut + 1)
+    pos = np.arange(group.size) - (first + np.arange(3 * n_t))[group]
+    on = (start.ravel()[group] ^ (pos % 2 == 1)) & (right > left)
+    a, b, group = left[on], right[on], group[on]
+    owner, t = group // 3, ts[group // 3]
+    sums = np.bincount(group, weights=interval_mass(cfg.dist, a - t, b - t), minlength=3 * n_t).reshape(n_t, 3)
+    total = np.where(atom0, 1.0, sums[:, 0])
+    full = group % 3 == 0
+    edges = np.linspace(a[full], b[full], 65, axis=-1)
+    t_full = t[full, None]
+    sub = interval_mass(cfg.dist, edges[:, :-1] - t_full, edges[:, 1:] - t_full).ravel()
+    codes = cv.regime_codes(cfg, (0.5 * (edges[:, :-1] + edges[:, 1:])).ravel())
+    by_regime = np.bincount(np.repeat(owner[full], 64) * 5 + codes, weights=sub, minlength=5 * n_t)
+    fracs = by_regime.reshape(n_t, 5)[:, 1:] / np.where(total > 0.0, total, 1.0)[:, None]
+    return np.column_stack([np.minimum(total, 1.0), sums[:, 1], sums[:, 2], fracs])
+
+
+@pytest.mark.parametrize(
+    "law, lam, w",
+    [("gaussian", 0.5, 0.25), ("laplace", 5.0, 1.0), ("t3", 0.0, 0.5), ("subexp:0.5", 2.0, 0.125), ("gaussian", 0.0, 1.0)],
+)
+def test_exact_batch_matches_per_theta0_scan_bitwise(monkeypatch, law, lam, w):
+    # The crossing counts must find exactly the cells the per-theta0 scan
+    # found, so every output bit agrees; the grid holds 0 and +-lam.
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+    theta = np.concatenate([np.linspace(-lam - 6.0, lam + 9.0, 41), [0.0, lam, -lam, 0.0]])
+    rows = coverage_mod._exact_batch(cfg, theta, ScanSettings())
+    monkeypatch.setattr(coverage_mod, "_exact_sorted", _exact_sorted_per_theta0)
+    assert np.array_equal(rows, coverage_mod._exact_batch(cfg, theta, ScanSettings()))
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+@pytest.mark.parametrize("lam", [0.5, 2.0, 5.0])
+def test_onesided_coverage_array_matches_scalar(law, lam):
+    # Unsorted, with a duplicate and a target below the band edge; values
+    # come back in input order and agree with one scan per theta0.
+    cfg = PriorConfig(parse_dist_spec(law), lam, 1.0, ALPHA)
+    theta = lam + np.array([4.0, 0.3, 7.5, 0.3, -0.5, 1.6])
+    got = onesided_coverage_exact(cfg, theta)
+    assert isinstance(got, np.ndarray) and got.shape == theta.shape
+    assert got[1] == got[3]
+    want = [onesided_coverage_exact(cfg, float(t)) for t in theta]
+    assert all(isinstance(v, float) for v in want)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 # (law, lam, w, theta0 for coverage_mc, (C, se), theta0 grid, curve rows
 # (C, C-, C+, frac_I..frac_IV)), recorded at seed MC_PIN_SEED with
 # MC_PIN_N draws from the evaluator that computed every radius at every x.

@@ -245,6 +245,18 @@ def test_lengths_match_interval_measure():
             assert hpd_length(cfg, float(x)) == pytest.approx(cs.length, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["gaussian", "laplace", "t3"])
+def test_length_far_from_band_is_twice_r1(name):
+    # Regime I: the length is 2 r1 from the radius, not U - L, which would
+    # carry the rounding of x +- r1 (relative eps |x| / r1).
+    cfg = config(name, 2.0, 0.25)
+    for x in (1e4, -1e6, 1e8, -1e8):
+        want = 2.0 * hpd_radii(cfg, x)[0]
+        assert abs(hpd_length(cfg, x) - want) <= 1e-14 * want
+    xs = np.array([1e4, -1e6, 1e8])
+    assert np.array_equal(hpd_length(cfg, xs), 2.0 * hpd_radii(cfg, xs)[0])
+
+
 def test_length_uniform_limit_is_nominal_width():
     cfg = config("t3", 0.0, 1.0)
     nominal = 2.0 * float(cfg.dist.ppf(0.975))

@@ -7,8 +7,10 @@ from hpdcover.scanning import (
     ScanSettings,
     bisect_iters,
     build_grid,
+    crossing_cells,
     golden_extrema,
     graze_points,
+    member_intervals,
     refine_flag_boundaries,
     section_count,
     sign_change_roots,
@@ -182,3 +184,67 @@ def test_sign_change_roots_on_union_windows():
 
     roots = sign_change_roots(fn, np.array([-3.0, 0.5]), np.array([-0.5, 3.0]), [], SCAN, 1e-6)
     assert np.allclose(roots, [-1.5, 2.0], rtol=0.0, atol=TOL)
+
+
+def _crossing_reference(table, levels, i0, i1):
+    """Per-level flag diff: the (j, k) where L <= t_j or t_j <= U flips on
+    cell k -> k + 1 inside level j's window."""
+    upper, lower = table
+    pairs = []
+    with np.errstate(invalid="ignore"):
+        for j, t in enumerate(levels):
+            s = slice(i0[j], i1[j])
+            flips = ((lower[s] <= t)[1:] != (lower[s] <= t)[:-1]) | ((t <= upper[s])[1:] != (t <= upper[s])[:-1])
+            pairs += [(j, k + i0[j]) for k in np.flatnonzero(flips)]
+    return pairs
+
+
+def test_crossing_cells_matches_per_level_flag_diff():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n = int(rng.integers(2, 80))
+        upper = np.cumsum(rng.normal(size=n))
+        lower = upper - rng.uniform(0.0, 3.0, n)
+        # NaN stretches at both ends, as on the atom region of a scan.
+        upper[: rng.integers(0, n // 3 + 1)] = np.nan
+        lower[n - rng.integers(0, n // 3 + 1) :] = np.nan
+        finite = np.concatenate([upper, lower])
+        finite = finite[np.isfinite(finite)]
+        levels = rng.normal(scale=3.0, size=int(rng.integers(1, 8)))
+        if finite.size:
+            # Levels exactly equal to table values, one of them twice.
+            exact = rng.choice(finite, 2)
+            levels = np.concatenate([levels, exact, exact[:1]])
+        levels = np.sort(levels)
+        # Equal-width windows clipped at the table ends.
+        width = int(rng.integers(2, n + 1))
+        i0 = np.sort(rng.integers(-width // 2, n - width // 2, levels.size))
+        i0, i1 = np.clip(i0, 0, n), np.clip(i0 + width, 0, n)
+        j, k = crossing_cells((upper, lower), levels, i0, i1)
+        assert list(zip(j.tolist(), k.tolist())) == _crossing_reference((upper, lower), levels, i0, i1)
+
+
+def test_crossing_cells_empty_result():
+    upper, lower = np.linspace(5.0, 6.0, 50), np.linspace(3.0, 4.0, 50)
+    j, k = crossing_cells((upper, lower), np.array([4.5]), np.array([0]), np.array([50]))
+    assert j.size == 0 and k.size == 0
+    # A level crossed only outside its window is no crossing either.
+    j, k = crossing_cells((upper, lower), np.array([5.5]), np.array([0]), np.array([10]))
+    assert j.size == 0 and k.size == 0
+
+
+def test_member_intervals_many_levels():
+    # {x : x - 1 <= t <= x + 1} = [t - 1, t + 1], with the NaN band |x| < 0.5
+    # cut out; one scan serves every level, including a duplicate.
+    def curves(xs):
+        nan = np.abs(xs) < 0.5
+        return np.where(nan, np.nan, xs + 1.0), np.where(nan, np.nan, xs - 1.0)
+
+    levels = np.array([-3.0, 0.0, 0.0, 2.5])
+    owner, a, b = member_intervals(curves, levels, levels - 4.0, levels + 4.0, [], SCAN)
+    want = [(0, -4.0, -2.0), (1, -1.0, -0.5), (1, 0.5, 1.0), (2, -1.0, -0.5), (2, 0.5, 1.0), (3, 1.5, 3.5)]
+    assert owner.tolist() == [w[0] for w in want]
+    assert np.allclose(np.column_stack([a, b]), [w[1:] for w in want], rtol=0.0, atol=TOL)
+    # One level as scalars gives the same stretches as its row of the batch.
+    one = member_intervals(curves, 2.5, -1.5, 6.5, [], SCAN)
+    assert one[0].tolist() == [0] and np.allclose([one[1][0], one[2][0]], [1.5, 3.5], rtol=0.0, atol=TOL)
