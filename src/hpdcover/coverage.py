@@ -44,9 +44,9 @@ from .scanning import (
     build_grid,
     covers,
     crossing_cells,
-    golden_extrema,
     graze_points,
     member_intervals,
+    refine_extrema,
     refine_flag_boundaries,
     _member_stretches,
 )
@@ -412,10 +412,9 @@ def _min_upper_from_band_edge(cfg: PriorConfig, scan: ScanSettings) -> float:
     xs = np.linspace(lo, hi, 4 * scan.n_base)
     ups = upper_values(cfg, xs)
     i = int(np.nanargmin(ups))
-    # Golden-section sharpening of the grid minimum.
-    x_min = golden_extrema(
-        lambda x: upper_values(cfg, x), [xs[max(i - 1, 0)]], [xs[min(i + 1, xs.size - 1)]], False, iters=90
-    )
+    # Extremum-mode multisection sharpening of the grid minimum.
+    j = np.clip([i - 1, i + 1], 0, xs.size - 1)
+    x_min = refine_extrema(lambda x, rows: upper_values(cfg, x), xs[j[:1]], xs[j[1:]], False)
     return min(float(upper_values(cfg, x_min)[0]), float(ups[i]))
 
 

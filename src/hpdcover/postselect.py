@@ -9,8 +9,9 @@ P(X in CS(theta0) | |X| >= lam) equals the posterior credibility of CS(theta0).
 PS(x) is one call of the scanning module's level-set scan on the curve pair
 theta -> (U(theta), L(theta)) at the single level x: one endpoint table on a
 grid over theta, shared by the crossing counts and the sliver guard (one
-endpoint call per golden-section round for both curves), with every boundary
-refined by the multisection solver.  The window is the coverage scan's half-width.
+endpoint call per extremum-mode multisection round for both curves), with
+every boundary refined by the same solver in boundary mode.  The window is
+the coverage scan's half-width.
 """
 
 from __future__ import annotations

@@ -7,16 +7,15 @@ is the one level-set primitive: one searchsorted per endpoint column counts,
 at each grid point, the levels on the false side of L <= t and of t <= U, and
 a cell flips level j exactly when j lies between the counts at its two ends,
 so no level scans its window on its own and the predicates are evaluated
-only at the ends of the cells it returns.  Every flag transition is refined
-with one vectorised multisection solver, and near-tangent slivers are
-guarded by graze_points, the one sliver guard: it locates the local extrema
-of U and L that graze a target level in one golden-section batch that calls
-curves once per round for both endpoints.  A multisection round evaluates
-sections - 1 interior points of every open cell in one call, so a boundary
-reaches bisect_tol / 2 in ceil(iters / log2(sections)) rounds, not the iters
-rounds of bisection (four or five instead of 26-30 for the few cells of a
-query), jump cells included; section_count sizes the sections from the cell
-count.  Everything is vectorized so that one pass can serve many windows
+only at the ends of the cells it returns.  One vectorised multisection
+solver refines every flag transition (boundary mode) and every extremum
+(extremum mode): a round evaluates sections - 1 interior points of every
+open cell in one call, so a boundary reaches bisect_tol / 2 in
+ceil(iters / log2(sections)) rounds, not the iters rounds of bisection (four
+or five instead of 26-30 for the few cells of a query), jump cells included.
+graze_points, the one sliver guard, runs extremum mode on the local extrema
+of U and L that graze a target level, calling curves once per round for both
+endpoints.  Everything is vectorized so that one pass can serve many windows
 and levels at once.
 """
 
@@ -37,12 +36,13 @@ __all__ = ["ScanSettings", "crossing_cells", "member_intervals", "sign_change_ro
 _CALL_POINTS = 2000
 
 
-def section_count(n_cells: int, iters: int) -> int:
-    """The power of two from 2 to 128 minimising rounds x (call cost + points
-    per round) for n_cells cells needing iters bisection steps: wide rounds
-    for the few cells of a query, narrow ones for batches of hundreds."""
-    bits = min(range(1, 8), key=lambda b: -(-iters // b) * (_CALL_POINTS + n_cells * ((1 << b) - 1)))
-    return 1 << bits
+def section_count(n_cells: int, iters: int, keep: int = 1) -> int:
+    """The power of two m, 2 keep <= m <= 128, minimising rounds x (call cost +
+    points per round) for n_cells cells needing iters bisection steps, where a
+    round that keeps keep of the m sub-cells gains log2(m / keep) steps: wide
+    rounds for the few cells of a query, narrow ones for batches of hundreds."""
+    cost = lambda b: -(-iters // (b + 1 - keep)) * (_CALL_POINTS + n_cells * ((1 << b) - 1))
+    return 1 << min(range(keep, 8), key=cost)
 
 
 @dataclass(frozen=True)
@@ -103,34 +103,55 @@ def bisect_iters(widths, tol: float) -> int:
     return min(80, math.ceil(math.log2(max(float(np.max(widths)), tol) / tol)) + 1)
 
 
-def refine_flag_boundaries(pred, lo, hi, lo_flag, iters: int) -> np.ndarray:
-    """Vectorized multisection: one transition point per (lo, hi) cell.
-
-    pred(xs, rows) gives the boolean flags at the flat abscissas xs, where
-    rows[k] is the index of the cell xs[k] belongs to (for per-cell context
-    such as a level or a predicate kind).  Each round evaluates sections - 1
-    interior points of every cell in one call (sections from section_count)
-    and keeps the first sub-cell whose right end has left lo_flag, so
-    ceil(iters / log2(sections)) rounds narrow every cell at least as far as
-    iters bisection steps.  Returns the final cell midpoints; no call is
-    made for an empty cell array.
-    """
+def _multisect(fn, pick, lo, hi, iters: int, keep: int) -> np.ndarray:
+    """The solver round loop: each round evaluates fn(xs, rows) at the m - 1
+    interior points of every cell in one call (m from section_count) and keeps
+    the keep sub-cells that start at the one pick(samples) names per cell, so
+    ceil(iters / log2(m / keep)) rounds narrow every cell at least as far as
+    iters bisection steps.  Returns the final cell midpoints; no call is made
+    for an empty cell array."""
     lo, hi = np.array(lo, float), np.array(hi, float)
     n = lo.size
     if n == 0:
         return lo
-    sections = section_count(n, iters)
-    lo_flag = np.broadcast_to(lo_flag, (n,))[:, None]
+    sections = section_count(n, iters, keep)
     rows = np.repeat(np.arange(n), sections - 1)
     at = np.arange(n)
-    for _ in range(-(-iters // (sections.bit_length() - 1))):
+    for _ in range(-(-iters // (sections.bit_length() - keep))):
         xs = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, sections) / sections)
-        left = np.ones((n, sections), dtype=bool)
-        left[:, :-1] = pred(xs.ravel(), rows).reshape(n, sections - 1) != lo_flag
-        k = np.argmax(left, axis=1)
+        k = pick(fn(xs.ravel(), rows).reshape(n, sections - 1))
         ends = np.column_stack([lo, xs, hi])
-        lo, hi = ends[at, k], ends[at, k + 1]
+        lo, hi = ends[at, k], ends[at, k + keep]
     return 0.5 * (lo + hi)
+
+
+def refine_flag_boundaries(pred, lo, hi, lo_flag, iters: int) -> np.ndarray:
+    """Boundary mode: one transition point per (lo, hi) cell.
+
+    pred(xs, rows) gives the boolean flags at the flat abscissas xs, where
+    rows[k] is the index of the cell xs[k] belongs to (for per-cell context
+    such as a level or a predicate kind).  Each round keeps the first
+    sub-cell whose right end has left lo_flag.
+    """
+    lo_flag = np.broadcast_to(lo_flag, (np.size(lo),))[:, None]
+    left = lambda flags: np.argmax(np.column_stack([flags != lo_flag, np.ones(lo_flag.shape, bool)]), axis=1)
+    return _multisect(pred, left, lo, hi, iters, 1)
+
+
+def refine_extrema(fn, lo, hi, maximize) -> np.ndarray:
+    """Extremum mode: one maximum (or minimum, per ``maximize``) of fn per (lo, hi) bracket.
+
+    fn(xs, rows) gives the values at xs as pred does in refine_flag_boundaries.
+    Each round keeps the two sub-cells around the best sample, which a NaN
+    sample (the atom region) never is, and the rounds stop once every bracket
+    is narrower than 1e-13 (1 + |x|), |x| least on the bracket; an extremum
+    at a bracket end is approached from inside.
+    """
+    lo, hi = np.array(lo, float), np.array(hi, float)
+    sign = np.where(np.broadcast_to(maximize, lo.shape), 1.0, -1.0)[:, None]
+    best = lambda vals: np.argmax(np.fmax(sign * vals, -np.inf), axis=1)
+    iters = bisect_iters((hi - lo) / (1.0 + np.maximum(0.0, np.maximum(lo, -hi))), 1e-13)
+    return _multisect(fn, best, lo, hi, iters, 2)
 
 
 def graze_cells(vals: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
@@ -140,15 +161,23 @@ def graze_cells(vals: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
     above) can hide a membership sliver narrower than the grid step.  Returns
     the indices of such extrema (detected from slope sign changes, within
     four local slope spans of the nearest level on the grazing side) and
-    whether each is a maximum.
+    whether each is a maximum.  A peak or pit between two equal grid values
+    is found at the end of the flat stretch, while a rise, a flat stretch
+    and a rise is no extremum; NaN values are never extrema.
     """
     levels = np.sort(np.atleast_1d(np.asarray(levels, float)))
     dv = np.diff(vals)
+    # at: the slopes after which the next one is of another kind (rise, fall,
+    # flat or NaN).  A peak is a sign step of -2 there, or two steps of -1
+    # around a flat stretch; a pit is the same with +2 and +1.
     with np.errstate(invalid="ignore"):
-        peak = (dv[:-1] > 0) & (dv[1:] < 0)
-        pit = (dv[:-1] < 0) & (dv[1:] > 0)
-    idx = np.nonzero(peak | pit)[0] + 1
-    maximize = peak[idx - 1]
+        up, down = dv >= 0, dv <= 0
+    at = np.flatnonzero((up[:-1] != up[1:]) | (down[:-1] != down[1:]))
+    step = np.sign(dv[at + 1]) - np.sign(dv[at])
+    prev = np.append(np.nan, step[:-1])
+    peak = (step == -2) | ((step == -1) & (prev == -1))
+    turn = peak | (step == 2) | ((step == 1) & (prev == 1))
+    idx, maximize = at[turn] + 1, peak[turn]
     v = vals[idx]
     # the nearest level at or above a peak, at or below a pit
     j = np.where(maximize, np.searchsorted(levels, v, "left"), np.searchsorted(levels, v, "right") - 1)
@@ -172,7 +201,7 @@ def graze_points(grid: np.ndarray, table, levels, curves):
     extremum of U or L that grazes one of ``levels`` between grid points added.
 
     The candidates of both columns (graze_cells) are refined in one
-    golden-section batch that calls curves(xs) -> (U, L) once per round for
+    refine_extrema batch that calls curves(xs) -> (U, L) once per round for
     both endpoints; only the new abscissas are then evaluated, once, and
     merged into the sorted grid and table.
     """
@@ -181,41 +210,11 @@ def graze_points(grid: np.ndarray, table, levels, curves):
     idx = np.concatenate([iu, il])
     if idx.size == 0:
         return grid, table
-    extra = golden_extrema(
-        lambda xs: np.where(on_u, *curves(xs)), grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l])
-    )
+    column = lambda xs, rows: np.where(on_u[rows], *curves(xs))
+    extra = refine_extrema(column, grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l]))
     extra = np.setdiff1d(extra, grid)
     at = np.searchsorted(grid, extra)
     return np.insert(grid, at, extra), tuple(np.insert(v, at, x) for v, x in zip(table, curves(extra)))
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_extrema(fn, a, b, maximize, iters: int = 60) -> np.ndarray:
-    """Vectorized golden-section search: one extremum of fn per bracket [a_i, b_i].
-
-    fn maps an abscissa array to values elementwise; ``maximize`` selects a
-    maximum or a minimum per bracket.  The search stops once every bracket
-    is narrower than 1e-13 relative; brackets that got there earlier keep
-    shrinking meanwhile, which only sharpens them.
-    """
-    a, b = np.array(a, float), np.array(b, float)
-    if a.size == 0:
-        return a
-    sgn = np.where(maximize, 1.0, -1.0)
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = sgn * fn(c), sgn * fn(d)
-    for _ in range(iters):
-        if np.all(b - a < 1e-13 * (1.0 + np.abs(a))):
-            break
-        # fc > fd: the extremum lies in [a, d], else in [c, b]
-        left = fc > fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fx = sgn * fn(x)
-        c, d, fc, fd = np.where(left, x, d), np.where(left, c, x), np.where(left, fx, fd), np.where(left, fc, fx)
-    return 0.5 * (a + b)
 
 
 def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hpdcover
 from hpdcover import hpd_set
 from hpdcover.cli import RunConfig, cmd_figure, main, parse_dist_spec, parse_grid_spec
 
@@ -252,3 +257,13 @@ def test_figure_csv_reproducible_from_sidecar(tmp_path):
     rebuilt = dataclasses.replace(rebuilt, outdir=str(tmp_path / "second"))
     second_csv, _ = cmd_figure(sidecar["figure"], rebuilt)
     assert first_csv.read_bytes() == second_csv.read_bytes()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Importing scipy.optimize costs about 0.32 s per process, more than the
+    # set-up budget allows, so every solver stays in numpy.
+    src = str(Path(hpdcover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, hpdcover, hpdcover.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -17,6 +17,7 @@ from hpdcover import (
     invert_lower,
     onesided_coverage_exact,
     predicted_dip_level,
+    upper_values,
 )
 from hpdcover import coverage as coverage_mod
 from hpdcover.cli import parse_dist_spec
@@ -224,6 +225,28 @@ def test_dip_search_smoke():
     assert dip.domain_lo == pytest.approx(7.9966, abs=1e-3)
     assert dip.c_min == pytest.approx(0.9273, abs=2e-3)
     assert dip.theta_at_min > dip.domain_lo
+
+
+def _dense_grid_min_upper(cfg, zooms=8, n=2001):
+    """min U over x >= max(lam, t_alpha) by repeated dense grids, each
+    re-centred on the previous grid minimum; no solver involved."""
+    a = max(cfg.lam, cfg.t_alpha) + 1e-9
+    b = cfg.lam + float(cfg.dist.ppf_upper(cfg.alpha / 2.0)) + 2.0
+    for _ in range(zooms):
+        xs = np.linspace(a, b, n)
+        ups = upper_values(cfg, xs)
+        i = int(np.nanargmin(ups))
+        a, b = xs[max(i - 2, 0)], xs[min(i + 2, n - 1)]
+    return float(ups[i])
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+@pytest.mark.parametrize("lam, w", [(2.0, 1.0), (2.0, 0.25), (5.0, 1.0), (5.0, 0.25)])
+def test_dip_domain_matches_dense_grid_minimum(law, lam, w):
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+    assert cfg.t_alpha <= lam
+    dip = dip_search(cfg, n_grid=8, refine_rounds=0)
+    assert dip.domain_lo == pytest.approx(_dense_grid_min_upper(cfg), abs=1e-9)
 
 
 def test_check_bounds_panel_config():

@@ -8,9 +8,10 @@ from hpdcover.scanning import (
     bisect_iters,
     build_grid,
     crossing_cells,
-    golden_extrema,
+    graze_cells,
     graze_points,
     member_intervals,
+    refine_extrema,
     refine_flag_boundaries,
     section_count,
     sign_change_roots,
@@ -46,12 +47,86 @@ def test_build_grid_overlapping_windows():
     assert np.max(np.diff(grid)) <= 8.0 / 255 * (1 + 1e-12)
 
 
-def test_golden_extrema_vectorized():
-    # cos has maxima at 0 and 2 pi and a minimum at pi; each bracket holds one.
-    a = np.array([-0.5, np.pi - 0.3, 2.0 * np.pi - 0.2])
-    found = golden_extrema(np.cos, a, a + 0.9, np.array([True, False, True]))
-    assert np.max(np.abs(found - np.array([0.0, np.pi, 2.0 * np.pi]))) <= 1e-7
-    assert golden_extrema(np.cos, [], [], []).size == 0
+_KINKS = np.array([0.3137, -2.5, 40.0])
+
+EXTREMUM_CASES = {
+    # cos has maxima at 0 and 2 pi and a minimum at pi; each bracket holds
+    # one.  A smooth extremum is flat to rounding within about 1e-8.
+    "cos-mixed": (
+        lambda xs, rows: np.cos(xs),
+        np.array([-0.5, np.pi - 0.3, 2.0 * np.pi - 0.2]),
+        np.array([0.4, np.pi + 0.6, 2.0 * np.pi + 0.7]),
+        np.array([True, False, True]),
+        np.array([0.0, np.pi, 2.0 * np.pi]),
+        1e-7,
+    ),
+    # |x - c| with c per bracket: the kink is found to the stopping width.
+    "kink": (lambda xs, rows: np.abs(xs - _KINKS[rows]), _KINKS - 0.7, _KINKS + 1.1, False, _KINKS, 0.0),
+    # Monotone fn: the extremum is the bracket end, approached from inside.
+    "monotone": (
+        lambda xs, rows: xs**3,
+        np.array([1.0, 1.0, -7.0]),
+        np.array([2.0, 2.0, -3.0]),
+        np.array([True, False, True]),
+        np.array([2.0, 1.0, -3.0]),
+        0.0,
+    ),
+    # NaN samples (as U and L on the atom region) are never the best: the
+    # maximum of -x right of the NaN stretch is its edge 0.25, and the pit of
+    # |x - 0.6| is found past the NaNs left of 0.5.
+    "nan-interior": (
+        lambda xs, rows: np.where(xs < 0.25 + 0.25 * rows, np.nan, np.where(rows == 0, -xs, np.abs(xs - 0.6))),
+        np.array([-1.0, -1.0]),
+        np.array([1.0, 1.0]),
+        np.array([True, False]),
+        np.array([0.25, 0.6]),
+        0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EXTREMUM_CASES)
+def test_refine_extrema_rounds_and_accuracy(case):
+    fn, lo, hi, maximize, expected, atol = EXTREMUM_CASES[case]
+    calls = []
+
+    def counted(xs, rows):
+        calls.append(xs.size)
+        return fn(xs, rows)
+
+    found = refine_extrema(counted, lo, hi, maximize)
+    # Every bracket ends narrower than 1e-13 (1 + |x|), the stopping rule.
+    assert np.all(np.abs(found - expected) <= max(atol, 1e-13) * (1.0 + np.abs(expected)))
+    # Each round samples m - 1 interior points per bracket in one call and
+    # keeps two of the m sub-cells, gaining log2(m / 2) halvings.
+    iters = bisect_iters((hi - lo) / (1.0 + np.maximum(0.0, np.maximum(lo, -hi))), 1e-13)
+    sections = section_count(lo.size, iters, keep=2)
+    assert 4 <= sections <= 128
+    assert len(calls) == math.ceil(iters / math.log2(sections / 2))
+    assert set(calls) == {lo.size * (sections - 1)}
+
+
+def test_refine_extrema_empty_input_makes_no_call():
+    def fn(xs, rows):
+        raise AssertionError("fn called on no brackets")
+
+    out = refine_extrema(fn, [], [], [])
+    assert isinstance(out, np.ndarray) and out.size == 0
+
+
+def test_graze_cells_flat_topped_extrema():
+    # The grid is symmetric about 2 pi, so the two grid values around the cos
+    # peak there are equal; the peak is a candidate at the flat stretch's end.
+    grid = np.linspace(0.0, 4.0 * np.pi, 200)
+    vals = np.cos(grid)
+    assert vals[99] == vals[100]
+    idx, maximize = graze_cells(vals, 1.0 + 1e-6)
+    assert idx.tolist() == [100] and maximize.tolist() == [True]
+    assert grid[idx - 1] < 2.0 * np.pi < grid[idx + 1]
+    assert graze_cells(-vals, -1.0 - 1e-6)[0].tolist() == [100]
+    # A rise into a flat stretch and a further rise (U = -lam on regime IV)
+    # is no extremum, at any level near the flat value.
+    assert graze_cells(np.array([-3.0, -2.0, -2.0, -2.0, -1.0]), [-2.0 - 1e-9, -2.0, -2.0 + 1e-9])[0].size == 0
 
 
 def test_graze_points_multiple_levels():
@@ -74,9 +149,9 @@ def test_graze_points_multiple_levels():
         extra = np.setdiff1d(new_grid, grid)
         assert new_grid.size == grid.size + extra.size and np.all(np.diff(new_grid) > 0)
         assert all(np.array_equal(v, ref) for v, ref in zip(new_table, (np.sin(new_grid), np.cos(new_grid - 1.0))))
-        # Every golden round is one call for both curves, and the final call
-        # evaluates the new abscissas alone.
-        assert set(calls) <= {extra.size}
+        # Every extremum-mode round is one call for both curves, and the final
+        # call evaluates the new abscissas alone.
+        assert not calls or (calls[-1] == extra.size and len(set(calls[:-1])) == 1)
         return extra
 
     assert added(5.0).size == 0 and calls == []
