@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import draw_chunks, interval_mass
-from .hpd import Regime, endpoint_values, endpoints, onesided_endpoints, regime_codes, upper_values
+from .hpd import Regime, _member_reach, endpoint_values, endpoints, onesided_endpoints, regime_codes, upper_values
 from .posterior import PriorConfig
 from .scanning import (
     ScanSettings,
@@ -118,11 +118,10 @@ _GRID_CAP = 1 << 17
 
 
 def _half_width(cfg: PriorConfig, scan: ScanSettings) -> float:
-    # Members satisfy |x - theta0| <= sup r3 <= G^{-1}(1 - alpha*G(-lam)),
-    # so the window can be truncated there with zero mass error; the
-    # tail-probability cap applies when that bound is very wide.
-    r3_sup = float(cfg.dist.ppf_upper(cfg.alpha * float(cfg.dist.cdf(-cfg.lam))))
-    return min(float(cfg.dist.ppf_upper(scan.tol_tail / 2.0)), r3_sup + 0.5)
+    # Members lie within _member_reach of theta0, so the window can be
+    # truncated there with zero mass error; the tail-probability cap applies
+    # when that bound is very wide.
+    return min(float(cfg.dist.ppf_upper(scan.tol_tail / 2.0)), _member_reach(cfg))
 
 
 def _membership_flags(grid, upper, lower, theta0):

@@ -372,10 +372,8 @@ class SubExponential(Distribution):
         t = np.concatenate(
             [np.geomspace(1e-12, 0.5, 160), np.linspace(0.5, 1.0 - 1e-9, 160)]
         )
-        ratio_t = self.cdf(1.5 * self.ppf(t)) / t ** (1.0 + gamma)
-        x = np.linspace(0.0, 25.0**self._shape, 400)
-        ratio_x = self.pdf(x) / self.cdf(-x) ** gamma
-        return 2.0 * float(max(ratio_t.max(), ratio_x.max(), 1.0))
+        rep = check_tail_decay(self, gamma, 1.0, t, np.linspace(0.0, 25.0**self._shape, 400))
+        return 2.0 * max(rep.max_t_ratio, rep.max_x_ratio, 1.0)
 
     def __repr__(self):
         return f"SubExponential(eta={self.eta:g})"

@@ -11,9 +11,10 @@ x + r1, x + r2, x + r3, and -lam; L(x) = -U(-x) by symmetry.  One evaluator,
 ``endpoints``, returns U, L and the regime codes from a single pass that
 computes each radius only where its regime uses it: r1 at every x, r3 off
 regime I, and r2 (one call at -|x| for both signs) on the band edge.  The
-module also provides the set-valued inverses of U and L, a monotone fixed-point
-iteration for the smallest element of L^{-1}, and the one-sided analogue
-(uniform prior on (lam, inf)) used as a comparison baseline.
+module also provides the set-valued inverses of U and L (level-set boundaries,
+from the scan coverage uses), a monotone fixed-point iteration for the
+smallest element of L^{-1}, and the one-sided analogue (uniform prior on
+(lam, inf)) used as a comparison baseline.
 """
 
 from __future__ import annotations
@@ -326,26 +327,24 @@ class InverseSet:
         return self.roots[-1]
 
 
+def _member_reach(cfg: PriorConfig) -> float:
+    """sup r3 + 0.5 with sup r3 = G^{-1}(1 - alpha G(-lam)), +inf if G(-lam) underflows: every
+    radius is at most sup r3, so each x whose set holds theta0 lies within it of theta0."""
+    return float(cfg.dist.ppf_upper(cfg.alpha * float(cfg.dist.cdf(-cfg.lam)))) + 0.5
+
+
 def _invert_endpoint(cfg: PriorConfig, values_fn, theta0: float, scan: ScanSettings) -> InverseSet:
-    d = cfg.dist
-    b = abs(theta0) + d.ppf_upper(scan.tol_tail) + cfg.lam
-    t = cfg.t_alpha
-
-    def fn(xs):
-        return values_fn(cfg, xs) - theta0
-
-    specials = [cfg.lam, -cfg.lam, theta0]
-    if math.isfinite(t):
-        specials += [t, -t]
-    accept = 1e-6 * (1.0 + abs(theta0))
-    # With an atom region (t > 0) the halves (-b, -t) and (t, b) are one union
-    # grid and one solver batch; the cell across the gap has NaN ends.
-    lo, hi = (np.array([-b, t]), np.array([-t, b])) if math.isfinite(t) and t > 0.0 else (-b, b)
-    allr = sign_change_roots(fn, lo, hi, specials, scan, accept) if t < b else np.empty(0)
+    b = abs(theta0) + cfg.dist.ppf_upper(scan.tol_tail) + cfg.lam
+    reach, t = _member_reach(cfg), cfg.t_alpha
+    fn = lambda xs: values_fn(cfg, xs) - theta0
+    # One window about theta0; the atom region inside it is NaN, outside the set.
+    lo, hi = max(-b, theta0 - reach), min(b, theta0 + reach)
+    specials = [cfg.lam, -cfg.lam, theta0, t, -t]
+    allr = sign_change_roots(fn, lo, hi, specials, scan, 1e-6 * (1.0 + abs(theta0)))
     if allr.size == 0:
         raise InversionError(
             f"no solutions of the endpoint equation at target {theta0} "
-            f"(target below the atom threshold, or window [{-b}, {b}] too small)"
+            f"(target below the atom threshold, or window [{lo}, {hi}] too small)"
         )
     regs = tuple(Regime(int(c)) for c in regime_codes(cfg, allr))
     return InverseSet(target=float(theta0), roots=tuple(float(r) for r in allr), regimes=regs)
@@ -354,15 +353,15 @@ def _invert_endpoint(cfg: PriorConfig, values_fn, theta0: float, scan: ScanSetti
 def invert_upper(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> InverseSet:
     """The set {x : |x| > t_alpha, U(x) = theta0}.
 
-    Sign changes of U - theta0 on a dense grid over both sides of the atom
-    region are refined in one multisection batch (four or five rounds of
-    one endpoint call each) to scan.bisect_tol; jumps of U are dropped.
+    The inner ends of {U >= theta0} within sup r3 + 0.5 of theta0, from the
+    sliver-guarded level-set scan (scanning.sign_change_roots), so a root
+    pair between two grid points is found; jumps of U are dropped.
     """
     return _invert_endpoint(cfg, upper_values, theta0, scan)
 
 
 def invert_lower(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> InverseSet:
-    """The set {x : |x| > t_alpha, L(x) = theta0}, by the same multisection
+    """The set {x : |x| > t_alpha, L(x) = theta0}, by the same level-set
     scan as invert_upper."""
     return _invert_endpoint(cfg, lower_values, theta0, scan)
 

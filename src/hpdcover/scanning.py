@@ -1,4 +1,4 @@
-"""Grid-scan utilities: membership sets, sign-change roots, extremum refinement.
+"""Grid-scan utilities: membership sets, their boundary roots, extremum refinement.
 
 The credible-set endpoints are piecewise smooth with isolated jumps, so the
 level sets {x : L(x) <= t_j <= U(x)} of a curve pair curves(xs) -> (U, L)
@@ -15,8 +15,9 @@ ceil(iters / log2(sections)) rounds, not the iters rounds of bisection (four
 or five instead of 26-30 for the few cells of a query), jump cells included.
 graze_points, the one sliver guard, runs extremum mode on the local extrema
 of U and L that graze a target level, calling curves once per round for both
-endpoints.  Everything is vectorized so that one pass can serve many windows
-and levels at once.
+endpoints.  Inversion is the same scan: sign_change_roots reads the roots of
+fn off {fn >= 0}, the pair (fn, -inf) at level 0.  Everything is vectorized
+so that one pass can serve many windows and levels at once.
 """
 
 from __future__ import annotations
@@ -166,13 +167,16 @@ def graze_cells(vals: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
     and a rise is no extremum; NaN values are never extrema.
     """
     levels = np.sort(np.atleast_1d(np.asarray(levels, float)))
-    dv = np.diff(vals)
-    # at: the slopes after which the next one is of another kind (rise, fall,
-    # flat or NaN).  A peak is a sign step of -2 there, or two steps of -1
-    # around a flat stretch; a pit is the same with +2 and +1.
     with np.errstate(invalid="ignore"):
+        dv = np.diff(vals)
         up, down = dv >= 0, dv <= 0
+    # at: the slopes after which the next one is of another kind (rise, fall,
+    # flat or NaN, as across a constant +-inf stretch).  A peak is a sign step
+    # of -2 there, or two steps of -1 around a flat stretch; a pit is the same
+    # with +2 and +1.
     at = np.flatnonzero((up[:-1] != up[1:]) | (down[:-1] != down[1:]))
+    if at.size == 0:
+        return at, np.empty(0, bool)
     step = np.sign(dv[at + 1]) - np.sign(dv[at])
     prev = np.append(np.nan, step[:-1])
     peak = (step == -2) | ((step == -1) & (prev == -1))
@@ -307,24 +311,19 @@ def member_intervals(curves, levels, lo, hi, specials, scan: ScanSettings):
 
 
 def sign_change_roots(fn, lo, hi, specials, scan: ScanSettings, accept_tol: float) -> np.ndarray:
-    """All simple roots of fn on [lo, hi] found by sign-change scanning.
+    """The roots of fn on the window [lo, hi]: the inner ends of the level set {fn >= 0}.
 
-    lo and hi may be arrays of equal-width windows, scanned as one union
-    grid (see build_grid); a cell between two windows is refined only if fn
-    is finite at both of its ends.  Cells whose ends have opposite finite
-    signs are refined in one multisection batch; converged points where
-    |fn| exceeds accept_tol (jumps of a discontinuous fn, not roots) are
-    dropped.  Tangent (even-order) roots between grid points are not
-    detected.
+    The set comes from one member_intervals call on the curve pair (fn, -inf)
+    at level 0, so the roots pass the same grid, sliver guard and multisection
+    batch as every other level set, and a root pair between two grid points
+    is found like any other sliver; NaN values of fn lie outside the set.
+    Stretch ends where |fn| exceeds accept_tol (jumps of a discontinuous fn
+    and NaN edges, not roots) are dropped.  Tangent roots are not guaranteed.
     """
-    grid = build_grid(lo, hi, specials, scan)
-    vals = fn(grid)
-    finite, sign = np.isfinite(vals), np.sign(vals)
-    cells = np.flatnonzero(finite[:-1] & finite[1:] & (sign[:-1] * sign[1:] < 0))
-    a, b, lo_sign = grid[cells], grid[cells + 1], sign[cells]
-    iters = bisect_iters(b - a, scan.bisect_tol)
-    cand = refine_flag_boundaries(lambda xs, rows: np.sign(fn(xs)) == lo_sign[rows], a, b, True, iters)
-    if cand.size:
-        cand = cand[np.abs(fn(cand)) <= accept_tol]
-    allr = np.sort(np.concatenate([grid[finite & (vals == 0.0)], cand]))
-    return allr[np.diff(allr, prepend=-np.inf) > 10.0 * scan.bisect_tol]
+    curves = lambda xs: (fn(xs), np.full(np.shape(xs), -np.inf))
+    _, a, b = member_intervals(curves, 0.0, lo, hi, specials, scan)
+    ends = np.sort(np.concatenate([a, b]))
+    ends = ends[(lo < ends) & (ends < hi)]
+    if ends.size:
+        ends = ends[np.abs(fn(ends)) <= accept_tol]
+    return ends[np.diff(ends, prepend=-np.inf) > 10.0 * scan.bisect_tol]

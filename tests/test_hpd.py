@@ -8,6 +8,7 @@ from hpdcover import (
     PriorConfig,
     Regime,
     classify_regime,
+    dip_search,
     endpoint_values,
     endpoints,
     hpd_length,
@@ -334,13 +335,37 @@ def test_invert_upper_uniform_limit():
     assert inv.roots[0] == pytest.approx(4.0 - math.log(20.0), abs=1e-9)
 
 
-def test_invert_upper_multiple_roots_where_u_dips():
-    cfg = config("laplace", 5.0, 1.0)
-    inv = invert_upper(cfg, 8.2)
-    assert len(inv.roots) >= 2
+@pytest.mark.parametrize(
+    "law, lam, w, eps",
+    [(law, lam, 1.0, 1e-7) for law in ("laplace", "t3", "subexp:0.5") for lam in (2.0, 5.0)]
+    + [("subexp:0.5", 5.0, 0.25, 1e-3)],
+)
+def test_invert_upper_multiple_roots_where_u_dips(law, lam, w, eps):
+    # Just above min U beyond the band edge, where dip_search's domain
+    # starts, U - target has two roots around that minimum within one grid
+    # cell; sup U^{-1} >= lam is what puts the target in that domain.
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, 0.05)
+    target = dip_search(cfg, n_grid=8, refine_rounds=0).domain_lo + eps
+    inv = invert_upper(cfg, target)
+    assert len(inv.roots) >= 3 and inv.sup >= lam
     for r in inv.roots:
-        assert upper_endpoint(cfg, r) == pytest.approx(8.2, abs=1e-7)
+        assert abs(upper_endpoint(cfg, r) - target) <= 1e-7
     assert inv.inf == min(inv.roots) and inv.sup == max(inv.roots)
+
+
+def test_invert_upper_root_pair_near_zero_matches_dense_scan():
+    cfg = PriorConfig(parse_dist_spec("subexp:0.5"), 2.99866, 0.02, 0.031987)
+    target = 4.553
+    inv = invert_upper(cfg, target)
+    # An independent sign scan of U - target on a dense grid.
+    xs = np.linspace(-100.0, 100.0, 400_001)
+    with np.errstate(invalid="ignore"):
+        v = upper_values(cfg, xs) - target
+    dense = np.flatnonzero(np.isfinite(v[:-1]) & np.isfinite(v[1:]) & (v[:-1] * v[1:] < 0))
+    assert dense.size == 3 and len(inv.roots) == 3
+    assert np.all((xs[dense] <= inv.roots) & (inv.roots <= xs[dense + 1]))
+    for r in inv.roots:
+        assert abs(upper_endpoint(cfg, r) - target) <= 1e-7
 
 
 def test_invert_lower_roots_in_regime_one():

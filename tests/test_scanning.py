@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,18 @@ def test_refine_extrema_empty_input_makes_no_call():
 
     out = refine_extrema(fn, [], [], [])
     assert isinstance(out, np.ndarray) and out.size == 0
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [np.full(50, -np.inf), np.array([0.0, 1.0, 2.0, np.inf, np.inf, np.inf, 2.0, 1.0, 0.0])],
+    ids=["all_minus_inf", "plus_inf_stretch"],
+)
+def test_graze_cells_non_finite_columns(vals):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, maximize = graze_cells(vals, [0.0, 2.5])
+    assert idx.size == 0 and maximize.size == 0
 
 
 def test_graze_cells_flat_topped_extrema():
@@ -250,15 +263,24 @@ def test_multisection_empty_input_makes_no_call():
     assert bisect_iters(np.empty(0), TOL) == 0
 
 
-def test_sign_change_roots_on_union_windows():
-    # As on the atom region, fn is NaN on the gap between the windows and at
-    # its edges, so the cell across the gap (over the root at 0.2) is skipped.
-    def fn(xs):
-        out = (xs - 2.0) * (xs + 1.5) * (xs - 0.2)
-        return np.where(np.abs(xs) <= 0.5, np.nan, out)
+def _nan_gap(xs):
+    # As on the atom region, fn is NaN on |x| <= 0.5, so the root at 0.2 there is no root.
+    out = (xs - 2.0) * (xs + 1.5) * (xs - 0.2)
+    return np.where(np.abs(xs) <= 0.5, np.nan, out)
 
-    roots = sign_change_roots(fn, np.array([-3.0, 0.5]), np.array([-0.5, 3.0]), [], SCAN, 1e-6)
-    assert np.allclose(roots, [-1.5, 2.0], rtol=0.0, atol=TOL)
+
+@pytest.mark.parametrize(
+    "fn, roots",
+    [
+        (_nan_gap, [-1.5, 2.0]),
+        # A root pair 2e-3 apart inside the grid cell (1, 1.0235): the sliver guard finds it.
+        (lambda xs: (xs - 1.01) ** 2 - 1e-6, [1.01 - 1e-3, 1.01 + 1e-3]),
+    ],
+    ids=["nan_gap", "root_pair_in_one_cell"],
+)
+def test_sign_change_roots_one_window(fn, roots):
+    got = sign_change_roots(fn, -3.0, 3.0, [], SCAN, 1e-6)
+    assert np.allclose(got, roots, rtol=0.0, atol=TOL)
 
 
 def _crossing_reference(table, levels, i0, i1):
