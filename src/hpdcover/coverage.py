@@ -8,22 +8,22 @@ multisection, and summed as exact CDF differences.  A seeded inverse-CDF
 Monte Carlo estimator serves as an independent cross-check.
 
 U and L do not depend on theta0, so a whole theta0 grid is scanned as one
-batch on the calling thread: one endpoint table on a grid over the union of
-the scan windows (chunked to at most _GRID_CAP points) and the scanning
-module's sliver guard over every requested level at once.  No theta0 is
-scanned on its own: scanning.crossing_cells counts, once per grid point and
-endpoint column, the theta0 on the false side of L <= theta0 and of
-theta0 <= U, which yields every cell where either flips for some theta0.
-Those cells, plus the cell ending at each theta0 (where x >= theta0 flips),
-are the only candidates; the three predicates are evaluated at their ends
-alone, and one multisection batch refines the transition cells of every
-theta0 (7-14 rounds of one endpoint call, with U and L evaluated once per
-distinct abscissa).  C-/C+ cells that flip at theta0 itself are cut there
-without refinement.  coverage_exact is that batch on a single point, and
-the one-sided baseline is the same level-set scan of its own curve pair,
-batched over theta0 too.  The atom/band rule (_fixed_cover) and the Monte
-Carlo counter (_mc_point) are each written once, for the exact scan,
-hpd_contains, coverage_mc and Monte Carlo curves alike.
+batch on the calling thread, each distinct |theta0| once (HPD(-x) = -HPD(x),
+so -theta0 is read off by reflection): one endpoint table on a theta0-free
+grid (densified at the band edges and atom threshold only, theta0 joining as
+bare points; chunked to at most _GRID_CAP points) over the union of the scan
+windows, and the scanning module's sliver guard over every level at once.
+scanning.crossing_cells counts, once per grid point and endpoint column, the
+theta0 on the false side of L <= theta0 and of theta0 <= U, which yields
+every cell where either flips for some theta0.  Those cells, plus the cell
+ending at each theta0 (where x >= theta0 flips), are the only candidates;
+the three predicates are evaluated at their ends alone, and one multisection
+batch refines the transition cells of every theta0.  C-/C+ cells that flip
+at theta0 itself are cut there without refinement.  The one-sided baseline
+is the same level-set scan of its own curve pair, batched over theta0 too.
+The atom/band rule (_fixed_cover) and the Monte Carlo counter (_mc_point)
+are each written once, for the exact scan, hpd_contains, coverage_mc and
+Monte Carlo curves alike.
 """
 
 from __future__ import annotations
@@ -138,13 +138,13 @@ def _membership_flags(grid, upper, lower, theta0):
 
 def _chunks(ts: np.ndarray, half: float, scan: ScanSettings):
     """Runs of the sorted theta0 array whose shared grids stay under _GRID_CAP
-    points: one full window and five dense blocks, then per further theta0 its
-    window's new stretch, its own block and three single points (an upper
-    bound for the one-sided scan, which has fewer fixed special points)."""
-    first = scan.n_base + 5 * (scan.n_dense + 3)
+    points: one full window and the four dense blocks of _scan_grid, then per
+    further theta0 its window's new stretch and three points, the window edges
+    and theta0 itself (an upper bound for the one-sided scan too)."""
+    first = scan.n_base + 4 * (scan.n_dense + 1) + 3
     added = np.minimum(np.diff(ts), 2.0 * half) * (scan.n_base - 1) / (2.0 * half)
     start, used = 0, first
-    for k, cost in enumerate(added + scan.n_dense + 3, start=1):
+    for k, cost in enumerate(added + 3, start=1):
         if used + cost > _GRID_CAP:
             yield slice(start, k)
             start, used = k, first
@@ -153,10 +153,16 @@ def _chunks(ts: np.ndarray, half: float, scan: ScanSettings):
     yield slice(start, ts.size)
 
 
+def _scan_grid(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSettings) -> np.ndarray:
+    """The exact scan's grid: the windows of the sorted theta0, densified at
+    +-lam and +-t_alpha only, with each theta0 a bare point (x >= theta0 flips there)."""
+    return np.union1d(build_grid(ts - half, ts + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha], scan), ts)
+
+
 def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSettings) -> np.ndarray:
     """Rows (C, C-, C+, frac_I..frac_IV) for one chunk of sorted theta0."""
     n_t = ts.size
-    grid = build_grid(ts - half, ts + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha, *ts], scan)
+    grid = _scan_grid(cfg, ts, half, scan)
     curves = lambda xs: endpoint_values(cfg, xs)
     grid, (upper, lower) = graze_points(grid, curves(grid), ts, curves)
 
@@ -224,19 +230,28 @@ def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSetti
     return np.column_stack([np.minimum(total, 1.0), sums[:, 1], sums[:, 2], fracs])
 
 
-def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings) -> np.ndarray:
-    """Exact coverage rows (C, C-, C+, frac_I..frac_IV), one per theta0, in input order."""
+def _finite_theta0(theta0) -> np.ndarray:
+    """theta0 as a flat float array; ValueError on any non-finite value."""
     ts = np.asarray(theta0, float).ravel()
     if not np.all(np.isfinite(ts)):
         raise ValueError(f"theta0 must be finite, got {float(ts[~np.isfinite(ts)][0])!r}")
-    out = np.empty((ts.size, 7))
-    if ts.size:
-        order = np.argsort(ts, kind="stable")
-        half = _half_width(cfg, scan)
-        out[order] = np.concatenate(
-            [_exact_sorted(cfg, ts[order][s], half, scan) for s in _chunks(ts[order], half, scan)]
-        )
-    return out
+    return ts
+
+
+def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings) -> np.ndarray:
+    """Exact coverage rows (C, C-, C+, frac_I..frac_IV), one per theta0, in input order.
+
+    Each distinct |theta0| is scanned once.  As L(x) = -U(-x), reflecting x
+    keeps C and swaps regimes II and IV and the sides of x = theta0 (a null
+    set), so -theta0 takes the row of |theta0| with C-/C+ and frac_II/IV swapped.
+    """
+    ts = _finite_theta0(theta0)
+    if ts.size == 0:
+        return np.empty((0, 7))
+    mag, inv = np.unique(np.abs(ts), return_inverse=True)
+    half = _half_width(cfg, scan)
+    rows = np.concatenate([_exact_sorted(cfg, mag[s], half, scan) for s in _chunks(mag, half, scan)])[inv]
+    return np.where((ts < 0.0)[:, None], rows[:, [0, 2, 1, 3, 6, 5, 4]], rows)
 
 
 def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> CoveragePoint:
@@ -245,7 +260,8 @@ def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSet
     C- counts draws with theta0 in [L(x), x] (empty when L(x) > x), C+ those
     with theta0 in (x, U(x)]; both restricted to |x| > t_alpha.  Boundary
     abscissas are refined to scan.bisect_tol and masses accumulated as
-    tail-accurate CDF differences.  This is the batch scan on one point.
+    tail-accurate CDF differences.  This is the batch scan on one point:
+    |theta0| on a theta0-free grid, reflected when theta0 < 0.
     """
     c, c_minus, c_plus, *fracs = (float(v) for v in _exact_batch(cfg, [theta0], scan)[0])
     return CoveragePoint(float(theta0), c, c_minus, c_plus, dict(zip(_REGIME_KEYS, fracs)))
@@ -371,19 +387,20 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0, scan: ScanSettings = ScanS
     only the left window edge is probabilistic (mass below it is under
     scan.tol_tail / 2).  The membership regions of all distinct theta0 are
     one level-set scan of the curve pair (U1, L1) at the sorted levels
-    theta0, in runs whose shared grid stays under _GRID_CAP points.
+    theta0, in runs whose shared grid stays under _GRID_CAP points; it needs
+    no x >= theta0 split, so theta0 is not a grid point.
     """
     if cfg.w != 1.0:
         raise ValueError("one-sided baseline coverage requires w = 1")
     d = cfg.dist
-    ts, inv = np.unique(np.asarray(theta0, float).ravel(), return_inverse=True)
+    ts, inv = np.unique(_finite_theta0(theta0), return_inverse=True)
     left, right = float(d.ppf_upper(scan.tol_tail / 2.0)), float(d.ppf_upper(cfg.alpha / 2.0))
     switch = cfg.lam + float(d.ppf(1.0 / (1.0 + cfg.alpha)))
     curves = lambda xs: onesided_endpoints(cfg, xs)
     out = np.empty(ts.size)
     for s in _chunks(ts, 0.5 * (left + right + 0.5), scan) if ts.size else ():
         t = ts[s]
-        owner, a, b = member_intervals(curves, t, t - left, t + right + 0.5, [cfg.lam, switch, *t], scan)
+        owner, a, b = member_intervals(curves, t, t - left, t + right + 0.5, [cfg.lam, switch], scan)
         out[s] = np.bincount(owner, weights=interval_mass(d, a - t[owner], b - t[owner]), minlength=t.size)
     if np.ndim(theta0) == 0:
         return float(out[0])
@@ -492,6 +509,11 @@ class BoundReport:
         return {"config": self.config, "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
+def _graded(name: str, margin: float, details: dict, strict: bool = False) -> BoundCheck:
+    """A check that passes when its margin is >= 0 (> 0 when strict)."""
+    return BoundCheck(name, "pass" if (margin > 0 if strict else margin >= 0) else "fail", margin, details)
+
+
 def check_coverage_bounds(
     cfg: PriorConfig,
     theta_grid,
@@ -532,14 +554,8 @@ def check_coverage_bounds(
     # (a) ceiling on the below-x part.
     if above.size:
         margin = float(((1.0 - alpha) / 2.0 + 1e-6) - c_minus.max())
-        checks.append(
-            BoundCheck(
-                "c_minus_ceiling",
-                "pass" if margin >= 0 else "fail",
-                margin,
-                {"max_c_minus": float(c_minus.max()), "bound": (1.0 - alpha) / 2.0},
-            )
-        )
+        details = {"max_c_minus": float(c_minus.max()), "bound": (1.0 - alpha) / 2.0}
+        checks.append(_graded("c_minus_ceiling", margin, details))
     else:
         checks.append(BoundCheck("c_minus_ceiling", "skipped", None, {"reason": "no theta0 above lam v t_alpha"}))
 
@@ -549,14 +565,8 @@ def check_coverage_bounds(
         calibrated = slack_coeff is None
         k = max(float(shortfall.max()), 0.0) / alpha ** (1.0 + gamma) * 1.25 if calibrated else slack_coeff
         margin = float(k * alpha ** (1.0 + gamma) - shortfall.max())
-        checks.append(
-            BoundCheck(
-                "c_minus_floor",
-                "pass" if margin >= 0 else "fail",
-                margin,
-                {"slack_coeff": k, "calibrated_here": calibrated, "max_shortfall": float(shortfall.max())},
-            )
-        )
+        details = {"slack_coeff": k, "calibrated_here": calibrated, "max_shortfall": float(shortfall.max())}
+        checks.append(_graded("c_minus_floor", margin, details))
     else:
         reason = "no tail-decay certificate" if not has_tail else "no theta0 above lam v t_alpha"
         checks.append(BoundCheck("c_minus_floor", "skipped", None, {"reason": reason}))
@@ -567,20 +577,8 @@ def check_coverage_bounds(
         calibrated = dip_slack is None
         k = dip.deviation / alpha ** (1.0 + gamma) * 1.25 if calibrated else dip_slack
         margin = float(k * alpha ** (1.0 + gamma) - dip.deviation)
-        checks.append(
-            BoundCheck(
-                "dip_level",
-                "pass" if margin >= 0 else "fail",
-                margin,
-                {
-                    "c_min": dip.c_min,
-                    "predicted": dip.predicted,
-                    "theta_at_min": dip.theta_at_min,
-                    "slack_coeff": k,
-                    "calibrated_here": calibrated,
-                },
-            )
-        )
+        details = {"c_min": dip.c_min, "predicted": dip.predicted, "theta_at_min": dip.theta_at_min}
+        checks.append(_graded("dip_level", margin, {**details, "slack_coeff": k, "calibrated_here": calibrated}))
     else:
         reasons = []
         if not has_tail:
@@ -596,14 +594,8 @@ def check_coverage_bounds(
         ms = onesided_coverage_exact(cfg, above, scan)
         slackless = c_all + np.asarray(d.cdf(-above), float) - ms
         margin = float(slackless.min())
-        checks.append(
-            BoundCheck(
-                "onesided_comparison",
-                "pass" if margin > 0 else "fail",
-                margin,
-                {"worst_theta0": float(above[int(np.argmin(slackless))])},
-            )
-        )
+        details = {"worst_theta0": float(above[int(np.argmin(slackless))])}
+        checks.append(_graded("onesided_comparison", margin, details, strict=True))
     else:
         reason = "requires w = 1" if cfg.w != 1.0 else "no theta0 above lam"
         checks.append(BoundCheck("onesided_comparison", "skipped", None, {"reason": reason}))
@@ -614,17 +606,8 @@ def check_coverage_bounds(
         cp = _exact_batch(cfg, inner, scan)[:, 2]
         bound = float(d.cdf(-2.0 * cfg.lam))
         margin = float(bound + 1e-9 - cp.max())
-        checks.append(
-            BoundCheck(
-                "early_c_plus_ceiling",
-                "pass" if margin >= 0 else "fail",
-                margin,
-                {"bound": bound, "max_c_plus": float(cp.max())},
-            )
-        )
+        checks.append(_graded("early_c_plus_ceiling", margin, {"bound": bound, "max_c_plus": float(cp.max())}))
     else:
-        checks.append(
-            BoundCheck("early_c_plus_ceiling", "skipped", None, {"reason": "t_alpha <= lam (vacuous)"})
-        )
+        checks.append(BoundCheck("early_c_plus_ceiling", "skipped", None, {"reason": "t_alpha <= lam (vacuous)"}))
 
     return BoundReport(config=_config_summary(cfg), checks=tuple(checks))

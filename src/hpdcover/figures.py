@@ -42,6 +42,8 @@ def fmt(value) -> str:
 
 def _coverage_grid(dist: Distribution, lam: float, alpha: float, n: int, mirror: bool) -> np.ndarray:
     """theta0 grid: n points on (lam, lam + 10*scale], 4x denser on (lam, lam+2]."""
+    if n < 1:
+        raise ValueError(f"fig_grid_n must be >= 1, got {n}")
     scale = float(dist.ppf_upper(alpha / 2.0))
     hi = lam + 10.0 * scale
     base = np.linspace(lam, hi, n + 1)[1:]

@@ -188,6 +188,14 @@ def test_cli_runtime_error_exit_code(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_cli_figure_rejects_empty_coverage_grid(tmp_path, capsys, n):
+    code = main(["figure", "1", "--dist", "laplace", "--lambda", "0.5", "--fig-grid-n", str(n),
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: fig_grid_n must be >= 1, got {n}\n"
+
+
 def test_figure_emitters_smoke(tmp_path):
     rc = RunConfig(dist="laplace", lam=(5.0,), w=(1.0,), alpha=0.05,
                    fig_grid_n=40, mirror=False, outdir=str(tmp_path),

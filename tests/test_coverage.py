@@ -20,6 +20,7 @@ from hpdcover import (
     upper_values,
 )
 from hpdcover import coverage as coverage_mod
+from hpdcover import scanning as scanning_mod
 from hpdcover.cli import parse_dist_spec
 from hpdcover.figures import _coverage_grid
 
@@ -209,6 +210,12 @@ def test_onesided_coverage_requires_pure_slab():
         onesided_coverage_exact(config("laplace", 1.0, 0.5), 2.0)
 
 
+@pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf, [6.0, math.nan]])
+def test_onesided_coverage_rejects_non_finite_theta0(theta0):
+    with pytest.raises(ValueError, match="theta0 must be finite"):
+        onesided_coverage_exact(config("laplace", 5.0, 1.0), theta0)
+
+
 def test_predicted_dip_level_laplace_closed_form():
     # 1 - 3a/2 + a G(G^{-1}(a)/2) with G Laplace: the last factor is
     # sqrt(2a)/2, giving 0.9329057 at a = 0.05.
@@ -395,9 +402,9 @@ def test_coverage_curve_chunked_matches_single_batch(monkeypatch):
         return out
 
     monkeypatch.setattr(coverage_mod, "build_grid", counting_build_grid)
-    monkeypatch.setattr(coverage_mod, "_GRID_CAP", 12_000)
+    monkeypatch.setattr(coverage_mod, "_GRID_CAP", 7_000)
     chunked = coverage_curve(cfg, grid)
-    assert len(sizes) > 2 and max(sizes) <= 12_000
+    assert len(sizes) > 2 and max(sizes) <= 7_000
     for a, b in ((whole.C, chunked.C), (whole.C_minus, chunked.C_minus), (whole.C_plus, chunked.C_plus)):
         assert np.max(np.abs(a - b)) <= 1e-10
 
@@ -418,7 +425,7 @@ def _exact_sorted_per_theta0(cfg, ts, half, scan):
     scan of each window, the loop that crossing_cells replaced."""
     cv = coverage_mod
     n_t = ts.size
-    grid = cv.build_grid(ts - half, ts + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha, *ts], scan)
+    grid = cv._scan_grid(cfg, ts, half, scan)
     curves = lambda xs: cv.endpoint_values(cfg, xs)
     grid, (upper, lower) = cv.graze_points(grid, curves(grid), ts, curves)
     fixed, atom0 = cv._fixed_cover(cfg, ts)
@@ -481,6 +488,60 @@ def test_exact_batch_matches_per_theta0_scan_bitwise(monkeypatch, law, lam, w):
     rows = coverage_mod._exact_batch(cfg, theta, ScanSettings())
     monkeypatch.setattr(coverage_mod, "_exact_sorted", _exact_sorted_per_theta0)
     assert np.array_equal(rows, coverage_mod._exact_batch(cfg, theta, ScanSettings()))
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 5.0])
+@pytest.mark.parametrize("w", [1.0, 0.125])
+def test_exact_batch_mirrors_negative_theta0(law, lam, w):
+    # The batch scans |theta0| and reads -theta0 off by reflection; the
+    # unfolded scan of the negative targets themselves must agree in all
+    # seven columns, with a duplicate and -0.0 among them.  The targets put
+    # mass on one band-edge regime (gaussian lam 0.5, w 0.125 at -2.5 has
+    # frac_IV 0.276), so dropping either swap fails here.
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+    scan = ScanSettings()
+    theta = np.array([-(lam + 6.0), -2.5, -(lam + 1.7), -2.5, -(lam + 0.3), -0.0, -lam / 2.0])
+    got = coverage_mod._exact_batch(cfg, theta, scan)
+    uniq, inv = np.unique(theta, return_inverse=True)
+    want = coverage_mod._exact_sorted(cfg, uniq, coverage_mod._half_width(cfg, scan), scan)[inv]
+    assert np.max(np.abs(got - want)) <= 1e-10
+    if lam > 0.0:
+        assert np.max(np.abs(want[:, 4] - want[:, 6])) > 1e-3
+    if w < 1.0 or lam > 0.0:
+        assert np.max(np.abs(want[:, 1] - want[:, 2])) > 1e-4
+
+
+def _grid_sizes(monkeypatch, run, counts):
+    sizes = []
+    real = scanning_mod.build_grid
+
+    def counting_build_grid(*args):
+        out = real(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(coverage_mod, "build_grid", counting_build_grid)
+    monkeypatch.setattr(scanning_mod, "build_grid", counting_build_grid)
+    out = []
+    for n in counts:
+        sizes.clear()
+        run(n)
+        out.append(list(sizes))
+    return out
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_scan_grid_grows_by_window_edges_not_dense_blocks(monkeypatch, law):
+    # U and L do not depend on theta0: scanning 60 targets instead of 6 over
+    # the same span adds only each new window's two edges to the grid (the
+    # targets join it as bare points afterwards), never an n_dense block.
+    cfg = PriorConfig(parse_dist_spec(law), 5.0, 1.0, ALPHA)
+    theta = lambda n: np.linspace(5.5, 13.0, n)
+    exact = _grid_sizes(monkeypatch, lambda n: coverage_mod._exact_batch(cfg, theta(n), ScanSettings()), (6, 60))
+    onesided = _grid_sizes(monkeypatch, lambda n: onesided_coverage_exact(cfg, theta(n)), (6, 60))
+    for (few,), (many,) in (exact, onesided):
+        assert 0 <= many - few <= 2 * (60 - 6)
 
 
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
