@@ -218,6 +218,8 @@ def _cmd_coverage(rc: RunConfig) -> int:
     if not rc.grid:
         raise ValueError("coverage requires --grid a:b:n")
     grid = parse_grid_spec(rc.grid)
+    if rc.method == "mc" and rc.n < 1:
+        raise ValueError(f"--method mc needs --n >= 1, got {rc.n}")
     rc.first_dist()  # surface a bad --dist as a usage error, not a point failure
     failures = []
     reports: dict[tuple[float, float], object] = {}
@@ -291,8 +293,6 @@ def _cmd_postselect_coverage(rc: RunConfig) -> int:
 
 def cmd_figure(fig_id: int, rc: RunConfig) -> list[Path]:
     """Emit the CSV + JSON sidecar for one standard figure into rc.outdir."""
-    outdir = Path(rc.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     scan = rc.scan_settings()
     side_extra: dict = {}
     if fig_id == 1:
@@ -317,6 +317,8 @@ def cmd_figure(fig_id: int, rc: RunConfig) -> list[Path]:
         side = {}
     else:
         raise ValueError(f"unknown figure id {fig_id}; expected 1..5")
+    outdir = Path(rc.outdir)  # made only once the rows exist, so a failed figure leaves none
+    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"figure{fig_id}.csv"
     json_path = outdir / f"figure{fig_id}.json"
     csv_path.write_text(_csv_text(header, rows))

@@ -352,6 +352,8 @@ def coverage_curve(
         cols = _exact_batch(cfg, grid, scan).T
         label = "exact_scan"
     elif method == "mc":
+        if n < 1:
+            raise ValueError(f"Monte Carlo needs n >= 1 draws, got {n}")
         work = lambda t0: _mc_point(cfg, t0, n, seed)
         workers = thread_count(threads)
         if workers > 1 and grid.size > 1:

@@ -91,7 +91,8 @@ def _tail_levels(cfg: PriorConfig, sabs: np.ndarray):
     """(s + kg, q1, B) at |x| = sabs, from two CDF calls.
 
     s = gap_complement(x) is the slab's share of the shifted error mass, kg
-    the spike term, q1 the tail level of r1 and B = G(-lam - |x|).  With
+    the spike term (added only with an atom: it is 0 at w = 1), q1 the tail
+    level of r1 and B = G(-lam - |x|).  With
     T = G(-| |x| - lam |), s = (|x| > lam ? 1 - T : T) + B and the band mass
     1 - s = (|x| > lam ? T : 1 - T) - B, so q1 = 0.5 - 0.5((1 - alpha) s -
     alpha kg) is formed as the sum 0.5 (alpha (s + kg) + (1 - s)), which
@@ -102,7 +103,9 @@ def _tail_levels(cfg: PriorConfig, sabs: np.ndarray):
     tail = d.cdf(-np.abs(sabs - lam))
     rest = 1.0 - tail
     below = d.cdf(-lam - sabs)
-    sk = np.where(far, rest, tail) + below + (1.0 - cfg.w) / cfg.w * d.pdf(sabs)
+    sk = np.where(far, rest, tail) + below
+    if cfg.has_atom:
+        sk += (1.0 - cfg.w) / cfg.w * d.pdf(sabs)
     gap = np.where(far, tail, rest) - below
     return sk, 0.5 * (cfg.alpha * sk + gap), below
 
@@ -409,10 +412,7 @@ def onesided_radii(cfg: PriorConfig, x):
     d = cfg.dist
     g_right = d.cdf(arr - cfg.lam)
     q1 = 0.5 * (d.cdf(cfg.lam - arr) + cfg.alpha * g_right)
-    q2 = cfg.alpha * g_right
-    r1 = -d.ppf(q1)
-    r2 = -d.ppf(q2)
-    return r1, r2
+    return -d.ppf(q1), -d.ppf(cfg.alpha * g_right)
 
 
 def onesided_endpoints(cfg: PriorConfig, x):

@@ -196,6 +196,25 @@ def test_cli_figure_rejects_empty_coverage_grid(tmp_path, capsys, n):
     assert capsys.readouterr().err == f"error: fig_grid_n must be >= 1, got {n}\n"
 
 
+def test_cli_failed_figure_leaves_no_outdir(tmp_path, capsys):
+    fresh = tmp_path / "fresh"
+    code = main(["figure", "1", "--dist", "laplace", "--lambda", "0.5", "--fig-grid-n", "0",
+                 "--outdir", str(fresh)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not fresh.exists()
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_cli_coverage_mc_rejects_empty_sample(tmp_path, capsys, n):
+    out = tmp_path / "mc.csv"
+    code = main(["coverage", "--dist", "laplace", "--lambda", "1", "--grid", "1.5:2:2",
+                 "--method", "mc", "--n", str(n), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --method mc needs --n >= 1, got {n}\n"
+    assert not out.exists()
+
+
 def test_figure_emitters_smoke(tmp_path):
     rc = RunConfig(dist="laplace", lam=(5.0,), w=(1.0,), alpha=0.05,
                    fig_grid_n=40, mirror=False, outdir=str(tmp_path),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hpdcover import (
     PriorConfig,
     ScanSettings,
     check_coverage_bounds,
+    conditional_coverage_mc,
     coverage_curve,
     coverage_exact,
     coverage_mc,
@@ -20,6 +22,7 @@ from hpdcover import (
     upper_values,
 )
 from hpdcover import coverage as coverage_mod
+from hpdcover import distributions as distributions_mod
 from hpdcover import scanning as scanning_mod
 from hpdcover.cli import parse_dist_spec
 from hpdcover.figures import _coverage_grid
@@ -120,6 +123,13 @@ def test_monte_carlo_validates_input():
     cfg = config("laplace", 0.5, 1.0)
     with pytest.raises(ValueError):
         coverage_mc(cfg, 2.0, 10, seed=0)
+
+
+def test_monte_carlo_curve_rejects_empty_sample():
+    cfg = config("laplace", 1.0, 1.0)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n >= 1"):
+            coverage_curve(cfg, [1.5, 2.0], method="mc", n=n)
 
 
 def test_coverage_against_riemann_membership():
@@ -608,3 +618,44 @@ def test_monte_carlo_pinned_values(law, lam, w, theta_mc, mc, grid, rows):
     rep = coverage_curve(cfg, grid, method="mc", n=MC_PIN_N, seed=MC_PIN_SEED, threads=1)
     got = np.column_stack([rep.C, rep.C_minus, rep.C_plus, *(rep.fractions[k] for k in ("I", "II", "III", "IV"))])
     assert np.array_equal(got, np.array(rows))
+
+
+# 2^16 + 3 draws: one sampler block at the default size, then a 3-draw block
+# that the t3 and subexp quantiles run on their element-by-element path.
+BLOCK_N = (1 << 16) + 3
+
+
+@pytest.mark.parametrize("law", ["gaussian", "t3", "subexp:0.5"])
+@pytest.mark.parametrize("w", [1.0, 0.25])
+def test_monte_carlo_independent_of_block_size(monkeypatch, law, w):
+    # theta0 = 0 is a fixed-cover target: inside the band at w = 1, the atom at w < 1
+    cfg = PriorConfig(parse_dist_spec(law), 1.0, w, ALPHA)
+    thetas = (1.5, 0.0)
+    want = [coverage_mod._mc_point(cfg, t, BLOCK_N, 5) for t in thetas]
+    cond = w == 1.0
+    if cond:
+        want_cond = [conditional_coverage_mc(cfg, t, BLOCK_N, 5, chunk=1 << 16) for t in thetas]
+    for block in (1000, 1 << 14, 1 << 20):
+        monkeypatch.setattr(distributions_mod, "_BLOCK", block)
+        assert [coverage_mod._mc_point(cfg, t, BLOCK_N, 5) for t in thetas] == want
+        if cond:
+            got = [conditional_coverage_mc(cfg, t, BLOCK_N, 5, chunk=1 << 16) for t in thetas]
+            assert got == want_cond
+
+
+@pytest.mark.parametrize("law", ["gaussian", "t3"])
+def test_monte_carlo_peak_memory(law):
+    # Blocks of 2^16 draws keep every temporary small; on whole 2^20-draw
+    # chunks coverage_mc peaked at 90-97 MiB and the conditional check at
+    # 17-25 MiB.
+    cfg = PriorConfig(parse_dist_spec(law), 1.0, 1.0, ALPHA)
+    n = (1 << 20) + (1 << 16)
+    for call, cap in ((lambda: coverage_mc(cfg, 1.5, n, 3), 32),
+                      (lambda: conditional_coverage_mc(cfg, 1.5, n, 3), 16)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap * 2**20

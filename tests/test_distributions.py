@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from hpdcover import check_tail_decay, interval_mass, make_distribution
-from hpdcover.distributions import SubExponential
+from hpdcover.distributions import SubExponential, draw_chunks
 
 ALL_NAMES = ["gaussian", "laplace", "t3", "subexp"]
 
@@ -355,3 +355,18 @@ def test_t3_cdf_keeps_relative_accuracy_in_the_tail():
 
     ref = np.array([exact(v) for v in x.tolist()])
     assert np.max(np.abs(got / ref - 1.0)) <= 2e-15
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_draw_chunks_stream_is_one_random_call_per_chunk(name):
+    # 3 * 2^16 + 123 draws in chunks of 2^17 + 5: the first chunk ends in a
+    # 5-draw block, and neither the chunk nor the block divides n.
+    d = build(name)
+    n, chunk, seed, theta0 = 3 * (1 << 16) + 123, (1 << 17) + 5, 41, 1.25
+    got = np.concatenate(list(draw_chunks(d, theta0, n, seed, chunk)))
+    children = np.random.SeedSequence(seed).spawn(2)
+    sizes = (chunk, n - chunk)
+    ref = np.concatenate(
+        [theta0 + d.ppf(np.random.Generator(np.random.Philox(c)).random(m)) for c, m in zip(children, sizes)]
+    )
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
