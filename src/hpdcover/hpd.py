@@ -8,9 +8,9 @@ already carries 1 - alpha of the posterior (|x| <= t_alpha), and otherwise
 where U is built from three radius functions r1, r2, r3.  The real line
 splits into four regimes (plus the atom region) on which U takes the forms
 x + r1, x + r2, x + r3, and -lam; L(x) = -U(-x) by symmetry.  One evaluator,
-``endpoints``, returns U, L and the regime codes from a single pass that
-computes each radius only where its regime uses it: r1 at every x, r3 off
-regime I, and r2 (one call at -|x| for both signs) on the band edge.  The
+``endpoints``, returns U, L and the regime codes from one CDF call and one
+quantile call: the regimes are read off the tail levels, and each radius is
+computed only where its regime uses it (r2 once at -|x| for both signs).  The
 module also provides the set-valued inverses of U and L (level-set boundaries,
 from the scan coverage uses), a monotone fixed-point iteration for the
 smallest element of L^{-1}, and the one-sided analogue (uniform prior on
@@ -79,35 +79,47 @@ def _ppf_upper_ext(dist, q):
     keeps relative accuracy.  Out-of-range q never reaches the quantile code.
     """
     q = np.asarray(q, float)
-    out = np.full(q.shape, np.nan)
     inside = (q > 0.0) & (q < 1.0)
+    if inside.all():
+        r = dist.ppf(q)
+        return np.negative(r, out=r)
+    out = np.full(q.shape, np.nan)
     out[inside] = -dist.ppf(q[inside])
     out[q <= 0.0] = np.inf
     out[q >= 1.0] = -np.inf
     return out
 
 
-def _tail_levels(cfg: PriorConfig, sabs: np.ndarray):
-    """(s + kg, q1, B) at |x| = sabs, from two CDF calls.
+def _tail_levels(cfg: PriorConfig, sabs: np.ndarray, x=None):
+    """(s + kg, q1, T, B) at |x| = sabs from one CDF call, T = G(-| |x| - lam |)
+    and B = G(-lam - |x|); given the signed x too, G(-lam - x) comes fifth.
 
     s = gap_complement(x) is the slab's share of the shifted error mass, kg
-    the spike term (added only with an atom: it is 0 at w = 1), q1 the tail
-    level of r1 and B = G(-lam - |x|).  With
-    T = G(-| |x| - lam |), s = (|x| > lam ? 1 - T : T) + B and the band mass
+    the spike term (added only with an atom: it is 0 at w = 1) and q1 the
+    tail level of r1.  s = (|x| > lam ? 1 - T : T) + B and the band mass
     1 - s = (|x| > lam ? T : 1 - T) - B, so q1 = 0.5 - 0.5((1 - alpha) s -
     alpha kg) is formed as the sum 0.5 (alpha (s + kg) + (1 - s)), which
     keeps relative accuracy when q1 is far below 1/2 (|x| beyond the band).
     """
     d, lam = cfg.dist, cfg.lam
-    far = sabs > lam
-    tail = d.cdf(-np.abs(sabs - lam))
-    rest = 1.0 - tail
-    below = d.cdf(-lam - sabs)
-    sk = np.where(far, rest, tail) + below
+    args = np.empty((2 if x is None else 3,) + sabs.shape)
+    np.negative(np.abs(np.subtract(sabs, lam, out=args[0]), out=args[0]), out=args[0])
+    np.subtract(-lam, sabs, out=args[1])
+    if x is not None:
+        np.subtract(-lam, x, out=args[2])
+    levels = d.cdf(args)
+    tail, below, far = levels[0], levels[1], sabs > lam
+    gap = 1.0 - tail
+    sk = np.where(far, gap, tail)
+    sk += below
     if cfg.has_atom:
         sk += (1.0 - cfg.w) / cfg.w * d.pdf(sabs)
-    gap = np.where(far, tail, rest) - below
-    return sk, 0.5 * (cfg.alpha * sk + gap), below
+    np.copyto(gap, tail, where=far)
+    gap -= below
+    q1 = np.multiply(cfg.alpha, sk)
+    q1 += gap
+    q1 *= 0.5
+    return (sk, q1, *levels)
 
 
 def hpd_radii(cfg: PriorConfig, x):
@@ -119,50 +131,48 @@ def hpd_radii(cfg: PriorConfig, x):
     convention (+inf / -inf) when its defining tail mass leaves (0, 1).
     r1 and r3 are finite wherever |x| > t_alpha.
     """
-    arr = np.asarray(x, float)
-    xs, d = np.atleast_1d(arr), cfg.dist
-    sk, q1, _ = _tail_levels(cfg, np.abs(xs))
-    q2 = cfg.alpha * sk - d.cdf(-cfg.lam - xs)
-    r1, r2, r3 = (_ppf_upper_ext(d, q) for q in (q1, q2, 0.5 * cfg.alpha * sk))
-    if arr.ndim == 0:
-        return float(r1[0]), float(r2[0]), float(r3[0])
-    return r1, r2, r3
+    xs = np.atleast_1d(np.asarray(x, float))
+    sk, q1, _, _, signed = _tail_levels(cfg, np.abs(xs), xs)
+    r = _ppf_upper_ext(cfg.dist, np.stack([q1, cfg.alpha * sk - signed, 0.5 * cfg.alpha * sk]))
+    return tuple(map(float, r[:, 0])) if np.ndim(x) == 0 else tuple(r)
 
 
 def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U(x), L(x) and the Regime codes in one pass; U and L are NaN on the atom region.
 
-    Each radius is evaluated only where its regime uses it: r1 everywhere,
-    r3 off regime I, and r2 on the band-edge regimes II/IV alone.  The gap
-    mass and the spike term are even in x, so one call at -|x| gives the
-    pinned radius of U for x > 0 and of the reflection L(x) = -U(-x) for x < 0.
+    One CDF call gives the tail levels, the regimes are read off them, and
+    one quantile call evaluates each radius where its regime uses it: r1 on
+    I, r3 on III and r2 on the band-edge regimes II/IV.  The gap mass and the
+    spike term are even in x, so r2 at -|x| is the pinned radius of U for
+    x > 0 and of the reflection L(x) = -U(-x) for x < 0.
     """
     return _endpoint_pass(cfg, x)[:3]
 
 
 def _endpoint_pass(cfg: PriorConfig, x):
-    """endpoints and the symmetric radius r: r1 on regime I, r3 elsewhere."""
+    """endpoints and the radius r of each regime: r1 on I, r3 on III, r2 on II/IV."""
     arr = np.atleast_1d(np.asarray(x, float))
-    d, lam, alpha = cfg.dist, cfg.lam, cfg.alpha
-    sabs = np.abs(arr)
-    sk, q1, below = _tail_levels(cfg, sabs)
-    r = _ppf_upper_ext(d, q1)
-    codes = np.full(arr.shape, Regime.I, dtype=np.int8)
-    # Off regime I: III where r3 clears the band, the band edge II/IV elsewhere.
-    edge = np.flatnonzero(~(sabs > lam + r))
-    if edge.size:
-        r[edge] = _ppf_upper_ext(d, 0.5 * alpha * sk[edge])
-        codes[edge] = Regime.III
-        edge = edge[~(sabs[edge] <= r[edge] - lam)]
+    lam, alpha, sabs = cfg.lam, cfg.alpha, np.abs(arr)
+    sk, q1, tail, below = _tail_levels(cfg, sabs)
+    # r = G^{-1}(1 - q) falls as q rises: regime I (|x| - lam > r1) reads
+    # q1 > G(lam - |x|), and III (r3 >= |x| + lam) reads q3 <= G(-lam - |x|).
+    one = (sabs > lam) & (q1 > tail)
+    off = np.flatnonzero(~one)
+    sk, below = sk[off], below[off]  # off regime I from here on
+    q3 = (0.5 * alpha) * sk
+    third = q3 <= below
+    q1[off] = np.where(third, q3, alpha * sk - below)
+    edge = off[~third]
+    r = _ppf_upper_ext(cfg.dist, q1)
+    codes = np.where(one, np.int8(Regime.I), np.int8(Regime.III))
     upper = arr + r
     upper_refl = r - arr  # U(-x), so that L(x) = -U(-x)
     if edge.size:
-        xe = arr[edge]
-        r2 = _ppf_upper_ext(d, alpha * sk[edge] - below[edge])
+        xe, r2 = arr[edge], r[edge]
         codes[edge] = np.where(xe > 0, Regime.II, Regime.IV)
         upper[edge] = np.where(xe > 0, xe + r2, -lam)
         upper_refl[edge] = np.where(xe < 0, r2 - xe, -lam)
-    lower = -upper_refl
+    lower = np.negative(upper_refl, out=upper_refl)
     atom = sabs <= cfg.t_alpha
     upper[atom] = lower[atom] = np.nan
     codes[atom] = Regime.ATOM
@@ -258,28 +268,17 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     up, low, codes = endpoints(cfg, x)
-    regime = Regime(int(codes[0]))
-    mass0 = float(atom_mass(cfg, x))
+    regime, lam = Regime(int(codes[0])), cfg.lam
+    upper, lower = float(up[0]), float(low[0])  # NaN on the atom region
     if regime is Regime.ATOM:
-        return CredibleSet(
-            x=float(x),
-            regime=regime,
-            lower=math.nan,
-            upper=math.nan,
-            intervals=(),
-            atom_included=True,
-            atom_mass=mass0,
-        )
-    upper, lower = float(up[0]), float(low[0])
-    lam = cfg.lam
-    if lam == 0.0:
+        pieces = []
+    elif lam == 0.0:
         pieces = [(lower, upper)]
     else:
-        pieces = []
-        if lower <= -lam:
-            pieces.append((lower, min(upper, -lam)))
+        pieces = [(lower, min(upper, -lam))] if lower <= -lam else []
         if upper >= lam:
             pieces.append((max(lower, lam), upper))
+    # Only a prior with an atom has an atom region, so ATOM sets include it too.
     return CredibleSet(
         x=float(x),
         regime=regime,
@@ -287,7 +286,7 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
         upper=upper,
         intervals=tuple(pieces),
         atom_included=cfg.has_atom,
-        atom_mass=mass0,
+        atom_mass=float(atom_mass(cfg, x)),
     )
 
 
@@ -384,7 +383,7 @@ def smallest_lower_inverse(cfg: PriorConfig, theta0: float, tol: float = 1e-12, 
         )
     a = float(theta0)
     for _ in range(max_iter):
-        nxt = theta0 + hpd_radii(cfg, a)[0]
+        nxt = theta0 + float(_ppf_upper_ext(cfg.dist, _tail_levels(cfg, np.array([a]))[1])[0])
         if nxt < a - 1e-12:
             raise RuntimeError(f"fixed-point iterates decreased at a = {a}")
         if abs(nxt - a) <= tol:

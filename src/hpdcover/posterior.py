@@ -96,14 +96,14 @@ def gap_mass(cfg: PriorConfig, x):
 
 
 def gap_complement(cfg: PriorConfig, x):
-    """1 - gap_mass, formed additively as G(x-lam) + G(-lam-x).
+    """1 - gap_mass, formed additively as G(x-lam) + G(-lam-x) from one CDF call.
 
     This is the slab's share of the shifted error mass; the additive form
     avoids cancellation when the band carries almost all the mass.
     """
     arr, scalar = _as_array(x)
-    d = cfg.dist
-    return _ret(d.cdf(arr - cfg.lam) + d.cdf(-cfg.lam - arr), scalar)
+    g = cfg.dist.cdf(np.array([arr - cfg.lam, -cfg.lam - arr]))
+    return _ret(g[0] + g[1], scalar)
 
 
 def posterior_normalizer(cfg: PriorConfig, x):

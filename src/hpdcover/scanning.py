@@ -3,8 +3,9 @@
 The credible-set endpoints are piecewise smooth with isolated jumps, so the
 level sets {x : L(x) <= t_j <= U(x)} of a curve pair curves(xs) -> (U, L)
 are found by scanning one dense grid for all levels at once.  crossing_cells
-is the one level-set primitive: one searchsorted per endpoint column counts,
-at each grid point, the levels on the false side of L <= t and of t <= U, and
+is the one level-set primitive: one searchsorted per endpoint column (one
+comparison, for a single level) counts, at each grid point, the levels on
+the false side of L <= t and of t <= U, and
 a cell flips level j exactly when j lies between the counts at its two ends,
 so no level scans its window on its own and the predicates are evaluated
 only at the ends of the cells it returns.  One vectorised multisection
@@ -228,19 +229,23 @@ def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray]:
     table = (U, L) on a sorted grid, levels t sorted, and level j's window
     the grid points i0[j] .. i1[j] - 1 (i0 and i1 nondecreasing, as for
     equal-width windows about sorted levels); only cells inside the window
-    are returned.  One searchsorted per column counts, at each grid point,
-    the levels on the false side of each factor, NaN counting as +inf in L
-    and -inf in U so that it compares false, as in covers; a cell flips
-    level j exactly when j lies between the counts at its two ends.  The
-    pairs come back sorted by level, then cell.
+    are returned.  One searchsorted per column (a comparison, given one
+    level) counts, at each grid point, the levels on the false side of each
+    factor, NaN counting as +inf in L and -inf in U so that it compares
+    false, as in covers; a cell flips level j exactly when j lies between
+    the counts at its two ends.  The pairs come back sorted by level, then
+    cell.
     """
     upper, lower = table
     levels = np.atleast_1d(np.asarray(levels, float))
     m, size = levels.size, upper.size
     # L <= t_j for j >= c_l; t_j <= U for j < m - c_u (searchsorted sorts NaN
     # above every level, so a NaN end is false for every level).
-    c_l = np.searchsorted(levels, lower, "left")
-    c_u = np.searchsorted(-levels[::-1], -upper, "left")
+    if m == 1:
+        c_l, c_u = ~(lower <= levels[0]), ~(levels[0] <= upper)
+    else:
+        c_l = np.searchsorted(levels, lower, "left")
+        c_u = np.searchsorted(-levels[::-1], -upper, "left")
     k = np.flatnonzero((c_l[1:] != c_l[:-1]) | (c_u[1:] != c_u[:-1]))
     # The L flips of each cell, then its U flips, clipped to the levels whose
     # window holds the cell (i0[j] <= k and k + 1 < i1[j]).

@@ -28,6 +28,7 @@ from hpdcover import (
     upper_values,
 )
 from hpdcover.cli import parse_dist_spec
+from hpdcover.distributions import Distribution
 
 from conftest import ALL_CONFIGS, config, sample_x
 
@@ -167,6 +168,54 @@ def test_evaluator_matches_per_regime_formulas(law):
             assert np.array_equal(got_codes, codes)
             assert np.array_equal(regime_codes(cfg, xs), codes)
             assert [classify_regime(cfg, float(x)) for x in xs[::50]] == list(codes[::50])
+    # One Monte Carlo block of draws about theta0 = 1.5, as draw_chunks hands
+    # them out, so the kernels run on whole blocks.
+    cfg = PriorConfig(parse_dist_spec(law), 0.5, 0.25, 0.05)
+    xs = 1.5 + cfg.dist.ppf(rng.random(1 << 16))
+    up, codes = _paper_upper(cfg, xs)
+    got_u, got_l, got_codes = endpoints(cfg, xs)
+    assert np.array_equal(got_u, up, equal_nan=True)
+    assert np.array_equal(got_l, -_paper_upper(cfg, -xs)[0], equal_nan=True)
+    assert np.array_equal(got_codes, codes)
+    assert set(np.unique(codes)) == {Regime.I, Regime.II, Regime.III, Regime.IV}
+
+
+class _Counted(Distribution):
+    """A law that counts the calls made to each of its kernels."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, {"pdf": 0, "cdf": 0, "ppf": 0}
+
+    def _call(self, kind, v):
+        self.calls[kind] += 1
+        return getattr(self.inner, kind)(v)
+
+    def pdf(self, x):
+        return self._call("pdf", x)
+
+    def cdf(self, x):
+        return self._call("cdf", x)
+
+    def ppf(self, p):
+        return self._call("ppf", p)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_endpoints_make_one_cdf_and_one_quantile_call(law):
+    # The regimes come from the tail levels, so one CDF call and one quantile
+    # call serve every regime; with w = 1 the band holds III, with an atom
+    # the atom region takes its place.
+    counted = _Counted(parse_dist_spec(law))
+    xs = np.linspace(-60.0, 60.0, 2001)
+    seen = set()
+    for lam, w in ((3.0, 1.0), (3.0, 0.02)):
+        cfg = PriorConfig(counted, lam, w, 0.05)
+        cfg.t_alpha
+        counted.calls.update(cdf=0, ppf=0)
+        codes = endpoints(cfg, xs)[2]
+        assert counted.calls["cdf"] == 1 and counted.calls["ppf"] <= 1
+        seen.update(codes.tolist())
+    assert seen == set(Regime)
 
 
 def test_regime_four_upper_is_band_edge():
@@ -401,6 +450,25 @@ def test_fixed_point_monotone_iterates():
         if abs(nxt - a) < 1e-13:
             break
         a = nxt
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_fixed_point_steps_on_r1_alone(law):
+    # Each step is one CDF and one quantile call, and the iterates are those
+    # of a_{k+1} = theta0 + r1(a_k) with r1 from hpd_radii, bit for bit.
+    counted = _Counted(parse_dist_spec(law))
+    for lam, w, theta0 in ((5.0, 1.0, 8.0), (0.5, 0.25, 3.0), (2.0, 1.0, 2.5)):
+        cfg = PriorConfig(counted, lam, w, 0.05)
+        cfg.t_alpha
+        a, steps = theta0, 0
+        while True:
+            nxt, steps = theta0 + hpd_radii(cfg, a)[0], steps + 1
+            if abs(nxt - a) <= 1e-12:
+                break
+            a = nxt
+        counted.calls.update(cdf=0, ppf=0)
+        assert smallest_lower_inverse(cfg, theta0) == nxt
+        assert counted.calls["cdf"] == counted.calls["ppf"] == steps
 
 
 def test_fixed_point_agrees_with_scan():
