@@ -411,7 +411,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "figure" and args.out is not None:
+        parser.error("figure writes figureN.csv and figureN.json; choose their directory with --outdir, not --out")
     try:
         rc = _load_config(args)
         if args.command == "figure":

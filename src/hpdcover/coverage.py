@@ -9,21 +9,16 @@ Monte Carlo estimator serves as an independent cross-check.
 
 U and L do not depend on theta0, so a whole theta0 grid is scanned as one
 batch on the calling thread, each distinct |theta0| once (HPD(-x) = -HPD(x),
-so -theta0 is read off by reflection): one endpoint table on a theta0-free
-grid (densified at the band edges and atom threshold only, theta0 joining as
-bare points; chunked to at most _GRID_CAP points) over the union of the scan
-windows, and the scanning module's sliver guard over every level at once.
-scanning.crossing_cells counts, once per grid point and endpoint column, the
-theta0 on the false side of L <= theta0 and of theta0 <= U, which yields
-every cell where either flips for some theta0.  Those cells, plus the cell
-ending at each theta0 (where x >= theta0 flips), are the only candidates;
-the three predicates are evaluated at their ends alone, and one multisection
-batch refines the transition cells of every theta0.  C-/C+ cells that flip
-at theta0 itself are cut there without refinement.  The one-sided baseline
-is the same level-set scan of its own curve pair, batched over theta0 too.
-The atom/band rule (_fixed_cover) and the Monte Carlo counter (_mc_point)
-are each written once, for the exact scan, hpd_contains, coverage_mc and
-Monte Carlo curves alike.
+so -theta0 is read off by reflection): one scanning.member_intervals call
+over the union of the scan windows (a theta0-free grid densified at the band
+edges and atom threshold, chunked to at most _GRID_CAP points) yields the
+membership set of every theta0 that the atom/band rule leaves open, the same
+level-set scan that serves inversion, post-selection and the one-sided
+baseline.  C- and C+ are that
+set split at x = theta0, its masses on [theta0, inf) and (-inf, theta0), so
+C = C- + C+ at every theta0.  The atom/band rule (_fixed_cover) and the
+Monte Carlo counter (_mc_point) are each written once, for the exact scan,
+hpd_contains, coverage_mc and Monte Carlo curves alike.
 """
 
 from __future__ import annotations
@@ -38,18 +33,7 @@ import numpy as np
 from .distributions import draw_chunks, interval_mass
 from .hpd import Regime, _member_reach, endpoint_values, endpoints, onesided_endpoints, regime_codes, upper_values
 from .posterior import PriorConfig
-from .scanning import (
-    ScanSettings,
-    bisect_iters,
-    build_grid,
-    covers,
-    crossing_cells,
-    graze_points,
-    member_intervals,
-    refine_extrema,
-    refine_flag_boundaries,
-    _member_stretches,
-)
+from .scanning import ScanSettings, covers, member_intervals, refine_extrema
 
 __all__ = [
     "CoveragePoint",
@@ -104,7 +88,9 @@ def hpd_contains(cfg: PriorConfig, x, theta0: float):
 
 @dataclass(frozen=True)
 class CoveragePoint:
-    """Exact coverage at one theta0, split into the below/above-x parts."""
+    """Coverage at one theta0, C = C- + C+: C- is the part from x >= theta0,
+    C+ the part from x < theta0.  Where the atom/band rule fixes membership
+    the set is the whole line or empty, and the exact C- = C+ = C / 2."""
 
     theta0: float
     C: float
@@ -124,27 +110,15 @@ def _half_width(cfg: PriorConfig, scan: ScanSettings) -> float:
     return min(float(cfg.dist.ppf_upper(scan.tol_tail / 2.0)), _member_reach(cfg))
 
 
-def _membership_flags(grid, upper, lower, theta0):
-    """Flags for the three membership predicates from cached endpoint curves.
-
-    NaN endpoints (the all-atom region) compare false, which is exactly the
-    |x| > t_alpha restriction each predicate carries.
-    """
-    with np.errstate(invalid="ignore"):
-        f_minus = (lower <= theta0) & (grid >= theta0)
-        f_plus = (grid < theta0) & (theta0 <= upper)
-    return covers(upper, lower, theta0), f_minus, f_plus
-
-
 def _chunks(ts: np.ndarray, half: float, scan: ScanSettings):
     """Runs of the sorted theta0 array whose shared grids stay under _GRID_CAP
-    points: one full window and the four dense blocks of _scan_grid, then per
-    further theta0 its window's new stretch and three points, the window edges
-    and theta0 itself (an upper bound for the one-sided scan too)."""
-    first = scan.n_base + 4 * (scan.n_dense + 1) + 3
+    points: one full window and four dense blocks (+-lam, +-t_alpha), then per
+    further theta0 its window's new stretch and its two edges (an upper bound
+    for the one-sided scan too)."""
+    first = scan.n_base + 4 * (scan.n_dense + 1) + 2
     added = np.minimum(np.diff(ts), 2.0 * half) * (scan.n_base - 1) / (2.0 * half)
     start, used = 0, first
-    for k, cost in enumerate(added + 3, start=1):
+    for k, cost in enumerate(added + 2, start=1):
         if used + cost > _GRID_CAP:
             yield slice(start, k)
             start, used = k, first
@@ -153,81 +127,40 @@ def _chunks(ts: np.ndarray, half: float, scan: ScanSettings):
     yield slice(start, ts.size)
 
 
-def _scan_grid(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSettings) -> np.ndarray:
-    """The exact scan's grid: the windows of the sorted theta0, densified at
-    +-lam and +-t_alpha only, with each theta0 a bare point (x >= theta0 flips there)."""
-    return np.union1d(build_grid(ts - half, ts + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha], scan), ts)
-
-
 def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSettings) -> np.ndarray:
-    """Rows (C, C-, C+, frac_I..frac_IV) for one chunk of sorted theta0."""
+    """Rows (C, C-, C+, frac_I..frac_IV) for one chunk of sorted theta0.
+
+    One member_intervals scan gives the membership set in its window of
+    every theta0 the atom/band rule leaves open; C- and C+ are its masses on
+    [theta0, inf) and (-inf, theta0).  Where the rule fixes membership, the
+    set is the whole window (C = 1, C- = C+ = 1/2 exactly) or empty, and
+    theta0 is not scanned.
+    """
     n_t = ts.size
-    grid = _scan_grid(cfg, ts, half, scan)
-    curves = lambda xs: endpoint_values(cfg, xs)
-    grid, (upper, lower) = graze_points(grid, curves(grid), ts, curves)
-
-    # Candidate cells inside each theta0's window: the crossings of L <= theta0
-    # or theta0 <= U, and the cell ending at theta0 (a grid point), where the
-    # x >= theta0 factor of C-/C+ flips.  The three predicates are evaluated
-    # at the ends of those cells alone; C itself is constant where the
-    # atom/band rule fixes it.
     fixed, atom0 = _fixed_cover(cfg, ts)
-    i0 = np.searchsorted(grid, ts - half, "left")
-    i1 = np.searchsorted(grid, ts + half, "right")
-    j, k = crossing_cells((upper, lower), ts, i0, i1)
-    ending = np.arange(n_t) * grid.size + np.searchsorted(grid, ts) - 1
-    j, k = np.divmod(np.union1d(j * grid.size + k, ending), grid.size)
+    live, whole = np.flatnonzero(~fixed), np.flatnonzero(atom0)
+    owner, a, b = np.zeros(0, int), np.zeros(0), np.zeros(0)
+    if live.size:
+        levels = ts[live]
+        specials = [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha]
+        owner, a, b = member_intervals(lambda xs: endpoint_values(cfg, xs), levels, levels - half, levels + half, specials, scan)
+    owner = np.concatenate([live[owner], whole])
+    a, b = np.concatenate([a, ts[whole] - half]), np.concatenate([b, ts[whole] + half])
+    t = ts[owner]
 
-    def flags(at, owner):
-        f = np.array(_membership_flags(grid[at], upper[at], lower[at], ts[owner]))
-        f[0] = np.where(fixed[owner], atom0[owner], f[0])
-        return f
-
-    start, f_lo = flags(i0, np.arange(n_t)).T, flags(k, j)
-    kind, c = np.nonzero(f_lo != flags(k + 1, j))
-    order = np.argsort(j[c], kind="stable")
-    kind, c = kind[order], c[order]
-    owner, cell, lo_flag = j[c], k[c], f_lo[kind, c]
-    lo_x, hi_x, t = grid[cell], grid[cell + 1], ts[owner]
-
-    # theta0 is a grid point.  C- is false short of it (x < theta0), so a C-
-    # cell ending there flips exactly at theta0; C+ is false at it, so a C+
-    # cell ending there does too when theta0 <= U at both ends (one crossing
-    # per cell is what the refinement assumes as well).
-    at_t = (hi_x == t) & ((kind == 1) | ((kind == 2) & (t <= upper[cell + 1])))
-    rest = np.flatnonzero(~at_t)
-
-    # One multisection batch over the other cells of every theta0.  U and L
-    # are evaluated once per distinct abscissa and shared by the three
-    # predicates, whose L and U crossings often lie in the same cell.
-    def flags_at(xs, rows):
-        uniq, inv = np.unique(xs, return_inverse=True)
-        upper_x, lower_x = endpoint_values(cfg, uniq)
-        return np.choose(kind[rest[rows]], _membership_flags(xs, upper_x[inv], lower_x[inv], t[rest[rows]]))
-
-    cuts = t.copy()
-    iters = bisect_iters(hi_x[rest] - lo_x[rest], scan.bisect_tol)
-    cuts[rest] = refine_flag_boundaries(flags_at, lo_x[rest], hi_x[rest], lo_flag[rest], iters)
-
-    # Member intervals: the stretches between consecutive cuts of each
-    # (theta0, predicate) group, alternating from the flag at the window start.
-    lo, hi = np.repeat(ts - half, 3), np.repeat(ts + half, 3)
-    group, a, b = _member_stretches(cuts, owner * 3 + kind, start.ravel(), lo, hi)
-    owner, t = group // 3, ts[group // 3]
-
-    sums = np.bincount(group, weights=interval_mass(cfg.dist, a - t, b - t), minlength=3 * n_t)
-    sums = sums.reshape(n_t, 3)
-    total = np.where(atom0, 1.0, sums[:, 0])
+    # The parts on [theta0, inf) and (-inf, theta0) of every interval.
+    lo, hi = a - t, b - t
+    split = interval_mass(cfg.dist, [np.maximum(lo, 0.0), np.minimum(lo, 0.0)], [np.maximum(hi, 0.0), np.minimum(hi, 0.0)])
+    c_minus, c_plus = (np.where(atom0, 0.5, np.bincount(owner, weights=m, minlength=n_t)) for m in split)
+    total = c_minus + c_plus
 
     # Regime fractions of C by a 64-subcell midpoint rule on each interval.
-    full = group % 3 == 0
-    edges = np.linspace(a[full], b[full], 65, axis=-1)
-    t_full = t[full, None]
-    sub = interval_mass(cfg.dist, edges[:, :-1] - t_full, edges[:, 1:] - t_full).ravel()
+    edges = np.linspace(a, b, 65, axis=-1)
+    sub = interval_mass(cfg.dist, edges[:, :-1] - t[:, None], edges[:, 1:] - t[:, None]).ravel()
     codes = regime_codes(cfg, (0.5 * (edges[:, :-1] + edges[:, 1:])).ravel())
-    by_regime = np.bincount(np.repeat(owner[full], 64) * 5 + codes, weights=sub, minlength=5 * n_t)
+    by_regime = np.bincount(np.repeat(owner, 64) * 5 + codes, weights=sub, minlength=5 * n_t)
     fracs = by_regime.reshape(n_t, 5)[:, 1:] / np.where(total > 0.0, total, 1.0)[:, None]
-    return np.column_stack([np.minimum(total, 1.0), sums[:, 1], sums[:, 2], fracs])
+    return np.column_stack([total, c_minus, c_plus, fracs])
 
 
 def _finite_theta0(theta0) -> np.ndarray:
@@ -255,13 +188,15 @@ def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings) -> np.ndarray:
 
 
 def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> CoveragePoint:
-    """Exact coverage C(theta0) with its split C = C- + C+ (for theta0 > lam).
+    """Exact coverage C(theta0) = P(theta0 in HPD(X)) with its split C = C- + C+.
 
-    C- counts draws with theta0 in [L(x), x] (empty when L(x) > x), C+ those
-    with theta0 in (x, U(x)]; both restricted to |x| > t_alpha.  Boundary
+    The membership set {x : theta0 in HPD(x)} is split at x = theta0: C- is
+    its mass on [theta0, inf), C+ its mass on (-inf, theta0).  Boundary
     abscissas are refined to scan.bisect_tol and masses accumulated as
-    tail-accurate CDF differences.  This is the batch scan on one point:
-    |theta0| on a theta0-free grid, reflected when theta0 < 0.
+    tail-accurate CDF differences.  Where the atom/band rule fixes membership
+    the set is the whole line (theta0 = 0 with an atom: C = 1, C- = C+ = 1/2)
+    or empty (inside the band: all three 0).  This is the batch scan on one
+    point: |theta0| on a theta0-free grid, reflected when theta0 < 0.
     """
     c, c_minus, c_plus, *fracs = (float(v) for v in _exact_batch(cfg, [theta0], scan)[0])
     return CoveragePoint(float(theta0), c, c_minus, c_plus, dict(zip(_REGIME_KEYS, fracs)))
@@ -278,23 +213,20 @@ def coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) -> tuple[flo
 
 def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoint:
     """Full Monte Carlo analogue of coverage_exact (splits and fractions);
-    the one counter of Monte Carlo membership."""
+    the one counter of Monte Carlo membership: C- counts the covering draws
+    with x >= theta0 and C+ the rest."""
     fixed, covered = _fixed_cover(cfg, theta0)
-    hits = np.zeros(3, dtype=np.int64)
+    hits = np.zeros(2, dtype=np.int64)
     regime_hits = np.zeros(5, dtype=np.int64)
     for x in draw_chunks(cfg.dist, theta0, n, seed):
         up, low, codes = endpoints(cfg, x)
-        f_full, f_minus, f_plus = _membership_flags(x, up, low, theta0)
-        if fixed:
-            f_full = np.full(x.shape, bool(covered))
-        hits += np.array(
-            [np.count_nonzero(f_full), np.count_nonzero(f_minus), np.count_nonzero(f_plus)]
-        )
+        f_full = np.full(x.shape, bool(covered)) if fixed else covers(up, low, theta0)
+        hits += np.array([np.count_nonzero(f_full), np.count_nonzero(f_full & (x >= theta0))])
         regime_hits += np.bincount(codes[f_full], minlength=5)
     c = hits[0] / n
     denom = hits[0] if hits[0] else 1
     fracs = {k: float(regime_hits[Regime[k]] / denom) for k in _REGIME_KEYS}
-    return CoveragePoint(float(theta0), c, hits[1] / n, hits[2] / n, fracs)
+    return CoveragePoint(float(theta0), c, hits[1] / n, (hits[0] - hits[1]) / n, fracs)
 
 
 @dataclass(frozen=True)

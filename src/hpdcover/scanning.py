@@ -54,7 +54,7 @@ class ScanSettings:
     n_base points cover the whole window, with n_dense extra points in a
     unit-halfwidth block around each special abscissa (band edges, atom
     threshold, and the target of an inversion or post-selection scan;
-    coverage scans take theta0 as bare points).  tol_tail is the error-law
+    coverage scans add no point for theta0).  tol_tail is the error-law
     mass allowed to fall outside truncated windows; bisect_tol is the
     abscissa accuracy of every refined boundary or root.
     """

@@ -205,6 +205,18 @@ def test_cli_failed_figure_leaves_no_outdir(tmp_path, capsys):
     assert not fresh.exists()
 
 
+def test_cli_figure_rejects_out(tmp_path, capsys, monkeypatch):
+    # figure writes into --outdir; an --out path would be silently ignored.
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "fig.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "3", "--dist", "laplace", "--out", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--outdir" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n", [0, -5])
 def test_cli_coverage_mc_rejects_empty_sample(tmp_path, capsys, n):
     out = tmp_path / "mc.csv"

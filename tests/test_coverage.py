@@ -25,6 +25,7 @@ from hpdcover import coverage as coverage_mod
 from hpdcover import distributions as distributions_mod
 from hpdcover import scanning as scanning_mod
 from hpdcover.cli import parse_dist_spec
+from hpdcover.distributions import draw_chunks
 from hpdcover.figures import _coverage_grid
 
 from conftest import ALL_CONFIGS, ALPHA, config, dist
@@ -342,12 +343,15 @@ def test_membership_tolerates_infinite_draws():
 # recorded from the per-point scan that preceded the batched one.  They cover
 # theta0 = 0 with and without an atom, theta0 inside the band, the dip, an
 # atom threshold beyond the band edge (t_alpha > lam), lam = 0 and subexp.
+# The first three are fixed by the atom/band rule; their C- and C+ are the
+# closed form of the membership set split at theta0: the whole line
+# (1/2, 1/2) or the empty set (0, 0).
 PINNED = [
-    ('gaussian', 0.5, 0.25, 0.05, 0.0, 1.0, 0.40956869246915995, 0.40956869246143984,
+    ('gaussian', 0.5, 0.25, 0.05, 0.0, 1.0, 0.5, 0.5,
      (0.02290335056738199, 0.07647448244954866, 0.8163093127069486, 0.07647448244954866)),
-    ('gaussian', 0.5, 1.0, 0.05, 0.0, 0.0, 0.4357356309326397, 0.4357356309249196,
+    ('gaussian', 0.5, 1.0, 0.05, 0.0, 0.0, 0.0, 0.0,
      (0.0, 0.0, 0.0, 0.0)),
-    ('laplace', 5.0, 1.0, 0.05, 3.0, 0.0, 0.0, 0.4960138443258194,
+    ('laplace', 5.0, 1.0, 0.05, 3.0, 0.0, 0.0, 0.0,
      (0.0, 0.0, 0.0, 0.0)),
     ('laplace', 5.0, 1.0, 0.05, 9.7, 0.9272815549549688, 0.4748915298940164, 0.4523900250609524,
      (1.0000000000000002, 0.0, 0.0, 0.0)),
@@ -404,14 +408,14 @@ def test_coverage_curve_chunked_matches_single_batch(monkeypatch):
     grid = np.linspace(-12.0, 14.0, 40)
     whole = coverage_curve(cfg, grid)
     sizes = []
-    real_build_grid = coverage_mod.build_grid
+    real_build_grid = scanning_mod.build_grid
 
     def counting_build_grid(*args):
         out = real_build_grid(*args)
         sizes.append(out.size)
         return out
 
-    monkeypatch.setattr(coverage_mod, "build_grid", counting_build_grid)
+    monkeypatch.setattr(scanning_mod, "build_grid", counting_build_grid)
     monkeypatch.setattr(coverage_mod, "_GRID_CAP", 7_000)
     chunked = coverage_curve(cfg, grid)
     assert len(sizes) > 2 and max(sizes) <= 7_000
@@ -431,59 +435,63 @@ def test_exact_batch_keeps_input_order():
 
 
 def _exact_sorted_per_theta0(cfg, ts, half, scan):
-    """The exact scan with its transition cells found by a per-theta0 flag
-    scan of each window, the loop that crossing_cells replaced."""
-    cv = coverage_mod
+    """The exact scan with each theta0's membership set found by a flag loop
+    over its own window, the per-theta0 scan that crossing_cells replaced.
+    The theta0 that the atom/band rule fixes are not scanned: their set is
+    the whole window (the atom) or empty (the band)."""
+    cv, sc = coverage_mod, scanning_mod
     n_t = ts.size
-    grid = cv._scan_grid(cfg, ts, half, scan)
-    curves = lambda xs: cv.endpoint_values(cfg, xs)
-    grid, (upper, lower) = cv.graze_points(grid, curves(grid), ts, curves)
     fixed, atom0 = cv._fixed_cover(cfg, ts)
-    i0 = np.searchsorted(grid, ts - half, "left")
-    i1 = np.searchsorted(grid, ts + half, "right")
-    start = np.zeros((n_t, 3), dtype=bool)
-    cells = []
-    for j in range(n_t):
-        s = slice(i0[j], i1[j])
-        f = np.array(cv._membership_flags(grid[s], upper[s], lower[s], ts[j]))
-        if fixed[j]:
-            f[0] = atom0[j]
-        start[j] = f[:, 0]
-        k, i = np.divmod(np.flatnonzero(f[:, 1:] != f[:, :-1]), f.shape[1] - 1)
-        cells.append((np.full(k.size, j), k, i + i0[j], f[k, i]))
-    owner, kind, cell, lo_flag = (np.concatenate(c) for c in zip(*cells))
-    lo_x, hi_x, t = grid[cell], grid[cell + 1], ts[owner]
-    at_t = (hi_x == t) & ((kind == 1) | ((kind == 2) & (t <= upper[cell + 1])))
-    rest = np.flatnonzero(~at_t)
+    members = [[j, ts[j] - half, ts[j] + half] for j in np.flatnonzero(atom0)]
+    live = np.flatnonzero(~fixed)
+    if live.size:
+        lv = ts[live]
+        curves = lambda xs: cv.endpoint_values(cfg, xs)
+        grid = sc.build_grid(lv - half, lv + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha], scan)
+        grid, (upper, lower) = sc.graze_points(grid, curves(grid), lv, curves)
+        i0 = np.searchsorted(grid, lv - half, "left")
+        i1 = np.searchsorted(grid, lv + half, "right")
+        start = np.zeros(lv.size, dtype=bool)
+        cells = []
+        for j in range(lv.size):
+            f = sc.covers(upper[i0[j]:i1[j]], lower[i0[j]:i1[j]], lv[j])
+            start[j] = f[0]
+            k = np.flatnonzero(f[1:] != f[:-1])
+            cells.append((np.full(k.size, j), k + i0[j], f[k]))
+        owner, cell, lo_flag = (np.concatenate(c) for c in zip(*cells))
+        lo_x, hi_x = grid[cell], grid[cell + 1]
+        pred = lambda xs, rows: sc.covers(*curves(xs), lv[owner[rows]])
+        cuts = sc.refine_flag_boundaries(pred, lo_x, hi_x, lo_flag, sc.bisect_iters(hi_x - lo_x, scan.bisect_tol))
 
-    def flags_at(xs, rows):
-        uniq, inv = np.unique(xs, return_inverse=True)
-        upper_x, lower_x = cv.endpoint_values(cfg, uniq)
-        return np.choose(kind[rest[rows]], cv._membership_flags(xs, upper_x[inv], lower_x[inv], t[rest[rows]]))
+        # Stretches between consecutive cuts, alternating from the start
+        # flag; stretches of one theta0 that touch are merged.
+        n_cut = np.bincount(owner, minlength=lv.size)
+        first = np.cumsum(n_cut) - n_cut
+        left = np.insert(cuts, first, lv - half)
+        right = np.insert(cuts, first + n_cut, lv + half)
+        group = np.repeat(np.arange(lv.size), n_cut + 1)
+        pos = np.arange(group.size) - (first + np.arange(lv.size))[group]
+        on = (start[group] ^ (pos % 2 == 1)) & (right > left)
+        stretches = []
+        for j, x, y in zip(live[group[on]], left[on], right[on]):
+            if stretches and stretches[-1][0] == j and x <= stretches[-1][2] + 1e-15:
+                stretches[-1][2] = y
+            else:
+                stretches.append([j, x, y])
+        members = stretches + members
 
-    cuts = t.copy()
-    iters = cv.bisect_iters(hi_x[rest] - lo_x[rest], scan.bisect_tol)
-    cuts[rest] = cv.refine_flag_boundaries(flags_at, lo_x[rest], hi_x[rest], lo_flag[rest], iters)
-    group = owner * 3 + kind
-    n_cut = np.bincount(group, minlength=3 * n_t)
-    first = np.cumsum(n_cut) - n_cut
-    left = np.insert(cuts, first, np.repeat(ts - half, 3))
-    right = np.insert(cuts, first + n_cut, np.repeat(ts + half, 3))
-    group = np.repeat(np.arange(3 * n_t), n_cut + 1)
-    pos = np.arange(group.size) - (first + np.arange(3 * n_t))[group]
-    on = (start.ravel()[group] ^ (pos % 2 == 1)) & (right > left)
-    a, b, group = left[on], right[on], group[on]
-    owner, t = group // 3, ts[group // 3]
-    sums = np.bincount(group, weights=interval_mass(cfg.dist, a - t, b - t), minlength=3 * n_t).reshape(n_t, 3)
-    total = np.where(atom0, 1.0, sums[:, 0])
-    full = group % 3 == 0
-    edges = np.linspace(a[full], b[full], 65, axis=-1)
-    t_full = t[full, None]
-    sub = interval_mass(cfg.dist, edges[:, :-1] - t_full, edges[:, 1:] - t_full).ravel()
+    owner, a, b = np.array(members, float).reshape(-1, 3).T
+    owner = owner.astype(int)
+    t = ts[owner]
+    parts = interval_mass(cfg.dist, [np.maximum(a - t, 0.0), np.minimum(a - t, 0.0)], [np.maximum(b - t, 0.0), np.minimum(b - t, 0.0)])
+    c_minus, c_plus = (np.where(atom0, 0.5, np.bincount(owner, weights=m, minlength=n_t)) for m in parts)
+    total = c_minus + c_plus
+    edges = np.linspace(a, b, 65, axis=-1)
+    sub = interval_mass(cfg.dist, edges[:, :-1] - t[:, None], edges[:, 1:] - t[:, None]).ravel()
     codes = cv.regime_codes(cfg, (0.5 * (edges[:, :-1] + edges[:, 1:])).ravel())
-    by_regime = np.bincount(np.repeat(owner[full], 64) * 5 + codes, weights=sub, minlength=5 * n_t)
+    by_regime = np.bincount(np.repeat(owner, 64) * 5 + codes, weights=sub, minlength=5 * n_t)
     fracs = by_regime.reshape(n_t, 5)[:, 1:] / np.where(total > 0.0, total, 1.0)[:, None]
-    return np.column_stack([np.minimum(total, 1.0), sums[:, 1], sums[:, 2], fracs])
+    return np.column_stack([total, c_minus, c_plus, fracs])
 
 
 @pytest.mark.parametrize(
@@ -531,7 +539,6 @@ def _grid_sizes(monkeypatch, run, counts):
         sizes.append(out.size)
         return out
 
-    monkeypatch.setattr(coverage_mod, "build_grid", counting_build_grid)
     monkeypatch.setattr(scanning_mod, "build_grid", counting_build_grid)
     out = []
     for n in counts:
@@ -544,8 +551,8 @@ def _grid_sizes(monkeypatch, run, counts):
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
 def test_scan_grid_grows_by_window_edges_not_dense_blocks(monkeypatch, law):
     # U and L do not depend on theta0: scanning 60 targets instead of 6 over
-    # the same span adds only each new window's two edges to the grid (the
-    # targets join it as bare points afterwards), never an n_dense block.
+    # the same span adds only each new window's two edges to the grid, never
+    # an n_dense block.
     cfg = PriorConfig(parse_dist_spec(law), 5.0, 1.0, ALPHA)
     theta = lambda n: np.linspace(5.5, 13.0, n)
     exact = _grid_sizes(monkeypatch, lambda n: coverage_mod._exact_batch(cfg, theta(n), ScanSettings()), (6, 60))
@@ -573,14 +580,18 @@ def test_onesided_coverage_array_matches_scalar(law, lam):
 # (C, C-, C+, frac_I..frac_IV)), recorded at seed MC_PIN_SEED with
 # MC_PIN_N draws from the evaluator that computed every radius at every x.
 # A faster endpoint or sampler path must reproduce every draw's verdict.
+# At the theta0 the atom/band rule fixes (gaussian 0.0 and 0.3, laplace 0.0,
+# t3 0.2, subexp 0.0) C- is the share of draws with x >= theta0 when the atom
+# covers every draw and 0 when the band covers none
+# (test_monte_carlo_fixed_cover_split recounts it).
 MC_PIN_N = (1 << 16) + 1000
 MC_PIN_SEED = 2024
 MC_PINNED = [
     ('gaussian', 0.5, 0.25, 1.5, (0.9299927858602861, 0.0009891971204315495),
      [0.0, 0.3, 1.0, 2.5],
      [
-         (1.0, 0.4094174582181075, 0.41189731874473967, 0.031321389924251535, 0.07341890104605026, 0.8213147769628472, 0.07394493206685103),
-         (0.0, 0.3491343032343393, 0.4512594685583744, 0.0, 0.0, 0.0, 0.0),
+         (1.0, 0.498632319345918, 0.501367680654082, 0.031321389924251535, 0.07341890104605026, 0.8213147769628472, 0.07394493206685103),
+         (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
          (0.9313003486834195, 0.4701514969339906, 0.4611488517494289, 0.10313886871621077, 0.2606632776567417, 0.6361978536270475, 0.0),
          (0.9354785379343513, 0.47428459781171095, 0.46119394012264037, 0.6550616133541121, 0.25663930080490976, 0.0882990858409781, 0.0),
      ]),
@@ -588,7 +599,7 @@ MC_PINNED = [
      [-6.0, 0.0, 6.5, 9.0],
      [
          (0.9694751713358182, 0.49827161236022605, 0.4712035589755922, 0.10256569258197039, 0.0, 0.0074722889698472985, 0.8899620184481823),
-         (0.0, 0.41932187086689915, 0.4222375856679091, 0.0, 0.0, 0.0, 0.0),
+         (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
          (0.9725411807141998, 0.47138391246843814, 0.5011572682457617, 0.19236891313418536, 0.8035358296372993, 0.004095257228515353, 0.0),
          (0.930624023085247, 0.4741192737766021, 0.45650474930864493, 0.946156330749354, 0.053843669250645994, 0.0, 0.0),
      ]),
@@ -596,14 +607,14 @@ MC_PINNED = [
      [-1.0, 0.2, 1.0, 3.0],
      [
          (0.9473668390044487, 0.4754268365997355, 0.47194000240471323, 0.022575118190183076, 0.0, 0.9354475362502777, 0.041977345559539296),
-         (0.0, 0.4565949260550679, 0.4708879403631117, 0.0, 0.0, 0.0, 0.0),
+         (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
          (0.947937958398461, 0.46976073103282434, 0.47817722736563667, 0.02317985794013191, 0.04179350583460172, 0.9350266362252664, 0.0),
          (0.956865456294337, 0.4733828303474811, 0.4834826259468558, 0.3747212012691232, 0.22431124933245375, 0.400967549398423, 0.0),
      ]),
     ('subexp:0.5', 2.0, 0.5, 3.0, (0.9477726343633521, 0.0008625271977953812),
      [0.0, 2.5, 4.0, 7.0],
      [
-         (1.0, 0.46980581940603583, 0.4720001202356619, 0.047718528315498374, 0.005004809426475893, 0.9418059396416977, 0.005470722616328003),
+         (1.0, 0.498632319345918, 0.501367680654082, 0.047718528315498374, 0.005004809426475893, 0.9418059396416977, 0.005470722616328003),
          (0.9475321630395576, 0.47052723337741975, 0.4770049296621378, 0.0015385835514315173, 0.007359822349115711, 0.9911015940994528, 0.0),
          (0.9481934591799928, 0.47111338222916915, 0.4770800769508236, 0.00737054003075021, 0.008274025582906687, 0.9843554343863431, 0.0),
          (0.9491403150174341, 0.4719550318624504, 0.47718528315498376, 0.020300228021281987, 0.01255700532049658, 0.9671427666582214, 0.0),
@@ -618,6 +629,36 @@ def test_monte_carlo_pinned_values(law, lam, w, theta_mc, mc, grid, rows):
     rep = coverage_curve(cfg, grid, method="mc", n=MC_PIN_N, seed=MC_PIN_SEED, threads=1)
     got = np.column_stack([rep.C, rep.C_minus, rep.C_plus, *(rep.fractions[k] for k in ("I", "II", "III", "IV"))])
     assert np.array_equal(got, np.array(rows))
+
+
+@pytest.mark.parametrize("law, lam, w, theta_mc, mc, grid, rows", MC_PINNED)
+def test_monte_carlo_fixed_cover_split(law, lam, w, theta_mc, mc, grid, rows):
+    # The pinned C- of a fixed-cover theta0, counted straight off the sampler.
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+    fixed, covered = coverage_mod._fixed_cover(cfg, np.array(grid))
+    assert fixed.any()
+    for theta0, row, cov in zip(np.array(grid)[fixed], np.array(rows)[fixed], covered[fixed]):
+        above = sum(np.count_nonzero(x >= theta0) for x in draw_chunks(cfg.dist, theta0, MC_PIN_N, MC_PIN_SEED))
+        count = above if cov else 0
+        assert tuple(row[:3]) == (float(cov), count / MC_PIN_N, (MC_PIN_N * cov - count) / MC_PIN_N)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 5.0])
+@pytest.mark.parametrize("w", [1.0, 0.25])
+def test_coverage_is_sum_of_split_everywhere(law, lam, w):
+    # C- and C+ split one membership set at x = theta0, fixed-cover theta0
+    # (the atom at 0, the band) included.
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+    theta = np.array([0.0, -0.0, lam / 2.0, -lam / 2.0, lam, lam + 3.0])
+    rows = coverage_mod._exact_batch(cfg, theta, ScanSettings())
+    assert np.max(np.abs(rows[:, 0] - rows[:, 1] - rows[:, 2])) <= 1e-15
+    n = 4000
+    for theta0 in theta:
+        pt = coverage_mod._mc_point(cfg, theta0, n, 17)
+        counts = np.rint(np.array([pt.C, pt.C_minus, pt.C_plus]) * n)
+        assert np.array_equal(counts / n, [pt.C, pt.C_minus, pt.C_plus])
+        assert counts[0] == counts[1] + counts[2]
 
 
 # 2^16 + 3 draws: one sampler block at the default size, then a 3-draw block
