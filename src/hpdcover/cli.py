@@ -410,9 +410,21 @@ _HANDLERS = {
 }
 
 
+def _glue_grid(argv: list[str]) -> list[str]:
+    """Read `--grid -10:10:21` as `--grid=-10:10:21`: argparse takes a
+    separate value that starts with '-' for an option unless it is a number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and arg.startswith("-") and ":" in arg:
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_grid(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "figure" and args.out is not None:
         parser.error("figure writes figureN.csv and figureN.json; choose their directory with --outdir, not --out")
     try:

@@ -10,8 +10,9 @@ Monte Carlo estimator serves as an independent cross-check.
 U and L do not depend on theta0, so a whole theta0 grid is scanned as one
 batch on the calling thread, each distinct |theta0| once (HPD(-x) = -HPD(x),
 so -theta0 is read off by reflection): one scanning.member_intervals call
-over the union of the scan windows (a theta0-free grid densified at the band
-edges and atom threshold, chunked to at most _GRID_CAP points) yields the
+over the union of the scan windows (a theta0-free grid of n_base points
+spread over that union, densified at the band edges and atom threshold; see
+_chunks for how coarse a chunk's grid may get) yields the
 membership set of every theta0 that the atom/band rule leaves open, the same
 level-set scan that serves inversion, post-selection and the one-sided
 baseline.  C- and C+ are that
@@ -99,7 +100,8 @@ class CoveragePoint:
     fractions: dict[str, float] = field(default_factory=dict)
 
 
-# Points of one shared grid; longer theta0 arrays are scanned in chunks.
+# Budget of one chunk of theta0 in points, its stretches counted at the
+# default n_base's one-window step (see _chunks).
 _GRID_CAP = 1 << 17
 
 
@@ -110,13 +112,25 @@ def _half_width(cfg: PriorConfig, scan: ScanSettings) -> float:
     return min(float(cfg.dist.ppf_upper(scan.tol_tail / 2.0)), _member_reach(cfg))
 
 
-def _chunks(ts: np.ndarray, half: float, scan: ScanSettings):
-    """Runs of the sorted theta0 array whose shared grids stay under _GRID_CAP
-    points: one full window and four dense blocks (+-lam, +-t_alpha), then per
-    further theta0 its window's new stretch and its two edges (an upper bound
-    for the one-sided scan too)."""
+def _chunks(ts: np.ndarray, width: float, reach: float, scan: ScanSettings):
+    """Runs of the sorted theta0 array whose windows scan on one shared grid.
+
+    Each theta0's window is width wide and holds its crossings within about
+    reach of it (reach = width / 2 for the symmetric coverage window).  A run
+    is charged one full window and four dense blocks (+-lam, +-t_alpha), then
+    per further theta0 its two edges and the stretch its window adds to the
+    union, counted in spans of 2 reach at (n_base - 1) (4096 / n_base)^2
+    points each, and closes before the charge passes _GRID_CAP.  As the grid
+    spaces n_base points over the whole union, this bounds how coarse it
+    gets: past the first window the union grows by at most about n_base / 128
+    spans (32 at the default n_base = 4096), so each span keeps at least
+    about 128 n_base / (n_base + 128) base points.  Counting spans of 2 reach
+    keeps the one-sided scan's member sets (about 7 wide for t3) resolved in
+    its 1,305-wide tail-cut windows.
+    """
     first = scan.n_base + 4 * (scan.n_dense + 1) + 2
-    added = np.minimum(np.diff(ts), 2.0 * half) * (scan.n_base - 1) / (2.0 * half)
+    shrink = (ScanSettings.n_base / scan.n_base) ** 2
+    added = np.minimum(np.diff(ts), width) * (scan.n_base - 1) / (2.0 * reach) * shrink
     start, used = 0, first
     for k, cost in enumerate(added + 2, start=1):
         if used + cost > _GRID_CAP:
@@ -183,7 +197,8 @@ def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings) -> np.ndarray:
         return np.empty((0, 7))
     mag, inv = np.unique(np.abs(ts), return_inverse=True)
     half = _half_width(cfg, scan)
-    rows = np.concatenate([_exact_sorted(cfg, mag[s], half, scan) for s in _chunks(mag, half, scan)])[inv]
+    runs = _chunks(mag, 2.0 * half, half, scan)
+    rows = np.concatenate([_exact_sorted(cfg, mag[s], half, scan) for s in runs])[inv]
     return np.where((ts < 0.0)[:, None], rows[:, [0, 2, 1, 3, 6, 5, 4]], rows)
 
 
@@ -321,7 +336,7 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0, scan: ScanSettings = ScanS
     only the left window edge is probabilistic (mass below it is under
     scan.tol_tail / 2).  The membership regions of all distinct theta0 are
     one level-set scan of the curve pair (U1, L1) at the sorted levels
-    theta0, in runs whose shared grid stays under _GRID_CAP points; it needs
+    theta0, in the runs of _chunks (one shared grid each); it needs
     no x >= theta0 split, so theta0 is not a grid point.
     """
     if cfg.w != 1.0:
@@ -332,7 +347,7 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0, scan: ScanSettings = ScanS
     switch = cfg.lam + float(d.ppf(1.0 / (1.0 + cfg.alpha)))
     curves = lambda xs: onesided_endpoints(cfg, xs)
     out = np.empty(ts.size)
-    for s in _chunks(ts, 0.5 * (left + right + 0.5), scan) if ts.size else ():
+    for s in _chunks(ts, left + right + 0.5, right + 0.5, scan) if ts.size else ():
         t = ts[s]
         owner, a, b = member_intervals(curves, t, t - left, t + right + 0.5, [cfg.lam, switch], scan)
         out[s] = np.bincount(owner, weights=interval_mass(d, a - t[owner], b - t[owner]), minlength=t.size)

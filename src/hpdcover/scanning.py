@@ -51,12 +51,14 @@ def section_count(n_cells: int, iters: int, keep: int = 1) -> int:
 class ScanSettings:
     """Resolution controls for membership and inversion scans.
 
-    n_base points cover the whole window, with n_dense extra points in a
-    unit-halfwidth block around each special abscissa (band edges, atom
-    threshold, and the target of an inversion or post-selection scan;
-    coverage scans add no point for theta0).  tol_tail is the error-law
-    mass allowed to fall outside truncated windows; bisect_tol is the
-    abscissa accuracy of every refined boundary or root.
+    n_base points cover the union of a scan's windows (the whole window of
+    a one-window scan; coverage scans chunk their theta0 so that every
+    window keeps at least about 128 n_base / (n_base + 128) of them), with
+    n_dense extra points in a unit-halfwidth block around each special
+    abscissa (band edges, atom threshold, and the target of an inversion or
+    post-selection scan; coverage scans add no point for theta0).  tol_tail
+    is the error-law mass allowed to fall outside truncated windows;
+    bisect_tol is the abscissa accuracy of every refined boundary or root.
     """
 
     n_base: int = 4096
@@ -77,8 +79,10 @@ def build_grid(lo, hi, specials, scan: ScanSettings) -> np.ndarray:
     """Sorted deduplicated grid over [lo, hi] densified near special points.
 
     lo and hi may also be sorted arrays of equal-width windows: the grid then
-    covers their union, each connected piece at one window's base step
-    (hi - lo) / (n_base - 1), with every window edge a grid point.  Each
+    covers their union with n_base points, one step (total length of the
+    union's connected pieces) / (n_base - 1) on every piece, so its size
+    follows the union, not the window count, and one window keeps the step
+    (hi - lo) / (n_base - 1).  Every window edge is a grid point.  Each
     special abscissa gets n_dense points on its unit-halfwidth block clipped
     to the piece and is itself a grid point when inside it.
     """
@@ -87,10 +91,11 @@ def build_grid(lo, hi, specials, scan: ScanSettings) -> np.ndarray:
         raise ValueError(f"empty scan window [{lo[0]}, {hi[0]}]")
     pts = np.array([p for p in specials if p is not None], float)
     pts = pts[np.isfinite(pts)]
-    step = (hi[0] - lo[0]) / (scan.n_base - 1)
     breaks = np.nonzero(lo[1:] > hi[:-1])[0]
+    starts, ends = np.concatenate([lo[:1], lo[breaks + 1]]), np.concatenate([hi[breaks], hi[-1:]])
+    step = np.sum(ends - starts) / (scan.n_base - 1)
     parts = [lo, hi]
-    for a, b in zip(np.concatenate([lo[:1], lo[breaks + 1]]), np.concatenate([hi[breaks], hi[-1:]])):
+    for a, b in zip(starts, ends):
         parts.append(np.linspace(a, b, int(math.ceil((b - a) / step - 1e-6)) + 1))
         lo_d, hi_d = np.maximum(a, pts - 1.0), np.minimum(b, pts + 1.0)
         keep = lo_d < hi_d

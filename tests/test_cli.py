@@ -109,6 +109,23 @@ def test_cli_coverage_csv_deterministic(tmp_path):
     assert len(lines) == 6
 
 
+def test_cli_coverage_negative_grid_start(tmp_path, capsys):
+    # A mirrored theta0 grid may follow --grid as a separate argument.
+    args = ["coverage", "--dist", "gaussian", "--lambda", "0.5", "--n-base", "1024", "--n-dense", "128"]
+    apart, joined = tmp_path / "apart.csv", tmp_path / "joined.csv"
+    assert main(args + ["--grid", "-3:3:7", "--out", str(apart)]) == 0
+    assert main(args + ["--grid=-3:3:7", "--out", str(joined)]) == 0
+    assert apart.read_bytes() == joined.read_bytes()
+    rows = [line.split(",") for line in apart.read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+    c = [float(r[1]) for r in rows]
+    assert c == pytest.approx(c[::-1], abs=1e-12)
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--grid", "--out", str(apart)])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_cli_coverage_mc_seeded(tmp_path):
     out = tmp_path / "mc.csv"
     code = main([

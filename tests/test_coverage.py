@@ -562,6 +562,23 @@ def test_scan_grid_grows_by_window_edges_not_dense_blocks(monkeypatch, law):
 
 
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+@pytest.mark.parametrize("lam", [0.5, 5.0])
+def test_figure_curve_grid_does_not_grow_with_span(monkeypatch, law, lam):
+    # One batch of a figure-1 curve places n_base points over the union of
+    # its windows: past that only the four dense blocks (+-lam, +-t_alpha)
+    # and two window edges per theta0 remain, however wide the theta0 span
+    # (gaussian lam 0.5 at --fig-grid-n 4 scanned 19,452 points when every
+    # window set its own step).
+    scan = ScanSettings()
+    for w in (1.0, 0.25):
+        cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+        grid = lambda n: _coverage_grid(cfg.dist, lam, ALPHA, n, True)
+        sizes = _grid_sizes(monkeypatch, lambda n: coverage_curve(cfg, grid(n), scan), (4, 40))
+        for n, (size,) in zip((4, 40), sizes):
+            assert size <= scan.n_base + 4 * (scan.n_dense + 1) + 2 * grid(n).size + 4
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
 @pytest.mark.parametrize("lam", [0.5, 2.0, 5.0])
 def test_onesided_coverage_array_matches_scalar(law, lam):
     # Unsorted, with a duplicate and a target below the band edge; values
@@ -574,6 +591,32 @@ def test_onesided_coverage_array_matches_scalar(law, lam):
     want = [onesided_coverage_exact(cfg, float(t)) for t in theta]
     assert all(isinstance(v, float) for v in want)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+@pytest.mark.parametrize("lam", [0.5, 5.0])
+@pytest.mark.parametrize("w", [1.0, 0.25])
+def test_sparse_wide_batch_matches_one_scan_per_theta0(law, lam, w):
+    # theta0 two units apart over [-40, 40] span many windows, so the batch
+    # grid is coarser per window than the one-window grid of each scalar
+    # call; the crossings are refined to bisect_tol either way.  theta0 1400
+    # apart leave every one-sided t3 window (1,305 wide, member sets about
+    # 7) on its own piece: charged by window width, 32 of them would share
+    # one grid at step ~10 and lose every member set (C off by 0.95), as
+    # would 121 windows sharing 256 points if the chunk budget did not
+    # shrink the union with n_base.
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+    cases = [(np.linspace(-40.0, 40.0, 41) + 0.137, ScanSettings()),
+             (6.137 + 1400.0 * np.arange(12), ScanSettings()),
+             (np.linspace(-3000.0, 3000.0, 121) + 0.11, ScanSettings(n_base=256, n_dense=32))]
+    for theta, scan in cases:
+        rows = coverage_mod._exact_batch(cfg, theta, scan)
+        for row, t in zip(rows, theta):
+            pt = coverage_exact(cfg, float(t), scan)
+            assert np.max(np.abs(row[:3] - [pt.C, pt.C_minus, pt.C_plus])) <= 1e-10
+        if w == 1.0:
+            got = onesided_coverage_exact(cfg, theta, scan)
+            assert np.max(np.abs(got - [onesided_coverage_exact(cfg, float(t), scan) for t in theta])) <= 1e-10
 
 
 # (law, lam, w, theta0 for coverage_mc, (C, se), theta0 grid, curve rows

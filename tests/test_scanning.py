@@ -22,6 +22,16 @@ SCAN = ScanSettings(n_base=256, n_dense=32)
 TOL = ScanSettings().bisect_tol
 
 
+def _old_rule_grid(lo, hi, specials, scan):
+    """The single-window rule written out: n_base points from lo to hi, an
+    n_dense block on each special's unit-halfwidth neighbourhood, and the
+    specials inside the window."""
+    pts = np.array([p for p in specials if p is not None and math.isfinite(p)], float)
+    blocks = [np.linspace(max(lo, p - 1.0), min(hi, p + 1.0), scan.n_dense) for p in pts if max(lo, p - 1.0) < min(hi, p + 1.0)]
+    inside = pts[(lo <= pts) & (pts <= hi)]
+    return np.unique(np.concatenate([[lo, hi], np.linspace(lo, hi, scan.n_base), inside, *blocks]))
+
+
 def test_build_grid_single_window():
     grid = build_grid(-3.0, 5.0, [0.5, None, math.inf, 9.0], SCAN)
     assert grid[0] == -3.0 and grid[-1] == 5.0
@@ -33,19 +43,57 @@ def test_build_grid_single_window():
         build_grid(1.0, 1.0, [], SCAN)
 
 
-def test_build_grid_disjoint_windows_is_union_of_single_grids():
-    specials = [5.0, 55.0, 30.0]
-    both = build_grid(np.array([0.0, 50.0]), np.array([10.0, 60.0]), specials, SCAN)
-    single = np.union1d(build_grid(0.0, 10.0, specials, SCAN), build_grid(50.0, 60.0, specials, SCAN))
-    assert np.array_equal(both, single)
+@pytest.mark.parametrize(
+    "lo, hi, specials",
+    [(-3.0, 5.0, [0.5, None, math.inf, 9.0]), (0.137 - 6.3, 0.137 + 6.3, [0.5, -0.5, 2.9, -2.9]),
+     (1e3, 1e3 + 0.7, [1e3 + 0.2]), (-40.0, 11.0, [])],
+)
+@pytest.mark.parametrize("scan", [SCAN, ScanSettings()])
+def test_build_grid_one_window_keeps_the_single_window_rule(lo, hi, specials, scan):
+    # One window, passed as scalars or as length-1 arrays, gets n_base points
+    # at step (hi - lo) / (n_base - 1), bit for bit.
+    want = _old_rule_grid(lo, hi, specials, scan)
+    assert np.array_equal(build_grid(lo, hi, specials, scan), want)
+    assert np.array_equal(build_grid(np.array([lo]), np.array([hi]), specials, scan), want)
 
 
-def test_build_grid_overlapping_windows():
-    lo = np.array([0.0, 3.0, 4.5])
-    grid = build_grid(lo, lo + 8.0, [2.0], SCAN)
-    assert grid[0] == 0.0 and grid[-1] == 12.5
+def _base_points(grid, a, b):
+    return grid[(a <= grid) & (grid <= b)]
+
+
+def test_build_grid_disjoint_windows_share_one_step():
+    # Pieces [0, 11] and [20, 28] (three windows of width 8): n_base points
+    # over their total length 19, so the step is 19 / 255 on both pieces and
+    # each piece is evenly spaced from edge to edge with ceil(length / step)
+    # cells: 148 on the first, 108 on the second.
+    lo = np.array([0.0, 3.0, 20.0])
+    grid = build_grid(lo, lo + 8.0, [], SCAN)
+    first = np.union1d(np.linspace(0.0, 11.0, 149), [3.0, 8.0])
+    assert np.array_equal(_base_points(grid, 0.0, 11.0), first)
+    assert np.array_equal(_base_points(grid, 20.0, 28.0), np.linspace(20.0, 28.0, 109))
+    assert grid.size == 149 + 109 + 2
     assert np.all(np.isin(np.concatenate([lo, lo + 8.0]), grid))
-    assert np.max(np.diff(grid)) <= 8.0 / 255 * (1 + 1e-12)
+    # Specials add their dense blocks on the piece that holds them, and a
+    # special in the gap adds nothing.
+    dense = build_grid(lo, lo + 8.0, [5.0, 27.5, 15.0], SCAN)
+    assert np.all(np.isin(grid, dense)) and 5.0 in dense and 27.5 in dense and 15.0 not in dense
+    assert np.count_nonzero((4.0 <= dense) & (dense <= 6.0)) >= 32
+    assert np.count_nonzero((26.5 <= dense) & (dense <= 28.0)) >= 32
+    assert not np.any((11.0 < dense) & (dense < 20.0))
+
+
+def test_build_grid_overlap_is_one_piece():
+    # Three overlapping windows of width 8 make one piece [0, 12.5]: n_base
+    # evenly spaced points at step 12.5 / 255 (not 8 / 255), plus the inner
+    # window edges.
+    lo = np.array([0.0, 3.0, 4.5])
+    edges = np.concatenate([lo, lo + 8.0])
+    grid = build_grid(lo, lo + 8.0, [], SCAN)
+    assert np.array_equal(grid, np.union1d(np.linspace(0.0, 12.5, 256), edges))
+    assert np.max(np.diff(grid)) <= 12.5 / 255 * (1 + 1e-12)
+    dense = build_grid(lo, lo + 8.0, [2.0], SCAN)
+    assert dense[0] == 0.0 and dense[-1] == 12.5 and 2.0 in dense
+    assert np.all(np.isin(edges, dense)) and np.all(np.isin(grid, dense))
 
 
 _KINKS = np.array([0.3137, -2.5, 40.0])
