@@ -4,8 +4,9 @@ The coverage at a true mean theta0 is the error-law probability of the
 membership set {x : theta0 in HPD(x)}.  Because the endpoint maps are
 piecewise smooth with known jump loci, that set is a finite interval union;
 it is recovered by a densified membership scan with boundaries refined by
-multisection, and summed as exact CDF differences.  A seeded inverse-CDF
-Monte Carlo estimator serves as an independent cross-check.
+the margin-driven boundary solver, and summed as exact CDF differences.  A
+seeded inverse-CDF Monte Carlo estimator serves as an independent
+cross-check.
 
 U and L do not depend on theta0, so a whole theta0 grid is scanned as one
 batch on the calling thread, each distinct |theta0| once (HPD(-x) = -HPD(x),
@@ -141,8 +142,11 @@ def _chunks(ts: np.ndarray, width: float, reach: float, scan: ScanSettings):
     yield slice(start, ts.size)
 
 
-def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSettings) -> np.ndarray:
-    """Rows (C, C-, C+, frac_I..frac_IV) for one chunk of sorted theta0.
+def _exact_sorted(
+    cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSettings, fractions: bool = True
+) -> np.ndarray:
+    """Rows (C, C-, C+, frac_I..frac_IV) for one chunk of sorted theta0, or
+    (C, C-, C+) alone without ``fractions``.
 
     One member_intervals scan gives the membership set in its window of
     every theta0 the atom/band rule leaves open; C- and C+ are its masses on
@@ -167,6 +171,8 @@ def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSetti
     split = interval_mass(cfg.dist, [np.maximum(lo, 0.0), np.minimum(lo, 0.0)], [np.maximum(hi, 0.0), np.minimum(hi, 0.0)])
     c_minus, c_plus = (np.where(atom0, 0.5, np.bincount(owner, weights=m, minlength=n_t)) for m in split)
     total = c_minus + c_plus
+    if not fractions:
+        return np.column_stack([total, c_minus, c_plus])
 
     # Regime fractions of C by a 64-subcell midpoint rule on each interval.
     edges = np.linspace(a, b, 65, axis=-1)
@@ -185,21 +191,23 @@ def _finite_theta0(theta0) -> np.ndarray:
     return ts
 
 
-def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings) -> np.ndarray:
-    """Exact coverage rows (C, C-, C+, frac_I..frac_IV), one per theta0, in input order.
+def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings, fractions: bool = True) -> np.ndarray:
+    """Exact coverage rows (C, C-, C+, frac_I..frac_IV), one per theta0, in input order;
+    (C, C-, C+) alone without ``fractions``, for callers that read no regime.
 
     Each distinct |theta0| is scanned once.  As L(x) = -U(-x), reflecting x
     keeps C and swaps regimes II and IV and the sides of x = theta0 (a null
     set), so -theta0 takes the row of |theta0| with C-/C+ and frac_II/IV swapped.
     """
     ts = _finite_theta0(theta0)
+    cols = [0, 2, 1, 3, 6, 5, 4] if fractions else [0, 2, 1]
     if ts.size == 0:
-        return np.empty((0, 7))
+        return np.empty((0, len(cols)))
     mag, inv = np.unique(np.abs(ts), return_inverse=True)
     half = _half_width(cfg, scan)
     runs = _chunks(mag, 2.0 * half, half, scan)
-    rows = np.concatenate([_exact_sorted(cfg, mag[s], half, scan) for s in runs])[inv]
-    return np.where((ts < 0.0)[:, None], rows[:, [0, 2, 1, 3, 6, 5, 4]], rows)
+    rows = np.concatenate([_exact_sorted(cfg, mag[s], half, scan, fractions) for s in runs])[inv]
+    return np.where((ts < 0.0)[:, None], rows[:, cols], rows)
 
 
 def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> CoveragePoint:
@@ -416,7 +424,7 @@ def dip_search(
     grid = np.linspace(domain_lo + 1e-7, hi, n_grid)
 
     def c_many(ts):
-        return _exact_batch(cfg, ts, scan)[:, 0]
+        return _exact_batch(cfg, ts, scan, fractions=False)[:, 0]
 
     vals = c_many(grid)
     for _ in range(refine_rounds):
@@ -498,7 +506,7 @@ def check_coverage_bounds(
     checks: list[BoundCheck] = []
 
     above = grid[grid > max(cfg.lam, cfg.t_alpha)]
-    c_all, c_minus = _exact_batch(cfg, above, scan)[:, :2].T
+    c_all, c_minus = _exact_batch(cfg, above, scan, fractions=False)[:, :2].T
 
     # (a) ceiling on the below-x part.
     if above.size:
@@ -552,7 +560,7 @@ def check_coverage_bounds(
     # (e) above-x part in (lam, t_alpha) is at most G(-2*lam).
     if cfg.t_alpha > cfg.lam and math.isfinite(cfg.t_alpha):
         inner = np.linspace(cfg.lam, cfg.t_alpha, 9)[1:-1]
-        cp = _exact_batch(cfg, inner, scan)[:, 2]
+        cp = _exact_batch(cfg, inner, scan, fractions=False)[:, 2]
         bound = float(d.cdf(-2.0 * cfg.lam))
         margin = float(bound + 1e-9 - cp.max())
         checks.append(_graded("early_c_plus_ceiling", margin, {"bound": bound, "max_c_plus": float(cp.max())}))

@@ -335,20 +335,25 @@ def _member_reach(cfg: PriorConfig) -> float:
     return float(cfg.dist.ppf_upper(cfg.alpha * float(cfg.dist.cdf(-cfg.lam)))) + 0.5
 
 
-def _invert_endpoint(cfg: PriorConfig, values_fn, theta0: float, scan: ScanSettings) -> InverseSet:
+def _invert_endpoint(cfg: PriorConfig, column: int, theta0: float, scan: ScanSettings) -> InverseSet:
+    """Roots of endpoint = theta0 for column 0 (U) or 1 (L) of the endpoints pass."""
     b = abs(theta0) + cfg.dist.ppf_upper(scan.tol_tail) + cfg.lam
     reach, t = _member_reach(cfg), cfg.t_alpha
-    fn = lambda xs: values_fn(cfg, xs) - theta0
+
+    def fn(xs):
+        upper_lower_codes = endpoints(cfg, xs)
+        return upper_lower_codes[column] - theta0, upper_lower_codes[2]
+
     # One window about theta0; the atom region inside it is NaN, outside the set.
     lo, hi = max(-b, theta0 - reach), min(b, theta0 + reach)
     specials = [cfg.lam, -cfg.lam, theta0, t, -t]
-    allr = sign_change_roots(fn, lo, hi, specials, scan, 1e-6 * (1.0 + abs(theta0)))
+    allr, codes = sign_change_roots(fn, lo, hi, specials, scan, 1e-6 * (1.0 + abs(theta0)))
     if allr.size == 0:
         raise InversionError(
             f"no solutions of the endpoint equation at target {theta0} "
             f"(target below the atom threshold, or window [{lo}, {hi}] too small)"
         )
-    regs = tuple(Regime(int(c)) for c in regime_codes(cfg, allr))
+    regs = tuple(Regime(int(c)) for c in codes)
     return InverseSet(target=float(theta0), roots=tuple(float(r) for r in allr), regimes=regs)
 
 
@@ -359,13 +364,13 @@ def invert_upper(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSetti
     sliver-guarded level-set scan (scanning.sign_change_roots), so a root
     pair between two grid points is found; jumps of U are dropped.
     """
-    return _invert_endpoint(cfg, upper_values, theta0, scan)
+    return _invert_endpoint(cfg, 0, theta0, scan)
 
 
 def invert_lower(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> InverseSet:
     """The set {x : |x| > t_alpha, L(x) = theta0}, by the same level-set
     scan as invert_upper."""
-    return _invert_endpoint(cfg, lower_values, theta0, scan)
+    return _invert_endpoint(cfg, 1, theta0, scan)
 
 
 def smallest_lower_inverse(cfg: PriorConfig, theta0: float, tol: float = 1e-12, max_iter: int = 10_000) -> float:

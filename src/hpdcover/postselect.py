@@ -73,7 +73,7 @@ def post_selection_set(cfg: PriorConfig, x: float, scan: ScanSettings = ScanSett
 
     Any theta with x within the credible set it would generate belongs to
     PS(x); the set is a finite interval union found by the same scan plus
-    multisection machinery used for coverage.
+    boundary solver used for coverage.
     """
     _require_selected(cfg, x)
     half = _half_width(cfg, scan)

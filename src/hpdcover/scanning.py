@@ -9,20 +9,24 @@ the false side of L <= t and of t <= U, and
 a cell flips level j exactly when j lies between the counts at its two ends,
 so no level scans its window on its own and the predicates are evaluated
 only at the ends of the cells it returns.  One vectorised multisection
-solver refines every flag transition (boundary mode) and every extremum
-(extremum mode): a round evaluates sections - 1 interior points of every
-open cell in one call, so a boundary reaches bisect_tol / 2 in
-ceil(iters / log2(sections)) rounds, not the iters rounds of bisection (four
-or five instead of 26-30 for the few cells of a query), jump cells included.
-graze_points, the one sliver guard, runs extremum mode on the local extrema
-of U and L that graze a target level, calling curves once per round for both
-endpoints.  Inversion is the same scan: sign_change_roots reads the roots of
-fn off {fn >= 0}, the pair (fn, -inf) at level 0.  Everything is vectorized
-so that one pass can serve many windows and levels at once.
+solver, whose round evaluates sections - 1 uniform interior points of every
+open cell in one call, refines every boundary (boundary mode,
+refine_boundaries) and every extremum (extremum mode, refine_extrema).  A
+boundary is the sign change of the margin min(U - t, t - L), whose sign is
+the flag: each round adds a geometric cluster about the regula falsi
+estimate from the bracket's end margins, so a smooth boundary settles below
+bisect_tol / 128 in two or three rounds, while the uniform points narrow a
+jump or NaN edge as fast as multisection alone.  graze_points, the one
+sliver guard, runs extremum mode on the local extrema of U and L that graze
+a target level, calling curves once per round for both endpoints.
+Inversion is the same scan: sign_change_roots reads the roots of fn off
+{fn >= 0}, the pair (fn, -inf) at level 0, whose margin is fn.  Everything
+is vectorized so that one pass can serve many windows and levels at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,14 +34,16 @@ import numpy as np
 
 __all__ = ["ScanSettings", "crossing_cells", "member_intervals", "sign_change_roots"]
 
-# Fixed cost of one predicate call in points' worth: an endpoint table costs
-# 120-300 us per call plus 0.13-0.5 us per point.  Median of 10 interleaved
-# runs on a 2-vCPU VM, this rule / fixed 32 / fixed 16 sections: 48
-# post-selection sets and 96 inversions 0.72 / 0.80 / 0.85 s, figure 1 at
-# --fig-grid-n 4 0.42 / 0.41 / 0.42 s, laplace bounds 0.18 / 0.19 / 0.19 s.
+# Fixed cost of one curve call in points' worth: an endpoint table costs
+# 120-300 us per call plus 0.13-0.5 us per point (2-vCPU VM).  It sizes the
+# uniform samples of a solver round: these set the round count of extremum
+# mode and bound that of jump and NaN-edge boundaries, while a smooth
+# boundary settles through its regula falsi cluster in two or three rounds
+# whatever the section count.
 _CALL_POINTS = 2000
 
 
+@functools.lru_cache(maxsize=None)
 def section_count(n_cells: int, iters: int, keep: int = 1) -> int:
     """The power of two m, 2 keep <= m <= 128, minimising rounds x (call cost +
     points per round) for n_cells cells needing iters bisection steps, where a
@@ -133,23 +139,82 @@ def _multisect(fn, pick, lo, hi, iters: int, keep: int) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def refine_flag_boundaries(pred, lo, hi, lo_flag, iters: int) -> np.ndarray:
-    """Boundary mode: one transition point per (lo, hi) cell.
+def level_margin(upper, lower, level):
+    """min(U - level, level - L): >= 0 exactly where covers(U, L, level) holds
+    (a float difference is zero only between equal floats), NaN on NaN
+    endpoints, so the sign of the margin is the flag."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.minimum(upper - level, level - lower)
 
-    pred(xs, rows) gives the boolean flags at the flat abscissas xs, where
+
+def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
+    """Boundary mode: the point where the flag margin >= 0 changes in each (lo, hi) cell.
+
+    margin(xs, rows) gives signed margins at the flat abscissas xs, where
     rows[k] is the index of the cell xs[k] belongs to (for per-cell context
-    such as a level or a predicate kind).  Each round keeps the first
-    sub-cell whose right end has left lo_flag.
+    such as a level); NaN counts as false.  g_lo and g_hi are the margins at
+    the cell ends, whose flags differ.  Each round evaluates, in one call,
+    the m - 1 uniform interior points of every open cell (m from
+    section_count) and a geometric cluster about its regula falsi estimate
+    from the end margins (none where a margin is NaN): offsets stop * 8^i /
+    8 on both sides, out to half the widest open cell's uniform step, those
+    outside a cell not evaluated.  It keeps the first sub-cell where the
+    flag changes, with its end margins, so a smooth root is bracketed within
+    seven times the error of a secant step on the previous bracket and
+    converges superlinearly, while a jump or NaN edge narrows m-fold per
+    round as in plain multisection.  Each cell retires once its width is at
+    most stop = max(tol / 128, 4 ulp(|x|)), a bound that ends the rounds at
+    any |x|, and its regula falsi point (the midpoint where a margin is NaN)
+    is returned, within a few ulp of a smooth root; no call is made for an
+    empty cell array.
     """
-    lo_flag = np.broadcast_to(lo_flag, (np.size(lo),))[:, None]
-    left = lambda flags: np.argmax(np.column_stack([flags != lo_flag, np.ones(lo_flag.shape, bool)]), axis=1)
-    return _multisect(pred, left, lo, hi, iters, 1)
+    cells = np.array([lo, g_lo, hi, g_hi], float).reshape(4, -1)
+    stop = np.maximum(tol / 128.0, 4.0 * np.spacing(np.maximum(np.abs(cells[0]), np.abs(cells[2]))))
+    at = np.flatnonzero(cells[2] - cells[0] > stop)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while at.size:
+            a, ga, b, gb = cells[:, at]
+            w, s = b - a, stop[at]
+            spans = w / s
+            m = section_count(at.size, bisect_iters(spans, 1.0))
+            k = 1 + max(0, math.ceil(math.log(4.0 * float(np.max(spans)) / m, 8)))
+            # The cell as fractions 0 .. 1 with its samples sorted between.
+            # Cluster points outside it sort before 0 or after 1 and take the
+            # end margins; a NaN secant leaves its cluster NaN, sorted last.
+            frac = np.empty((at.size, m + 2 * k + 1))
+            frac[:, :m] = np.arange(m) / m
+            frac[:, m:-1] = (ga / (ga - gb))[:, None] + _cluster(k) / spans[:, None]
+            frac[:, -1] = 1.0
+            frac.sort(axis=1)
+            xs = a[:, None] + w[:, None] * frac
+            right = frac > 0.0
+            g = np.where(right, gb[:, None], ga[:, None])
+            inside = right & (frac < 1.0)
+            g[inside] = margin(xs[inside], np.repeat(at, frac.shape[1])[inside.ravel()])
+            flags = g >= 0.0
+            j = np.argmax(flags != flags[:, :1], axis=1)
+            r = np.arange(at.size)
+            kept = xs[r, j - 1], g[r, j - 1], xs[r, j], g[r, j]
+            cells[:, at] = kept
+            at = at[kept[2] - kept[0] > s]
+        lo, g_lo, hi, g_hi = cells
+        t = g_lo / (g_lo - g_hi)
+        return lo + (hi - lo) * np.where(t == t, t, 0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def _cluster(k: int) -> np.ndarray:
+    """Offsets +-8^(i - 1), i < k, of a regula falsi cluster in units of the
+    stopping width: a root within one stopping width of the estimate lands in
+    a sub-cell no wider than that, the inner ring 7/8 of it."""
+    pw = 8.0 ** (np.arange(k) - 1.0)
+    return np.concatenate([-pw[::-1], pw])
 
 
 def refine_extrema(fn, lo, hi, maximize) -> np.ndarray:
     """Extremum mode: one maximum (or minimum, per ``maximize``) of fn per (lo, hi) bracket.
 
-    fn(xs, rows) gives the values at xs as pred does in refine_flag_boundaries.
+    fn(xs, rows) gives the values at xs as margin does in refine_boundaries.
     Each round keeps the two sub-cells around the best sample, which a NaN
     sample (the atom region) never is, and the rounds stop once every bracket
     is narrower than 1e-13 (1 + |x|), |x| least on the bracket; an extremum
@@ -294,9 +359,10 @@ def member_intervals(curves, levels, lo, hi, specials, scan: ScanSettings):
     are sorted with equal-width windows [lo_j, hi_j] (or scalars for one
     level).  One endpoint table on a grid over the union of the windows
     passes through the graze_points sliver guard for all levels, the
-    crossings of every level come from crossing_cells, the flags are
-    evaluated at the ends of those cells alone, and every flag transition is
-    refined in one multisection batch.  Returns flat arrays (owner, a, b),
+    crossings of every level come from crossing_cells, the margins
+    min(U - t, t - L) are read at the ends of those cells alone, and every
+    flag transition is refined in one refine_boundaries batch, which starts
+    from those end margins.  Returns flat arrays (owner, a, b),
     grouped by level; stretches of one level that touch (within 1e-15) are
     merged.
     """
@@ -306,35 +372,38 @@ def member_intervals(curves, levels, lo, hi, specials, scan: ScanSettings):
     i0, i1 = np.searchsorted(grid, lo, "left"), np.searchsorted(grid, hi, "right")
     owner, cell = crossing_cells(table, levels, i0, i1)
     ends = np.concatenate([cell, cell + 1, i0])
-    flags = covers(table[0][ends], table[1][ends], np.concatenate([levels[owner], levels[owner], levels]))
+    g = level_margin(table[0][ends], table[1][ends], np.concatenate([levels[owner], levels[owner], levels]))
+    flags = g >= 0.0
     n = cell.size
-    lo_flag, start = flags[:n], flags[2 * n :]
-    trans = lo_flag != flags[n : 2 * n]
-    owner, cell, lo_flag = owner[trans], cell[trans], lo_flag[trans]
-    a, b = grid[cell], grid[cell + 1]
-    iters = bisect_iters(b - a, scan.bisect_tol)
-    pred = lambda xs, rows: covers(*curves(xs), levels[owner[rows]])
-    cuts = refine_flag_boundaries(pred, a, b, lo_flag, iters)
+    start, trans = flags[2 * n :], flags[:n] != flags[n : 2 * n]
+    owner, cell, g_lo, g_hi = owner[trans], cell[trans], g[:n][trans], g[n : 2 * n][trans]
+    margin = lambda xs, rows: level_margin(*curves(xs), levels[owner[rows]])
+    cuts = refine_boundaries(margin, grid[cell], grid[cell + 1], g_lo, g_hi, scan.bisect_tol)
     owner, a, b = _member_stretches(cuts, owner, start, lo, hi)
     touch = (a[1:] <= b[:-1] + 1e-15) & (owner[1:] == owner[:-1])
     new = np.flatnonzero(np.append(True, ~touch)[: a.size])
     return owner[new], a[new], b[np.append(new[1:], a.size)[: new.size] - 1]
 
 
-def sign_change_roots(fn, lo, hi, specials, scan: ScanSettings, accept_tol: float) -> np.ndarray:
+def sign_change_roots(fn, lo, hi, specials, scan: ScanSettings, accept_tol: float):
     """The roots of fn on the window [lo, hi]: the inner ends of the level set {fn >= 0}.
 
-    The set comes from one member_intervals call on the curve pair (fn, -inf)
-    at level 0, so the roots pass the same grid, sliver guard and multisection
-    batch as every other level set, and a root pair between two grid points
-    is found like any other sliver; NaN values of fn lie outside the set.
-    Stretch ends where |fn| exceeds accept_tol (jumps of a discontinuous fn
-    and NaN edges, not roots) are dropped.  Tangent roots are not guaranteed.
+    fn(xs) returns (values, *tags): the values of fn and any further
+    per-point arrays (the regime codes of an inversion), which come back
+    evaluated at the roots from the one call that checks them, as (roots,
+    *tags).  The set comes from one member_intervals call on the curve pair
+    (fn, -inf) at level 0, whose margin is fn itself, so the roots pass the
+    same grid, sliver guard and boundary solver as every other level set,
+    and a root pair between two grid points is found like any other sliver;
+    NaN values of fn lie outside the set.  Stretch ends where |fn| exceeds
+    accept_tol (jumps of a discontinuous fn and NaN edges, not roots) are
+    dropped.  Tangent roots are not guaranteed.
     """
-    curves = lambda xs: (fn(xs), np.full(np.shape(xs), -np.inf))
+    curves = lambda xs: (fn(xs)[0], np.full(np.shape(xs), -np.inf))
     _, a, b = member_intervals(curves, 0.0, lo, hi, specials, scan)
     ends = np.sort(np.concatenate([a, b]))
     ends = ends[(lo < ends) & (ends < hi)]
-    if ends.size:
-        ends = ends[np.abs(fn(ends)) <= accept_tol]
-    return ends[np.diff(ends, prepend=-np.inf) > 10.0 * scan.bisect_tol]
+    values, *tags = fn(ends)
+    keep = np.flatnonzero(np.abs(values) <= accept_tol)
+    keep = keep[np.diff(ends[keep], prepend=-np.inf) > 10.0 * scan.bisect_tol]
+    return (ends[keep], *(t[keep] for t in tags))

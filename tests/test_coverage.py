@@ -434,11 +434,24 @@ def test_exact_batch_keeps_input_order():
         coverage_exact(cfg, math.nan)
 
 
-def _exact_sorted_per_theta0(cfg, ts, half, scan):
+@pytest.mark.parametrize("law, lam, w", [("gaussian", 0.5, 0.25), ("laplace", 5.0, 1.0)])
+def test_exact_batch_without_fractions_is_the_first_three_columns(law, lam, w):
+    # dip_search and check_coverage_bounds skip the regime fractions; their
+    # C, C- and C+ are those of the full rows, bit for bit, negative theta0
+    # (reflected rows) included.
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+    theta = np.array([-7.5, -2.0, 0.0, 1.4, 3.1, 9.0])
+    full = coverage_mod._exact_batch(cfg, theta, ScanSettings())
+    assert np.array_equal(coverage_mod._exact_batch(cfg, theta, ScanSettings(), fractions=False), full[:, :3])
+    assert coverage_mod._exact_batch(cfg, [], ScanSettings(), fractions=False).shape == (0, 3)
+
+
+def _exact_sorted_per_theta0(cfg, ts, half, scan, fractions=True):
     """The exact scan with each theta0's membership set found by a flag loop
-    over its own window, the per-theta0 scan that crossing_cells replaced.
-    The theta0 that the atom/band rule fixes are not scanned: their set is
-    the whole window (the atom) or empty (the band)."""
+    over its own window, the per-theta0 scan that crossing_cells replaced,
+    its transitions refined by the same boundary solver from the margins in
+    the table.  The theta0 that the atom/band rule fixes are not scanned:
+    their set is the whole window (the atom) or empty (the band)."""
     cv, sc = coverage_mod, scanning_mod
     n_t = ts.size
     fixed, atom0 = cv._fixed_cover(cfg, ts)
@@ -457,11 +470,11 @@ def _exact_sorted_per_theta0(cfg, ts, half, scan):
             f = sc.covers(upper[i0[j]:i1[j]], lower[i0[j]:i1[j]], lv[j])
             start[j] = f[0]
             k = np.flatnonzero(f[1:] != f[:-1])
-            cells.append((np.full(k.size, j), k + i0[j], f[k]))
-        owner, cell, lo_flag = (np.concatenate(c) for c in zip(*cells))
-        lo_x, hi_x = grid[cell], grid[cell + 1]
-        pred = lambda xs, rows: sc.covers(*curves(xs), lv[owner[rows]])
-        cuts = sc.refine_flag_boundaries(pred, lo_x, hi_x, lo_flag, sc.bisect_iters(hi_x - lo_x, scan.bisect_tol))
+            cells.append((np.full(k.size, j), k + i0[j]))
+        owner, cell = (np.concatenate(c) for c in zip(*cells))
+        g_lo, g_hi = (sc.level_margin(upper[i], lower[i], lv[owner]) for i in (cell, cell + 1))
+        margin = lambda xs, rows: sc.level_margin(*curves(xs), lv[owner[rows]])
+        cuts = sc.refine_boundaries(margin, grid[cell], grid[cell + 1], g_lo, g_hi, scan.bisect_tol)
 
         # Stretches between consecutive cuts, alternating from the start
         # flag; stretches of one theta0 that touch are merged.
@@ -486,6 +499,8 @@ def _exact_sorted_per_theta0(cfg, ts, half, scan):
     parts = interval_mass(cfg.dist, [np.maximum(a - t, 0.0), np.minimum(a - t, 0.0)], [np.maximum(b - t, 0.0), np.minimum(b - t, 0.0)])
     c_minus, c_plus = (np.where(atom0, 0.5, np.bincount(owner, weights=m, minlength=n_t)) for m in parts)
     total = c_minus + c_plus
+    if not fractions:
+        return np.column_stack([total, c_minus, c_plus])
     edges = np.linspace(a, b, 65, axis=-1)
     sub = interval_mass(cfg.dist, edges[:, :-1] - t[:, None], edges[:, 1:] - t[:, None]).ravel()
     codes = cv.regime_codes(cfg, (0.5 * (edges[:, :-1] + edges[:, 1:])).ravel())

@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import hpdcover.hpd as hpd_mod
+from hpdcover import PriorConfig, invert_upper, post_selection_set
+from hpdcover.cli import parse_dist_spec
 from hpdcover.scanning import (
     ScanSettings,
     bisect_iters,
@@ -12,8 +15,8 @@ from hpdcover.scanning import (
     graze_cells,
     graze_points,
     member_intervals,
+    refine_boundaries,
     refine_extrema,
-    refine_flag_boundaries,
     section_count,
     sign_change_roots,
 )
@@ -237,8 +240,9 @@ def _bisection_reference(pred, lo, hi, lo_flag, iters):
 
 
 def _step_cells():
-    """Cells with a known transition: smooth crossings of x**3, one jump of
-    a discontinuous function across zero, and two cells narrower than TOL."""
+    """Cells with a known transition of the margin: smooth crossings of
+    x**3 - c**3, one jump of a discontinuous margin across zero, and two
+    cells narrower than TOL."""
     rng = np.random.default_rng(3)
     lo = np.concatenate([rng.uniform(-5.0, 5.0, 40), [1.0, 2.0, -3.0]])
     width = np.concatenate([rng.uniform(1e-3, 2.0, 40), [0.5, 0.3 * TOL, 0.9 * TOL]])
@@ -246,53 +250,136 @@ def _step_cells():
     jump = np.zeros(lo.size, dtype=bool)
     jump[40] = True
 
-    def pred(xs, rows):
+    def margin(xs, rows):
         c = cut[rows]
-        smooth = xs**3 >= c**3
         # -1 - x below the cut, 2 + x from it on: a jump across zero at c.
-        stepped = np.where(xs < c, -1.0 - xs, 2.0 + xs) > 0.0
-        return np.where(jump[rows], stepped, smooth)
+        return np.where(jump[rows], np.where(xs < c, -1.0 - xs, 2.0 + xs), xs**3 - c**3)
 
-    return pred, lo, lo + width, cut
+    return margin, lo, lo + width, cut
+
+
+def _ends(margin, lo, hi):
+    rows = np.arange(np.size(lo))
+    return margin(np.asarray(lo, float), rows), margin(np.asarray(hi, float), rows)
 
 
 def test_multisection_finds_known_transitions_within_half_tol():
-    pred, lo, hi, cut = _step_cells()
-    iters = bisect_iters(hi - lo, TOL)
-    found = refine_flag_boundaries(pred, lo, hi, False, iters)
-    assert np.max(np.abs(found - cut)) <= TOL / 2
-    ref = _bisection_reference(pred, lo, hi, False, iters)
+    margin, lo, hi, cut = _step_cells()
+    found = refine_boundaries(margin, lo, hi, *_ends(margin, lo, hi), TOL)
+    # Every cell ends no wider than the stopping width TOL / 128.
+    assert np.max(np.abs(found - cut)) <= TOL / 128
+    pred = lambda xs, rows: margin(xs, rows) >= 0.0
+    ref = _bisection_reference(pred, lo, hi, False, bisect_iters(hi - lo, TOL))
     assert np.max(np.abs(found - ref)) <= TOL
 
 
 def test_multisection_per_cell_start_flags():
     # Flags that start True and turn False, mixed with the opposite kind.
-    pred, lo, hi, cut = _step_cells()
-    flip = np.arange(lo.size) % 2 == 1
-    found = refine_flag_boundaries(
-        lambda xs, rows: pred(xs, rows) ^ flip[rows], lo, hi, flip, bisect_iters(hi - lo, TOL)
-    )
-    assert np.max(np.abs(found - cut)) <= TOL / 2
+    margin, lo, hi, cut = _step_cells()
+    sign = np.where(np.arange(lo.size) % 2 == 1, -1.0, 1.0)
+    flipped = lambda xs, rows: sign[rows] * margin(xs, rows)
+    found = refine_boundaries(flipped, lo, hi, *_ends(flipped, lo, hi), TOL)
+    assert np.max(np.abs(found - cut)) <= TOL / 128
+
+
+def _smooth_cells(n_cells, at=0.0):
+    """Cells 1e-4 .. 1e-2 wide, as grid cells are, about ``at``, whose
+    margins expm1(x - c), sin(x - c) (2 + cos x) and -3 (x - c)(1 + (x - c)^2)
+    are smooth with the exact root c."""
+    rng = np.random.default_rng(n_cells)
+    lo = at + rng.uniform(-5.0, 5.0, n_cells)
+    width = 10.0 ** rng.uniform(-4.0, -2.0, n_cells)
+    root = lo + width * rng.uniform(0.01, 0.99, n_cells)
+    kind = np.arange(n_cells) % 3
+
+    def margin(xs, rows):
+        d, k = xs - root[rows], kind[rows]
+        return np.select([k == 0, k == 1], [np.expm1(d), np.sin(d) * (2.0 + np.cos(xs))], -3.0 * d * (1.0 + d * d))
+
+    return margin, lo, lo + width, root
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 50, 700])
+def test_boundaries_smooth_roots_in_three_rounds(n_cells):
+    margin, lo, hi, root = _smooth_cells(n_cells)
+    calls = []
+
+    def counted(xs, rows):
+        calls.append(xs.size)
+        return margin(xs, rows)
+
+    found = refine_boundaries(counted, lo, hi, *_ends(margin, lo, hi), TOL)
+    assert 1 <= len(calls) <= 3
+    # The regula falsi point of the last bracket is within a few ulp.
+    assert np.all(np.abs(found - root) <= 4.0 * np.spacing(np.abs(root)))
 
 
 @pytest.mark.parametrize("n_cells", [1, 2, 50, 700])
 @pytest.mark.parametrize("iters", [1, 4, 5, 6, 26, 34])
 def test_multisection_round_count(n_cells, iters):
+    # Jump cells (margin -1 below 0.3, +1 from it on) whose widest cell needs
+    # iters bisection steps to the stopping width: the uniform samples keep
+    # the multisection schedule, ceil(iters / log2 m) rounds at most.
     calls = []
 
-    def pred(xs, rows):
+    def margin(xs, rows):
         calls.append(xs.size)
-        return xs >= 0.3
+        return np.where(xs >= 0.3, 1.0, -1.0)
 
     lo = -np.linspace(0.0, 0.6, n_cells)
     hi = lo + np.where(np.arange(n_cells) % 2 == 0, 1.0, 1.5)
-    found = refine_flag_boundaries(pred, lo, hi, False, iters)
+    stop = 1.5 / 2.0 ** (iters - 1)
+    assert bisect_iters((hi - lo) / stop, 1.0) == iters
+    found = refine_boundaries(margin, lo, hi, -np.ones(n_cells), np.ones(n_cells), 128.0 * stop)
     sections = section_count(n_cells, iters)
     assert 2 <= sections <= 128 and sections & (sections - 1) == 0
-    assert len(calls) == math.ceil(iters / math.log2(sections))
-    assert set(calls) == {n_cells * (sections - 1)}
-    # The final cells are no wider than iters bisection steps would leave.
-    assert np.all(np.abs(found - 0.3) <= 0.5 * (hi - lo) / 2.0**iters)
+    assert len(calls) <= math.ceil(iters / math.log2(sections))
+    assert calls == [] or calls[0] >= n_cells * (sections - 1)
+    # The secant point of a +-1 jump is the midpoint of the last cell.
+    assert np.all(np.abs(found - 0.3) <= stop / 2)
+
+
+@pytest.mark.parametrize("n_cells", [1, 50])
+def test_boundaries_nan_edges_keep_multisection_schedule(n_cells):
+    # NaN on one side of the cut (as U and L on the atom region): no secant
+    # estimate, so no cluster; the uniform points narrow each cell m-fold.
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-5.0, 5.0, n_cells)
+    hi = lo + 10.0 ** rng.uniform(-3.0, -2.0, n_cells)
+    cut = lo + (hi - lo) * rng.uniform(0.01, 0.99, n_cells)
+    calls = []
+
+    def margin(xs, rows):
+        calls.append(xs.size)
+        return np.where(xs < cut[rows], np.nan, 1.0 + xs * xs)
+
+    found = refine_boundaries(margin, lo, hi, np.full(n_cells, np.nan), 1.0 + hi * hi, TOL)
+    iters = bisect_iters((hi - lo) / (TOL / 128), 1.0)
+    sections = section_count(n_cells, iters)
+    assert len(calls) <= math.ceil(iters / math.log2(sections))
+    assert calls[0] == n_cells * (sections - 1)
+    assert np.all(np.abs(found - cut) <= TOL / 128)
+
+
+@pytest.mark.parametrize("at", [1e4, -1e4, 1e8, -1e8])
+def test_boundaries_terminate_at_large_abscissa(at):
+    # At |x| = 1e8 an ulp (1.5e-8) is far above TOL / 128, so the rounds stop
+    # at 4 ulp: smooth roots land within a few ulp, jumps within the stop.
+    margin, lo, hi, root = _smooth_cells(30, at)
+    jump = lambda xs, rows: np.where(xs < root[rows], -1.0, 1.0)
+    stop = np.maximum(TOL / 128, 4.0 * np.spacing(np.abs(root)))
+    for fn, rounds, atol in ((margin, 3, 4.0 * np.spacing(np.abs(root))), (jump, 20, stop)):
+        calls = []
+
+        def counted(xs, rows):
+            # A stop below the ulp would never end: fail instead of hanging.
+            calls.append(xs.size)
+            assert len(calls) <= 20, "rounds do not terminate"
+            return fn(xs, rows)
+
+        found = refine_boundaries(counted, lo, hi, *_ends(fn, lo, hi), TOL)
+        assert len(calls) <= rounds
+        assert np.all(np.abs(found - root) <= atol)
 
 
 def test_section_count_follows_cell_count():
@@ -303,10 +390,10 @@ def test_section_count_follows_cell_count():
 
 
 def test_multisection_empty_input_makes_no_call():
-    def pred(xs, rows):
-        raise AssertionError("predicate called on no cells")
+    def margin(xs, rows):
+        raise AssertionError("margin called on no cells")
 
-    out = refine_flag_boundaries(pred, np.empty(0), np.empty(0), np.empty(0, dtype=bool), 30)
+    out = refine_boundaries(margin, np.empty(0), np.empty(0), np.empty(0), np.empty(0), TOL)
     assert isinstance(out, np.ndarray) and out.size == 0
     assert bisect_iters(np.empty(0), TOL) == 0
 
@@ -327,8 +414,18 @@ def _nan_gap(xs):
     ids=["nan_gap", "root_pair_in_one_cell"],
 )
 def test_sign_change_roots_one_window(fn, roots):
-    got = sign_change_roots(fn, -3.0, 3.0, [], SCAN, 1e-6)
+    calls = []
+
+    def tagged(xs):
+        calls.append(xs.size)
+        return fn(xs), np.floor(xs)
+
+    got, tags = sign_change_roots(tagged, -3.0, 3.0, [], SCAN, 1e-6)
     assert np.allclose(got, roots, rtol=0.0, atol=TOL)
+    # The tags come back at the roots from the one call that checks them.
+    assert np.array_equal(tags, np.floor(got)) and calls[-1] >= got.size
+    plain = sign_change_roots(lambda xs: (fn(xs),), -3.0, 3.0, [], SCAN, 1e-6)
+    assert len(plain) == 1 and np.array_equal(plain[0], got)
 
 
 def _crossing_reference(table, levels, i0, i1):
@@ -396,3 +493,21 @@ def test_member_intervals_many_levels():
     # One level as scalars gives the same stretches as its row of the batch.
     one = member_intervals(curves, 2.5, -1.5, 6.5, [], SCAN)
     assert one[0].tolist() == [0] and np.allclose([one[1][0], one[2][0]], [1.5, 3.5], rtol=0.0, atol=TOL)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_query_scans_stay_within_endpoint_call_budget(monkeypatch, law):
+    # A post-selection set is one endpoint table and at most three boundary
+    # rounds; an inversion makes at most one call more, the one that checks
+    # its roots and reads their regimes.  Refinement in a fixed
+    # ceil(iters / log2 m) rounds (four to seven here) breaks either budget.
+    calls = []
+    real = hpd_mod._endpoint_pass
+    monkeypatch.setattr(hpd_mod, "_endpoint_pass", lambda cfg, x: calls.append(np.size(x)) or real(cfg, x))
+    dist = parse_dist_spec(law)
+    post_selection_set(PriorConfig(dist, 2.0, 1.0, 0.05), 5.0)
+    assert len(calls) <= 4
+    for lam, w, target in ((2.0, 1.0, 6.0), (2.0, 0.5, 6.0), (0.5, 1.0, 3.5)):
+        calls.clear()
+        inverse = invert_upper(PriorConfig(dist, lam, w, 0.05), target)
+        assert len(calls) <= 5 and calls[-1] == len(inverse.roots)
