@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -179,10 +180,23 @@ def _write_text(path: str, text: str):
         Path(path).write_text(text)
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+_CELLS = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}  # dtype kind -> cell, as fmt
+
+
+def _csv_text(header, blocks) -> str:
+    """The one CSV writer: each block's rows come from one row template.
+
+    A block has one entry per column: a constant, formatted once by ``fmt``,
+    or a 1-d float, integer or string array.
+    """
+    parts = [",".join(header) + "\n"]
+    for block in blocks:
+        columns = [np.asarray(v).tolist() for v in block if np.ndim(v)]
+        row = ",".join(_CELLS[np.asarray(v).dtype.kind] if np.ndim(v) else fmt(v).replace("%", "%%")
+                       for v in block)
+        values = tuple(v for cells in zip(*columns) for v in cells)
+        parts.append((row + "\n") * (len(columns[0]) if columns else 1) % values)
+    return "".join(parts)
 
 
 def _json_text(obj) -> str:
@@ -221,37 +235,24 @@ def _cmd_coverage(rc: RunConfig) -> int:
     if rc.method == "mc" and rc.n < 1:
         raise ValueError(f"--method mc needs --n >= 1, got {rc.n}")
     rc.first_dist()  # surface a bad --dist as a usage error, not a point failure
-    failures = []
-    reports: dict[tuple[float, float], object] = {}
+    tagged = len(rc.lam) > 1 or len(rc.w) > 1
+    header = ["lambda", "w"] * tagged + ["theta0", "C", "C_minus", "C_plus", "frac_I", "frac_II",
+                                         "frac_III", "frac_IV", "method", "n", "seed"]
+    blocks, failures = [], []
     for lam in rc.lam:
         for w in rc.w:
             try:
                 cfg = PriorConfig(dist=rc.first_dist(), lam=lam, w=w, alpha=rc.alpha)
-                reports[(lam, w)] = coverage_curve(
+                rep = coverage_curve(
                     cfg, grid, rc.scan_settings(), method=rc.method,
                     n=rc.n, seed=rc.seed, threads=_threads(rc),
                 )
             except Exception as exc:  # noqa: BLE001 - enumerate and keep going
                 failures.append((lam, w, str(exc)))
-    tagged = len(rc.lam) > 1 or len(rc.w) > 1
-    header = ["theta0", "C", "C_minus", "C_plus", "frac_I", "frac_II", "frac_III",
-              "frac_IV", "method", "n", "seed"]
-    if tagged:
-        header = ["lambda", "w"] + header
-    rows = []
-    for lam in rc.lam:
-        for w in rc.w:
-            rep = reports.get((lam, w))
-            if rep is None:
                 continue
-            for r in rep.rows():
-                row = [r[k] for k in
-                       ("theta0", "C", "C_minus", "C_plus", "frac_I", "frac_II",
-                        "frac_III", "frac_IV", "method", "n", "seed")]
-                if tagged:
-                    row = [lam, w] + row
-                rows.append(row)
-    _write_text(rc.out, _csv_text(header, rows))
+            blocks.append([lam, w] * tagged + [rep.theta0, rep.C, rep.C_minus, rep.C_plus,
+                                               *rep.fractions.values(), rep.method, rep.n, rep.seed])
+    _write_text(rc.out, _csv_text(header, blocks))
     for lam, w, msg in failures:
         print(f"coverage failed at lambda={lam} w={w}: {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -295,33 +296,29 @@ def cmd_figure(fig_id: int, rc: RunConfig) -> list[Path]:
     """Emit the CSV + JSON sidecar for one standard figure into rc.outdir."""
     scan = rc.scan_settings()
     side_extra: dict = {}
+    side: dict = {}
     if fig_id == 1:
-        dists = rc.dists()
         ws = list(rc.w) if rc.w != (1.0,) else [0.125, 0.25, 0.5, 1.0]
         side_extra["w_sweep"] = ws
         side_extra["w_sweep_is_default_assumption"] = rc.w == (1.0,)
-        header, rows = coverage_panels_rows(
-            dists, list(rc.lam), ws, rc.alpha, rc.fig_grid_n, rc.mirror, scan
+        header, blocks = coverage_panels_rows(
+            rc.dists(), list(rc.lam), ws, rc.alpha, rc.fig_grid_n, rc.mirror, scan
         )
-        side = {}
     elif fig_id == 2:
-        header, rows, side = posterior_illustration_rows(make_distribution("gaussian"), rc.alpha)
+        header, blocks, side = posterior_illustration_rows(make_distribution("gaussian"), rc.alpha)
     elif fig_id == 3:
-        header, rows = radius_functions_rows(rc.first_dist(), rc.alpha)
-        side = {}
+        header, blocks = radius_functions_rows(rc.first_dist(), rc.alpha)
     elif fig_id == 4:
-        header, rows = endpoint_curves_rows(rc.first_dist(), rc.alpha)
-        side = {}
+        header, blocks = endpoint_curves_rows(rc.first_dist(), rc.alpha)
     elif fig_id == 5:
-        header, rows = length_curves_rows(rc.first_dist(), rc.alpha)
-        side = {}
+        header, blocks = length_curves_rows(rc.first_dist(), rc.alpha)
     else:
         raise ValueError(f"unknown figure id {fig_id}; expected 1..5")
-    outdir = Path(rc.outdir)  # made only once the rows exist, so a failed figure leaves none
+    outdir = Path(rc.outdir)  # made only once the blocks exist, so a failed figure leaves none
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"figure{fig_id}.csv"
     json_path = outdir / f"figure{fig_id}.json"
-    csv_path.write_text(_csv_text(header, rows))
+    csv_path.write_text(_csv_text(header, blocks))
     sidecar = {
         "figure": fig_id,
         "library_version": __version__,
@@ -357,7 +354,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="hpdcover",
         description="HPD credible sets for banded spike-and-slab priors and their frequentist coverage",

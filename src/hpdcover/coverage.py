@@ -254,7 +254,10 @@ def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoi
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Coverage along a theta0 grid with regime attribution and method metadata."""
+    """Coverage along a theta0 grid with regime attribution and method metadata.
+
+    ``fractions`` maps "I", "II", "III", "IV" to their columns, in that order.
+    """
 
     theta0: np.ndarray
     C: np.ndarray
@@ -265,19 +268,6 @@ class CoverageReport:
     n: int
     seed: int
     config: dict
-
-    def rows(self):
-        for i in range(self.theta0.size):
-            yield {
-                "theta0": self.theta0[i],
-                "C": self.C[i],
-                "C_minus": self.C_minus[i],
-                "C_plus": self.C_plus[i],
-                **{f"frac_{k}": self.fractions[k][i] for k in _REGIME_KEYS},
-                "method": self.method,
-                "n": self.n,
-                "seed": self.seed,
-            }
 
 
 def _config_summary(cfg: PriorConfig) -> dict:

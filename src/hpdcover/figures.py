@@ -1,9 +1,11 @@
 """Deterministic CSV emitters for the five standard diagnostic figures.
 
-Each emitter returns a header plus formatted rows; the CLI writes them with
-a JSON sidecar recording the full run configuration, so every CSV is
-reproducible from its sidecar alone.  Numbers are printed with 12
-significant digits and runs with identical configurations produce
+Each emitter returns a header plus column blocks.  A block has one entry
+per header column: a 1-d numpy array, or a constant shared by all of the
+block's rows (dist, lambda, w).  The CLI writes them with a JSON sidecar
+recording the full run configuration, so every CSV is reproducible from its
+sidecar alone.  Every cell reads as ``fmt`` prints it (floats with 12
+significant digits), and runs with identical configurations produce
 byte-identical files.
 """
 
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 _ENDPOINT_PANELS = ((0.5, 0.25), (5.0, 0.25), (5.0, 1.0))
+_REGIME_NAMES = np.array([r.name for r in Regime])  # indexed by the Regime codes
 
 
 def fmt(value) -> str:
@@ -65,24 +68,21 @@ def coverage_panels_rows(
     mirror: bool,
     scan: ScanSettings,
 ):
-    """Coverage curves with regime attribution for every (dist, lam, w) panel line."""
+    """Coverage curves with regime attribution, one block per (dist, lam, w) panel line."""
     header = [
         "dist", "lambda", "w", "theta0", "C", "C_minus", "C_plus",
         "frac_I", "frac_II", "frac_III", "frac_IV",
     ]
-    rows = []
+    blocks = []
     for dist in dists:
         for lam in lams:
             grid = _coverage_grid(dist, lam, alpha, grid_n, mirror)
             for w in ws:
                 cfg = PriorConfig(dist=dist, lam=lam, w=w, alpha=alpha)
                 rep = coverage_curve(cfg, grid, scan)
-                for r in rep.rows():
-                    rows.append(
-                        [dist.name, lam, w, r["theta0"], r["C"], r["C_minus"], r["C_plus"],
-                         r["frac_I"], r["frac_II"], r["frac_III"], r["frac_IV"]]
-                    )
-    return header, rows
+                blocks.append([dist.name, lam, w, rep.theta0, rep.C, rep.C_minus, rep.C_plus,
+                               *rep.fractions.values()])
+    return header, blocks
 
 
 def posterior_illustration_rows(dist: Distribution, alpha: float):
@@ -95,7 +95,7 @@ def posterior_illustration_rows(dist: Distribution, alpha: float):
     lam = 0.5
     header = ["w", "theta", "prior_slab", "likelihood", "posterior_slab"]
     thetas = np.linspace(x - 6.0, x + 6.0, 1201)
-    rows = []
+    blocks = []
     side = {"x": x, "lambda": lam, "atom_mass": {}, "t_alpha": {}}
     for w in (1.0, 0.25):
         cfg = PriorConfig(dist=dist, lam=lam, w=w, alpha=alpha)
@@ -105,9 +105,8 @@ def posterior_illustration_rows(dist: Distribution, alpha: float):
         post = np.where(slab, like / d_norm, 0.0)
         side["atom_mass"][f"w={w:g}"] = float(atom_mass(cfg, x))
         side["t_alpha"][f"w={w:g}"] = cfg.t_alpha
-        for i, th in enumerate(thetas):
-            rows.append([w, th, 1.0 if slab[i] else 0.0, like[i], post[i]])
-    return header, rows, side
+        blocks.append([w, thetas, slab.astype(float), like, post])
+    return header, blocks, side
 
 
 def radius_functions_rows(dist: Distribution, alpha: float, lam: float = 5.0):
@@ -118,8 +117,7 @@ def radius_functions_rows(dist: Distribution, alpha: float, lam: float = 5.0):
     r1, r2, r3 = hpd_radii(cfg, xs)
     codes = regime_codes(cfg, xs)
     header = ["x", "r1", "r2", "r3", "regime"]
-    rows = [[xs[i], r1[i], r2[i], r3[i], Regime(int(codes[i])).name] for i in range(xs.size)]
-    return header, rows
+    return header, [[xs, r1, r2, r3, _REGIME_NAMES[codes]]]
 
 
 def _panel_xgrid(dist: Distribution, lam: float, alpha: float) -> np.ndarray:
@@ -131,25 +129,22 @@ def _panel_xgrid(dist: Distribution, lam: float, alpha: float) -> np.ndarray:
 def endpoint_curves_rows(dist: Distribution, alpha: float):
     """Lower/upper endpoint curves for the three standard (lam, w) panels."""
     header = ["lambda", "w", "x", "L", "U", "regime"]
-    rows = []
+    blocks = []
     for lam, w in _ENDPOINT_PANELS:
         cfg = PriorConfig(dist=dist, lam=lam, w=w, alpha=alpha)
         xs = _panel_xgrid(dist, lam, alpha)
         up, low, codes = endpoints(cfg, xs)
-        for i in range(xs.size):
-            rows.append([lam, w, xs[i], low[i], up[i], Regime(int(codes[i])).name])
-    return header, rows
+        blocks.append([lam, w, xs, low, up, _REGIME_NAMES[codes]])
+    return header, blocks
 
 
 def length_curves_rows(dist: Distribution, alpha: float):
     """Credible-set lengths for the standard panels, with the nominal width."""
     nominal = 2.0 * float(dist.ppf_upper(alpha / 2.0))
     header = ["lambda", "w", "x", "length", "nominal"]
-    rows = []
+    blocks = []
     for lam, w in _ENDPOINT_PANELS:
         cfg = PriorConfig(dist=dist, lam=lam, w=w, alpha=alpha)
         xs = _panel_xgrid(dist, lam, alpha)
-        lengths = hpd_length(cfg, xs)
-        for i in range(xs.size):
-            rows.append([lam, w, xs[i], lengths[i], nominal])
-    return header, rows
+        blocks.append([lam, w, xs, hpd_length(cfg, xs), nominal])
+    return header, blocks

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -8,10 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hpdcover
-from hpdcover import hpd_set
-from hpdcover.cli import RunConfig, cmd_figure, main, parse_dist_spec, parse_grid_spec
+from hpdcover import ScanSettings, hpd_set
+from hpdcover.cli import RunConfig, _csv_text, cmd_figure, main, parse_dist_spec, parse_grid_spec
+from hpdcover.figures import (
+    coverage_panels_rows,
+    endpoint_curves_rows,
+    fmt,
+    length_curves_rows,
+    posterior_illustration_rows,
+    radius_functions_rows,
+)
 
 from conftest import config
 
@@ -323,3 +334,83 @@ def test_import_leaves_scipy_optimize_unloaded():
     code = "import sys, hpdcover, hpdcover.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_main_calls_share_one_parser(monkeypatch, tmp_path):
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        seen.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for x in ("1", "7"):
+        assert main(["hpd", "--dist", "laplace", "--x", x, "--out", str(tmp_path / f"{x}.json")]) == 0
+    assert len(seen) == 2 and seen[0] is seen[1]
+
+
+def _per_cell_csv(header, blocks):
+    """The row-by-row writer that ``_csv_text`` replaced: one ``fmt`` call per cell."""
+    lines = [",".join(header)]
+    for block in blocks:
+        n = max((len(v) for v in block if np.ndim(v)), default=1)
+        rows = ([v[i] if np.ndim(v) else v for v in block] for i in range(n))
+        lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e300, -1e300,
+                   1e-300, -1e-300, 0.1, 1 / 3, 123456789012.5]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_TEXT = st.text(max_size=8)
+
+
+@st.composite
+def _column(draw, n):
+    kind = draw(st.sampled_from(["float", "int", "str"]))
+    if draw(st.booleans()):  # a per-block constant
+        if kind == "float":
+            return draw(st.sampled_from([float, np.float64]))(draw(_FLOATS))
+        if kind == "int":
+            return draw(st.one_of(st.integers(), _INT64.map(np.int64), st.integers(0, 255).map(np.uint8)))
+        return draw(_TEXT)
+    if kind == "float":
+        return np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), float)
+    if kind == "int":
+        dtype = draw(st.sampled_from([np.int64, np.int8]))
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)), dtype)
+    return np.array(draw(st.lists(_TEXT, min_size=n, max_size=n)), str)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 6))
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 5))
+        blocks.append([draw(_column(n)) for _ in range(width)])
+    return [f"c{k}" for k in range(width)], blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_csv_writer_matches_per_cell_join(table):
+    assert _csv_text(*table) == _per_cell_csv(*table)
+
+
+def test_csv_writer_matches_per_cell_join_on_every_emitter():
+    laplace, t3 = parse_dist_spec("laplace"), parse_dist_spec("t3")
+    scan = ScanSettings(n_base=1024, n_dense=128)
+    tables = [
+        coverage_panels_rows([laplace, t3], [0.5, 5.0], [0.25, 1.0], 0.05, 4, True, scan),
+        posterior_illustration_rows(parse_dist_spec("gaussian"), 0.05)[:2],
+        radius_functions_rows(t3, 0.01),
+        endpoint_curves_rows(laplace, 0.05),
+        length_curves_rows(laplace, 0.05),
+    ]
+    texts = [_csv_text(header, blocks) for header, blocks in tables]
+    assert texts == [_per_cell_csv(header, blocks) for header, blocks in tables]
+    assert "inf" in texts[2] and ",III\n" in texts[2]  # inf radii and regime names are cells too

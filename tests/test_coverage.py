@@ -188,10 +188,11 @@ def test_coverage_curve_report():
     grid = np.array([0.7, 1.0, 2.0, 4.0])
     rep = coverage_curve(cfg, grid, method="exact")
     assert rep.method == "exact_scan"
-    rows = list(rep.rows())
-    assert len(rows) == 4
-    assert rows[2]["theta0"] == 2.0
-    assert all(0 <= r["C"] <= 1 for r in rows)
+    columns = (rep.theta0, rep.C, rep.C_minus, rep.C_plus, *rep.fractions.values())
+    assert [c.shape for c in columns] == [(4,)] * 8
+    assert list(rep.fractions) == ["I", "II", "III", "IV"]
+    assert rep.theta0[2] == 2.0
+    assert np.all((0 <= rep.C) & (rep.C <= 1))
     with pytest.raises(ValueError):
         coverage_curve(cfg, grid[::-1])
     with pytest.raises(ValueError):

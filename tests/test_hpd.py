@@ -142,32 +142,52 @@ def _paper_upper(cfg, xs):
     return np.select(conds, [np.nan, xs + r1, xs + r3, xs + r2], -lam), codes
 
 
+def _geometric_codes(cfg, xs, up, low):
+    """Regimes off the atom region from where the set sits against the band:
+    for x > 0, III iff -lam is in [L, U], else II iff lam is, else I; for
+    x < 0 the mirror image, with IV in place of II."""
+    near, far = np.where(xs > 0, -cfg.lam, cfg.lam), np.where(xs > 0, cfg.lam, -cfg.lam)
+    edge = np.where(xs > 0, Regime.II, Regime.IV)
+    inside = lambda v: (low <= v) & (v <= up)
+    return np.select([inside(near), inside(far)], [Regime.III, edge], Regime.I)
+
+
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
 def test_evaluator_matches_per_regime_formulas(law):
     # The one-pass evaluator computes each radius only where its regime uses
     # it; U, L (by reflection) and the codes must equal the full evaluation
-    # exactly, NaN positions included.
+    # exactly, NaN positions included.  Off the atom region the codes also
+    # follow from U and L alone (`_geometric_codes`).
     rng = np.random.default_rng(404)
-    for lam in (0.0, 0.5, 5.0):
-        for w in (1.0, 0.25, 0.02):
-            cfg = PriorConfig(parse_dist_spec(law), lam, w, 0.05)
-            t = cfg.t_alpha
-            specials = [0.0, lam, -lam] + ([t, -t] if math.isfinite(t) else [])
-            xs = np.concatenate([
-                rng.uniform(-1.0, 1.0, 1500) * (lam + 8.0),
-                rng.uniform(-40.0, 40.0, 500),
-                rng.uniform(-1e3, 1e3, 200),
-                specials,
-            ])
-            up, codes = _paper_upper(cfg, xs)
-            low = -_paper_upper(cfg, -xs)[0]
-            got_u, got_l, got_codes = endpoints(cfg, xs)
-            for got, want in ((got_u, up), (got_l, low), (upper_values(cfg, xs), up),
-                              (lower_values(cfg, xs), low), *zip(endpoint_values(cfg, xs), (up, low))):
-                assert np.array_equal(got, want, equal_nan=True)
-            assert np.array_equal(got_codes, codes)
-            assert np.array_equal(regime_codes(cfg, xs), codes)
-            assert [classify_regime(cfg, float(x)) for x in xs[::50]] == list(codes[::50])
+    cases = [(lam, w, 0.05) for lam in (0.0, 0.5, 5.0) for w in (1.0, 0.25, 0.02)]
+    for lam, w, alpha in cases + [(60.0, 0.25, 0.01)]:
+        cfg = PriorConfig(parse_dist_spec(law), lam, w, alpha)
+        t = cfg.t_alpha
+        specials = [0.0, lam, -lam] + ([t, -t] if math.isfinite(t) else [])
+        xs = np.concatenate([
+            rng.uniform(-1.0, 1.0, 1500) * (lam + 8.0),
+            rng.uniform(-40.0, 40.0, 500),
+            rng.uniform(-1e3, 1e3, 200),
+            specials,
+        ])
+        up, codes = _paper_upper(cfg, xs)
+        low = -_paper_upper(cfg, -xs)[0]
+        got_u, got_l, got_codes = endpoints(cfg, xs)
+        for got, want in ((got_u, up), (got_l, low), (upper_values(cfg, xs), up),
+                          (lower_values(cfg, xs), low), *zip(endpoint_values(cfg, xs), (up, low))):
+            assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got_codes, codes)
+        assert np.array_equal(regime_codes(cfg, xs), codes)
+        assert [classify_regime(cfg, float(x)) for x in xs[::50]] == list(codes[::50])
+        off = codes != Regime.ATOM
+        assert np.array_equal(_geometric_codes(cfg, xs, got_u, got_l)[off], codes[off])
+    if law == "t3":
+        # The last case (lam 60, w 0.25, alpha 0.01): a regime can recur on
+        # one side, here II both below and above III.
+        order = np.argsort(xs)
+        seq = codes[order][xs[order] > 0]
+        runs = seq[np.r_[True, seq[1:] != seq[:-1]]]
+        assert list(runs) == [Regime.ATOM, Regime.II, Regime.III, Regime.II, Regime.I]
     # One Monte Carlo block of draws about theta0 = 1.5, as draw_chunks hands
     # them out, so the kernels run on whole blocks.
     cfg = PriorConfig(parse_dist_spec(law), 0.5, 0.25, 0.05)
