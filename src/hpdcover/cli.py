@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -239,16 +240,24 @@ def _cmd_coverage(rc: RunConfig) -> int:
     header = ["lambda", "w"] * tagged + ["theta0", "C", "C_minus", "C_plus", "frac_I", "frac_II",
                                          "frac_III", "frac_IV", "method", "n", "seed"]
     blocks, failures = [], []
+    # Each distinct (lambda, w) is computed once and written at every place
+    # it is listed; keyed on the float bits, so 0.0 and -0.0 stay apart.
+    curves = {}  # a CoverageReport, or the failure message
     for lam in rc.lam:
         for w in rc.w:
-            try:
-                cfg = PriorConfig(dist=rc.first_dist(), lam=lam, w=w, alpha=rc.alpha)
-                rep = coverage_curve(
-                    cfg, grid, rc.scan_settings(), method=rc.method,
-                    n=rc.n, seed=rc.seed, threads=_threads(rc),
-                )
-            except Exception as exc:  # noqa: BLE001 - enumerate and keep going
-                failures.append((lam, w, str(exc)))
+            key = struct.pack("<2d", lam, w)
+            if key not in curves:
+                try:
+                    cfg = PriorConfig(dist=rc.first_dist(), lam=lam, w=w, alpha=rc.alpha)
+                    curves[key] = coverage_curve(
+                        cfg, grid, rc.scan_settings(), method=rc.method,
+                        n=rc.n, seed=rc.seed, threads=_threads(rc),
+                    )
+                except Exception as exc:  # noqa: BLE001 - enumerate and keep going
+                    curves[key] = str(exc)
+            rep = curves[key]
+            if isinstance(rep, str):
+                failures.append((lam, w, rep))
                 continue
             blocks.append([lam, w] * tagged + [rep.theta0, rep.C, rep.C_minus, rep.C_plus,
                                                *rep.fractions.values(), rep.method, rep.n, rep.seed])

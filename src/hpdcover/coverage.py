@@ -5,8 +5,11 @@ membership set {x : theta0 in HPD(x)}.  Because the endpoint maps are
 piecewise smooth with known jump loci, that set is a finite interval union;
 it is recovered by a densified membership scan with boundaries refined by
 the margin-driven boundary solver, and summed as exact CDF differences.  A
-seeded inverse-CDF Monte Carlo estimator serves as an independent
-cross-check.
+seeded inverse-CDF Monte Carlo estimator serves as a cross-check that tests
+membership in tail-mass space instead: HPD(x) is the ball |theta - x| <=
+G^{-1}(1 - q(x)) less the band, so a draw covers theta0 iff G(-|Z|) >= q(x),
+with q from the endpoint evaluator's level stage and G(-|Z|) from the draw's
+own uniform; no radius or endpoint is formed.
 
 U and L do not depend on theta0, so a whole theta0 grid is scanned as one
 batch on the calling thread, each distinct |theta0| once (HPD(-x) = -HPD(x),
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import draw_chunks, interval_mass
-from .hpd import Regime, _member_reach, endpoint_values, endpoints, onesided_endpoints, regime_codes, upper_values
+from .hpd import Regime, _levels, _member_reach, endpoint_values, onesided_endpoints, regime_codes, upper_values
 from .posterior import PriorConfig
 from .scanning import ScanSettings, covers, member_intervals, refine_extrema
 
@@ -234,16 +237,38 @@ def coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) -> tuple[flo
     return c_hat, math.sqrt(max(c_hat * (1.0 - c_hat), 1e-300) / n)
 
 
+def _draw_covers(cfg: PriorConfig, x: np.ndarray, u: np.ndarray):
+    """(theta0 in HPD(x), codes) for draws x = theta0 + G^{-1}(u) about a
+    theta0 that the atom/band rule leaves open.
+
+    Off the atom region HPD(x) is the ball |theta - x| <= rho(x) less the
+    band, rho = G^{-1}(1 - q(x)), so a draw covers theta0 iff its code is
+    not ATOM and |Z| <= rho, that is G(-|Z|) >= q(x).  The draw's uniform
+    gives that tail mass, min(u, 1 - u), so only the level stage of the
+    endpoint pass runs (one CDF call, no quantile).
+    """
+    q, codes = _levels(cfg, x)[:2]
+    flags = np.minimum(u, 1.0 - u) >= q
+    flags &= codes != Regime.ATOM
+    return flags, codes
+
+
 def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoint:
     """Full Monte Carlo analogue of coverage_exact (splits and fractions);
     the one counter of Monte Carlo membership: C- counts the covering draws
-    with x >= theta0 and C+ the rest."""
+    with x >= theta0 and C+ the rest.  Membership is the atom/band rule where
+    it decides and the level test of _draw_covers elsewhere; the regime
+    fractions count the covering draws' codes.
+    """
     fixed, covered = _fixed_cover(cfg, theta0)
     hits = np.zeros(2, dtype=np.int64)
     regime_hits = np.zeros(5, dtype=np.int64)
-    for x in draw_chunks(cfg.dist, theta0, n, seed):
-        up, low, codes = endpoints(cfg, x)
-        f_full = np.full(x.shape, bool(covered)) if fixed else covers(up, low, theta0)
+    for x, u in draw_chunks(cfg.dist, theta0, n, seed):
+        if fixed:
+            codes = _levels(cfg, x)[1]
+            f_full = np.full(x.shape, bool(covered))
+        else:
+            f_full, codes = _draw_covers(cfg, x, u)
         hits += np.array([np.count_nonzero(f_full), np.count_nonzero(f_full & (x >= theta0))])
         regime_hits += np.bincount(codes[f_full], minlength=5)
     c = hits[0] / n

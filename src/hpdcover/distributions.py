@@ -66,12 +66,14 @@ _ERLANG_Y_CAP = 1e3
 
 # The closed-form kernels and the sampler (draw_chunks) run on blocks of this
 # many elements, which keeps temporaries in cache and out of peak memory.
-# Monte Carlo curves over four laws x lam 0.5/5 at 1e6 draws (2-vCPU VM) take
-# 2.75 s on one thread and 1.52 s on two in blocks of 2^16, against 2.80 and
-# 2.05 s in blocks of 2^14, where the Python work per block holds the GIL, and
-# 3.39 and 1.92 s on whole 2^20-draw chunks.  The kernels alone hardly care:
-# t3 ppf at 2^20 elements takes 53 ns/elem and peaks at 21.7 MB in blocks of
-# 2^16, against 52 and 18.1 MB in blocks of 2^14.
+# Monte Carlo curves over four laws x lam 0.5/5 (w 1, theta0 = lam + 0.5, 1,
+# 2, 4) at 1e6 draws, best of 5 on a 2-vCPU VM, take 4.55 s on one thread and
+# 2.63 s on two in blocks of 2^16, against 4.31 and 3.23 s in blocks of 2^14,
+# where the Python work per block holds the GIL, and 7.62 and 4.06 s on whole
+# 2^20-draw chunks (one-thread runs spread by up to 25%, so 2^14 and 2^16 tie
+# there).  The kernels alone hardly care: t3 ppf at 2^20 elements takes 60
+# ns/elem and peaks at 21.7 MB in blocks of 2^16, against 60 and 18.1 MB in
+# blocks of 2^14.
 # Arrays of up to _SCALAR_MAX elements go element by element as numpy
 # scalars, which skips most of the per-call cost of array ufuncs: t3 ppf
 # takes 17 us at one element and 28 at three, against 46 at eight and 70 or
@@ -411,16 +413,19 @@ def make_distribution(name: str, eta: float | None = None) -> Distribution:
 
 
 def draw_chunks(dist: Distribution, theta0: float, n: int, seed: int, chunk: int = 1 << 20):
-    """Yield n draws of X = theta0 + Z, Z ~ dist, by inverse-CDF sampling.
+    """Yield n draws of X = theta0 + Z, Z ~ dist, by inverse-CDF sampling, as
+    blocks (x, u): the draws x = theta0 + G^{-1}(u) and their uniforms u.
 
     Chunk i takes its ``chunk`` uniforms from one ``random`` call on the i-th
     Philox stream spawned from the seed, and its draws are made and handed
     out in slices of at most _BLOCK, so that callers test membership on
-    cache-sized blocks.  The quantile is elementwise, so the draws depend on
-    the seed and the chunk size but not on the block size or on worker
-    scheduling.  One ``random`` call per chunk holds an 8 MB array per 2^20
-    draws, yet measured faster than one call per block (2.75 against 3.6 s
-    on one thread for the curves in the _BLOCK note).
+    cache-sized blocks.  u is a view of the chunk's uniforms; it gives each
+    draw's tail mass G(-|Z|) = min(u, 1 - u) without a CDF call.  The
+    quantile is elementwise, so the draws depend on the seed and the chunk
+    size but not on the block size or on worker scheduling.  One ``random``
+    call per chunk holds an 8 MB array per 2^20 draws, yet measured faster
+    than one call per block (4.55 against 5.21 s on one thread, 2.63 against
+    2.79 s on two, for the curves in the _BLOCK note).
     """
     n_chunks = (n + chunk - 1) // chunk
     children = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -428,7 +433,8 @@ def draw_chunks(dist: Distribution, theta0: float, n: int, seed: int, chunk: int
         m = min(chunk, n - i * chunk)
         u = np.random.Generator(np.random.Philox(children[i])).random(m)
         for j in range(0, m, _BLOCK):
-            yield theta0 + dist.ppf(u[j : j + _BLOCK])
+            block = u[j : j + _BLOCK]
+            yield theta0 + dist.ppf(block), block
 
 
 def interval_mass(dist: Distribution, a, b):

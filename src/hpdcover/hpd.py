@@ -8,13 +8,14 @@ already carries 1 - alpha of the posterior (|x| <= t_alpha), and otherwise
 where U is built from three radius functions r1, r2, r3.  The real line
 splits into four regimes (plus the atom region) on which U takes the forms
 x + r1, x + r2, x + r3, and -lam; L(x) = -U(-x) by symmetry.  One evaluator,
-``endpoints``, returns U, L and the regime codes from one CDF call and one
-quantile call: the regimes are read off the tail levels, and each radius is
-computed only where its regime uses it (r2 once at -|x| for both signs).  The
-module also provides the set-valued inverses of U and L (level-set boundaries,
-from the scan coverage uses), a monotone fixed-point iteration for the
-smallest element of L^{-1}, and the one-sided analogue (uniform prior on
-(lam, inf)) used as a comparison baseline.
+``endpoints``, returns U, L and the regime codes in two stages: a level
+stage (one CDF call) picks each x's regime and the tail level q of the
+radius that regime uses (r2 once at -|x| for both signs), and a radius stage
+(one quantile call, rho = G^{-1}(1 - q)) forms U and L.  Monte Carlo runs
+the level stage alone.  The module also provides the set-valued inverses of
+U and L (level-set boundaries, from the scan coverage uses), a monotone
+fixed-point iteration for the smallest element of L^{-1}, and the one-sided
+analogue (uniform prior on (lam, inf)) used as a comparison baseline.
 """
 
 from __future__ import annotations
@@ -140,42 +141,60 @@ def hpd_radii(cfg: PriorConfig, x):
 def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U(x), L(x) and the Regime codes in one pass; U and L are NaN on the atom region.
 
-    One CDF call gives the tail levels, the regimes are read off them, and
-    one quantile call evaluates each radius where its regime uses it: r1 on
-    I, r3 on III and r2 on the band-edge regimes II/IV.  The gap mass and the
-    spike term are even in x, so r2 at -|x| is the pinned radius of U for
-    x > 0 and of the reflection L(x) = -U(-x) for x < 0.
+    The level stage (one CDF call) reads the regimes off the tail levels and
+    picks the level of the radius each regime uses; one quantile call then
+    evaluates it: r1 on I, r3 on III and r2 on the band-edge regimes II/IV.
+    The gap mass and the spike term are even in x, so r2 at -|x| is the
+    pinned radius of U for x > 0 and of the reflection L(x) = -U(-x) for x < 0.
     """
     return _endpoint_pass(cfg, x)[:3]
 
 
-def _endpoint_pass(cfg: PriorConfig, x):
-    """endpoints and the radius r of each regime: r1 on I, r3 on III, r2 on II/IV."""
-    arr = np.atleast_1d(np.asarray(x, float))
+def _levels(cfg: PriorConfig, arr: np.ndarray):
+    """Level stage of the endpoint pass, one CDF call: (q, codes, edge, atom).
+
+    q is each x's selected tail level, q1 on I, q3 on III and q2 on II/IV,
+    so that its radius is rho = G^{-1}(1 - q) and, in every regime,
+    HPD(x) = {theta : |theta - x| <= rho} \\ (-lam, lam) off the atom region;
+    codes are the Regime codes (ATOM included), edge the indices of the
+    band-edge regimes II/IV and atom the mask of the atom region.
+    """
     lam, alpha, sabs = cfg.lam, cfg.alpha, np.abs(arr)
-    sk, q1, tail, below = _tail_levels(cfg, sabs)
+    sk, q, tail, below = _tail_levels(cfg, sabs)
     # r = G^{-1}(1 - q) falls as q rises: regime I (|x| - lam > r1) reads
     # q1 > G(lam - |x|), and III (r3 >= |x| + lam) reads q3 <= G(-lam - |x|).
-    one = (sabs > lam) & (q1 > tail)
+    one = (sabs > lam) & (q > tail)
     off = np.flatnonzero(~one)
     sk, below = sk[off], below[off]  # off regime I from here on
     q3 = (0.5 * alpha) * sk
     third = q3 <= below
-    q1[off] = np.where(third, q3, alpha * sk - below)
+    q[off] = np.where(third, q3, alpha * sk - below)
     edge = off[~third]
-    r = _ppf_upper_ext(cfg.dist, q1)
     codes = np.where(one, np.int8(Regime.I), np.int8(Regime.III))
+    if edge.size:
+        codes[edge] = np.where(arr[edge] > 0, Regime.II, Regime.IV)
+    atom = sabs <= cfg.t_alpha
+    codes[atom] = Regime.ATOM
+    return q, codes, edge, atom
+
+
+def _endpoint_pass(cfg: PriorConfig, x):
+    """endpoints and the radius r of each regime: r1 on I, r3 on III, r2 on II/IV.
+
+    The level stage (_levels) followed by the radius stage: one quantile
+    call, r = G^{-1}(1 - q), and the U and L it gives.
+    """
+    arr = np.atleast_1d(np.asarray(x, float))
+    q, codes, edge, atom = _levels(cfg, arr)
+    r = _ppf_upper_ext(cfg.dist, q)
     upper = arr + r
     upper_refl = r - arr  # U(-x), so that L(x) = -U(-x)
     if edge.size:
-        xe, r2 = arr[edge], r[edge]
-        codes[edge] = np.where(xe > 0, Regime.II, Regime.IV)
+        xe, r2, lam = arr[edge], r[edge], cfg.lam
         upper[edge] = np.where(xe > 0, xe + r2, -lam)
         upper_refl[edge] = np.where(xe < 0, r2 - xe, -lam)
     lower = np.negative(upper_refl, out=upper_refl)
-    atom = sabs <= cfg.t_alpha
     upper[atom] = lower[atom] = np.nan
-    codes[atom] = Regime.ATOM
     return upper, lower, codes, r
 
 

@@ -104,7 +104,7 @@ def conditional_coverage_mc(
     pieces = cs.intervals
     kept = 0
     covered = 0
-    for x in draw_chunks(cfg.dist, theta0, n, seed, chunk):
+    for x, _ in draw_chunks(cfg.dist, theta0, n, seed, chunk):
         sel = np.abs(x) >= cfg.lam
         kept += int(np.count_nonzero(sel))
         xs = x[sel]

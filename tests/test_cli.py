@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import hpdcover
 from hpdcover import ScanSettings, hpd_set
+from hpdcover import cli as cli_mod
 from hpdcover.cli import RunConfig, _csv_text, cmd_figure, main, parse_dist_spec, parse_grid_spec
 from hpdcover.figures import (
     coverage_panels_rows,
@@ -304,6 +305,23 @@ def test_cli_coverage_partial_failure(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 3  # header + the two points of the healthy config
     assert lines[1].startswith("0.5,1,")
+
+
+def test_cli_coverage_computes_each_listed_curve_once(tmp_path, monkeypatch):
+    # A (lambda, w) listed twice is scanned once and written at both places;
+    # 0 and -0 are different values and get a curve each.
+    calls = []
+    real = cli_mod.coverage_curve
+    monkeypatch.setattr(cli_mod, "coverage_curve", lambda cfg, *a, **k: calls.append(cfg.lam) or real(cfg, *a, **k))
+    args = ["coverage", "--dist", "laplace", "--w", "0.5", "--grid", "1:3:3", "--n-base", "1024", "--n-dense", "128"]
+    dup, distinct = tmp_path / "dup.csv", tmp_path / "distinct.csv"
+    assert main(args + ["--lambda", "1,1,-0,0,1", "--out", str(dup)]) == 0
+    assert [(lam, math.copysign(1.0, lam)) for lam in calls] == [(1.0, 1.0), (0.0, -1.0), (0.0, 1.0)]
+    assert main(args + ["--lambda", "1,-0,0", "--out", str(distinct)]) == 0
+    lines = distinct.read_bytes().splitlines(keepends=True)
+    header, one, rest = lines[0], lines[1:4], lines[4:]
+    assert [row.split(b",")[0] for row in rest] == [b"-0"] * 3 + [b"0"] * 3
+    assert dup.read_bytes() == b"".join([header, *one, *one, *rest, *one])
 
 
 def test_thread_count_env_cap(monkeypatch):

@@ -13,7 +13,9 @@ from hpdcover import (
     coverage_exact,
     coverage_mc,
     dip_search,
+    endpoints,
     hpd_contains,
+    hpd_radii,
     hpd_set,
     interval_mass,
     invert_lower,
@@ -697,7 +699,7 @@ def test_monte_carlo_fixed_cover_split(law, lam, w, theta_mc, mc, grid, rows):
     fixed, covered = coverage_mod._fixed_cover(cfg, np.array(grid))
     assert fixed.any()
     for theta0, row, cov in zip(np.array(grid)[fixed], np.array(rows)[fixed], covered[fixed]):
-        above = sum(np.count_nonzero(x >= theta0) for x in draw_chunks(cfg.dist, theta0, MC_PIN_N, MC_PIN_SEED))
+        above = sum(np.count_nonzero(x >= theta0) for x, _ in draw_chunks(cfg.dist, theta0, MC_PIN_N, MC_PIN_SEED))
         count = above if cov else 0
         assert tuple(row[:3]) == (float(cov), count / MC_PIN_N, (MC_PIN_N * cov - count) / MC_PIN_N)
 
@@ -718,6 +720,43 @@ def test_coverage_is_sum_of_split_everywhere(law, lam, w):
         counts = np.rint(np.array([pt.C, pt.C_minus, pt.C_plus]) * n)
         assert np.array_equal(counts / n, [pt.C, pt.C_minus, pt.C_plus])
         assert counts[0] == counts[1] + counts[2]
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 5.0])
+@pytest.mark.parametrize("w", [1.0, 0.25])
+def test_level_membership_matches_hpd_contains(law, lam, w):
+    # Monte Carlo reads theta0 in HPD(x) as G(-|Z|) >= q(x) from each draw's
+    # uniform; hpd_contains (L <= theta0 <= U) is the reference.  The last
+    # theta0 puts draws far left of the band, where the signed r2 of
+    # hpd_radii leaves (0, 1) in its tail level and is infinite.
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+    for theta0 in (lam, -lam, lam + 0.3, lam + 3.0, -lam - 1.1):
+        if coverage_mod._fixed_cover(cfg, theta0)[0]:
+            continue
+        for x, u in draw_chunks(cfg.dist, theta0, 20_000, 29):
+            flags, codes = coverage_mod._draw_covers(cfg, x, u)
+            assert np.array_equal(flags, hpd_contains(cfg, x, theta0))
+            assert np.array_equal(codes, endpoints(cfg, x)[2])
+            assert 0 < np.count_nonzero(flags) < x.size
+        if theta0 < -lam:
+            assert np.isinf(hpd_radii(cfg, x)[1]).any()
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_coverage_mc_calls_the_quantile_once_per_draw(monkeypatch, law):
+    # The quantile makes each draw and nothing else: membership takes the
+    # draw's tail mass from its uniform instead of forming a radius.
+    cfg = PriorConfig(parse_dist_spec(law), 0.5, 0.25, ALPHA)
+    cfg.t_alpha  # the atom threshold (a cached property) is solved before counting
+    seen = []
+    real = type(cfg.dist).ppf
+    monkeypatch.setattr(type(cfg.dist), "ppf", lambda self, p: seen.append(np.size(p)) or real(self, p))
+    n = (1 << 16) + 1000
+    for theta0 in (1.5, 0.0, -0.2):
+        seen.clear()
+        coverage_mc(cfg, theta0, n, 3)
+        assert sum(seen) == n
 
 
 # 2^16 + 3 draws: one sampler block at the default size, then a 3-draw block

@@ -363,10 +363,14 @@ def test_draw_chunks_stream_is_one_random_call_per_chunk(name):
     # 5-draw block, and neither the chunk nor the block divides n.
     d = build(name)
     n, chunk, seed, theta0 = 3 * (1 << 16) + 123, (1 << 17) + 5, 41, 1.25
-    got = np.concatenate(list(draw_chunks(d, theta0, n, seed, chunk)))
+    # Each block hands out its draws with the uniforms they came from.
+    blocks = list(draw_chunks(d, theta0, n, seed, chunk))
+    got, got_u = (np.concatenate(col) for col in zip(*blocks))
     children = np.random.SeedSequence(seed).spawn(2)
     sizes = (chunk, n - chunk)
-    ref = np.concatenate(
-        [theta0 + d.ppf(np.random.Generator(np.random.Philox(c)).random(m)) for c, m in zip(children, sizes)]
-    )
+    stream = [np.random.Generator(np.random.Philox(c)).random(m) for c, m in zip(children, sizes)]
+    ref = np.concatenate([theta0 + d.ppf(u) for u in stream])
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(got_u.view(np.uint64), np.concatenate(stream).view(np.uint64))
+    for x, u in blocks:
+        assert np.array_equal(x.view(np.uint64), (theta0 + d.ppf(u)).view(np.uint64))
