@@ -258,9 +258,12 @@ def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoi
     the one counter of Monte Carlo membership: C- counts the covering draws
     with x >= theta0 and C+ the rest.  Membership is the atom/band rule where
     it decides and the level test of _draw_covers elsewhere; the regime
-    fractions count the covering draws' codes.
+    fractions count the covering draws' codes.  Where the rule leaves theta0
+    uncovered every output is 0, and no draw is made.
     """
     fixed, covered = _fixed_cover(cfg, theta0)
+    if fixed and not covered:
+        return CoveragePoint(float(theta0), 0.0, 0.0, 0.0, dict.fromkeys(_REGIME_KEYS, 0.0))
     hits = np.zeros(2, dtype=np.int64)
     regime_hits = np.zeros(5, dtype=np.int64)
     for x, u in draw_chunks(cfg.dist, theta0, n, seed):
@@ -389,21 +392,17 @@ def predicted_dip_level(cfg: PriorConfig) -> float:
     return 1.0 - 1.5 * a + a * float(cfg.dist.cdf(0.5 * float(cfg.dist.ppf(a))))
 
 
-def _min_upper_from_band_edge(cfg: PriorConfig, scan: ScanSettings) -> float:
+def _min_upper_from_band_edge(cfg: PriorConfig) -> float:
     """min U over x >= max(lam, t_alpha): the smallest target whose upper
-    inverse reaches past the band edge."""
+    inverse reaches past the band edge.  U attains it within
+    G^{-1}(1 - alpha/2) + 2 of that edge, the bracket of one extremum-mode
+    solve."""
     lo = max(cfg.lam, cfg.t_alpha)
     if not math.isfinite(lo):
         raise ValueError("upper endpoint undefined everywhere (saturated atom)")
     lo += 1e-9
-    hi = cfg.lam + float(cfg.dist.ppf_upper(cfg.alpha / 2.0)) + 2.0
-    xs = np.linspace(lo, hi, 4 * scan.n_base)
-    ups = upper_values(cfg, xs)
-    i = int(np.nanargmin(ups))
-    # Extremum-mode multisection sharpening of the grid minimum.
-    j = np.clip([i - 1, i + 1], 0, xs.size - 1)
-    x_min = refine_extrema(lambda x, rows: upper_values(cfg, x), xs[j[:1]], xs[j[1:]], False)
-    return min(float(upper_values(cfg, x_min)[0]), float(ups[i]))
+    hi = lo + float(cfg.dist.ppf_upper(cfg.alpha / 2.0)) + 2.0
+    return float(refine_extrema(lambda x, rows: upper_values(cfg, x), [lo], [hi], False)[1][0])
 
 
 @dataclass(frozen=True)
@@ -421,39 +420,25 @@ class DipResult:
         return abs(self.c_min - self.predicted)
 
 
-def dip_search(
-    cfg: PriorConfig,
-    scan: ScanSettings = ScanSettings(),
-    n_grid: int = 160,
-    refine_rounds: int = 2,
-) -> DipResult:
+def dip_search(cfg: PriorConfig, scan: ScanSettings = ScanSettings()) -> DipResult:
     """Locate min C(theta0) over {theta0 : sup U^{-1}(theta0) >= lam}.
 
     That domain is the half-line [min U on [lam or t_alpha, inf), inf) since
-    U is continuous there and grows without bound.  The minimum is found on
-    a grid and sharpened by local re-gridding; each grid is one batch scan.
+    U is continuous there and grows without bound.  The minimum is one
+    extremum-mode solve over [domain_lo, lam + 3.2 G^{-1}(1 - alpha/2)],
+    each round one batch scan of its interior theta0, to 1e-4 (1 + theta0):
+    C is V-shaped at the dip, so c_min is off by about the slope times that.
     """
-    domain_lo = _min_upper_from_band_edge(cfg, scan)
+    domain_lo = _min_upper_from_band_edge(cfg)
     hi = cfg.lam + 3.2 * float(cfg.dist.ppf_upper(cfg.alpha / 2.0))
     hi = max(hi, domain_lo + 1.0)
-    grid = np.linspace(domain_lo + 1e-7, hi, n_grid)
-
-    def c_many(ts):
-        return _exact_batch(cfg, ts, scan, fractions=False)[:, 0]
-
-    vals = c_many(grid)
-    for _ in range(refine_rounds):
-        i = int(np.argmin(vals))
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, grid.size - 1)]
-        grid = np.linspace(a, b, 24)
-        vals = c_many(grid)
-    i = int(np.argmin(vals))
+    c_many = lambda ts, rows: _exact_batch(cfg, ts, scan, fractions=False)[:, 0]
+    theta, c_min = refine_extrema(c_many, [domain_lo], [hi], False, tol=1e-4)
     return DipResult(
-        theta_at_min=float(grid[i]),
-        c_min=float(vals[i]),
+        theta_at_min=float(theta[0]),
+        c_min=float(c_min[0]),
         predicted=predicted_dip_level(cfg),
-        domain_lo=float(domain_lo),
+        domain_lo=domain_lo,
     )
 
 

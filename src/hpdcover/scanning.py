@@ -16,9 +16,12 @@ boundary is the sign change of the margin min(U - t, t - L), whose sign is
 the flag: each round adds a geometric cluster about the regula falsi
 estimate from the bracket's end margins, so a smooth boundary settles below
 bisect_tol / 128 in two or three rounds, while the uniform points narrow a
-jump or NaN edge as fast as multisection alone.  graze_points, the one
-sliver guard, runs extremum mode on the local extrema of U and L that graze
-a target level, calling curves once per round for both endpoints.
+jump or NaN edge as fast as multisection alone.  An extremum keeps the two
+sub-cells around its best sample each round, down to a relative tol set by
+the caller: graze_points, the one sliver guard, runs it at 1e-13 on the
+local extrema of U and L that graze a target level, calling curves once per
+round for both endpoints, and the coverage dip and its domain edge are one
+call each (coverage.dip_search).
 Inversion is the same scan: sign_change_roots reads the roots of fn off
 {fn >= 0}, the pair (fn, -inf) at level 0, whose margin is fn.  Everything
 is vectorized so that one pass can serve many windows and levels at once.
@@ -117,28 +120,6 @@ def bisect_iters(widths, tol: float) -> int:
     return min(80, math.ceil(math.log2(max(float(np.max(widths)), tol) / tol)) + 1)
 
 
-def _multisect(fn, pick, lo, hi, iters: int, keep: int) -> np.ndarray:
-    """The solver round loop: each round evaluates fn(xs, rows) at the m - 1
-    interior points of every cell in one call (m from section_count) and keeps
-    the keep sub-cells that start at the one pick(samples) names per cell, so
-    ceil(iters / log2(m / keep)) rounds narrow every cell at least as far as
-    iters bisection steps.  Returns the final cell midpoints; no call is made
-    for an empty cell array."""
-    lo, hi = np.array(lo, float), np.array(hi, float)
-    n = lo.size
-    if n == 0:
-        return lo
-    sections = section_count(n, iters, keep)
-    rows = np.repeat(np.arange(n), sections - 1)
-    at = np.arange(n)
-    for _ in range(-(-iters // (sections.bit_length() - keep))):
-        xs = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, sections) / sections)
-        k = pick(fn(xs.ravel(), rows).reshape(n, sections - 1))
-        ends = np.column_stack([lo, xs, hi])
-        lo, hi = ends[at, k], ends[at, k + keep]
-    return 0.5 * (lo + hi)
-
-
 def level_margin(upper, lower, level):
     """min(U - level, level - L): >= 0 exactly where covers(U, L, level) holds
     (a float difference is zero only between equal floats), NaN on NaN
@@ -211,20 +192,35 @@ def _cluster(k: int) -> np.ndarray:
     return np.concatenate([-pw[::-1], pw])
 
 
-def refine_extrema(fn, lo, hi, maximize) -> np.ndarray:
+def refine_extrema(fn, lo, hi, maximize, tol: float = 1e-13):
     """Extremum mode: one maximum (or minimum, per ``maximize``) of fn per (lo, hi) bracket.
 
     fn(xs, rows) gives the values at xs as margin does in refine_boundaries.
-    Each round keeps the two sub-cells around the best sample, which a NaN
-    sample (the atom region) never is, and the rounds stop once every bracket
-    is narrower than 1e-13 (1 + |x|), |x| least on the bracket; an extremum
-    at a bracket end is approached from inside.
+    Each round evaluates, in one call, the m - 1 interior points of every
+    bracket (m from section_count) and keeps the two sub-cells around the
+    best sample, which a NaN sample (the atom region) never is, so
+    ceil(iters / log2(m / 2)) rounds bring every bracket below tol (1 + |x|),
+    |x| least on the bracket, as iters bisection steps would; an extremum at
+    a bracket end is approached from inside.  Returns the final bracket
+    midpoints, each the abscissa of its last best sample up to rounding, and
+    those best values; no call is made for an empty bracket array.
     """
     lo, hi = np.array(lo, float), np.array(hi, float)
+    n = lo.size
+    if n == 0:
+        return lo, lo.copy()
     sign = np.where(np.broadcast_to(maximize, lo.shape), 1.0, -1.0)[:, None]
-    best = lambda vals: np.argmax(np.fmax(sign * vals, -np.inf), axis=1)
-    iters = bisect_iters((hi - lo) / (1.0 + np.maximum(0.0, np.maximum(lo, -hi))), 1e-13)
-    return _multisect(fn, best, lo, hi, iters, 2)
+    iters = bisect_iters((hi - lo) / (1.0 + np.maximum(0.0, np.maximum(lo, -hi))), tol)
+    sections = section_count(n, iters, 2)
+    rows = np.repeat(np.arange(n), sections - 1)
+    at = np.arange(n)
+    for _ in range(-(-iters // (sections.bit_length() - 2))):
+        xs = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, sections) / sections)
+        vals = fn(xs.ravel(), rows).reshape(n, sections - 1)
+        k = np.argmax(np.fmax(sign * vals, -np.inf), axis=1)
+        ends = np.column_stack([lo, xs, hi])
+        lo, hi = ends[at, k], ends[at, k + 2]
+    return 0.5 * (lo + hi), vals[at, k]
 
 
 def graze_cells(vals: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +283,7 @@ def graze_points(grid: np.ndarray, table, levels, curves):
     if idx.size == 0:
         return grid, table
     column = lambda xs, rows: np.where(on_u[rows], *curves(xs))
-    extra = refine_extrema(column, grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l]))
+    extra = refine_extrema(column, grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l]))[0]
     extra = np.setdiff1d(extra, grid)
     at = np.searchsorted(grid, extra)
     return np.insert(grid, at, extra), tuple(np.insert(v, at, x) for v, x in zip(table, curves(extra)))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ def test_predicted_dip_level_laplace_closed_form():
 def test_dip_search_smoke():
     cfg = config("laplace", 5.0, 1.0)
     scan = ScanSettings(n_base=2048, n_dense=256)
-    dip = dip_search(cfg, scan, n_grid=80, refine_rounds=1)
+    dip = dip_search(cfg, scan)
     assert dip.domain_lo == pytest.approx(7.9966, abs=1e-3)
     assert dip.c_min == pytest.approx(0.9273, abs=2e-3)
     assert dip.theta_at_min > dip.domain_lo
@@ -252,7 +253,7 @@ def _dense_grid_min_upper(cfg, zooms=8, n=2001):
     """min U over x >= max(lam, t_alpha) by repeated dense grids, each
     re-centred on the previous grid minimum; no solver involved."""
     a = max(cfg.lam, cfg.t_alpha) + 1e-9
-    b = cfg.lam + float(cfg.dist.ppf_upper(cfg.alpha / 2.0)) + 2.0
+    b = a + float(cfg.dist.ppf_upper(cfg.alpha / 2.0)) + 2.0
     for _ in range(zooms):
         xs = np.linspace(a, b, n)
         ups = upper_values(cfg, xs)
@@ -266,8 +267,74 @@ def _dense_grid_min_upper(cfg, zooms=8, n=2001):
 def test_dip_domain_matches_dense_grid_minimum(law, lam, w):
     cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
     assert cfg.t_alpha <= lam
-    dip = dip_search(cfg, n_grid=8, refine_rounds=0)
+    dip = dip_search(cfg)
     assert dip.domain_lo == pytest.approx(_dense_grid_min_upper(cfg), abs=1e-9)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3"])
+@pytest.mark.parametrize("w", [1e-6, 1e-9])
+def test_dip_domain_beyond_a_far_atom_threshold(law, w):
+    # At tiny w the atom threshold lies past lam + G^{-1}(1 - alpha/2) + 2,
+    # so min U is sought beyond t_alpha, not up to a fixed point past lam.
+    cfg = PriorConfig(parse_dist_spec(law), 0.5, w, ALPHA)
+    assert cfg.t_alpha > cfg.lam + float(cfg.dist.ppf_upper(ALPHA / 2.0)) + 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dip = dip_search(cfg)
+    assert dip.domain_lo == pytest.approx(_dense_grid_min_upper(cfg), abs=1e-9)
+    assert all(math.isfinite(v) for v in (dip.domain_lo, dip.theta_at_min, dip.c_min))
+    assert dip.theta_at_min > dip.domain_lo
+
+
+def test_dip_search_saturated_atom_raises():
+    cfg = PriorConfig(parse_dist_spec("t3"), 0.5, 1e-30, ALPHA)
+    assert cfg.t_alpha == math.inf
+    with pytest.raises(ValueError, match="saturated atom"):
+        dip_search(cfg)
+
+
+def _dense_grid_dip(cfg, lo, hi, n=201, zoom_n=41):
+    """min C over [lo, hi] from the exact batch on zoomed dense grids, each
+    re-centred on the previous grid minimum, to a spacing below 1e-6; no
+    solver involved."""
+    xs = np.linspace(lo, hi, n)
+    while True:
+        c = coverage_mod._exact_batch(cfg, xs, ScanSettings(), fractions=False)[:, 0]
+        i = int(np.argmin(c))
+        if xs[1] - xs[0] < 1e-6:
+            return float(c[i])
+        xs = np.linspace(xs[max(i - 2, 0)], xs[min(i + 2, xs.size - 1)], zoom_n)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_dip_matches_dense_grid_minimum(law):
+    cfg = PriorConfig(parse_dist_spec(law), 5.0, 1.0, ALPHA)
+    dip = dip_search(cfg)
+    hi = max(5.0 + 3.2 * float(cfg.dist.ppf_upper(ALPHA / 2.0)), dip.domain_lo + 1.0)
+    ref = _dense_grid_dip(cfg, dip.domain_lo, hi)
+    # C is V-shaped at the dip, so c_min sits above the minimum by up to its
+    # slope times the spacing of the solver's last samples.
+    assert dip.c_min - ref <= 6e-7
+    assert abs(dip.c_min - coverage_exact(cfg, dip.theta_at_min).C) <= 1e-10
+
+
+def test_dip_search_scans_one_solver_schedule(monkeypatch):
+    # One extremum-mode solve: ceil(iters / log2(m / 2)) batch scans of
+    # m - 1 theta0 each, none of them on the near-double root of U - theta0
+    # at the domain's lower end.
+    cfg = config("laplace", 5.0, 1.0)
+    seen = []
+    real = coverage_mod._exact_batch
+    monkeypatch.setattr(
+        coverage_mod, "_exact_batch", lambda cfg, ts, *args, **kw: seen.append(np.array(ts)) or real(cfg, ts, *args, **kw)
+    )
+    dip = dip_search(cfg)
+    hi = max(5.0 + 3.2 * float(cfg.dist.ppf_upper(ALPHA / 2.0)), dip.domain_lo + 1.0)
+    iters = scanning_mod.bisect_iters((hi - dip.domain_lo) / (1.0 + dip.domain_lo), 1e-4)
+    m = scanning_mod.section_count(1, iters, 2)
+    assert len(seen) == math.ceil(iters / math.log2(m / 2)) == 3
+    assert [ts.size for ts in seen] == [m - 1] * 3 == [63] * 3
+    assert min(float(np.min(ts)) for ts in seen) - dip.domain_lo > 1e-6
 
 
 def test_check_bounds_panel_config():
@@ -756,7 +823,8 @@ def test_coverage_mc_calls_the_quantile_once_per_draw(monkeypatch, law):
     for theta0 in (1.5, 0.0, -0.2):
         seen.clear()
         coverage_mc(cfg, theta0, n, 3)
-        assert sum(seen) == n
+        # Inside the band, off the atom, nothing covers theta0: no draw is made.
+        assert sum(seen) == (0 if theta0 == -0.2 else n)
 
 
 # 2^16 + 3 draws: one sampler block at the default size, then a 3-draw block

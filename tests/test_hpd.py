@@ -414,7 +414,7 @@ def test_invert_upper_multiple_roots_where_u_dips(law, lam, w, eps):
     # starts, U - target has two roots around that minimum within one grid
     # cell; sup U^{-1} >= lam is what puts the target in that domain.
     cfg = PriorConfig(parse_dist_spec(law), lam, w, 0.05)
-    target = dip_search(cfg, n_grid=8, refine_rounds=0).domain_lo + eps
+    target = dip_search(cfg).domain_lo + eps
     inv = invert_upper(cfg, target)
     assert len(inv.roots) >= 3 and inv.sup >= lam
     for r in inv.roots:

@@ -146,9 +146,11 @@ def test_refine_extrema_rounds_and_accuracy(case):
         calls.append(xs.size)
         return fn(xs, rows)
 
-    found = refine_extrema(counted, lo, hi, maximize)
+    found, best = refine_extrema(counted, lo, hi, maximize)
     # Every bracket ends narrower than 1e-13 (1 + |x|), the stopping rule.
     assert np.all(np.abs(found - expected) <= max(atol, 1e-13) * (1.0 + np.abs(expected)))
+    # The best value is fn at the returned midpoint, up to its rounding.
+    assert np.allclose(best, fn(found, np.arange(lo.size)), rtol=0.0, atol=1e-12)
     # Each round samples m - 1 interior points per bracket in one call and
     # keeps two of the m sub-cells, gaining log2(m / 2) halvings.
     iters = bisect_iters((hi - lo) / (1.0 + np.maximum(0.0, np.maximum(lo, -hi))), 1e-13)
@@ -162,8 +164,8 @@ def test_refine_extrema_empty_input_makes_no_call():
     def fn(xs, rows):
         raise AssertionError("fn called on no brackets")
 
-    out = refine_extrema(fn, [], [], [])
-    assert isinstance(out, np.ndarray) and out.size == 0
+    out, best = refine_extrema(fn, [], [], [])
+    assert isinstance(out, np.ndarray) and out.size == 0 and best.size == 0
 
 
 @pytest.mark.parametrize(
