@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import draw_chunks, interval_mass
-from .hpd import Regime, _levels, _member_reach, endpoint_values, onesided_endpoints, regime_codes, upper_values
+from .hpd import Regime, _half_width, _levels, endpoint_values, onesided_endpoints, regime_codes, upper_values
 from .posterior import PriorConfig
 from .scanning import ScanSettings, covers, member_intervals, refine_extrema
 
@@ -107,13 +107,6 @@ class CoveragePoint:
 # Budget of one chunk of theta0 in points, its stretches counted at the
 # default n_base's one-window step (see _chunks).
 _GRID_CAP = 1 << 17
-
-
-def _half_width(cfg: PriorConfig, scan: ScanSettings) -> float:
-    # Members lie within _member_reach of theta0, so the window can be
-    # truncated there with zero mass error; the tail-probability cap applies
-    # when that bound is very wide.
-    return min(float(cfg.dist.ppf_upper(scan.tol_tail / 2.0)), _member_reach(cfg))
 
 
 def _chunks(ts: np.ndarray, width: float, reach: float, scan: ScanSettings):
@@ -247,7 +240,7 @@ def _draw_covers(cfg: PriorConfig, x: np.ndarray, u: np.ndarray):
     gives that tail mass, min(u, 1 - u), so only the level stage of the
     endpoint pass runs (one CDF call, no quantile).
     """
-    q, codes = _levels(cfg, x)[:2]
+    q, codes = _levels(cfg, x)
     flags = np.minimum(u, 1.0 - u) >= q
     flags &= codes != Regime.ATOM
     return flags, codes

@@ -249,7 +249,9 @@ class Gaussian(Distribution):
 
     def pdf(self, x):
         x = np.asarray(x, float)
-        return np.exp(-0.5 * x * x) / _SQRT2PI
+        # x * x overflows to inf beyond |x| = 1.34e154, where exp gives the exact 0.
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * x * x) / _SQRT2PI
 
     def cdf(self, x):
         return special.ndtr(np.asarray(x, float))
@@ -302,7 +304,8 @@ class StudentT3(Distribution):
 
     def pdf(self, x):
         x = np.asarray(x, float)
-        with np.errstate(invalid="ignore"):
+        # The square overflows to inf beyond |x| = 2e77, where the quotient is the exact 0.
+        with np.errstate(invalid="ignore", over="ignore"):
             val = self._NORM / (1.0 + x * x / 3.0) ** 2
         return np.where(np.isfinite(x), val, 0.0)
 

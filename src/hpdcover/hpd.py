@@ -9,13 +9,13 @@ where U is built from three radius functions r1, r2, r3.  The real line
 splits into four regimes (plus the atom region) on which U takes the forms
 x + r1, x + r2, x + r3, and -lam; L(x) = -U(-x) by symmetry.  One evaluator,
 ``endpoints``, returns U, L and the regime codes in two stages: a level
-stage (one CDF call) picks each x's regime and the tail level q of the
-radius that regime uses (r2 once at -|x| for both signs), and a radius stage
-(one quantile call, rho = G^{-1}(1 - q)) forms U and L.  Monte Carlo runs
-the level stage alone.  The module also provides the set-valued inverses of
-U and L (level-set boundaries, from the scan coverage uses), a monotone
-fixed-point iteration for the smallest element of L^{-1}, and the one-sided
-analogue (uniform prior on (lam, inf)) used as a comparison baseline.
+stage (one CDF call) selects each x's regime code and the tail level q of
+its radius on the whole array (r2 once at -|x| for both signs), and a radius
+stage (one quantile call, rho = G^{-1}(1 - q)) forms U and L from rho and the
+codes.  Monte Carlo runs the level stage alone.  The module also provides the
+set-valued inverses of U and L (level-set boundaries, from the scan coverage
+uses), a monotone fixed-point iteration for the smallest element of L^{-1},
+and the one-sided analogue (uniform prior on (lam, inf)) used as a baseline.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ class Regime(IntEnum):
         return self.name
 
 
+# The codes as int8 scalars: numpy converts a Regime member anew at each use.
+_ATOM, _I, _II, _III, _IV = map(np.int8, Regime)
+
+
 class InversionError(ValueError):
     """Raised when a requested set-valued inverse comes back empty."""
 
@@ -91,9 +95,9 @@ def _ppf_upper_ext(dist, q):
     return out
 
 
-def _tail_levels(cfg: PriorConfig, sabs: np.ndarray, x=None):
+def _tail_levels(cfg: PriorConfig, sabs: np.ndarray):
     """(s + kg, q1, T, B) at |x| = sabs from one CDF call, T = G(-| |x| - lam |)
-    and B = G(-lam - |x|); given the signed x too, G(-lam - x) comes fifth.
+    and B = G(-lam - |x|).
 
     s = gap_complement(x) is the slab's share of the shifted error mass, kg
     the spike term (added only with an atom: it is 0 at w = 1) and q1 the
@@ -103,11 +107,9 @@ def _tail_levels(cfg: PriorConfig, sabs: np.ndarray, x=None):
     keeps relative accuracy when q1 is far below 1/2 (|x| beyond the band).
     """
     d, lam = cfg.dist, cfg.lam
-    args = np.empty((2 if x is None else 3,) + sabs.shape)
+    args = np.empty((2,) + sabs.shape)
     np.negative(np.abs(np.subtract(sabs, lam, out=args[0]), out=args[0]), out=args[0])
     np.subtract(-lam, sabs, out=args[1])
-    if x is not None:
-        np.subtract(-lam, x, out=args[2])
     levels = d.cdf(args)
     tail, below, far = levels[0], levels[1], sabs > lam
     gap = 1.0 - tail
@@ -120,7 +122,7 @@ def _tail_levels(cfg: PriorConfig, sabs: np.ndarray, x=None):
     q1 = np.multiply(cfg.alpha, sk)
     q1 += gap
     q1 *= 0.5
-    return (sk, q1, *levels)
+    return sk, q1, tail, below
 
 
 def hpd_radii(cfg: PriorConfig, x):
@@ -133,7 +135,8 @@ def hpd_radii(cfg: PriorConfig, x):
     r1 and r3 are finite wherever |x| > t_alpha.
     """
     xs = np.atleast_1d(np.asarray(x, float))
-    sk, q1, _, _, signed = _tail_levels(cfg, np.abs(xs), xs)
+    sk, q1, _, _ = _tail_levels(cfg, np.abs(xs))
+    signed = cfg.dist.cdf(-cfg.lam - xs)
     r = _ppf_upper_ext(cfg.dist, np.stack([q1, cfg.alpha * sk - signed, 0.5 * cfg.alpha * sk]))
     return tuple(map(float, r[:, 0])) if np.ndim(x) == 0 else tuple(r)
 
@@ -150,50 +153,44 @@ def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _endpoint_pass(cfg, x)[:3]
 
 
-def _levels(cfg: PriorConfig, arr: np.ndarray):
-    """Level stage of the endpoint pass, one CDF call: (q, codes, edge, atom).
+def _levels(cfg: PriorConfig, x: np.ndarray):
+    """Level stage of the endpoint pass, one CDF call: (q, codes).
 
     q is each x's selected tail level, q1 on I, q3 on III and q2 on II/IV,
     so that its radius is rho = G^{-1}(1 - q) and, in every regime,
     HPD(x) = {theta : |theta - x| <= rho} \\ (-lam, lam) off the atom region;
-    codes are the Regime codes (ATOM included), edge the indices of the
-    band-edge regimes II/IV and atom the mask of the atom region.
+    codes are the Regime codes, ATOM wherever |x| > t_alpha fails (NaN x
+    included).  Each level and code is selected on the whole array.
     """
-    lam, alpha, sabs = cfg.lam, cfg.alpha, np.abs(arr)
-    sk, q, tail, below = _tail_levels(cfg, sabs)
+    alpha, sabs = cfg.alpha, np.abs(x)
+    sk, q1, tail, below = _tail_levels(cfg, sabs)
     # r = G^{-1}(1 - q) falls as q rises: regime I (|x| - lam > r1) reads
     # q1 > G(lam - |x|), and III (r3 >= |x| + lam) reads q3 <= G(-lam - |x|).
-    one = (sabs > lam) & (q > tail)
-    off = np.flatnonzero(~one)
-    sk, below = sk[off], below[off]  # off regime I from here on
-    q3 = (0.5 * alpha) * sk
+    q = alpha * sk - below
+    q3 = np.multiply(0.5 * alpha, sk, out=sk)
     third = q3 <= below
-    q[off] = np.where(third, q3, alpha * sk - below)
-    edge = off[~third]
-    codes = np.where(one, np.int8(Regime.I), np.int8(Regime.III))
-    if edge.size:
-        codes[edge] = np.where(arr[edge] > 0, Regime.II, Regime.IV)
-    atom = sabs <= cfg.t_alpha
-    codes[atom] = Regime.ATOM
-    return q, codes, edge, atom
+    np.copyto(q, q3, where=third)
+    one = (sabs > cfg.lam) & (q1 > tail)
+    np.copyto(q, q1, where=one)
+    codes = np.where(one, _I, np.where(third, _III, np.where(x > 0, _II, _IV)))
+    return q, np.where(sabs > cfg.t_alpha, codes, _ATOM)
 
 
 def _endpoint_pass(cfg: PriorConfig, x):
     """endpoints and the radius r of each regime: r1 on I, r3 on III, r2 on II/IV.
 
-    The level stage (_levels) followed by the radius stage: one quantile
-    call, r = G^{-1}(1 - q), and the U and L it gives.
+    The level stage (_levels), then one quantile call r = G^{-1}(1 - q):
+    U = x + r but -lam on IV, L = -(r - x) (so that a zero L keeps its sign)
+    but lam on II, and both are NaN on ATOM.
     """
     arr = np.atleast_1d(np.asarray(x, float))
-    q, codes, edge, atom = _levels(cfg, arr)
+    q, codes = _levels(cfg, arr)
     r = _ppf_upper_ext(cfg.dist, q)
     upper = arr + r
-    upper_refl = r - arr  # U(-x), so that L(x) = -U(-x)
-    if edge.size:
-        xe, r2, lam = arr[edge], r[edge], cfg.lam
-        upper[edge] = np.where(xe > 0, xe + r2, -lam)
-        upper_refl[edge] = np.where(xe < 0, r2 - xe, -lam)
-    lower = np.negative(upper_refl, out=upper_refl)
+    np.copyto(upper, -cfg.lam, where=codes == _IV)
+    lower = -(r - arr)
+    np.copyto(lower, cfg.lam, where=codes == _II)
+    atom = codes == _ATOM
     upper[atom] = lower[atom] = np.nan
     return upper, lower, codes, r
 
@@ -313,8 +310,7 @@ def hpd_length(cfg: PriorConfig, x) -> float | np.ndarray:
     """Length of the interval part from one endpoints pass: 2 r1 in regime I,
     elsewhere the measure of [L, U] minus the band (-lam, lam), clipped as
     hpd_set clips its pieces; zero in the atom region."""
-    arr = np.atleast_1d(np.asarray(x, float))
-    up, low, codes, r = _endpoint_pass(cfg, arr)
+    up, low, codes, r = _endpoint_pass(cfg, x)
     lam = cfg.lam
     with np.errstate(invalid="ignore"):
         if lam == 0.0:
@@ -324,11 +320,9 @@ def hpd_length(cfg: PriorConfig, x) -> float | np.ndarray:
             lengths += np.where(up >= lam, up - np.maximum(low, lam), 0.0)
     # Regime I is [x - r1, x + r1] clear of the band: 2 r1 from the radius
     # keeps the accuracy that U - L loses to the rounding of x +- r1.
-    lengths = np.where(codes == Regime.I, 2.0 * r, lengths)
-    lengths[codes == Regime.ATOM] = 0.0
-    if np.asarray(x).ndim == 0:
-        return float(lengths[0])
-    return lengths
+    lengths = np.where(codes == _I, 2.0 * r, lengths)
+    lengths[codes == _ATOM] = 0.0
+    return float(lengths[0]) if np.ndim(x) == 0 else lengths
 
 
 @dataclass(frozen=True)
@@ -352,6 +346,11 @@ def _member_reach(cfg: PriorConfig) -> float:
     """sup r3 + 0.5 with sup r3 = G^{-1}(1 - alpha G(-lam)), +inf if G(-lam) underflows: every
     radius is at most sup r3, so each x whose set holds theta0 lies within it of theta0."""
     return float(cfg.dist.ppf_upper(cfg.alpha * float(cfg.dist.cdf(-cfg.lam)))) + 0.5
+
+
+def _half_width(cfg: PriorConfig, scan: ScanSettings) -> float:
+    """Coverage scan half-width: _member_reach (no mass lost), or G^{-1}(1 - tol_tail / 2) if smaller."""
+    return min(float(cfg.dist.ppf_upper(scan.tol_tail / 2.0)), _member_reach(cfg))
 
 
 def _invert_endpoint(cfg: PriorConfig, column: int, theta0: float, scan: ScanSettings) -> InverseSet:

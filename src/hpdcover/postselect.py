@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import draw_chunks
-from .coverage import _half_width
-from .hpd import endpoint_values, hpd_set
+from .hpd import _half_width, endpoint_values, hpd_set
 from .posterior import PriorConfig
 from .scanning import ScanSettings, covers, member_intervals
 

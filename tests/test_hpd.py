@@ -7,6 +7,7 @@ from hpdcover import (
     InversionError,
     PriorConfig,
     Regime,
+    atom_mass,
     classify_regime,
     dip_search,
     endpoint_values,
@@ -21,6 +22,7 @@ from hpdcover import (
     onesided_lower_endpoint,
     onesided_radii,
     onesided_upper_endpoint,
+    posterior_normalizer,
     regime_codes,
     smallest_lower_inverse,
     upper_endpoint,
@@ -66,6 +68,27 @@ def test_radius_r2_infinite_convention():
     assert r2 == math.inf
 
 
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_radius_r2_matches_band_edge_mass(law):
+    # r2 = G^{-1}(1 - m) with m = alpha (s + kg) - G(-lam - x), s = G(x - lam)
+    # + G(-lam - x) and kg = (1 - w)/w g(x), formed here from separate CDF
+    # calls at signed x; m <= 0 (x < -lam, where G(-lam - x) > 1/2) gives +inf.
+    for lam, w in ((0.5, 1.0), (2.0, 0.25), (5.0, 1.0)):
+        cfg = PriorConfig(parse_dist_spec(law), lam, w, 0.05)
+        d = cfg.dist
+        b = lam + float(d.ppf_upper(cfg.alpha / 2.0)) + 8.0
+        xs = np.concatenate([np.linspace(-b, b, 801), [-1e3, 1e3]])
+        xs = xs[np.abs(xs) > cfg.t_alpha]
+        s = d.cdf(xs - lam) + d.cdf(-lam - xs)
+        m = cfg.alpha * (s + (1.0 - w) / w * d.pdf(xs)) - d.cdf(-lam - xs)
+        r2 = hpd_radii(cfg, xs)[1]
+        pos = m > 1e-9
+        assert np.allclose(r2[pos], -d.ppf(m[pos]), rtol=1e-12, atol=1e-9)
+        neg = m < -1e-9
+        assert np.all(r2[neg] == np.inf)
+        assert np.all(neg[xs < -lam]) and pos.sum() >= 100
+
+
 def test_classify_far_points_are_regime_one():
     for name, lam, w in ALL_CONFIGS:
         cfg = config(name, lam, w)
@@ -100,6 +123,16 @@ def test_classify_rejects_nonfinite():
     cfg = config("laplace", 1.0, 1.0)
     with pytest.raises(ValueError):
         classify_regime(cfg, float("inf"))
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_endpoints_nan_at_nan_x(law):
+    # A NaN observation has no set: U and L are NaN, whatever the band or atom.
+    for lam, w in ((0.5, 1.0), (0.5, 0.25), (0.0, 1.0), (5.0, 0.02)):
+        cfg = PriorConfig(parse_dist_spec(law), lam, w, 0.05)
+        up, low, _ = endpoints(cfg, [np.nan, lam + 9.0, -np.nan])
+        assert np.isnan(up[[0, 2]]).all() and np.isnan(low[[0, 2]]).all()
+        assert np.isfinite(up[1]) and np.isfinite(low[1])
 
 
 def test_endpoints_uniform_limit_shift_map():
@@ -198,6 +231,23 @@ def test_evaluator_matches_per_regime_formulas(law):
     assert np.array_equal(got_l, -_paper_upper(cfg, -xs)[0], equal_nan=True)
     assert np.array_equal(got_codes, codes)
     assert set(np.unique(codes)) == {Regime.I, Regime.II, Regime.III, Regime.IV}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_extreme_x_raises_no_warning(law):
+    # g(x) squares x, which overflows beyond |x| = 1.34e154 (2e77 for t3);
+    # the density there is the exact 0 and no call may warn about it.
+    xs = [1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0]
+    for w in (1.0, 0.25):
+        cfg = PriorConfig(parse_dist_spec(law), 0.5, w, 0.05)
+        up, low, _ = endpoints(cfg, xs)
+        assert np.all(np.isfinite(up[:2])) and np.all(np.isfinite(low[:2]))
+        assert np.all(np.isfinite(hpd_length(cfg, xs)))
+        assert atom_mass(cfg, 1e300) == 0.0 and np.all(np.isfinite(atom_mass(cfg, xs)))
+        assert np.all(np.isfinite(posterior_normalizer(cfg, xs)))
+        for x in xs:
+            hpd_set(cfg, x)
 
 
 class _Counted(Distribution):
