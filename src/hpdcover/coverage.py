@@ -238,7 +238,7 @@ def _draw_covers(cfg: PriorConfig, x: np.ndarray, u: np.ndarray):
     band, rho = G^{-1}(1 - q(x)), so a draw covers theta0 iff its code is
     not ATOM and |Z| <= rho, that is G(-|Z|) >= q(x).  The draw's uniform
     gives that tail mass, min(u, 1 - u), so only the level stage of the
-    endpoint pass runs (one CDF call, no quantile).
+    endpoint pass runs: one lower_tail call, no CDF or quantile call.
     """
     q, codes = _levels(cfg, x)
     flags = np.minimum(u, 1.0 - u) >= q
@@ -249,27 +249,24 @@ def _draw_covers(cfg: PriorConfig, x: np.ndarray, u: np.ndarray):
 def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoint:
     """Full Monte Carlo analogue of coverage_exact (splits and fractions);
     the one counter of Monte Carlo membership: C- counts the covering draws
-    with x >= theta0 and C+ the rest.  Membership is the atom/band rule where
-    it decides and the level test of _draw_covers elsewhere; the regime
-    fractions count the covering draws' codes.  Where the rule leaves theta0
-    uncovered every output is 0, and no draw is made.
+    with x >= theta0 and C+ the rest.  Membership is the level test of
+    _draw_covers, overridden by the atom/band rule where it decides; the
+    regime fractions count the covering draws' codes in codes * flags.
+    Where the rule leaves theta0 uncovered every output is 0, and no draw is made.
     """
     fixed, covered = _fixed_cover(cfg, theta0)
     if fixed and not covered:
         return CoveragePoint(float(theta0), 0.0, 0.0, 0.0, dict.fromkeys(_REGIME_KEYS, 0.0))
-    hits = np.zeros(2, dtype=np.int64)
-    regime_hits = np.zeros(5, dtype=np.int64)
+    hits = np.zeros(6, dtype=np.int64)  # covering, covering with x >= theta0, by regime I-IV
     for x, u in draw_chunks(cfg.dist, theta0, n, seed):
-        if fixed:
-            codes = _levels(cfg, x)[1]
-            f_full = np.full(x.shape, bool(covered))
-        else:
-            f_full, codes = _draw_covers(cfg, x, u)
-        hits += np.array([np.count_nonzero(f_full), np.count_nonzero(f_full & (x >= theta0))])
-        regime_hits += np.bincount(codes[f_full], minlength=5)
+        f_full, codes = _draw_covers(cfg, x, u)
+        f_full |= fixed  # here a fixed theta0 is covered from every x
+        covering = codes * f_full  # uncovered draws read as ATOM
+        hits += [np.count_nonzero(f_full), np.count_nonzero(f_full & (x >= theta0)),
+                 *(np.count_nonzero(covering == Regime[k].value) for k in _REGIME_KEYS)]
     c = hits[0] / n
     denom = hits[0] if hits[0] else 1
-    fracs = {k: float(regime_hits[Regime[k]] / denom) for k in _REGIME_KEYS}
+    fracs = {k: float(h / denom) for k, h in zip(_REGIME_KEYS, hits[2:])}
     return CoveragePoint(float(theta0), c, hits[1] / n, (hits[0] - hits[1]) / n, fracs)
 
 

@@ -9,13 +9,13 @@ where U is built from three radius functions r1, r2, r3.  The real line
 splits into four regimes (plus the atom region) on which U takes the forms
 x + r1, x + r2, x + r3, and -lam; L(x) = -U(-x) by symmetry.  One evaluator,
 ``endpoints``, returns U, L and the regime codes in two stages: a level
-stage (one CDF call) selects each x's regime code and the tail level q of
-its radius on the whole array (r2 once at -|x| for both signs), and a radius
-stage (one quantile call, rho = G^{-1}(1 - q)) forms U and L from rho and the
-codes.  Monte Carlo runs the level stage alone.  The module also provides the
-set-valued inverses of U and L (level-set boundaries, from the scan coverage
-uses), a monotone fixed-point iteration for the smallest element of L^{-1},
-and the one-sided analogue (uniform prior on (lam, inf)) used as a baseline.
+stage (one lower_tail call) selects each x's regime code and the tail level
+q of its radius on the whole array (r2 once at -|x| for both signs), and a
+radius stage (one quantile call, rho = G^{-1}(1 - q)) forms U and L.  Monte
+Carlo runs the level stage alone.  The module also provides the set-valued
+inverses of U and L (level-set boundaries, from the scan coverage uses), a
+monotone fixed-point iteration for the smallest element of L^{-1}, and the
+one-sided analogue (uniform prior on (lam, inf)) used as a baseline.
 """
 
 from __future__ import annotations
@@ -71,53 +71,36 @@ class Regime(IntEnum):
 
 # The codes as int8 scalars: numpy converts a Regime member anew at each use.
 _ATOM, _I, _II, _III, _IV = map(np.int8, Regime)
+_PRODUCTS_MIN = 512  # points from which _levels selects by 0/1 products
 
 
 class InversionError(ValueError):
     """Raised when a requested set-valued inverse comes back empty."""
 
 
-def _ppf_upper_ext(dist, q):
-    """G^{-1}(1 - q) with extended-real conventions: q <= 0 -> +inf, q >= 1 -> -inf.
-
-    Interior values go through the mirrored lower-tail quantile so tiny q
-    keeps relative accuracy.  Out-of-range q never reaches the quantile code.
-    """
-    q = np.asarray(q, float)
-    inside = (q > 0.0) & (q < 1.0)
-    if inside.all():
-        r = dist.ppf(q)
-        return np.negative(r, out=r)
-    out = np.full(q.shape, np.nan)
-    out[inside] = -dist.ppf(q[inside])
-    out[q <= 0.0] = np.inf
-    out[q >= 1.0] = -np.inf
-    return out
-
-
 def _tail_levels(cfg: PriorConfig, sabs: np.ndarray):
-    """(s + kg, q1, T, B) at |x| = sabs from one CDF call, T = G(-| |x| - lam |)
-    and B = G(-lam - |x|).
+    """(s + kg, q1, T, B) at |x| = sabs from one lower_tail call on the magnitudes
+    | |x| - lam | and lam + |x|: T = G(-| |x| - lam |), B = G(-lam - |x|).
 
     s = gap_complement(x) is the slab's share of the shifted error mass, kg
     the spike term (added only with an atom: it is 0 at w = 1) and q1 the
-    tail level of r1.  s = (|x| > lam ? 1 - T : T) + B and the band mass
-    1 - s = (|x| > lam ? T : 1 - T) - B, so q1 = 0.5 - 0.5((1 - alpha) s -
-    alpha kg) is formed as the sum 0.5 (alpha (s + kg) + (1 - s)), which
-    keeps relative accuracy when q1 is far below 1/2 (|x| beyond the band).
+    tail level of r1.  With f = (|x| > lam) in {0, 1}, s = |f - T| + B and
+    the band mass 1 - s = |(1 - f) - T| - B (as T <= 1/2, each |.| is 1 - T
+    or T exactly), so q1 = 0.5 - 0.5((1 - alpha) s - alpha kg) is formed as
+    the sum 0.5 (alpha (s + kg) + (1 - s)), which keeps relative accuracy
+    when q1 is far below 1/2 (|x| beyond the band).
     """
     d, lam = cfg.dist, cfg.lam
     args = np.empty((2,) + sabs.shape)
-    np.negative(np.abs(np.subtract(sabs, lam, out=args[0]), out=args[0]), out=args[0])
-    np.subtract(-lam, sabs, out=args[1])
-    levels = d.cdf(args)
-    tail, below, far = levels[0], levels[1], sabs > lam
-    gap = 1.0 - tail
-    sk = np.where(far, gap, tail)
+    np.abs(np.subtract(sabs, lam, out=args[0]), out=args[0])
+    np.add(sabs, lam, out=args[1])
+    tail, below = d.lower_tail(args)
+    far = sabs > lam
+    sk = np.abs(np.subtract(far, tail, out=args[0]), out=args[0])
     sk += below
     if cfg.has_atom:
         sk += (1.0 - cfg.w) / cfg.w * d.pdf(sabs)
-    np.copyto(gap, tail, where=far)
+    gap = np.abs(np.subtract(~far, tail, out=args[1]), out=args[1])
     gap -= below
     q1 = np.multiply(cfg.alpha, sk)
     q1 += gap
@@ -137,14 +120,14 @@ def hpd_radii(cfg: PriorConfig, x):
     xs = np.atleast_1d(np.asarray(x, float))
     sk, q1, _, _ = _tail_levels(cfg, np.abs(xs))
     signed = cfg.dist.cdf(-cfg.lam - xs)
-    r = _ppf_upper_ext(cfg.dist, np.stack([q1, cfg.alpha * sk - signed, 0.5 * cfg.alpha * sk]))
+    r = cfg.dist.ppf_upper(np.stack([q1, cfg.alpha * sk - signed, 0.5 * cfg.alpha * sk]))
     return tuple(map(float, r[:, 0])) if np.ndim(x) == 0 else tuple(r)
 
 
 def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U(x), L(x) and the Regime codes in one pass; U and L are NaN on the atom region.
 
-    The level stage (one CDF call) reads the regimes off the tail levels and
+    The level stage (one lower_tail call) reads the regimes off the tail levels and
     picks the level of the radius each regime uses; one quantile call then
     evaluates it: r1 on I, r3 on III and r2 on the band-edge regimes II/IV.
     The gap mass and the spike term are even in x, so r2 at -|x| is the
@@ -154,26 +137,38 @@ def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _levels(cfg: PriorConfig, x: np.ndarray):
-    """Level stage of the endpoint pass, one CDF call: (q, codes).
+    """Level stage of the endpoint pass, one lower_tail call: (q, codes).
 
     q is each x's selected tail level, q1 on I, q3 on III and q2 on II/IV,
     so that its radius is rho = G^{-1}(1 - q) and, in every regime,
     HPD(x) = {theta : |theta - x| <= rho} \\ (-lam, lam) off the atom region;
     codes are the Regime codes, ATOM wherever |x| > t_alpha fails (NaN x
-    included).  Each level and code is selected on the whole array.
+    included).  From _PRODUCTS_MIN points on each is a sum of 0/1 products
+    with one nonzero term (all levels are finite, NaN stays NaN), the codes
+    in int8; below it masked copies pick the same values at about 10 us less
+    per call, while the products take 22% less time at 4096 points.
     """
     alpha, sabs = cfg.alpha, np.abs(x)
     sk, q1, tail, below = _tail_levels(cfg, sabs)
     # r = G^{-1}(1 - q) falls as q rises: regime I (|x| - lam > r1) reads
     # q1 > G(lam - |x|), and III (r3 >= |x| + lam) reads q3 <= G(-lam - |x|).
-    q = alpha * sk - below
-    q3 = np.multiply(0.5 * alpha, sk, out=sk)
+    one = (q1 > tail) & (sabs > cfg.lam)
+    q3 = np.multiply(0.5 * alpha, sk, out=tail)
     third = q3 <= below
-    np.copyto(q, q3, where=third)
-    one = (sabs > cfg.lam) & (q1 > tail)
-    np.copyto(q, q1, where=one)
-    codes = np.where(one, _I, np.where(third, _III, np.where(x > 0, _II, _IV)))
-    return q, np.where(sabs > cfg.t_alpha, codes, _ATOM)
+    q2 = np.multiply(alpha, sk, out=sk)
+    q2 -= below
+    if x.size < _PRODUCTS_MIN:
+        np.copyto(q2, q3, where=third)
+        np.copyto(q2, q1, where=one)
+        codes = np.where(one, _I, np.where(third, _III, np.where(x > 0, _II, _IV)))
+        return q2, np.where(sabs > cfg.t_alpha, codes, _ATOM)
+    not_one, not_third = ~one, ~third
+    q = np.multiply(third, q3, out=q3)
+    q += np.multiply(not_third, q2, out=q2)
+    q *= not_one
+    q += np.multiply(one, q1, out=q1)
+    codes = third * _III + not_third * (_IV - 2 * (x > 0).view(np.int8))
+    return q, (one * _I + not_one * codes) * (sabs > cfg.t_alpha)
 
 
 def _endpoint_pass(cfg: PriorConfig, x):
@@ -185,7 +180,7 @@ def _endpoint_pass(cfg: PriorConfig, x):
     """
     arr = np.atleast_1d(np.asarray(x, float))
     q, codes = _levels(cfg, arr)
-    r = _ppf_upper_ext(cfg.dist, q)
+    r = cfg.dist.ppf_upper(q)
     upper = arr + r
     np.copyto(upper, -cfg.lam, where=codes == _IV)
     lower = -(r - arr)
@@ -309,7 +304,7 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
 def hpd_length(cfg: PriorConfig, x) -> float | np.ndarray:
     """Length of the interval part from one endpoints pass: 2 r1 in regime I,
     elsewhere the measure of [L, U] minus the band (-lam, lam), clipped as
-    hpd_set clips its pieces; zero in the atom region."""
+    hpd_set clips its pieces; zero in the atom region and NaN at a NaN x."""
     up, low, codes, r = _endpoint_pass(cfg, x)
     lam = cfg.lam
     with np.errstate(invalid="ignore"):
@@ -322,6 +317,7 @@ def hpd_length(cfg: PriorConfig, x) -> float | np.ndarray:
     # keeps the accuracy that U - L loses to the rounding of x +- r1.
     lengths = np.where(codes == _I, 2.0 * r, lengths)
     lengths[codes == _ATOM] = 0.0
+    lengths[np.isnan(np.atleast_1d(x))] = np.nan  # a NaN x takes code ATOM too
     return float(lengths[0]) if np.ndim(x) == 0 else lengths
 
 
@@ -406,7 +402,7 @@ def smallest_lower_inverse(cfg: PriorConfig, theta0: float, tol: float = 1e-12, 
         )
     a = float(theta0)
     for _ in range(max_iter):
-        nxt = theta0 + float(_ppf_upper_ext(cfg.dist, _tail_levels(cfg, np.array([a]))[1])[0])
+        nxt = theta0 + float(cfg.dist.ppf_upper(_tail_levels(cfg, np.array([a]))[1])[0])
         if nxt < a - 1e-12:
             raise RuntimeError(f"fixed-point iterates decreased at a = {a}")
         if abs(nxt - a) <= tol:

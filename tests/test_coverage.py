@@ -827,6 +827,22 @@ def test_coverage_mc_calls_the_quantile_once_per_draw(monkeypatch, law):
         assert sum(seen) == (0 if theta0 == -0.2 else n)
 
 
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_coverage_mc_makes_one_lower_tail_call_per_block(monkeypatch, law):
+    # The level stage evaluates each block's two tail rows in one lower_tail
+    # call and makes no CDF call, at an open and at an atom-covered theta0.
+    cfg = PriorConfig(parse_dist_spec(law), 0.5, 0.25, ALPHA)
+    cfg.t_alpha
+    seen = {"cdf": [], "lower_tail": []}
+    for kind, real in [(k, getattr(type(cfg.dist), k)) for k in seen]:
+        counted = lambda self, v, _kind=kind, _real=real: seen[_kind].append(np.shape(v)) or _real(self, v)
+        monkeypatch.setattr(type(cfg.dist), kind, counted)
+    for theta0 in (1.5, 0.0):
+        coverage_mc(cfg, theta0, (1 << 16) + 1000, 3)
+        assert seen == {"cdf": [], "lower_tail": [(2, 1 << 16), (2, 1000)]}
+        seen["lower_tail"].clear()
+
+
 # 2^16 + 3 draws: one sampler block at the default size, then a 3-draw block
 # that the t3 and subexp quantiles run on their element-by-element path.
 BLOCK_N = (1 << 16) + 3

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from hpdcover import check_tail_decay, interval_mass, make_distribution
+from hpdcover.cli import parse_dist_spec
 from hpdcover.distributions import SubExponential, draw_chunks
 
 ALL_NAMES = ["gaussian", "laplace", "t3", "subexp"]
@@ -338,6 +339,33 @@ def test_erlang_cdf_closed_form(k):
     assert np.max(np.abs(got / exact - 1.0)) <= 5e-16
     assert np.max(np.abs(got / (0.5 * special.gammaincc(k, y)) - 1.0)) <= 1e-14
     assert np.array_equal(d.cdf(np.array([-np.inf, np.inf])), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("spec", ["gaussian", "laplace", "t3", "subexp:0.5", "subexp:0.3"])
+def test_lower_tail_is_the_cdf_at_minus_t(spec):
+    # lower_tail(t) = G(-t) bit for bit, on arrays, on short arrays (solved
+    # element by element) and on scalars, without warnings at the smallest
+    # subnormal (the t3 tail divides by it); subexp:0.3 takes the gammaincc path.
+    d = parse_dist_spec(spec)
+    t = np.concatenate([[0.0, 5e-324], np.linspace(0.0, 60.0, 601), np.geomspace(1e-300, 1e300, 601), [np.inf, np.nan]])
+    got = d.lower_tail(t)
+    assert np.array_equal(got.view(np.int64), d.cdf(-t).view(np.int64))
+    assert np.array_equal(np.concatenate([d.lower_tail(c) for c in np.split(t[:1200], 400)]), got[:1200])
+    for v in (0.0, 0.7, 31.0, 1e300, np.inf):
+        assert float(d.lower_tail(v)) == float(d.cdf(-v))
+    assert np.isnan(d.lower_tail(np.array([np.nan, 1.0, np.nan]))[[0, 2]]).all()
+    assert np.isnan(d.lower_tail(np.nan)) and np.isnan(d.cdf(np.nan))
+
+
+def test_t3_density_is_nan_at_nan_and_unchanged_elsewhere():
+    # The overflowed square gives the exact 0 at +-inf, so NaN alone is NaN.
+    d = make_distribution("t3")
+    x = np.concatenate([np.geomspace(1e-300, 1e300, 4001), [0.0, np.inf]])
+    x = np.concatenate([x, -x])
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = np.where(np.isfinite(x), d._NORM / (1.0 + x * x / 3.0) ** 2, 0.0)
+    assert np.array_equal(d.pdf(x).view(np.int64), ref.view(np.int64))
+    assert np.isnan(d.pdf(np.nan)) and np.isnan(d.pdf([np.nan, 1.0])[0])
 
 
 def test_t3_cdf_keeps_relative_accuracy_in_the_tail():

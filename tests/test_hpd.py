@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from hpdcover import (
     upper_endpoint_alt,
     upper_values,
 )
+from hpdcover import hpd as hpd_mod
 from hpdcover.cli import parse_dist_spec
 from hpdcover.distributions import Distribution
 
@@ -133,6 +135,18 @@ def test_endpoints_nan_at_nan_x(law):
         up, low, _ = endpoints(cfg, [np.nan, lam + 9.0, -np.nan])
         assert np.isnan(up[[0, 2]]).all() and np.isnan(low[[0, 2]]).all()
         assert np.isfinite(up[1]) and np.isfinite(low[1])
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_hpd_length_nan_at_nan_x(law):
+    # A NaN x takes code ATOM, but its length is NaN, not the atom's 0.
+    for lam, w in ((0.5, 0.02), (2.0, 1.0)):
+        cfg = PriorConfig(parse_dist_spec(law), lam, w, 0.05)
+        assert math.isnan(hpd_length(cfg, np.nan))
+        got = hpd_length(cfg, [np.nan, lam + 9.0, -np.nan])
+        assert np.isnan(got[[0, 2]]).all() and np.isfinite(got[1]) and got[1] > 0
+        if cfg.t_alpha > 0:  # the atom region still has length 0
+            assert hpd_length(cfg, [np.nan, 0.5 * cfg.t_alpha])[1] == 0.0
 
 
 def test_endpoints_uniform_limit_shift_map():
@@ -254,7 +268,7 @@ class _Counted(Distribution):
     """A law that counts the calls made to each of its kernels."""
 
     def __init__(self, inner):
-        self.inner, self.calls = inner, {"pdf": 0, "cdf": 0, "ppf": 0}
+        self.inner, self.calls = inner, {"pdf": 0, "cdf": 0, "lower_tail": 0, "ppf": 0}
 
     def _call(self, kind, v):
         self.calls[kind] += 1
@@ -266,26 +280,82 @@ class _Counted(Distribution):
     def cdf(self, x):
         return self._call("cdf", x)
 
+    def lower_tail(self, t):
+        return self._call("lower_tail", t)
+
     def ppf(self, p):
         return self._call("ppf", p)
 
 
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
-def test_endpoints_make_one_cdf_and_one_quantile_call(law):
-    # The regimes come from the tail levels, so one CDF call and one quantile
-    # call serve every regime; with w = 1 the band holds III, with an atom
-    # the atom region takes its place.
+def test_endpoints_make_one_lower_tail_and_one_quantile_call(law):
+    # The regimes come from the tail levels, so one lower_tail call (and no
+    # CDF call) and one quantile call serve every regime; with w = 1 the band
+    # holds III, with an atom the atom region takes its place.
     counted = _Counted(parse_dist_spec(law))
     xs = np.linspace(-60.0, 60.0, 2001)
     seen = set()
     for lam, w in ((3.0, 1.0), (3.0, 0.02)):
         cfg = PriorConfig(counted, lam, w, 0.05)
         cfg.t_alpha
-        counted.calls.update(cdf=0, ppf=0)
+        counted.calls.update(cdf=0, lower_tail=0, ppf=0)
         codes = endpoints(cfg, xs)[2]
-        assert counted.calls["cdf"] == 1 and counted.calls["ppf"] <= 1
+        assert counted.calls["lower_tail"] == 1 and counted.calls["cdf"] == 0 and counted.calls["ppf"] <= 1
         seen.update(codes.tolist())
     assert seen == set(Regime)
+
+
+def _nested_selection_reference(cfg, x):
+    """(q, codes, U, L, r) with every level and code picked by nested masked
+    selection (np.where) from the law's lower tails at the stacked magnitudes."""
+    sabs, lam, alpha = np.abs(x), cfg.lam, cfg.alpha
+    tail, below = cfg.dist.lower_tail(np.stack([np.abs(sabs - lam), lam + sabs]))
+    far = sabs > lam
+    gap = 1.0 - tail
+    sk = np.where(far, gap, tail) + below
+    if cfg.has_atom:
+        sk += (1.0 - cfg.w) / cfg.w * cfg.dist.pdf(sabs)
+    q1 = 0.5 * (alpha * sk + (np.where(far, tail, gap) - below))
+    q3 = 0.5 * alpha * sk
+    third, one = q3 <= below, far & (q1 > tail)
+    q = np.where(one, q1, np.where(third, q3, alpha * sk - below))
+    codes = np.where(one, Regime.I, np.where(third, Regime.III, np.where(x > 0, Regime.II, Regime.IV)))
+    codes = np.where(sabs > cfg.t_alpha, codes, Regime.ATOM).astype(np.int8)
+    r = cfg.dist.ppf_upper(q)
+    upper = np.where(codes == Regime.IV, -lam, x + r)
+    lower = np.where(codes == Regime.II, lam, -(r - x))
+    atom = codes == Regime.ATOM
+    upper[atom] = lower[atom] = np.nan
+    return q, codes, upper, lower, r
+
+
+def _bits(a):
+    """dtype and bytes of a, each NaN made canonical: numpy's loops set a
+    NaN's sign bit differently by law and array size."""
+    a = np.asarray(a)
+    return a.dtype.str, (np.where(np.isnan(a), np.nan, a) if a.dtype.kind == "f" else a).tobytes()
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5", "subexp:0.3"])
+def test_level_stage_matches_nested_selection_reference(law):
+    # The 0/1-product levels and int8 codes (the whole array) and the masked
+    # copies (its chunks) select exactly what nested np.where does, so
+    # _levels and the radius stage are byte-equal to it, at the regime edges
+    # and at NaN, +-inf and +-0 too.
+    for lam, w, alpha in itertools.product((0.0, 0.5, 5.0, 12.0), (1.0, 0.25, 0.02), (0.05, 0.3)):
+        cfg = PriorConfig(parse_dist_spec(law), lam, w, alpha)
+        t = cfg.t_alpha
+        edges = [0.0, lam, 1e300, np.inf, np.nextafter(lam, 0.0), np.nextafter(lam, np.inf)]
+        if np.isfinite(t):
+            edges += [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+        edges = np.array(edges)
+        xs = np.concatenate([np.linspace(-lam - 30.0, lam + 30.0, 2001), edges, -edges, [np.nan]])
+        for x in (xs, *np.array_split(xs, 8), *np.array_split(xs[-len(edges) * 2 - 1 :], 6)):
+            want = _nested_selection_reference(cfg, x)
+            q, codes = hpd_mod._levels(cfg, x)
+            up, low, codes_pass, r = hpd_mod._endpoint_pass(cfg, x)
+            assert _bits(q) == _bits(want[0]) and _bits(codes) == _bits(want[1])
+            assert [_bits(v) for v in (codes_pass, up, low, r)] == [_bits(v) for v in want[1:]]
 
 
 def test_regime_four_upper_is_band_edge():
@@ -524,7 +594,7 @@ def test_fixed_point_monotone_iterates():
 
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
 def test_fixed_point_steps_on_r1_alone(law):
-    # Each step is one CDF and one quantile call, and the iterates are those
+    # Each step is one lower_tail and one quantile call, and the iterates are those
     # of a_{k+1} = theta0 + r1(a_k) with r1 from hpd_radii, bit for bit.
     counted = _Counted(parse_dist_spec(law))
     for lam, w, theta0 in ((5.0, 1.0, 8.0), (0.5, 0.25, 3.0), (2.0, 1.0, 2.5)):
@@ -536,9 +606,9 @@ def test_fixed_point_steps_on_r1_alone(law):
             if abs(nxt - a) <= 1e-12:
                 break
             a = nxt
-        counted.calls.update(cdf=0, ppf=0)
+        counted.calls.update(cdf=0, lower_tail=0, ppf=0)
         assert smallest_lower_inverse(cfg, theta0) == nxt
-        assert counted.calls["cdf"] == counted.calls["ppf"] == steps
+        assert counted.calls["lower_tail"] == counted.calls["ppf"] == steps and counted.calls["cdf"] == 0
 
 
 def test_fixed_point_agrees_with_scan():
