@@ -288,10 +288,13 @@ class Laplace(Distribution):
 
     def ppf(self, p):
         p = np.asarray(p, float)
+        # log(2q) on q = min(p, 1 - p), given the sign of p - 1/2 without a
+        # masked pass; formed as -1/2 - (-p), so that a NaN p flips its sign
+        # bit as -log(2(1 - p)) does.
+        q = np.minimum(p, 1.0 - p, out=np.empty_like(p))
         with np.errstate(divide="ignore", invalid="ignore"):
-            lower = np.log(2.0 * p)
-            upper = -np.log(2.0 * (1.0 - p))
-        return np.where(p <= 0.5, lower, upper)
+            np.log(np.multiply(q, 2.0, out=q), out=q)
+        return np.copysign(q, np.subtract(-0.5, np.negative(p)), out=q)
 
 
 class StudentT3(Distribution):

@@ -1,7 +1,7 @@
 """Closed-form highest-posterior-density sets for the banded spike-and-slab prior.
 
 Given X = x, the (1-alpha)-HPD set is the atom {0} alone when the atom
-already carries 1 - alpha of the posterior (|x| <= t_alpha), and otherwise
+already carries 1 - alpha of the posterior, and otherwise
 
     ([L(x), U(x)] \\ (-lam, lam))  union  ({0} if w < 1),
 
@@ -9,11 +9,13 @@ where U is built from three radius functions r1, r2, r3.  The real line
 splits into four regimes (plus the atom region) on which U takes the forms
 x + r1, x + r2, x + r3, and -lam; L(x) = -U(-x) by symmetry.  One evaluator,
 ``endpoints``, returns U, L and the regime codes in two stages: a level
-stage (one lower_tail call) selects each x's regime code and the tail level
-q of its radius on the whole array (r2 once at -|x| for both signs), and a
-radius stage (one quantile call, rho = G^{-1}(1 - q)) forms U and L.  Monte
-Carlo runs the level stage alone.  The module also provides the set-valued
-inverses of U and L (level-set boundaries, from the scan coverage uses), a
+stage (posterior.tail_levels, one lower_tail call) selects each x's regime
+code and the tail level q of its radius on the whole array (r2 once at -|x|
+for both signs), and a radius stage (one quantile call, rho = G^{-1}(1 - q))
+forms U and L.  The atom region comes from the same levels (the atom
+margin): only scans and inversions read its root t_alpha.  Monte Carlo runs
+the level stage alone.  The module also provides the set-valued inverses of
+U and L (level-set boundaries, from the scan coverage uses), a
 monotone fixed-point iteration for the smallest element of L^{-1}, and the
 one-sided analogue (uniform prior on (lam, inf)) used as a baseline.
 """
@@ -26,7 +28,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .posterior import PriorConfig, atom_mass
+from .posterior import PriorConfig, atom_mass, tail_levels
 from .scanning import ScanSettings, sign_change_roots
 
 __all__ = [
@@ -78,36 +80,6 @@ class InversionError(ValueError):
     """Raised when a requested set-valued inverse comes back empty."""
 
 
-def _tail_levels(cfg: PriorConfig, sabs: np.ndarray):
-    """(s + kg, q1, T, B) at |x| = sabs from one lower_tail call on the magnitudes
-    | |x| - lam | and lam + |x|: T = G(-| |x| - lam |), B = G(-lam - |x|).
-
-    s = gap_complement(x) is the slab's share of the shifted error mass, kg
-    the spike term (added only with an atom: it is 0 at w = 1) and q1 the
-    tail level of r1.  With f = (|x| > lam) in {0, 1}, s = |f - T| + B and
-    the band mass 1 - s = |(1 - f) - T| - B (as T <= 1/2, each |.| is 1 - T
-    or T exactly), so q1 = 0.5 - 0.5((1 - alpha) s - alpha kg) is formed as
-    the sum 0.5 (alpha (s + kg) + (1 - s)), which keeps relative accuracy
-    when q1 is far below 1/2 (|x| beyond the band).
-    """
-    d, lam = cfg.dist, cfg.lam
-    args = np.empty((2,) + sabs.shape)
-    np.abs(np.subtract(sabs, lam, out=args[0]), out=args[0])
-    np.add(sabs, lam, out=args[1])
-    tail, below = d.lower_tail(args)
-    far = sabs > lam
-    sk = np.abs(np.subtract(far, tail, out=args[0]), out=args[0])
-    sk += below
-    if cfg.has_atom:
-        sk += (1.0 - cfg.w) / cfg.w * d.pdf(sabs)
-    gap = np.abs(np.subtract(~far, tail, out=args[1]), out=args[1])
-    gap -= below
-    q1 = np.multiply(cfg.alpha, sk)
-    q1 += gap
-    q1 *= 0.5
-    return sk, q1, tail, below
-
-
 def hpd_radii(cfg: PriorConfig, x):
     """The three interval radii (r1, r2, r3) at observation x.
 
@@ -115,10 +87,10 @@ def hpd_radii(cfg: PriorConfig, x):
     band's mass is redistributed, and r2 the right extension used when the
     interval is pinned to the band edge.  r2 follows the extended-real
     convention (+inf / -inf) when its defining tail mass leaves (0, 1).
-    r1 and r3 are finite wherever |x| > t_alpha.
+    r1 and r3 are finite off the atom region.
     """
     xs = np.atleast_1d(np.asarray(x, float))
-    sk, q1, _, _ = _tail_levels(cfg, np.abs(xs))
+    sk, q1 = tail_levels(cfg, np.abs(xs))[2:4]
     signed = cfg.dist.cdf(-cfg.lam - xs)
     r = cfg.dist.ppf_upper(np.stack([q1, cfg.alpha * sk - signed, 0.5 * cfg.alpha * sk]))
     return tuple(map(float, r[:, 0])) if np.ndim(x) == 0 else tuple(r)
@@ -142,17 +114,19 @@ def _levels(cfg: PriorConfig, x: np.ndarray):
     q is each x's selected tail level, q1 on I, q3 on III and q2 on II/IV,
     so that its radius is rho = G^{-1}(1 - q) and, in every regime,
     HPD(x) = {theta : |theta - x| <= rho} \\ (-lam, lam) off the atom region;
-    codes are the Regime codes, ATOM wherever |x| > t_alpha fails (NaN x
-    included).  From _PRODUCTS_MIN points on each is a sum of 0/1 products
-    with one nonzero term (all levels are finite, NaN stays NaN), the codes
-    in int8; below it masked copies pick the same values at about 10 us less
-    per call, while the products take 22% less time at 4096 points.
+    codes are the Regime codes, ATOM where the atom margin is not negative
+    (NaN x included; only there with no atom).  From _PRODUCTS_MIN points on
+    each is a sum of 0/1 products with one nonzero term (all levels are
+    finite, NaN stays NaN), the codes in int8; below it masked copies pick
+    the same values at about 10 us less per call, while the products take
+    22% less time at 4096 points.
     """
     alpha, sabs = cfg.alpha, np.abs(x)
-    sk, q1, tail, below = _tail_levels(cfg, sabs)
+    _, _, sk, q1, tail, below, margin = tail_levels(cfg, sabs)
     # r = G^{-1}(1 - q) falls as q rises: regime I (|x| - lam > r1) reads
     # q1 > G(lam - |x|), and III (r3 >= |x| + lam) reads q3 <= G(-lam - |x|).
     one = (q1 > tail) & (sabs > cfg.lam)
+    open_ = sabs == sabs if margin is None else margin < 0
     q3 = np.multiply(0.5 * alpha, sk, out=tail)
     third = q3 <= below
     q2 = np.multiply(alpha, sk, out=sk)
@@ -161,14 +135,14 @@ def _levels(cfg: PriorConfig, x: np.ndarray):
         np.copyto(q2, q3, where=third)
         np.copyto(q2, q1, where=one)
         codes = np.where(one, _I, np.where(third, _III, np.where(x > 0, _II, _IV)))
-        return q2, np.where(sabs > cfg.t_alpha, codes, _ATOM)
+        return q2, np.where(open_, codes, _ATOM)
     not_one, not_third = ~one, ~third
     q = np.multiply(third, q3, out=q3)
     q += np.multiply(not_third, q2, out=q2)
     q *= not_one
     q += np.multiply(one, q1, out=q1)
     codes = third * _III + not_third * (_IV - 2 * (x > 0).view(np.int8))
-    return q, (one * _I + not_one * codes) * (sabs > cfg.t_alpha)
+    return q, (one * _I + not_one * codes) * open_
 
 
 def _endpoint_pass(cfg: PriorConfig, x):
@@ -196,7 +170,7 @@ def regime_codes(cfg: PriorConfig, x) -> np.ndarray:
 
 
 def classify_regime(cfg: PriorConfig, x: float) -> Regime:
-    """Regime of a single observation (ATOM when |x| <= t_alpha)."""
+    """Regime of a single observation (ATOM where the atom alone holds 1 - alpha)."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     return Regime(int(regime_codes(cfg, x)[0]))
@@ -217,32 +191,31 @@ def endpoint_values(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray]:
     return endpoints(cfg, x)[:2]
 
 
-def _require_interval_part(cfg: PriorConfig, x: float):
+def _require_interval_part(cfg: PriorConfig, x: float) -> tuple[float, float]:
+    """(U(x), L(x)) at a finite x off the atom region, whose code says so."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    if abs(x) <= cfg.t_alpha:
-        raise ValueError(
-            f"|x| = {abs(x)} <= t_alpha = {cfg.t_alpha}: the credible set is the atom alone"
-        )
+    up, low, codes = endpoints(cfg, x)
+    if codes[0] == _ATOM:
+        raise ValueError(f"x = {x} lies in the atom region: the credible set is the atom alone")
+    return float(up[0]), float(low[0])
 
 
 def upper_endpoint(cfg: PriorConfig, x: float) -> float:
-    """U(x) for |x| > t_alpha: x + r1, x + r2, x + r3 or -lam by regime."""
-    _require_interval_part(cfg, x)
-    return float(upper_values(cfg, x)[0])
+    """U(x) off the atom region: x + r1, x + r2, x + r3 or -lam by regime."""
+    return _require_interval_part(cfg, x)[0]
 
 
 def lower_endpoint(cfg: PriorConfig, x: float) -> float:
-    """L(x) = -U(-x) for |x| > t_alpha."""
-    _require_interval_part(cfg, x)
-    return float(lower_values(cfg, x)[0])
+    """L(x) = -U(-x) off the atom region."""
+    return _require_interval_part(cfg, x)[1]
 
 
 def upper_endpoint_alt(cfg: PriorConfig, x: float) -> float:
     """Regime-free form of U: combines h1 = x + (r2 ^ r3) v r1 and h2 = -lam ^ (x + r1).
 
     Returns h1 when h1 >= lam and h2 otherwise; agrees with upper_endpoint
-    everywhere on |x| > t_alpha.
+    everywhere off the atom region.
     """
     _require_interval_part(cfg, x)
     r1, r2, r3 = hpd_radii(cfg, x)
@@ -402,7 +375,7 @@ def smallest_lower_inverse(cfg: PriorConfig, theta0: float, tol: float = 1e-12, 
         )
     a = float(theta0)
     for _ in range(max_iter):
-        nxt = theta0 + float(cfg.dist.ppf_upper(_tail_levels(cfg, np.array([a]))[1])[0])
+        nxt = theta0 + float(cfg.dist.ppf_upper(tail_levels(cfg, np.array([a]))[3])[0])
         if nxt < a - 1e-12:
             raise RuntimeError(f"fixed-point iterates decreased at a = {a}")
         if abs(nxt - a) <= tol:

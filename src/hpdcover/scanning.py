@@ -144,18 +144,20 @@ def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
     seven times the error of a secant step on the previous bracket and
     converges superlinearly, while a jump or NaN edge narrows m-fold per
     round as in plain multisection.  Each cell retires once its width is at
-    most stop = max(tol / 128, 4 ulp(|x|)), a bound that ends the rounds at
-    any |x|, and its regula falsi point (the midpoint where a margin is NaN)
-    is returned, within a few ulp of a smooth root; no call is made for an
-    empty cell array.
+    most stop = max(tol / 128, 4 ulp(|x|)), |x| the larger of its current
+    ends, a bound that ends the rounds at any |x|, and its regula falsi
+    point (the midpoint where a margin is NaN) is returned, within a few ulp
+    of a smooth root; no call is made for an empty cell array.
     """
     cells = np.array([lo, g_lo, hi, g_hi], float).reshape(4, -1)
-    stop = np.maximum(tol / 128.0, 4.0 * np.spacing(np.maximum(np.abs(cells[0]), np.abs(cells[2]))))
-    at = np.flatnonzero(cells[2] - cells[0] > stop)
+    stop = lambda a, b: np.maximum(tol / 128.0, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    s = stop(cells[0], cells[2])
+    at = np.flatnonzero(cells[2] - cells[0] > s)
+    s = s[at]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while at.size:
             a, ga, b, gb = cells[:, at]
-            w, s = b - a, stop[at]
+            w = b - a
             spans = w / s
             m = section_count(at.size, bisect_iters(spans, 1.0))
             k = 1 + max(0, math.ceil(math.log(4.0 * float(np.max(spans)) / m, 8)))
@@ -177,7 +179,9 @@ def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
             r = np.arange(at.size)
             kept = xs[r, j - 1], g[r, j - 1], xs[r, j], g[r, j]
             cells[:, at] = kept
-            at = at[kept[2] - kept[0] > s]
+            s = stop(kept[0], kept[2])
+            live = kept[2] - kept[0] > s
+            at, s = at[live], s[live]
         lo, g_lo, hi, g_hi = cells
         t = g_lo / (g_lo - g_hi)
         return lo + (hi - lo) * np.where(t == t, t, 0.5)

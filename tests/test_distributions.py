@@ -69,6 +69,19 @@ def test_cdf_derivative_matches_density(name):
     assert np.max(np.abs(deriv - d.pdf(x))) <= 1e-6
 
 
+def test_laplace_ppf_matches_masked_selection_bits():
+    # ppf signs log(2 min(p, 1 - p)) by p - 1/2 in place; it must equal the
+    # selection np.where(p <= 0.5, log(2p), -log(2(1 - p))) bit for bit, NaN
+    # sign included.
+    d = make_distribution("laplace")
+    specials = np.array([0.0, 0.5, 1.0, np.nan, -np.nan, np.nextafter(0.5, 1.0), 1e-300])
+    for p in (np.random.default_rng(5).random(1 << 16), specials, *specials):
+        with np.errstate(divide="ignore"):
+            want = np.where(p <= 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
+        got = d.ppf(p)
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
+
 def test_laplace_closed_forms():
     d = make_distribution("laplace")
     assert float(d.cdf(0.0)) == pytest.approx(0.5, abs=0)

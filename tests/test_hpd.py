@@ -10,6 +10,7 @@ from hpdcover import (
     Regime,
     atom_mass,
     classify_regime,
+    coverage_mc,
     dip_search,
     endpoint_values,
     endpoints,
@@ -303,6 +304,21 @@ def test_endpoints_make_one_lower_tail_and_one_quantile_call(law):
         assert counted.calls["lower_tail"] == 1 and counted.calls["cdf"] == 0 and counted.calls["ppf"] <= 1
         seen.update(codes.tolist())
     assert seen == set(Regime)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_evaluations_leave_atom_threshold_unsolved(law):
+    # The atom region comes from the evaluator's own tail levels, so sets,
+    # endpoints, lengths and Monte Carlo coverage never solve for t_alpha
+    # (a cached property, so a solve would leave it in the instance dict).
+    cfg = PriorConfig(parse_dist_spec(law), 2.0, 0.25, 0.05)
+    xs = np.linspace(-12.0, 12.0, 1001)
+    for x in (0.0, 1.0, 3.0, -7.5):
+        hpd_set(cfg, x)
+    endpoints(cfg, xs)
+    hpd_length(cfg, xs)
+    coverage_mc(cfg, 3.0, 4096, seed=1)
+    assert "t_alpha" not in vars(cfg)
 
 
 def _nested_selection_reference(cfg, x):

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import hpdcover
 from hpdcover import (
     Distribution,
     PriorConfig,
@@ -17,7 +21,9 @@ from hpdcover import (
     make_distribution,
     posterior_normalizer,
     posterior_probability,
+    regime_codes,
 )
+from hpdcover.hpd import Regime
 
 from conftest import ALL_CONFIGS, config, dist
 
@@ -34,6 +40,15 @@ def test_prior_config_validation():
         PriorConfig(dist=d, lam=1.0, w=1.2, alpha=0.05)
     with pytest.raises(ValueError):
         PriorConfig(dist=d, lam=1.0, w=1.0, alpha=1.0)
+
+
+def test_prior_config_rejects_subnormal_w():
+    # Below the least normal float (1 - w) / w overflows, so the spike term
+    # would be inf; such a w fails at construction, not at its first use.
+    with pytest.raises(ValueError):
+        PriorConfig(dist=dist("laplace"), lam=0.5, w=1e-310, alpha=0.05)
+    cfg = PriorConfig(dist=dist("laplace"), lam=0.5, w=sys.float_info.min, alpha=0.05)
+    assert cfg.t_alpha > 0.0 and math.isfinite(atom_mass(cfg, 3.0))
 
 
 def test_prior_config_accepts_numpy_scalars():
@@ -166,10 +181,15 @@ class _StickyAtom(Distribution):
     name = "sticky"
 
     def pdf(self, x):
-        return np.ones_like(np.asarray(x, float))
+        # The slab's share s is near 1 beyond the band, so the spike term must
+        # exceed (1 - alpha) / alpha times it there too.
+        return np.full_like(np.asarray(x, float), 1e3)
 
     def cdf(self, x):
         return np.full_like(np.asarray(x, float), 1e-12)
+
+    def lower_tail(self, t):
+        return self.cdf(t)
 
 
 def test_atom_threshold_saturated_flagged_as_inf():
@@ -212,6 +232,41 @@ def test_atom_threshold_agrees_with_bisection():
         else:
             assert got == want
     assert finite > 150
+
+
+@pytest.mark.parametrize("lam", [20.0, 35.0])
+@pytest.mark.parametrize("w", [0.25, 1e-4])
+def test_atom_codes_follow_atom_mass_deep_in_band(lam, w):
+    # Deep in a wide band the slab share s is tiny and q1 - 1/2 rounds to 0
+    # far past t_alpha (gaussian, lam 35, w 1e-4: from t_alpha = 17.76 out to
+    # |x| = 26.7, as the atom mass falls from 0.95 to 1e-135), so the atom
+    # rule must come from a margin whose terms are of the size of s: the codes
+    # read ATOM exactly where the atom mass reaches 1 - alpha, off the root.
+    cfg = PriorConfig(make_distribution("gaussian"), lam, w, 0.05)
+    t = cfg.t_alpha
+    assert 0.0 < t < lam
+    xs = np.linspace(-lam - 10.0, lam + 10.0, 40_001)
+    xs = xs[np.abs(np.abs(xs) - t) > 1e-9]
+    atom = regime_codes(cfg, xs) == Regime.ATOM
+    assert np.array_equal(atom, atom_mass(cfg, xs) >= 1.0 - cfg.alpha)
+    assert np.array_equal(atom, np.abs(xs) <= t)
+
+
+def test_import_posterior_loads_no_evaluator_module():
+    # posterior imports scanning for its threshold solver; neither may reach
+    # back to the evaluator or the coverage layer, so the import graph stays
+    # acyclic.  A bare package object stands in for hpdcover/__init__.py
+    # (which imports every module), so only posterior's own imports run.
+    pkg = str(Path(hpdcover.__file__).resolve().parent)
+    code = (
+        "import sys, types; pkg = types.ModuleType('hpdcover'); pkg.__path__ = [sys.argv[1]]; "
+        "sys.modules['hpdcover'] = pkg; import hpdcover.posterior; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('hpdcover.'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, pkg], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert {"hpdcover.posterior", "hpdcover.scanning"} <= loaded
+    assert not loaded & {"hpdcover.hpd", "hpdcover.coverage"}
 
 
 def test_posterior_normalizer_positive():
