@@ -14,16 +14,16 @@ own uniform; no radius or endpoint is formed.
 U and L do not depend on theta0, so a whole theta0 grid is scanned as one
 batch on the calling thread, each distinct |theta0| once (HPD(-x) = -HPD(x),
 so -theta0 is read off by reflection): one scanning.member_intervals call
-over the union of the scan windows (a theta0-free grid of n_base points
-spread over that union, densified at the band edges and atom threshold; see
-_chunks for how coarse a chunk's grid may get) yields the
-membership set of every theta0 that the atom/band rule leaves open, the same
-level-set scan that serves inversion, post-selection and the one-sided
-baseline.  C- and C+ are that
-set split at x = theta0, its masses on [theta0, inf) and (-inf, theta0), so
-C = C- + C+ at every theta0.  The atom/band rule (_fixed_cover) and the
-Monte Carlo counter (_mc_point) are each written once, for the exact scan,
-hpd_contains, coverage_mc and Monte Carlo curves alike.
+per run of _RUN theta0, on a theta0-free grid over the union of their scan
+windows that scanning.build_grid spaces and densifies at the band edges and
+atom threshold, yields the membership set of every theta0 that the atom/band
+rule leaves open, the same level-set scan that serves inversion,
+post-selection and the one-sided baseline.  C- and C+ are that set split at
+x = theta0, its masses on [theta0, inf) and (-inf, theta0), so C = C- + C+
+at every theta0.  The atom/band rule (_fixed_cover) and the Monte Carlo
+counter (_mc_point) are each written once, for the exact scan, hpd_contains
+(and so post-selection membership), coverage_mc and Monte Carlo curves
+alike.
 """
 
 from __future__ import annotations
@@ -104,44 +104,15 @@ class CoveragePoint:
     fractions: dict[str, float] = field(default_factory=dict)
 
 
-# Budget of one chunk of theta0 in points, its stretches counted at the
-# default n_base's one-window step (see _chunks).
-_GRID_CAP = 1 << 17
-
-
-def _chunks(ts: np.ndarray, width: float, reach: float, scan: ScanSettings):
-    """Runs of the sorted theta0 array whose windows scan on one shared grid.
-
-    Each theta0's window is width wide and holds its crossings within about
-    reach of it (reach = width / 2 for the symmetric coverage window).  A run
-    is charged one full window and four dense blocks (+-lam, +-t_alpha), then
-    per further theta0 its two edges and the stretch its window adds to the
-    union, counted in spans of 2 reach at (n_base - 1) (4096 / n_base)^2
-    points each, and closes before the charge passes _GRID_CAP.  As the grid
-    spaces n_base points over the whole union, this bounds how coarse it
-    gets: past the first window the union grows by at most about n_base / 128
-    spans (32 at the default n_base = 4096), so each span keeps at least
-    about 128 n_base / (n_base + 128) base points.  Counting spans of 2 reach
-    keeps the one-sided scan's member sets (about 7 wide for t3) resolved in
-    its 1,305-wide tail-cut windows.
-    """
-    first = scan.n_base + 4 * (scan.n_dense + 1) + 2
-    shrink = (ScanSettings.n_base / scan.n_base) ** 2
-    added = np.minimum(np.diff(ts), width) * (scan.n_base - 1) / (2.0 * reach) * shrink
-    start, used = 0, first
-    for k, cost in enumerate(added + 2, start=1):
-        if used + cost > _GRID_CAP:
-            yield slice(start, k)
-            start, used = k, first
-        else:
-            used += cost
-    yield slice(start, ts.size)
+# theta0 per scan: the regime-fraction block and the refine batch grow with
+# the theta0 count, so a long array is scanned in runs of this many.
+_RUN = 4096
 
 
 def _exact_sorted(
     cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSettings, fractions: bool = True
 ) -> np.ndarray:
-    """Rows (C, C-, C+, frac_I..frac_IV) for one chunk of sorted theta0, or
+    """Rows (C, C-, C+, frac_I..frac_IV) for one run of sorted theta0, or
     (C, C-, C+) alone without ``fractions``.
 
     One member_intervals scan gives the membership set in its window of
@@ -191,9 +162,10 @@ def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings, fractions: bool =
     """Exact coverage rows (C, C-, C+, frac_I..frac_IV), one per theta0, in input order;
     (C, C-, C+) alone without ``fractions``, for callers that read no regime.
 
-    Each distinct |theta0| is scanned once.  As L(x) = -U(-x), reflecting x
-    keeps C and swaps regimes II and IV and the sides of x = theta0 (a null
-    set), so -theta0 takes the row of |theta0| with C-/C+ and frac_II/IV swapped.
+    Each distinct |theta0| is scanned once, in sorted runs of _RUN, one
+    shared grid each (_exact_sorted).  As L(x) = -U(-x), reflecting x keeps
+    C and swaps regimes II and IV and the sides of x = theta0 (a null set),
+    so -theta0 takes the row of |theta0| with C-/C+ and frac_II/IV swapped.
     """
     ts = _finite_theta0(theta0)
     cols = [0, 2, 1, 3, 6, 5, 4] if fractions else [0, 2, 1]
@@ -201,8 +173,8 @@ def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings, fractions: bool =
         return np.empty((0, len(cols)))
     mag, inv = np.unique(np.abs(ts), return_inverse=True)
     half = _half_width(cfg, scan)
-    runs = _chunks(mag, 2.0 * half, half, scan)
-    rows = np.concatenate([_exact_sorted(cfg, mag[s], half, scan, fractions) for s in runs])[inv]
+    runs = (mag[i : i + _RUN] for i in range(0, mag.size, _RUN))
+    rows = np.concatenate([_exact_sorted(cfg, m, half, scan, fractions) for m in runs])[inv]
     return np.where((ts < 0.0)[:, None], rows[:, cols], rows)
 
 
@@ -352,8 +324,9 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0, scan: ScanSettings = ScanS
     only the left window edge is probabilistic (mass below it is under
     scan.tol_tail / 2).  The membership regions of all distinct theta0 are
     one level-set scan of the curve pair (U1, L1) at the sorted levels
-    theta0, in the runs of _chunks (one shared grid each); it needs
-    no x >= theta0 split, so theta0 is not a grid point.
+    theta0, in runs of _RUN (one shared grid each), whose crossings lie
+    within about G^{-1}(1 - alpha/2) + 0.5 of theta0, the reach that bounds
+    the grid step; it needs no x >= theta0 split, so theta0 is not a grid point.
     """
     if cfg.w != 1.0:
         raise ValueError("one-sided baseline coverage requires w = 1")
@@ -363,10 +336,10 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0, scan: ScanSettings = ScanS
     switch = cfg.lam + float(d.ppf(1.0 / (1.0 + cfg.alpha)))
     curves = lambda xs: onesided_endpoints(cfg, xs)
     out = np.empty(ts.size)
-    for s in _chunks(ts, left + right + 0.5, right + 0.5, scan) if ts.size else ():
-        t = ts[s]
-        owner, a, b = member_intervals(curves, t, t - left, t + right + 0.5, [cfg.lam, switch], scan)
-        out[s] = np.bincount(owner, weights=interval_mass(d, a - t[owner], b - t[owner]), minlength=t.size)
+    for i in range(0, ts.size, _RUN):
+        t = ts[i : i + _RUN]
+        owner, a, b = member_intervals(curves, t, t - left, t + right + 0.5, [cfg.lam, switch], scan, right + 0.5)
+        out[i : i + _RUN] = np.bincount(owner, weights=interval_mass(d, a - t[owner], b - t[owner]), minlength=t.size)
     if np.ndim(theta0) == 0:
         return float(out[0])
     return out[inv].reshape(np.shape(theta0))
@@ -468,7 +441,7 @@ def check_coverage_bounds(
     slack_coeff: float | None = None,
     dip_slack: float | None = None,
 ) -> BoundReport:
-    """Verify the coverage bounds on a theta0 grid, reporting margins.
+    """Verify the coverage bounds on a non-empty finite theta0 grid, reporting margins.
 
     Checks: (a) the below-x part never exceeds (1-alpha)/2; (b) it stays
     above 1/2 - alpha minus an alpha**(1+gamma)-scale slack; (c) the dip
@@ -484,7 +457,7 @@ def check_coverage_bounds(
     calibrated from this run (with a 1.25 margin) and recorded in the
     details, which records the observed constant rather than testing it.
     """
-    grid = np.asarray(theta_grid, float)
+    grid = _finite_theta0(theta_grid)
     if grid.size == 0:
         raise ValueError("theta0 grid must be non-empty")
     d = cfg.dist

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coverage import hpd_contains
 from .distributions import draw_chunks
 from .hpd import _half_width, endpoint_values, hpd_set
 from .posterior import PriorConfig
-from .scanning import ScanSettings, covers, member_intervals
+from .scanning import ScanSettings, member_intervals
 
 __all__ = [
     "PostSelectionSet",
@@ -50,12 +51,11 @@ class PostSelectionSet:
 def credible_set_contains(cfg: PriorConfig, data_values, x: float):
     """Vectorized indicator of x in CS(theta) with theta ranging over data_values.
 
-    CS(theta) is the credible set computed as if theta were the observation.
-    Requires w = 1 (no atom) and |x| >= lam, under which membership reduces
-    to L(theta) <= x <= U(theta).
+    CS(theta) is the credible set computed as if theta were the observation,
+    so this is hpd_contains with x as the point tested: the atom/band rule
+    decides where it applies (no CS(theta) holds an x inside the band).
     """
-    thetas = np.atleast_1d(np.asarray(data_values, float))
-    return covers(*endpoint_values(cfg, thetas), x)
+    return hpd_contains(cfg, data_values, x)
 
 
 def _require_selected(cfg: PriorConfig, x: float):

@@ -61,8 +61,8 @@ class ScanSettings:
     """Resolution controls for membership and inversion scans.
 
     n_base points cover the union of a scan's windows (the whole window of
-    a one-window scan; coverage scans chunk their theta0 so that every
-    window keeps at least about 128 n_base / (n_base + 128) of them), with
+    a one-window scan; a wide union keeps the step it has when it runs
+    n_base / 128 member spans past its first window, see build_grid), with
     n_dense extra points in a unit-halfwidth block around each special
     abscissa (band edges, atom threshold, and the target of an inversion or
     post-selection scan; coverage scans add no point for theta0).  tol_tail
@@ -84,16 +84,22 @@ class ScanSettings:
             raise ValueError("bisect_tol must lie in (0, 1)")
 
 
-def build_grid(lo, hi, specials, scan: ScanSettings) -> np.ndarray:
+def build_grid(lo, hi, specials, scan: ScanSettings, reach=None) -> np.ndarray:
     """Sorted deduplicated grid over [lo, hi] densified near special points.
 
     lo and hi may also be sorted arrays of equal-width windows: the grid then
-    covers their union with n_base points, one step (total length of the
-    union's connected pieces) / (n_base - 1) on every piece, so its size
-    follows the union, not the window count, and one window keeps the step
-    (hi - lo) / (n_base - 1).  Every window edge is a grid point.  Each
-    special abscissa gets n_dense points on its unit-halfwidth block clipped
-    to the piece and is itself a grid point when inside it.
+    covers their union at one step on every piece, so its size follows the
+    union, not the window count.  The step is min(U, w + n_base / 64 reach)
+    / (n_base - 1), U the total length of the union's connected pieces and w
+    one window's width: n_base points spread over the union until it runs
+    n_base / 128 spans of 2 reach past its first window, reach (default
+    w / 2) being how far from its level a window's crossings lie.  So one
+    window keeps the step w / (n_base - 1), and every window keeps at least
+    (n_base - 1) w / (w + n_base / 64 reach) base points (124 at the default
+    n_base for reach w / 2, 85 at n_base = 256).  Every window edge is a
+    grid point.  Each special abscissa gets n_dense points on its
+    unit-halfwidth block clipped to the piece and is itself a grid point
+    when inside it.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(hi, float))
     if not np.all(lo < hi):
@@ -102,7 +108,9 @@ def build_grid(lo, hi, specials, scan: ScanSettings) -> np.ndarray:
     pts = pts[np.isfinite(pts)]
     breaks = np.nonzero(lo[1:] > hi[:-1])[0]
     starts, ends = np.concatenate([lo[:1], lo[breaks + 1]]), np.concatenate([hi[breaks], hi[-1:]])
-    step = np.sum(ends - starts) / (scan.n_base - 1)
+    width = hi[0] - lo[0]
+    span = width + scan.n_base / 64.0 * (0.5 * width if reach is None else reach)
+    step = min(np.sum(ends - starts), span) / (scan.n_base - 1)
     parts = [lo, hi]
     for a, b in zip(starts, ends):
         parts.append(np.linspace(a, b, int(math.ceil((b - a) / step - 1e-6)) + 1))
@@ -352,22 +360,22 @@ def _member_stretches(cuts, group, start, lo, hi):
     return group[on], left[on], right[on]
 
 
-def member_intervals(curves, levels, lo, hi, specials, scan: ScanSettings):
+def member_intervals(curves, levels, lo, hi, specials, scan: ScanSettings, reach=None):
     """Connected components of {x in [lo_j, hi_j] : L(x) <= t_j <= U(x)} for every level t_j.
 
     curves(xs) -> (U, L) is the curve pair; NaN values compare false.  levels
     are sorted with equal-width windows [lo_j, hi_j] (or scalars for one
-    level).  One endpoint table on a grid over the union of the windows
-    passes through the graze_points sliver guard for all levels, the
-    crossings of every level come from crossing_cells, the margins
-    min(U - t, t - L) are read at the ends of those cells alone, and every
-    flag transition is refined in one refine_boundaries batch, which starts
-    from those end margins.  Returns flat arrays (owner, a, b),
+    level), reach as in build_grid.  One endpoint table on a grid over the
+    union of the windows passes through the graze_points sliver guard for
+    all levels, the crossings of every level come from crossing_cells, the
+    margins min(U - t, t - L) are read at the ends of those cells alone, and
+    every flag transition is refined in one refine_boundaries batch, which
+    starts from those end margins.  Returns flat arrays (owner, a, b),
     grouped by level; stretches of one level that touch (within 1e-15) are
     merged.
     """
     levels, lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in (levels, lo, hi))
-    grid = build_grid(lo, hi, specials, scan)
+    grid = build_grid(lo, hi, specials, scan, reach)
     grid, table = graze_points(grid, curves(grid), levels, curves)
     i0, i1 = np.searchsorted(grid, lo, "left"), np.searchsorted(grid, hi, "right")
     owner, cell = crossing_cells(table, levels, i0, i1)

@@ -373,6 +373,14 @@ def test_check_bounds_early_gap_when_threshold_beyond_band():
     assert by_name["onesided_comparison"].status == "skipped"
 
 
+@pytest.mark.parametrize("grid", [[math.nan, 7.0, 8.0], [math.nan], [6.0, math.inf]])
+def test_check_bounds_rejects_non_finite_theta0(grid):
+    # A NaN fell out of the above-band filter unnoticed: [nan, 7, 8] passed,
+    # and [nan] gave a passing report whose checks were all skipped.
+    with pytest.raises(ValueError):
+        check_coverage_bounds(config("laplace", 5.0, 1.0), grid)
+
+
 def test_subexp_coverage_end_to_end():
     from hpdcover import PriorConfig, make_distribution, posterior_probability
 
@@ -474,9 +482,12 @@ def test_coverage_curve_matches_pointwise_on_mirrored_figure_grid(name, lam, w):
 
 
 def test_coverage_curve_chunked_matches_single_batch(monkeypatch):
+    # Runs of a few theta0 scan on a grid each; C, C- and C+ of the exact
+    # and one-sided scans agree with those of one run over the whole grid.
     cfg = config("laplace", 5.0, 1.0)
     grid = np.linspace(-12.0, 14.0, 40)
-    whole = coverage_curve(cfg, grid)
+    above = grid[grid > 5.0]
+    whole, whole_onesided = coverage_curve(cfg, grid), onesided_coverage_exact(cfg, above)
     sizes = []
     real_build_grid = scanning_mod.build_grid
 
@@ -486,11 +497,15 @@ def test_coverage_curve_chunked_matches_single_batch(monkeypatch):
         return out
 
     monkeypatch.setattr(scanning_mod, "build_grid", counting_build_grid)
-    monkeypatch.setattr(coverage_mod, "_GRID_CAP", 7_000)
+    monkeypatch.setattr(coverage_mod, "_RUN", 6)
     chunked = coverage_curve(cfg, grid)
-    assert len(sizes) > 2 and max(sizes) <= 7_000
+    assert len(sizes) > 2
     for a, b in ((whole.C, chunked.C), (whole.C_minus, chunked.C_minus), (whole.C_plus, chunked.C_plus)):
         assert np.max(np.abs(a - b)) <= 1e-10
+    sizes.clear()
+    onesided = onesided_coverage_exact(cfg, above)
+    assert len(sizes) > 2
+    assert np.max(np.abs(whole_onesided - onesided)) <= 1e-10
 
 
 def test_exact_batch_keeps_input_order():
@@ -661,6 +676,29 @@ def test_figure_curve_grid_does_not_grow_with_span(monkeypatch, law, lam):
         sizes = _grid_sizes(monkeypatch, lambda n: coverage_curve(cfg, grid(n), scan), (4, 40))
         for n, (size,) in zip((4, 40), sizes):
             assert size <= scan.n_base + 4 * (scan.n_dense + 1) + 2 * grid(n).size + 4
+
+
+def test_grid_step_cap_does_not_bind_on_benchmark_batches(monkeypatch):
+    # The figure-1 curves at --fig-grid-n 4 (three laws, lam 0.5 and 5, the
+    # w sweep) and the laplace lam 5 bounds report on 5.5:12:8 scan every
+    # grid at step U / (n_base - 1), U the union's length, exactly as with
+    # no cap on the step (reach = inf).
+    calls = []
+    real_build_grid = scanning_mod.build_grid
+
+    def checking_build_grid(lo, hi, specials, scan, reach=None):
+        out = real_build_grid(lo, hi, specials, scan, reach)
+        calls.append(np.array_equal(out, real_build_grid(lo, hi, specials, scan, math.inf)))
+        return out
+
+    monkeypatch.setattr(scanning_mod, "build_grid", checking_build_grid)
+    for law in ("gaussian", "laplace", "t3"):
+        for lam in (0.5, 5.0):
+            grid = _coverage_grid(dist(law), lam, ALPHA, 4, True)
+            for w in (0.125, 0.25, 0.5, 1.0):
+                coverage_curve(config(law, lam, w), grid)
+    check_coverage_bounds(config("laplace", 5.0, 1.0), np.linspace(5.5, 12.0, 8))
+    assert len(calls) > 24 and all(calls)
 
 
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])

@@ -51,6 +51,20 @@ def test_inverted_set_matches_brute_force_membership():
     assert np.array_equal(member[~edge], inside[~edge])
 
 
+def test_credible_set_contains_applies_the_band():
+    # x = 0.5 lies inside the band |x| < lam = 1, which no credible set
+    # covers, so x is in CS(theta) for no theta, though L(theta) <= x <=
+    # U(theta) holds at 0.5, 0.6 and 2.0.  Outside the band the indicator
+    # is still the interval test.
+    cfg = config("laplace", 1.0, 1.0)
+    thetas = np.array([0.5, 0.6, 2.0])
+    assert not np.any(credible_set_contains(cfg, thetas, 0.5))
+    assert not any(hpd_set(cfg, float(th)).contains(0.5) for th in thetas)
+    got = credible_set_contains(cfg, thetas, 1.5)
+    assert got.tolist() == [hpd_set(cfg, float(th)).contains(1.5) for th in thetas]
+    assert got.any()
+
+
 def test_membership_duality():
     # theta in PS(x) exactly when x falls in the credible set built at theta.
     cfg = config("laplace", 0.5, 1.0)

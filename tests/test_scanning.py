@@ -99,6 +99,37 @@ def test_build_grid_overlap_is_one_piece():
     assert np.all(np.isin(edges, dense)) and np.all(np.isin(grid, dense))
 
 
+@pytest.mark.parametrize("scan, least", [(ScanSettings(), 124), (SCAN, 85)])
+def test_build_grid_caps_the_step_of_a_wide_union(scan, least):
+    # 201 windows of width 12 five apart make one piece [0, 1012], wider
+    # than a window plus n_base / 128 spans of 2 reach = 12: the step is
+    # capped at (12 + n_base / 64 * 6) / (n_base - 1), and every window
+    # keeps at least (n_base - 1) / (1 + n_base / 128) base points.
+    lo = np.linspace(0.0, 1000.0, 201)
+    edges = np.concatenate([lo, lo + 12.0])
+    grid = build_grid(lo, lo + 12.0, [], scan)
+    step = (12.0 + scan.n_base / 64.0 * 6.0) / (scan.n_base - 1)
+    base = np.linspace(0.0, 1012.0, math.ceil(1012.0 / step - 1e-6) + 1)
+    assert np.array_equal(grid, np.union1d(base, edges))
+    assert np.max(np.diff(base)) <= step * (1 + 1e-12)
+    per_window = np.searchsorted(base, lo + 12.0, "right") - np.searchsorted(base, lo, "left")
+    assert per_window.min() >= least
+    # The same windows under the default reach of width / 2.
+    assert np.array_equal(build_grid(lo, lo + 12.0, [], scan, 6.0), grid)
+
+
+def test_build_grid_resolves_one_sided_member_spans():
+    # One-sided-shaped windows: 1,305 wide, their crossings within reach
+    # 3.7 of the level (t3 member sets are about 7 wide).  Thirty levels
+    # about 100 apart share one piece over 4,300 wide, and each 2 reach
+    # span about a level still holds at least 19 grid points.
+    levels = np.linspace(6.0, 3000.0, 30)
+    grid = build_grid(levels - 1301.3, levels + 3.7, [], ScanSettings(), 3.7)
+    per_span = np.searchsorted(grid, levels + 3.7, "right") - np.searchsorted(grid, levels - 3.7, "left")
+    assert per_span.min() >= 19
+    assert grid.size < 3 * ScanSettings().n_base
+
+
 _KINKS = np.array([0.3137, -2.5, 40.0])
 
 EXTREMUM_CASES = {
