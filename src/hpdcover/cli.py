@@ -77,7 +77,6 @@ class RunConfig:
     n: int = 10**6
     seed: int = 0
     n_base: int = 4096
-    n_dense: int = 512
     tol_tail: float = 1e-9
     threads: int = 0
     fig_grid_n: int = 800
@@ -85,8 +84,12 @@ class RunConfig:
     out: str = ""
     outdir: str = "."
 
+    def __post_init__(self):
+        if not (self.lam and self.w):
+            raise ValueError("lam and w each need at least one value")
+
     def scan_settings(self) -> ScanSettings:
-        return ScanSettings(n_base=self.n_base, n_dense=self.n_dense, tol_tail=self.tol_tail)
+        return ScanSettings(n_base=self.n_base, tol_tail=self.tol_tail)
 
     def first_dist(self) -> Distribution:
         return parse_dist_spec(self.dist.split(",")[0])
@@ -151,6 +154,8 @@ def _parse_field(f, val: str):
     if f.type == "int":
         return int(val)
     if f.type == "bool":
+        if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(f"config key {f.name!r} takes true or false, got {val!r}")
         return val.lower() in ("1", "true", "yes")
     return val
 
@@ -204,10 +209,6 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
 
 
-def _threads(rc: RunConfig) -> int | None:
-    return rc.threads if rc.threads > 0 else None
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
@@ -251,7 +252,7 @@ def _cmd_coverage(rc: RunConfig) -> int:
                     cfg = PriorConfig(dist=rc.first_dist(), lam=lam, w=w, alpha=rc.alpha)
                     curves[key] = coverage_curve(
                         cfg, grid, rc.scan_settings(), method=rc.method,
-                        n=rc.n, seed=rc.seed, threads=_threads(rc),
+                        n=rc.n, seed=rc.seed, threads=rc.threads if rc.threads > 0 else None,
                     )
                 except Exception as exc:  # noqa: BLE001 - enumerate and keep going
                     curves[key] = str(exc)
@@ -356,7 +357,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float, help="credibility tail level in (0, 1)")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--n-base", dest="n_base", type=int, help="base scan grid size")
-    p.add_argument("--n-dense", dest="n_dense", type=int, help="extra points near special abscissas")
     p.add_argument("--tol-tail", dest="tol_tail", type=float, help="mass allowed outside scan windows")
     p.add_argument("--threads", type=int,
                    help="worker threads for Monte Carlo curves (HPD_THREADS caps this)")

@@ -3,7 +3,7 @@
 The coverage at a true mean theta0 is the error-law probability of the
 membership set {x : theta0 in HPD(x)}.  Because the endpoint maps are
 piecewise smooth with known jump loci, that set is a finite interval union;
-it is recovered by a densified membership scan with boundaries refined by
+it is recovered by a grid membership scan with boundaries refined by
 the margin-driven boundary solver, and summed as exact CDF differences.  A
 seeded inverse-CDF Monte Carlo estimator serves as a cross-check that tests
 membership in tail-mass space instead: HPD(x) is the ball |theta - x| <=
@@ -15,9 +15,9 @@ U and L do not depend on theta0, so a whole theta0 grid is scanned as one
 batch on the calling thread, each distinct |theta0| once (HPD(-x) = -HPD(x),
 so -theta0 is read off by reflection): one scanning.member_intervals call
 per run of _RUN theta0, on a theta0-free grid over the union of their scan
-windows that scanning.build_grid spaces and densifies at the band edges and
-atom threshold, yields the membership set of every theta0 that the atom/band
-rule leaves open, the same level-set scan that serves inversion,
+windows that scanning.build_grid spaces, with a geometric ladder at the band
+edges and atom threshold, yields the membership set of every theta0 that the
+atom/band rule leaves open, the same level-set scan that serves inversion,
 post-selection and the one-sided baseline.  C- and C+ are that set split at
 x = theta0, its masses on [theta0, inf) and (-inf, theta0), so C = C- + C+
 at every theta0.  The atom/band rule (_fixed_cover) and the Monte Carlo
@@ -183,7 +183,7 @@ def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSet
 
     The membership set {x : theta0 in HPD(x)} is split at x = theta0: C- is
     its mass on [theta0, inf), C+ its mass on (-inf, theta0).  Boundary
-    abscissas are refined to scan.bisect_tol and masses accumulated as
+    abscissas are refined to scanning.BISECT_TOL and masses accumulated as
     tail-accurate CDF differences.  Where the atom/band rule fixes membership
     the set is the whole line (theta0 = 0 with an atom: C = 1, C- = C+ = 1/2)
     or empty (inside the band: all three 0).  This is the batch scan on one

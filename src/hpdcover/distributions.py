@@ -378,14 +378,12 @@ class SubExponential(Distribution):
 
     def ppf(self, p):
         p = np.asarray(p, float)
-        if not self._erlang:
-            q = np.where(p <= 0.5, p, 1.0 - p)
-            y = special.gammainccinv(self._shape, 2.0 * q)
-            r = y ** (1.0 / self.eta)
-            return np.where(p <= 0.5, -r, r)
         q = np.minimum(p, 1.0 - p).reshape(-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            y = _elementwise(_erlang_tail_root, q, self._erlang)
+            if self._erlang:
+                y = _elementwise(_erlang_tail_root, q, self._erlang)
+            else:
+                y = special.gammainccinv(self._shape, 2.0 * q)
         return _signed_quantile(p, q, y**self._shape)
 
     def _calibrate_cstar(self, gamma: float) -> float:

@@ -15,7 +15,7 @@ refine_boundaries) and every extremum (extremum mode, refine_extrema).  A
 boundary is the sign change of the margin min(U - t, t - L), whose sign is
 the flag: each round adds a geometric cluster about the regula falsi
 estimate from the bracket's end margins, so a smooth boundary settles below
-bisect_tol / 128 in two or three rounds, while the uniform points narrow a
+BISECT_TOL / 128 in two or three rounds, while the uniform points narrow a
 jump or NaN edge as fast as multisection alone.  An extremum keeps the two
 sub-cells around its best sample each round, down to a relative tol set by
 the caller: graze_points, the one sliver guard, runs it at 1e-13 on the
@@ -35,7 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ScanSettings", "crossing_cells", "member_intervals", "sign_change_roots"]
+__all__ = ["BISECT_TOL", "ScanSettings", "crossing_cells", "member_intervals", "sign_change_roots"]
+
+# The abscissa accuracy of every refined boundary or root, and the inner
+# rung of the ladder that build_grid puts about each special abscissa.
+BISECT_TOL = 1e-10
 
 # Fixed cost of one curve call in points' worth: an endpoint table costs
 # 120-300 us per call plus 0.13-0.5 us per point (2-vCPU VM).  It sizes the
@@ -62,30 +66,25 @@ class ScanSettings:
 
     n_base points cover the union of a scan's windows (the whole window of
     a one-window scan; a wide union keeps the step it has when it runs
-    n_base / 128 member spans past its first window, see build_grid), with
-    n_dense extra points in a unit-halfwidth block around each special
-    abscissa (band edges, atom threshold, and the target of an inversion or
-    post-selection scan; coverage scans add no point for theta0).  tol_tail
-    is the error-law mass allowed to fall outside truncated windows;
-    bisect_tol is the abscissa accuracy of every refined boundary or root.
+    n_base / 128 member spans past its first window, see build_grid), and
+    each special abscissa (band edges, atom threshold, and the target of an
+    inversion or post-selection scan; coverage scans add no point for
+    theta0) gets a geometric ladder from BISECT_TOL out to that step.
+    tol_tail is the error-law mass allowed to fall outside truncated windows.
     """
 
     n_base: int = 4096
-    n_dense: int = 512
     tol_tail: float = 1e-9
-    bisect_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.n_base < 16 or self.n_dense < 0:
+        if self.n_base < 16:
             raise ValueError("scan grid too small")
         if not 0.0 < self.tol_tail < 1.0:
             raise ValueError(f"tol_tail must lie in (0, 1), got {self.tol_tail}")
-        if not 0.0 < self.bisect_tol < 1.0:
-            raise ValueError("bisect_tol must lie in (0, 1)")
 
 
 def build_grid(lo, hi, specials, scan: ScanSettings, reach=None) -> np.ndarray:
-    """Sorted deduplicated grid over [lo, hi] densified near special points.
+    """Sorted deduplicated grid over [lo, hi] with a geometric ladder at each special point.
 
     lo and hi may also be sorted arrays of equal-width windows: the grid then
     covers their union at one step on every piece, so its size follows the
@@ -97,9 +96,9 @@ def build_grid(lo, hi, specials, scan: ScanSettings, reach=None) -> np.ndarray:
     window keeps the step w / (n_base - 1), and every window keeps at least
     (n_base - 1) w / (w + n_base / 64 reach) base points (124 at the default
     n_base for reach w / 2, 85 at n_base = 256).  Every window edge is a
-    grid point.  Each special abscissa gets n_dense points on its
-    unit-halfwidth block clipped to the piece and is itself a grid point
-    when inside it.
+    grid point.  Each special abscissa p gets a ladder p +- BISECT_TOL 8^j,
+    j >= -1, out to the first rung at or past the step (_cluster's offsets),
+    kept with p itself where it falls on a piece.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(hi, float))
     if not np.all(lo < hi):
@@ -111,13 +110,12 @@ def build_grid(lo, hi, specials, scan: ScanSettings, reach=None) -> np.ndarray:
     width = hi[0] - lo[0]
     span = width + scan.n_base / 64.0 * (0.5 * width if reach is None else reach)
     step = min(np.sum(ends - starts), span) / (scan.n_base - 1)
+    k = 2 + max(0, math.ceil(math.log(step / BISECT_TOL, 8)))
+    ladder = (pts[:, None] + np.append(BISECT_TOL * _cluster(k), 0.0)).ravel()
     parts = [lo, hi]
     for a, b in zip(starts, ends):
         parts.append(np.linspace(a, b, int(math.ceil((b - a) / step - 1e-6)) + 1))
-        lo_d, hi_d = np.maximum(a, pts - 1.0), np.minimum(b, pts + 1.0)
-        keep = lo_d < hi_d
-        parts.append(np.linspace(lo_d[keep], hi_d[keep], scan.n_dense, axis=-1).ravel())
-        parts.append(pts[(a <= pts) & (pts <= b)])
+        parts.append(ladder[(a <= ladder) & (ladder <= b)])
     return np.unique(np.concatenate(parts))
 
 
@@ -386,7 +384,7 @@ def member_intervals(curves, levels, lo, hi, specials, scan: ScanSettings, reach
     start, trans = flags[2 * n :], flags[:n] != flags[n : 2 * n]
     owner, cell, g_lo, g_hi = owner[trans], cell[trans], g[:n][trans], g[n : 2 * n][trans]
     margin = lambda xs, rows: level_margin(*curves(xs), levels[owner[rows]])
-    cuts = refine_boundaries(margin, grid[cell], grid[cell + 1], g_lo, g_hi, scan.bisect_tol)
+    cuts = refine_boundaries(margin, grid[cell], grid[cell + 1], g_lo, g_hi, BISECT_TOL)
     owner, a, b = _member_stretches(cuts, owner, start, lo, hi)
     touch = (a[1:] <= b[:-1] + 1e-15) & (owner[1:] == owner[:-1])
     new = np.flatnonzero(np.append(True, ~touch)[: a.size])
@@ -413,5 +411,5 @@ def sign_change_roots(fn, lo, hi, specials, scan: ScanSettings, accept_tol: floa
     ends = ends[(lo < ends) & (ends < hi)]
     values, *tags = fn(ends)
     keep = np.flatnonzero(np.abs(values) <= accept_tol)
-    keep = keep[np.diff(ends[keep], prepend=-np.inf) > 10.0 * scan.bisect_tol]
+    keep = keep[np.diff(ends[keep], prepend=-np.inf) > 10.0 * BISECT_TOL]
     return (ends[keep], *(t[keep] for t in tags))

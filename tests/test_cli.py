@@ -76,6 +76,61 @@ def test_runconfig_rejects_unknown_keys():
         RunConfig.from_text("nope=1\n")
 
 
+@pytest.mark.parametrize("val, want", [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("false", False), ("No", False)])
+def test_runconfig_reads_booleans(val, want):
+    assert RunConfig.from_text(f"mirror={val}\n").mirror is want
+
+
+@pytest.mark.parametrize("val", ["maybe", "", "2", "on"])
+def test_runconfig_rejects_other_booleans(val):
+    with pytest.raises(ValueError, match="'mirror' takes true or false"):
+        RunConfig.from_text(f"mirror={val}\n")
+
+
+def test_cli_config_rejects_a_boolean_it_cannot_read(tmp_path, capsys):
+    # mirror=maybe once read as false without a word.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("mirror=maybe\n")
+    assert main(["figure", "1", "--config", str(cfg_file), "--outdir", str(tmp_path / "fig")]) == 2
+    assert capsys.readouterr().err == "error: config key 'mirror' takes true or false, got 'maybe'\n"
+    assert not (tmp_path / "fig").exists()
+
+
+@pytest.mark.parametrize("command", [["hpd", "--x", "6.2"], ["coverage", "--grid", "5.5:9:2"],
+                                     ["bounds", "--grid", "5.5:9:2"], ["postselect", "--x", "6.2"]])
+@pytest.mark.parametrize("line", ["lam=", "w=", "lam=,"])
+def test_cli_config_rejects_an_empty_list(tmp_path, capsys, command, line):
+    # An empty lam or w list once crashed hpd, bounds and postselect with an
+    # IndexError traceback, and made coverage write a header-only CSV and
+    # exit 0.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"dist=laplace\n{line}\n")
+    out = tmp_path / "out.txt"
+    assert main([*command, "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: lam and w each need at least one value\n"
+    assert not out.exists()
+
+
+def test_cli_refuses_the_removed_dense_block_setting(tmp_path, capsys):
+    # Special abscissas get a fixed geometric ladder, so there is no dense
+    # block size to set: the flag and the config key are each refused with
+    # one error line.
+    args = ["coverage", "--dist", "laplace", "--grid", "5.5:9:2", "--out", str(tmp_path / "c.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--n-dense", "512"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "hpdcover: error: unrecognized arguments: --n-dense 512"
+    ]
+    assert "Traceback" not in err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n_dense=512\n")
+    assert main(args + ["--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'n_dense'\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_cli_hpd_json(tmp_path):
     out = tmp_path / "set.json"
     code = main([
@@ -109,7 +164,7 @@ def test_cli_coverage_csv_deterministic(tmp_path):
     args = [
         "coverage", "--dist", "gaussian", "--lambda", "0.5", "--w", "1",
         "--alpha", "0.05", "--grid", "1:3:5", "--method", "exact",
-        "--n-base", "1024", "--n-dense", "128",
+        "--n-base", "1024",
     ]
     out1 = tmp_path / "c1.csv"
     out2 = tmp_path / "c2.csv"
@@ -123,7 +178,7 @@ def test_cli_coverage_csv_deterministic(tmp_path):
 
 def test_cli_coverage_negative_grid_start(tmp_path, capsys):
     # A mirrored theta0 grid may follow --grid as a separate argument.
-    args = ["coverage", "--dist", "gaussian", "--lambda", "0.5", "--n-base", "1024", "--n-dense", "128"]
+    args = ["coverage", "--dist", "gaussian", "--lambda", "0.5", "--n-base", "1024"]
     apart, joined = tmp_path / "apart.csv", tmp_path / "joined.csv"
     assert main(args + ["--grid", "-3:3:7", "--out", str(apart)]) == 0
     assert main(args + ["--grid=-3:3:7", "--out", str(joined)]) == 0
@@ -165,7 +220,7 @@ def test_cli_bounds(tmp_path):
     code = main([
         "bounds", "--dist", "laplace", "--lambda", "5", "--w", "1",
         "--alpha", "0.05", "--grid", "5.5:9:4", "--n-base", "1024",
-        "--n-dense", "128", "--out", str(out),
+        "--out", str(out),
     ])
     payload = json.loads(out.read_text())
     names = {c["name"] for c in payload["checks"]}
@@ -259,7 +314,7 @@ def test_cli_coverage_mc_rejects_empty_sample(tmp_path, capsys, n):
 def test_figure_emitters_smoke(tmp_path):
     rc = RunConfig(dist="laplace", lam=(5.0,), w=(1.0,), alpha=0.05,
                    fig_grid_n=40, mirror=False, outdir=str(tmp_path),
-                   n_base=1024, n_dense=128)
+                   n_base=1024)
     for fig in (2, 3, 4, 5):
         paths = cmd_figure(fig, rc)
         assert all(p.exists() for p in paths)
@@ -278,10 +333,10 @@ def test_figure_emitters_smoke(tmp_path):
 def test_figure_one_small_and_deterministic(tmp_path):
     rc1 = RunConfig(dist="laplace", lam=(0.5,), w=(0.25, 1.0), alpha=0.05,
                     fig_grid_n=16, mirror=True, outdir=str(tmp_path / "a"),
-                    n_base=1024, n_dense=128)
+                    n_base=1024)
     rc2 = RunConfig(dist="laplace", lam=(0.5,), w=(0.25, 1.0), alpha=0.05,
                     fig_grid_n=16, mirror=True, outdir=str(tmp_path / "b"),
-                    n_base=1024, n_dense=128)
+                    n_base=1024)
     p1 = cmd_figure(1, rc1)
     p2 = cmd_figure(1, rc2)
     assert p1[0].read_bytes() == p2[0].read_bytes()
@@ -297,7 +352,7 @@ def test_cli_coverage_partial_failure(tmp_path, capsys):
     code = main([
         "coverage", "--dist", "laplace", "--lambda", "0.5,-1", "--w", "1",
         "--alpha", "0.05", "--grid", "1:2:2", "--n-base", "1024",
-        "--n-dense", "128", "--out", str(out),
+        "--out", str(out),
     ])
     assert code == 1
     err = capsys.readouterr().err
@@ -313,7 +368,7 @@ def test_cli_coverage_computes_each_listed_curve_once(tmp_path, monkeypatch):
     calls = []
     real = cli_mod.coverage_curve
     monkeypatch.setattr(cli_mod, "coverage_curve", lambda cfg, *a, **k: calls.append(cfg.lam) or real(cfg, *a, **k))
-    args = ["coverage", "--dist", "laplace", "--w", "0.5", "--grid", "1:3:3", "--n-base", "1024", "--n-dense", "128"]
+    args = ["coverage", "--dist", "laplace", "--w", "0.5", "--grid", "1:3:3", "--n-base", "1024"]
     dup, distinct = tmp_path / "dup.csv", tmp_path / "distinct.csv"
     assert main(args + ["--lambda", "1,1,-0,0,1", "--out", str(dup)]) == 0
     assert [(lam, math.copysign(1.0, lam)) for lam in calls] == [(1.0, 1.0), (0.0, -1.0), (0.0, 1.0)]
@@ -421,7 +476,7 @@ def test_csv_writer_matches_per_cell_join(table):
 
 def test_csv_writer_matches_per_cell_join_on_every_emitter():
     laplace, t3 = parse_dist_spec("laplace"), parse_dist_spec("t3")
-    scan = ScanSettings(n_base=1024, n_dense=128)
+    scan = ScanSettings(n_base=1024)
     tables = [
         coverage_panels_rows([laplace, t3], [0.5, 5.0], [0.25, 1.0], 0.05, 4, True, scan),
         posterior_illustration_rows(parse_dist_spec("gaussian"), 0.05)[:2],

@@ -242,7 +242,7 @@ def test_predicted_dip_level_laplace_closed_form():
 
 def test_dip_search_smoke():
     cfg = config("laplace", 5.0, 1.0)
-    scan = ScanSettings(n_base=2048, n_dense=256)
+    scan = ScanSettings(n_base=2048)
     dip = dip_search(cfg, scan)
     assert dip.domain_lo == pytest.approx(7.9966, abs=1e-3)
     assert dip.c_min == pytest.approx(0.9273, abs=2e-3)
@@ -559,7 +559,7 @@ def _exact_sorted_per_theta0(cfg, ts, half, scan, fractions=True):
         owner, cell = (np.concatenate(c) for c in zip(*cells))
         g_lo, g_hi = (sc.level_margin(upper[i], lower[i], lv[owner]) for i in (cell, cell + 1))
         margin = lambda xs, rows: sc.level_margin(*curves(xs), lv[owner[rows]])
-        cuts = sc.refine_boundaries(margin, grid[cell], grid[cell + 1], g_lo, g_hi, scan.bisect_tol)
+        cuts = sc.refine_boundaries(margin, grid[cell], grid[cell + 1], g_lo, g_hi, sc.BISECT_TOL)
 
         # Stretches between consecutive cuts, alternating from the start
         # flag; stretches of one theta0 that touch are merged.
@@ -652,7 +652,7 @@ def _grid_sizes(monkeypatch, run, counts):
 def test_scan_grid_grows_by_window_edges_not_dense_blocks(monkeypatch, law):
     # U and L do not depend on theta0: scanning 60 targets instead of 6 over
     # the same span adds only each new window's two edges to the grid, never
-    # an n_dense block.
+    # a special's ladder.
     cfg = PriorConfig(parse_dist_spec(law), 5.0, 1.0, ALPHA)
     theta = lambda n: np.linspace(5.5, 13.0, n)
     exact = _grid_sizes(monkeypatch, lambda n: coverage_mod._exact_batch(cfg, theta(n), ScanSettings()), (6, 60))
@@ -665,17 +665,18 @@ def test_scan_grid_grows_by_window_edges_not_dense_blocks(monkeypatch, law):
 @pytest.mark.parametrize("lam", [0.5, 5.0])
 def test_figure_curve_grid_does_not_grow_with_span(monkeypatch, law, lam):
     # One batch of a figure-1 curve places n_base points over the union of
-    # its windows: past that only the four dense blocks (+-lam, +-t_alpha)
-    # and two window edges per theta0 remain, however wide the theta0 span
+    # its windows: past that only the four ladders (+-lam, +-t_alpha) and
+    # two window edges per theta0 remain, however wide the theta0 span
     # (gaussian lam 0.5 at --fig-grid-n 4 scanned 19,452 points when every
-    # window set its own step).
+    # window set its own step).  A ladder has at most 26 rungs, 13 a side
+    # out to BISECT_TOL 8^11 = 8.6, past any step of these unions.
     scan = ScanSettings()
     for w in (1.0, 0.25):
         cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
         grid = lambda n: _coverage_grid(cfg.dist, lam, ALPHA, n, True)
         sizes = _grid_sizes(monkeypatch, lambda n: coverage_curve(cfg, grid(n), scan), (4, 40))
         for n, (size,) in zip((4, 40), sizes):
-            assert size <= scan.n_base + 4 * (scan.n_dense + 1) + 2 * grid(n).size + 4
+            assert size <= scan.n_base + 4 * (26 + 1) + 2 * grid(n).size + 4
 
 
 def test_grid_step_cap_does_not_bind_on_benchmark_batches(monkeypatch):
@@ -731,7 +732,7 @@ def test_sparse_wide_batch_matches_one_scan_per_theta0(law, lam, w):
     cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
     cases = [(np.linspace(-40.0, 40.0, 41) + 0.137, ScanSettings()),
              (6.137 + 1400.0 * np.arange(12), ScanSettings()),
-             (np.linspace(-3000.0, 3000.0, 121) + 0.11, ScanSettings(n_base=256, n_dense=32))]
+             (np.linspace(-3000.0, 3000.0, 121) + 0.11, ScanSettings(n_base=256))]
     for theta, scan in cases:
         rows = coverage_mod._exact_batch(cfg, theta, scan)
         for row, t in zip(rows, theta):

@@ -321,6 +321,21 @@ def test_values_do_not_depend_on_array_size(name):
         assert float(d.cdf(float(x[i]))) == g[i]
 
 
+@pytest.mark.parametrize("spec", ["gaussian", "laplace", "t3", "subexp:0.5", "subexp:0.4", "subexp:0.3"])
+def test_every_quantile_shares_one_sign_rule(spec):
+    # The median is +0.0 for every law (the incomplete-gamma subexp shapes
+    # gave -0.0), G^{-1}(1 - p) = -G^{-1}(p) bit for bit where 1 - p is
+    # exact, the ends included, and a scalar takes the array path (those
+    # shapes rounded 5% of scalar quantiles apart from the array's).
+    d = parse_dist_spec(spec)
+    assert d.ppf(0.5) == 0.0 and not np.signbit(d.ppf(0.5))
+    assert not np.signbit(d.ppf(np.array([0.5, 0.5]))).any()
+    p = np.arange(65) / 64.0
+    assert np.array_equal(d.ppf(1.0 - p), -d.ppf(p))
+    p = np.random.default_rng(11).random(400)
+    assert np.array_equal([float(d.ppf(float(v))) for v in p], d.ppf(p))
+
+
 @pytest.mark.parametrize("eta", [0.7, 0.3])
 def test_non_integer_shape_uses_scipy_incomplete_gamma_unchanged(eta):
     # Reference: the incomplete-gamma formulas, operation for operation.

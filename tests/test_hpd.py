@@ -573,6 +573,23 @@ def test_invert_upper_root_pair_near_zero_matches_dense_scan():
         assert abs(upper_endpoint(cfg, r) - target) <= 1e-7
 
 
+@pytest.mark.parametrize("lam, target, root", [(0.0, 0.0, 0.00099633), (12.0, -12.0, 0.071706)])
+def test_invert_lower_finds_the_root_next_to_the_atom_edge(lam, target, root):
+    # subexp:0.3 at w 0.02, alpha 0.3: L moves by about 1 within 0.004 past
+    # t_alpha, and one root sits there, which a 512-point block of step
+    # 0.004 about t_alpha stepped over.  An independent brute-force count:
+    # flag changes of L - target >= 0 between finite neighbours, step 1e-8.
+    cfg = PriorConfig(parse_dist_spec("subexp:0.3"), lam, 0.02, 0.3)
+    xs = cfg.t_alpha + np.linspace(0.0, 0.004, 400_001)
+    v = endpoints(cfg, xs)[1] - target
+    flips = np.flatnonzero(np.isfinite(v[:-1]) & np.isfinite(v[1:]) & ((v[:-1] >= 0) != (v[1:] >= 0)))
+    assert flips.size == 1
+    roots = np.array(invert_lower(cfg, target).roots)
+    near = roots[roots < xs[-1]]
+    assert near.size == 1 and xs[flips[0]] <= near[0] <= xs[flips[0] + 1]
+    assert near[0] == pytest.approx(root, abs=1e-6)
+
+
 def test_invert_lower_roots_in_regime_one():
     cfg = config("laplace", 5.0, 1.0)
     for theta0 in (5.5, 7.0, 10.0):

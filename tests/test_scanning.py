@@ -8,6 +8,7 @@ import hpdcover.hpd as hpd_mod
 from hpdcover import PriorConfig, invert_upper, post_selection_set
 from hpdcover.cli import parse_dist_spec
 from hpdcover.scanning import (
+    BISECT_TOL,
     ScanSettings,
     bisect_iters,
     build_grid,
@@ -21,18 +22,28 @@ from hpdcover.scanning import (
     sign_change_roots,
 )
 
-SCAN = ScanSettings(n_base=256, n_dense=32)
-TOL = ScanSettings().bisect_tol
+SCAN = ScanSettings(n_base=256)
+TOL = BISECT_TOL
+
+
+def _ladder(p, step):
+    """p and the rungs p +- TOL 8^j for j = -1, 0, 1, ... up to the first
+    rung at or past step."""
+    j = -1
+    while TOL * 8.0**j < step:
+        j += 1
+    rungs = TOL * 8.0 ** np.arange(-1.0, j + 1.0)
+    return p + np.concatenate([-rungs[::-1], [0.0], rungs])
 
 
 def _old_rule_grid(lo, hi, specials, scan):
-    """The single-window rule written out: n_base points from lo to hi, an
-    n_dense block on each special's unit-halfwidth neighbourhood, and the
-    specials inside the window."""
-    pts = np.array([p for p in specials if p is not None and math.isfinite(p)], float)
-    blocks = [np.linspace(max(lo, p - 1.0), min(hi, p + 1.0), scan.n_dense) for p in pts if max(lo, p - 1.0) < min(hi, p + 1.0)]
-    inside = pts[(lo <= pts) & (pts <= hi)]
-    return np.unique(np.concatenate([[lo, hi], np.linspace(lo, hi, scan.n_base), inside, *blocks]))
+    """The single-window rule written out: n_base points from lo to hi, and
+    each special's ladder at that step, kept inside the window."""
+    step = (hi - lo) / (scan.n_base - 1)
+    pts = [p for p in specials if p is not None and math.isfinite(p)]
+    ladders = np.concatenate([[], *(_ladder(p, step) for p in pts)])
+    inside = ladders[(lo <= ladders) & (ladders <= hi)]
+    return np.unique(np.concatenate([[lo, hi], np.linspace(lo, hi, scan.n_base), inside]))
 
 
 def test_build_grid_single_window():
@@ -41,7 +52,12 @@ def test_build_grid_single_window():
     assert np.all(np.diff(grid) > 0)
     assert 0.5 in grid
     assert np.max(np.diff(grid)) <= 8.0 / 255 * (1 + 1e-12)
-    assert np.count_nonzero(np.abs(grid - 0.5) <= 1.0) >= 32
+    # The ladder about 0.5 has 12 rungs a side, TOL / 8 out to TOL 8^10 =
+    # 0.107, the first past the step 8 / 255; within 0.01 of 0.5 (no base
+    # point) the grid is its 21 inner points.
+    ladder = _ladder(0.5, 8.0 / 255)
+    assert ladder.size == 25 and np.all(np.isin(ladder, grid))
+    assert np.array_equal(grid[np.abs(grid - 0.5) < 0.01], ladder[2:-2])
     with pytest.raises(ValueError):
         build_grid(1.0, 1.0, [], SCAN)
 
@@ -76,13 +92,12 @@ def test_build_grid_disjoint_windows_share_one_step():
     assert np.array_equal(_base_points(grid, 20.0, 28.0), np.linspace(20.0, 28.0, 109))
     assert grid.size == 149 + 109 + 2
     assert np.all(np.isin(np.concatenate([lo, lo + 8.0]), grid))
-    # Specials add their dense blocks on the piece that holds them, and a
-    # special in the gap adds nothing.
-    dense = build_grid(lo, lo + 8.0, [5.0, 27.5, 15.0], SCAN)
-    assert np.all(np.isin(grid, dense)) and 5.0 in dense and 27.5 in dense and 15.0 not in dense
-    assert np.count_nonzero((4.0 <= dense) & (dense <= 6.0)) >= 32
-    assert np.count_nonzero((26.5 <= dense) & (dense <= 28.0)) >= 32
-    assert not np.any((11.0 < dense) & (dense < 20.0))
+    # Specials add their ladders at that step on the piece that holds them,
+    # cut at the piece's end, and a special in the gap adds nothing.
+    dense = build_grid(lo, lo + 8.0, [5.0, 27.95, 15.0], SCAN)
+    ladders = np.concatenate([_ladder(5.0, 19.0 / 255), _ladder(27.95, 19.0 / 255)])
+    assert np.array_equal(dense, np.union1d(grid, ladders[ladders <= 28.0]))
+    assert np.count_nonzero(ladders > 28.0) == 1 and 15.0 not in dense
 
 
 def test_build_grid_overlap_is_one_piece():
