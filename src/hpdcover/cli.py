@@ -77,7 +77,6 @@ class RunConfig:
     n: int = 10**6
     seed: int = 0
     n_base: int = 4096
-    tol_tail: float = 1e-9
     threads: int = 0
     fig_grid_n: int = 800
     mirror: bool = True
@@ -89,7 +88,7 @@ class RunConfig:
             raise ValueError("lam and w each need at least one value")
 
     def scan_settings(self) -> ScanSettings:
-        return ScanSettings(n_base=self.n_base, tol_tail=self.tol_tail)
+        return ScanSettings(n_base=self.n_base)
 
     def first_dist(self) -> Distribution:
         return parse_dist_spec(self.dist.split(",")[0])
@@ -166,9 +165,7 @@ def _merge_args(rc: RunConfig, args: argparse.Namespace) -> RunConfig:
         v = getattr(args, f.name, None)
         if v is None:
             continue
-        if f.name in ("lam", "w") and isinstance(v, str):
-            v = tuple(float(p) for p in v.split(","))
-        updates[f.name] = v
+        updates[f.name] = _parse_field(f, v) if isinstance(v, str) else v
     return dataclasses.replace(rc, **updates)
 
 
@@ -357,7 +354,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float, help="credibility tail level in (0, 1)")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--n-base", dest="n_base", type=int, help="base scan grid size")
-    p.add_argument("--tol-tail", dest="tol_tail", type=float, help="mass allowed outside scan windows")
     p.add_argument("--threads", type=int,
                    help="worker threads for Monte Carlo curves (HPD_THREADS caps this)")
     p.add_argument("--out", help="output path (default: stdout)")

@@ -36,9 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import draw_chunks, interval_mass
-from .hpd import Regime, _half_width, _levels, endpoint_values, onesided_endpoints, regime_codes, upper_values
+from .hpd import (Regime, _finite_theta0, _half_width, _levels, endpoint_values, onesided_endpoints,
+                  regime_codes, upper_values)
 from .posterior import PriorConfig
-from .scanning import ScanSettings, covers, member_intervals, refine_extrema
+from .scanning import TOL_TAIL, ScanSettings, covers, member_intervals, refine_extrema
 
 __all__ = [
     "CoveragePoint",
@@ -150,14 +151,6 @@ def _exact_sorted(
     return np.column_stack([total, c_minus, c_plus, fracs])
 
 
-def _finite_theta0(theta0) -> np.ndarray:
-    """theta0 as a flat float array; ValueError on any non-finite value."""
-    ts = np.asarray(theta0, float).ravel()
-    if not np.all(np.isfinite(ts)):
-        raise ValueError(f"theta0 must be finite, got {float(ts[~np.isfinite(ts)][0])!r}")
-    return ts
-
-
 def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings, fractions: bool = True) -> np.ndarray:
     """Exact coverage rows (C, C-, C+, frac_I..frac_IV), one per theta0, in input order;
     (C, C-, C+) alone without ``fractions``, for callers that read no regime.
@@ -172,7 +165,7 @@ def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings, fractions: bool =
     if ts.size == 0:
         return np.empty((0, len(cols)))
     mag, inv = np.unique(np.abs(ts), return_inverse=True)
-    half = _half_width(cfg, scan)
+    half = _half_width(cfg)
     runs = (mag[i : i + _RUN] for i in range(0, mag.size, _RUN))
     rows = np.concatenate([_exact_sorted(cfg, m, half, scan, fractions) for m in runs])[inv]
     return np.where((ts < 0.0)[:, None], rows[:, cols], rows)
@@ -224,8 +217,10 @@ def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoi
     with x >= theta0 and C+ the rest.  Membership is the level test of
     _draw_covers, overridden by the atom/band rule where it decides; the
     regime fractions count the covering draws' codes in codes * flags.
-    Where the rule leaves theta0 uncovered every output is 0, and no draw is made.
+    Where the rule leaves theta0 uncovered every output is 0, and no draw is
+    made; a non-finite theta0 raises ValueError.
     """
+    _finite_theta0(theta0)
     fixed, covered = _fixed_cover(cfg, theta0)
     if fixed and not covered:
         return CoveragePoint(float(theta0), 0.0, 0.0, 0.0, dict.fromkeys(_REGIME_KEYS, 0.0))
@@ -322,7 +317,7 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0, scan: ScanSettings = ScanS
     (returns an array in input order).  The one-sided set always sits
     inside [lam, inf); its membership region can stretch to -inf in x, so
     only the left window edge is probabilistic (mass below it is under
-    scan.tol_tail / 2).  The membership regions of all distinct theta0 are
+    scanning.TOL_TAIL / 2).  The membership regions of all distinct theta0 are
     one level-set scan of the curve pair (U1, L1) at the sorted levels
     theta0, in runs of _RUN (one shared grid each), whose crossings lie
     within about G^{-1}(1 - alpha/2) + 0.5 of theta0, the reach that bounds
@@ -332,7 +327,7 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0, scan: ScanSettings = ScanS
         raise ValueError("one-sided baseline coverage requires w = 1")
     d = cfg.dist
     ts, inv = np.unique(_finite_theta0(theta0), return_inverse=True)
-    left, right = float(d.ppf_upper(scan.tol_tail / 2.0)), float(d.ppf_upper(cfg.alpha / 2.0))
+    left, right = float(d.ppf_upper(TOL_TAIL / 2.0)), float(d.ppf_upper(cfg.alpha / 2.0))
     switch = cfg.lam + float(d.ppf(1.0 / (1.0 + cfg.alpha)))
     curves = lambda xs: onesided_endpoints(cfg, xs)
     out = np.empty(ts.size)
@@ -434,18 +429,12 @@ def _graded(name: str, margin: float, details: dict, strict: bool = False) -> Bo
     return BoundCheck(name, "pass" if (margin > 0 if strict else margin >= 0) else "fail", margin, details)
 
 
-def check_coverage_bounds(
-    cfg: PriorConfig,
-    theta_grid,
-    scan: ScanSettings = ScanSettings(),
-    slack_coeff: float | None = None,
-    dip_slack: float | None = None,
-) -> BoundReport:
+def check_coverage_bounds(cfg: PriorConfig, theta_grid, scan: ScanSettings = ScanSettings()) -> BoundReport:
     """Verify the coverage bounds on a non-empty finite theta0 grid, reporting margins.
 
     Checks: (a) the below-x part never exceeds (1-alpha)/2; (b) it stays
     above 1/2 - alpha minus an alpha**(1+gamma)-scale slack; (c) the dip
-    minimum sits at its predicted level within slack; (d) for w = 1 the
+    minimum sits at its predicted level within such a slack; (d) for w = 1 the
     one-sided baseline coverage is strictly below C + G(-theta0), with the
     baseline of every theta0 above lam v t_alpha from one batched scan; (e) when
     the atom threshold exceeds lam, the above-x part below the threshold is
@@ -453,9 +442,10 @@ def check_coverage_bounds(
     alpha, t_alpha <= lam, w = 1) are evaluated and unmet ones produce
     'skipped', never a silent pass.
 
-    Slack coefficients K multiply alpha**(1+gamma); when omitted they are
-    calibrated from this run (with a 1.25 margin) and recorded in the
-    details, which records the observed constant rather than testing it.
+    Checks (b) and (c) record the slack this run needs rather than test a
+    given one: the coefficient K of alpha**(1+gamma) is the run's own
+    shortfall or dip deviation over alpha**(1+gamma), times 1.25, and goes
+    into the details as slack_coeff (with calibrated_here true).
     """
     grid = _finite_theta0(theta_grid)
     if grid.size == 0:
@@ -482,10 +472,9 @@ def check_coverage_bounds(
     # (b) floor on the below-x part, alpha**(1+gamma)-scale slack.
     if above.size and has_tail:
         shortfall = (0.5 - alpha) - c_minus
-        calibrated = slack_coeff is None
-        k = max(float(shortfall.max()), 0.0) / alpha ** (1.0 + gamma) * 1.25 if calibrated else slack_coeff
+        k = max(float(shortfall.max()), 0.0) / alpha ** (1.0 + gamma) * 1.25
         margin = float(k * alpha ** (1.0 + gamma) - shortfall.max())
-        details = {"slack_coeff": k, "calibrated_here": calibrated, "max_shortfall": float(shortfall.max())}
+        details = {"slack_coeff": k, "calibrated_here": True, "max_shortfall": float(shortfall.max())}
         checks.append(_graded("c_minus_floor", margin, details))
     else:
         reason = "no tail-decay certificate" if not has_tail else "no theta0 above lam v t_alpha"
@@ -494,11 +483,10 @@ def check_coverage_bounds(
     # (c) dip level against its predicted value.
     if has_tail and g_lam_ok and t_below_lam:
         dip = dip_search(cfg, scan)
-        calibrated = dip_slack is None
-        k = dip.deviation / alpha ** (1.0 + gamma) * 1.25 if calibrated else dip_slack
+        k = dip.deviation / alpha ** (1.0 + gamma) * 1.25
         margin = float(k * alpha ** (1.0 + gamma) - dip.deviation)
         details = {"c_min": dip.c_min, "predicted": dip.predicted, "theta_at_min": dip.theta_at_min}
-        checks.append(_graded("dip_level", margin, {**details, "slack_coeff": k, "calibrated_here": calibrated}))
+        checks.append(_graded("dip_level", margin, {**details, "slack_coeff": k, "calibrated_here": True}))
     else:
         reasons = []
         if not has_tail:

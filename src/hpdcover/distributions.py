@@ -452,14 +452,16 @@ def draw_chunks(dist: Distribution, theta0: float, n: int, seed: int, chunk: int
 def interval_mass(dist: Distribution, a, b):
     """P(a <= Z <= b) for error Z ~ dist, tail-accurate on both sides.
 
-    For intervals on the positive axis the mass is formed from the mirrored
-    lower tail so that values far out keep relative accuracy.
+    One lower_tail call gives A = G(-|a|) and B = G(-|b|); the mass is
+    B - A for b <= 0, A - B for a >= 0 and (1 - B) - A across zero, so an
+    interval on either side is a difference of its own two tails and keeps
+    relative accuracy far out.  A reversed interval (a > b) is read as [a, a].
     """
     a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    plain = dist.cdf(b) - dist.cdf(a)
-    mirrored = dist.cdf(-a) - dist.cdf(-b)
-    return np.clip(np.where(a >= 0, mirrored, plain), 0.0, 1.0)
+    b = np.maximum(a, b)
+    tail_a, tail_b = dist.lower_tail(np.abs(np.broadcast_arrays(a, b)))
+    mass = np.where(b <= 0, tail_b - tail_a, np.where(a >= 0, tail_a - tail_b, (1.0 - tail_b) - tail_a))
+    return np.clip(mass, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -109,11 +109,11 @@ def posterior_illustration_rows(dist: Distribution, alpha: float):
     return header, blocks, side
 
 
-def radius_functions_rows(dist: Distribution, alpha: float, lam: float = 5.0):
-    """The three interval radii with the active regime, on the positive axis."""
-    cfg = PriorConfig(dist=dist, lam=lam, w=1.0, alpha=alpha)
+def radius_functions_rows(dist: Distribution, alpha: float):
+    """The three interval radii with the active regime, on the positive axis, at lam = 5 and w = 1."""
+    cfg = PriorConfig(dist=dist, lam=5.0, w=1.0, alpha=alpha)
     scale = float(dist.ppf_upper(alpha / 2.0))
-    xs = np.linspace(0.0, lam + scale + 3.0, 2001)
+    xs = np.linspace(0.0, cfg.lam + scale + 3.0, 2001)
     r1, r2, r3 = hpd_radii(cfg, xs)
     codes = regime_codes(cfg, xs)
     header = ["x", "r1", "r2", "r3", "regime"]

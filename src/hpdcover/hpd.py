@@ -29,7 +29,7 @@ from enum import IntEnum
 import numpy as np
 
 from .posterior import PriorConfig, atom_mass, tail_levels
-from .scanning import ScanSettings, sign_change_roots
+from .scanning import TOL_TAIL, ScanSettings, sign_change_roots
 
 __all__ = [
     "Regime",
@@ -317,14 +317,23 @@ def _member_reach(cfg: PriorConfig) -> float:
     return float(cfg.dist.ppf_upper(cfg.alpha * float(cfg.dist.cdf(-cfg.lam)))) + 0.5
 
 
-def _half_width(cfg: PriorConfig, scan: ScanSettings) -> float:
-    """Coverage scan half-width: _member_reach (no mass lost), or G^{-1}(1 - tol_tail / 2) if smaller."""
-    return min(float(cfg.dist.ppf_upper(scan.tol_tail / 2.0)), _member_reach(cfg))
+def _half_width(cfg: PriorConfig) -> float:
+    """Coverage scan half-width: _member_reach (no mass lost), or G^{-1}(1 - TOL_TAIL / 2) if smaller."""
+    return min(float(cfg.dist.ppf_upper(TOL_TAIL / 2.0)), _member_reach(cfg))
+
+
+def _finite_theta0(theta0) -> np.ndarray:
+    """theta0 as a flat float array; ValueError on any non-finite value."""
+    ts = np.asarray(theta0, float).ravel()
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"theta0 must be finite, got {float(ts[~np.isfinite(ts)][0])!r}")
+    return ts
 
 
 def _invert_endpoint(cfg: PriorConfig, column: int, theta0: float, scan: ScanSettings) -> InverseSet:
     """Roots of endpoint = theta0 for column 0 (U) or 1 (L) of the endpoints pass."""
-    b = abs(theta0) + cfg.dist.ppf_upper(scan.tol_tail) + cfg.lam
+    _finite_theta0(theta0)
+    b = abs(theta0) + cfg.dist.ppf_upper(TOL_TAIL) + cfg.lam
     reach, t = _member_reach(cfg), cfg.t_alpha
 
     def fn(xs):
@@ -360,28 +369,29 @@ def invert_lower(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSetti
     return _invert_endpoint(cfg, 1, theta0, scan)
 
 
-def smallest_lower_inverse(cfg: PriorConfig, theta0: float, tol: float = 1e-12, max_iter: int = 10_000) -> float:
+def smallest_lower_inverse(cfg: PriorConfig, theta0: float) -> float:
     """Smallest solution of L(x) = theta0 via the monotone iteration
     a_{k+1} = theta0 + r1(a_k), started at a_0 = theta0.
 
-    Valid for theta0 above both lam and t_alpha, where every solution sits
-    in regime I so the fixed point of x = theta0 + r1(x) is the infimum.
-    The iterates increase monotonically; non-monotonicity or failure to
-    converge raises.
+    Valid for finite theta0 above both lam and t_alpha, where every solution
+    sits in regime I so the fixed point of x = theta0 + r1(x) is the infimum.
+    The iterates increase monotonically until a step moves them by at most
+    1e-12; a decrease, or 10,000 steps without that, raises RuntimeError.
     """
+    _finite_theta0(theta0)
     if not theta0 > max(cfg.lam, cfg.t_alpha):
         raise ValueError(
             f"theta0 = {theta0} must exceed max(lam, t_alpha) = {max(cfg.lam, cfg.t_alpha)}"
         )
     a = float(theta0)
-    for _ in range(max_iter):
+    for _ in range(10_000):
         nxt = theta0 + float(cfg.dist.ppf_upper(tail_levels(cfg, np.array([a]))[3])[0])
         if nxt < a - 1e-12:
             raise RuntimeError(f"fixed-point iterates decreased at a = {a}")
-        if abs(nxt - a) <= tol:
+        if abs(nxt - a) <= 1e-12:
             return nxt
         a = nxt
-    raise RuntimeError(f"fixed-point iteration did not converge in {max_iter} steps")
+    raise RuntimeError("fixed-point iteration did not converge in 10000 steps")
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def post_selection_set(cfg: PriorConfig, x: float, scan: ScanSettings = ScanSett
     boundary solver used for coverage.
     """
     _require_selected(cfg, x)
-    half = _half_width(cfg, scan)
+    half = _half_width(cfg)
     curves = lambda thetas: endpoint_values(cfg, thetas)
     _, a, b = member_intervals(curves, x, x - half, x + half, [cfg.lam, -cfg.lam, x, -x], scan)
     return PostSelectionSet(x=float(x), alpha=cfg.alpha, lam=cfg.lam, intervals=tuple(zip(a.tolist(), b.tolist())))

@@ -35,11 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BISECT_TOL", "ScanSettings", "crossing_cells", "member_intervals", "sign_change_roots"]
+__all__ = ["BISECT_TOL", "TOL_TAIL", "ScanSettings", "crossing_cells", "member_intervals", "sign_change_roots"]
 
 # The abscissa accuracy of every refined boundary or root, and the inner
 # rung of the ladder that build_grid puts about each special abscissa.
 BISECT_TOL = 1e-10
+
+# The error-law mass a truncated scan window may leave outside it.
+TOL_TAIL = 1e-9
 
 # Fixed cost of one curve call in points' worth: an endpoint table costs
 # 120-300 us per call plus 0.13-0.5 us per point (2-vCPU VM).  It sizes the
@@ -62,25 +65,22 @@ def section_count(n_cells: int, iters: int, keep: int = 1) -> int:
 
 @dataclass(frozen=True)
 class ScanSettings:
-    """Resolution controls for membership and inversion scans.
+    """Grid resolution of membership and inversion scans.
 
     n_base points cover the union of a scan's windows (the whole window of
     a one-window scan; a wide union keeps the step it has when it runs
     n_base / 128 member spans past its first window, see build_grid), and
     each special abscissa (band edges, atom threshold, and the target of an
     inversion or post-selection scan; coverage scans add no point for
-    theta0) gets a geometric ladder from BISECT_TOL out to that step.
-    tol_tail is the error-law mass allowed to fall outside truncated windows.
+    theta0) gets a geometric ladder from BISECT_TOL out to that step.  The
+    tail cut of truncated windows is the constant TOL_TAIL.
     """
 
     n_base: int = 4096
-    tol_tail: float = 1e-9
 
     def __post_init__(self):
         if self.n_base < 16:
             raise ValueError("scan grid too small")
-        if not 0.0 < self.tol_tail < 1.0:
-            raise ValueError(f"tol_tail must lie in (0, 1), got {self.tol_tail}")
 
 
 def build_grid(lo, hi, specials, scan: ScanSettings, reach=None) -> np.ndarray:

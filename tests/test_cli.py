@@ -57,7 +57,6 @@ def test_runconfig_roundtrip():
         method="mc",
         n=12345,
         seed=9,
-        tol_tail=1e-8,
         mirror=False,
         out="a.csv",
     )
@@ -67,7 +66,7 @@ def test_runconfig_roundtrip():
     # canonical representation and must be a fixed point.
     assert back.to_text() == text
     assert back.lam == rc.lam and back.w == rc.w
-    assert back.tol_tail == rc.tol_tail and back.mirror is False
+    assert back.alpha == rc.alpha and back.mirror is False
     assert math.isnan(back.theta0) and back.x == 1.25
 
 
@@ -111,24 +110,46 @@ def test_cli_config_rejects_an_empty_list(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
-def test_cli_refuses_the_removed_dense_block_setting(tmp_path, capsys):
-    # Special abscissas get a fixed geometric ladder, so there is no dense
-    # block size to set: the flag and the config key are each refused with
-    # one error line.
+@pytest.mark.parametrize(
+    "flag, key, value", [("--n-dense", "n_dense", "512"), ("--tol-tail", "tol_tail", "1e-8")], ids=["n_dense", "tol_tail"]
+)
+def test_cli_refuses_the_removed_scan_settings(tmp_path, capsys, flag, key, value):
+    # Special abscissas get a fixed geometric ladder and truncated windows a
+    # fixed tail cut (scanning.TOL_TAIL), so neither is a setting: the flag
+    # and the config key are each refused with one error line.
     args = ["coverage", "--dist", "laplace", "--grid", "5.5:9:2", "--out", str(tmp_path / "c.csv")]
     with pytest.raises(SystemExit) as exc:
-        main(args + ["--n-dense", "512"])
+        main(args + [flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error" in line] == [
-        "hpdcover: error: unrecognized arguments: --n-dense 512"
+        f"hpdcover: error: unrecognized arguments: {flag} {value}"
     ]
     assert "Traceback" not in err
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("n_dense=512\n")
+    cfg_file.write_text(f"{key}={value}\n")
     assert main(args + ["--config", str(cfg_file)]) == 2
-    assert capsys.readouterr().err == "error: unknown config key 'n_dense'\n"
+    assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["5,", ","])
+def test_cli_list_flag_reads_as_its_config_key(tmp_path, capsys, text):
+    # --lambda had its own split, without the config reader's empty-piece
+    # filter: "--lambda 5," failed on float('') while "lam=5," read (5.0,).
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"lam={text}\n")
+    out = tmp_path / "set.json"
+    args = ["hpd", "--dist", "laplace", "--x", "6.2", "--out", str(out)]
+    flag, keyed = args + ["--lambda", text], args + ["--config", str(cfg_file)]
+    if text == ",":
+        assert main(flag) == 2 and main(keyed) == 2
+        assert capsys.readouterr().err == "error: lam and w each need at least one value\n" * 2
+        assert not out.exists()
+        return
+    load = lambda argv: cli_mod._load_config(cli_mod.build_parser().parse_args(argv))
+    assert load(flag).to_text() == load(keyed).to_text() and load(flag).lam == (5.0,)
+    assert main(flag) == 0 and out.exists()
 
 
 def test_cli_hpd_json(tmp_path):

@@ -20,8 +20,10 @@ from hpdcover import (
     hpd_set,
     interval_mass,
     invert_lower,
+    invert_upper,
     onesided_coverage_exact,
     predicted_dip_level,
+    smallest_lower_inverse,
     upper_values,
 )
 from hpdcover import coverage as coverage_mod
@@ -229,6 +231,26 @@ def test_onesided_coverage_requires_pure_slab():
 def test_onesided_coverage_rejects_non_finite_theta0(theta0):
     with pytest.raises(ValueError, match="theta0 must be finite"):
         onesided_coverage_exact(config("laplace", 5.0, 1.0), theta0)
+
+
+@pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg, t: coverage_mc(cfg, t, 2000, 1),
+        lambda cfg, t: coverage_curve(cfg, [t], method="mc", n=2000),
+        invert_upper,
+        invert_lower,
+        smallest_lower_inverse,
+    ],
+    ids=["coverage_mc", "mc_curve", "invert_upper", "invert_lower", "smallest_lower_inverse"],
+)
+def test_non_finite_theta0_is_refused_as_by_the_exact_scan(call, theta0):
+    # Monte Carlo read NaN as zero coverage with a 2e-152 standard error, the
+    # inversions failed on an "empty scan window [nan, nan]", and the fixed
+    # point ran 10,000 steps at inf before it gave up.
+    with pytest.raises(ValueError, match="theta0 must be finite"):
+        call(config("laplace", 1.0, 1.0), theta0)
 
 
 def test_predicted_dip_level_laplace_closed_form():
@@ -622,7 +644,7 @@ def test_exact_batch_mirrors_negative_theta0(law, lam, w):
     theta = np.array([-(lam + 6.0), -2.5, -(lam + 1.7), -2.5, -(lam + 0.3), -0.0, -lam / 2.0])
     got = coverage_mod._exact_batch(cfg, theta, scan)
     uniq, inv = np.unique(theta, return_inverse=True)
-    want = coverage_mod._exact_sorted(cfg, uniq, coverage_mod._half_width(cfg, scan), scan)[inv]
+    want = coverage_mod._exact_sorted(cfg, uniq, coverage_mod._half_width(cfg), scan)[inv]
     assert np.max(np.abs(got - want)) <= 1e-10
     if lam > 0.0:
         assert np.max(np.abs(want[:, 4] - want[:, 6])) > 1e-3

@@ -1,7 +1,7 @@
 """Pins for the scan paths served by the multisection solver.
 
 The values were recorded with the earlier bisection solver; both refine to
-ScanSettings.bisect_tol, so each must agree to 1e-9.  The inversion configs
+scanning.BISECT_TOL, so each must agree to 1e-9.  The inversion configs
 have an atom region (t_alpha > 0), so both sides of it are scanned; the
 last post-selection config of each law sits 1e-6 below min U beyond the
 band edge, where U has a local minimum grazing x (the laplace, t3 and
