@@ -35,7 +35,6 @@ from .hpd import (
     InverseSet,
     InversionError,
     Regime,
-    classify_regime,
     endpoint_values,
     endpoints,
     hpd_length,
@@ -43,7 +42,6 @@ from .hpd import (
     hpd_set,
     invert_lower,
     invert_upper,
-    lower_endpoint,
     lower_values,
     onesided_endpoints,
     onesided_lower_endpoint,
@@ -51,11 +49,8 @@ from .hpd import (
     onesided_upper_endpoint,
     regime_codes,
     smallest_lower_inverse,
-    upper_endpoint,
-    upper_endpoint_alt,
     upper_values,
 )
-from .scanning import ScanSettings
 from .coverage import (
     BoundReport,
     CoveragePoint,
@@ -99,7 +94,6 @@ __all__ = [
     "InverseSet",
     "InversionError",
     "Regime",
-    "classify_regime",
     "endpoint_values",
     "endpoints",
     "hpd_length",
@@ -107,7 +101,6 @@ __all__ = [
     "hpd_set",
     "invert_lower",
     "invert_upper",
-    "lower_endpoint",
     "lower_values",
     "onesided_endpoints",
     "onesided_lower_endpoint",
@@ -115,10 +108,7 @@ __all__ = [
     "onesided_upper_endpoint",
     "regime_codes",
     "smallest_lower_inverse",
-    "upper_endpoint",
-    "upper_endpoint_alt",
     "upper_values",
-    "ScanSettings",
     "BoundReport",
     "CoveragePoint",
     "CoverageReport",

@@ -38,7 +38,6 @@ from .figures import (
 from .hpd import hpd_set
 from .posterior import PriorConfig
 from .postselect import conditional_coverage_mc, post_selection_set
-from .scanning import ScanSettings
 
 __all__ = ["RunConfig", "parse_dist_spec", "parse_grid_spec", "cmd_figure", "main"]
 
@@ -76,7 +75,6 @@ class RunConfig:
     method: str = "exact"
     n: int = 10**6
     seed: int = 0
-    n_base: int = 4096
     threads: int = 0
     fig_grid_n: int = 800
     mirror: bool = True
@@ -86,9 +84,6 @@ class RunConfig:
     def __post_init__(self):
         if not (self.lam and self.w):
             raise ValueError("lam and w each need at least one value")
-
-    def scan_settings(self) -> ScanSettings:
-        return ScanSettings(n_base=self.n_base)
 
     def first_dist(self) -> Distribution:
         return parse_dist_spec(self.dist.split(",")[0])
@@ -248,7 +243,7 @@ def _cmd_coverage(rc: RunConfig) -> int:
                 try:
                     cfg = PriorConfig(dist=rc.first_dist(), lam=lam, w=w, alpha=rc.alpha)
                     curves[key] = coverage_curve(
-                        cfg, grid, rc.scan_settings(), method=rc.method,
+                        cfg, grid, method=rc.method,
                         n=rc.n, seed=rc.seed, threads=rc.threads if rc.threads > 0 else None,
                     )
                 except Exception as exc:  # noqa: BLE001 - enumerate and keep going
@@ -270,7 +265,7 @@ def _cmd_bounds(rc: RunConfig) -> int:
         raise ValueError("bounds requires --grid a:b:n")
     grid = parse_grid_spec(rc.grid)
     cfg = rc.prior()
-    report = check_coverage_bounds(cfg, grid, rc.scan_settings())
+    report = check_coverage_bounds(cfg, grid)
     _write_text(rc.out, _json_text(report.to_dict()))
     return 0 if report.passed else 1
 
@@ -278,7 +273,7 @@ def _cmd_bounds(rc: RunConfig) -> int:
 def _cmd_postselect(rc: RunConfig) -> int:
     if math.isnan(rc.x):
         raise ValueError("postselect requires --x")
-    ps = post_selection_set(rc.prior(), rc.x, rc.scan_settings())
+    ps = post_selection_set(rc.prior(), rc.x)
     payload = {
         "x": ps.x,
         "alpha": ps.alpha,
@@ -301,7 +296,6 @@ def _cmd_postselect_coverage(rc: RunConfig) -> int:
 
 def cmd_figure(fig_id: int, rc: RunConfig) -> list[Path]:
     """Emit the CSV + JSON sidecar for one standard figure into rc.outdir."""
-    scan = rc.scan_settings()
     side_extra: dict = {}
     side: dict = {}
     if fig_id == 1:
@@ -309,7 +303,7 @@ def cmd_figure(fig_id: int, rc: RunConfig) -> list[Path]:
         side_extra["w_sweep"] = ws
         side_extra["w_sweep_is_default_assumption"] = rc.w == (1.0,)
         header, blocks = coverage_panels_rows(
-            rc.dists(), list(rc.lam), ws, rc.alpha, rc.fig_grid_n, rc.mirror, scan
+            rc.dists(), list(rc.lam), ws, rc.alpha, rc.fig_grid_n, rc.mirror
         )
     elif fig_id == 2:
         header, blocks, side = posterior_illustration_rows(make_distribution("gaussian"), rc.alpha)
@@ -353,7 +347,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--w", help="slab weight in (0, 1] (comma list allowed)")
     p.add_argument("--alpha", type=float, help="credibility tail level in (0, 1)")
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--n-base", dest="n_base", type=int, help="base scan grid size")
     p.add_argument("--threads", type=int,
                    help="worker threads for Monte Carlo curves (HPD_THREADS caps this)")
     p.add_argument("--out", help="output path (default: stdout)")

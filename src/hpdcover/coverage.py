@@ -39,7 +39,7 @@ from .distributions import draw_chunks, interval_mass
 from .hpd import (Regime, _finite_theta0, _half_width, _levels, endpoint_values, onesided_endpoints,
                   regime_codes, upper_values)
 from .posterior import PriorConfig
-from .scanning import TOL_TAIL, ScanSettings, covers, member_intervals, refine_extrema
+from .scanning import TOL_TAIL, covers, member_intervals, refine_extrema
 
 __all__ = [
     "CoveragePoint",
@@ -110,9 +110,7 @@ class CoveragePoint:
 _RUN = 4096
 
 
-def _exact_sorted(
-    cfg: PriorConfig, ts: np.ndarray, half: float, scan: ScanSettings, fractions: bool = True
-) -> np.ndarray:
+def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, fractions: bool = True) -> np.ndarray:
     """Rows (C, C-, C+, frac_I..frac_IV) for one run of sorted theta0, or
     (C, C-, C+) alone without ``fractions``.
 
@@ -129,7 +127,7 @@ def _exact_sorted(
     if live.size:
         levels = ts[live]
         specials = [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha]
-        owner, a, b = member_intervals(lambda xs: endpoint_values(cfg, xs), levels, levels - half, levels + half, specials, scan)
+        owner, a, b = member_intervals(lambda xs: endpoint_values(cfg, xs), levels, levels - half, levels + half, specials)
     owner = np.concatenate([live[owner], whole])
     a, b = np.concatenate([a, ts[whole] - half]), np.concatenate([b, ts[whole] + half])
     t = ts[owner]
@@ -151,7 +149,7 @@ def _exact_sorted(
     return np.column_stack([total, c_minus, c_plus, fracs])
 
 
-def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings, fractions: bool = True) -> np.ndarray:
+def _exact_batch(cfg: PriorConfig, theta0, fractions: bool = True) -> np.ndarray:
     """Exact coverage rows (C, C-, C+, frac_I..frac_IV), one per theta0, in input order;
     (C, C-, C+) alone without ``fractions``, for callers that read no regime.
 
@@ -167,11 +165,11 @@ def _exact_batch(cfg: PriorConfig, theta0, scan: ScanSettings, fractions: bool =
     mag, inv = np.unique(np.abs(ts), return_inverse=True)
     half = _half_width(cfg)
     runs = (mag[i : i + _RUN] for i in range(0, mag.size, _RUN))
-    rows = np.concatenate([_exact_sorted(cfg, m, half, scan, fractions) for m in runs])[inv]
+    rows = np.concatenate([_exact_sorted(cfg, m, half, fractions) for m in runs])[inv]
     return np.where((ts < 0.0)[:, None], rows[:, cols], rows)
 
 
-def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> CoveragePoint:
+def coverage_exact(cfg: PriorConfig, theta0: float) -> CoveragePoint:
     """Exact coverage C(theta0) = P(theta0 in HPD(X)) with its split C = C- + C+.
 
     The membership set {x : theta0 in HPD(x)} is split at x = theta0: C- is
@@ -182,7 +180,7 @@ def coverage_exact(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSet
     or empty (inside the band: all three 0).  This is the batch scan on one
     point: |theta0| on a theta0-free grid, reflected when theta0 < 0.
     """
-    c, c_minus, c_plus, *fracs = (float(v) for v in _exact_batch(cfg, [theta0], scan)[0])
+    c, c_minus, c_plus, *fracs = (float(v) for v in _exact_batch(cfg, [theta0])[0])
     return CoveragePoint(float(theta0), c, c_minus, c_plus, dict(zip(_REGIME_KEYS, fracs)))
 
 
@@ -262,7 +260,6 @@ def _config_summary(cfg: PriorConfig) -> dict:
 def coverage_curve(
     cfg: PriorConfig,
     grid,
-    scan: ScanSettings = ScanSettings(),
     method: str = "exact",
     n: int = 10**6,
     seed: int = 0,
@@ -279,7 +276,7 @@ def coverage_curve(
     if np.any(np.diff(grid) < 0):
         raise ValueError("theta0 grid must be sorted")
     if method == "exact":
-        cols = _exact_batch(cfg, grid, scan).T
+        cols = _exact_batch(cfg, grid).T
         label = "exact_scan"
     elif method == "mc":
         if n < 1:
@@ -310,7 +307,7 @@ def coverage_curve(
     )
 
 
-def onesided_coverage_exact(cfg: PriorConfig, theta0, scan: ScanSettings = ScanSettings()):
+def onesided_coverage_exact(cfg: PriorConfig, theta0):
     """Exact coverage of the one-sided baseline set [L1(x), U1(x)] at theta0.
 
     theta0 is a scalar (returns a float) or a 1-d array in any order
@@ -333,7 +330,7 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0, scan: ScanSettings = ScanS
     out = np.empty(ts.size)
     for i in range(0, ts.size, _RUN):
         t = ts[i : i + _RUN]
-        owner, a, b = member_intervals(curves, t, t - left, t + right + 0.5, [cfg.lam, switch], scan, right + 0.5)
+        owner, a, b = member_intervals(curves, t, t - left, t + right + 0.5, [cfg.lam, switch], right + 0.5)
         out[i : i + _RUN] = np.bincount(owner, weights=interval_mass(d, a - t[owner], b - t[owner]), minlength=t.size)
     if np.ndim(theta0) == 0:
         return float(out[0])
@@ -378,7 +375,7 @@ class DipResult:
         return abs(self.c_min - self.predicted)
 
 
-def dip_search(cfg: PriorConfig, scan: ScanSettings = ScanSettings()) -> DipResult:
+def dip_search(cfg: PriorConfig) -> DipResult:
     """Locate min C(theta0) over {theta0 : sup U^{-1}(theta0) >= lam}.
 
     That domain is the half-line [min U on [lam or t_alpha, inf), inf) since
@@ -390,7 +387,7 @@ def dip_search(cfg: PriorConfig, scan: ScanSettings = ScanSettings()) -> DipResu
     domain_lo = _min_upper_from_band_edge(cfg)
     hi = cfg.lam + 3.2 * float(cfg.dist.ppf_upper(cfg.alpha / 2.0))
     hi = max(hi, domain_lo + 1.0)
-    c_many = lambda ts, rows: _exact_batch(cfg, ts, scan, fractions=False)[:, 0]
+    c_many = lambda ts, rows: _exact_batch(cfg, ts, fractions=False)[:, 0]
     theta, c_min = refine_extrema(c_many, [domain_lo], [hi], False, tol=1e-4)
     return DipResult(
         theta_at_min=float(theta[0]),
@@ -429,7 +426,7 @@ def _graded(name: str, margin: float, details: dict, strict: bool = False) -> Bo
     return BoundCheck(name, "pass" if (margin > 0 if strict else margin >= 0) else "fail", margin, details)
 
 
-def check_coverage_bounds(cfg: PriorConfig, theta_grid, scan: ScanSettings = ScanSettings()) -> BoundReport:
+def check_coverage_bounds(cfg: PriorConfig, theta_grid) -> BoundReport:
     """Verify the coverage bounds on a non-empty finite theta0 grid, reporting margins.
 
     Checks: (a) the below-x part never exceeds (1-alpha)/2; (b) it stays
@@ -459,7 +456,7 @@ def check_coverage_bounds(cfg: PriorConfig, theta_grid, scan: ScanSettings = Sca
     checks: list[BoundCheck] = []
 
     above = grid[grid > max(cfg.lam, cfg.t_alpha)]
-    c_all, c_minus = _exact_batch(cfg, above, scan, fractions=False)[:, :2].T
+    c_all, c_minus = _exact_batch(cfg, above, fractions=False)[:, :2].T
 
     # (a) ceiling on the below-x part.
     if above.size:
@@ -482,7 +479,7 @@ def check_coverage_bounds(cfg: PriorConfig, theta_grid, scan: ScanSettings = Sca
 
     # (c) dip level against its predicted value.
     if has_tail and g_lam_ok and t_below_lam:
-        dip = dip_search(cfg, scan)
+        dip = dip_search(cfg)
         k = dip.deviation / alpha ** (1.0 + gamma) * 1.25
         margin = float(k * alpha ** (1.0 + gamma) - dip.deviation)
         details = {"c_min": dip.c_min, "predicted": dip.predicted, "theta_at_min": dip.theta_at_min}
@@ -499,7 +496,7 @@ def check_coverage_bounds(cfg: PriorConfig, theta_grid, scan: ScanSettings = Sca
 
     # (d) one-sided baseline comparison, strict.
     if cfg.w == 1.0 and above.size:
-        ms = onesided_coverage_exact(cfg, above, scan)
+        ms = onesided_coverage_exact(cfg, above)
         slackless = c_all + np.asarray(d.cdf(-above), float) - ms
         margin = float(slackless.min())
         details = {"worst_theta0": float(above[int(np.argmin(slackless))])}
@@ -511,7 +508,7 @@ def check_coverage_bounds(cfg: PriorConfig, theta_grid, scan: ScanSettings = Sca
     # (e) above-x part in (lam, t_alpha) is at most G(-2*lam).
     if cfg.t_alpha > cfg.lam and math.isfinite(cfg.t_alpha):
         inner = np.linspace(cfg.lam, cfg.t_alpha, 9)[1:-1]
-        cp = _exact_batch(cfg, inner, scan, fractions=False)[:, 2]
+        cp = _exact_batch(cfg, inner, fractions=False)[:, 2]
         bound = float(d.cdf(-2.0 * cfg.lam))
         margin = float(bound + 1e-9 - cp.max())
         checks.append(_graded("early_c_plus_ceiling", margin, {"bound": bound, "max_c_plus": float(cp.max())}))

@@ -19,7 +19,6 @@ from .coverage import coverage_curve
 from .distributions import Distribution
 from .hpd import Regime, endpoints, hpd_length, hpd_radii, regime_codes
 from .posterior import PriorConfig, atom_mass, posterior_normalizer
-from .scanning import ScanSettings
 
 __all__ = [
     "fmt",
@@ -66,7 +65,6 @@ def coverage_panels_rows(
     alpha: float,
     grid_n: int,
     mirror: bool,
-    scan: ScanSettings,
 ):
     """Coverage curves with regime attribution, one block per (dist, lam, w) panel line."""
     header = [
@@ -79,7 +77,7 @@ def coverage_panels_rows(
             grid = _coverage_grid(dist, lam, alpha, grid_n, mirror)
             for w in ws:
                 cfg = PriorConfig(dist=dist, lam=lam, w=w, alpha=alpha)
-                rep = coverage_curve(cfg, grid, scan)
+                rep = coverage_curve(cfg, grid)
                 blocks.append([dist.name, lam, w, rep.theta0, rep.C, rep.C_minus, rep.C_plus,
                                *rep.fractions.values()])
     return header, blocks

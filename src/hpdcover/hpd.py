@@ -29,7 +29,7 @@ from enum import IntEnum
 import numpy as np
 
 from .posterior import PriorConfig, atom_mass, tail_levels
-from .scanning import TOL_TAIL, ScanSettings, sign_change_roots
+from .scanning import TOL_TAIL, sign_change_roots
 
 __all__ = [
     "Regime",
@@ -37,11 +37,7 @@ __all__ = [
     "InverseSet",
     "InversionError",
     "hpd_radii",
-    "classify_regime",
     "regime_codes",
-    "upper_endpoint",
-    "lower_endpoint",
-    "upper_endpoint_alt",
     "upper_values",
     "lower_values",
     "endpoint_values",
@@ -169,13 +165,6 @@ def regime_codes(cfg: PriorConfig, x) -> np.ndarray:
     return endpoints(cfg, x)[2]
 
 
-def classify_regime(cfg: PriorConfig, x: float) -> Regime:
-    """Regime of a single observation (ATOM where the atom alone holds 1 - alpha)."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return Regime(int(regime_codes(cfg, x)[0]))
-
-
 def upper_values(cfg: PriorConfig, x) -> np.ndarray:
     """Vectorized upper endpoint U(x); NaN where the set is the atom alone."""
     return endpoints(cfg, x)[0]
@@ -189,39 +178,6 @@ def lower_values(cfg: PriorConfig, x) -> np.ndarray:
 def endpoint_values(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray]:
     """Both endpoints (U(x), L(x)); NaN on the atom region."""
     return endpoints(cfg, x)[:2]
-
-
-def _require_interval_part(cfg: PriorConfig, x: float) -> tuple[float, float]:
-    """(U(x), L(x)) at a finite x off the atom region, whose code says so."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    up, low, codes = endpoints(cfg, x)
-    if codes[0] == _ATOM:
-        raise ValueError(f"x = {x} lies in the atom region: the credible set is the atom alone")
-    return float(up[0]), float(low[0])
-
-
-def upper_endpoint(cfg: PriorConfig, x: float) -> float:
-    """U(x) off the atom region: x + r1, x + r2, x + r3 or -lam by regime."""
-    return _require_interval_part(cfg, x)[0]
-
-
-def lower_endpoint(cfg: PriorConfig, x: float) -> float:
-    """L(x) = -U(-x) off the atom region."""
-    return _require_interval_part(cfg, x)[1]
-
-
-def upper_endpoint_alt(cfg: PriorConfig, x: float) -> float:
-    """Regime-free form of U: combines h1 = x + (r2 ^ r3) v r1 and h2 = -lam ^ (x + r1).
-
-    Returns h1 when h1 >= lam and h2 otherwise; agrees with upper_endpoint
-    everywhere off the atom region.
-    """
-    _require_interval_part(cfg, x)
-    r1, r2, r3 = hpd_radii(cfg, x)
-    h1 = x + max(min(r2, r3), r1)
-    h2 = min(-cfg.lam, x + r1)
-    return h1 if h1 >= cfg.lam else h2
 
 
 @dataclass(frozen=True)
@@ -330,7 +286,7 @@ def _finite_theta0(theta0) -> np.ndarray:
     return ts
 
 
-def _invert_endpoint(cfg: PriorConfig, column: int, theta0: float, scan: ScanSettings) -> InverseSet:
+def _invert_endpoint(cfg: PriorConfig, column: int, theta0: float) -> InverseSet:
     """Roots of endpoint = theta0 for column 0 (U) or 1 (L) of the endpoints pass."""
     _finite_theta0(theta0)
     b = abs(theta0) + cfg.dist.ppf_upper(TOL_TAIL) + cfg.lam
@@ -343,7 +299,7 @@ def _invert_endpoint(cfg: PriorConfig, column: int, theta0: float, scan: ScanSet
     # One window about theta0; the atom region inside it is NaN, outside the set.
     lo, hi = max(-b, theta0 - reach), min(b, theta0 + reach)
     specials = [cfg.lam, -cfg.lam, theta0, t, -t]
-    allr, codes = sign_change_roots(fn, lo, hi, specials, scan, 1e-6 * (1.0 + abs(theta0)))
+    allr, codes = sign_change_roots(fn, lo, hi, specials, 1e-6 * (1.0 + abs(theta0)))
     if allr.size == 0:
         raise InversionError(
             f"no solutions of the endpoint equation at target {theta0} "
@@ -353,20 +309,20 @@ def _invert_endpoint(cfg: PriorConfig, column: int, theta0: float, scan: ScanSet
     return InverseSet(target=float(theta0), roots=tuple(float(r) for r in allr), regimes=regs)
 
 
-def invert_upper(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> InverseSet:
+def invert_upper(cfg: PriorConfig, theta0: float) -> InverseSet:
     """The set {x : |x| > t_alpha, U(x) = theta0}.
 
     The inner ends of {U >= theta0} within sup r3 + 0.5 of theta0, from the
     sliver-guarded level-set scan (scanning.sign_change_roots), so a root
     pair between two grid points is found; jumps of U are dropped.
     """
-    return _invert_endpoint(cfg, 0, theta0, scan)
+    return _invert_endpoint(cfg, 0, theta0)
 
 
-def invert_lower(cfg: PriorConfig, theta0: float, scan: ScanSettings = ScanSettings()) -> InverseSet:
+def invert_lower(cfg: PriorConfig, theta0: float) -> InverseSet:
     """The set {x : |x| > t_alpha, L(x) = theta0}, by the same level-set
     scan as invert_upper."""
-    return _invert_endpoint(cfg, 1, theta0, scan)
+    return _invert_endpoint(cfg, 1, theta0)
 
 
 def smallest_lower_inverse(cfg: PriorConfig, theta0: float) -> float:

@@ -23,9 +23,9 @@ import numpy as np
 
 from .coverage import hpd_contains
 from .distributions import draw_chunks
-from .hpd import _half_width, endpoint_values, hpd_set
+from .hpd import _finite_theta0, _half_width, endpoint_values, hpd_set
 from .posterior import PriorConfig
-from .scanning import ScanSettings, member_intervals
+from .scanning import member_intervals
 
 __all__ = [
     "PostSelectionSet",
@@ -67,7 +67,7 @@ def _require_selected(cfg: PriorConfig, x: float):
         raise ValueError(f"|x| = {abs(x)} < lam = {cfg.lam}: observation was not selected")
 
 
-def post_selection_set(cfg: PriorConfig, x: float, scan: ScanSettings = ScanSettings()) -> PostSelectionSet:
+def post_selection_set(cfg: PriorConfig, x: float) -> PostSelectionSet:
     """Compute PS(x) = {theta : x in CS(theta)} by membership scan over theta.
 
     Any theta with x within the credible set it would generate belongs to
@@ -77,7 +77,7 @@ def post_selection_set(cfg: PriorConfig, x: float, scan: ScanSettings = ScanSett
     _require_selected(cfg, x)
     half = _half_width(cfg)
     curves = lambda thetas: endpoint_values(cfg, thetas)
-    _, a, b = member_intervals(curves, x, x - half, x + half, [cfg.lam, -cfg.lam, x, -x], scan)
+    _, a, b = member_intervals(curves, x, x - half, x + half, [cfg.lam, -cfg.lam, x, -x])
     return PostSelectionSet(x=float(x), alpha=cfg.alpha, lam=cfg.lam, intervals=tuple(zip(a.tolist(), b.tolist())))
 
 
@@ -99,6 +99,7 @@ def conditional_coverage_mc(
         raise ValueError("post-selection coverage requires w = 1")
     if n < 10_000:
         raise ValueError(f"need at least 10000 draws, got {n}")
+    _finite_theta0(theta0)
     cs = hpd_set(cfg, theta0)
     pieces = cs.intervals
     kept = 0

@@ -25,17 +25,17 @@ call each (coverage.dip_search).
 Inversion is the same scan: sign_change_roots reads the roots of fn off
 {fn >= 0}, the pair (fn, -inf) at level 0, whose margin is fn.  Everything
 is vectorized so that one pass can serve many windows and levels at once.
+Every grid has N_BASE base points, a constant that no caller sets.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BISECT_TOL", "TOL_TAIL", "ScanSettings", "crossing_cells", "member_intervals", "sign_change_roots"]
+__all__ = ["BISECT_TOL", "N_BASE", "TOL_TAIL", "crossing_cells", "member_intervals", "sign_change_roots"]
 
 # The abscissa accuracy of every refined boundary or root, and the inner
 # rung of the ladder that build_grid puts about each special abscissa.
@@ -43,6 +43,10 @@ BISECT_TOL = 1e-10
 
 # The error-law mass a truncated scan window may leave outside it.
 TOL_TAIL = 1e-9
+
+# Base points of every membership and inversion scan grid, spread at one
+# step over the union of the scan's windows (build_grid).
+N_BASE = 4096
 
 # Fixed cost of one curve call in points' worth: an endpoint table costs
 # 120-300 us per call plus 0.13-0.5 us per point (2-vCPU VM).  It sizes the
@@ -63,42 +67,23 @@ def section_count(n_cells: int, iters: int, keep: int = 1) -> int:
     return 1 << min(range(keep, 8), key=cost)
 
 
-@dataclass(frozen=True)
-class ScanSettings:
-    """Grid resolution of membership and inversion scans.
-
-    n_base points cover the union of a scan's windows (the whole window of
-    a one-window scan; a wide union keeps the step it has when it runs
-    n_base / 128 member spans past its first window, see build_grid), and
-    each special abscissa (band edges, atom threshold, and the target of an
-    inversion or post-selection scan; coverage scans add no point for
-    theta0) gets a geometric ladder from BISECT_TOL out to that step.  The
-    tail cut of truncated windows is the constant TOL_TAIL.
-    """
-
-    n_base: int = 4096
-
-    def __post_init__(self):
-        if self.n_base < 16:
-            raise ValueError("scan grid too small")
-
-
-def build_grid(lo, hi, specials, scan: ScanSettings, reach=None) -> np.ndarray:
+def build_grid(lo, hi, specials, reach=None) -> np.ndarray:
     """Sorted deduplicated grid over [lo, hi] with a geometric ladder at each special point.
 
     lo and hi may also be sorted arrays of equal-width windows: the grid then
     covers their union at one step on every piece, so its size follows the
-    union, not the window count.  The step is min(U, w + n_base / 64 reach)
-    / (n_base - 1), U the total length of the union's connected pieces and w
-    one window's width: n_base points spread over the union until it runs
-    n_base / 128 spans of 2 reach past its first window, reach (default
+    union, not the window count.  The step is min(U, w + N_BASE / 64 reach)
+    / (N_BASE - 1), U the total length of the union's connected pieces and w
+    one window's width: N_BASE points spread over the union until it runs
+    N_BASE / 128 = 32 spans of 2 reach past its first window, reach (default
     w / 2) being how far from its level a window's crossings lie.  So one
-    window keeps the step w / (n_base - 1), and every window keeps at least
-    (n_base - 1) w / (w + n_base / 64 reach) base points (124 at the default
-    n_base for reach w / 2, 85 at n_base = 256).  Every window edge is a
-    grid point.  Each special abscissa p gets a ladder p +- BISECT_TOL 8^j,
-    j >= -1, out to the first rung at or past the step (_cluster's offsets),
-    kept with p itself where it falls on a piece.
+    window keeps the step w / (N_BASE - 1), and every window keeps at least
+    (N_BASE - 1) w / (w + N_BASE / 64 reach) base points, 124 for reach
+    w / 2.  Every window edge is a grid point.  Each special abscissa p (the
+    band edges, the atom threshold, the target of an inversion or
+    post-selection scan; coverage adds none for theta0) gets a ladder
+    p +- BISECT_TOL 8^j, j >= -1, out to the first rung at or past the step
+    (_cluster's offsets), kept with p itself where it falls on a piece.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(hi, float))
     if not np.all(lo < hi):
@@ -108,8 +93,8 @@ def build_grid(lo, hi, specials, scan: ScanSettings, reach=None) -> np.ndarray:
     breaks = np.nonzero(lo[1:] > hi[:-1])[0]
     starts, ends = np.concatenate([lo[:1], lo[breaks + 1]]), np.concatenate([hi[breaks], hi[-1:]])
     width = hi[0] - lo[0]
-    span = width + scan.n_base / 64.0 * (0.5 * width if reach is None else reach)
-    step = min(np.sum(ends - starts), span) / (scan.n_base - 1)
+    span = width + N_BASE / 64.0 * (0.5 * width if reach is None else reach)
+    step = min(np.sum(ends - starts), span) / (N_BASE - 1)
     k = 2 + max(0, math.ceil(math.log(step / BISECT_TOL, 8)))
     ladder = (pts[:, None] + np.append(BISECT_TOL * _cluster(k), 0.0)).ravel()
     parts = [lo, hi]
@@ -358,7 +343,7 @@ def _member_stretches(cuts, group, start, lo, hi):
     return group[on], left[on], right[on]
 
 
-def member_intervals(curves, levels, lo, hi, specials, scan: ScanSettings, reach=None):
+def member_intervals(curves, levels, lo, hi, specials, reach=None):
     """Connected components of {x in [lo_j, hi_j] : L(x) <= t_j <= U(x)} for every level t_j.
 
     curves(xs) -> (U, L) is the curve pair; NaN values compare false.  levels
@@ -373,7 +358,7 @@ def member_intervals(curves, levels, lo, hi, specials, scan: ScanSettings, reach
     merged.
     """
     levels, lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in (levels, lo, hi))
-    grid = build_grid(lo, hi, specials, scan, reach)
+    grid = build_grid(lo, hi, specials, reach)
     grid, table = graze_points(grid, curves(grid), levels, curves)
     i0, i1 = np.searchsorted(grid, lo, "left"), np.searchsorted(grid, hi, "right")
     owner, cell = crossing_cells(table, levels, i0, i1)
@@ -391,7 +376,7 @@ def member_intervals(curves, levels, lo, hi, specials, scan: ScanSettings, reach
     return owner[new], a[new], b[np.append(new[1:], a.size)[: new.size] - 1]
 
 
-def sign_change_roots(fn, lo, hi, specials, scan: ScanSettings, accept_tol: float):
+def sign_change_roots(fn, lo, hi, specials, accept_tol: float):
     """The roots of fn on the window [lo, hi]: the inner ends of the level set {fn >= 0}.
 
     fn(xs) returns (values, *tags): the values of fn and any further
@@ -406,7 +391,7 @@ def sign_change_roots(fn, lo, hi, specials, scan: ScanSettings, accept_tol: floa
     dropped.  Tangent roots are not guaranteed.
     """
     curves = lambda xs: (fn(xs)[0], np.full(np.shape(xs), -np.inf))
-    _, a, b = member_intervals(curves, 0.0, lo, hi, specials, scan)
+    _, a, b = member_intervals(curves, 0.0, lo, hi, specials)
     ends = np.sort(np.concatenate([a, b]))
     ends = ends[(lo < ends) & (ends < hi)]
     values, *tags = fn(ends)

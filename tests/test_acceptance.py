@@ -27,7 +27,7 @@ from hpdcover import (
     hpd_set,
     invert_lower,
     invert_upper,
-    lower_endpoint,
+    lower_values,
     make_distribution,
     onesided_coverage_exact,
     posterior_probability,
@@ -147,12 +147,10 @@ def test_c05_endpoint_decreases_inside_band():
 
 def test_c06_fixed_point_inversion():
     cfg = config("laplace", 5.0, 1.0)
-    worst_val = 0.0
-    worst_inf = 0.0
-    for theta0 in np.linspace(5.05, 20.0, 50):
-        fp = smallest_lower_inverse(cfg, float(theta0))
-        worst_val = max(worst_val, abs(lower_endpoint(cfg, fp) - theta0))
-        worst_inf = max(worst_inf, abs(fp - invert_lower(cfg, float(theta0)).inf))
+    thetas = np.linspace(5.05, 20.0, 50)
+    fps = np.array([smallest_lower_inverse(cfg, float(theta0)) for theta0 in thetas])
+    worst_val = float(np.max(np.abs(lower_values(cfg, fps) - thetas)))  # NaN if any L(fp) is NaN
+    worst_inf = max(abs(fp - invert_lower(cfg, float(theta0)).inf) for fp, theta0 in zip(fps, thetas))
     _report(6, "fixed-point inversion of the lower endpoint",
             worst_val <= 1e-8 and worst_inf <= 1e-6,
             f"max |L(fp) - theta0| = {worst_val:.2e}, max |fp - scan inf| = {worst_inf:.2e}")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hpdcover
-from hpdcover import ScanSettings, hpd_set
+from hpdcover import hpd_set
 from hpdcover import cli as cli_mod
 from hpdcover.cli import RunConfig, _csv_text, cmd_figure, main, parse_dist_spec, parse_grid_spec
 from hpdcover.figures import (
@@ -111,12 +111,15 @@ def test_cli_config_rejects_an_empty_list(tmp_path, capsys, command, line):
 
 
 @pytest.mark.parametrize(
-    "flag, key, value", [("--n-dense", "n_dense", "512"), ("--tol-tail", "tol_tail", "1e-8")], ids=["n_dense", "tol_tail"]
+    "flag, key, value",
+    [("--n-dense", "n_dense", "512"), ("--tol-tail", "tol_tail", "1e-8"), ("--n-base", "n_base", "1024")],
+    ids=["n_dense", "tol_tail", "n_base"],
 )
 def test_cli_refuses_the_removed_scan_settings(tmp_path, capsys, flag, key, value):
-    # Special abscissas get a fixed geometric ladder and truncated windows a
-    # fixed tail cut (scanning.TOL_TAIL), so neither is a setting: the flag
-    # and the config key are each refused with one error line.
+    # Special abscissas get a fixed geometric ladder, truncated windows a
+    # fixed tail cut (scanning.TOL_TAIL) and every scan grid a fixed size
+    # (scanning.N_BASE), so none is a setting: the flag and the config key
+    # are each refused with one error line.
     args = ["coverage", "--dist", "laplace", "--grid", "5.5:9:2", "--out", str(tmp_path / "c.csv")]
     with pytest.raises(SystemExit) as exc:
         main(args + [flag, value])
@@ -185,7 +188,6 @@ def test_cli_coverage_csv_deterministic(tmp_path):
     args = [
         "coverage", "--dist", "gaussian", "--lambda", "0.5", "--w", "1",
         "--alpha", "0.05", "--grid", "1:3:5", "--method", "exact",
-        "--n-base", "1024",
     ]
     out1 = tmp_path / "c1.csv"
     out2 = tmp_path / "c2.csv"
@@ -199,7 +201,7 @@ def test_cli_coverage_csv_deterministic(tmp_path):
 
 def test_cli_coverage_negative_grid_start(tmp_path, capsys):
     # A mirrored theta0 grid may follow --grid as a separate argument.
-    args = ["coverage", "--dist", "gaussian", "--lambda", "0.5", "--n-base", "1024"]
+    args = ["coverage", "--dist", "gaussian", "--lambda", "0.5"]
     apart, joined = tmp_path / "apart.csv", tmp_path / "joined.csv"
     assert main(args + ["--grid", "-3:3:7", "--out", str(apart)]) == 0
     assert main(args + ["--grid=-3:3:7", "--out", str(joined)]) == 0
@@ -240,8 +242,7 @@ def test_cli_bounds(tmp_path):
     out = tmp_path / "b.json"
     code = main([
         "bounds", "--dist", "laplace", "--lambda", "5", "--w", "1",
-        "--alpha", "0.05", "--grid", "5.5:9:4", "--n-base", "1024",
-        "--out", str(out),
+        "--alpha", "0.05", "--grid", "5.5:9:4", "--out", str(out),
     ])
     payload = json.loads(out.read_text())
     names = {c["name"] for c in payload["checks"]}
@@ -334,8 +335,7 @@ def test_cli_coverage_mc_rejects_empty_sample(tmp_path, capsys, n):
 
 def test_figure_emitters_smoke(tmp_path):
     rc = RunConfig(dist="laplace", lam=(5.0,), w=(1.0,), alpha=0.05,
-                   fig_grid_n=40, mirror=False, outdir=str(tmp_path),
-                   n_base=1024)
+                   fig_grid_n=40, mirror=False, outdir=str(tmp_path))
     for fig in (2, 3, 4, 5):
         paths = cmd_figure(fig, rc)
         assert all(p.exists() for p in paths)
@@ -353,11 +353,9 @@ def test_figure_emitters_smoke(tmp_path):
 
 def test_figure_one_small_and_deterministic(tmp_path):
     rc1 = RunConfig(dist="laplace", lam=(0.5,), w=(0.25, 1.0), alpha=0.05,
-                    fig_grid_n=16, mirror=True, outdir=str(tmp_path / "a"),
-                    n_base=1024)
+                    fig_grid_n=16, mirror=True, outdir=str(tmp_path / "a"))
     rc2 = RunConfig(dist="laplace", lam=(0.5,), w=(0.25, 1.0), alpha=0.05,
-                    fig_grid_n=16, mirror=True, outdir=str(tmp_path / "b"),
-                    n_base=1024)
+                    fig_grid_n=16, mirror=True, outdir=str(tmp_path / "b"))
     p1 = cmd_figure(1, rc1)
     p2 = cmd_figure(1, rc2)
     assert p1[0].read_bytes() == p2[0].read_bytes()
@@ -372,8 +370,7 @@ def test_cli_coverage_partial_failure(tmp_path, capsys):
     out = tmp_path / "partial.csv"
     code = main([
         "coverage", "--dist", "laplace", "--lambda", "0.5,-1", "--w", "1",
-        "--alpha", "0.05", "--grid", "1:2:2", "--n-base", "1024",
-        "--out", str(out),
+        "--alpha", "0.05", "--grid", "1:2:2", "--out", str(out),
     ])
     assert code == 1
     err = capsys.readouterr().err
@@ -389,7 +386,7 @@ def test_cli_coverage_computes_each_listed_curve_once(tmp_path, monkeypatch):
     calls = []
     real = cli_mod.coverage_curve
     monkeypatch.setattr(cli_mod, "coverage_curve", lambda cfg, *a, **k: calls.append(cfg.lam) or real(cfg, *a, **k))
-    args = ["coverage", "--dist", "laplace", "--w", "0.5", "--grid", "1:3:3", "--n-base", "1024"]
+    args = ["coverage", "--dist", "laplace", "--w", "0.5", "--grid", "1:3:3"]
     dup, distinct = tmp_path / "dup.csv", tmp_path / "distinct.csv"
     assert main(args + ["--lambda", "1,1,-0,0,1", "--out", str(dup)]) == 0
     assert [(lam, math.copysign(1.0, lam)) for lam in calls] == [(1.0, 1.0), (0.0, -1.0), (0.0, 1.0)]
@@ -497,9 +494,8 @@ def test_csv_writer_matches_per_cell_join(table):
 
 def test_csv_writer_matches_per_cell_join_on_every_emitter():
     laplace, t3 = parse_dist_spec("laplace"), parse_dist_spec("t3")
-    scan = ScanSettings(n_base=1024)
     tables = [
-        coverage_panels_rows([laplace, t3], [0.5, 5.0], [0.25, 1.0], 0.05, 4, True, scan),
+        coverage_panels_rows([laplace, t3], [0.5, 5.0], [0.25, 1.0], 0.05, 4, True),
         posterior_illustration_rows(parse_dist_spec("gaussian"), 0.05)[:2],
         radius_functions_rows(t3, 0.01),
         endpoint_curves_rows(laplace, 0.05),

@@ -7,7 +7,6 @@ import pytest
 
 from hpdcover import (
     PriorConfig,
-    ScanSettings,
     check_coverage_bounds,
     conditional_coverage_mc,
     coverage_curve,
@@ -264,8 +263,7 @@ def test_predicted_dip_level_laplace_closed_form():
 
 def test_dip_search_smoke():
     cfg = config("laplace", 5.0, 1.0)
-    scan = ScanSettings(n_base=2048)
-    dip = dip_search(cfg, scan)
+    dip = dip_search(cfg)
     assert dip.domain_lo == pytest.approx(7.9966, abs=1e-3)
     assert dip.c_min == pytest.approx(0.9273, abs=2e-3)
     assert dip.theta_at_min > dip.domain_lo
@@ -321,7 +319,7 @@ def _dense_grid_dip(cfg, lo, hi, n=201, zoom_n=41):
     solver involved."""
     xs = np.linspace(lo, hi, n)
     while True:
-        c = coverage_mod._exact_batch(cfg, xs, ScanSettings(), fractions=False)[:, 0]
+        c = coverage_mod._exact_batch(cfg, xs, fractions=False)[:, 0]
         i = int(np.argmin(c))
         if xs[1] - xs[0] < 1e-6:
             return float(c[i])
@@ -533,9 +531,9 @@ def test_coverage_curve_chunked_matches_single_batch(monkeypatch):
 def test_exact_batch_keeps_input_order():
     cfg = config("gaussian", 0.5, 0.25)
     theta = np.array([3.1, -0.2, 0.0, 7.5, 1.4, -4.0])
-    rows = coverage_mod._exact_batch(cfg, theta, ScanSettings())
+    rows = coverage_mod._exact_batch(cfg, theta)
     order = np.argsort(theta)
-    assert np.array_equal(rows[order], coverage_mod._exact_batch(cfg, theta[order], ScanSettings()))
+    assert np.array_equal(rows[order], coverage_mod._exact_batch(cfg, theta[order]))
     assert rows[2, 0] == 1.0 and rows[1, 0] == 0.0
     with pytest.raises(ValueError):
         coverage_exact(cfg, math.nan)
@@ -548,12 +546,12 @@ def test_exact_batch_without_fractions_is_the_first_three_columns(law, lam, w):
     # (reflected rows) included.
     cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
     theta = np.array([-7.5, -2.0, 0.0, 1.4, 3.1, 9.0])
-    full = coverage_mod._exact_batch(cfg, theta, ScanSettings())
-    assert np.array_equal(coverage_mod._exact_batch(cfg, theta, ScanSettings(), fractions=False), full[:, :3])
-    assert coverage_mod._exact_batch(cfg, [], ScanSettings(), fractions=False).shape == (0, 3)
+    full = coverage_mod._exact_batch(cfg, theta)
+    assert np.array_equal(coverage_mod._exact_batch(cfg, theta, fractions=False), full[:, :3])
+    assert coverage_mod._exact_batch(cfg, [], fractions=False).shape == (0, 3)
 
 
-def _exact_sorted_per_theta0(cfg, ts, half, scan, fractions=True):
+def _exact_sorted_per_theta0(cfg, ts, half, fractions=True):
     """The exact scan with each theta0's membership set found by a flag loop
     over its own window, the per-theta0 scan that crossing_cells replaced,
     its transitions refined by the same boundary solver from the margins in
@@ -567,7 +565,7 @@ def _exact_sorted_per_theta0(cfg, ts, half, scan, fractions=True):
     if live.size:
         lv = ts[live]
         curves = lambda xs: cv.endpoint_values(cfg, xs)
-        grid = sc.build_grid(lv - half, lv + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha], scan)
+        grid = sc.build_grid(lv - half, lv + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha])
         grid, (upper, lower) = sc.graze_points(grid, curves(grid), lv, curves)
         i0 = np.searchsorted(grid, lv - half, "left")
         i1 = np.searchsorted(grid, lv + half, "right")
@@ -625,9 +623,9 @@ def test_exact_batch_matches_per_theta0_scan_bitwise(monkeypatch, law, lam, w):
     # found, so every output bit agrees; the grid holds 0 and +-lam.
     cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
     theta = np.concatenate([np.linspace(-lam - 6.0, lam + 9.0, 41), [0.0, lam, -lam, 0.0]])
-    rows = coverage_mod._exact_batch(cfg, theta, ScanSettings())
+    rows = coverage_mod._exact_batch(cfg, theta)
     monkeypatch.setattr(coverage_mod, "_exact_sorted", _exact_sorted_per_theta0)
-    assert np.array_equal(rows, coverage_mod._exact_batch(cfg, theta, ScanSettings()))
+    assert np.array_equal(rows, coverage_mod._exact_batch(cfg, theta))
 
 
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
@@ -640,11 +638,10 @@ def test_exact_batch_mirrors_negative_theta0(law, lam, w):
     # mass on one band-edge regime (gaussian lam 0.5, w 0.125 at -2.5 has
     # frac_IV 0.276), so dropping either swap fails here.
     cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
-    scan = ScanSettings()
     theta = np.array([-(lam + 6.0), -2.5, -(lam + 1.7), -2.5, -(lam + 0.3), -0.0, -lam / 2.0])
-    got = coverage_mod._exact_batch(cfg, theta, scan)
+    got = coverage_mod._exact_batch(cfg, theta)
     uniq, inv = np.unique(theta, return_inverse=True)
-    want = coverage_mod._exact_sorted(cfg, uniq, coverage_mod._half_width(cfg), scan)[inv]
+    want = coverage_mod._exact_sorted(cfg, uniq, coverage_mod._half_width(cfg))[inv]
     assert np.max(np.abs(got - want)) <= 1e-10
     if lam > 0.0:
         assert np.max(np.abs(want[:, 4] - want[:, 6])) > 1e-3
@@ -677,7 +674,7 @@ def test_scan_grid_grows_by_window_edges_not_dense_blocks(monkeypatch, law):
     # a special's ladder.
     cfg = PriorConfig(parse_dist_spec(law), 5.0, 1.0, ALPHA)
     theta = lambda n: np.linspace(5.5, 13.0, n)
-    exact = _grid_sizes(monkeypatch, lambda n: coverage_mod._exact_batch(cfg, theta(n), ScanSettings()), (6, 60))
+    exact = _grid_sizes(monkeypatch, lambda n: coverage_mod._exact_batch(cfg, theta(n)), (6, 60))
     onesided = _grid_sizes(monkeypatch, lambda n: onesided_coverage_exact(cfg, theta(n)), (6, 60))
     for (few,), (many,) in (exact, onesided):
         assert 0 <= many - few <= 2 * (60 - 6)
@@ -686,32 +683,31 @@ def test_scan_grid_grows_by_window_edges_not_dense_blocks(monkeypatch, law):
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
 @pytest.mark.parametrize("lam", [0.5, 5.0])
 def test_figure_curve_grid_does_not_grow_with_span(monkeypatch, law, lam):
-    # One batch of a figure-1 curve places n_base points over the union of
+    # One batch of a figure-1 curve places N_BASE points over the union of
     # its windows: past that only the four ladders (+-lam, +-t_alpha) and
     # two window edges per theta0 remain, however wide the theta0 span
     # (gaussian lam 0.5 at --fig-grid-n 4 scanned 19,452 points when every
     # window set its own step).  A ladder has at most 26 rungs, 13 a side
     # out to BISECT_TOL 8^11 = 8.6, past any step of these unions.
-    scan = ScanSettings()
     for w in (1.0, 0.25):
         cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
         grid = lambda n: _coverage_grid(cfg.dist, lam, ALPHA, n, True)
-        sizes = _grid_sizes(monkeypatch, lambda n: coverage_curve(cfg, grid(n), scan), (4, 40))
+        sizes = _grid_sizes(monkeypatch, lambda n: coverage_curve(cfg, grid(n)), (4, 40))
         for n, (size,) in zip((4, 40), sizes):
-            assert size <= scan.n_base + 4 * (26 + 1) + 2 * grid(n).size + 4
+            assert size <= scanning_mod.N_BASE + 4 * (26 + 1) + 2 * grid(n).size + 4
 
 
 def test_grid_step_cap_does_not_bind_on_benchmark_batches(monkeypatch):
     # The figure-1 curves at --fig-grid-n 4 (three laws, lam 0.5 and 5, the
     # w sweep) and the laplace lam 5 bounds report on 5.5:12:8 scan every
-    # grid at step U / (n_base - 1), U the union's length, exactly as with
+    # grid at step U / (N_BASE - 1), U the union's length, exactly as with
     # no cap on the step (reach = inf).
     calls = []
     real_build_grid = scanning_mod.build_grid
 
-    def checking_build_grid(lo, hi, specials, scan, reach=None):
-        out = real_build_grid(lo, hi, specials, scan, reach)
-        calls.append(np.array_equal(out, real_build_grid(lo, hi, specials, scan, math.inf)))
+    def checking_build_grid(lo, hi, specials, reach=None):
+        out = real_build_grid(lo, hi, specials, reach)
+        calls.append(np.array_equal(out, real_build_grid(lo, hi, specials, math.inf)))
         return out
 
     monkeypatch.setattr(scanning_mod, "build_grid", checking_build_grid)
@@ -742,7 +738,7 @@ def test_onesided_coverage_array_matches_scalar(law, lam):
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
 @pytest.mark.parametrize("lam", [0.5, 5.0])
 @pytest.mark.parametrize("w", [1.0, 0.25])
-def test_sparse_wide_batch_matches_one_scan_per_theta0(law, lam, w):
+def test_sparse_wide_batch_matches_one_scan_per_theta0(monkeypatch, law, lam, w):
     # theta0 two units apart over [-40, 40] span many windows, so the batch
     # grid is coarser per window than the one-window grid of each scalar
     # call; the crossings are refined to bisect_tol either way.  theta0 1400
@@ -750,19 +746,20 @@ def test_sparse_wide_batch_matches_one_scan_per_theta0(law, lam, w):
     # 7) on its own piece: charged by window width, 32 of them would share
     # one grid at step ~10 and lose every member set (C off by 0.95), as
     # would 121 windows sharing 256 points if the chunk budget did not
-    # shrink the union with n_base.
+    # shrink the union with N_BASE (here cut to 256).
     cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
-    cases = [(np.linspace(-40.0, 40.0, 41) + 0.137, ScanSettings()),
-             (6.137 + 1400.0 * np.arange(12), ScanSettings()),
-             (np.linspace(-3000.0, 3000.0, 121) + 0.11, ScanSettings(n_base=256))]
-    for theta, scan in cases:
-        rows = coverage_mod._exact_batch(cfg, theta, scan)
+    cases = [(np.linspace(-40.0, 40.0, 41) + 0.137, scanning_mod.N_BASE),
+             (6.137 + 1400.0 * np.arange(12), scanning_mod.N_BASE),
+             (np.linspace(-3000.0, 3000.0, 121) + 0.11, 256)]
+    for theta, n_base in cases:
+        monkeypatch.setattr(scanning_mod, "N_BASE", n_base)
+        rows = coverage_mod._exact_batch(cfg, theta)
         for row, t in zip(rows, theta):
-            pt = coverage_exact(cfg, float(t), scan)
+            pt = coverage_exact(cfg, float(t))
             assert np.max(np.abs(row[:3] - [pt.C, pt.C_minus, pt.C_plus])) <= 1e-10
         if w == 1.0:
-            got = onesided_coverage_exact(cfg, theta, scan)
-            assert np.max(np.abs(got - [onesided_coverage_exact(cfg, float(t), scan) for t in theta])) <= 1e-10
+            got = onesided_coverage_exact(cfg, theta)
+            assert np.max(np.abs(got - [onesided_coverage_exact(cfg, float(t)) for t in theta])) <= 1e-10
 
 
 # (law, lam, w, theta0 for coverage_mc, (C, se), theta0 grid, curve rows
@@ -840,7 +837,7 @@ def test_coverage_is_sum_of_split_everywhere(law, lam, w):
     # (the atom at 0, the band) included.
     cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
     theta = np.array([0.0, -0.0, lam / 2.0, -lam / 2.0, lam, lam + 3.0])
-    rows = coverage_mod._exact_batch(cfg, theta, ScanSettings())
+    rows = coverage_mod._exact_batch(cfg, theta)
     assert np.max(np.abs(rows[:, 0] - rows[:, 1] - rows[:, 2])) <= 1e-15
     n = 4000
     for theta0 in theta:

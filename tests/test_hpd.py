@@ -9,7 +9,6 @@ from hpdcover import (
     PriorConfig,
     Regime,
     atom_mass,
-    classify_regime,
     coverage_mc,
     dip_search,
     endpoint_values,
@@ -19,7 +18,6 @@ from hpdcover import (
     hpd_set,
     invert_lower,
     invert_upper,
-    lower_endpoint,
     lower_values,
     onesided_lower_endpoint,
     onesided_radii,
@@ -27,8 +25,6 @@ from hpdcover import (
     posterior_normalizer,
     regime_codes,
     smallest_lower_inverse,
-    upper_endpoint,
-    upper_endpoint_alt,
     upper_values,
 )
 from hpdcover import hpd as hpd_mod
@@ -36,6 +32,18 @@ from hpdcover.cli import parse_dist_spec
 from hpdcover.distributions import Distribution
 
 from conftest import ALL_CONFIGS, config, sample_x
+
+
+def upper_endpoint_alt(cfg, x: float) -> float:
+    """The paper's regime-free form of U off the atom region: h1 = x + (r2 ^ r3) v r1
+    where h1 >= lam, h2 = -lam ^ (x + r1) elsewhere.  The atom region is read
+    off the posterior atom mass, not off the evaluator's regime codes."""
+    if not math.isfinite(x) or atom_mass(cfg, x) >= 1.0 - cfg.alpha:
+        raise ValueError(f"x = {x} is not finite or lies in the atom region")
+    r1, r2, r3 = hpd_radii(cfg, x)
+    h1 = x + max(min(r2, r3), r1)
+    h2 = min(-cfg.lam, x + r1)
+    return h1 if h1 >= cfg.lam else h2
 
 
 def test_radii_uniform_limit():
@@ -96,36 +104,35 @@ def test_classify_far_points_are_regime_one():
     for name, lam, w in ALL_CONFIGS:
         cfg = config(name, lam, w)
         edge = lam + float(cfg.dist.ppf(1.0 - cfg.alpha / 2.0))
-        for x in (edge, edge + 0.5, -(edge + 3.0)):
-            assert classify_regime(cfg, x) is Regime.I
+        assert np.all(regime_codes(cfg, [edge, edge + 0.5, -(edge + 3.0)]) == Regime.I)
 
 
 def test_classify_origin_in_regime_three():
     # With no atom the origin's set must straddle the whole band.
     for name in ("gaussian", "laplace", "t3"):
         cfg = config(name, 0.75, 1.0)
-        assert classify_regime(cfg, 0.0) is Regime.III
+        assert regime_codes(cfg, 0.0)[0] == Regime.III
 
 
 def test_classify_decreasing_stretch_is_regime_two():
     cfg = config("laplace", 5.0, 1.0)
     lo = 0.5 * math.log(2.0 / cfg.alpha)
-    for x in np.linspace(lo + 1e-6, 5.0, 25):
-        assert classify_regime(cfg, float(x)) is Regime.II
+    assert np.all(regime_codes(cfg, np.linspace(lo + 1e-6, 5.0, 25)) == Regime.II)
 
 
 def test_classify_atom_region():
     cfg = config("laplace", 5.0, 0.125)
     t = cfg.t_alpha
-    assert classify_regime(cfg, 0.9 * t) is Regime.ATOM
-    assert classify_regime(cfg, -0.9 * t) is Regime.ATOM
-    assert classify_regime(cfg, t + 1e-6) is not Regime.ATOM
+    codes = regime_codes(cfg, [0.9 * t, -0.9 * t, t + 1e-6])
+    assert codes[0] == codes[1] == Regime.ATOM and codes[2] != Regime.ATOM
 
 
 def test_classify_rejects_nonfinite():
+    # hpd_set, the scalar call that reports a regime, refuses a non-finite x.
     cfg = config("laplace", 1.0, 1.0)
-    with pytest.raises(ValueError):
-        classify_regime(cfg, float("inf"))
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="x must be finite"):
+            hpd_set(cfg, x)
 
 
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
@@ -153,9 +160,10 @@ def test_hpd_length_nan_at_nan_x(law):
 def test_endpoints_uniform_limit_shift_map():
     cfg = config("gaussian", 0.0, 1.0)
     q = float(cfg.dist.ppf(0.975))
-    for x in (-2.0, 0.3, 5.5):
-        assert upper_endpoint(cfg, x) == pytest.approx(x + q, abs=1e-12)
-        assert lower_endpoint(cfg, x) == pytest.approx(x - q, abs=1e-12)
+    xs = np.array([-2.0, 0.3, 5.5])
+    up, low, _ = endpoints(cfg, xs)
+    assert up == pytest.approx(xs + q, abs=1e-12)
+    assert low == pytest.approx(xs - q, abs=1e-12)
 
 
 def test_endpoint_reflection_identity():
@@ -226,7 +234,8 @@ def test_evaluator_matches_per_regime_formulas(law):
             assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(got_codes, codes)
         assert np.array_equal(regime_codes(cfg, xs), codes)
-        assert [classify_regime(cfg, float(x)) for x in xs[::50]] == list(codes[::50])
+        # One x at a time takes the small-array selection branch of _levels.
+        assert [regime_codes(cfg, float(x))[0] for x in xs[::50]] == list(codes[::50])
         off = codes != Regime.ATOM
         assert np.array_equal(_geometric_codes(cfg, xs, got_u, got_l)[off], codes[off])
     if law == "t3":
@@ -376,27 +385,23 @@ def test_level_stage_matches_nested_selection_reference(law):
 
 def test_regime_four_upper_is_band_edge():
     cfg = config("laplace", 5.0, 1.0)
-    x = -3.0
-    assert classify_regime(cfg, x) is Regime.IV
-    assert upper_endpoint(cfg, x) == -5.0
+    up, _, codes = endpoints(cfg, -3.0)
+    assert codes[0] == Regime.IV and up[0] == -5.0
 
 
 def test_upper_alt_agrees_with_upper():
     for name, lam, w in ALL_CONFIGS:
         cfg = config(name, lam, w)
-        xs = sample_x(cfg, 1500, seed=3)
-        for x in xs[:400]:
-            assert upper_endpoint_alt(cfg, float(x)) == pytest.approx(
-                upper_endpoint(cfg, float(x)), abs=1e-10
-            )
+        xs = sample_x(cfg, 1500, seed=3)[:400]
+        for x, up in zip(xs, upper_values(cfg, xs)):
+            assert upper_endpoint_alt(cfg, float(x)) == pytest.approx(up, abs=1e-10)
 
 
 def test_endpoint_raises_inside_atom_region():
+    # The evaluator gives NaN endpoints there; the paper's form refuses x.
     cfg = config("laplace", 5.0, 0.125)
-    with pytest.raises(ValueError):
-        upper_endpoint(cfg, 0.5)
-    with pytest.raises(ValueError):
-        lower_endpoint(cfg, -1.0)
+    up, low, codes = endpoints(cfg, [0.5, -1.0])
+    assert np.isnan(up).all() and np.isnan(low).all() and np.all(codes == Regime.ATOM)
     with pytest.raises(ValueError):
         upper_endpoint_alt(cfg, 0.0)
 
@@ -554,7 +559,7 @@ def test_invert_upper_multiple_roots_where_u_dips(law, lam, w, eps):
     inv = invert_upper(cfg, target)
     assert len(inv.roots) >= 3 and inv.sup >= lam
     for r in inv.roots:
-        assert abs(upper_endpoint(cfg, r) - target) <= 1e-7
+        assert abs(upper_values(cfg, r)[0] - target) <= 1e-7
     assert inv.inf == min(inv.roots) and inv.sup == max(inv.roots)
 
 
@@ -570,7 +575,7 @@ def test_invert_upper_root_pair_near_zero_matches_dense_scan():
     assert dense.size == 3 and len(inv.roots) == 3
     assert np.all((xs[dense] <= inv.roots) & (inv.roots <= xs[dense + 1]))
     for r in inv.roots:
-        assert abs(upper_endpoint(cfg, r) - target) <= 1e-7
+        assert abs(upper_values(cfg, r)[0] - target) <= 1e-7
 
 
 @pytest.mark.parametrize("lam, target, root", [(0.0, 0.0, 0.00099633), (12.0, -12.0, 0.071706)])
@@ -596,7 +601,7 @@ def test_invert_lower_roots_in_regime_one():
         inv = invert_lower(cfg, theta0)
         assert all(r is Regime.I for r in inv.regimes)
         for r in inv.roots:
-            assert lower_endpoint(cfg, r) == pytest.approx(theta0, abs=1e-7)
+            assert lower_values(cfg, r)[0] == pytest.approx(theta0, abs=1e-7)
 
 
 def test_invert_empty_reports():
@@ -648,7 +653,7 @@ def test_fixed_point_agrees_with_scan():
     cfg = config("laplace", 5.0, 1.0)
     for theta0 in (6.0, 9.5, 14.0):
         fp = smallest_lower_inverse(cfg, theta0)
-        assert lower_endpoint(cfg, fp) == pytest.approx(theta0, abs=1e-8)
+        assert lower_values(cfg, fp)[0] == pytest.approx(theta0, abs=1e-8)
         assert fp == pytest.approx(invert_lower(cfg, theta0).inf, abs=1e-6)
 
 
@@ -673,7 +678,7 @@ def test_smallest_lower_inverse_far_beyond_band():
         cfg = PriorConfig(parse_dist_spec(spec), lam, 1.0, alpha)
         fp = smallest_lower_inverse(cfg, theta0)
         assert abs(theta0 + hpd_radii(cfg, fp)[0] - fp) <= 1e-12 * fp
-        assert lower_endpoint(cfg, fp) == pytest.approx(theta0, abs=1e-9 * fp)
+        assert lower_values(cfg, fp)[0] == pytest.approx(theta0, abs=1e-9 * fp)
 
 
 def test_onesided_requires_pure_slab():

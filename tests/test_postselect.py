@@ -24,6 +24,13 @@ def test_requires_pure_slab_and_selection():
         conditional_coverage_mc(config("laplace", 0.5, 1.0), 2.0, 500, seed=0)
 
 
+@pytest.mark.parametrize("theta0", [np.nan, np.inf, -np.inf])
+def test_conditional_coverage_refuses_a_non_finite_theta0(theta0):
+    # The error names the argument the caller passed, not hpd_set's x.
+    with pytest.raises(ValueError, match=r"^theta0 must be finite, got"):
+        conditional_coverage_mc(config("laplace", 1.0, 1.0), theta0, 20000, seed=0)
+
+
 def test_degenerate_band_gives_shift_interval():
     # lam = 0: the credible set is x +- q, so the inverted set is theta0 +- q.
     cfg = config("gaussian", 0.0, 1.0)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import hpdcover.hpd as hpd_mod
+import hpdcover.scanning as scanning_mod
 from hpdcover import PriorConfig, invert_upper, post_selection_set
 from hpdcover.cli import parse_dist_spec
 from hpdcover.scanning import (
     BISECT_TOL,
-    ScanSettings,
+    N_BASE,
     bisect_iters,
     build_grid,
     crossing_cells,
@@ -22,8 +23,14 @@ from hpdcover.scanning import (
     sign_change_roots,
 )
 
-SCAN = ScanSettings(n_base=256)
 TOL = BISECT_TOL
+
+
+@pytest.fixture
+def coarse(monkeypatch):
+    """Scan grids of 256 base points: a step wide enough to hide a sliver
+    between grid points, and exact step figures to check."""
+    monkeypatch.setattr(scanning_mod, "N_BASE", 256)
 
 
 def _ladder(p, step):
@@ -36,18 +43,18 @@ def _ladder(p, step):
     return p + np.concatenate([-rungs[::-1], [0.0], rungs])
 
 
-def _old_rule_grid(lo, hi, specials, scan):
+def _old_rule_grid(lo, hi, specials, n_base):
     """The single-window rule written out: n_base points from lo to hi, and
     each special's ladder at that step, kept inside the window."""
-    step = (hi - lo) / (scan.n_base - 1)
+    step = (hi - lo) / (n_base - 1)
     pts = [p for p in specials if p is not None and math.isfinite(p)]
     ladders = np.concatenate([[], *(_ladder(p, step) for p in pts)])
     inside = ladders[(lo <= ladders) & (ladders <= hi)]
-    return np.unique(np.concatenate([[lo, hi], np.linspace(lo, hi, scan.n_base), inside]))
+    return np.unique(np.concatenate([[lo, hi], np.linspace(lo, hi, n_base), inside]))
 
 
-def test_build_grid_single_window():
-    grid = build_grid(-3.0, 5.0, [0.5, None, math.inf, 9.0], SCAN)
+def test_build_grid_single_window(coarse):
+    grid = build_grid(-3.0, 5.0, [0.5, None, math.inf, 9.0])
     assert grid[0] == -3.0 and grid[-1] == 5.0
     assert np.all(np.diff(grid) > 0)
     assert 0.5 in grid
@@ -59,7 +66,7 @@ def test_build_grid_single_window():
     assert ladder.size == 25 and np.all(np.isin(ladder, grid))
     assert np.array_equal(grid[np.abs(grid - 0.5) < 0.01], ladder[2:-2])
     with pytest.raises(ValueError):
-        build_grid(1.0, 1.0, [], SCAN)
+        build_grid(1.0, 1.0, [])
 
 
 @pytest.mark.parametrize(
@@ -67,26 +74,27 @@ def test_build_grid_single_window():
     [(-3.0, 5.0, [0.5, None, math.inf, 9.0]), (0.137 - 6.3, 0.137 + 6.3, [0.5, -0.5, 2.9, -2.9]),
      (1e3, 1e3 + 0.7, [1e3 + 0.2]), (-40.0, 11.0, [])],
 )
-@pytest.mark.parametrize("scan", [SCAN, ScanSettings()])
-def test_build_grid_one_window_keeps_the_single_window_rule(lo, hi, specials, scan):
-    # One window, passed as scalars or as length-1 arrays, gets n_base points
-    # at step (hi - lo) / (n_base - 1), bit for bit.
-    want = _old_rule_grid(lo, hi, specials, scan)
-    assert np.array_equal(build_grid(lo, hi, specials, scan), want)
-    assert np.array_equal(build_grid(np.array([lo]), np.array([hi]), specials, scan), want)
+@pytest.mark.parametrize("n_base", [256, N_BASE], ids=["scan0", "scan1"])
+def test_build_grid_one_window_keeps_the_single_window_rule(monkeypatch, lo, hi, specials, n_base):
+    # One window, passed as scalars or as length-1 arrays, gets N_BASE points
+    # at step (hi - lo) / (N_BASE - 1), bit for bit.
+    monkeypatch.setattr(scanning_mod, "N_BASE", n_base)
+    want = _old_rule_grid(lo, hi, specials, n_base)
+    assert np.array_equal(build_grid(lo, hi, specials), want)
+    assert np.array_equal(build_grid(np.array([lo]), np.array([hi]), specials), want)
 
 
 def _base_points(grid, a, b):
     return grid[(a <= grid) & (grid <= b)]
 
 
-def test_build_grid_disjoint_windows_share_one_step():
-    # Pieces [0, 11] and [20, 28] (three windows of width 8): n_base points
+def test_build_grid_disjoint_windows_share_one_step(coarse):
+    # Pieces [0, 11] and [20, 28] (three windows of width 8): 256 points
     # over their total length 19, so the step is 19 / 255 on both pieces and
     # each piece is evenly spaced from edge to edge with ceil(length / step)
     # cells: 148 on the first, 108 on the second.
     lo = np.array([0.0, 3.0, 20.0])
-    grid = build_grid(lo, lo + 8.0, [], SCAN)
+    grid = build_grid(lo, lo + 8.0, [])
     first = np.union1d(np.linspace(0.0, 11.0, 149), [3.0, 8.0])
     assert np.array_equal(_base_points(grid, 0.0, 11.0), first)
     assert np.array_equal(_base_points(grid, 20.0, 28.0), np.linspace(20.0, 28.0, 109))
@@ -94,43 +102,44 @@ def test_build_grid_disjoint_windows_share_one_step():
     assert np.all(np.isin(np.concatenate([lo, lo + 8.0]), grid))
     # Specials add their ladders at that step on the piece that holds them,
     # cut at the piece's end, and a special in the gap adds nothing.
-    dense = build_grid(lo, lo + 8.0, [5.0, 27.95, 15.0], SCAN)
+    dense = build_grid(lo, lo + 8.0, [5.0, 27.95, 15.0])
     ladders = np.concatenate([_ladder(5.0, 19.0 / 255), _ladder(27.95, 19.0 / 255)])
     assert np.array_equal(dense, np.union1d(grid, ladders[ladders <= 28.0]))
     assert np.count_nonzero(ladders > 28.0) == 1 and 15.0 not in dense
 
 
-def test_build_grid_overlap_is_one_piece():
-    # Three overlapping windows of width 8 make one piece [0, 12.5]: n_base
+def test_build_grid_overlap_is_one_piece(coarse):
+    # Three overlapping windows of width 8 make one piece [0, 12.5]: 256
     # evenly spaced points at step 12.5 / 255 (not 8 / 255), plus the inner
     # window edges.
     lo = np.array([0.0, 3.0, 4.5])
     edges = np.concatenate([lo, lo + 8.0])
-    grid = build_grid(lo, lo + 8.0, [], SCAN)
+    grid = build_grid(lo, lo + 8.0, [])
     assert np.array_equal(grid, np.union1d(np.linspace(0.0, 12.5, 256), edges))
     assert np.max(np.diff(grid)) <= 12.5 / 255 * (1 + 1e-12)
-    dense = build_grid(lo, lo + 8.0, [2.0], SCAN)
+    dense = build_grid(lo, lo + 8.0, [2.0])
     assert dense[0] == 0.0 and dense[-1] == 12.5 and 2.0 in dense
     assert np.all(np.isin(edges, dense)) and np.all(np.isin(grid, dense))
 
 
-@pytest.mark.parametrize("scan, least", [(ScanSettings(), 124), (SCAN, 85)])
-def test_build_grid_caps_the_step_of_a_wide_union(scan, least):
+@pytest.mark.parametrize("n_base, least", [(N_BASE, 124), (256, 85)], ids=["scan0-124", "scan1-85"])
+def test_build_grid_caps_the_step_of_a_wide_union(monkeypatch, n_base, least):
     # 201 windows of width 12 five apart make one piece [0, 1012], wider
-    # than a window plus n_base / 128 spans of 2 reach = 12: the step is
-    # capped at (12 + n_base / 64 * 6) / (n_base - 1), and every window
-    # keeps at least (n_base - 1) / (1 + n_base / 128) base points.
+    # than a window plus N_BASE / 128 spans of 2 reach = 12: the step is
+    # capped at (12 + N_BASE / 64 * 6) / (N_BASE - 1), and every window
+    # keeps at least (N_BASE - 1) / (1 + N_BASE / 128) base points.
+    monkeypatch.setattr(scanning_mod, "N_BASE", n_base)
     lo = np.linspace(0.0, 1000.0, 201)
     edges = np.concatenate([lo, lo + 12.0])
-    grid = build_grid(lo, lo + 12.0, [], scan)
-    step = (12.0 + scan.n_base / 64.0 * 6.0) / (scan.n_base - 1)
+    grid = build_grid(lo, lo + 12.0, [])
+    step = (12.0 + n_base / 64.0 * 6.0) / (n_base - 1)
     base = np.linspace(0.0, 1012.0, math.ceil(1012.0 / step - 1e-6) + 1)
     assert np.array_equal(grid, np.union1d(base, edges))
     assert np.max(np.diff(base)) <= step * (1 + 1e-12)
     per_window = np.searchsorted(base, lo + 12.0, "right") - np.searchsorted(base, lo, "left")
     assert per_window.min() >= least
     # The same windows under the default reach of width / 2.
-    assert np.array_equal(build_grid(lo, lo + 12.0, [], scan, 6.0), grid)
+    assert np.array_equal(build_grid(lo, lo + 12.0, [], 6.0), grid)
 
 
 def test_build_grid_resolves_one_sided_member_spans():
@@ -139,10 +148,10 @@ def test_build_grid_resolves_one_sided_member_spans():
     # about 100 apart share one piece over 4,300 wide, and each 2 reach
     # span about a level still holds at least 19 grid points.
     levels = np.linspace(6.0, 3000.0, 30)
-    grid = build_grid(levels - 1301.3, levels + 3.7, [], ScanSettings(), 3.7)
+    grid = build_grid(levels - 1301.3, levels + 3.7, [], 3.7)
     per_span = np.searchsorted(grid, levels + 3.7, "right") - np.searchsorted(grid, levels - 3.7, "left")
     assert per_span.min() >= 19
-    assert grid.size < 3 * ScanSettings().n_base
+    assert grid.size < 3 * N_BASE
 
 
 _KINKS = np.array([0.3137, -2.5, 40.0])
@@ -461,18 +470,18 @@ def _nan_gap(xs):
     ],
     ids=["nan_gap", "root_pair_in_one_cell"],
 )
-def test_sign_change_roots_one_window(fn, roots):
+def test_sign_change_roots_one_window(coarse, fn, roots):
     calls = []
 
     def tagged(xs):
         calls.append(xs.size)
         return fn(xs), np.floor(xs)
 
-    got, tags = sign_change_roots(tagged, -3.0, 3.0, [], SCAN, 1e-6)
+    got, tags = sign_change_roots(tagged, -3.0, 3.0, [], 1e-6)
     assert np.allclose(got, roots, rtol=0.0, atol=TOL)
     # The tags come back at the roots from the one call that checks them.
     assert np.array_equal(tags, np.floor(got)) and calls[-1] >= got.size
-    plain = sign_change_roots(lambda xs: (fn(xs),), -3.0, 3.0, [], SCAN, 1e-6)
+    plain = sign_change_roots(lambda xs: (fn(xs),), -3.0, 3.0, [], 1e-6)
     assert len(plain) == 1 and np.array_equal(plain[0], got)
 
 
@@ -526,7 +535,7 @@ def test_crossing_cells_empty_result():
     assert j.size == 0 and k.size == 0
 
 
-def test_member_intervals_many_levels():
+def test_member_intervals_many_levels(coarse):
     # {x : x - 1 <= t <= x + 1} = [t - 1, t + 1], with the NaN band |x| < 0.5
     # cut out; one scan serves every level, including a duplicate.
     def curves(xs):
@@ -534,12 +543,12 @@ def test_member_intervals_many_levels():
         return np.where(nan, np.nan, xs + 1.0), np.where(nan, np.nan, xs - 1.0)
 
     levels = np.array([-3.0, 0.0, 0.0, 2.5])
-    owner, a, b = member_intervals(curves, levels, levels - 4.0, levels + 4.0, [], SCAN)
+    owner, a, b = member_intervals(curves, levels, levels - 4.0, levels + 4.0, [])
     want = [(0, -4.0, -2.0), (1, -1.0, -0.5), (1, 0.5, 1.0), (2, -1.0, -0.5), (2, 0.5, 1.0), (3, 1.5, 3.5)]
     assert owner.tolist() == [w[0] for w in want]
     assert np.allclose(np.column_stack([a, b]), [w[1:] for w in want], rtol=0.0, atol=TOL)
     # One level as scalars gives the same stretches as its row of the batch.
-    one = member_intervals(curves, 2.5, -1.5, 6.5, [], SCAN)
+    one = member_intervals(curves, 2.5, -1.5, 6.5, [])
     assert one[0].tolist() == [0] and np.allclose([one[1][0], one[2][0]], [1.5, 3.5], rtol=0.0, atol=TOL)
 
 
