@@ -61,7 +61,6 @@ from .coverage import (
     coverage_exact,
     coverage_mc,
     dip_search,
-    hpd_contains,
     onesided_coverage_exact,
     predicted_dip_level,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "coverage_exact",
     "coverage_mc",
     "dip_search",
-    "hpd_contains",
     "onesided_coverage_exact",
     "predicted_dip_level",
     "PostSelectionSet",

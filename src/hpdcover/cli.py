@@ -117,58 +117,54 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        values = dict(data)
-        for key in ("lam", "w"):
-            if key in values:
-                values[key] = tuple(float(v) for v in values[key])
-        return cls(**values)
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        values: dict = {}
+        """The one settings reader: values as text (a config file, a flag) or
+        as themselves (a figure sidecar's JSON), each read by _parse_field."""
         fields = {f.name: f for f in dataclasses.fields(cls)}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
+        values = {}
+        for key, val in data.items():
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = _parse_field(fields[key], val)
         return cls(**values)
 
+    @classmethod
+    def from_text(cls, text: str) -> "RunConfig":
+        return cls.from_dict(_config_pairs(text))
 
-def _parse_field(f, val: str):
-    if f.type in ("tuple[float, ...]",):
-        return tuple(float(p) for p in val.split(",") if p)
+
+def _config_pairs(text: str) -> dict:
+    """The key=value pairs of a config file, as text; blank and # lines skipped."""
+    pairs = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            key, _, val = line.partition("=")
+            pairs[key.strip()] = val.strip()
+    return pairs
+
+
+def _parse_field(f, val):
+    if f.type == "tuple[float, ...]":
+        parts = val.split(",") if isinstance(val, str) else val
+        return tuple(float(p) for p in parts if p != "")
     if f.type == "float":
         return float(val)
     if f.type == "int":
         return int(val)
     if f.type == "bool":
-        if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        text = str(val).lower()
+        if text not in ("1", "true", "yes", "0", "false", "no"):
             raise ValueError(f"config key {f.name!r} takes true or false, got {val!r}")
-        return val.lower() in ("1", "true", "yes")
+        return text in ("1", "true", "yes")
     return val
 
 
-def _merge_args(rc: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict = {}
-    for f in dataclasses.fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is None:
-            continue
-        updates[f.name] = _parse_field(f, v) if isinstance(v, str) else v
-    return dataclasses.replace(rc, **updates)
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    base = RunConfig()
-    if getattr(args, "config", None):
-        base = RunConfig.from_text(Path(args.config).read_text())
-    return _merge_args(base, args)
+    """The config file's pairs, overridden by every flag given, read in one from_dict call."""
+    values = _config_pairs(Path(args.config).read_text()) if args.config else {}
+    values.update((f.name, getattr(args, f.name)) for f in dataclasses.fields(RunConfig)
+                  if getattr(args, f.name, None) is not None)
+    return RunConfig.from_dict(values)
 
 
 def _write_text(path: str, text: str):

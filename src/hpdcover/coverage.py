@@ -21,9 +21,9 @@ atom/band rule leaves open, the same level-set scan that serves inversion,
 post-selection and the one-sided baseline.  C- and C+ are that set split at
 x = theta0, its masses on [theta0, inf) and (-inf, theta0), so C = C- + C+
 at every theta0.  The atom/band rule (_fixed_cover) and the Monte Carlo
-counter (_mc_point) are each written once, for the exact scan, hpd_contains
-(and so post-selection membership), coverage_mc and Monte Carlo curves
-alike.
+counter (_mc_point) are each written once, for the exact scan,
+postselect.credible_set_contains (the rule, then the sign of
+scanning.level_margin), coverage_mc and Monte Carlo curves alike.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .distributions import draw_chunks, interval_mass
 from .hpd import (Regime, _finite_theta0, _half_width, _levels, endpoint_values, onesided_endpoints,
                   regime_codes, upper_values)
 from .posterior import PriorConfig
-from .scanning import TOL_TAIL, covers, member_intervals, refine_extrema
+from .scanning import TOL_TAIL, member_intervals, refine_extrema
 
 __all__ = [
     "CoveragePoint",
@@ -47,7 +47,6 @@ __all__ = [
     "BoundCheck",
     "BoundReport",
     "DipResult",
-    "hpd_contains",
     "coverage_exact",
     "coverage_mc",
     "coverage_curve",
@@ -80,16 +79,6 @@ def _fixed_cover(cfg: PriorConfig, theta0):
     t = np.asarray(theta0, float)
     covered = (t == 0.0) & cfg.has_atom
     return covered | ((cfg.lam > 0.0) & (np.abs(t) < cfg.lam)), covered
-
-
-def hpd_contains(cfg: PriorConfig, x, theta0: float):
-    """Vectorized indicator of theta0 in HPD(x): the atom/band rule where it
-    decides, else L(x) <= theta0 <= U(x) (false on the all-atom region)."""
-    arr = np.atleast_1d(np.asarray(x, float))
-    fixed, covered = _fixed_cover(cfg, theta0)
-    if fixed:
-        return np.full(arr.shape, bool(covered))
-    return covers(*endpoint_values(cfg, arr), theta0)
 
 
 @dataclass(frozen=True)
@@ -193,7 +182,7 @@ def coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) -> tuple[flo
     return c_hat, math.sqrt(max(c_hat * (1.0 - c_hat), 1e-300) / n)
 
 
-def _draw_covers(cfg: PriorConfig, x: np.ndarray, u: np.ndarray):
+def _draw_flags(cfg: PriorConfig, x: np.ndarray, u: np.ndarray):
     """(theta0 in HPD(x), codes) for draws x = theta0 + G^{-1}(u) about a
     theta0 that the atom/band rule leaves open.
 
@@ -213,7 +202,7 @@ def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoi
     """Full Monte Carlo analogue of coverage_exact (splits and fractions);
     the one counter of Monte Carlo membership: C- counts the covering draws
     with x >= theta0 and C+ the rest.  Membership is the level test of
-    _draw_covers, overridden by the atom/band rule where it decides; the
+    _draw_flags, overridden by the atom/band rule where it decides; the
     regime fractions count the covering draws' codes in codes * flags.
     Where the rule leaves theta0 uncovered every output is 0, and no draw is
     made; a non-finite theta0 raises ValueError.
@@ -224,7 +213,7 @@ def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoi
         return CoveragePoint(float(theta0), 0.0, 0.0, 0.0, dict.fromkeys(_REGIME_KEYS, 0.0))
     hits = np.zeros(6, dtype=np.int64)  # covering, covering with x >= theta0, by regime I-IV
     for x, u in draw_chunks(cfg.dist, theta0, n, seed):
-        f_full, codes = _draw_covers(cfg, x, u)
+        f_full, codes = _draw_flags(cfg, x, u)
         f_full |= fixed  # here a fixed theta0 is covered from every x
         covering = codes * f_full  # uncovered draws read as ATOM
         hits += [np.count_nonzero(f_full), np.count_nonzero(f_full & (x >= theta0)),

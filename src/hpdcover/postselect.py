@@ -11,7 +11,9 @@ theta -> (U(theta), L(theta)) at the single level x: one endpoint table on a
 grid over theta, shared by the crossing counts and the sliver guard (one
 endpoint call per extremum-mode multisection round for both curves), with
 every boundary refined by the same solver in boundary mode.  The window is
-the coverage scan's half-width.
+the coverage scan's half-width.  credible_set_contains tests x in CS(theta)
+pointwise: the atom/band rule where it decides, else the sign of
+scanning.level_margin, the flag the scan itself reads.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import hpd_contains
+from .coverage import _fixed_cover
 from .distributions import draw_chunks
 from .hpd import _finite_theta0, _half_width, endpoint_values, hpd_set
 from .posterior import PriorConfig
-from .scanning import member_intervals
+from .scanning import level_margin, member_intervals
 
 __all__ = [
     "PostSelectionSet",
@@ -51,11 +53,18 @@ class PostSelectionSet:
 def credible_set_contains(cfg: PriorConfig, data_values, x: float):
     """Vectorized indicator of x in CS(theta) with theta ranging over data_values.
 
-    CS(theta) is the credible set computed as if theta were the observation,
-    so this is hpd_contains with x as the point tested: the atom/band rule
-    decides where it applies (no CS(theta) holds an x inside the band).
+    CS(theta) is the credible set computed as if theta were the observation.
+    The atom/band rule decides where it applies (no CS(theta) holds an x
+    inside the band); elsewhere x is a member iff level_margin(U, L, x) >= 0,
+    that is L(theta) <= x <= U(theta), false on the all-atom region.
     """
-    return hpd_contains(cfg, data_values, x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    thetas = np.atleast_1d(np.asarray(data_values, float))
+    fixed, covered = _fixed_cover(cfg, x)
+    if fixed:
+        return np.full(thetas.shape, bool(covered))
+    return level_margin(*endpoint_values(cfg, thetas), x) >= 0.0
 
 
 def _require_selected(cfg: PriorConfig, x: float):
@@ -81,13 +90,7 @@ def post_selection_set(cfg: PriorConfig, x: float) -> PostSelectionSet:
     return PostSelectionSet(x=float(x), alpha=cfg.alpha, lam=cfg.lam, intervals=tuple(zip(a.tolist(), b.tolist())))
 
 
-def conditional_coverage_mc(
-    cfg: PriorConfig,
-    theta0: float,
-    n: int,
-    seed: int,
-    chunk: int = 1 << 20,
-) -> tuple[float, float, float]:
+def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) -> tuple[float, float, float]:
     """Monte Carlo estimate of P(theta0 in PS(X) | |X| >= lam).
 
     Membership is evaluated through the defining identity
@@ -104,7 +107,7 @@ def conditional_coverage_mc(
     pieces = cs.intervals
     kept = 0
     covered = 0
-    for x, _ in draw_chunks(cfg.dist, theta0, n, seed, chunk):
+    for x, _ in draw_chunks(cfg.dist, theta0, n, seed):
         sel = np.abs(x) >= cfg.lam
         kept += int(np.count_nonzero(sel))
         xs = x[sel]

@@ -112,9 +112,10 @@ def bisect_iters(widths, tol: float) -> int:
 
 
 def level_margin(upper, lower, level):
-    """min(U - level, level - L): >= 0 exactly where covers(U, L, level) holds
+    """min(U - level, level - L): >= 0 exactly where L <= level <= U holds
     (a float difference is zero only between equal floats), NaN on NaN
-    endpoints, so the sign of the margin is the flag."""
+    endpoints (the atom region), so the sign of the margin is the one
+    membership flag."""
     with np.errstate(invalid="ignore", over="ignore"):
         return np.minimum(upper - level, level - lower)
 
@@ -257,12 +258,6 @@ def graze_cells(vals: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
     return idx[ok], maximize[ok]
 
 
-def covers(upper, lower, level):
-    """Elementwise L <= level <= U; NaN endpoints (the atom region) compare false."""
-    with np.errstate(invalid="ignore"):
-        return (lower <= level) & (level <= upper)
-
-
 def graze_points(grid: np.ndarray, table, levels, curves):
     """The sliver guard: the grid and its curve table (U, L) with every local
     extremum of U or L that grazes one of ``levels`` between grid points added.
@@ -292,10 +287,10 @@ def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray]:
     equal-width windows about sorted levels); only cells inside the window
     are returned.  One searchsorted per column (a comparison, given one
     level) counts, at each grid point, the levels on the false side of each
-    factor, NaN counting as +inf in L and -inf in U so that it compares
-    false, as in covers; a cell flips level j exactly when j lies between
-    the counts at its two ends.  The pairs come back sorted by level, then
-    cell.
+    factor, NaN counting as +inf in L and -inf in U so that its flag is
+    false, as level_margin's NaN reads; a cell flips level j exactly when j
+    lies between the counts at its two ends.  The pairs come back sorted by
+    level, then cell.
     """
     upper, lower = table
     levels = np.atleast_1d(np.asarray(levels, float))

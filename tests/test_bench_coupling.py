@@ -1,17 +1,23 @@
-"""The benchmark tracer wraps library functions by name; every name it
-lists must resolve, or a traced run crashes.  bench/tracer.py is read as
-source (not imported), so nothing is written under bench/."""
+"""The benchmark reaches the library by name: the tracer wraps functions
+listed in its tables, and the runner, workloads, gate and reference
+recorder call attributes of the package.  Every such name must resolve, or
+a benchmark run crashes.  The bench sources are read as AST (not imported),
+so nothing is written under bench/."""
 
 import ast
+import functools
 import importlib
 import sys
 from pathlib import Path
 
+import hpdcover.cli
 import hpdcover.distributions
 import hpdcover.scanning
 from hpdcover import PriorConfig, invert_upper, make_distribution
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+CALLERS = ("run.py", "workloads.py", "gate.py", "record_refs.py")
 
 
 def _tracer_tables():
@@ -53,3 +59,43 @@ def test_inversion_reaches_traced_scan_layers(monkeypatch):
                     monkeypatch.setattr(mod, key, counted)
     invert_upper(PriorConfig(make_distribution("laplace"), 5.0, 1.0, 0.05), 8.2)
     assert calls == {"sign_change_roots": 1, "member_intervals": 1}
+
+
+def _chain(node):
+    """The dotted names of an attribute chain rooted at lib, self.lib or
+    hpdcover (each bound to the package in the bench), else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        if isinstance(node.value, ast.Name) and node.value.id == "self" and node.attr == "lib":
+            return names[::-1]
+        names.append(node.attr)
+        node = node.value
+    return names[::-1] if isinstance(node, ast.Name) and node.id in ("lib", "hpdcover") else None
+
+
+def _library_names():
+    """(dotted attribute chains, (module, name) imports) that the bench
+    callers take from the library, code held in string constants (a fresh
+    process's set-up script) included."""
+    chains, imports = set(), set()
+    trees = [ast.parse((BENCH / name).read_text()) for name in CALLERS]
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "import hpdcover" in node.value:
+                trees.append(ast.parse(node.value))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hpdcover":
+                imports.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and (chain := _chain(node)):
+                chains.add(".".join(chain))
+    return chains, imports
+
+
+def test_bench_library_names_resolve():
+    chains, imports = _library_names()
+    # The gate's checks and the workloads' calls are among them.
+    assert {"credible_set_contains", "lower_values", "posterior_probability",
+            "coverage.coverage_curve", "postselect.conditional_coverage_mc"} <= chains
+    assert ("hpdcover.cli", "parse_dist_spec") in imports
+    resolve = lambda chain: functools.reduce(lambda obj, attr: getattr(obj, attr, None), chain.split("."), hpdcover)
+    assert [c for c in sorted(chains) if resolve(c) is None] == []
+    assert [(m, n) for m, n in sorted(imports) if not hasattr(importlib.import_module(m), n)] == []

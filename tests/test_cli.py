@@ -75,6 +75,16 @@ def test_runconfig_rejects_unknown_keys():
         RunConfig.from_text("nope=1\n")
 
 
+def test_runconfig_from_dict_reads_as_the_config_file_does():
+    # from_dict once handed its values to the dataclass as they came: an
+    # unknown key raised TypeError, mirror="no" stayed a truthy string and
+    # lam="0.5,5" failed on float('.').
+    with pytest.raises(ValueError, match="^unknown config key 'n_base'$"):
+        RunConfig.from_dict({"n_base": 4096})
+    assert RunConfig.from_dict({"mirror": "no"}).mirror is False
+    assert RunConfig.from_dict({"lam": "0.5,5"}).lam == (0.5, 5.0)
+
+
 @pytest.mark.parametrize("val, want", [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("false", False), ("No", False)])
 def test_runconfig_reads_booleans(val, want):
     assert RunConfig.from_text(f"mirror={val}\n").mirror is want
@@ -108,6 +118,16 @@ def test_cli_config_rejects_an_empty_list(tmp_path, capsys, command, line):
     assert main([*command, "--config", str(cfg_file), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: lam and w each need at least one value\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, flag, value", [("lam=", "--lambda", "5"), ("w=", "--w", "1")])
+def test_cli_flag_overrides_an_empty_list_in_the_config(tmp_path, line, flag, value):
+    # A flag overrides every config key, an empty list included.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"dist=laplace\n{line}\n")
+    out = tmp_path / "set.json"
+    assert main(["hpd", "--config", str(cfg_file), flag, value, "--x", "6.2", "--out", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize(

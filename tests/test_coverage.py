@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -13,8 +14,8 @@ from hpdcover import (
     coverage_exact,
     coverage_mc,
     dip_search,
+    credible_set_contains,
     endpoints,
-    hpd_contains,
     hpd_radii,
     hpd_set,
     interval_mass,
@@ -27,6 +28,7 @@ from hpdcover import (
 )
 from hpdcover import coverage as coverage_mod
 from hpdcover import distributions as distributions_mod
+from hpdcover import postselect as postselect_mod
 from hpdcover import scanning as scanning_mod
 from hpdcover.cli import parse_dist_spec
 from hpdcover.distributions import draw_chunks
@@ -142,7 +144,7 @@ def test_coverage_against_riemann_membership():
     cfg = config("laplace", 5.0, 1.0)
     theta0 = 9.0
     xs = np.linspace(theta0 - 25.0, theta0 + 25.0, 400_001)
-    member = hpd_contains(cfg, xs, theta0)
+    member = credible_set_contains(cfg, xs, theta0)
     dx = xs[1] - xs[0]
     riemann = float(np.sum(cfg.dist.pdf(xs[member] - theta0)) * dx)
     assert coverage_exact(cfg, theta0).C == pytest.approx(riemann, abs=1e-3)
@@ -153,7 +155,7 @@ def test_membership_agrees_with_hpd_set():
     rng = np.random.default_rng(1)
     xs = rng.uniform(-8, 8, 300)
     for theta0 in (0.0, 0.7, 2.4):
-        flags = hpd_contains(cfg, xs, theta0)
+        flags = credible_set_contains(cfg, xs, theta0)
         for x, flag in zip(xs, flags):
             assert flag == hpd_set(cfg, float(x)).contains(theta0)
 
@@ -179,7 +181,7 @@ SPECIAL_CASES = [
 def test_special_case_membership_table(lam, w, theta0):
     cfg = config("laplace", lam, w)
     xs = np.random.default_rng(8).uniform(-8.0, 8.0, 300)
-    flags = hpd_contains(cfg, xs, theta0)
+    flags = credible_set_contains(cfg, xs, theta0)
     assert [bool(f) for f in flags] == [hpd_set(cfg, float(x)).contains(theta0) for x in xs]
     c_hat, se = coverage_mc(cfg, theta0, 20_000, seed=31)
     rep = coverage_curve(cfg, [theta0], method="mc", n=20_000, seed=31, threads=1)
@@ -433,7 +435,7 @@ def test_membership_tolerates_infinite_draws():
     # quantile; membership must come back False without poisoning the batch.
     cfg = config("gaussian", 0.5, 1.0)
     xs = np.array([-np.inf, np.inf, 1.0])
-    flags = hpd_contains(cfg, xs, 2.0)
+    flags = credible_set_contains(cfg, xs, 2.0)
     assert not flags[0] and not flags[1]
 
 
@@ -572,7 +574,7 @@ def _exact_sorted_per_theta0(cfg, ts, half, fractions=True):
         start = np.zeros(lv.size, dtype=bool)
         cells = []
         for j in range(lv.size):
-            f = sc.covers(upper[i0[j]:i1[j]], lower[i0[j]:i1[j]], lv[j])
+            f = (lower[i0[j]:i1[j]] <= lv[j]) & (lv[j] <= upper[i0[j]:i1[j]])
             start[j] = f[0]
             k = np.flatnonzero(f[1:] != f[:-1])
             cells.append((np.full(k.size, j), k + i0[j]))
@@ -852,7 +854,8 @@ def test_coverage_is_sum_of_split_everywhere(law, lam, w):
 @pytest.mark.parametrize("w", [1.0, 0.25])
 def test_level_membership_matches_hpd_contains(law, lam, w):
     # Monte Carlo reads theta0 in HPD(x) as G(-|Z|) >= q(x) from each draw's
-    # uniform; hpd_contains (L <= theta0 <= U) is the reference.  The last
+    # uniform; credible_set_contains (L <= theta0 <= U, the membership test
+    # with the roles of x and theta0 swapped) is the reference.  The last
     # theta0 puts draws far left of the band, where the signed r2 of
     # hpd_radii leaves (0, 1) in its tail level and is infinite.
     cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
@@ -860,8 +863,8 @@ def test_level_membership_matches_hpd_contains(law, lam, w):
         if coverage_mod._fixed_cover(cfg, theta0)[0]:
             continue
         for x, u in draw_chunks(cfg.dist, theta0, 20_000, 29):
-            flags, codes = coverage_mod._draw_covers(cfg, x, u)
-            assert np.array_equal(flags, hpd_contains(cfg, x, theta0))
+            flags, codes = coverage_mod._draw_flags(cfg, x, u)
+            assert np.array_equal(flags, credible_set_contains(cfg, x, theta0))
             assert np.array_equal(codes, endpoints(cfg, x)[2])
             assert 0 < np.count_nonzero(flags) < x.size
         if theta0 < -lam:
@@ -914,14 +917,16 @@ def test_monte_carlo_independent_of_block_size(monkeypatch, law, w):
     thetas = (1.5, 0.0)
     want = [coverage_mod._mc_point(cfg, t, BLOCK_N, 5) for t in thetas]
     cond = w == 1.0
+    # The conditional check draws in sampler chunks of 2^16, so its 3-draw
+    # tail is a chunk of its own.
+    monkeypatch.setattr(postselect_mod, "draw_chunks", functools.partial(draw_chunks, chunk=1 << 16))
     if cond:
-        want_cond = [conditional_coverage_mc(cfg, t, BLOCK_N, 5, chunk=1 << 16) for t in thetas]
+        want_cond = [conditional_coverage_mc(cfg, t, BLOCK_N, 5) for t in thetas]
     for block in (1000, 1 << 14, 1 << 20):
         monkeypatch.setattr(distributions_mod, "_BLOCK", block)
         assert [coverage_mod._mc_point(cfg, t, BLOCK_N, 5) for t in thetas] == want
         if cond:
-            got = [conditional_coverage_mc(cfg, t, BLOCK_N, 5, chunk=1 << 16) for t in thetas]
-            assert got == want_cond
+            assert [conditional_coverage_mc(cfg, t, BLOCK_N, 5) for t in thetas] == want_cond
 
 
 @pytest.mark.parametrize("law", ["gaussian", "t3"])

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from hpdcover import (
     hpd_set,
     post_selection_set,
 )
+from hpdcover import postselect as postselect_mod
 from hpdcover.cli import parse_dist_spec
+from hpdcover.distributions import draw_chunks
 
 from conftest import config
 
@@ -70,6 +74,13 @@ def test_credible_set_contains_applies_the_band():
     got = credible_set_contains(cfg, thetas, 1.5)
     assert got.tolist() == [hpd_set(cfg, float(th)).contains(1.5) for th in thetas]
     assert got.any()
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_credible_set_contains_refuses_a_non_finite_point(x):
+    # A non-finite x once read as a member of no CS(theta), without a word.
+    with pytest.raises(ValueError, match=r"^x must be finite, got"):
+        credible_set_contains(config("laplace", 2.0, 1.0), np.array([1.0, 3.0]), x)
 
 
 def test_membership_duality():
@@ -146,6 +157,7 @@ CONDITIONAL_PINNED = [
 
 
 @pytest.mark.parametrize("law, expected", CONDITIONAL_PINNED)
-def test_conditional_coverage_pinned_values(law, expected):
+def test_conditional_coverage_pinned_values(monkeypatch, law, expected):
+    monkeypatch.setattr(postselect_mod, "draw_chunks", functools.partial(draw_chunks, chunk=1 << 14))
     cfg = PriorConfig(parse_dist_spec(law), 1.0, 1.0, 0.05)
-    assert conditional_coverage_mc(cfg, 1.5, 30_000, seed=7, chunk=1 << 14) == expected
+    assert conditional_coverage_mc(cfg, 1.5, 30_000, seed=7) == expected
