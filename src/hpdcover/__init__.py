@@ -26,7 +26,6 @@ from .posterior import (
     atom_mass,
     atom_threshold,
     gap_complement,
-    gap_mass,
     posterior_normalizer,
     posterior_probability,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "atom_mass",
     "atom_threshold",
     "gap_complement",
-    "gap_mass",
     "posterior_normalizer",
     "posterior_probability",
     "CredibleSet",

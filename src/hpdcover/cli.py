@@ -30,7 +30,6 @@ from .distributions import Distribution, make_distribution
 from .figures import (
     coverage_panels_rows,
     endpoint_curves_rows,
-    fmt,
     length_curves_rows,
     posterior_illustration_rows,
     radius_functions_rows,
@@ -174,20 +173,24 @@ def _write_text(path: str, text: str):
         Path(path).write_text(text)
 
 
-_CELLS = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}  # dtype kind -> cell, as fmt
+# dtype kind -> cell: floats with 12 significant digits, integers and
+# booleans as integers, text as it is.  An int beyond every numpy integer
+# dtype (kind "O", say a seed of 2**64) takes %s, which prints it as %d would.
+_CELLS = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
 
 def _csv_text(header, blocks) -> str:
     """The one CSV writer: each block's rows come from one row template.
 
-    A block has one entry per column: a constant, formatted once by ``fmt``,
-    or a 1-d float, integer or string array.
+    A block has one entry per column: a constant, formatted once into the
+    template, or a 1-d float, integer or string array; both take the
+    _CELLS format of their dtype kind.
     """
     parts = [",".join(header) + "\n"]
     for block in blocks:
         columns = [np.asarray(v).tolist() for v in block if np.ndim(v)]
-        row = ",".join(_CELLS[np.asarray(v).dtype.kind] if np.ndim(v) else fmt(v).replace("%", "%%")
-                       for v in block)
+        forms = [_CELLS.get(np.asarray(v).dtype.kind, "%s") for v in block]
+        row = ",".join(f if np.ndim(v) else (f % v).replace("%", "%%") for f, v in zip(forms, block))
         values = tuple(v for cells in zip(*columns) for v in cells)
         parts.append((row + "\n") * (len(columns[0]) if columns else 1) % values)
     return "".join(parts)
@@ -212,7 +215,7 @@ def _cmd_hpd(rc: RunConfig) -> int:
         "U": None if math.isnan(cs.upper) else cs.upper,
         "intervals": [[a, b] for a, b in cs.intervals],
         "length": cs.length,
-        "atom": cs.atom_mass if cs.atom_included or cs.regime.name == "ATOM" else 0.0,
+        "atom": cs.atom_mass,
     }
     _write_text(rc.out, _json_text(payload))
     return 0

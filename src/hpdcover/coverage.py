@@ -20,7 +20,7 @@ edges and atom threshold, yields the membership set of every theta0 that the
 atom/band rule leaves open, the same level-set scan that serves inversion,
 post-selection and the one-sided baseline.  C- and C+ are that set split at
 x = theta0, its masses on [theta0, inf) and (-inf, theta0), so C = C- + C+
-at every theta0.  The atom/band rule (_fixed_cover) and the Monte Carlo
+at every theta0.  The atom/band rule (hpd._fixed_cover) and the Monte Carlo
 counter (_mc_point) are each written once, for the exact scan,
 postselect.credible_set_contains (the rule, then the sign of
 scanning.level_margin), coverage_mc and Monte Carlo curves alike.
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import draw_chunks, interval_mass
-from .hpd import (Regime, _finite_theta0, _half_width, _levels, endpoint_values, onesided_endpoints,
-                  regime_codes, upper_values)
+from .hpd import (Regime, _finite_theta0, _fixed_cover, _half_width, _levels, endpoint_values,
+                  onesided_endpoints, regime_codes, upper_values)
 from .posterior import PriorConfig
 from .scanning import TOL_TAIL, member_intervals, refine_extrema
 
@@ -66,19 +66,6 @@ def thread_count(requested: int | None = None) -> int:
     cap_n = int(cap) if cap else (os.cpu_count() or 1)
     n = requested if requested else (os.cpu_count() or 1)
     return max(1, min(n, cap_n))
-
-
-def _fixed_cover(cfg: PriorConfig, theta0):
-    """The atom/band rule, vectorised over theta0: (fixed, covered).
-
-    Where fixed, membership of theta0 is the same from every x and equals
-    covered: with w < 1 the atom covers theta0 = 0; otherwise, once lam > 0,
-    nothing covers |theta0| < lam, theta0 = 0 included.  Elsewhere the
-    interval part L(x) <= theta0 <= U(x) decides.
-    """
-    t = np.asarray(theta0, float)
-    covered = (t == 0.0) & cfg.has_atom
-    return covered | ((cfg.lam > 0.0) & (np.abs(t) < cfg.lam)), covered
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,9 @@ _ERLANG_Y_CAP = 1e3
 # more at 64.
 _BLOCK = 1 << 16
 _SCALAR_MAX = 4
+# draw_chunks takes the uniforms of this many draws from one Philox stream;
+# Monte Carlo results depend on it, so it is fixed, not a setting.
+_CHUNK = 1 << 20
 
 
 def _is_real(value) -> bool:
@@ -424,11 +427,11 @@ def make_distribution(name: str, eta: float | None = None) -> Distribution:
     raise ValueError(f"unknown distribution {name!r}")
 
 
-def draw_chunks(dist: Distribution, theta0: float, n: int, seed: int, chunk: int = 1 << 20):
+def draw_chunks(dist: Distribution, theta0: float, n: int, seed: int):
     """Yield n draws of X = theta0 + Z, Z ~ dist, by inverse-CDF sampling, as
     blocks (x, u): the draws x = theta0 + G^{-1}(u) and their uniforms u.
 
-    Chunk i takes its ``chunk`` uniforms from one ``random`` call on the i-th
+    Chunk i takes its _CHUNK uniforms from one ``random`` call on the i-th
     Philox stream spawned from the seed, and its draws are made and handed
     out in slices of at most _BLOCK, so that callers test membership on
     cache-sized blocks.  u is a view of the chunk's uniforms; it gives each
@@ -439,10 +442,10 @@ def draw_chunks(dist: Distribution, theta0: float, n: int, seed: int, chunk: int
     than one call per block (4.55 against 5.21 s on one thread, 2.63 against
     2.79 s on two, for the curves in the _BLOCK note).
     """
-    n_chunks = (n + chunk - 1) // chunk
+    n_chunks = (n + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     for i in range(n_chunks):
-        m = min(chunk, n - i * chunk)
+        m = min(_CHUNK, n - i * _CHUNK)
         u = np.random.Generator(np.random.Philox(children[i])).random(m)
         for j in range(0, m, _BLOCK):
             block = u[j : j + _BLOCK]

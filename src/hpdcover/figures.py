@@ -4,9 +4,9 @@ Each emitter returns a header plus column blocks.  A block has one entry
 per header column: a 1-d numpy array, or a constant shared by all of the
 block's rows (dist, lambda, w).  The CLI writes them with a JSON sidecar
 recording the full run configuration, so every CSV is reproducible from its
-sidecar alone.  Every cell reads as ``fmt`` prints it (floats with 12
-significant digits), and runs with identical configurations produce
-byte-identical files.
+sidecar alone.  The CLI's writer prints floats with 12 significant digits,
+integers as integers and text as it is, and runs with identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .hpd import Regime, endpoints, hpd_length, hpd_radii, regime_codes
 from .posterior import PriorConfig, atom_mass, posterior_normalizer
 
 __all__ = [
-    "fmt",
     "coverage_panels_rows",
     "posterior_illustration_rows",
     "radius_functions_rows",
@@ -31,15 +30,6 @@ __all__ = [
 
 _ENDPOINT_PANELS = ((0.5, 0.25), (5.0, 0.25), (5.0, 1.0))
 _REGIME_NAMES = np.array([r.name for r in Regime])  # indexed by the Regime codes
-
-
-def fmt(value) -> str:
-    """Deterministic cell formatting: 12 significant digits for floats."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.12g" % float(value)
 
 
 def _coverage_grid(dist: Distribution, lam: float, alpha: float, n: int, mirror: bool) -> np.ndarray:

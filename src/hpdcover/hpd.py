@@ -189,16 +189,12 @@ class CredibleSet:
     lower: float
     upper: float
     intervals: tuple[tuple[float, float], ...]
+    length: float  # Lebesgue measure of the interval part, as hpd_length gives it
     atom_included: bool
     atom_mass: float
 
-    @property
-    def length(self) -> float:
-        """Lebesgue measure of the interval part."""
-        return float(sum(b - a for a, b in self.intervals))
-
     def contains(self, theta: float) -> bool:
-        if theta == 0.0 and (self.atom_included or self.regime is Regime.ATOM):
+        if theta == 0.0 and self.atom_included:
             return True
         return any(a <= theta <= b for a, b in self.intervals)
 
@@ -207,7 +203,7 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
     """Assemble the full credible set at observation x."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    up, low, codes = endpoints(cfg, x)
+    up, low, codes, r = _endpoint_pass(cfg, x)
     regime, lam = Regime(int(codes[0])), cfg.lam
     upper, lower = float(up[0]), float(low[0])  # NaN on the atom region
     if regime is Regime.ATOM:
@@ -218,6 +214,8 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
         pieces = [(lower, min(upper, -lam))] if lower <= -lam else []
         if upper >= lam:
             pieces.append((max(lower, lam), upper))
+    # Regime I is 2 r1 as in hpd_length, not U - L with its rounded ends.
+    length = 2.0 * float(r[0]) if regime is Regime.I else float(sum(b - a for a, b in pieces))
     # Only a prior with an atom has an atom region, so ATOM sets include it too.
     return CredibleSet(
         x=float(x),
@@ -225,6 +223,7 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
         lower=lower,
         upper=upper,
         intervals=tuple(pieces),
+        length=length,
         atom_included=cfg.has_atom,
         atom_mass=float(atom_mass(cfg, x)),
     )
@@ -276,6 +275,19 @@ def _member_reach(cfg: PriorConfig) -> float:
 def _half_width(cfg: PriorConfig) -> float:
     """Coverage scan half-width: _member_reach (no mass lost), or G^{-1}(1 - TOL_TAIL / 2) if smaller."""
     return min(float(cfg.dist.ppf_upper(TOL_TAIL / 2.0)), _member_reach(cfg))
+
+
+def _fixed_cover(cfg: PriorConfig, theta0):
+    """The atom/band rule, vectorised over theta0: (fixed, covered).
+
+    Where fixed, membership of theta0 is the same from every x and equals
+    covered: with w < 1 the atom covers theta0 = 0; otherwise, once lam > 0,
+    nothing covers |theta0| < lam, theta0 = 0 included.  Elsewhere the
+    interval part L(x) <= theta0 <= U(x) decides.
+    """
+    t = np.asarray(theta0, float)
+    covered = (t == 0.0) & cfg.has_atom
+    return covered | ((cfg.lam > 0.0) & (np.abs(t) < cfg.lam)), covered
 
 
 def _finite_theta0(theta0) -> np.ndarray:

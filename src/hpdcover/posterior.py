@@ -25,7 +25,6 @@ from .scanning import refine_boundaries
 
 __all__ = [
     "PriorConfig",
-    "gap_mass",
     "gap_complement",
     "atom_mass",
     "posterior_normalizer",
@@ -87,13 +86,6 @@ def _ret(arr, scalar):
     return float(arr[0]) if scalar else arr
 
 
-def gap_mass(cfg: PriorConfig, x):
-    """Error-law mass of the excluded band [-lam, lam] centered at x."""
-    arr, scalar = _as_array(x)
-    d = cfg.dist
-    return _ret(d.cdf(cfg.lam - arr) - d.cdf(-cfg.lam - arr), scalar)
-
-
 def tail_levels(cfg: PriorConfig, sabs):
     """(s, kg, s + kg, q1, T, B, margin) at |x| = sabs (an array) from one lower_tail
     call on | |x| - lam | and lam + |x|: T = G(-| |x| - lam |), B = G(-lam - |x|).
@@ -128,7 +120,8 @@ def tail_levels(cfg: PriorConfig, sabs):
 
 
 def gap_complement(cfg: PriorConfig, x):
-    """1 - gap_mass, formed additively as G(|x| - lam) + G(-lam - |x|) (tail_levels).
+    """One minus the error-law mass of the band [-lam, lam] centred at x, formed
+    additively as G(|x| - lam) + G(-lam - |x|) (tail_levels).
 
     This is the slab's share of the shifted error mass; the additive form
     avoids cancellation when the band carries almost all the mass.

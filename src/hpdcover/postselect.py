@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import _fixed_cover
 from .distributions import draw_chunks
-from .hpd import _finite_theta0, _half_width, endpoint_values, hpd_set
+from .hpd import _finite_theta0, _fixed_cover, _half_width, _levels, endpoint_values
 from .posterior import PriorConfig
 from .scanning import level_margin, member_intervals
 
@@ -94,27 +93,26 @@ def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) 
     """Monte Carlo estimate of P(theta0 in PS(X) | |X| >= lam).
 
     Membership is evaluated through the defining identity
-    theta0 in PS(x) <=> x in CS(theta0), so the fixed set CS(theta0) is
-    assembled once and each retained draw is a pure interval test.  Returns
-    (coverage estimate, binomial standard error, selection rate).
+    theta0 in PS(x) <=> x in CS(theta0).  At w = 1, CS(theta0) is the ball
+    |x - theta0| <= rho(theta0) less the open band, rho = G^{-1}(1 - q) with
+    q the level stage's tail level at theta0, and selection already leaves
+    the band out, so a selected draw x = theta0 + G^{-1}(u) is covered iff
+    G(-|Z|) = min(u, 1 - u) >= q: the level test of coverage._draw_flags with
+    x and theta0 swapped, on the draw's own uniform.  Returns (coverage
+    estimate, binomial standard error, selection rate).
     """
     if cfg.w != 1.0:
         raise ValueError("post-selection coverage requires w = 1")
     if n < 10_000:
         raise ValueError(f"need at least 10000 draws, got {n}")
-    _finite_theta0(theta0)
-    cs = hpd_set(cfg, theta0)
-    pieces = cs.intervals
+    q = float(_levels(cfg, _finite_theta0(theta0))[0][0])
     kept = 0
     covered = 0
-    for x, _ in draw_chunks(cfg.dist, theta0, n, seed):
+    for x, u in draw_chunks(cfg.dist, theta0, n, seed):
         sel = np.abs(x) >= cfg.lam
         kept += int(np.count_nonzero(sel))
-        xs = x[sel]
-        member = np.zeros(xs.shape, dtype=bool)
-        for a, b in pieces:
-            member |= (xs >= a) & (xs <= b)
-        covered += int(np.count_nonzero(member))
+        sel &= np.minimum(u, 1.0 - u) >= q
+        covered += int(np.count_nonzero(sel))
     if kept == 0:
         raise RuntimeError("no draws passed the selection event |X| >= lam")
     c_hat = covered / kept

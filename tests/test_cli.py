@@ -19,7 +19,6 @@ from hpdcover.cli import RunConfig, _csv_text, cmd_figure, main, parse_dist_spec
 from hpdcover.figures import (
     coverage_panels_rows,
     endpoint_curves_rows,
-    fmt,
     length_curves_rows,
     posterior_illustration_rows,
     radius_functions_rows,
@@ -461,13 +460,22 @@ def test_main_calls_share_one_parser(monkeypatch, tmp_path):
     assert len(seen) == 2 and seen[0] is seen[1]
 
 
+def _fmt(value) -> str:
+    """One cell as the row-by-row writer printed it: 12 significant digits for floats."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.12g" % float(value)
+
+
 def _per_cell_csv(header, blocks):
-    """The row-by-row writer that ``_csv_text`` replaced: one ``fmt`` call per cell."""
+    """The row-by-row writer that ``_csv_text`` replaced: one ``_fmt`` call per cell."""
     lines = [",".join(header)]
     for block in blocks:
         n = max((len(v) for v in block if np.ndim(v)), default=1)
         rows = ([v[i] if np.ndim(v) else v for v in block] for i in range(n))
-        lines.extend(",".join(fmt(v) for v in row) for row in rows)
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 import warnings
@@ -28,7 +27,7 @@ from hpdcover import (
 )
 from hpdcover import coverage as coverage_mod
 from hpdcover import distributions as distributions_mod
-from hpdcover import postselect as postselect_mod
+from hpdcover import hpd as hpd_mod
 from hpdcover import scanning as scanning_mod
 from hpdcover.cli import parse_dist_spec
 from hpdcover.distributions import draw_chunks
@@ -561,7 +560,7 @@ def _exact_sorted_per_theta0(cfg, ts, half, fractions=True):
     their set is the whole window (the atom) or empty (the band)."""
     cv, sc = coverage_mod, scanning_mod
     n_t = ts.size
-    fixed, atom0 = cv._fixed_cover(cfg, ts)
+    fixed, atom0 = hpd_mod._fixed_cover(cfg, ts)
     members = [[j, ts[j] - half, ts[j] + half] for j in np.flatnonzero(atom0)]
     live = np.flatnonzero(~fixed)
     if live.size:
@@ -823,7 +822,7 @@ def test_monte_carlo_pinned_values(law, lam, w, theta_mc, mc, grid, rows):
 def test_monte_carlo_fixed_cover_split(law, lam, w, theta_mc, mc, grid, rows):
     # The pinned C- of a fixed-cover theta0, counted straight off the sampler.
     cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
-    fixed, covered = coverage_mod._fixed_cover(cfg, np.array(grid))
+    fixed, covered = hpd_mod._fixed_cover(cfg, np.array(grid))
     assert fixed.any()
     for theta0, row, cov in zip(np.array(grid)[fixed], np.array(rows)[fixed], covered[fixed]):
         above = sum(np.count_nonzero(x >= theta0) for x, _ in draw_chunks(cfg.dist, theta0, MC_PIN_N, MC_PIN_SEED))
@@ -860,7 +859,7 @@ def test_level_membership_matches_hpd_contains(law, lam, w):
     # hpd_radii leaves (0, 1) in its tail level and is infinite.
     cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
     for theta0 in (lam, -lam, lam + 0.3, lam + 3.0, -lam - 1.1):
-        if coverage_mod._fixed_cover(cfg, theta0)[0]:
+        if hpd_mod._fixed_cover(cfg, theta0)[0]:
             continue
         for x, u in draw_chunks(cfg.dist, theta0, 20_000, 29):
             flags, codes = coverage_mod._draw_flags(cfg, x, u)
@@ -917,16 +916,21 @@ def test_monte_carlo_independent_of_block_size(monkeypatch, law, w):
     thetas = (1.5, 0.0)
     want = [coverage_mod._mc_point(cfg, t, BLOCK_N, 5) for t in thetas]
     cond = w == 1.0
-    # The conditional check draws in sampler chunks of 2^16, so its 3-draw
-    # tail is a chunk of its own.
-    monkeypatch.setattr(postselect_mod, "draw_chunks", functools.partial(draw_chunks, chunk=1 << 16))
+
+    def conditional():
+        # The conditional check draws in sampler chunks of 2^16, so its
+        # 3-draw tail is a chunk of its own.
+        with monkeypatch.context() as m:
+            m.setattr(distributions_mod, "_CHUNK", 1 << 16)
+            return [conditional_coverage_mc(cfg, t, BLOCK_N, 5) for t in thetas]
+
     if cond:
-        want_cond = [conditional_coverage_mc(cfg, t, BLOCK_N, 5) for t in thetas]
+        want_cond = conditional()
     for block in (1000, 1 << 14, 1 << 20):
         monkeypatch.setattr(distributions_mod, "_BLOCK", block)
         assert [coverage_mod._mc_point(cfg, t, BLOCK_N, 5) for t in thetas] == want
         if cond:
-            assert [conditional_coverage_mc(cfg, t, BLOCK_N, 5) for t in thetas] == want_cond
+            assert conditional() == want_cond
 
 
 @pytest.mark.parametrize("law", ["gaussian", "t3"])

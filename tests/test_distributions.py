@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from hpdcover import check_tail_decay, interval_mass, make_distribution
+from hpdcover import distributions as distributions_mod
 from hpdcover.cli import parse_dist_spec
 from hpdcover.distributions import SubExponential, draw_chunks
 
@@ -414,13 +415,14 @@ def test_t3_cdf_keeps_relative_accuracy_in_the_tail():
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_draw_chunks_stream_is_one_random_call_per_chunk(name):
+def test_draw_chunks_stream_is_one_random_call_per_chunk(monkeypatch, name):
     # 3 * 2^16 + 123 draws in chunks of 2^17 + 5: the first chunk ends in a
     # 5-draw block, and neither the chunk nor the block divides n.
     d = build(name)
     n, chunk, seed, theta0 = 3 * (1 << 16) + 123, (1 << 17) + 5, 41, 1.25
+    monkeypatch.setattr(distributions_mod, "_CHUNK", chunk)
     # Each block hands out its draws with the uniforms they came from.
-    blocks = list(draw_chunks(d, theta0, n, seed, chunk))
+    blocks = list(draw_chunks(d, theta0, n, seed))
     got, got_u = (np.concatenate(col) for col in zip(*blocks))
     children = np.random.SeedSequence(seed).spawn(2)
     sizes = (chunk, n - chunk)

@@ -1,14 +1,38 @@
 """Every exported name resolves: a name deleted from a module cannot stay
-behind in its ``__all__`` or in the package's."""
+behind in its ``__all__`` or in the package's.  Every exported name also has
+a caller outside the tests: the package itself or the benchmark."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import hpdcover
 
 MODULES = ["hpdcover", *(f"hpdcover.{m.name}" for m in pkgutil.iter_modules(hpdcover.__path__))]
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _names(paths, strings: bool) -> set[str]:
+    """The Name ids and Attribute attrs in the files, and with ``strings``
+    their string constants too.  Definitions and import aliases are other
+    node types, and __all__ entries are strings, so without ``strings`` a
+    name's own definition and export lines do not count as uses."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+USED = _names(Path(hpdcover.__file__).parent.glob("*.py"), False) | _names(BENCH.glob("*.py"), True)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -17,3 +41,9 @@ def test_every_exported_name_resolves(module):
     names = mod.__all__
     assert [name for name in names if not hasattr(mod, name)] == []
     assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_has_a_caller_outside_the_tests(module):
+    # The tracer's table and getattr(lib.hpd, fn) name functions by string.
+    assert [name for name in importlib.import_module(module).__all__ if name not in USED] == []

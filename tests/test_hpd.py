@@ -453,7 +453,18 @@ def test_lengths_match_interval_measure():
         cfg = config(name, lam, w)
         for x in sample_x(cfg, 200, seed=23):
             cs = hpd_set(cfg, float(x))
-            assert hpd_length(cfg, float(x)) == pytest.approx(cs.length, abs=1e-12)
+            assert hpd_length(cfg, float(x)) == pytest.approx(sum(b - a for a, b in cs.intervals), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_hpd_set_length_is_hpd_length(name):
+    # Bit for bit, also far out, where U - L of regime I would carry the
+    # rounding of x +- r1 (3.7e-9 relative for gaussian at 1e8).
+    for lam, w in ((0.0, 1.0), (0.5, 1.0), (2.0, 0.25), (5.0, 1.0)):
+        cfg = PriorConfig(parse_dist_spec(name), lam, w, 0.05)
+        far = [s * 10.0**k for k in (2, 4, 6, 8) for s in (1.0, -1.0)]
+        for x in [*sample_x(cfg, 60, seed=31).tolist(), lam, -lam, *far]:
+            assert hpd_set(cfg, x).length == hpd_length(cfg, x)
 
 
 @pytest.mark.parametrize("name", ["gaussian", "laplace", "t3"])

@@ -16,7 +16,6 @@ from hpdcover import (
     atom_mass,
     atom_threshold,
     gap_complement,
-    gap_mass,
     hpd_set,
     make_distribution,
     posterior_normalizer,
@@ -66,32 +65,25 @@ def test_prior_config_rejects_booleans(field, flag):
         PriorConfig(dist=dist("laplace"), **values)
 
 
-def test_gap_mass_laplace_closed_forms():
-    # Band mass centered at 0 is 1 - 2G(-lam) = 1 - e^-lam for the Laplace law.
+def test_gap_complement_laplace_closed_forms():
+    # Outside the band centred at 0 lies 2G(-lam) = e^-lam for the Laplace law.
     cfg = config("laplace", math.log(2.0), 1.0)
-    assert gap_mass(cfg, 0.0) == pytest.approx(0.5, abs=1e-14)
+    assert gap_complement(cfg, 0.0) == pytest.approx(0.5, abs=1e-14)
     cfg5 = config("laplace", 5.0, 1.0)
-    assert gap_mass(cfg5, 0.0) == pytest.approx(1.0 - math.exp(-5.0), abs=1e-14)
+    assert gap_complement(cfg5, 0.0) == pytest.approx(math.exp(-5.0), rel=1e-14)
 
 
 @given(st.floats(-25.0, 25.0))
 @settings(max_examples=150, deadline=None)
-def test_gap_mass_even(x):
+def test_gap_complement_even(x):
     cfg = config("gaussian", 1.3, 1.0)
-    assert gap_mass(cfg, x) == pytest.approx(gap_mass(cfg, -x), abs=1e-14)
+    assert gap_complement(cfg, x) == pytest.approx(gap_complement(cfg, -x), abs=1e-14)
 
 
-def test_gap_complement_is_one_minus_gap_mass():
-    for name, lam, w in ALL_CONFIGS:
-        cfg = config(name, lam, w)
-        xs = np.linspace(-8.0, 8.0, 99)
-        assert np.max(np.abs(gap_complement(cfg, xs) + gap_mass(cfg, xs) - 1.0)) <= 1e-12
-
-
-def test_gap_mass_decreasing_away_from_origin():
+def test_gap_complement_increasing_away_from_origin():
     cfg = config("laplace", 2.0, 1.0)
     xs = np.linspace(0.0, 12.0, 500)
-    assert np.all(np.diff(gap_mass(cfg, xs)) < 0)
+    assert np.all(np.diff(gap_complement(cfg, xs)) > 0)
 
 
 def test_atom_mass_zero_when_no_atom():

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -8,11 +6,11 @@ from hpdcover import (
     conditional_coverage_mc,
     credible_set_contains,
     hpd_set,
+    interval_mass,
     post_selection_set,
 )
-from hpdcover import postselect as postselect_mod
+from hpdcover import distributions as distributions_mod
 from hpdcover.cli import parse_dist_spec
-from hpdcover.distributions import draw_chunks
 
 from conftest import config
 
@@ -138,6 +136,22 @@ def test_conditional_coverage_is_exactly_nominal_in_law():
     assert abs(c_hat - 0.95) <= 4.0 * se
 
 
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_exact_conditional_coverage_is_one_minus_alpha(law):
+    # The identity behind the post-selection set, with no sampling: at w = 1,
+    # P(X in CS(theta0) | |X| >= lam) = 1 - alpha for X = theta0 + Z, the
+    # interval masses of CS(theta0) (band-free already) over P(|X| >= lam).
+    d = parse_dist_spec(law)
+    for lam in (0.5, 2.0, 5.0):
+        for alpha in (0.05, 0.01):
+            cfg = PriorConfig(d, lam, 1.0, alpha)
+            for theta0 in (-lam - 1.0, 0.3 * lam, lam, lam + 0.5, lam + 3.0):
+                a, b = np.array(hpd_set(cfg, theta0).intervals).T
+                hit = float(np.sum(interval_mass(d, a - theta0, b - theta0)))
+                selected = float(d.cdf(-lam - theta0)) + float(d.cdf(theta0 - lam))
+                assert abs(hit / selected - (1.0 - alpha)) <= 1e-12
+
+
 def test_conditional_coverage_reproducible():
     cfg = config("laplace", 0.5, 1.0)
     a = conditional_coverage_mc(cfg, 2.0, 10**4, seed=5)
@@ -158,6 +172,6 @@ CONDITIONAL_PINNED = [
 
 @pytest.mark.parametrize("law, expected", CONDITIONAL_PINNED)
 def test_conditional_coverage_pinned_values(monkeypatch, law, expected):
-    monkeypatch.setattr(postselect_mod, "draw_chunks", functools.partial(draw_chunks, chunk=1 << 14))
+    monkeypatch.setattr(distributions_mod, "_CHUNK", 1 << 14)
     cfg = PriorConfig(parse_dist_spec(law), 1.0, 1.0, 0.05)
     assert conditional_coverage_mc(cfg, 1.5, 30_000, seed=7) == expected
