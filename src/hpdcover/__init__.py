@@ -65,6 +65,7 @@ from .coverage import (
 )
 from .postselect import (
     PostSelectionSet,
+    conditional_coverage_exact,
     conditional_coverage_mc,
     credible_set_contains,
     post_selection_set,
@@ -119,6 +120,7 @@ __all__ = [
     "predicted_dip_level",
     "PostSelectionSet",
     "conditional_coverage_mc",
+    "conditional_coverage_exact",
     "credible_set_contains",
     "post_selection_set",
 ]

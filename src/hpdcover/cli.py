@@ -36,7 +36,7 @@ from .figures import (
 )
 from .hpd import hpd_set
 from .posterior import PriorConfig
-from .postselect import conditional_coverage_mc, post_selection_set
+from .postselect import conditional_coverage_exact, conditional_coverage_mc, post_selection_set
 
 __all__ = ["RunConfig", "parse_dist_spec", "parse_grid_spec", "cmd_figure", "main"]
 
@@ -286,9 +286,12 @@ def _cmd_postselect(rc: RunConfig) -> int:
 def _cmd_postselect_coverage(rc: RunConfig) -> int:
     if math.isnan(rc.theta0):
         raise ValueError("postselect-coverage requires --theta0")
-    c_hat, stderr, acc = conditional_coverage_mc(rc.prior(), rc.theta0, rc.n, rc.seed)
+    cfg = rc.prior()
+    c_hat, stderr, acc = conditional_coverage_mc(cfg, rc.theta0, rc.n, rc.seed)
+    exact = conditional_coverage_exact(cfg, rc.theta0)
     payload = {"coverage": c_hat, "stderr": stderr, "acceptance_rate": acc,
-               "theta0": rc.theta0, "n": rc.n, "seed": rc.seed}
+               "theta0": rc.theta0, "n": rc.n, "seed": rc.seed,
+               "exact": exact, "z": (c_hat - exact) / stderr}
     _write_text(rc.out, _json_text(payload))
     return 0
 
@@ -406,13 +409,27 @@ _HANDLERS = {
 }
 
 
-def _glue_grid(argv: list[str]) -> list[str]:
-    """Read `--grid -10:10:21` as `--grid=-10:10:21`: argparse takes a
-    separate value that starts with '-' for an option unless it is a number."""
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# The options whose value may start with '-', and which such values they take.
+_GLUED = {"--grid": lambda v: ":" in v, "--x": _is_float, "--theta0": _is_float}
+
+
+def _glue_values(argv: list[str]) -> list[str]:
+    """Read `--grid -10:10:21` as `--grid=-10:10:21` and `--x -1e8` as `--x=-1e8`
+    (likewise --theta0): argparse takes a separate value that starts with '-'
+    for an option unless it reads as a number without an exponent, like -9.5."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--grid" and arg.startswith("-") and ":" in arg:
-            out[-1] = f"--grid={arg}"
+        takes = _GLUED.get(out[-1]) if out else None
+        if takes and arg.startswith("-") and takes(arg):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -420,7 +437,7 @@ def _glue_grid(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_glue_grid(sys.argv[1:] if argv is None else list(argv)))
+    args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "figure" and args.out is not None:
         parser.error("figure writes figureN.csv and figureN.json; choose their directory with --outdir, not --out")
     try:

@@ -179,7 +179,7 @@ def _draw_flags(cfg: PriorConfig, x: np.ndarray, u: np.ndarray):
     gives that tail mass, min(u, 1 - u), so only the level stage of the
     endpoint pass runs: one lower_tail call, no CDF or quantile call.
     """
-    q, codes = _levels(cfg, x)
+    q, codes = _levels(cfg, x)[:2]
     flags = np.minimum(u, 1.0 - u) >= q
     flags &= codes != Regime.ATOM
     return flags, codes

@@ -189,7 +189,9 @@ def posterior_probability(cfg: PriorConfig, x: float, intervals, include_atom: b
 
     The union is intersected with the slab support {|theta| > lam}; the atom
     at zero is added when include_atom is set.  Intervals must be disjoint
-    (endpoints may touch) and may have infinite endpoints.
+    (endpoints may touch) and may have infinite endpoints.  The normalizer
+    D(x) = s + kg and the atom mass kg / D(x) come from one tail_levels call,
+    the values posterior_normalizer and atom_mass return.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
@@ -204,7 +206,8 @@ def posterior_probability(cfg: PriorConfig, x: float, intervals, include_atom: b
         for lo, hi in (left, right):
             if lo < hi:
                 total += float(interval_mass(d, lo - x, hi - x))
-    prob = total / posterior_normalizer(cfg, x)
-    if include_atom:
-        prob += atom_mass(cfg, x)
+    _, kg, sk = tail_levels(cfg, np.abs(np.atleast_1d(float(x))))[:3]
+    prob = total / float(sk[0])
+    if include_atom and kg is not None:
+        prob += float(kg[0] / sk[0])
     return float(prob)

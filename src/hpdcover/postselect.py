@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import draw_chunks
-from .hpd import _finite_theta0, _fixed_cover, _half_width, _levels, endpoint_values
-from .posterior import PriorConfig
+from .distributions import draw_chunks, interval_mass
+from .hpd import _finite_theta0, _fixed_cover, _half_width, _levels, endpoint_values, hpd_set
+from .posterior import PriorConfig, gap_complement
 from .scanning import level_margin, member_intervals
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "post_selection_set",
     "credible_set_contains",
     "conditional_coverage_mc",
+    "conditional_coverage_exact",
 ]
 
 
@@ -118,3 +119,25 @@ def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) 
     c_hat = covered / kept
     stderr = math.sqrt(max(c_hat * (1.0 - c_hat), 1e-300) / kept)
     return c_hat, stderr, kept / n
+
+
+def conditional_coverage_exact(cfg: PriorConfig, theta0: float) -> float:
+    """P(theta0 in PS(X) | |X| >= lam) in closed form, for w = 1.
+
+    It is P(X in CS(theta0)) over P(|X| >= lam): the masses of CS(theta0)'s
+    intervals about theta0 (band-free already; one interval_mass call) over
+    the selection mass gap_complement(theta0).  By the identity behind PS it
+    is 1 - alpha (to 1e-12 on the tier-1 grid; the rounding of the interval
+    ends, ulp(theta0), moves it by about 2e-9 at |theta0| = 1e8), and
+    conditional_coverage_mc samples the same quantity.  Where the selection
+    mass underflows to 0 it raises RuntimeError, as the Monte Carlo
+    estimate does when no draw is selected.
+    """
+    if cfg.w != 1.0:
+        raise ValueError("post-selection coverage requires w = 1")
+    t = float(_finite_theta0(theta0)[0])
+    selected = float(gap_complement(cfg, t))
+    if not selected > 0.0:
+        raise RuntimeError(f"the selection mass P(|X| >= lam) underflows to 0 at theta0 = {t!r}")
+    a, b = np.array(hpd_set(cfg, t).intervals, float).reshape(-1, 2).T
+    return float(np.sum(interval_mass(cfg.dist, a - t, b - t))) / selected

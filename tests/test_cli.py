@@ -292,6 +292,35 @@ def test_cli_postselect_coverage(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["coverage"] >= 0.95 - 3.0 * payload["stderr"]
     assert 0 < payload["acceptance_rate"] <= 1
+    assert payload["exact"] == hpdcover.conditional_coverage_exact(config("laplace", 0.5, 1.0), 2.0)
+    assert abs(payload["exact"] - 0.95) <= 1e-12
+    assert payload["z"] == (payload["coverage"] - payload["exact"]) / payload["stderr"]
+
+
+def test_cli_postselect_coverage_refuses_an_underflowing_selection(capsys):
+    # At lam 60 no gaussian draw about theta0 = 1.5 is selected and the
+    # selection mass underflows to 0: a clean exit 2, no traceback.
+    argv = ["postselect-coverage", "--dist", "gaussian", "--lambda", "60", "--theta0", "1.5", "--n", "10000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(RuntimeError, match="selection mass"):
+        hpdcover.conditional_coverage_exact(config("gaussian", 60.0, 1.0), 1.5)
+
+
+@pytest.mark.parametrize("command, flag, value, rest", [
+    ("hpd", "--x", "-1e8", ["--dist", "gaussian", "--lambda", "2"]),
+    ("hpd", "--x", "-2.5E-1", ["--dist", "laplace", "--lambda", "0.5", "--w", "0.25"]),
+    ("postselect", "--x", "-3e0", ["--dist", "t3", "--lambda", "1"]),
+    ("postselect-coverage", "--theta0", "-1e1", ["--dist", "laplace", "--lambda", "1", "--n", "10000"]),
+])
+def test_cli_negative_exponent_value_reads_as_glued(tmp_path, command, flag, value, rest):
+    # argparse takes "-1e8" after a space for an option; it is glued onto
+    # its flag, as a negative --grid range is.
+    apart, joined = tmp_path / "apart.json", tmp_path / "joined.json"
+    assert main([command, *rest, flag, value, "--out", str(apart)]) == 0
+    assert main([command, *rest, f"{flag}={value}", "--out", str(joined)]) == 0
+    assert apart.read_bytes() == joined.read_bytes()
+    assert json.loads(apart.read_text())["theta0" if flag == "--theta0" else "x"] == float(value)
 
 
 def test_cli_error_exit_code(tmp_path):

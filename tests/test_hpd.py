@@ -23,11 +23,13 @@ from hpdcover import (
     onesided_radii,
     onesided_upper_endpoint,
     posterior_normalizer,
+    posterior_probability,
     regime_codes,
     smallest_lower_inverse,
     upper_values,
 )
 from hpdcover import hpd as hpd_mod
+from hpdcover import posterior as posterior_mod
 from hpdcover.cli import parse_dist_spec
 from hpdcover.distributions import Distribution
 
@@ -377,8 +379,8 @@ def test_level_stage_matches_nested_selection_reference(law):
         xs = np.concatenate([np.linspace(-lam - 30.0, lam + 30.0, 2001), edges, -edges, [np.nan]])
         for x in (xs, *np.array_split(xs, 8), *np.array_split(xs[-len(edges) * 2 - 1 :], 6)):
             want = _nested_selection_reference(cfg, x)
-            q, codes = hpd_mod._levels(cfg, x)
-            up, low, codes_pass, r = hpd_mod._endpoint_pass(cfg, x)
+            q, codes = hpd_mod._levels(cfg, x)[:2]
+            up, low, codes_pass, r = hpd_mod._endpoint_pass(cfg, x)[:4]
             assert _bits(q) == _bits(want[0]) and _bits(codes) == _bits(want[1])
             assert [_bits(v) for v in (codes_pass, up, low, r)] == [_bits(v) for v in want[1:]]
 
@@ -422,6 +424,46 @@ def test_hpd_set_no_atom_when_w_is_one():
     assert not cs.atom_included
     assert cs.atom_mass == 0.0
     assert not cs.contains(0.0)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_hpd_set_atom_mass_is_atom_mass(law):
+    # hpd_set divides the spike term and normalizer of its own level stage;
+    # posterior.atom_mass forms the same division in a tail_levels call of
+    # its own.  The two agree bit for bit, at the atom threshold's float
+    # neighbours and inside the atom region too.
+    seen = set()
+    for lam, w in itertools.product((0.5, 5.0), (1.0, 0.25, 1e-6)):
+        cfg = PriorConfig(parse_dist_spec(law), lam, w, 0.05)
+        xs = [0.0, -0.0, lam, -lam, 3.7, -1e8]
+        t = cfg.t_alpha
+        if math.isfinite(t):
+            for v in (t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)):
+                xs += [float(v), -float(v)]
+        for x in xs:
+            cs = hpd_set(cfg, x)
+            seen.add(cs.regime)
+            assert cs.atom_mass.hex() == atom_mass(cfg, x).hex(), (lam, w, x)
+    assert Regime.ATOM in seen and Regime.I in seen
+
+
+@pytest.mark.parametrize("w", [1.0, 0.25])
+def test_one_answer_makes_one_tail_levels_call(monkeypatch, w):
+    # hpd_set reads U, L, the regime and the atom mass off one level pass,
+    # and posterior_probability reads D(x) and the atom mass off one call.
+    calls = []
+    real = posterior_mod.tail_levels
+    counted = lambda cfg, sabs: calls.append(np.size(sabs)) or real(cfg, sabs)
+    monkeypatch.setattr(posterior_mod, "tail_levels", counted)
+    monkeypatch.setattr(hpd_mod, "tail_levels", counted)
+    for law, x in (("t3", 4.2), ("subexp:0.5", 1.1), ("gaussian", 0.0)):
+        cfg = PriorConfig(parse_dist_spec(law), 1.0, w, 0.05)  # fresh: no t_alpha read
+        calls.clear()
+        cs = hpd_set(cfg, x)
+        assert calls == [1]
+        calls.clear()
+        posterior_probability(cfg, x, cs.intervals, include_atom=cs.atom_included)
+        assert calls == [1]
 
 
 def test_hpd_set_regime_three_two_pieces():

@@ -17,6 +17,7 @@ from hpdcover import (
     atom_threshold,
     gap_complement,
     hpd_set,
+    interval_mass,
     make_distribution,
     posterior_normalizer,
     posterior_probability,
@@ -274,6 +275,19 @@ def test_posterior_probability_normalizes():
         for x in (-3.3, 0.0, 1.7, 6.0):
             total = posterior_probability(cfg, x, [(-np.inf, np.inf)], include_atom=cfg.has_atom)
             assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def test_posterior_probability_is_the_mass_over_the_normalizer_plus_the_atom():
+    # One tail_levels call gives D(x) and the atom mass, the very values
+    # posterior_normalizer and atom_mass return: the result is bit-identical
+    # to the sum written with them (intervals right of the band, unclipped).
+    for law, lam, w in (("gaussian", 0.5, 0.25), ("t3", 2.0, 0.5), ("laplace", 1.0, 1.0)):
+        cfg = config(law, lam, w)
+        pieces = [(lam + 0.1, lam + 2.5), (lam + 3.0, np.inf)]
+        for x in (0.0, -0.0, lam, -2.3, 3.7, 40.0):
+            mass = sum(float(interval_mass(cfg.dist, a - x, b - x)) for a, b in pieces)
+            want = mass / posterior_normalizer(cfg, x) + atom_mass(cfg, x)
+            assert posterior_probability(cfg, x, pieces, include_atom=True).hex() == want.hex()
 
 
 def test_posterior_probability_band_interior_is_null():

@@ -3,6 +3,7 @@ import pytest
 
 from hpdcover import (
     PriorConfig,
+    conditional_coverage_exact,
     conditional_coverage_mc,
     credible_set_contains,
     hpd_set,
@@ -31,6 +32,10 @@ def test_conditional_coverage_refuses_a_non_finite_theta0(theta0):
     # The error names the argument the caller passed, not hpd_set's x.
     with pytest.raises(ValueError, match=r"^theta0 must be finite, got"):
         conditional_coverage_mc(config("laplace", 1.0, 1.0), theta0, 20000, seed=0)
+    with pytest.raises(ValueError, match=r"^theta0 must be finite, got"):
+        conditional_coverage_exact(config("laplace", 1.0, 1.0), theta0)
+    with pytest.raises(ValueError, match="w = 1"):
+        conditional_coverage_exact(config("laplace", 1.0, 0.5), 2.0)
 
 
 def test_degenerate_band_gives_shift_interval():
@@ -150,6 +155,8 @@ def test_exact_conditional_coverage_is_one_minus_alpha(law):
                 hit = float(np.sum(interval_mass(d, a - theta0, b - theta0)))
                 selected = float(d.cdf(-lam - theta0)) + float(d.cdf(theta0 - lam))
                 assert abs(hit / selected - (1.0 - alpha)) <= 1e-12
+                # The library's value divides by the additive selection mass.
+                assert abs(conditional_coverage_exact(cfg, theta0) - (1.0 - alpha)) <= 1e-12
 
 
 def test_conditional_coverage_reproducible():
