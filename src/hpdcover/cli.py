@@ -227,6 +227,8 @@ def _cmd_coverage(rc: RunConfig) -> int:
     grid = parse_grid_spec(rc.grid)
     if rc.method == "mc" and rc.n < 1:
         raise ValueError(f"--method mc needs --n >= 1, got {rc.n}")
+    if rc.method == "mc" and rc.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {rc.seed}")
     rc.first_dist()  # surface a bad --dist as a usage error, not a point failure
     tagged = len(rc.lam) > 1 or len(rc.w) > 1
     header = ["lambda", "w"] * tagged + ["theta0", "C", "C_minus", "C_plus", "frac_I", "frac_II",

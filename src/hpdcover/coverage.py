@@ -192,14 +192,16 @@ def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoi
     _draw_flags, overridden by the atom/band rule where it decides; the
     regime fractions count the covering draws' codes in codes * flags.
     Where the rule leaves theta0 uncovered every output is 0, and no draw is
-    made; a non-finite theta0 raises ValueError.
+    made; a non-finite theta0, or an n or seed that draw_chunks refuses,
+    raises ValueError even then.
     """
     _finite_theta0(theta0)
+    draws = draw_chunks(cfg.dist, theta0, n, seed)  # checks n and seed; draws lazily
     fixed, covered = _fixed_cover(cfg, theta0)
     if fixed and not covered:
         return CoveragePoint(float(theta0), 0.0, 0.0, 0.0, dict.fromkeys(_REGIME_KEYS, 0.0))
     hits = np.zeros(6, dtype=np.int64)  # covering, covering with x >= theta0, by regime I-IV
-    for x, u in draw_chunks(cfg.dist, theta0, n, seed):
+    for x, u in draws:
         f_full, codes = _draw_flags(cfg, x, u)
         f_full |= fixed  # here a fixed theta0 is covered from every x
         covering = codes * f_full  # uncovered draws read as ATOM

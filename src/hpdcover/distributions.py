@@ -66,8 +66,9 @@ _ERLANG_MAX_SHAPE = 3
 # capping y there keeps exp(-y) * S(y) from forming 0 * inf at |x| = inf.
 _ERLANG_Y_CAP = 1e3
 
-# The closed-form kernels and the sampler (draw_chunks) run on blocks of this
-# many elements, which keeps temporaries in cache and out of peak memory.
+# The closed-form kernels and the uniform stream (uniform_blocks) run on
+# blocks of this many elements, which keeps temporaries in cache and out of
+# peak memory.
 # Monte Carlo curves over four laws x lam 0.5/5 (w 1, theta0 = lam + 0.5, 1,
 # 2, 4) at 1e6 draws, best of 5 on a 2-vCPU VM, take 4.55 s on one thread and
 # 2.63 s on two in blocks of 2^16, against 4.31 and 3.23 s in blocks of 2^14,
@@ -82,7 +83,7 @@ _ERLANG_Y_CAP = 1e3
 # more at 64.
 _BLOCK = 1 << 16
 _SCALAR_MAX = 4
-# draw_chunks takes the uniforms of this many draws from one Philox stream;
+# uniform_blocks takes the uniforms of this many draws from one Philox stream;
 # Monte Carlo results depend on it, so it is fixed, not a setting.
 _CHUNK = 1 << 20
 
@@ -427,29 +428,48 @@ def make_distribution(name: str, eta: float | None = None) -> Distribution:
     raise ValueError(f"unknown distribution {name!r}")
 
 
-def draw_chunks(dist: Distribution, theta0: float, n: int, seed: int):
-    """Yield n draws of X = theta0 + Z, Z ~ dist, by inverse-CDF sampling, as
-    blocks (x, u): the draws x = theta0 + G^{-1}(u) and their uniforms u.
+def uniform_blocks(n: int, seed: int):
+    """The seeded uniform stream of every Monte Carlo estimate: n uniforms on
+    [0, 1) as blocks of at most _BLOCK.
 
     Chunk i takes its _CHUNK uniforms from one ``random`` call on the i-th
-    Philox stream spawned from the seed, and its draws are made and handed
-    out in slices of at most _BLOCK, so that callers test membership on
-    cache-sized blocks.  u is a view of the chunk's uniforms; it gives each
-    draw's tail mass G(-|Z|) = min(u, 1 - u) without a CDF call.  The
-    quantile is elementwise, so the draws depend on the seed and the chunk
-    size but not on the block size or on worker scheduling.  One ``random``
-    call per chunk holds an 8 MB array per 2^20 draws, yet measured faster
-    than one call per block (4.55 against 5.21 s on one thread, 2.63 against
-    2.79 s on two, for the curves in the _BLOCK note).
+    Philox stream spawned from the seed, and is handed out in slices (views)
+    of at most _BLOCK, so that callers work on cache-sized blocks.  The
+    values depend on the seed and the chunk size, not on the block size or
+    on who consumes the blocks.  One ``random`` call per chunk holds an 8 MB
+    array per 2^20 draws, yet measured faster than one call per block (4.55
+    against 5.21 s on one thread, 2.63 against 2.79 s on two, for the curves
+    in the _BLOCK note).  n and seed are checked here, before any block is
+    made: ValueError names the one that is not a non-negative integer
+    (booleans are not integers here).
     """
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    for i in range(n_chunks):
-        m = min(_CHUNK, n - i * _CHUNK)
-        u = np.random.Generator(np.random.Philox(children[i])).random(m)
-        for j in range(0, m, _BLOCK):
-            block = u[j : j + _BLOCK]
-            yield theta0 + dist.ppf(block), block
+    for name, value in (("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    children = np.random.SeedSequence(seed).spawn((n + _CHUNK - 1) // _CHUNK)
+
+    def blocks():
+        for i, child in enumerate(children):
+            u = np.random.Generator(np.random.Philox(child)).random(min(_CHUNK, n - i * _CHUNK))
+            for j in range(0, u.size, _BLOCK):
+                yield u[j : j + _BLOCK]
+
+    return blocks()
+
+
+def draw_chunks(dist: Distribution, theta0: float, n: int, seed: int):
+    """n draws of X = theta0 + Z, Z ~ dist, by inverse-CDF sampling, as an
+    iterator of blocks (x, u): the draws x = theta0 + G^{-1}(u) of the
+    uniform stream's blocks u (uniform_blocks).
+
+    u gives each draw's tail mass G(-|Z|) = min(u, 1 - u) without a CDF
+    call.  The quantile is elementwise, so the draws depend on the seed and
+    the chunk size but not on the block size or on worker scheduling.  n and
+    seed are checked on the call, before any draw; the draws are made as
+    the blocks are read.  The conditional estimator reads the stream
+    directly, as it needs no draw.
+    """
+    return ((theta0 + dist.ppf(u), u) for u in uniform_blocks(n, seed))
 
 
 def interval_mass(dist: Distribution, a, b):

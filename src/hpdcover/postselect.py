@@ -14,6 +14,13 @@ every boundary refined by the same solver in boundary mode.  The window is
 the coverage scan's half-width.  credible_set_contains tests x in CS(theta)
 pointwise: the atom/band rule where it decides, else the sign of
 scanning.level_margin, the flag the scan itself reads.
+
+The conditional coverage P(theta0 in PS(X) | |X| >= lam) is computed in
+closed form (conditional_coverage_exact) and sampled as a cross-check
+(conditional_coverage_mc).  The sampled check never forms a draw: G is
+increasing, so selection and membership are both thresholds on the seeded
+uniform stream, and an estimate costs one lower_tail call, one level-stage
+call and a few comparisons per uniform.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import draw_chunks, interval_mass
-from .hpd import _finite_theta0, _fixed_cover, _half_width, _levels, endpoint_values, hpd_set
+from .distributions import interval_mass, uniform_blocks
+from .hpd import _endpoint_pass, _finite_theta0, _fixed_cover, _half_width, _levels, endpoint_values
 from .posterior import PriorConfig, gap_complement
 from .scanning import level_margin, member_intervals
 
@@ -91,7 +98,8 @@ def post_selection_set(cfg: PriorConfig, x: float) -> PostSelectionSet:
 
 
 def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) -> tuple[float, float, float]:
-    """Monte Carlo estimate of P(theta0 in PS(X) | |X| >= lam).
+    """Monte Carlo estimate of P(theta0 in PS(X) | |X| >= lam), on the
+    seeded uniform stream alone: no quantile is evaluated.
 
     Membership is evaluated through the defining identity
     theta0 in PS(x) <=> x in CS(theta0).  At w = 1, CS(theta0) is the ball
@@ -99,18 +107,29 @@ def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) 
     q the level stage's tail level at theta0, and selection already leaves
     the band out, so a selected draw x = theta0 + G^{-1}(u) is covered iff
     G(-|Z|) = min(u, 1 - u) >= q: the level test of coverage._draw_flags with
-    x and theta0 swapped, on the draw's own uniform.  Returns (coverage
-    estimate, binomial standard error, selection rate).
+    x and theta0 swapped, on the draw's own uniform.  G is increasing, so
+    selection |theta0 + G^{-1}(u)| >= lam reads u <= G(-lam - theta0) or
+    u >= G(lam - theta0), two thresholds from one lower_tail call (a
+    threshold above 1/2 is 1 - G(-|t|), within half an ulp of 1, where the
+    uniforms are 2^-53 apart).  Both tests sit in u-space, so the counts are
+    those of the draws x themselves except for a draw within rounding of a
+    threshold.  Returns (coverage estimate, binomial standard error,
+    selection rate).
     """
     if cfg.w != 1.0:
         raise ValueError("post-selection coverage requires w = 1")
     if n < 10_000:
         raise ValueError(f"need at least 10000 draws, got {n}")
-    q = float(_levels(cfg, _finite_theta0(theta0))[0][0])
+    t = _finite_theta0(theta0)
+    q = float(_levels(cfg, t)[0][0])
+    band = np.concatenate([-cfg.lam - t, cfg.lam - t])  # selection is Z <= band[0] or Z >= band[1]
+    tails = cfg.dist.lower_tail(np.abs(band))
+    below, above = np.where(band <= 0.0, tails, 1.0 - tails)
     kept = 0
     covered = 0
-    for x, u in draw_chunks(cfg.dist, theta0, n, seed):
-        sel = np.abs(x) >= cfg.lam
+    for u in uniform_blocks(n, seed):
+        sel = u <= below
+        sel |= u >= above
         kept += int(np.count_nonzero(sel))
         sel &= np.minimum(u, 1.0 - u) >= q
         covered += int(np.count_nonzero(sel))
@@ -124,14 +143,16 @@ def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) 
 def conditional_coverage_exact(cfg: PriorConfig, theta0: float) -> float:
     """P(theta0 in PS(X) | |X| >= lam) in closed form, for w = 1.
 
-    It is P(X in CS(theta0)) over P(|X| >= lam): the masses of CS(theta0)'s
-    intervals about theta0 (band-free already; one interval_mass call) over
-    the selection mass gap_complement(theta0).  By the identity behind PS it
-    is 1 - alpha (to 1e-12 on the tier-1 grid; the rounding of the interval
-    ends, ulp(theta0), moves it by about 2e-9 at |theta0| = 1e8), and
-    conditional_coverage_mc samples the same quantity.  Where the selection
-    mass underflows to 0 it raises RuntimeError, as the Monte Carlo
-    estimate does when no draw is selected.
+    It is P(X in CS(theta0)) over P(|X| >= lam): the mass of CS(theta0)
+    over the selection mass gap_complement(theta0).  CS(theta0) is the ball
+    of radius r about theta0 less the band (hpd._levels), so its mass is
+    that of Z in [-r, r] less the band offsets (-lam - theta0, lam - theta0),
+    two pieces in one interval_mass call, with r from one endpoint pass.
+    Offsets about theta0 keep the accuracy that interval ends rounded to
+    ulp(theta0) lose: the value is 1 - alpha to 1e-12 out to |theta0| = 1e12
+    (tested), and conditional_coverage_mc samples the same quantity.  Where
+    the selection mass underflows to 0 it raises RuntimeError, as the Monte
+    Carlo estimate does when no draw is selected.
     """
     if cfg.w != 1.0:
         raise ValueError("post-selection coverage requires w = 1")
@@ -139,5 +160,8 @@ def conditional_coverage_exact(cfg: PriorConfig, theta0: float) -> float:
     selected = float(gap_complement(cfg, t))
     if not selected > 0.0:
         raise RuntimeError(f"the selection mass P(|X| >= lam) underflows to 0 at theta0 = {t!r}")
-    a, b = np.array(hpd_set(cfg, t).intervals, float).reshape(-1, 2).T
-    return float(np.sum(interval_mass(cfg.dist, a - t, b - t))) / selected
+    r = float(_endpoint_pass(cfg, t)[3][0])
+    lo, hi = -cfg.lam - t, cfg.lam - t
+    # A piece that the band swallows is reversed, which interval_mass reads as empty.
+    mass = interval_mass(cfg.dist, [-r, max(-r, hi)], [min(r, lo), r])
+    return float(np.sum(mass)) / selected

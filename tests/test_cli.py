@@ -342,6 +342,22 @@ def test_cli_runtime_error_exit_code(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--dist", "laplace", "--lambda", "1", "--grid", "1:2:2", "--method", "mc",
+     "--n", "2000", "--seed", "-3"],
+    ["postselect-coverage", "--dist", "laplace", "--lambda", "0.5", "--theta0", "2.0",
+     "--n", "10000", "--seed", "-1"],
+], ids=["coverage", "postselect-coverage"])
+def test_cli_refuses_a_negative_seed(tmp_path, capsys, argv):
+    # Both Monte Carlo commands refuse a negative seed as a usage error,
+    # naming it: coverage no longer reports it as a failed curve (exit 1).
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err and "-" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_cli_figure_rejects_empty_coverage_grid(tmp_path, capsys, n):
     code = main(["figure", "1", "--dist", "laplace", "--lambda", "0.5", "--fig-grid-n", str(n),

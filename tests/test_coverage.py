@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -888,6 +889,83 @@ def test_coverage_mc_calls_the_quantile_once_per_draw(monkeypatch, law):
 
 
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_conditional_coverage_mc_makes_no_quantile_call(monkeypatch, law):
+    # Selection and coverage are both read off the uniforms: the draws x
+    # themselves are never formed.
+    cfg = PriorConfig(parse_dist_spec(law), 0.5, 1.0, ALPHA)
+    seen = []
+    real = type(cfg.dist).ppf
+    monkeypatch.setattr(type(cfg.dist), "ppf", lambda self, p: seen.append(np.size(p)) or real(self, p))
+    for theta0 in (1.5, 0.0, -2.0):
+        conditional_coverage_mc(cfg, theta0, (1 << 16) + 1000, 3)
+    assert seen == []
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_conditional_selection_in_u_space_matches_the_draws(law):
+    # u <= G(-lam - theta0) or u >= G(lam - theta0) selects the same draws
+    # as |theta0 + G^{-1}(u)| >= lam on the same seeded stream, and the
+    # covered count is the level test on those draws.
+    d = parse_dist_spec(law)
+    n = (1 << 16) + 1000
+    for lam in (0.0, 0.5, 2.0, 5.0):
+        cfg = PriorConfig(d, lam, 1.0, ALPHA)
+        for theta0 in (-lam - 1.0, -0.3, 0.0, lam, lam + 2.0):
+            q = hpd_mod._levels(cfg, np.array([theta0]))[0][0]
+            kept = covered = 0
+            for x, u in draw_chunks(d, theta0, n, 41):
+                sel = np.abs(x) >= lam
+                kept += np.count_nonzero(sel)
+                covered += np.count_nonzero(sel & (np.minimum(u, 1.0 - u) >= q))
+            if kept == 0:
+                with pytest.raises(RuntimeError, match="selection event"):
+                    conditional_coverage_mc(cfg, theta0, n, 41)
+                continue
+            c_hat, _, rate = conditional_coverage_mc(cfg, theta0, n, 41)
+            assert (c_hat, rate) == (covered / kept, kept / n)
+
+
+@pytest.mark.parametrize("law, lam, w", [("gaussian", 0.5, 0.25), ("t3", 5.0, 1.0), ("subexp:0.5", 2.0, 0.5)])
+def test_mc_curve_rows_equal_per_point_at_any_thread_count(monkeypatch, law, lam, w):
+    # Each point draws its own seeded stream, so a curve's rows at one, two
+    # and (more workers than cores, with a short switch interval) five
+    # threads are the one-point curves and coverage_mc, bit for bit.
+    monkeypatch.setenv("HPD_THREADS", "5")
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, ALPHA)
+    grid = np.array([-lam - 1.0, 0.0, lam / 2.0, lam, lam + 0.7, lam + 3.0])
+    n = 3 * (1 << 16) + 5
+    cols = lambda rep: np.column_stack([rep.C, rep.C_minus, rep.C_plus, *rep.fractions.values()])
+    one = [cols(coverage_curve(cfg, [t], method="mc", n=n, seed=8, threads=1))[0] for t in grid]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 2, 5):
+            assert np.array_equal(cols(coverage_curve(cfg, grid, method="mc", n=n, seed=8, threads=threads)), one)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [coverage_mc(cfg, t, n, 8)[0] for t in grid] == [row[0] for row in one]
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg, n, seed: coverage_mc(cfg, 2.0, n, seed),
+    lambda cfg, n, seed: coverage_mc(cfg, 0.5, n, seed),  # in the band: no draw, still checked
+    lambda cfg, n, seed: coverage_curve(cfg, [2.0, 3.0], method="mc", n=n, seed=seed).C.tolist(),
+    lambda cfg, n, seed: conditional_coverage_mc(cfg, 1.5, n, seed),
+], ids=["coverage_mc", "coverage_mc_in_band", "mc_curve", "conditional"])
+def test_monte_carlo_refuses_bad_draw_arguments(call):
+    # A float draw count once failed inside SeedSequence.spawn with a
+    # TypeError, and a negative seed with a message that did not name it.
+    cfg = config("laplace", 1.0, 1.0)
+    for n, seed, name in ((1e5, 0, "n"), (100_000, -1, "seed"), (100_000, 2.0, "seed"),
+                          (100_000, True, "seed"), (100_000, None, "seed")):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got"):
+            call(cfg, n, seed)
+    with pytest.raises(ValueError, match="^n must be a non-negative integer, got True"):
+        coverage_curve(cfg, [2.0], method="mc", n=True, seed=0)
+    assert call(cfg, np.int64(20_000), np.uint32(3)) == call(cfg, 20_000, 3)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
 def test_coverage_mc_makes_one_lower_tail_call_per_block(monkeypatch, law):
     # The level stage evaluates each block's two tail rows in one lower_tail
     # call and makes no CDF call, at an open and at an atom-covered theta0.
@@ -937,11 +1015,15 @@ def test_monte_carlo_independent_of_block_size(monkeypatch, law, w):
 def test_monte_carlo_peak_memory(law):
     # Blocks of 2^16 draws keep every temporary small; on whole 2^20-draw
     # chunks coverage_mc peaked at 90-97 MiB and the conditional check at
-    # 17-25 MiB.
+    # 17-25 MiB.  The conditional check holds an 8 MiB chunk of uniforms and
+    # its block temporaries (9.1 MiB measured); a 10-point curve on one
+    # thread holds one point's draws at a time (15.7 MiB for t3).
     cfg = PriorConfig(parse_dist_spec(law), 1.0, 1.0, ALPHA)
     n = (1 << 20) + (1 << 16)
+    grid = np.linspace(1.5, 6.0, 10)
     for call, cap in ((lambda: coverage_mc(cfg, 1.5, n, 3), 32),
-                      (lambda: conditional_coverage_mc(cfg, 1.5, n, 3), 16)):
+                      (lambda: conditional_coverage_mc(cfg, 1.5, n, 3), 11),
+                      (lambda: coverage_curve(cfg, grid, method="mc", n=n, seed=3, threads=1), 32)):
         tracemalloc.start()
         try:
             call()

@@ -159,6 +159,20 @@ def test_exact_conditional_coverage_is_one_minus_alpha(law):
                 assert abs(conditional_coverage_exact(cfg, theta0) - (1.0 - alpha)) <= 1e-12
 
 
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_exact_conditional_coverage_holds_at_large_theta0(law):
+    # Far from the band the identity still reads 1 - alpha to 1e-12: the
+    # masses are taken as offsets about theta0, not through interval ends
+    # rounded to ulp(theta0), which moved it by up to 1.9e-6 at 1e12.
+    d = parse_dist_spec(law)
+    for lam in (0.0, 0.5, 2.0, 5.0):
+        for alpha in (0.05, 0.01):
+            cfg = PriorConfig(d, lam, 1.0, alpha)
+            for theta0 in (1e4, 1e6, 1e8, 1e10, 1e12):
+                for t in (theta0, -theta0):
+                    assert abs(conditional_coverage_exact(cfg, t) - (1.0 - alpha)) <= 1e-12
+
+
 def test_conditional_coverage_reproducible():
     cfg = config("laplace", 0.5, 1.0)
     a = conditional_coverage_mc(cfg, 2.0, 10**4, seed=5)
