@@ -3,9 +3,9 @@
 One observation X = theta + noise, noise from a symmetric unimodal law; the
 prior mixes an atom at zero with an improper uniform slab on {|theta| > lam}.
 The package computes the credible sets in closed form, evaluates their exact
-frequentist coverage (with a Monte Carlo cross-check), verifies the coverage
-bounds including the 1 - 3*alpha/2 dip, and converts credible sets into
-post-selection confidence sets.
+frequentist coverage (with a Monte Carlo cross-check), grades the coverage
+bounds, the 1 - 3*alpha/2 dip included, against thresholds fixed before the
+run, and converts credible sets into post-selection confidence sets.
 """
 
 __version__ = "0.1.0"

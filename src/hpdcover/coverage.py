@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import draw_chunks, interval_mass
+from .distributions import interval_mass, uniform_blocks
 from .hpd import (Regime, _finite_theta0, _fixed_cover, _half_width, _levels, endpoint_values,
                   onesided_endpoints, regime_codes, upper_values)
 from .posterior import PriorConfig
@@ -192,16 +192,18 @@ def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoi
     _draw_flags, overridden by the atom/band rule where it decides; the
     regime fractions count the covering draws' codes in codes * flags.
     Where the rule leaves theta0 uncovered every output is 0, and no draw is
-    made; a non-finite theta0, or an n or seed that draw_chunks refuses,
-    raises ValueError even then.
+    made; a non-finite theta0, or an n or seed that uniform_blocks refuses,
+    raises ValueError even then.  The draws are x = theta0 + G^{-1}(u) on
+    the seeded uniform stream's blocks u.
     """
     _finite_theta0(theta0)
-    draws = draw_chunks(cfg.dist, theta0, n, seed)  # checks n and seed; draws lazily
+    blocks = uniform_blocks(n, seed)  # checks n and seed; draws lazily
     fixed, covered = _fixed_cover(cfg, theta0)
     if fixed and not covered:
         return CoveragePoint(float(theta0), 0.0, 0.0, 0.0, dict.fromkeys(_REGIME_KEYS, 0.0))
     hits = np.zeros(6, dtype=np.int64)  # covering, covering with x >= theta0, by regime I-IV
-    for x, u in draws:
+    for u in blocks:
+        x = theta0 + cfg.dist.ppf(u)
         f_full, codes = _draw_flags(cfg, x, u)
         f_full |= fixed  # here a fixed theta0 is covered from every x
         covering = codes * f_full  # uncovered draws read as ATOM
@@ -399,98 +401,73 @@ class BoundReport:
         return {"config": self.config, "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
-def _graded(name: str, margin: float, details: dict, strict: bool = False) -> BoundCheck:
-    """A check that passes when its margin is >= 0 (> 0 when strict)."""
-    return BoundCheck(name, "pass" if (margin > 0 if strict else margin >= 0) else "fail", margin, details)
+def _check(name: str, unmet: list[str], grade, strict: bool = False) -> BoundCheck:
+    """'skipped', naming every unmet hypothesis, or else the (margin, details)
+    of grade(), passing when the margin is >= 0 (> 0 when strict)."""
+    if unmet:
+        return BoundCheck(name, "skipped", None, {"reason": "; ".join(unmet)})
+    margin, details = grade()
+    return BoundCheck(name, "pass" if (margin > 0 if strict else margin >= 0) else "fail", float(margin), details)
 
 
 def check_coverage_bounds(cfg: PriorConfig, theta_grid) -> BoundReport:
-    """Verify the coverage bounds on a non-empty finite theta0 grid, reporting margins.
+    """Grade the coverage bounds on a non-empty finite theta0 grid, reporting margins.
 
-    Checks: (a) the below-x part never exceeds (1-alpha)/2; (b) it stays
-    above 1/2 - alpha minus an alpha**(1+gamma)-scale slack; (c) the dip
-    minimum sits at its predicted level within such a slack; (d) for w = 1 the
-    one-sided baseline coverage is strictly below C + G(-theta0), with the
-    baseline of every theta0 above lam v t_alpha from one batched scan; (e) when
-    the atom threshold exceeds lam, the above-x part below the threshold is
-    at most G(-2*lam).  Hypotheses (tail certificate present, G(-lam) <=
-    alpha, t_alpha <= lam, w = 1) are evaluated and unmet ones produce
-    'skipped', never a silent pass.
-
-    Checks (b) and (c) record the slack this run needs rather than test a
-    given one: the coefficient K of alpha**(1+gamma) is the run's own
-    shortfall or dip deviation over alpha**(1+gamma), times 1.25, and goes
-    into the details as slack_coeff (with calibrated_here true).
+    Checks: (a) the below-x part never exceeds (1-alpha)/2; (b) its
+    shortfall below 1/2 - alpha is at most cstar * alpha**(1+gamma); (c) the
+    dip minimum is within cstar * alpha**(1+gamma) of its predicted level;
+    (d) for w = 1 the one-sided baseline coverage is strictly below
+    C + G(-theta0), with the baseline of every theta0 above lam v t_alpha
+    from one batched scan; (e) when the atom threshold exceeds lam, the
+    above-x part below the threshold is at most G(-2*lam).  (a) and (e)
+    allow scanning.TOL_TAIL above their ceilings.  gamma and cstar are the
+    law's tail certificate, so every threshold (details["bound"]) is fixed
+    before the run.  Hypotheses (tail certificate present, G(-lam) <= alpha,
+    t_alpha <= lam, w = 1) are evaluated and unmet ones produce 'skipped',
+    never a silent pass.
     """
     grid = _finite_theta0(theta_grid)
     if grid.size == 0:
         raise ValueError("theta0 grid must be non-empty")
     d = cfg.dist
     alpha = cfg.alpha
-    gamma = d.tail_gamma
-    has_tail = gamma is not None and d.tail_cstar is not None
-    g_lam_ok = float(d.cdf(-cfg.lam)) <= alpha
-    t_below_lam = cfg.t_alpha <= cfg.lam
-    checks: list[BoundCheck] = []
+    no_tail = [] if d.tail_gamma is not None and d.tail_cstar is not None else ["no tail-decay certificate"]
+    slack = d.tail_cstar * alpha ** (1.0 + d.tail_gamma) if not no_tail else None
 
     above = grid[grid > max(cfg.lam, cfg.t_alpha)]
+    no_above = [] if above.size else ["no theta0 above lam v t_alpha"]
     c_all, c_minus = _exact_batch(cfg, above, fractions=False)[:, :2].T
 
-    # (a) ceiling on the below-x part.
-    if above.size:
-        margin = float(((1.0 - alpha) / 2.0 + 1e-6) - c_minus.max())
-        details = {"max_c_minus": float(c_minus.max()), "bound": (1.0 - alpha) / 2.0}
-        checks.append(_graded("c_minus_ceiling", margin, details))
-    else:
-        checks.append(BoundCheck("c_minus_ceiling", "skipped", None, {"reason": "no theta0 above lam v t_alpha"}))
+    def c_minus_ceiling():
+        ceiling = (1.0 - alpha) / 2.0
+        return ceiling + TOL_TAIL - c_minus.max(), {"max_c_minus": float(c_minus.max()), "bound": ceiling}
 
-    # (b) floor on the below-x part, alpha**(1+gamma)-scale slack.
-    if above.size and has_tail:
-        shortfall = (0.5 - alpha) - c_minus
-        k = max(float(shortfall.max()), 0.0) / alpha ** (1.0 + gamma) * 1.25
-        margin = float(k * alpha ** (1.0 + gamma) - shortfall.max())
-        details = {"slack_coeff": k, "calibrated_here": True, "max_shortfall": float(shortfall.max())}
-        checks.append(_graded("c_minus_floor", margin, details))
-    else:
-        reason = "no tail-decay certificate" if not has_tail else "no theta0 above lam v t_alpha"
-        checks.append(BoundCheck("c_minus_floor", "skipped", None, {"reason": reason}))
+    def c_minus_floor():
+        shortfall = (0.5 - alpha) - c_minus.min()
+        return slack - shortfall, {"max_shortfall": float(shortfall), "bound": slack}
 
-    # (c) dip level against its predicted value.
-    if has_tail and g_lam_ok and t_below_lam:
+    def dip_level():
         dip = dip_search(cfg)
-        k = dip.deviation / alpha ** (1.0 + gamma) * 1.25
-        margin = float(k * alpha ** (1.0 + gamma) - dip.deviation)
         details = {"c_min": dip.c_min, "predicted": dip.predicted, "theta_at_min": dip.theta_at_min}
-        checks.append(_graded("dip_level", margin, {**details, "slack_coeff": k, "calibrated_here": True}))
-    else:
-        reasons = []
-        if not has_tail:
-            reasons.append("no tail-decay certificate")
-        if not g_lam_ok:
-            reasons.append("G(-lam) > alpha")
-        if not t_below_lam:
-            reasons.append("t_alpha > lam")
-        checks.append(BoundCheck("dip_level", "skipped", None, {"reason": "; ".join(reasons)}))
+        return slack - dip.deviation, {**details, "deviation": dip.deviation, "bound": slack}
 
-    # (d) one-sided baseline comparison, strict.
-    if cfg.w == 1.0 and above.size:
-        ms = onesided_coverage_exact(cfg, above)
-        slackless = c_all + np.asarray(d.cdf(-above), float) - ms
-        margin = float(slackless.min())
-        details = {"worst_theta0": float(above[int(np.argmin(slackless))])}
-        checks.append(_graded("onesided_comparison", margin, details, strict=True))
-    else:
-        reason = "requires w = 1" if cfg.w != 1.0 else "no theta0 above lam"
-        checks.append(BoundCheck("onesided_comparison", "skipped", None, {"reason": reason}))
+    def onesided():
+        gaps = c_all + np.asarray(d.cdf(-above), float) - onesided_coverage_exact(cfg, above)
+        return gaps.min(), {"worst_theta0": float(above[int(np.argmin(gaps))]), "bound": 0.0}
 
-    # (e) above-x part in (lam, t_alpha) is at most G(-2*lam).
-    if cfg.t_alpha > cfg.lam and math.isfinite(cfg.t_alpha):
-        inner = np.linspace(cfg.lam, cfg.t_alpha, 9)[1:-1]
-        cp = _exact_batch(cfg, inner, fractions=False)[:, 2]
+    def early_c_plus():
+        cp = _exact_batch(cfg, np.linspace(cfg.lam, cfg.t_alpha, 9)[1:-1], fractions=False)[:, 2]
         bound = float(d.cdf(-2.0 * cfg.lam))
-        margin = float(bound + 1e-9 - cp.max())
-        checks.append(_graded("early_c_plus_ceiling", margin, {"bound": bound, "max_c_plus": float(cp.max())}))
-    else:
-        checks.append(BoundCheck("early_c_plus_ceiling", "skipped", None, {"reason": "t_alpha <= lam (vacuous)"}))
+        return bound + TOL_TAIL - cp.max(), {"bound": bound, "max_c_plus": float(cp.max())}
 
-    return BoundReport(config=_config_summary(cfg), checks=tuple(checks))
+    dip_unmet = no_tail + ["G(-lam) > alpha"] * (float(d.cdf(-cfg.lam)) > alpha)
+    dip_unmet += ["t_alpha > lam"] * (cfg.t_alpha > cfg.lam)
+    early_unmet = [] if cfg.lam < cfg.t_alpha < math.inf else ["t_alpha <= lam (vacuous)"]
+    checks = (
+        _check("c_minus_ceiling", no_above, c_minus_ceiling),
+        _check("c_minus_floor", no_tail + no_above, c_minus_floor),
+        _check("dip_level", dip_unmet, dip_level),
+        _check("onesided_comparison", ["requires w = 1"] * (cfg.w != 1.0) + no_above, onesided, strict=True),
+        _check("early_c_plus_ceiling", early_unmet, early_c_plus),
+    )
+    return BoundReport(config=_config_summary(cfg), checks=checks)

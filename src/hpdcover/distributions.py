@@ -20,8 +20,10 @@ exponential tail condition
     G(1.5 * G^{-1}(t)) < cstar * t**(1 + gamma)   for t in (0, 1),
     g(x) <= cstar * (1 - G(x))**gamma             for x >= 0,
 
-which downstream coverage-bound checks require.  Polynomial-tail models
-(Student t) carry no certificate and are refused by those checks.
+which downstream coverage-bound checks require: cstar * alpha**(1 + gamma)
+is the slack that checks (b) and (c) of coverage.check_coverage_bounds
+grade against.  Polynomial-tail models (Student t) carry no certificate and
+are skipped by those checks.
 """
 
 from __future__ import annotations
@@ -455,21 +457,6 @@ def uniform_blocks(n: int, seed: int):
                 yield u[j : j + _BLOCK]
 
     return blocks()
-
-
-def draw_chunks(dist: Distribution, theta0: float, n: int, seed: int):
-    """n draws of X = theta0 + Z, Z ~ dist, by inverse-CDF sampling, as an
-    iterator of blocks (x, u): the draws x = theta0 + G^{-1}(u) of the
-    uniform stream's blocks u (uniform_blocks).
-
-    u gives each draw's tail mass G(-|Z|) = min(u, 1 - u) without a CDF
-    call.  The quantile is elementwise, so the draws depend on the seed and
-    the chunk size but not on the block size or on worker scheduling.  n and
-    seed are checked on the call, before any draw; the draws are made as
-    the blocks are read.  The conditional estimator reads the stream
-    directly, as it needs no draw.
-    """
-    return ((theta0 + dist.ppf(u), u) for u in uniform_blocks(n, seed))
 
 
 def interval_mass(dist: Distribution, a, b):

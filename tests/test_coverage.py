@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -30,11 +31,18 @@ from hpdcover import coverage as coverage_mod
 from hpdcover import distributions as distributions_mod
 from hpdcover import hpd as hpd_mod
 from hpdcover import scanning as scanning_mod
+from hpdcover.cli import main as cli_main
 from hpdcover.cli import parse_dist_spec
-from hpdcover.distributions import draw_chunks
+from hpdcover.distributions import uniform_blocks
 from hpdcover.figures import _coverage_grid
 
 from conftest import ALL_CONFIGS, ALPHA, config, dist
+
+
+def mc_draws(d, theta0, n, seed):
+    """The Monte Carlo draws (x, u) of coverage._mc_point, block by block:
+    x = theta0 + G^{-1}(u) on the seeded uniform stream."""
+    return ((theta0 + d.ppf(u), u) for u in uniform_blocks(n, seed))
 
 
 def test_uniform_prior_coverage_is_exact():
@@ -367,10 +375,58 @@ def test_check_bounds_panel_config():
     assert by_name["c_minus_ceiling"].status == "pass"
     assert by_name["c_minus_floor"].status == "pass"
     assert by_name["dip_level"].status == "pass"
-    assert by_name["dip_level"].details["calibrated_here"]
+    # (b) and (c) grade against the law's certificate, fixed before the run.
+    slack = cfg.dist.tail_cstar * ALPHA ** (1.0 + cfg.dist.tail_gamma)
+    assert by_name["c_minus_floor"].details["bound"] == by_name["dip_level"].details["bound"] == slack
     assert by_name["onesided_comparison"].status == "pass"
     assert by_name["early_c_plus_ceiling"].status == "skipped"
     assert report.passed
+
+
+def _bounds_cli(tmp_path):
+    out = tmp_path / "b.json"
+    code = cli_main(["bounds", "--dist", "laplace", "--lambda", "5", "--w", "1",
+                     "--alpha", "0.05", "--grid", "5.5:12:8", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_check_bounds_dip_level_fails_against_a_lowered_cstar(monkeypatch, tmp_path):
+    # The laplace dip deviation is 0.373 alpha**1.4 at alpha 0.05, inside
+    # cstar = 4 but not inside 0.25: the check grades, it does not record.
+    cfg = config("laplace", 5.0, 1.0)
+    grid = np.linspace(5.5, 12.0, 8)
+    monkeypatch.setattr(type(cfg.dist), "tail_cstar", 0.25)
+    report = check_coverage_bounds(cfg, grid)
+    by_name = {c.name: c for c in report.checks}
+    dip = by_name["dip_level"]
+    assert dip.status == "fail" and dip.margin < 0.0
+    assert dip.margin == dip.details["bound"] - dip.details["deviation"]
+    assert [c.name for c in report.checks if c.status == "fail"] == ["dip_level"]
+    assert not report.passed
+    code, payload = _bounds_cli(tmp_path)
+    assert code == 1 and not payload["passed"]
+
+
+def test_check_bounds_c_minus_floor_fails_on_a_lowered_c_minus(monkeypatch, tmp_path):
+    # C- lowered by 0.1 puts its shortfall below 1/2 - alpha past the slack
+    # cstar * alpha**(1+gamma) = 0.060 of laplace at alpha 0.05.
+    real = coverage_mod._exact_batch
+
+    def lowered(cfg, theta0, fractions=True):
+        rows = real(cfg, theta0, fractions)
+        rows[:, 1] -= 0.1
+        return rows
+
+    monkeypatch.setattr(coverage_mod, "_exact_batch", lowered)
+    cfg = config("laplace", 5.0, 1.0)
+    report = check_coverage_bounds(cfg, np.linspace(5.5, 12.0, 8))
+    floor = next(c for c in report.checks if c.name == "c_minus_floor")
+    assert floor.status == "fail"
+    assert floor.margin == floor.details["bound"] - floor.details["max_shortfall"] < 0.0
+    assert [c.name for c in report.checks if c.status == "fail"] == ["c_minus_floor"]
+    assert not report.passed
+    code, payload = _bounds_cli(tmp_path)
+    assert code == 1 and not payload["passed"]
 
 
 def test_check_bounds_skips_without_tail_certificate():
@@ -826,7 +882,7 @@ def test_monte_carlo_fixed_cover_split(law, lam, w, theta_mc, mc, grid, rows):
     fixed, covered = hpd_mod._fixed_cover(cfg, np.array(grid))
     assert fixed.any()
     for theta0, row, cov in zip(np.array(grid)[fixed], np.array(rows)[fixed], covered[fixed]):
-        above = sum(np.count_nonzero(x >= theta0) for x, _ in draw_chunks(cfg.dist, theta0, MC_PIN_N, MC_PIN_SEED))
+        above = sum(np.count_nonzero(x >= theta0) for x, _ in mc_draws(cfg.dist, theta0, MC_PIN_N, MC_PIN_SEED))
         count = above if cov else 0
         assert tuple(row[:3]) == (float(cov), count / MC_PIN_N, (MC_PIN_N * cov - count) / MC_PIN_N)
 
@@ -862,7 +918,7 @@ def test_level_membership_matches_hpd_contains(law, lam, w):
     for theta0 in (lam, -lam, lam + 0.3, lam + 3.0, -lam - 1.1):
         if hpd_mod._fixed_cover(cfg, theta0)[0]:
             continue
-        for x, u in draw_chunks(cfg.dist, theta0, 20_000, 29):
+        for x, u in mc_draws(cfg.dist, theta0, 20_000, 29):
             flags, codes = coverage_mod._draw_flags(cfg, x, u)
             assert np.array_equal(flags, credible_set_contains(cfg, x, theta0))
             assert np.array_equal(codes, endpoints(cfg, x)[2])
@@ -913,7 +969,7 @@ def test_conditional_selection_in_u_space_matches_the_draws(law):
         for theta0 in (-lam - 1.0, -0.3, 0.0, lam, lam + 2.0):
             q = hpd_mod._levels(cfg, np.array([theta0]))[0][0]
             kept = covered = 0
-            for x, u in draw_chunks(d, theta0, n, 41):
+            for x, u in mc_draws(d, theta0, n, 41):
                 sel = np.abs(x) >= lam
                 kept += np.count_nonzero(sel)
                 covered += np.count_nonzero(sel & (np.minimum(u, 1.0 - u) >= q))

@@ -11,7 +11,7 @@ from scipy import integrate, special
 from hpdcover import check_tail_decay, interval_mass, make_distribution
 from hpdcover import distributions as distributions_mod
 from hpdcover.cli import parse_dist_spec
-from hpdcover.distributions import SubExponential, draw_chunks
+from hpdcover.distributions import SubExponential, uniform_blocks
 
 ALL_NAMES = ["gaussian", "laplace", "t3", "subexp"]
 
@@ -421,14 +421,15 @@ def test_draw_chunks_stream_is_one_random_call_per_chunk(monkeypatch, name):
     d = build(name)
     n, chunk, seed, theta0 = 3 * (1 << 16) + 123, (1 << 17) + 5, 41, 1.25
     monkeypatch.setattr(distributions_mod, "_CHUNK", chunk)
-    # Each block hands out its draws with the uniforms they came from.
-    blocks = list(draw_chunks(d, theta0, n, seed))
-    got, got_u = (np.concatenate(col) for col in zip(*blocks))
+    # Monte Carlo draws x = theta0 + G^{-1}(u) block by block, as
+    # coverage._mc_point does; the quantile is elementwise, so they equal
+    # the draws of whole chunks.
+    blocks = list(uniform_blocks(n, seed))
+    assert [u.size for u in blocks] == [1 << 16, 1 << 16, 5, 1 << 16, 118]
+    got = np.concatenate([theta0 + d.ppf(u) for u in blocks])
     children = np.random.SeedSequence(seed).spawn(2)
     sizes = (chunk, n - chunk)
     stream = [np.random.Generator(np.random.Philox(c)).random(m) for c, m in zip(children, sizes)]
     ref = np.concatenate([theta0 + d.ppf(u) for u in stream])
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-    assert np.array_equal(got_u.view(np.uint64), np.concatenate(stream).view(np.uint64))
-    for x, u in blocks:
-        assert np.array_equal(x.view(np.uint64), (theta0 + d.ppf(u)).view(np.uint64))
+    assert np.array_equal(np.concatenate(blocks).view(np.uint64), np.concatenate(stream).view(np.uint64))

@@ -247,8 +247,8 @@ def test_evaluator_matches_per_regime_formulas(law):
         seq = codes[order][xs[order] > 0]
         runs = seq[np.r_[True, seq[1:] != seq[:-1]]]
         assert list(runs) == [Regime.ATOM, Regime.II, Regime.III, Regime.II, Regime.I]
-    # One Monte Carlo block of draws about theta0 = 1.5, as draw_chunks hands
-    # them out, so the kernels run on whole blocks.
+    # One Monte Carlo block of draws about theta0 = 1.5, as coverage_mc makes
+    # them, so the kernels run on whole blocks.
     cfg = PriorConfig(parse_dist_spec(law), 0.5, 0.25, 0.05)
     xs = 1.5 + cfg.dist.ppf(rng.random(1 << 16))
     up, codes = _paper_upper(cfg, xs)
