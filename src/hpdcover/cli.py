@@ -42,27 +42,30 @@ __all__ = ["RunConfig", "parse_dist_spec", "parse_grid_spec", "cmd_figure", "mai
 
 
 def parse_dist_spec(spec: str) -> Distribution:
-    """Parse a --dist value: gaussian | laplace | t3 | subexp:ETA."""
+    """Parse one --dist law: gaussian | laplace | t3 | subexp:ETA; a ValueError names the spec."""
     name, _, tail = spec.strip().partition(":")
-    if tail:
-        return make_distribution(name, eta=float(tail))
-    return make_distribution(name)
+    try:
+        return make_distribution(name, eta=float(tail) if tail else None)
+    except ValueError as exc:
+        raise ValueError(f"--dist {spec!r}: {exc}") from None
 
 
 def parse_grid_spec(spec: str) -> np.ndarray:
-    """Parse a:b:n into n evenly spaced points from a to b."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must look like a:b:n, got {spec!r}")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1 or not (math.isfinite(a) and math.isfinite(b)) or b < a:
-        raise ValueError(f"bad grid spec {spec!r}")
-    return np.linspace(a, b, n)
+    """Parse a:b:n into n evenly spaced points from a to b (finite a <= b, an integer n >= 1)."""
+    try:
+        a, b, n = spec.split(":")
+        a, b, n = float(a), float(b), int(n)
+        if n >= 1 and math.isfinite(a) and math.isfinite(b) and a <= b:
+            return np.linspace(a, b, n)
+    except ValueError:
+        pass
+    raise ValueError(f"--grid takes a:b:n with finite a <= b and an integer n >= 1, got {spec!r}")
 
 
 @dataclass
 class RunConfig:
-    """One run's full configuration; round-trips losslessly through key=value text."""
+    """One run's full configuration, as from_dict reads it from a config file's
+    key=value text, from flags or from a figure sidecar's JSON."""
 
     dist: str = "laplace"
     lam: tuple[float, ...] = (0.5,)
@@ -84,35 +87,14 @@ class RunConfig:
         if not (self.lam and self.w):
             raise ValueError("lam and w each need at least one value")
 
-    def first_dist(self) -> Distribution:
-        return parse_dist_spec(self.dist.split(",")[0])
-
-    def dists(self) -> list[Distribution]:
-        return [parse_dist_spec(s) for s in self.dist.split(",")]
+    def law(self) -> Distribution:
+        """The --dist law of every command but figure 1, which alone reads a comma list."""
+        if "," in self.dist:
+            raise ValueError(f"--dist takes one law (a comma list is for figure 1 only), got {self.dist!r}")
+        return parse_dist_spec(self.dist)
 
     def prior(self) -> PriorConfig:
-        return PriorConfig(dist=self.first_dist(), lam=self.lam[0], w=self.w[0], alpha=self.alpha)
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["lam"] = list(self.lam)
-        d["w"] = list(self.w)
-        return d
-
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                text = ",".join(repr(float(e)) for e in v)
-            elif isinstance(v, float):
-                text = repr(v)
-            elif isinstance(v, bool):
-                text = "true" if v else "false"
-            else:
-                text = str(v)
-            lines.append(f"{f.name}={text}")
-        return "\n".join(lines) + "\n"
+        return PriorConfig(dist=self.law(), lam=self.lam[0], w=self.w[0], alpha=self.alpha)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -126,10 +108,6 @@ class RunConfig:
             values[key] = _parse_field(fields[key], val)
         return cls(**values)
 
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        return cls.from_dict(_config_pairs(text))
-
 
 def _config_pairs(text: str) -> dict:
     """The key=value pairs of a config file, as text; blank and # lines skipped."""
@@ -142,20 +120,22 @@ def _config_pairs(text: str) -> dict:
     return pairs
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_TAKES = {"tuple[float, ...]": "a comma list of numbers", "float": "a number", "int": "an integer",
+          "bool": "true or false"}
+
+
 def _parse_field(f, val):
-    if f.type == "tuple[float, ...]":
-        parts = val.split(",") if isinstance(val, str) else val
-        return tuple(float(p) for p in parts if p != "")
-    if f.type == "float":
-        return float(val)
-    if f.type == "int":
-        return int(val)
-    if f.type == "bool":
-        text = str(val).lower()
-        if text not in ("1", "true", "yes", "0", "false", "no"):
-            raise ValueError(f"config key {f.name!r} takes true or false, got {val!r}")
-        return text in ("1", "true", "yes")
-    return val
+    """val, as text or as itself, read as field f's type; a value that does not
+    read is a ValueError naming the key."""
+    try:
+        if f.type == "tuple[float, ...]":
+            return tuple(float(p) for p in (val.split(",") if isinstance(val, str) else val) if p != "")
+        if f.type == "bool":
+            return _BOOLS[str(val).lower()]
+        return {"float": float, "int": int}.get(f.type, str)(val)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"config key {f.name!r} takes {_TAKES[f.type]}, got {val!r}") from None
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -205,8 +185,6 @@ def _json_text(obj) -> str:
 
 
 def _cmd_hpd(rc: RunConfig) -> int:
-    if math.isnan(rc.x):
-        raise ValueError("hpd requires --x")
     cs = hpd_set(rc.prior(), rc.x)
     payload = {
         "x": cs.x,
@@ -222,14 +200,12 @@ def _cmd_hpd(rc: RunConfig) -> int:
 
 
 def _cmd_coverage(rc: RunConfig) -> int:
-    if not rc.grid:
-        raise ValueError("coverage requires --grid a:b:n")
     grid = parse_grid_spec(rc.grid)
     if rc.method == "mc" and rc.n < 1:
         raise ValueError(f"--method mc needs --n >= 1, got {rc.n}")
     if rc.method == "mc" and rc.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {rc.seed}")
-    rc.first_dist()  # surface a bad --dist as a usage error, not a point failure
+    law = rc.law()
     tagged = len(rc.lam) > 1 or len(rc.w) > 1
     header = ["lambda", "w"] * tagged + ["theta0", "C", "C_minus", "C_plus", "frac_I", "frac_II",
                                          "frac_III", "frac_IV", "method", "n", "seed"]
@@ -242,7 +218,7 @@ def _cmd_coverage(rc: RunConfig) -> int:
             key = struct.pack("<2d", lam, w)
             if key not in curves:
                 try:
-                    cfg = PriorConfig(dist=rc.first_dist(), lam=lam, w=w, alpha=rc.alpha)
+                    cfg = PriorConfig(dist=law, lam=lam, w=w, alpha=rc.alpha)
                     curves[key] = coverage_curve(
                         cfg, grid, method=rc.method,
                         n=rc.n, seed=rc.seed, threads=rc.threads if rc.threads > 0 else None,
@@ -262,8 +238,6 @@ def _cmd_coverage(rc: RunConfig) -> int:
 
 
 def _cmd_bounds(rc: RunConfig) -> int:
-    if not rc.grid:
-        raise ValueError("bounds requires --grid a:b:n")
     grid = parse_grid_spec(rc.grid)
     cfg = rc.prior()
     report = check_coverage_bounds(cfg, grid)
@@ -272,8 +246,6 @@ def _cmd_bounds(rc: RunConfig) -> int:
 
 
 def _cmd_postselect(rc: RunConfig) -> int:
-    if math.isnan(rc.x):
-        raise ValueError("postselect requires --x")
     ps = post_selection_set(rc.prior(), rc.x)
     payload = {
         "x": ps.x,
@@ -286,8 +258,6 @@ def _cmd_postselect(rc: RunConfig) -> int:
 
 
 def _cmd_postselect_coverage(rc: RunConfig) -> int:
-    if math.isnan(rc.theta0):
-        raise ValueError("postselect-coverage requires --theta0")
     cfg = rc.prior()
     c_hat, stderr, acc = conditional_coverage_mc(cfg, rc.theta0, rc.n, rc.seed)
     exact = conditional_coverage_exact(cfg, rc.theta0)
@@ -306,17 +276,16 @@ def cmd_figure(fig_id: int, rc: RunConfig) -> list[Path]:
         ws = list(rc.w) if rc.w != (1.0,) else [0.125, 0.25, 0.5, 1.0]
         side_extra["w_sweep"] = ws
         side_extra["w_sweep_is_default_assumption"] = rc.w == (1.0,)
-        header, blocks = coverage_panels_rows(
-            rc.dists(), list(rc.lam), ws, rc.alpha, rc.fig_grid_n, rc.mirror
-        )
+        dists = [parse_dist_spec(s) for s in rc.dist.split(",")]
+        header, blocks = coverage_panels_rows(dists, list(rc.lam), ws, rc.alpha, rc.fig_grid_n, rc.mirror)
     elif fig_id == 2:
         header, blocks, side = posterior_illustration_rows(make_distribution("gaussian"), rc.alpha)
     elif fig_id == 3:
-        header, blocks = radius_functions_rows(rc.first_dist(), rc.alpha)
+        header, blocks = radius_functions_rows(rc.law(), rc.alpha)
     elif fig_id == 4:
-        header, blocks = endpoint_curves_rows(rc.first_dist(), rc.alpha)
+        header, blocks = endpoint_curves_rows(rc.law(), rc.alpha)
     elif fig_id == 5:
-        header, blocks = length_curves_rows(rc.first_dist(), rc.alpha)
+        header, blocks = length_curves_rows(rc.law(), rc.alpha)
     else:
         raise ValueError(f"unknown figure id {fig_id}; expected 1..5")
     outdir = Path(rc.outdir)  # made only once the blocks exist, so a failed figure leaves none
@@ -327,7 +296,7 @@ def cmd_figure(fig_id: int, rc: RunConfig) -> list[Path]:
     sidecar = {
         "figure": fig_id,
         "library_version": __version__,
-        "config": rc.to_dict(),
+        "config": dataclasses.asdict(rc),
         "notes": side_extra,
         "series": side,
     }
@@ -346,7 +315,7 @@ def _cmd_figure(rc: RunConfig, fig_id: int) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--dist", help="gaussian | laplace | t3 | subexp:ETA (comma list for figures)")
+    p.add_argument("--dist", help="gaussian | laplace | t3 | subexp:ETA (a comma list for figure 1 only)")
     p.add_argument("--lambda", dest="lam", help="band half-width (comma list allowed)")
     p.add_argument("--w", help="slab weight in (0, 1] (comma list allowed)")
     p.add_argument("--alpha", type=float, help="credibility tail level in (0, 1)")
@@ -402,12 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command's handler and the one input it cannot run without.
 _HANDLERS = {
-    "hpd": _cmd_hpd,
-    "coverage": _cmd_coverage,
-    "bounds": _cmd_bounds,
-    "postselect": _cmd_postselect,
-    "postselect-coverage": _cmd_postselect_coverage,
+    "hpd": (_cmd_hpd, "x"),
+    "coverage": (_cmd_coverage, "grid"),
+    "bounds": (_cmd_bounds, "grid"),
+    "postselect": (_cmd_postselect, "x"),
+    "postselect-coverage": (_cmd_postselect_coverage, "theta0"),
 }
 
 
@@ -446,7 +416,11 @@ def main(argv=None) -> int:
         rc = _load_config(args)
         if args.command == "figure":
             return _cmd_figure(rc, args.fig)
-        return _HANDLERS[args.command](rc)
+        handler, needed = _HANDLERS[args.command]
+        given = getattr(rc, needed)
+        if given == "" or given != given:  # an unset grid is "", an unset x or theta0 NaN
+            raise ValueError(f"{args.command} requires --{needed}")
+        return handler(rc)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,7 +63,10 @@ _REGIME_KEYS = ("I", "II", "III", "IV")
 def thread_count(requested: int | None = None) -> int:
     """Worker count for Monte Carlo coverage curves, capped by HPD_THREADS."""
     cap = os.environ.get("HPD_THREADS", "").strip()
-    cap_n = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        cap_n = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"HPD_THREADS must be an integer, got {cap!r}") from None
     n = requested if requested else (os.cpu_count() or 1)
     return max(1, min(n, cap_n))
 
@@ -84,6 +87,24 @@ class CoveragePoint:
 # theta0 per scan: the regime-fraction block and the refine batch grow with
 # the theta0 count, so a long array is scanned in runs of this many.
 _RUN = 4096
+# Largest float spacing at a scan window's outer edge |theta0| + reach.  Cut
+# abscissas round to it, and C drifts from its far-field value: by at most
+# 8.4e-10 at spacings 2^-26 and 2^-25, by 1.3e-9 (> TOL_TAIL) at 2^-24 (four
+# laws, lam 0.5/2/5, w 1/0.25).  2^-26, one binade inside the last passing
+# spacing, refuses window edges from 2^27 (~1.3e8) on.
+_EDGE_SPACING = 2.0**-26
+
+
+def _scan_theta0(theta0, reach: float) -> np.ndarray:
+    """theta0 as a flat finite array (hpd._finite_theta0); ValueError naming the
+    largest |theta0| if its window edge |theta0| + reach is spaced above _EDGE_SPACING."""
+    ts = _finite_theta0(theta0)
+    edge = np.abs(ts).max(initial=0.0) + reach
+    if np.spacing(edge) > _EDGE_SPACING:
+        far = float(ts[np.argmax(np.abs(ts))])
+        raise ValueError(f"theta0 = {far!r} is too large for an exact scan: the float spacing "
+                         f"at its window edge {edge:g} is {np.spacing(edge):g}, above {_EDGE_SPACING:g}")
+    return ts
 
 
 def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, fractions: bool = True) -> np.ndarray:
@@ -134,12 +155,12 @@ def _exact_batch(cfg: PriorConfig, theta0, fractions: bool = True) -> np.ndarray
     C and swaps regimes II and IV and the sides of x = theta0 (a null set),
     so -theta0 takes the row of |theta0| with C-/C+ and frac_II/IV swapped.
     """
-    ts = _finite_theta0(theta0)
+    half = _half_width(cfg)
+    ts = _scan_theta0(theta0, half)
     cols = [0, 2, 1, 3, 6, 5, 4] if fractions else [0, 2, 1]
     if ts.size == 0:
         return np.empty((0, len(cols)))
     mag, inv = np.unique(np.abs(ts), return_inverse=True)
-    half = _half_width(cfg)
     runs = (mag[i : i + _RUN] for i in range(0, mag.size, _RUN))
     rows = np.concatenate([_exact_sorted(cfg, m, half, fractions) for m in runs])[inv]
     return np.where((ts < 0.0)[:, None], rows[:, cols], rows)
@@ -300,11 +321,10 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0):
     within about G^{-1}(1 - alpha/2) + 0.5 of theta0, the reach that bounds
     the grid step; it needs no x >= theta0 split, so theta0 is not a grid point.
     """
-    if cfg.w != 1.0:
-        raise ValueError("one-sided baseline coverage requires w = 1")
+    cfg.require_no_atom("one-sided baseline coverage")
     d = cfg.dist
-    ts, inv = np.unique(_finite_theta0(theta0), return_inverse=True)
     left, right = float(d.ppf_upper(TOL_TAIL / 2.0)), float(d.ppf_upper(cfg.alpha / 2.0))
+    ts, inv = np.unique(_scan_theta0(theta0, max(left, right + 0.5)), return_inverse=True)
     switch = cfg.lam + float(d.ppf(1.0 / (1.0 + cfg.alpha)))
     curves = lambda xs: onesided_endpoints(cfg, xs)
     out = np.empty(ts.size)

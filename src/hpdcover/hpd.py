@@ -22,13 +22,12 @@ one-sided analogue (uniform prior on (lam, inf)) used as a baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .posterior import PriorConfig, tail_levels
+from .posterior import PriorConfig, _require_finite, tail_levels
 from .scanning import TOL_TAIL, sign_change_roots
 
 __all__ = [
@@ -211,8 +210,7 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
     pass's level stage formed (_levels), so the answer costs one
     tail_levels call; it equals posterior.atom_mass bit for bit.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    _require_finite("x", x)
     up, low, codes, r, kg, sk = _endpoint_pass(cfg, x)
     regime, lam = Regime(int(codes[0])), cfg.lam
     upper, lower = float(up[0]), float(low[0])  # NaN on the atom region
@@ -304,7 +302,7 @@ def _finite_theta0(theta0) -> np.ndarray:
     """theta0 as a flat float array; ValueError on any non-finite value."""
     ts = np.asarray(theta0, float).ravel()
     if not np.all(np.isfinite(ts)):
-        raise ValueError(f"theta0 must be finite, got {float(ts[~np.isfinite(ts)][0])!r}")
+        _require_finite("theta0", float(ts[~np.isfinite(ts)][0]))
     return ts
 
 
@@ -376,11 +374,6 @@ def smallest_lower_inverse(cfg: PriorConfig, theta0: float) -> float:
 # One-sided baseline: uniform prior on (lam, inf), no atom.
 
 
-def _require_onesided(cfg: PriorConfig):
-    if cfg.w != 1.0:
-        raise ValueError("the one-sided baseline is defined for w = 1 only")
-
-
 def onesided_radii(cfg: PriorConfig, x):
     """Radii (r1, r2) of the one-sided HPD interval for the prior 1(theta > lam).
 
@@ -397,7 +390,7 @@ def onesided_radii(cfg: PriorConfig, x):
 def onesided_endpoints(cfg: PriorConfig, x):
     """(U1(x), L1(x)) of the one-sided HPD from one radius evaluation:
     x + max(r1, r2) and the interior value x - r1 floored at lam."""
-    _require_onesided(cfg)
+    cfg.require_no_atom("the one-sided baseline")
     arr = np.asarray(x, float)
     r1, r2 = onesided_radii(cfg, arr)
     return arr + np.maximum(r1, r2), np.maximum(cfg.lam, arr - r1)

@@ -67,6 +67,11 @@ class PriorConfig:
     def has_atom(self) -> bool:
         return self.w < 1.0
 
+    def require_no_atom(self, what: str):
+        """The one w = 1 rule: ValueError "<what> requires w = 1" with an atom."""
+        if self.has_atom:
+            raise ValueError(f"{what} requires w = 1")
+
     @cached_property
     def t_alpha(self) -> float:
         """Threshold on |x| up to which the atom alone is a (1-alpha) set.
@@ -75,6 +80,13 @@ class PriorConfig:
         when the atom stays above 1 - alpha out to the bracket cap.
         """
         return atom_threshold(self)
+
+
+def _require_finite(name: str, value):
+    """The one finiteness rule: ValueError "<name> must be finite, got <value>"
+    unless the scalar value is finite (one math.isfinite call)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _as_array(x):
@@ -193,8 +205,7 @@ def posterior_probability(cfg: PriorConfig, x: float, intervals, include_atom: b
     D(x) = s + kg and the atom mass kg / D(x) come from one tail_levels call,
     the values posterior_normalizer and atom_mass return.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    _require_finite("x", x)
     pairs = _validated_intervals(intervals)
     d = cfg.dist
     lam = cfg.lam

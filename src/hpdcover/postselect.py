@@ -32,7 +32,7 @@ import numpy as np
 
 from .distributions import interval_mass, uniform_blocks
 from .hpd import _endpoint_pass, _finite_theta0, _fixed_cover, _half_width, _levels, endpoint_values
-from .posterior import PriorConfig, gap_complement
+from .posterior import PriorConfig, _require_finite, gap_complement
 from .scanning import level_margin, member_intervals
 
 __all__ = [
@@ -65,22 +65,12 @@ def credible_set_contains(cfg: PriorConfig, data_values, x: float):
     inside the band); elsewhere x is a member iff level_margin(U, L, x) >= 0,
     that is L(theta) <= x <= U(theta), false on the all-atom region.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    _require_finite("x", x)
     thetas = np.atleast_1d(np.asarray(data_values, float))
     fixed, covered = _fixed_cover(cfg, x)
     if fixed:
         return np.full(thetas.shape, bool(covered))
     return level_margin(*endpoint_values(cfg, thetas), x) >= 0.0
-
-
-def _require_selected(cfg: PriorConfig, x: float):
-    if cfg.w != 1.0:
-        raise ValueError("post-selection sets are defined for w = 1 only")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    if abs(x) < cfg.lam:
-        raise ValueError(f"|x| = {abs(x)} < lam = {cfg.lam}: observation was not selected")
 
 
 def post_selection_set(cfg: PriorConfig, x: float) -> PostSelectionSet:
@@ -90,7 +80,10 @@ def post_selection_set(cfg: PriorConfig, x: float) -> PostSelectionSet:
     PS(x); the set is a finite interval union found by the same scan plus
     boundary solver used for coverage.
     """
-    _require_selected(cfg, x)
+    cfg.require_no_atom("a post-selection set")
+    _require_finite("x", x)
+    if abs(x) < cfg.lam:
+        raise ValueError(f"|x| = {abs(x)} < lam = {cfg.lam}: observation was not selected")
     half = _half_width(cfg)
     curves = lambda thetas: endpoint_values(cfg, thetas)
     _, a, b = member_intervals(curves, x, x - half, x + half, [cfg.lam, -cfg.lam, x, -x])
@@ -116,8 +109,7 @@ def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) 
     threshold.  Returns (coverage estimate, binomial standard error,
     selection rate).
     """
-    if cfg.w != 1.0:
-        raise ValueError("post-selection coverage requires w = 1")
+    cfg.require_no_atom("post-selection coverage")
     if n < 10_000:
         raise ValueError(f"need at least 10000 draws, got {n}")
     t = _finite_theta0(theta0)
@@ -154,8 +146,7 @@ def conditional_coverage_exact(cfg: PriorConfig, theta0: float) -> float:
     the selection mass underflows to 0 it raises RuntimeError, as the Monte
     Carlo estimate does when no draw is selected.
     """
-    if cfg.w != 1.0:
-        raise ValueError("post-selection coverage requires w = 1")
+    cfg.require_no_atom("post-selection coverage")
     t = float(_finite_theta0(theta0)[0])
     selected = float(gap_complement(cfg, t))
     if not selected > 0.0:

@@ -45,7 +45,14 @@ def test_parse_grid_spec():
         parse_grid_spec("3:1:5")
 
 
+def _read_config(text: str) -> RunConfig:
+    """A config file's text as the CLI reads it: its pairs, then from_dict."""
+    return RunConfig.from_dict(cli_mod._config_pairs(text))
+
+
 def test_runconfig_roundtrip():
+    # A figure sidecar's config (dataclasses.asdict as JSON) and the same
+    # values as config-file text both read back to the run's configuration.
     rc = RunConfig(
         dist="subexp:0.7",
         lam=(0.5, 5.0),
@@ -59,19 +66,20 @@ def test_runconfig_roundtrip():
         mirror=False,
         out="a.csv",
     )
-    text = rc.to_text()
-    back = RunConfig.from_text(text)
-    # NaN placeholders defeat == on the dataclass; the textual form is the
-    # canonical representation and must be a fixed point.
-    assert back.to_text() == text
-    assert back.lam == rc.lam and back.w == rc.w
-    assert back.alpha == rc.alpha and back.mirror is False
-    assert math.isnan(back.theta0) and back.x == 1.25
+    from_json = RunConfig.from_dict(json.loads(cli_mod._json_text(dataclasses.asdict(rc))))
+    text = "".join(f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                   for k, v in dataclasses.asdict(rc).items())
+    # NaN placeholders defeat == on the dataclass; its repr is exact.
+    for back in (from_json, _read_config(text)):
+        assert repr(back) == repr(rc)
+        assert back.lam == rc.lam and back.w == rc.w
+        assert back.alpha == rc.alpha and back.mirror is False
+        assert math.isnan(back.theta0) and back.x == 1.25
 
 
 def test_runconfig_rejects_unknown_keys():
     with pytest.raises(ValueError):
-        RunConfig.from_text("nope=1\n")
+        _read_config("nope=1\n")
 
 
 def test_runconfig_from_dict_reads_as_the_config_file_does():
@@ -86,13 +94,13 @@ def test_runconfig_from_dict_reads_as_the_config_file_does():
 
 @pytest.mark.parametrize("val, want", [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("false", False), ("No", False)])
 def test_runconfig_reads_booleans(val, want):
-    assert RunConfig.from_text(f"mirror={val}\n").mirror is want
+    assert _read_config(f"mirror={val}\n").mirror is want
 
 
 @pytest.mark.parametrize("val", ["maybe", "", "2", "on"])
 def test_runconfig_rejects_other_booleans(val):
     with pytest.raises(ValueError, match="'mirror' takes true or false"):
-        RunConfig.from_text(f"mirror={val}\n")
+        _read_config(f"mirror={val}\n")
 
 
 def test_cli_config_rejects_a_boolean_it_cannot_read(tmp_path, capsys):
@@ -170,7 +178,7 @@ def test_cli_list_flag_reads_as_its_config_key(tmp_path, capsys, text):
         assert not out.exists()
         return
     load = lambda argv: cli_mod._load_config(cli_mod.build_parser().parse_args(argv))
-    assert load(flag).to_text() == load(keyed).to_text() and load(flag).lam == (5.0,)
+    assert repr(load(flag)) == repr(load(keyed)) and load(flag).lam == (5.0,)
     assert main(flag) == 0 and out.exists()
 
 
@@ -469,6 +477,75 @@ def test_thread_count_env_cap(monkeypatch):
     assert thread_count(8) == 1
     monkeypatch.delenv("HPD_THREADS")
     assert thread_count(1) == 1
+
+
+def test_thread_count_names_a_cap_it_cannot_read(monkeypatch, tmp_path, capsys):
+    # HPD_THREADS=abc once failed with "invalid literal for int() with base 10: 'abc'".
+    from hpdcover.coverage import thread_count
+
+    monkeypatch.setenv("HPD_THREADS", "abc")
+    with pytest.raises(ValueError, match="^HPD_THREADS must be an integer, got 'abc'$"):
+        thread_count()
+    argv = ["coverage", "--dist", "laplace", "--lambda", "1", "--grid", "1.5:2:2", "--method", "mc",
+            "--n", "2000", "--out", str(tmp_path / "mc.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith(": HPD_THREADS must be an integer, got 'abc'\n")
+
+
+@pytest.mark.parametrize("command", [["hpd", "--x", "6.2"], ["coverage", "--grid", "5.5:9:2"],
+                                     ["bounds", "--grid", "5.5:9:2"], ["postselect", "--x", "6.2"],
+                                     ["postselect-coverage", "--theta0", "6.2"],
+                                     ["figure", "3"], ["figure", "4"], ["figure", "5"]])
+def test_cli_single_law_commands_refuse_a_dist_list(tmp_path, capsys, command):
+    # These read the first law of a list and dropped the rest without a word:
+    # hpd --dist laplace,bogus and figure 3 --dist t3,bogus both exited 0.
+    out = ["--outdir", str(tmp_path / "fig")] if command[0] == "figure" else ["--out", str(tmp_path / "out")]
+    assert main([*command, "--dist", "laplace,bogus", *out]) == 2
+    assert capsys.readouterr().err == (
+        "error: --dist takes one law (a comma list is for figure 1 only), got 'laplace,bogus'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_coverage_parses_its_law_once(tmp_path, monkeypatch):
+    # The law was parsed anew for each (lambda, w) pair, a subexp law
+    # rerunning its c* calibration each time.
+    specs = []
+    real = cli_mod.parse_dist_spec
+    monkeypatch.setattr(cli_mod, "parse_dist_spec", lambda spec: specs.append(spec) or real(spec))
+    argv = ["coverage", "--dist", "laplace", "--lambda", "1,2", "--w", "0.5,1", "--grid", "2.5:3:2",
+            "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    assert specs == ["laplace"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid", "0:1:2.5", "--grid takes a:b:n with finite a <= b and an integer n >= 1, got '0:1:2.5'"),
+    ("--grid", "0:1", "--grid takes a:b:n with finite a <= b and an integer n >= 1, got '0:1'"),
+    ("--grid", "2:1:3", "--grid takes a:b:n with finite a <= b and an integer n >= 1, got '2:1:3'"),
+    ("--lambda", "1,x", "config key 'lam' takes a comma list of numbers, got '1,x'"),
+    ("--w", "y", "config key 'w' takes a comma list of numbers, got 'y'"),
+    ("--dist", "subexp:x", "--dist 'subexp:x': could not convert string to float: 'x'"),
+    ("--dist", "bogus", "--dist 'bogus': unknown distribution 'bogus'"),
+])
+def test_cli_malformed_value_names_its_input(tmp_path, capsys, flag, value, message):
+    # --grid 0:1:2.5 said only "invalid literal for int() with base 10: '2.5'",
+    # --lambda 1,x and --dist subexp:x only "could not convert string to float: 'x'".
+    given = {"--dist": "laplace", "--lambda": "1", "--grid": "1.5:2:2", flag: value}
+    argv = ["coverage", *(part for item in given.items() for part in item), "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("alpha=x", "config key 'alpha' takes a number, got 'x'"),
+    ("n=2.5", "config key 'n' takes an integer, got '2.5'"),
+    ("lam=0.5,,z", "config key 'lam' takes a comma list of numbers, got '0.5,,z'"),
+])
+def test_config_value_that_does_not_read_names_its_key(line, message):
+    with pytest.raises(ValueError) as exc:
+        _read_config(line + "\n")
+    assert str(exc.value) == message
 
 
 def test_figure_csv_reproducible_from_sidecar(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ from hpdcover import (
     check_coverage_bounds,
     conditional_coverage_mc,
     coverage_curve,
+    conditional_coverage_exact,
     coverage_exact,
     coverage_mc,
     dip_search,
@@ -23,6 +25,8 @@ from hpdcover import (
     invert_lower,
     invert_upper,
     onesided_coverage_exact,
+    post_selection_set,
+    posterior_probability,
     predicted_dip_level,
     smallest_lower_inverse,
     upper_values,
@@ -260,6 +264,58 @@ def test_non_finite_theta0_is_refused_as_by_the_exact_scan(call, theta0):
     # point ran 10,000 steps at inf before it gave up.
     with pytest.raises(ValueError, match="theta0 must be finite"):
         call(config("laplace", 1.0, 1.0), theta0)
+
+
+@pytest.mark.parametrize("theta0", [1e14, -1e14, 1e300])
+def test_exact_scans_refuse_a_theta0_past_float_resolution(tmp_path, capsys, theta0):
+    # Cut abscissas round to ulp(theta0): at laplace lam 1 the scan read
+    # C(1e14) = 0.950212931632 and exited 0, while 1e300 failed on an "empty
+    # scan window [1e+300, 1e+300]".
+    cfg = config("laplace", 1.0, 1.0)
+    refusal = rf"^theta0 = {re.escape(repr(theta0))} is too large for an exact scan: "
+    for call in (coverage_exact, onesided_coverage_exact):
+        for arg in (theta0, [6.0, theta0]):
+            with pytest.raises(ValueError, match=refusal):
+                call(cfg, arg)
+    out = tmp_path / "c.csv"
+    argv = ["coverage", "--dist", "laplace", "--lambda", "1", "--grid", f"{theta0!r}:{theta0!r}:1", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert "is too large for an exact scan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_exact_scans_hold_their_far_field_value_out_to_1e8(law):
+    # The largest theta0 power of ten the reach rule accepts keeps C within
+    # TOL_TAIL of its far-field value (the sweep behind _EDGE_SPACING).
+    cfg = PriorConfig(parse_dist_spec(law), 2.0, 1.0, ALPHA)
+    for theta0 in (1e8, -1e8):
+        assert abs(coverage_exact(cfg, theta0).C - coverage_exact(cfg, 1e4).C) <= scanning_mod.TOL_TAIL
+    assert abs(onesided_coverage_exact(cfg, 1e8) - onesided_coverage_exact(cfg, 1e4)) <= scanning_mod.TOL_TAIL
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda cfg: hpd_mod.onesided_endpoints(cfg, 2.0), "the one-sided baseline"),
+    (lambda cfg: onesided_coverage_exact(cfg, 2.0), "one-sided baseline coverage"),
+    (lambda cfg: post_selection_set(cfg, 2.0), "a post-selection set"),
+    (lambda cfg: conditional_coverage_mc(cfg, 2.0, 20000, 0), "post-selection coverage"),
+    (lambda cfg: conditional_coverage_exact(cfg, 2.0), "post-selection coverage"),
+], ids=["onesided_endpoints", "onesided_coverage_exact", "post_selection_set",
+        "conditional_coverage_mc", "conditional_coverage_exact"])
+def test_w1_rule_names_what_requires_it(call, what):
+    with pytest.raises(ValueError, match=f"^{what} requires w = 1$"):
+        call(config("laplace", 1.0, 0.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg, x: hpd_set(cfg, x),
+    lambda cfg, x: posterior_probability(cfg, x, [(2.0, 3.0)], False),
+    lambda cfg, x: credible_set_contains(cfg, [2.0], x),
+    lambda cfg, x: post_selection_set(cfg, x),
+], ids=["hpd_set", "posterior_probability", "credible_set_contains", "post_selection_set"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_finiteness_rule_names_x(call, x):
+    with pytest.raises(ValueError, match=rf"^x must be finite, got {x!r}$"):
+        call(config("laplace", 1.0, 1.0), x)
 
 
 def test_predicted_dip_level_laplace_closed_form():

@@ -1,6 +1,8 @@
 """Every exported name resolves: a name deleted from a module cannot stay
 behind in its ``__all__`` or in the package's.  Every exported name also has
-a caller outside the tests: the package itself or the benchmark."""
+a caller outside the tests: the package itself or the benchmark.  And every
+refusal is raised from one site: no two ``raise`` statements in the package
+share the constant text of their message."""
 
 import ast
 import importlib
@@ -47,3 +49,25 @@ def test_every_exported_name_resolves(module):
 def test_every_exported_name_has_a_caller_outside_the_tests(module):
     # The tracer's table and getattr(lib.hpd, fn) name functions by string.
     assert [name for name in importlib.import_module(module).__all__ if name not in USED] == []
+
+
+def _message_text(node: ast.Raise) -> str:
+    """The constant text of a raise's message: a string literal, or the
+    literal parts of an f-string; empty when there is no such message."""
+    msg = node.exc.args[0] if isinstance(node.exc, ast.Call) and node.exc.args else None
+    if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+        return msg.value
+    if isinstance(msg, ast.JoinedStr):
+        return "".join(v.value for v in msg.values if isinstance(v, ast.Constant))
+    return ""
+
+
+def test_each_refusal_is_raised_from_one_site():
+    # A rule written twice drifts apart: "x must be finite, got " was raised
+    # at four sites and "post-selection coverage requires w = 1" at two.
+    sites: dict[str, list[str]] = {}
+    for path in sorted(Path(hpdcover.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and (text := _message_text(node)):
+                sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    assert {text: where for text, where in sites.items() if len(where) > 1} == {}
