@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coverage import check_coverage_bounds, coverage_curve, coverage_mc
+from .coverage import check_coverage_bounds, coverage_curve, coverage_mc, thread_count
 from .distributions import Distribution, make_distribution
 from .figures import (
     coverage_panels_rows,
@@ -94,6 +94,11 @@ class RunConfig:
         return parse_dist_spec(self.dist)
 
     def prior(self) -> PriorConfig:
+        """The prior of a single-point command, which refuses a --lambda or --w list."""
+        for flag, vals in (("--lambda", self.lam), ("--w", self.w)):
+            if len(vals) > 1:
+                raise ValueError(f"{flag} takes one value (a comma list is for coverage and figure 1 only), got "
+                                 + ",".join(map(repr, vals)))
         return PriorConfig(dist=self.law(), lam=self.lam[0], w=self.w[0], alpha=self.alpha)
 
     @classmethod
@@ -206,6 +211,7 @@ def _cmd_coverage(rc: RunConfig) -> int:
     if rc.method == "mc" and rc.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {rc.seed}")
     law = rc.law()
+    threads = thread_count(rc.threads if rc.threads > 0 else None) if rc.method == "mc" else None
     tagged = len(rc.lam) > 1 or len(rc.w) > 1
     header = ["lambda", "w"] * tagged + ["theta0", "C", "C_minus", "C_plus", "frac_I", "frac_II",
                                          "frac_III", "frac_IV", "method", "n", "seed"]
@@ -221,7 +227,7 @@ def _cmd_coverage(rc: RunConfig) -> int:
                     cfg = PriorConfig(dist=law, lam=lam, w=w, alpha=rc.alpha)
                     curves[key] = coverage_curve(
                         cfg, grid, method=rc.method,
-                        n=rc.n, seed=rc.seed, threads=rc.threads if rc.threads > 0 else None,
+                        n=rc.n, seed=rc.seed, threads=threads,
                     )
                 except Exception as exc:  # noqa: BLE001 - enumerate and keep going
                     curves[key] = str(exc)

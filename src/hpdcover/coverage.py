@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import interval_mass, uniform_blocks
-from .hpd import (Regime, _finite_theta0, _fixed_cover, _half_width, _levels, endpoint_values,
+from .hpd import (Regime, _finite_theta0, _fixed_cover, _half_width, _levels, _upper_corners, endpoint_values,
                   onesided_endpoints, regime_codes, upper_values)
 from .posterior import PriorConfig
 from .scanning import TOL_TAIL, member_intervals, refine_extrema
@@ -61,12 +61,14 @@ _REGIME_KEYS = ("I", "II", "III", "IV")
 
 
 def thread_count(requested: int | None = None) -> int:
-    """Worker count for Monte Carlo coverage curves, capped by HPD_THREADS."""
+    """Worker count for Monte Carlo coverage curves, capped by HPD_THREADS (an integer >= 1)."""
     cap = os.environ.get("HPD_THREADS", "").strip()
     try:
         cap_n = int(cap) if cap else (os.cpu_count() or 1)
     except ValueError:
-        raise ValueError(f"HPD_THREADS must be an integer, got {cap!r}") from None
+        cap_n = 0
+    if cap_n < 1:
+        raise ValueError(f"HPD_THREADS must be an integer >= 1, got {cap!r}")
     n = requested if requested else (os.cpu_count() or 1)
     return max(1, min(n, cap_n))
 
@@ -349,15 +351,16 @@ def predicted_dip_level(cfg: PriorConfig) -> float:
 
 def _min_upper_from_band_edge(cfg: PriorConfig) -> float:
     """min U over x >= max(lam, t_alpha): the smallest target whose upper
-    inverse reaches past the band edge.  U attains it within
-    G^{-1}(1 - alpha/2) + 2 of that edge, the bracket of one extremum-mode
-    solve."""
+    inverse reaches past the band edge, at the edge itself (the gaussian U
+    rises from it) or where one extremum-mode solve within G^{-1}(1 - alpha/2)
+    + 2 of it finds it to 1e-8 (1 + |x|): quadratic there, U settles long before x."""
     lo = max(cfg.lam, cfg.t_alpha)
     if not math.isfinite(lo):
         raise ValueError("upper endpoint undefined everywhere (saturated atom)")
     lo += 1e-9
     hi = lo + float(cfg.dist.ppf_upper(cfg.alpha / 2.0)) + 2.0
-    return float(refine_extrema(lambda x, rows: upper_values(cfg, x), [lo], [hi], False)[1][0])
+    inner = refine_extrema(lambda x, rows: upper_values(cfg, x), [lo], [hi], False, tol=1e-8)[1]
+    return float(min(inner[0], upper_values(cfg, lo)[0]))
 
 
 @dataclass(frozen=True)
@@ -379,16 +382,25 @@ def dip_search(cfg: PriorConfig) -> DipResult:
     """Locate min C(theta0) over {theta0 : sup U^{-1}(theta0) >= lam}.
 
     That domain is the half-line [min U on [lam or t_alpha, inf), inf) since
-    U is continuous there and grows without bound.  The minimum is one
-    extremum-mode solve over [domain_lo, lam + 3.2 G^{-1}(1 - alpha/2)],
-    each round one batch scan of its interior theta0, to 1e-4 (1 + theta0):
-    C is V-shaped at the dip, so c_min is off by about the slope times that.
+    U is continuous there and grows without bound.  One batch scan takes 63
+    interior theta0 of [domain_lo, lam + 3.2 G^{-1}(1 - alpha/2)], its left end
+    (as domain_lo + 1e-6 (1 + domain_lo), off the double root of U = theta0) and
+    each corner U(x_b) of C (hpd._upper_corners).  Either of the last as the batch
+    minimum is the dip; else an extremum-mode solve on the best sample's sub-cells
+    goes on to 1e-4 (1 + theta0), c_min off by about C's slope times that.
     """
     domain_lo = _min_upper_from_band_edge(cfg)
-    hi = cfg.lam + 3.2 * float(cfg.dist.ppf_upper(cfg.alpha / 2.0))
-    hi = max(hi, domain_lo + 1.0)
-    c_many = lambda ts, rows: _exact_batch(cfg, ts, fractions=False)[:, 0]
-    theta, c_min = refine_extrema(c_many, [domain_lo], [hi], False, tol=1e-4)
+    hi = max(cfg.lam + 3.2 * float(cfg.dist.ppf_upper(cfg.alpha / 2.0)), domain_lo + 1.0)
+    c_many = lambda ts, rows=None: _exact_batch(cfg, ts, fractions=False)[:, 0]
+    edge = domain_lo + 1e-6 * (1.0 + domain_lo)
+    corners = _upper_corners(cfg, max(cfg.lam, cfg.t_alpha), hi)
+    ends = np.linspace(domain_lo, hi, 65)
+    ts = np.concatenate([ends[1:-1], [edge], corners[(edge < corners) & (corners < hi)]])
+    c = c_many(ts)
+    k = int(np.argmin(c))
+    theta, c_min = ts[k : k + 1], c[k : k + 1]
+    if k < ends.size - 2:  # no corner or end is the batch minimum
+        theta, c_min = refine_extrema(c_many, ends[k : k + 1], ends[k + 2 : k + 3], False, tol=1e-4)
     return DipResult(
         theta_at_min=float(theta[0]),
         c_min=float(c_min[0]),

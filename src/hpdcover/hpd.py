@@ -28,7 +28,7 @@ from enum import IntEnum
 import numpy as np
 
 from .posterior import PriorConfig, _require_finite, tail_levels
-from .scanning import TOL_TAIL, sign_change_roots
+from .scanning import BISECT_TOL, TOL_TAIL, refine_boundaries, sign_change_roots
 
 __all__ = [
     "Regime",
@@ -162,6 +162,18 @@ def _endpoint_pass(cfg: PriorConfig, x):
     atom = codes == _ATOM
     upper[atom] = lower[atom] = np.nan
     return upper, lower, codes, r, kg, sk
+
+
+def _upper_corners(cfg: PriorConfig, lo: float, hi: float) -> np.ndarray:
+    """U at every II -> I boundary x_b in [lo, hi], 0 < lo, where its slope jumps: one
+    level stage on 256 points brackets each (two closer than a step are missed), and one
+    refine_boundaries call settles it on the smooth margin q1 - T of tail_levels."""
+    xs = np.linspace(lo, hi, 256)
+    codes = _levels(cfg, xs)[1]
+    k = np.flatnonzero((codes[:-1] == _II) & (codes[1:] == _I))
+    margin = lambda x, rows=None: np.subtract(*tail_levels(cfg, x)[3:5])
+    g = margin(np.concatenate([xs[k], xs[k + 1]]))
+    return upper_values(cfg, refine_boundaries(margin, xs[k], xs[k + 1], g[: k.size], g[k.size :], BISECT_TOL))
 
 
 def regime_codes(cfg: PriorConfig, x) -> np.ndarray:

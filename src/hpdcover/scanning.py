@@ -20,8 +20,8 @@ jump or NaN edge as fast as multisection alone.  An extremum keeps the two
 sub-cells around its best sample each round, down to a relative tol set by
 the caller: graze_points, the one sliver guard, runs it at 1e-13 on the
 local extrema of U and L that graze a target level, calling curves once per
-round for both endpoints, and the coverage dip and its domain edge are one
-call each (coverage.dip_search).
+round for both endpoints; coverage.dip_search runs it on U at 1e-8, and on
+C only where no corner of C or domain end is the dip.
 Inversion is the same scan: sign_change_roots reads the roots of fn off
 {fn >= 0}, the pair (fn, -inf) at level 0, whose margin is fn.  Everything
 is vectorized so that one pass can serve many windows and levels at once.

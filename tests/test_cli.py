@@ -480,16 +480,21 @@ def test_thread_count_env_cap(monkeypatch):
 
 
 def test_thread_count_names_a_cap_it_cannot_read(monkeypatch, tmp_path, capsys):
-    # HPD_THREADS=abc once failed with "invalid literal for int() with base 10: 'abc'".
+    # HPD_THREADS=abc once failed with "invalid literal for int() with base 10: 'abc'",
+    # and 0 and -3 were read as 1 without a word.  A Monte Carlo coverage run
+    # reads the cap once, before its (lambda, w) loop, and refuses it once.
     from hpdcover.coverage import thread_count
 
-    monkeypatch.setenv("HPD_THREADS", "abc")
-    with pytest.raises(ValueError, match="^HPD_THREADS must be an integer, got 'abc'$"):
-        thread_count()
-    argv = ["coverage", "--dist", "laplace", "--lambda", "1", "--grid", "1.5:2:2", "--method", "mc",
-            "--n", "2000", "--out", str(tmp_path / "mc.csv")]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.endswith(": HPD_THREADS must be an integer, got 'abc'\n")
+    out = tmp_path / "mc.csv"
+    argv = ["coverage", "--dist", "laplace", "--lambda", "1,2", "--w", "1,0.5", "--grid", "1.5:2:2",
+            "--method", "mc", "--n", "2000", "--out", str(out)]
+    for cap in ("abc", "0", "-3"):
+        monkeypatch.setenv("HPD_THREADS", cap)
+        with pytest.raises(ValueError, match=f"^HPD_THREADS must be an integer >= 1, got '{cap}'$"):
+            thread_count()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: HPD_THREADS must be an integer >= 1, got '{cap}'\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["hpd", "--x", "6.2"], ["coverage", "--grid", "5.5:9:2"],
@@ -503,6 +508,20 @@ def test_cli_single_law_commands_refuse_a_dist_list(tmp_path, capsys, command):
     assert main([*command, "--dist", "laplace,bogus", *out]) == 2
     assert capsys.readouterr().err == (
         "error: --dist takes one law (a comma list is for figure 1 only), got 'laplace,bogus'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["hpd", "--x", "6.2"], ["bounds", "--grid", "5.5:9:2"],
+                                     ["postselect", "--x", "6.2"], ["postselect-coverage", "--theta0", "6.2"]])
+@pytest.mark.parametrize("flag, values, shown", [("--lambda", "1,2", "1.0,2.0"), ("--w", "1,0.5", "1.0,0.5")])
+def test_cli_single_point_commands_refuse_a_lambda_or_w_list(tmp_path, capsys, command, flag, values, shown):
+    # These took the first value of a list: hpd --dist laplace --lambda 1,2
+    # --w 1 --x 3 printed the lambda = 1 set and exited 0.
+    given = {"--lambda": "5", "--w": "1", flag: values}
+    argv = [*command, "--dist", "laplace", *(v for kv in given.items() for v in kv), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} takes one value (a comma list is for coverage and figure 1 only), got {shown}\n")
     assert list(tmp_path.iterdir()) == []
 
 

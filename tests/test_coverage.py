@@ -10,6 +10,7 @@ import pytest
 
 from hpdcover import (
     PriorConfig,
+    Regime,
     check_coverage_bounds,
     conditional_coverage_mc,
     coverage_curve,
@@ -28,6 +29,7 @@ from hpdcover import (
     post_selection_set,
     posterior_probability,
     predicted_dip_level,
+    regime_codes,
     smallest_lower_inverse,
     upper_values,
 )
@@ -392,35 +394,70 @@ def _dense_grid_dip(cfg, lo, hi, n=201, zoom_n=41):
         xs = np.linspace(xs[max(i - 2, 0)], xs[min(i + 2, xs.size - 1)], zoom_n)
 
 
-@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
-def test_dip_matches_dense_grid_minimum(law):
-    cfg = PriorConfig(parse_dist_spec(law), 5.0, 1.0, ALPHA)
-    dip = dip_search(cfg)
-    hi = max(5.0 + 3.2 * float(cfg.dist.ppf_upper(ALPHA / 2.0)), dip.domain_lo + 1.0)
-    ref = _dense_grid_dip(cfg, dip.domain_lo, hi)
-    # C is V-shaped at the dip, so c_min sits above the minimum by up to its
-    # slope times the spacing of the solver's last samples.
-    assert dip.c_min - ref <= 6e-7
-    assert abs(dip.c_min - coverage_exact(cfg, dip.theta_at_min).C) <= 1e-10
+def _dip_range_hi(cfg, dip):
+    return max(cfg.lam + 3.2 * float(cfg.dist.ppf_upper(cfg.alpha / 2.0)), dip.domain_lo + 1.0)
 
 
-def test_dip_search_scans_one_solver_schedule(monkeypatch):
-    # One extremum-mode solve: ceil(iters / log2(m / 2)) batch scans of
-    # m - 1 theta0 each, none of them on the near-double root of U - theta0
-    # at the domain's lower end.
-    cfg = config("laplace", 5.0, 1.0)
+def _batches_seen(monkeypatch):
     seen = []
     real = coverage_mod._exact_batch
     monkeypatch.setattr(
         coverage_mod, "_exact_batch", lambda cfg, ts, *args, **kw: seen.append(np.array(ts)) or real(cfg, ts, *args, **kw)
     )
+    return seen
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_dip_matches_dense_grid_minimum(law):
+    # At lam 5 the dip of all four laws is a corner of C, evaluated where it
+    # lies, so no zoomed dense grid finds a lower C.
+    cfg = PriorConfig(parse_dist_spec(law), 5.0, 1.0, ALPHA)
     dip = dip_search(cfg)
-    hi = max(5.0 + 3.2 * float(cfg.dist.ppf_upper(ALPHA / 2.0)), dip.domain_lo + 1.0)
-    iters = scanning_mod.bisect_iters((hi - dip.domain_lo) / (1.0 + dip.domain_lo), 1e-4)
-    m = scanning_mod.section_count(1, iters, 2)
-    assert len(seen) == math.ceil(iters / math.log2(m / 2)) == 3
-    assert [ts.size for ts in seen] == [m - 1] * 3 == [63] * 3
+    ref = _dense_grid_dip(cfg, dip.domain_lo, _dip_range_hi(cfg, dip))
+    assert dip.c_min - ref <= 1e-9
+    assert abs(dip.c_min - coverage_exact(cfg, dip.theta_at_min).C) <= 1e-10
+
+
+def test_dip_search_scans_one_batch_at_a_corner(monkeypatch):
+    # One batch scan: the corner theta_b = U(x_b) of the II -> I boundary
+    # x_b, the domain's left end and the interior samples.  The corner wins,
+    # so no solver round follows.  At x_b, x - r1 = lam, so theta_b = 2 x_b
+    # - lam with regime II just below x_b and I just above.
+    cfg = config("laplace", 5.0, 1.0)
+    seen = _batches_seen(monkeypatch)
+    dip = dip_search(cfg)
+    assert len(seen) == 1 and seen[0].size == 63 + 2
     assert min(float(np.min(ts)) for ts in seen) - dip.domain_lo > 1e-6
+    x_b = 0.5 * (dip.theta_at_min + cfg.lam)
+    assert [Regime(int(c)) for c in regime_codes(cfg, [x_b - 1e-9, x_b + 1e-9])] == [Regime.II, Regime.I]
+    assert dip.c_min == pytest.approx(0.92727475, abs=1e-8)
+
+
+def test_dip_search_falls_back_off_the_corners(monkeypatch):
+    # subexp:0.5 at lam 12, alpha 0.1: the dip is no corner of C, so the
+    # batch is followed by an extremum-mode solve on the best sample's two
+    # sub-cells, whose last samples bound how close c_min comes.
+    cfg = PriorConfig(parse_dist_spec("subexp:0.5"), 12.0, 1.0, 0.1)
+    seen = _batches_seen(monkeypatch)
+    dip = dip_search(cfg)
+    assert len(seen) > 1 and dip.theta_at_min not in seen[0][63:]
+    c_first = coverage_mod._exact_batch(cfg, seen[0], fractions=False)[:, 0]
+    assert dip.c_min <= c_first.min()
+    ref = _dense_grid_dip(cfg, dip.domain_lo, _dip_range_hi(cfg, dip))
+    assert 0.0 <= dip.c_min - ref <= 6e-7
+    assert abs(dip.c_min - coverage_exact(cfg, dip.theta_at_min).C) <= 1e-10
+
+
+@pytest.mark.parametrize("law", ["laplace", "t3"])
+def test_dip_search_at_the_domain_closed_left_end(law):
+    # At lam 0.5, w 0.25 min U sits at the atom threshold and C rises from
+    # domain_lo: the dip is the left-end candidate, off C(domain_lo) by C's
+    # slope times the offset 1e-6 (1 + domain_lo).
+    cfg = PriorConfig(parse_dist_spec(law), 0.5, 0.25, ALPHA)
+    dip = dip_search(cfg)
+    assert dip.theta_at_min == dip.domain_lo + 1e-6 * (1.0 + dip.domain_lo)
+    ref = _dense_grid_dip(cfg, dip.domain_lo, _dip_range_hi(cfg, dip))
+    assert 0.0 <= dip.c_min - ref <= 1e-7
 
 
 def test_check_bounds_panel_config():
