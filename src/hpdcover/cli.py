@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .coverage import check_coverage_bounds, coverage_curve, coverage_mc, thread_count
-from .distributions import Distribution, make_distribution
+from .distributions import Distribution, make_distribution, uniform_blocks
 from .figures import (
     coverage_panels_rows,
     endpoint_curves_rows,
@@ -85,7 +85,7 @@ class RunConfig:
 
     def __post_init__(self):
         if not (self.lam and self.w):
-            raise ValueError("lam and w each need at least one value")
+            raise ValueError("lam and w each take one value or more")
 
     def law(self) -> Distribution:
         """The --dist law of every command but figure 1, which alone reads a comma list."""
@@ -148,6 +148,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     values = _config_pairs(Path(args.config).read_text()) if args.config else {}
     values.update((f.name, getattr(args, f.name)) for f in dataclasses.fields(RunConfig)
                   if getattr(args, f.name, None) is not None)
+    if getattr(args, "fig", None) == 1:  # figure 1 sweeps w unless a flag or config key gives it
+        values.setdefault("w", (0.125, 0.25, 0.5, 1.0))
     return RunConfig.from_dict(values)
 
 
@@ -206,11 +208,9 @@ def _cmd_hpd(rc: RunConfig) -> int:
 
 def _cmd_coverage(rc: RunConfig) -> int:
     grid = parse_grid_spec(rc.grid)
-    if rc.method == "mc" and rc.n < 1:
-        raise ValueError(f"--method mc needs --n >= 1, got {rc.n}")
-    if rc.method == "mc" and rc.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {rc.seed}")
     law = rc.law()
+    if rc.method == "mc":  # a bad draw count or seed is refused once, not once per curve
+        uniform_blocks(rc.n, rc.seed)
     threads = thread_count(rc.threads if rc.threads > 0 else None) if rc.method == "mc" else None
     tagged = len(rc.lam) > 1 or len(rc.w) > 1
     header = ["lambda", "w"] * tagged + ["theta0", "C", "C_minus", "C_plus", "frac_I", "frac_II",
@@ -275,15 +275,13 @@ def _cmd_postselect_coverage(rc: RunConfig) -> int:
 
 
 def cmd_figure(fig_id: int, rc: RunConfig) -> list[Path]:
-    """Emit the CSV + JSON sidecar for one standard figure into rc.outdir."""
+    """Emit the CSV + JSON sidecar for one standard figure into rc.outdir (figure 1: each law, lambda and w)."""
     side_extra: dict = {}
     side: dict = {}
     if fig_id == 1:
-        ws = list(rc.w) if rc.w != (1.0,) else [0.125, 0.25, 0.5, 1.0]
-        side_extra["w_sweep"] = ws
-        side_extra["w_sweep_is_default_assumption"] = rc.w == (1.0,)
+        side_extra["w_sweep"] = list(rc.w)
         dists = [parse_dist_spec(s) for s in rc.dist.split(",")]
-        header, blocks = coverage_panels_rows(dists, list(rc.lam), ws, rc.alpha, rc.fig_grid_n, rc.mirror)
+        header, blocks = coverage_panels_rows(dists, list(rc.lam), list(rc.w), rc.alpha, rc.fig_grid_n, rc.mirror)
     elif fig_id == 2:
         header, blocks, side = posterior_illustration_rows(make_distribution("gaussian"), rc.alpha)
     elif fig_id == 3:
@@ -323,7 +321,8 @@ def _cmd_figure(rc: RunConfig, fig_id: int) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--dist", help="gaussian | laplace | t3 | subexp:ETA (a comma list for figure 1 only)")
     p.add_argument("--lambda", dest="lam", help="band half-width (comma list allowed)")
-    p.add_argument("--w", help="slab weight in (0, 1] (comma list allowed)")
+    p.add_argument("--w", help="slab weight in (0, 1] (comma list allowed; figure 1 draws "
+                               "0.125,0.25,0.5,1 when no w is given)")
     p.add_argument("--alpha", type=float, help="credibility tail level in (0, 1)")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--threads", type=int,

@@ -185,10 +185,8 @@ def coverage_exact(cfg: PriorConfig, theta0: float) -> CoveragePoint:
 
 def coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) -> tuple[float, float]:
     """Monte Carlo coverage estimate and its binomial standard error: the C
-    of the Monte Carlo curve point at the same seed (_mc_point), n >= 1000."""
-    if n < 1000:
-        raise ValueError(f"need at least 1000 draws, got {n}")
-    c_hat = float(_mc_point(cfg, theta0, n, seed).C)
+    of the Monte Carlo curve point at the same seed (_mc_point)."""
+    c_hat = float(_mc_point(cfg, theta0, n, seed)[0])
     return c_hat, math.sqrt(max(c_hat * (1.0 - c_hat), 1e-300) / n)
 
 
@@ -208,22 +206,22 @@ def _draw_flags(cfg: PriorConfig, x: np.ndarray, u: np.ndarray):
     return flags, codes
 
 
-def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoint:
-    """Full Monte Carlo analogue of coverage_exact (splits and fractions);
+def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> np.ndarray:
+    """Monte Carlo analogue of one _exact_batch row (C, C-, C+, frac_I..frac_IV);
     the one counter of Monte Carlo membership: C- counts the covering draws
     with x >= theta0 and C+ the rest.  Membership is the level test of
     _draw_flags, overridden by the atom/band rule where it decides; the
     regime fractions count the covering draws' codes in codes * flags.
     Where the rule leaves theta0 uncovered every output is 0, and no draw is
-    made; a non-finite theta0, or an n or seed that uniform_blocks refuses,
-    raises ValueError even then.  The draws are x = theta0 + G^{-1}(u) on
-    the seeded uniform stream's blocks u.
+    made; a non-finite theta0, or an n or seed that uniform_blocks (the one
+    draw rule) refuses, raises ValueError even then.  The draws are
+    x = theta0 + G^{-1}(u) on the seeded uniform stream's blocks u.
     """
     _finite_theta0(theta0)
     blocks = uniform_blocks(n, seed)  # checks n and seed; draws lazily
     fixed, covered = _fixed_cover(cfg, theta0)
     if fixed and not covered:
-        return CoveragePoint(float(theta0), 0.0, 0.0, 0.0, dict.fromkeys(_REGIME_KEYS, 0.0))
+        return np.zeros(3 + len(_REGIME_KEYS))
     hits = np.zeros(6, dtype=np.int64)  # covering, covering with x >= theta0, by regime I-IV
     for u in blocks:
         x = theta0 + cfg.dist.ppf(u)
@@ -232,10 +230,8 @@ def _mc_point(cfg: PriorConfig, theta0: float, n: int, seed: int) -> CoveragePoi
         covering = codes * f_full  # uncovered draws read as ATOM
         hits += [np.count_nonzero(f_full), np.count_nonzero(f_full & (x >= theta0)),
                  *(np.count_nonzero(covering == Regime[k].value) for k in _REGIME_KEYS)]
-    c = hits[0] / n
-    denom = hits[0] if hits[0] else 1
-    fracs = {k: float(h / denom) for k, h in zip(_REGIME_KEYS, hits[2:])}
-    return CoveragePoint(float(theta0), c, hits[1] / n, (hits[0] - hits[1]) / n, fracs)
+    split = np.array([hits[0], hits[1], hits[0] - hits[1]]) / n
+    return np.concatenate([split, hits[2:] / (hits[0] if hits[0] else 1)])
 
 
 @dataclass(frozen=True)
@@ -279,24 +275,20 @@ def coverage_curve(
     if np.any(np.diff(grid) < 0):
         raise ValueError("theta0 grid must be sorted")
     if method == "exact":
-        cols = _exact_batch(cfg, grid).T
+        rows = _exact_batch(cfg, grid)
         label = "exact_scan"
     elif method == "mc":
-        if n < 1:
-            raise ValueError(f"Monte Carlo needs n >= 1 draws, got {n}")
         work = lambda t0: _mc_point(cfg, t0, n, seed)
         workers = thread_count(threads)
         if workers > 1 and grid.size > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                points = list(pool.map(work, grid))
+                rows = np.array(list(pool.map(work, grid)))
         else:
-            points = [work(t0) for t0 in grid]
-        cols = np.array(
-            [[p.C, p.C_minus, p.C_plus, *(p.fractions[k] for k in _REGIME_KEYS)] for p in points]
-        ).T
+            rows = np.array([work(t0) for t0 in grid])
         label = f"monte_carlo(seed={seed}, n={n})"
     else:
         raise ValueError(f"unknown method {method!r}")
+    cols = rows.T
     return CoverageReport(
         theta0=grid,
         C=cols[0],
@@ -349,18 +341,19 @@ def predicted_dip_level(cfg: PriorConfig) -> float:
     return 1.0 - 1.5 * a + a * float(cfg.dist.cdf(0.5 * float(cfg.dist.ppf(a))))
 
 
-def _min_upper_from_band_edge(cfg: PriorConfig) -> float:
-    """min U over x >= max(lam, t_alpha): the smallest target whose upper
-    inverse reaches past the band edge, at the edge itself (the gaussian U
-    rises from it) or where one extremum-mode solve within G^{-1}(1 - alpha/2)
+def _min_upper_from_band_edge(cfg: PriorConfig) -> tuple[float, bool]:
+    """(min U over x >= max(lam, t_alpha), whether the edge holds it): the smallest
+    target whose upper inverse reaches past the band edge, at the edge itself (the
+    gaussian U rises from it) or where one extremum-mode solve within G^{-1}(1 - alpha/2)
     + 2 of it finds it to 1e-8 (1 + |x|): quadratic there, U settles long before x."""
     lo = max(cfg.lam, cfg.t_alpha)
     if not math.isfinite(lo):
         raise ValueError("upper endpoint undefined everywhere (saturated atom)")
     lo += 1e-9
     hi = lo + float(cfg.dist.ppf_upper(cfg.alpha / 2.0)) + 2.0
-    inner = refine_extrema(lambda x, rows: upper_values(cfg, x), [lo], [hi], False, tol=1e-8)[1]
-    return float(min(inner[0], upper_values(cfg, lo)[0]))
+    inner = float(refine_extrema(lambda x, rows: upper_values(cfg, x), [lo], [hi], False, tol=1e-8)[1][0])
+    edge = float(upper_values(cfg, lo)[0])
+    return min(inner, edge), edge <= inner
 
 
 @dataclass(frozen=True)
@@ -383,16 +376,17 @@ def dip_search(cfg: PriorConfig) -> DipResult:
 
     That domain is the half-line [min U on [lam or t_alpha, inf), inf) since
     U is continuous there and grows without bound.  One batch scan takes 63
-    interior theta0 of [domain_lo, lam + 3.2 G^{-1}(1 - alpha/2)], its left end
-    (as domain_lo + 1e-6 (1 + domain_lo), off the double root of U = theta0) and
+    interior theta0 of [domain_lo, lam + 3.2 G^{-1}(1 - alpha/2)], its left end and
     each corner U(x_b) of C (hpd._upper_corners).  Either of the last as the batch
     minimum is the dip; else an extremum-mode solve on the best sample's sub-cells
-    goes on to 1e-4 (1 + theta0), c_min off by about C's slope times that.
+    goes on to 1e-4 (1 + theta0), c_min off by about C's slope times that.  The
+    left end is domain_lo itself where min U sits at the band edge, and domain_lo +
+    1e-6 (1 + domain_lo), off the double root of U = theta0, where it is interior.
     """
-    domain_lo = _min_upper_from_band_edge(cfg)
+    domain_lo, at_edge = _min_upper_from_band_edge(cfg)
     hi = max(cfg.lam + 3.2 * float(cfg.dist.ppf_upper(cfg.alpha / 2.0)), domain_lo + 1.0)
     c_many = lambda ts, rows=None: _exact_batch(cfg, ts, fractions=False)[:, 0]
-    edge = domain_lo + 1e-6 * (1.0 + domain_lo)
+    edge = domain_lo if at_edge else domain_lo + 1e-6 * (1.0 + domain_lo)
     corners = _upper_corners(cfg, max(cfg.lam, cfg.t_alpha), hi)
     ends = np.linspace(domain_lo, hi, 65)
     ts = np.concatenate([ends[1:-1], [edge], corners[(edge < corners) & (corners < hi)]])

@@ -177,8 +177,9 @@ def _upper_corners(cfg: PriorConfig, lo: float, hi: float) -> np.ndarray:
 
 
 def regime_codes(cfg: PriorConfig, x) -> np.ndarray:
-    """Vectorized regime classification; values are Regime codes (int8)."""
-    return endpoints(cfg, x)[2]
+    """Vectorized regime classification; values are Regime codes (int8), those of
+    the endpoint pass read off its level stage alone (_levels): no quantile call."""
+    return _levels(cfg, np.atleast_1d(np.asarray(x, float)))[1]
 
 
 def upper_values(cfg: PriorConfig, x) -> np.ndarray:
@@ -256,11 +257,8 @@ def hpd_length(cfg: PriorConfig, x) -> float | np.ndarray:
     up, low, codes, r = _endpoint_pass(cfg, x)[:4]
     lam = cfg.lam
     with np.errstate(invalid="ignore"):
-        if lam == 0.0:
-            lengths = up - low
-        else:
-            lengths = np.where(low <= -lam, np.minimum(up, -lam) - low, 0.0)
-            lengths += np.where(up >= lam, up - np.maximum(low, lam), 0.0)
+        lengths = np.where(low <= -lam, np.minimum(up, -lam) - low, 0.0)
+        lengths += np.where(up >= lam, up - np.maximum(low, lam), 0.0)
     # Regime I is [x - r1, x + r1] clear of the band: 2 r1 from the radius
     # keeps the accuracy that U - L loses to the rounding of x +- r1.
     lengths = np.where(codes == _I, 2.0 * r, lengths)

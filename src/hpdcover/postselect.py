@@ -110,8 +110,7 @@ def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) 
     selection rate).
     """
     cfg.require_no_atom("post-selection coverage")
-    if n < 10_000:
-        raise ValueError(f"need at least 10000 draws, got {n}")
+    blocks = uniform_blocks(n, seed)  # the one draw rule; draws lazily
     t = _finite_theta0(theta0)
     q = float(_levels(cfg, t)[0][0])
     band = np.concatenate([-cfg.lam - t, cfg.lam - t])  # selection is Z <= band[0] or Z >= band[1]
@@ -119,7 +118,7 @@ def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) 
     below, above = np.where(band <= 0.0, tails, 1.0 - tails)
     kept = 0
     covered = 0
-    for u in uniform_blocks(n, seed):
+    for u in blocks:
         sel = u <= below
         sel |= u >= above
         kept += int(np.count_nonzero(sel))

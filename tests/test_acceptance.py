@@ -285,7 +285,7 @@ def test_c14_tail_decay_checker():
 
 
 def _fig_config(outdir):
-    return RunConfig(dist="gaussian,laplace,t3", lam=(5.0,), w=(1.0,), alpha=0.05,
+    return RunConfig(dist="gaussian,laplace,t3", lam=(5.0,), w=(0.125, 0.25, 0.5, 1.0), alpha=0.05,
                      fig_grid_n=120, mirror=False, outdir=str(outdir))
 
 

@@ -123,7 +123,7 @@ def test_cli_config_rejects_an_empty_list(tmp_path, capsys, command, line):
     cfg_file.write_text(f"dist=laplace\n{line}\n")
     out = tmp_path / "out.txt"
     assert main([*command, "--config", str(cfg_file), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: lam and w each need at least one value\n"
+    assert capsys.readouterr().err == "error: lam and w each take one value or more\n"
     assert not out.exists()
 
 
@@ -174,7 +174,7 @@ def test_cli_list_flag_reads_as_its_config_key(tmp_path, capsys, text):
     flag, keyed = args + ["--lambda", text], args + ["--config", str(cfg_file)]
     if text == ",":
         assert main(flag) == 2 and main(keyed) == 2
-        assert capsys.readouterr().err == "error: lam and w each need at least one value\n" * 2
+        assert capsys.readouterr().err == "error: lam and w each take one value or more\n" * 2
         assert not out.exists()
         return
     load = lambda argv: cli_mod._load_config(cli_mod.build_parser().parse_args(argv))
@@ -401,7 +401,21 @@ def test_cli_coverage_mc_rejects_empty_sample(tmp_path, capsys, n):
     code = main(["coverage", "--dist", "laplace", "--lambda", "1", "--grid", "1.5:2:2",
                  "--method", "mc", "--n", str(n), "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == f"error: --method mc needs --n >= 1, got {n}\n"
+    assert capsys.readouterr().err == f"error: n must be an integer >= 1, got {n}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--dist", "laplace", "--lambda", "1,2", "--w", "1,0.5", "--grid", "1.5:3:2",
+     "--method", "mc", "--n", "0"],
+    ["postselect-coverage", "--dist", "laplace", "--lambda", "0.5", "--theta0", "2.0", "--n", "0"],
+], ids=["coverage", "postselect-coverage"])
+def test_cli_monte_carlo_commands_share_the_library_draw_rule(tmp_path, capsys, argv):
+    # Both commands refuse n = 0 with uniform_blocks' own message, once
+    # (not once per lambda and w), and write no file.
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: n must be an integer >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -434,8 +448,25 @@ def test_figure_one_small_and_deterministic(tmp_path):
     header = p1[0].read_text().splitlines()[0].split(",")
     assert header[:4] == ["dist", "lambda", "w", "theta0"]
     side = json.loads(p1[1].read_text())
-    assert side["notes"]["w_sweep"] == [0.25, 1.0]
-    assert not side["notes"]["w_sweep_is_default_assumption"]
+    assert side["notes"]["w_sweep"] == side["config"]["w"] == [0.25, 1.0]
+
+
+@pytest.mark.parametrize("given", [["--w", "1"], ["--config", "w=1"], []], ids=["flag", "config", "none"])
+def test_cli_figure_one_sweeps_w_only_when_none_is_given(tmp_path, given):
+    # An explicit w = 1 once read as "not given" and drew the whole sweep.
+    if given[:1] == ["--config"]:
+        (tmp_path / "run.cfg").write_text(given[1] + "\n")
+        given = ["--config", str(tmp_path / "run.cfg")]
+    argv = ["figure", "1", "--dist", "laplace", "--lambda", "5", "--fig-grid-n", "4", "--no-mirror"]
+    assert main(argv + given + ["--outdir", str(tmp_path / "first")]) == 0
+    csv = (tmp_path / "first" / "figure1.csv").read_text().splitlines()
+    ws = sorted({float(row.split(",")[2]) for row in csv[1:]})
+    assert ws == ([1.0] if given else [0.125, 0.25, 0.5, 1.0])
+    # The sidecar records the w drawn, so it reproduces the CSV.
+    side = json.loads((tmp_path / "first" / "figure1.json").read_text())
+    assert side["config"]["w"] == side["notes"]["w_sweep"] == ws
+    rebuilt = dataclasses.replace(RunConfig.from_dict(side["config"]), outdir=str(tmp_path / "second"))
+    assert cmd_figure(1, rebuilt)[0].read_text().splitlines() == csv
 
 
 def test_cli_coverage_partial_failure(tmp_path, capsys):

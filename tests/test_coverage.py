@@ -143,14 +143,24 @@ def test_monte_carlo_reproducible():
 def test_monte_carlo_validates_input():
     cfg = config("laplace", 0.5, 1.0)
     with pytest.raises(ValueError):
-        coverage_mc(cfg, 2.0, 10, seed=0)
+        coverage_mc(cfg, 2.0, 0, seed=0)
 
 
 def test_monte_carlo_curve_rejects_empty_sample():
     cfg = config("laplace", 1.0, 1.0)
     for n in (0, -5):
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {n}$"):
             coverage_curve(cfg, [1.5, 2.0], method="mc", n=n)
+
+
+def test_coverage_mc_is_the_one_point_curve_at_any_draw_count():
+    # One draw rule: coverage_mc takes any n >= 1 (it once refused n < 1000)
+    # and is the C of the one-point Monte Carlo curve at the same seed.
+    cfg = config("laplace", 0.5, 0.25)
+    for theta0, seed in ((2.0, 4), (0.0, 9), (-1.3, 11)):
+        c_hat, se = coverage_mc(cfg, theta0, 500, seed)
+        assert c_hat == coverage_curve(cfg, [theta0], method="mc", n=500, seed=seed, threads=1).C[0]
+        assert se == math.sqrt(max(c_hat * (1.0 - c_hat), 1e-300) / 500)
 
 
 def test_coverage_against_riemann_membership():
@@ -371,7 +381,9 @@ def test_dip_domain_beyond_a_far_atom_threshold(law, w):
         dip = dip_search(cfg)
     assert dip.domain_lo == pytest.approx(_dense_grid_min_upper(cfg), abs=1e-9)
     assert all(math.isfinite(v) for v in (dip.domain_lo, dip.theta_at_min, dip.c_min))
-    assert dip.theta_at_min > dip.domain_lo
+    # U rises from t_alpha, so C is least at the domain's left end itself.
+    assert dip.theta_at_min == dip.domain_lo
+    assert dip.c_min == coverage_exact(cfg, dip.domain_lo).C
 
 
 def test_dip_search_saturated_atom_raises():
@@ -451,13 +463,25 @@ def test_dip_search_falls_back_off_the_corners(monkeypatch):
 @pytest.mark.parametrize("law", ["laplace", "t3"])
 def test_dip_search_at_the_domain_closed_left_end(law):
     # At lam 0.5, w 0.25 min U sits at the atom threshold and C rises from
-    # domain_lo: the dip is the left-end candidate, off C(domain_lo) by C's
-    # slope times the offset 1e-6 (1 + domain_lo).
+    # domain_lo: the dip is the left-end candidate, domain_lo itself, where
+    # U - theta0 has a simple root, so c_min is the dense grid's minimum.
     cfg = PriorConfig(parse_dist_spec(law), 0.5, 0.25, ALPHA)
     dip = dip_search(cfg)
-    assert dip.theta_at_min == dip.domain_lo + 1e-6 * (1.0 + dip.domain_lo)
+    assert dip.theta_at_min == dip.domain_lo
     ref = _dense_grid_dip(cfg, dip.domain_lo, _dip_range_hi(cfg, dip))
-    assert 0.0 <= dip.c_min - ref <= 1e-7
+    assert 0.0 <= dip.c_min - ref <= 1e-12
+
+
+@pytest.mark.parametrize("law", ["laplace", "t3", "subexp:0.5"])
+@pytest.mark.parametrize("alpha", [0.1, 0.05])
+def test_dip_search_reaches_the_domain_left_end(law, alpha):
+    # The left end once entered the batch as domain_lo + 1e-6 (1 + domain_lo)
+    # even where min U sits at the band edge, so c_min sat above
+    # C(domain_lo) by C's slope times that offset (8.35e-8 for laplace at
+    # alpha 0.1).
+    cfg = PriorConfig(parse_dist_spec(law), 0.5, 0.25, alpha)
+    dip = dip_search(cfg)
+    assert dip.c_min <= coverage_exact(cfg, dip.domain_lo).C + 1e-12
 
 
 def test_check_bounds_panel_config():
@@ -992,9 +1016,10 @@ def test_coverage_is_sum_of_split_everywhere(law, lam, w):
     assert np.max(np.abs(rows[:, 0] - rows[:, 1] - rows[:, 2])) <= 1e-15
     n = 4000
     for theta0 in theta:
-        pt = coverage_mod._mc_point(cfg, theta0, n, 17)
-        counts = np.rint(np.array([pt.C, pt.C_minus, pt.C_plus]) * n)
-        assert np.array_equal(counts / n, [pt.C, pt.C_minus, pt.C_plus])
+        row = coverage_mod._mc_point(cfg, theta0, n, 17)
+        assert row.shape == rows[0].shape
+        counts = np.rint(row[:3] * n)
+        assert np.array_equal(counts / n, row[:3])
         assert counts[0] == counts[1] + counts[2]
 
 
@@ -1105,11 +1130,12 @@ def test_monte_carlo_refuses_bad_draw_arguments(call):
     # A float draw count once failed inside SeedSequence.spawn with a
     # TypeError, and a negative seed with a message that did not name it.
     cfg = config("laplace", 1.0, 1.0)
-    for n, seed, name in ((1e5, 0, "n"), (100_000, -1, "seed"), (100_000, 2.0, "seed"),
-                          (100_000, True, "seed"), (100_000, None, "seed")):
-        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got"):
+    for n, seed, name in ((1e5, 0, "n"), (0, 0, "n"), (-1, 0, "n"), (100_000, -1, "seed"),
+                          (100_000, 2.0, "seed"), (100_000, True, "seed"), (100_000, None, "seed")):
+        low = 1 if name == "n" else 0
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got {(n, seed)[name == 'seed']!r}$"):
             call(cfg, n, seed)
-    with pytest.raises(ValueError, match="^n must be a non-negative integer, got True"):
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got True$"):
         coverage_curve(cfg, [2.0], method="mc", n=True, seed=0)
     assert call(cfg, np.int64(20_000), np.uint32(3)) == call(cfg, 20_000, 3)
 
@@ -1141,7 +1167,7 @@ def test_monte_carlo_independent_of_block_size(monkeypatch, law, w):
     # theta0 = 0 is a fixed-cover target: inside the band at w = 1, the atom at w < 1
     cfg = PriorConfig(parse_dist_spec(law), 1.0, w, ALPHA)
     thetas = (1.5, 0.0)
-    want = [coverage_mod._mc_point(cfg, t, BLOCK_N, 5) for t in thetas]
+    want = np.array([coverage_mod._mc_point(cfg, t, BLOCK_N, 5) for t in thetas])
     cond = w == 1.0
 
     def conditional():
@@ -1155,7 +1181,7 @@ def test_monte_carlo_independent_of_block_size(monkeypatch, law, w):
         want_cond = conditional()
     for block in (1000, 1 << 14, 1 << 20):
         monkeypatch.setattr(distributions_mod, "_BLOCK", block)
-        assert [coverage_mod._mc_point(cfg, t, BLOCK_N, 5) for t in thetas] == want
+        assert np.array_equal([coverage_mod._mc_point(cfg, t, BLOCK_N, 5) for t in thetas], want)
         if cond:
             assert conditional() == want_cond
 

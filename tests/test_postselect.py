@@ -24,7 +24,7 @@ def test_requires_pure_slab_and_selection():
     with pytest.raises(ValueError):
         conditional_coverage_mc(config("laplace", 0.5, 0.25), 2.0, 10**5, seed=0)
     with pytest.raises(ValueError):
-        conditional_coverage_mc(config("laplace", 0.5, 1.0), 2.0, 500, seed=0)
+        conditional_coverage_mc(config("laplace", 0.5, 1.0), 2.0, 0, seed=0)
 
 
 @pytest.mark.parametrize("theta0", [np.nan, np.inf, -np.inf])
