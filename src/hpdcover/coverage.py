@@ -3,13 +3,13 @@
 The coverage at a true mean theta0 is the error-law probability of the
 membership set {x : theta0 in HPD(x)}.  Because the endpoint maps are
 piecewise smooth with known jump loci, that set is a finite interval union;
-it is recovered by a grid membership scan with boundaries refined by
-the margin-driven boundary solver, and summed as exact CDF differences.  A
-seeded inverse-CDF Monte Carlo estimator serves as a cross-check that tests
-membership in tail-mass space instead: HPD(x) is the ball |theta - x| <=
-G^{-1}(1 - q(x)) less the band, so a draw covers theta0 iff G(-|Z|) >= q(x),
-with q from the endpoint evaluator's level stage and G(-|Z|) from the draw's
-own uniform; no radius or endpoint is formed.
+it is recovered by a grid membership scan, each crossing of U and of L
+refined on its own curve by the margin-driven boundary solver, and summed as
+exact CDF differences.  A seeded inverse-CDF Monte Carlo estimator serves as
+a cross-check that tests membership in tail-mass space instead: HPD(x) is
+the ball |theta - x| <= G^{-1}(1 - q(x)) less the band, so a draw covers
+theta0 iff G(-|Z|) >= q(x), with q from the endpoint evaluator's level stage
+and G(-|Z|) from the draw's own uniform; no radius or endpoint is formed.
 
 U and L do not depend on theta0, so a whole theta0 grid is scanned as one
 batch on the calling thread, each distinct |theta0| once (HPD(-x) = -HPD(x),
@@ -22,8 +22,8 @@ post-selection and the one-sided baseline.  C- and C+ are that set split at
 x = theta0, its masses on [theta0, inf) and (-inf, theta0), so C = C- + C+
 at every theta0.  The atom/band rule (hpd._fixed_cover) and the Monte Carlo
 counter (_mc_point) are each written once, for the exact scan,
-postselect.credible_set_contains (the rule, then the sign of
-scanning.level_margin), coverage_mc and Monte Carlo curves alike.
+postselect.credible_set_contains (the rule, then L <= theta0 <= U, the
+scan's two flags), coverage_mc and Monte Carlo curves alike.
 """
 
 from __future__ import annotations

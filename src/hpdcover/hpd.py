@@ -290,6 +290,13 @@ def _member_reach(cfg: PriorConfig) -> float:
     return float(cfg.dist.ppf_upper(cfg.alpha * float(cfg.dist.cdf(-cfg.lam)))) + 0.5
 
 
+def _set_window(cfg: PriorConfig, level: float) -> tuple[float, float]:
+    """Window [max(-b, level - reach), min(b, level + reach)] of a one-level set scan (an inversion,
+    a post-selection set), reach = _member_reach, b = |level| + G^{-1}(1 - TOL_TAIL) + lam."""
+    b, reach = abs(level) + cfg.dist.ppf_upper(TOL_TAIL) + cfg.lam, _member_reach(cfg)
+    return max(-b, level - reach), min(b, level + reach)
+
+
 def _half_width(cfg: PriorConfig) -> float:
     """Coverage scan half-width: _member_reach (no mass lost), or G^{-1}(1 - TOL_TAIL / 2) if smaller."""
     return min(float(cfg.dist.ppf_upper(TOL_TAIL / 2.0)), _member_reach(cfg))
@@ -319,16 +326,14 @@ def _finite_theta0(theta0) -> np.ndarray:
 def _invert_endpoint(cfg: PriorConfig, column: int, theta0: float) -> InverseSet:
     """Roots of endpoint = theta0 for column 0 (U) or 1 (L) of the endpoints pass."""
     _finite_theta0(theta0)
-    b = abs(theta0) + cfg.dist.ppf_upper(TOL_TAIL) + cfg.lam
-    reach, t = _member_reach(cfg), cfg.t_alpha
 
     def fn(xs):
         upper_lower_codes = endpoints(cfg, xs)
         return upper_lower_codes[column] - theta0, upper_lower_codes[2]
 
     # One window about theta0; the atom region inside it is NaN, outside the set.
-    lo, hi = max(-b, theta0 - reach), min(b, theta0 + reach)
-    specials = [cfg.lam, -cfg.lam, theta0, t, -t]
+    lo, hi = _set_window(cfg, theta0)
+    specials = [cfg.lam, -cfg.lam, theta0, cfg.t_alpha, -cfg.t_alpha]
     allr, codes = sign_change_roots(fn, lo, hi, specials, 1e-6 * (1.0 + abs(theta0)))
     if allr.size == 0:
         raise InversionError(

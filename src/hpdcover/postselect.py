@@ -10,10 +10,10 @@ PS(x) is one call of the scanning module's level-set scan on the curve pair
 theta -> (U(theta), L(theta)) at the single level x: one endpoint table on a
 grid over theta, shared by the crossing counts and the sliver guard (one
 endpoint call per extremum-mode multisection round for both curves), with
-every boundary refined by the same solver in boundary mode.  The window is
-the coverage scan's half-width.  credible_set_contains tests x in CS(theta)
-pointwise: the atom/band rule where it decides, else the sign of
-scanning.level_margin, the flag the scan itself reads.
+each crossing of U and of L refined by the same solver in boundary mode, on
+hpd._set_window about x, the window of inversion too.  credible_set_contains
+tests x in CS(theta) pointwise: the atom/band rule where it decides, else
+L(theta) <= x <= U(theta), the two flags the scan itself reads.
 
 The conditional coverage P(theta0 in PS(X) | |X| >= lam) is computed in
 closed form (conditional_coverage_exact) and sampled as a cross-check
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import interval_mass, uniform_blocks
-from .hpd import _endpoint_pass, _finite_theta0, _fixed_cover, _half_width, _levels, endpoint_values
+from .hpd import _endpoint_pass, _finite_theta0, _fixed_cover, _levels, _set_window, endpoint_values
 from .posterior import PriorConfig, _require_finite, gap_complement
-from .scanning import level_margin, member_intervals
+from .scanning import member_intervals
 
 __all__ = [
     "PostSelectionSet",
@@ -62,15 +62,16 @@ def credible_set_contains(cfg: PriorConfig, data_values, x: float):
 
     CS(theta) is the credible set computed as if theta were the observation.
     The atom/band rule decides where it applies (no CS(theta) holds an x
-    inside the band); elsewhere x is a member iff level_margin(U, L, x) >= 0,
-    that is L(theta) <= x <= U(theta), false on the all-atom region.
+    inside the band); elsewhere x is a member iff L(theta) <= x <= U(theta),
+    the two flags the scan reads, false on the all-atom region (NaN ends).
     """
     _require_finite("x", x)
     thetas = np.atleast_1d(np.asarray(data_values, float))
     fixed, covered = _fixed_cover(cfg, x)
     if fixed:
         return np.full(thetas.shape, bool(covered))
-    return level_margin(*endpoint_values(cfg, thetas), x) >= 0.0
+    upper, lower = endpoint_values(cfg, thetas)
+    return (lower <= x) & (x <= upper)
 
 
 def post_selection_set(cfg: PriorConfig, x: float) -> PostSelectionSet:
@@ -84,9 +85,8 @@ def post_selection_set(cfg: PriorConfig, x: float) -> PostSelectionSet:
     _require_finite("x", x)
     if abs(x) < cfg.lam:
         raise ValueError(f"|x| = {abs(x)} < lam = {cfg.lam}: observation was not selected")
-    half = _half_width(cfg)
     curves = lambda thetas: endpoint_values(cfg, thetas)
-    _, a, b = member_intervals(curves, x, x - half, x + half, [cfg.lam, -cfg.lam, x, -x])
+    _, a, b = member_intervals(curves, x, *_set_window(cfg, x), [cfg.lam, -cfg.lam, x, -x])
     return PostSelectionSet(x=float(x), alpha=cfg.alpha, lam=cfg.lam, intervals=tuple(zip(a.tolist(), b.tolist())))
 
 

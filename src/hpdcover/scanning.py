@@ -2,28 +2,28 @@
 
 The credible-set endpoints are piecewise smooth with isolated jumps, so the
 level sets {x : L(x) <= t_j <= U(x)} of a curve pair curves(xs) -> (U, L)
-are found by scanning one dense grid for all levels at once.  crossing_cells
-is the one level-set primitive: one searchsorted per endpoint column (one
-comparison, for a single level) counts, at each grid point, the levels on
-the false side of L <= t and of t <= U, and
-a cell flips level j exactly when j lies between the counts at its two ends,
-so no level scans its window on its own and the predicates are evaluated
-only at the ends of the cells it returns.  One vectorised multisection
-solver, whose round evaluates sections - 1 uniform interior points of every
-open cell in one call, refines every boundary (boundary mode,
-refine_boundaries) and every extremum (extremum mode, refine_extrema).  A
-boundary is the sign change of the margin min(U - t, t - L), whose sign is
-the flag: each round adds a geometric cluster about the regula falsi
-estimate from the bracket's end margins, so a smooth boundary settles below
-BISECT_TOL / 128 in two or three rounds, while the uniform points narrow a
-jump or NaN edge as fast as multisection alone.  An extremum keeps the two
-sub-cells around its best sample each round, down to a relative tol set by
-the caller: graze_points, the one sliver guard, runs it at 1e-13 on the
-local extrema of U and L that graze a target level, calling curves once per
-round for both endpoints; coverage.dip_search runs it on U at 1e-8, and on
-C only where no corner of C or domain end is the dip.
+are found by scanning one dense grid for all levels at once, each curve its
+own flag.  crossing_cells is the one level-set primitive: one searchsorted
+per endpoint column (one comparison, for a single level) counts, at each
+grid point, the levels on the false side of t <= U and of L <= t, and a
+cell flips level j on a curve exactly when j lies between its counts at the
+two ends, so no level scans its window on its own.  One vectorised
+multisection solver, whose round evaluates sections - 1 uniform interior
+points of every open cell in one call, refines every boundary (boundary
+mode, refine_boundaries) and every extremum (extremum mode, refine_extrema).
+A crossing is the sign change of its own curve's margin, U - t or t - L,
+and the member set is where both flags hold, so a set inside one cell, its
+ends on different curves, is kept.  Each round adds a geometric cluster
+about the regula falsi estimate from the bracket's end margins, so a smooth
+boundary settles below BISECT_TOL / 128 in two or three rounds, while the
+uniform points narrow a jump or NaN edge as fast as multisection alone.  An
+extremum keeps the two sub-cells around its best sample each round, down to
+a relative tol set by the caller: graze_points, the one sliver guard, runs
+it at 1e-13 on the local extrema of U and L that graze a target level,
+calling curves once per round for both endpoints; coverage.dip_search runs
+it on U at 1e-8, and on C only where no corner of C or domain end is the dip.
 Inversion is the same scan: sign_change_roots reads the roots of fn off
-{fn >= 0}, the pair (fn, -inf) at level 0, whose margin is fn.  Everything
+{fn >= 0}, the pair (fn, -inf) at level 0, whose U margin is fn.  Everything
 is vectorized so that one pass can serve many windows and levels at once.
 Every grid has N_BASE base points, a constant that no caller sets.
 """
@@ -109,15 +109,6 @@ def bisect_iters(widths, tol: float) -> int:
     if np.size(widths) == 0:
         return 0
     return min(80, math.ceil(math.log2(max(float(np.max(widths)), tol) / tol)) + 1)
-
-
-def level_margin(upper, lower, level):
-    """min(U - level, level - L): >= 0 exactly where L <= level <= U holds
-    (a float difference is zero only between equal floats), NaN on NaN
-    endpoints (the atom region), so the sign of the margin is the one
-    membership flag."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.minimum(upper - level, level - lower)
 
 
 def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
@@ -279,22 +270,24 @@ def graze_points(grid: np.ndarray, table, levels, curves):
     return np.insert(grid, at, extra), tuple(np.insert(v, at, x) for v, x in zip(table, curves(extra)))
 
 
-def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray]:
-    """Every (level j, cell k) where L <= t_j or t_j <= U flips on grid cell k -> k + 1.
+def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (level j, cell k, curve c) where t_j <= U (c = 0) or L <= t_j (c = 1)
+    flips on grid cell k -> k + 1.
 
     table = (U, L) on a sorted grid, levels t sorted, and level j's window
     the grid points i0[j] .. i1[j] - 1 (i0 and i1 nondecreasing, as for
     equal-width windows about sorted levels); only cells inside the window
     are returned.  One searchsorted per column (a comparison, given one
     level) counts, at each grid point, the levels on the false side of each
-    factor, NaN counting as +inf in L and -inf in U so that its flag is
-    false, as level_margin's NaN reads; a cell flips level j exactly when j
-    lies between the counts at its two ends.  The pairs come back sorted by
-    level, then cell.
+    flag, NaN counting as +inf in L and -inf in U so that its flag is false;
+    a cell flips level j on a curve exactly when j lies between the curve's
+    counts at its two ends, so a cell where both curves flip one level is
+    listed twice.  The triples come back as the L crossings, then the U
+    crossings, each sorted by cell, then level.
     """
     upper, lower = table
     levels = np.atleast_1d(np.asarray(levels, float))
-    m, size = levels.size, upper.size
+    m = levels.size
     # L <= t_j for j >= c_l; t_j <= U for j < m - c_u (searchsorted sorts NaN
     # above every level, so a NaN end is false for every level).
     if m == 1:
@@ -307,35 +300,38 @@ def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray]:
     # window holds the cell (i0[j] <= k and k + 1 < i1[j]).
     a = np.concatenate([c_l[k], m - c_u[k]])
     b = np.concatenate([c_l[k + 1], m - c_u[k + 1]])
-    k = np.concatenate([k, k])
+    curve, k = np.repeat([1, 0], k.size), np.concatenate([k, k])
     lo = np.maximum(np.minimum(a, b), np.searchsorted(i1, k + 1, "right"))
     n = np.maximum(np.minimum(np.maximum(a, b), np.searchsorted(i0, k, "right")) - lo, 0)
     end = np.cumsum(n)
     j = np.repeat(lo - end + n, n) + np.arange(end[-1] if end.size else 0)
-    # A cell where both factors flip one level is listed once.
-    key = np.sort(j * size + np.repeat(k, n))
-    key = key[np.append(True, key[1:] != key[:-1])[: key.size]]
-    return key // size, key % size
+    return j, np.repeat(k, n), np.repeat(curve, n)
 
 
-def _member_stretches(cuts, group, start, lo, hi):
-    """(group, a, b) for every stretch on which a flag is set, in group order.
+def _member_stretches(cuts, group, curve, start, lo, hi):
+    """(group, a, b) for every stretch on which both flags are set, in group order.
 
-    Group g's flag is start[g] at lo[g] and flips at each of its sorted cuts
-    (cuts ordered by group) up to hi[g]; empty stretches are dropped.
+    Group g's flag on curve c is start[c, g] at lo[g] and flips at each of
+    its cuts on that curve in [lo[g], hi[g]] (cuts in any order); empty
+    stretches are dropped.
     """
-    n_group = start.size
+    n_group = lo.size
     n_cut = np.bincount(group, minlength=n_group)
-    # Group g's edges lo[g], its cuts, hi[g] as one block of the flat edges.
+    order = np.lexsort((cuts, group))
+    # Group g's edges lo[g], its sorted cuts, hi[g] as one block of the flat edges.
     block = np.cumsum(n_cut + 2) - n_cut - 2
+    at = np.arange(cuts.size) + 2 * group[order] + 1
     edges = np.empty(cuts.size + 2 * n_group)
-    edges[block], edges[block + n_cut + 1] = lo, hi
-    edges[np.arange(cuts.size) + 2 * group + 1] = cuts
-    group = np.repeat(np.arange(n_group), n_cut + 2)[:-1]
-    pos = np.arange(group.size) - block[group]
+    edges[block], edges[block + n_cut + 1], edges[at] = lo, hi, cuts[order]
+    # Each curve's flip parity up to each edge, counted from its block's lo.
+    odd = np.zeros((2, edges.size), int)
+    odd[curve[order], at] = 1
+    odd = np.cumsum(odd, axis=1) & 1
+    group = np.repeat(np.arange(n_group), n_cut + 2)
+    flag = np.all(start[:, group] ^ (odd != odd[:, block[group]]), axis=0)
     left, right = edges[:-1], edges[1:]
-    on = (start[group] ^ (pos % 2 == 1)) & (pos <= n_cut[group]) & (right > left)
-    return group[on], left[on], right[on]
+    on = flag[:-1] & (group[1:] == group[:-1]) & (right > left)
+    return group[:-1][on], left[on], right[on]
 
 
 def member_intervals(curves, levels, lo, hi, specials, reach=None):
@@ -345,27 +341,24 @@ def member_intervals(curves, levels, lo, hi, specials, reach=None):
     are sorted with equal-width windows [lo_j, hi_j] (or scalars for one
     level), reach as in build_grid.  One endpoint table on a grid over the
     union of the windows passes through the graze_points sliver guard for
-    all levels, the crossings of every level come from crossing_cells, the
-    margins min(U - t, t - L) are read at the ends of those cells alone, and
-    every flag transition is refined in one refine_boundaries batch, which
-    starts from those end margins.  Returns flat arrays (owner, a, b),
-    grouped by level; stretches of one level that touch (within 1e-15) are
-    merged.
+    all levels, the crossings of each curve come from crossing_cells, and
+    every crossing is refined on its own curve's margin (U - t or t - L),
+    read at its cell's ends alone, in one refine_boundaries batch.  The set
+    is where both flags hold.  Returns flat arrays (owner, a, b), grouped by
+    level; stretches of one level that touch (within 1e-15) are merged.
     """
     levels, lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in (levels, lo, hi))
     grid = build_grid(lo, hi, specials, reach)
     grid, table = graze_points(grid, curves(grid), levels, curves)
     i0, i1 = np.searchsorted(grid, lo, "left"), np.searchsorted(grid, hi, "right")
-    owner, cell = crossing_cells(table, levels, i0, i1)
-    ends = np.concatenate([cell, cell + 1, i0])
-    g = level_margin(table[0][ends], table[1][ends], np.concatenate([levels[owner], levels[owner], levels]))
-    flags = g >= 0.0
-    n = cell.size
-    start, trans = flags[2 * n :], flags[:n] != flags[n : 2 * n]
-    owner, cell, g_lo, g_hi = owner[trans], cell[trans], g[:n][trans], g[n : 2 * n][trans]
-    margin = lambda xs, rows: level_margin(*curves(xs), levels[owner[rows]])
-    cuts = refine_boundaries(margin, grid[cell], grid[cell + 1], g_lo, g_hi, BISECT_TOL)
-    owner, a, b = _member_stretches(cuts, owner, start, lo, hi)
+    owner, cell, curve = crossing_cells(table, levels, i0, i1)
+    # Crossing r's margin on its own curve: U - t, or t - L = -(L - t).
+    sign, t = 1.0 - 2.0 * curve, levels[owner]
+    margin = lambda ul, rows=slice(None): sign[rows] * (np.where(curve[rows] == 0, *ul) - t[rows])
+    g_lo, g_hi = (margin([v[c] for v in table]) for c in (cell, cell + 1))
+    cuts = refine_boundaries(lambda xs, r: margin(curves(xs), r), grid[cell], grid[cell + 1], g_lo, g_hi, BISECT_TOL)
+    start = np.array([levels <= table[0][i0], table[1][i0] <= levels])
+    owner, a, b = _member_stretches(cuts, owner, curve, start, lo, hi)
     touch = (a[1:] <= b[:-1] + 1e-15) & (owner[1:] == owner[:-1])
     new = np.flatnonzero(np.append(True, ~touch)[: a.size])
     return owner[new], a[new], b[np.append(new[1:], a.size)[: new.size] - 1]
@@ -378,7 +371,7 @@ def sign_change_roots(fn, lo, hi, specials, accept_tol: float):
     per-point arrays (the regime codes of an inversion), which come back
     evaluated at the roots from the one call that checks them, as (roots,
     *tags).  The set comes from one member_intervals call on the curve pair
-    (fn, -inf) at level 0, whose margin is fn itself, so the roots pass the
+    (fn, -inf) at level 0, whose U margin is fn itself, so the roots pass the
     same grid, sliver guard and boundary solver as every other level set,
     and a root pair between two grid points is found like any other sliver;
     NaN values of fn lie outside the set.  Stretch ends where |fn| exceeds

@@ -729,8 +729,8 @@ def test_exact_batch_without_fractions_is_the_first_three_columns(law, lam, w):
 def _exact_sorted_per_theta0(cfg, ts, half, fractions=True):
     """The exact scan with each theta0's membership set found by a flag loop
     over its own window, the per-theta0 scan that crossing_cells replaced,
-    its transitions refined by the same boundary solver from the margins in
-    the table.  The theta0 that the atom/band rule fixes are not scanned:
+    its transitions of the combined flag refined by the same boundary solver
+    on the combined margin min(U - t, t - L), not on each curve's own.  The theta0 that the atom/band rule fixes are not scanned:
     their set is the whole window (the atom) or empty (the band)."""
     cv, sc = coverage_mod, scanning_mod
     n_t = ts.size
@@ -752,8 +752,10 @@ def _exact_sorted_per_theta0(cfg, ts, half, fractions=True):
             k = np.flatnonzero(f[1:] != f[:-1])
             cells.append((np.full(k.size, j), k + i0[j]))
         owner, cell = (np.concatenate(c) for c in zip(*cells))
-        g_lo, g_hi = (sc.level_margin(upper[i], lower[i], lv[owner]) for i in (cell, cell + 1))
-        margin = lambda xs, rows: sc.level_margin(*curves(xs), lv[owner[rows]])
+        # The combined margin min(U - t, t - L), whose sign is the set's flag.
+        level_margin = lambda u, l, t: np.minimum(u - t, t - l)
+        g_lo, g_hi = (level_margin(upper[i], lower[i], lv[owner]) for i in (cell, cell + 1))
+        margin = lambda xs, rows: level_margin(*curves(xs), lv[owner[rows]])
         cuts = sc.refine_boundaries(margin, grid[cell], grid[cell + 1], g_lo, g_hi, sc.BISECT_TOL)
 
         # Stretches between consecutive cuts, alternating from the start
@@ -801,6 +803,56 @@ def test_exact_batch_matches_per_theta0_scan_bitwise(monkeypatch, law, lam, w):
     rows = coverage_mod._exact_batch(cfg, theta)
     monkeypatch.setattr(coverage_mod, "_exact_sorted", _exact_sorted_per_theta0)
     assert np.array_equal(rows, coverage_mod._exact_batch(cfg, theta))
+
+
+def _flag_mass(cfg, theta0, xs):
+    """Brute-force C(theta0) from credible_set_contains flags on the sorted
+    grid xs, no scan: each run of member points x_i .. x_j counts as
+    [x_i, x_j] (inner) or as [x_{i-1}, x_{j+1}] (outer), summed as
+    interval_mass differences.  Up to member sets that fall between two grid
+    points, the true C lies in [inner, outer]: outer - inner is the grid error."""
+    flags = np.concatenate([[False], credible_set_contains(cfg, xs, theta0), [False]])
+    first = np.flatnonzero(flags[1:-1] & ~flags[:-2])
+    last = np.flatnonzero(flags[1:-1] & ~flags[2:])
+    mass = lambda i, j: float(np.sum(interval_mass(cfg.dist, xs[i] - theta0, xs[j] - theta0)))
+    return mass(first, last), mass(np.maximum(first - 1, 0), np.minimum(last + 1, xs.size - 1))
+
+
+def test_thin_member_set_next_to_a_far_atom_threshold():
+    # Just above t_alpha = 20.353 the radius is near 0, so U and L both cross
+    # theta0 = t_alpha + e inside one grid cell: the member set is about
+    # t_alpha + [0.8 e, 1.34 e], with both cell ends outside it.  The
+    # reference grid is 2^19 steps over t_alpha + [0.5 e, 1.5 e], a geometric
+    # search of t_alpha + [1e-12, 5] and a uniform one of the scan window;
+    # its grid error outer - inner is at most 1.5e-9 (at e = 1e-3).
+    cfg = PriorConfig(parse_dist_spec("t3"), 0.5, 1e-6, ALPHA)
+    t, half = cfg.t_alpha, hpd_mod._half_width(cfg)
+    for e, want in ((1e-7, 1.97944e-8), (1e-5, 1.97944e-6), (1e-3, 1.97911e-4)):
+        theta0 = t + e
+        near = np.concatenate([t + e * np.linspace(0.5, 1.5, 2**19 + 1), t + np.geomspace(1e-12, 5.0, 20001)])
+        xs = np.unique(np.concatenate([near, theta0 + np.linspace(-half, half, 20001)]))
+        inner, outer = _flag_mass(cfg, theta0, xs)
+        c = coverage_exact(cfg, theta0).C
+        assert outer - inner <= 1.5e-9
+        assert abs(c - 0.5 * (inner + outer)) <= 1e-9
+        assert c == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_scan_loses_no_member_set_above_the_atom_threshold(law):
+    # theta0 = t_alpha + 10^k, k = -9 .. 0: the inner flag mass on a grid of
+    # relative step 1e-3 from t_alpha (plus the scan window at its own step)
+    # is a lower bound of C, so it may not exceed the scan's C.  A member set
+    # lost inside one cell shows here from k = -8 on (t3 at k = -3 lost 2e-4).
+    for w in (1e-6, 1e-4, 1e-2):
+        cfg = PriorConfig(parse_dist_spec(law), 0.5, w, ALPHA)
+        t, half = cfg.t_alpha, hpd_mod._half_width(cfg)
+        ts = t + 10.0 ** np.arange(-9.0, 1.0)
+        c = coverage_mod._exact_batch(cfg, ts, fractions=False)[:, 0]
+        for theta0, c_scan in zip(ts, c):
+            xs = np.unique(np.concatenate([t + np.geomspace(1e-12, 5.0, 30001), theta0 + np.linspace(-half, half, 10001)]))
+            inner, _ = _flag_mass(cfg, theta0, xs)
+            assert inner - c_scan <= 1e-9, (w, theta0 - t, inner, c_scan)
 
 
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])

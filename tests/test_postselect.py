@@ -65,6 +65,26 @@ def test_inverted_set_matches_brute_force_membership():
     assert np.array_equal(member[~edge], inside[~edge])
 
 
+@pytest.mark.parametrize("law, lam", [("gaussian", 8.0), ("laplace", 20.0)])
+def test_post_selection_set_reaches_past_the_coverage_half_width(law, lam):
+    # PS(lam) runs from about -0.23 (gaussian) or -1.83 (laplace) to above
+    # lam, farther below x = lam than the coverage scan's half-width
+    # G^{-1}(1 - 5e-10) (6.11 for the gaussian), which used to cut its
+    # window there.  The dense reference flags span x +- 30, with no member
+    # at either end; each end of PS(x) lies within one step of its run.
+    cfg = PriorConfig(parse_dist_spec(law), lam, 1.0, 0.05)
+    x, step = lam, 1e-4
+    ps = post_selection_set(cfg, x)
+    thetas = x + np.arange(-300000, 300001) * step
+    flags = np.concatenate([[False], credible_set_contains(cfg, thetas, x), [False]])
+    assert not flags[1] and not flags[-2]
+    first = thetas[np.flatnonzero(flags[1:-1] & ~flags[:-2])]
+    last = thetas[np.flatnonzero(flags[1:-1] & ~flags[2:])]
+    a, b = np.array(ps.intervals).T
+    assert a.size == first.size and a[0] < x - 6.2
+    assert np.all((first - step <= a) & (a <= first)) and np.all((last <= b) & (b <= last + step))
+
+
 def test_credible_set_contains_applies_the_band():
     # x = 0.5 lies inside the band |x| < lam = 1, which no credible set
     # covers, so x is in CS(theta) for no theta, though L(theta) <= x <=

@@ -486,16 +486,18 @@ def test_sign_change_roots_one_window(coarse, fn, roots):
 
 
 def _crossing_reference(table, levels, i0, i1):
-    """Per-level flag diff: the (j, k) where L <= t_j or t_j <= U flips on
-    cell k -> k + 1 inside level j's window."""
+    """Per-level, per-curve flag diff: the (j, k, c) where t_j <= U (c = 0)
+    or L <= t_j (c = 1) flips on cell k -> k + 1 inside level j's window."""
     upper, lower = table
-    pairs = []
+    triples = []
     with np.errstate(invalid="ignore"):
         for j, t in enumerate(levels):
             s = slice(i0[j], i1[j])
-            flips = ((lower[s] <= t)[1:] != (lower[s] <= t)[:-1]) | ((t <= upper[s])[1:] != (t <= upper[s])[:-1])
-            pairs += [(j, k + i0[j]) for k in np.flatnonzero(flips)]
-    return pairs
+            for k in range(max(i1[j] - i0[j] - 1, 0)):
+                for c, flag in enumerate((t <= upper[s], lower[s] <= t)):
+                    if flag[k] != flag[k + 1]:
+                        triples.append((j, k + i0[j], c))
+    return triples
 
 
 def test_crossing_cells_matches_per_level_flag_diff():
@@ -522,17 +524,44 @@ def test_crossing_cells_matches_per_level_flag_diff():
         width = int(rng.integers(2, n + 1))
         i0 = np.sort(rng.integers(-width // 2, n - width // 2, levels.size))
         i0, i1 = np.clip(i0, 0, n), np.clip(i0 + width, 0, n)
-        j, k = crossing_cells((upper, lower), levels, i0, i1)
-        assert list(zip(j.tolist(), k.tolist())) == _crossing_reference((upper, lower), levels, i0, i1)
+        got = crossing_cells((upper, lower), levels, i0, i1)
+        assert sorted(zip(*(v.tolist() for v in got))) == _crossing_reference((upper, lower), levels, i0, i1)
+
+
+def test_crossing_cells_lists_a_cell_once_per_curve():
+    # Level 1.0 lies in [L, U] at no grid point, but on cell 1 -> 2 U rises
+    # through it and L too, so the member set sits inside that cell: the
+    # cell is listed for each curve, L first.  Level 3.0 is crossed by U
+    # alone, on cell 2 -> 3, and level -1.0 by neither.
+    upper = np.array([0.0, 0.5, 1.5, 3.0])
+    lower = np.array([-0.5, 0.2, 1.2, 2.5])
+    levels = np.array([-1.0, 1.0, 3.0])
+    j, k, c = crossing_cells((upper, lower), levels, np.zeros(3, int), np.full(3, 4))
+    assert list(zip(j.tolist(), k.tolist(), c.tolist())) == [(1, 1, 1), (1, 1, 0), (2, 2, 0)]
+    # The same table at level 1.0 alone, counted by comparisons.
+    j, k, c = crossing_cells((upper, lower), levels[1:2], np.array([0]), np.array([4]))
+    assert list(zip(j.tolist(), k.tolist(), c.tolist())) == [(0, 1, 1), (0, 1, 0)]
 
 
 def test_crossing_cells_empty_result():
     upper, lower = np.linspace(5.0, 6.0, 50), np.linspace(3.0, 4.0, 50)
-    j, k = crossing_cells((upper, lower), np.array([4.5]), np.array([0]), np.array([50]))
-    assert j.size == 0 and k.size == 0
+    j, k, c = crossing_cells((upper, lower), np.array([4.5]), np.array([0]), np.array([50]))
+    assert j.size == 0 and k.size == 0 and c.size == 0
     # A level crossed only outside its window is no crossing either.
-    j, k = crossing_cells((upper, lower), np.array([5.5]), np.array([0]), np.array([10]))
-    assert j.size == 0 and k.size == 0
+    j, k, c = crossing_cells((upper, lower), np.array([5.5]), np.array([0]), np.array([10]))
+    assert j.size == 0 and k.size == 0 and c.size == 0
+
+
+def test_member_intervals_keeps_a_set_inside_one_cell():
+    # {x : L <= t <= U} = [a, b] for U = t + 50 (x - a), L = t + 50 (x - b):
+    # 1e-6 wide, inside one cell of the 5e-4 step, both ends false, and both
+    # curves monotone, so no graze point is added; each curve's crossing is
+    # refined on its own margin and the set is where both flags hold.
+    a, b, t = 0.3001234, 0.3001244, 0.7
+    curves = lambda xs: (t + 50.0 * (xs - a), t + 50.0 * (xs - b))
+    owner, lo, hi = member_intervals(curves, t, -1.0, 1.0, [])
+    assert owner.tolist() == [0]
+    assert abs(lo[0] - a) <= TOL and abs(hi[0] - b) <= TOL
 
 
 def test_member_intervals_many_levels(coarse):
