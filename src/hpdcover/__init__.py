@@ -10,117 +10,12 @@ run, and converts credible sets into post-selection confidence sets.
 
 __version__ = "0.1.0"
 
-from .distributions import (
-    Distribution,
-    Gaussian,
-    Laplace,
-    StudentT3,
-    SubExponential,
-    TailDecayReport,
-    check_tail_decay,
-    interval_mass,
-    make_distribution,
-)
-from .posterior import (
-    PriorConfig,
-    atom_mass,
-    atom_threshold,
-    gap_complement,
-    posterior_normalizer,
-    posterior_probability,
-)
-from .hpd import (
-    CredibleSet,
-    InverseSet,
-    InversionError,
-    Regime,
-    endpoint_values,
-    endpoints,
-    hpd_length,
-    hpd_radii,
-    hpd_set,
-    invert_lower,
-    invert_upper,
-    lower_values,
-    onesided_endpoints,
-    onesided_lower_endpoint,
-    onesided_radii,
-    onesided_upper_endpoint,
-    regime_codes,
-    smallest_lower_inverse,
-    upper_values,
-)
-from .coverage import (
-    BoundReport,
-    CoveragePoint,
-    CoverageReport,
-    DipResult,
-    check_coverage_bounds,
-    coverage_curve,
-    coverage_exact,
-    coverage_mc,
-    dip_search,
-    onesided_coverage_exact,
-    predicted_dip_level,
-)
-from .postselect import (
-    PostSelectionSet,
-    conditional_coverage_exact,
-    conditional_coverage_mc,
-    credible_set_contains,
-    post_selection_set,
-)
+from . import coverage, distributions, hpd, posterior, postselect
+from .coverage import *  # noqa: F403
+from .distributions import *  # noqa: F403
+from .hpd import *  # noqa: F403
+from .posterior import *  # noqa: F403
+from .postselect import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "Distribution",
-    "Gaussian",
-    "Laplace",
-    "StudentT3",
-    "SubExponential",
-    "TailDecayReport",
-    "check_tail_decay",
-    "interval_mass",
-    "make_distribution",
-    "PriorConfig",
-    "atom_mass",
-    "atom_threshold",
-    "gap_complement",
-    "posterior_normalizer",
-    "posterior_probability",
-    "CredibleSet",
-    "InverseSet",
-    "InversionError",
-    "Regime",
-    "endpoint_values",
-    "endpoints",
-    "hpd_length",
-    "hpd_radii",
-    "hpd_set",
-    "invert_lower",
-    "invert_upper",
-    "lower_values",
-    "onesided_endpoints",
-    "onesided_lower_endpoint",
-    "onesided_radii",
-    "onesided_upper_endpoint",
-    "regime_codes",
-    "smallest_lower_inverse",
-    "upper_values",
-    "BoundReport",
-    "CoveragePoint",
-    "CoverageReport",
-    "DipResult",
-    "check_coverage_bounds",
-    "coverage_curve",
-    "coverage_exact",
-    "coverage_mc",
-    "dip_search",
-    "onesided_coverage_exact",
-    "predicted_dip_level",
-    "PostSelectionSet",
-    "conditional_coverage_mc",
-    "conditional_coverage_exact",
-    "credible_set_contains",
-    "post_selection_set",
-]
+# Each module's __all__ is its one export list; the package exports them all.
+__all__ = ["__version__", *(name for mod in (distributions, posterior, hpd, coverage, postselect) for name in mod.__all__)]

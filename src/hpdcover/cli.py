@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coverage import check_coverage_bounds, coverage_curve, coverage_mc, thread_count
+from .coverage import _coverage_curves, check_coverage_bounds, coverage_mc, thread_count
 from .distributions import Distribution, make_distribution, uniform_blocks
 from .figures import (
     coverage_panels_rows,
@@ -206,6 +206,11 @@ def _cmd_hpd(rc: RunConfig) -> int:
     return 0
 
 
+def _bits(*values) -> bytes:
+    """The float bits of values, a key that keeps 0.0 and -0.0 apart."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 def _cmd_coverage(rc: RunConfig) -> int:
     grid = parse_grid_spec(rc.grid)
     law = rc.law()
@@ -215,23 +220,26 @@ def _cmd_coverage(rc: RunConfig) -> int:
     tagged = len(rc.lam) > 1 or len(rc.w) > 1
     header = ["lambda", "w"] * tagged + ["theta0", "C", "C_minus", "C_plus", "frac_I", "frac_II",
                                          "frac_III", "frac_IV", "method", "n", "seed"]
-    blocks, failures = [], []
     # Each distinct (lambda, w) is computed once and written at every place
-    # it is listed; keyed on the float bits, so 0.0 and -0.0 stay apart.
+    # it is listed; keyed on the float bits, so 0.0 and -0.0 stay apart.  The
+    # curves of one lambda run as one batch, a failure failing all of them.
     curves = {}  # a CoverageReport, or the failure message
+    for lam in {_bits(lam): lam for lam in rc.lam}.values():
+        cfgs = {}
+        for w in {_bits(w): w for w in rc.w}.values():
+            try:
+                cfgs[_bits(lam, w)] = PriorConfig(dist=law, lam=lam, w=w, alpha=rc.alpha)
+            except Exception as exc:  # noqa: BLE001 - enumerate and keep going
+                curves[_bits(lam, w)] = str(exc)
+        try:
+            if cfgs:
+                curves.update(zip(cfgs, _coverage_curves(list(cfgs.values()), grid, rc.method, rc.n, rc.seed, threads)))
+        except Exception as exc:  # noqa: BLE001 - enumerate and keep going
+            curves.update(dict.fromkeys(cfgs, str(exc)))
+    blocks, failures = [], []
     for lam in rc.lam:
         for w in rc.w:
-            key = struct.pack("<2d", lam, w)
-            if key not in curves:
-                try:
-                    cfg = PriorConfig(dist=law, lam=lam, w=w, alpha=rc.alpha)
-                    curves[key] = coverage_curve(
-                        cfg, grid, method=rc.method,
-                        n=rc.n, seed=rc.seed, threads=threads,
-                    )
-                except Exception as exc:  # noqa: BLE001 - enumerate and keep going
-                    curves[key] = str(exc)
-            rep = curves[key]
+            rep = curves[_bits(lam, w)]
             if isinstance(rep, str):
                 failures.append((lam, w, rep))
                 continue
@@ -280,7 +288,8 @@ def cmd_figure(fig_id: int, rc: RunConfig) -> list[Path]:
     side: dict = {}
     if fig_id == 1:
         side_extra["w_sweep"] = list(rc.w)
-        dists = [parse_dist_spec(s) for s in rc.dist.split(",")]
+        laws = {}  # each listed law parsed once, so that figure 1 scans a repeated one once
+        dists = [laws.setdefault(s, parse_dist_spec(s)) for s in rc.dist.split(",")]
         header, blocks = coverage_panels_rows(dists, list(rc.lam), list(rc.w), rc.alpha, rc.fig_grid_n, rc.mirror)
     elif fig_id == 2:
         header, blocks, side = posterior_illustration_rows(make_distribution("gaussian"), rc.alpha)

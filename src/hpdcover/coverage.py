@@ -11,10 +11,11 @@ the ball |theta - x| <= G^{-1}(1 - q(x)) less the band, so a draw covers
 theta0 iff G(-|Z|) >= q(x), with q from the endpoint evaluator's level stage
 and G(-|Z|) from the draw's own uniform; no radius or endpoint is formed.
 
-U and L do not depend on theta0, so a whole theta0 grid is scanned as one
-batch on the calling thread, each distinct |theta0| once (HPD(-x) = -HPD(x),
-so -theta0 is read off by reflection): one scanning.member_intervals call
-per run of _RUN theta0, on a theta0-free grid over the union of their scan
+U and L do not depend on theta0, so a whole theta0 grid, for every w of one
+law and lam, is scanned as one batch on the calling thread, each distinct
+|theta0| once (HPD(-x) = -HPD(x), so -theta0 is read off by reflection):
+one scanning.member_intervals call, one endpoint-table row per w, per run
+of _RUN theta0, on a theta0-free grid over the union of their scan
 windows that scanning.build_grid spaces, with a geometric ladder at the band
 edges and atom threshold, yields the membership set of every theta0 that the
 atom/band rule leaves open, the same level-set scan that serves inversion,
@@ -38,7 +39,7 @@ import numpy as np
 from .distributions import interval_mass, uniform_blocks
 from .hpd import (Regime, _finite_theta0, _fixed_cover, _half_width, _levels, _upper_corners, endpoint_values,
                   onesided_endpoints, regime_codes, upper_values)
-from .posterior import PriorConfig
+from .posterior import PriorConfig, _rows, _with_w
 from .scanning import TOL_TAIL, member_intervals, refine_extrema
 
 __all__ = [
@@ -111,61 +112,75 @@ def _scan_theta0(theta0, reach: float) -> np.ndarray:
 
 def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, fractions: bool = True) -> np.ndarray:
     """Rows (C, C-, C+, frac_I..frac_IV) for one run of sorted theta0, or
-    (C, C-, C+) alone without ``fractions``.
+    (C, C-, C+) alone without ``fractions``; a block of them per row of a
+    column config.
 
-    One member_intervals scan gives the membership set in its window of
-    every theta0 the atom/band rule leaves open; C- and C+ are its masses on
-    [theta0, inf) and (-inf, theta0).  Where the rule fixes membership, the
-    set is the whole window (C = 1, C- = C+ = 1/2 exactly) or empty, and
-    theta0 is not scanned.
+    One member_intervals scan, one table row per config, gives the
+    membership set in its window of every theta0 the atom/band rule leaves
+    open in some row; C- and C+ are its masses on [theta0, inf) and (-inf,
+    theta0).  Where the rule fixes membership, the set is the whole window
+    (C = 1, C- = C+ = 1/2 exactly) or empty.
     """
-    n_t = ts.size
-    fixed, atom0 = _fixed_cover(cfg, ts)
-    live, whole = np.flatnonzero(~fixed), np.flatnonzero(atom0)
+    n_t, lead = ts.size, np.shape(cfg.w)[:-1]
+    fixed, atom0 = (np.reshape(v, (-1, n_t)) for v in _fixed_cover(cfg, ts))
+    n_r = fixed.shape[0]
+    live = np.flatnonzero(~fixed.all(axis=0))
     owner, a, b = np.zeros(0, int), np.zeros(0), np.zeros(0)
     if live.size:
         levels = ts[live]
-        specials = [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha]
-        owner, a, b = member_intervals(lambda xs: endpoint_values(cfg, xs), levels, levels - half, levels + half, specials)
-    owner = np.concatenate([live[owner], whole])
-    a, b = np.concatenate([a, ts[whole] - half]), np.concatenate([b, ts[whole] + half])
-    t = ts[owner]
+        t_alpha = np.ravel(cfg.t_alpha)
+        curves = lambda xs, rows=np.arange(n_r)[:, None]: endpoint_values(_rows(cfg, rows), xs)
+        specials = [cfg.lam, -cfg.lam, *t_alpha, *-t_alpha]
+        owner, a, b = member_intervals(curves, levels, levels - half, levels + half, specials)
+        owner = owner // live.size * n_t + live[owner % live.size]  # row * n_t + theta0 index
+        keep = ~fixed.ravel()[owner]
+        owner, a, b = owner[keep], a[keep], b[keep]
+    whole = np.flatnonzero(atom0)
+    owner, t = np.concatenate([owner, whole]), ts[whole % n_t]
+    a, b = np.concatenate([a, t - half]), np.concatenate([b, t + half])
+    t = ts[owner % n_t]
 
     # The parts on [theta0, inf) and (-inf, theta0) of every interval.
     lo, hi = a - t, b - t
     split = interval_mass(cfg.dist, [np.maximum(lo, 0.0), np.minimum(lo, 0.0)], [np.maximum(hi, 0.0), np.minimum(hi, 0.0)])
-    c_minus, c_plus = (np.where(atom0, 0.5, np.bincount(owner, weights=m, minlength=n_t)) for m in split)
-    total = c_minus + c_plus
-    if not fractions:
-        return np.column_stack([total, c_minus, c_plus])
-
-    # Regime fractions of C by a 64-subcell midpoint rule on each interval.
-    edges = np.linspace(a, b, 65, axis=-1)
-    sub = interval_mass(cfg.dist, edges[:, :-1] - t[:, None], edges[:, 1:] - t[:, None]).ravel()
-    codes = regime_codes(cfg, (0.5 * (edges[:, :-1] + edges[:, 1:])).ravel())
-    by_regime = np.bincount(np.repeat(owner, 64) * 5 + codes, weights=sub, minlength=5 * n_t)
-    fracs = by_regime.reshape(n_t, 5)[:, 1:] / np.where(total > 0.0, total, 1.0)[:, None]
-    return np.column_stack([total, c_minus, c_plus, fracs])
+    c_minus, c_plus = (np.where(atom0, 0.5, np.bincount(owner, weights=m, minlength=n_r * n_t).reshape(n_r, n_t))
+                       for m in split)
+    out = np.empty((n_r, n_t, 7 if fractions else 3))
+    out[..., 0], out[..., 1], out[..., 2] = c_minus + c_plus, c_minus, c_plus
+    if fractions:
+        # Regime fractions of C by a 64-subcell midpoint rule on each interval.
+        edges = np.linspace(a, b, 65, axis=-1)
+        sub = interval_mass(cfg.dist, edges[:, :-1] - t[:, None], edges[:, 1:] - t[:, None]).ravel()
+        codes = regime_codes(_rows(cfg, (owner // n_t)[:, None]), 0.5 * (edges[:, :-1] + edges[:, 1:]))
+        by_regime = np.bincount(np.repeat(owner, 64) * 5 + codes.ravel(), weights=sub, minlength=5 * n_r * n_t)
+        out[..., 3:] = by_regime.reshape(n_r, n_t, 5)[..., 1:] / np.where(out[..., :1] > 0.0, out[..., :1], 1.0)
+    return out.reshape(lead + out.shape[1:])
 
 
 def _exact_batch(cfg: PriorConfig, theta0, fractions: bool = True) -> np.ndarray:
     """Exact coverage rows (C, C-, C+, frac_I..frac_IV), one per theta0, in input order;
     (C, C-, C+) alone without ``fractions``, for callers that read no regime.
+    A column config (posterior._with_w: configs of one law, lam and alpha,
+    which share their windows) gets a block of rows per config, shape
+    (configs, n, k), from scans that serve them all.
 
-    Each distinct |theta0| is scanned once, in sorted runs of _RUN, one
-    shared grid each (_exact_sorted).  As L(x) = -U(-x), reflecting x keeps
-    C and swaps regimes II and IV and the sides of x = theta0 (a null set),
-    so -theta0 takes the row of |theta0| with C-/C+ and frac_II/IV swapped.
+    Each distinct |theta0| is scanned once, in sorted runs of _RUN rows in
+    all, one shared grid each (_exact_sorted).  As L(x) = -U(-x), reflecting
+    x keeps C and swaps regimes II and IV and the sides of x = theta0 (a
+    null set), so -theta0 takes the row of |theta0| with C-/C+ and
+    frac_II/IV swapped.
     """
     half = _half_width(cfg)
     ts = _scan_theta0(theta0, half)
+    lead = np.shape(cfg.w)[:-1]
     cols = [0, 2, 1, 3, 6, 5, 4] if fractions else [0, 2, 1]
     if ts.size == 0:
-        return np.empty((0, len(cols)))
+        return np.empty(lead + (0, len(cols)))
     mag, inv = np.unique(np.abs(ts), return_inverse=True)
-    runs = (mag[i : i + _RUN] for i in range(0, mag.size, _RUN))
-    rows = np.concatenate([_exact_sorted(cfg, m, half, fractions) for m in runs])[inv]
-    return np.where((ts < 0.0)[:, None], rows[:, cols], rows)
+    run = max(1, _RUN // math.prod(lead))
+    rows = np.concatenate([_exact_sorted(cfg, mag[i : i + run], half, fractions)
+                           for i in range(0, mag.size, run)], axis=-2)[..., inv, :]
+    return np.where((ts < 0.0)[:, None], rows[..., cols], rows)
 
 
 def coverage_exact(cfg: PriorConfig, theta0: float) -> CoveragePoint:
@@ -264,9 +279,16 @@ def coverage_curve(
     seed: int = 0,
     threads: int | None = None,
 ) -> CoverageReport:
-    """Coverage over a sorted theta0 grid.
+    """Coverage over a sorted theta0 grid, the one-config case of _coverage_curves."""
+    return _coverage_curves([cfg], grid, method, n, seed, threads)[0]
 
-    The exact scan runs the whole grid as one batch on the calling thread;
+
+def _coverage_curves(cfgs, grid, method: str = "exact", n: int = 10**6, seed: int = 0,
+                     threads: int | None = None) -> list[CoverageReport]:
+    """Coverage over one sorted theta0 grid for configs of one law, lam and alpha, one report each.
+
+    The exact scans of all the configs are one batch on the calling thread,
+    as figure 1 and the coverage command run every w of one law and lam;
     Monte Carlo points run in parallel on up to ``threads`` workers.
     """
     grid = np.asarray(grid, float)
@@ -274,32 +296,26 @@ def coverage_curve(
         raise ValueError("theta0 grid must be a non-empty 1-d array")
     if np.any(np.diff(grid) < 0):
         raise ValueError("theta0 grid must be sorted")
-    if method == "exact":
-        rows = _exact_batch(cfg, grid)
-        label = "exact_scan"
+    if method == "exact":  # one config, or their column config, with t_alpha from one solve
+        col = cfgs[0] if len(cfgs) == 1 else _with_w(cfgs[0], np.array([[c.w] for c in cfgs]))
+        blocks = _exact_batch(col, grid).reshape(len(cfgs), grid.size, -1)
+        label, n, seed = "exact_scan", 0, 0
     elif method == "mc":
-        work = lambda t0: _mc_point(cfg, t0, n, seed)
+        work = lambda point: _mc_point(*point, n, seed)
+        points = [(cfg, t0) for cfg in cfgs for t0 in grid]
         workers = thread_count(threads)
-        if workers > 1 and grid.size > 1:
+        if workers > 1 and len(points) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = np.array(list(pool.map(work, grid)))
+                blocks = np.array(list(pool.map(work, points)))
         else:
-            rows = np.array([work(t0) for t0 in grid])
+            blocks = np.array([work(point) for point in points])
+        blocks = blocks.reshape(len(cfgs), grid.size, -1)
         label = f"monte_carlo(seed={seed}, n={n})"
     else:
         raise ValueError(f"unknown method {method!r}")
-    cols = rows.T
-    return CoverageReport(
-        theta0=grid,
-        C=cols[0],
-        C_minus=cols[1],
-        C_plus=cols[2],
-        fractions=dict(zip(_REGIME_KEYS, cols[3:])),
-        method=label,
-        n=n if method == "mc" else 0,
-        seed=seed if method == "mc" else 0,
-        config=_config_summary(cfg),
-    )
+    return [CoverageReport(theta0=grid, C=b[:, 0], C_minus=b[:, 1], C_plus=b[:, 2],
+                           fractions=dict(zip(_REGIME_KEYS, b.T[3:])), method=label, n=n, seed=seed,
+                           config=_config_summary(cfg)) for cfg, b in zip(cfgs, blocks)]
 
 
 def onesided_coverage_exact(cfg: PriorConfig, theta0):
@@ -320,7 +336,7 @@ def onesided_coverage_exact(cfg: PriorConfig, theta0):
     left, right = float(d.ppf_upper(TOL_TAIL / 2.0)), float(d.ppf_upper(cfg.alpha / 2.0))
     ts, inv = np.unique(_scan_theta0(theta0, max(left, right + 0.5)), return_inverse=True)
     switch = cfg.lam + float(d.ppf(1.0 / (1.0 + cfg.alpha)))
-    curves = lambda xs: onesided_endpoints(cfg, xs)
+    curves = lambda xs, rows=None: onesided_endpoints(cfg, xs)
     out = np.empty(ts.size)
     for i in range(0, ts.size, _RUN):
         t = ts[i : i + _RUN]

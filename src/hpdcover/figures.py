@@ -12,10 +12,11 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
-from .coverage import coverage_curve
+from .coverage import _coverage_curves
 from .distributions import Distribution
 from .hpd import Regime, endpoints, hpd_length, hpd_radii, regime_codes
 from .posterior import PriorConfig, atom_mass, posterior_normalizer
@@ -56,20 +57,27 @@ def coverage_panels_rows(
     grid_n: int,
     mirror: bool,
 ):
-    """Coverage curves with regime attribution, one block per (dist, lam, w) panel line."""
+    """Coverage curves with regime attribution, one block per (dist, lam, w) panel line.
+
+    The curves of every distinct w of one law and lam are one exact batch
+    (coverage._coverage_curves); each distinct (dist, lam, w), keyed on the
+    float bits, is computed once and written at every place it is listed.
+    """
     header = [
         "dist", "lambda", "w", "theta0", "C", "C_minus", "C_plus",
         "frac_I", "frac_II", "frac_III", "frac_IV",
     ]
-    blocks = []
+    blocks, curves = [], {}
+    key = lambda dist, lam, w: (dist, struct.pack("<2d", lam, w))
     for dist in dists:
         for lam in lams:
-            grid = _coverage_grid(dist, lam, alpha, grid_n, mirror)
+            fresh = {key(dist, lam, w): w for w in ws if key(dist, lam, w) not in curves}
+            if fresh:
+                cfgs = [PriorConfig(dist=dist, lam=lam, w=w, alpha=alpha) for w in fresh.values()]
+                curves.update(zip(fresh, _coverage_curves(cfgs, _coverage_grid(dist, lam, alpha, grid_n, mirror))))
             for w in ws:
-                cfg = PriorConfig(dist=dist, lam=lam, w=w, alpha=alpha)
-                rep = coverage_curve(cfg, grid)
-                blocks.append([dist.name, lam, w, rep.theta0, rep.C, rep.C_minus, rep.C_plus,
-                               *rep.fractions.values()])
+                rep = curves[key(dist, lam, w)]
+                blocks.append([dist.name, lam, w, rep.theta0, rep.C, rep.C_minus, rep.C_plus, *rep.fractions.values()])
     return header, blocks
 
 

@@ -130,7 +130,7 @@ def _levels(cfg: PriorConfig, x: np.ndarray):
     third = q3 <= below
     q2 = np.multiply(alpha, sk, out=s)
     q2 -= below
-    if x.size < _PRODUCTS_MIN:
+    if q1.size < _PRODUCTS_MIN:
         np.copyto(q2, q3, where=third)
         np.copyto(q2, q1, where=one)
         codes = np.where(one, _I, np.where(third, _III, np.where(x > 0, _II, _IV)))
@@ -308,10 +308,11 @@ def _fixed_cover(cfg: PriorConfig, theta0):
     Where fixed, membership of theta0 is the same from every x and equals
     covered: with w < 1 the atom covers theta0 = 0; otherwise, once lam > 0,
     nothing covers |theta0| < lam, theta0 = 0 included.  Elsewhere the
-    interval part L(x) <= theta0 <= U(x) decides.
+    interval part L(x) <= theta0 <= U(x) decides.  A column config's w
+    broadcasts against theta0, one rule per row.
     """
     t = np.asarray(theta0, float)
-    covered = (t == 0.0) & cfg.has_atom
+    covered = (t == 0.0) & (cfg.w < 1.0)
     return covered | ((cfg.lam > 0.0) & (np.abs(t) < cfg.lam)), covered
 
 

@@ -42,9 +42,9 @@ class PriorConfig:
     """Prior parameters and credibility level for the one-observation model.
 
     lam >= 0 is the half-width of the excluded band, w in (0, 1] the slab
-    weight (w = 1 means no atom; a subnormal w, where (1 - w) / w overflows,
-    is rejected), and alpha in (0, 1) the tail level of the (1 - alpha)
-    highest-posterior-density set.
+    weight (w = 1 means no atom, has_atom is w < 1; a subnormal w, where
+    (1 - w) / w overflows, is rejected), and alpha in (0, 1) the tail level
+    of the (1 - alpha) highest-posterior-density set.
     """
 
     dist: Distribution
@@ -62,10 +62,7 @@ class PriorConfig:
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "w", float(self.w))
         object.__setattr__(self, "alpha", float(self.alpha))
-
-    @property
-    def has_atom(self) -> bool:
-        return self.w < 1.0
+        object.__setattr__(self, "has_atom", self.w < 1.0)
 
     def require_no_atom(self, what: str):
         """The one w = 1 rule: ValueError "<what> requires w = 1" with an atom."""
@@ -77,9 +74,26 @@ class PriorConfig:
         """Threshold on |x| up to which the atom alone is a (1-alpha) set.
 
         -inf when no such x exists (always for w = 1); +inf, flagged case,
-        when the atom stays above 1 - alpha out to the bracket cap.
+        when the atom stays above 1 - alpha out to the bracket cap.  An
+        array, one per row, for a column config (_with_w).
         """
         return atom_threshold(self)
+
+
+def _with_w(cfg: PriorConfig, w) -> PriorConfig:
+    """cfg with an array w of validated slab weights in place of its own: a
+    column config, whose tail_levels, endpoint pass and t_alpha read row i
+    at w[i], w broadcasting against x (an (n, 1) w gives an (m,) x n rows).
+    It forms the spike term on every row (has_atom), zero where w = 1."""
+    col = object.__new__(PriorConfig)
+    vars(col).update(dist=cfg.dist, lam=cfg.lam, w=w, alpha=cfg.alpha, has_atom=True)
+    return col
+
+
+def _rows(cfg: PriorConfig, rows) -> PriorConfig:
+    """cfg at the given rows: cfg itself for one config; for a column config
+    (_with_w) its rows' slab weights, which broadcast against x."""
+    return _with_w(cfg, cfg.w[rows, 0]) if isinstance(cfg.w, np.ndarray) else cfg
 
 
 def _require_finite(name: str, value):
@@ -110,7 +124,10 @@ def tail_levels(cfg: PriorConfig, sabs):
     atom margin alpha kg - (1 - alpha) s = alpha (s + kg) - s, not negative
     exactly where the atom carries 1 - alpha, has terms of the size of s, so
     it keeps its sign where q1 - 1/2 rounds to 0 deep in a wide band.  kg
-    and the margin are None with no atom.
+    and the margin are None with no atom.  For a column config (_with_w)
+    the pieces of |x| alone are formed once per x, and s, T and B come back
+    spread over the rows; a w = 1 row (kg = 0) gets a margin below -1, so it
+    never reads ATOM, even where s underflows to 0.
     """
     d, lam, alpha = cfg.dist, cfg.lam, cfg.alpha
     args = np.empty((2,) + sabs.shape)
@@ -128,6 +145,10 @@ def tail_levels(cfg: PriorConfig, sabs):
     gap -= below
     q1 += gap
     q1 *= 0.5
+    if isinstance(cfg.w, np.ndarray):
+        margin -= cfg.w == 1.0
+        if s.shape != sk.shape:
+            s, tail, below = (np.broadcast_to(v, sk.shape).copy() for v in (s, tail, below))
     return s, kg, sk, q1, tail, below, margin
 
 
@@ -162,26 +183,32 @@ def atom_mass(cfg: PriorConfig, x):
     return _ret(kg / sk, scalar)
 
 
-def atom_threshold(cfg: PriorConfig) -> float:
+def atom_threshold(cfg: PriorConfig):
     """The root of the atom margin of tail_levels (atom_mass decreases in |x|):
     the last float before the first |x| whose margin is negative, so that
     |x| <= t_alpha and the ATOM codes agree at t_alpha and both its float
     neighbours.  One call brackets it on 0, 1, 2, ..., 2^20, one
     scanning.refine_boundaries call narrows the bracket to a few ulp.  -inf
-    when the margin is negative at x = 0, +inf when it is not at 2^20.
+    when the margin is negative at x = 0 or there is no atom, +inf when it
+    is not negative at 2^20.  A column config's rows (_with_w) are solved in
+    the same calls, each bit for bit as alone (the 33 floats make the root).
     """
     if not cfg.has_atom:
         return -math.inf
-    margin = lambda t, rows=None: tail_levels(cfg, t)[6]
-    g = margin(_BRACKET)
-    k = int(np.argmax(g < 0))
-    if k == 0:
-        return -math.inf if g[0] < 0 else math.inf
-    root = refine_boundaries(margin, _BRACKET[k - 1], _BRACKET[k], g[k - 1], g[k], 0.0)[0]
-    # The floats about the root, where the first negative margin is read off.
-    near = np.maximum(np.float64(root).view(np.int64) + np.arange(-16, 17), 0).view(np.float64)
-    j = int(np.argmax(margin(near) < 0))
-    return float(near[j - 1] if j else root)
+    margin = lambda t, rows: tail_levels(_rows(cfg, rows), t)[6]
+    g = np.atleast_2d(margin(_BRACKET, np.arange(np.size(cfg.w))[:, None]))
+    k = np.argmax(g < 0, axis=1)
+    out = np.where(g[:, 0] < 0, -math.inf, math.inf)  # where k = 0, as at a column's w = 1 rows
+    inner = np.flatnonzero(k)
+    if inner.size:
+        k, g, r = k[inner], g[inner], np.arange(inner.size)
+        root = refine_boundaries(lambda t, q: margin(t, inner[q]), _BRACKET[k - 1], _BRACKET[k],
+                                 g[r, k - 1], g[r, k], 0.0)
+        # The floats about each root, where the first negative margin is read off.
+        near = np.maximum(root.view(np.int64)[:, None] + np.arange(-16, 17), 0).view(np.float64)
+        j = np.argmax(margin(near, inner[:, None]) < 0, axis=1)
+        out[inner] = np.where(j > 0, near[r, j - 1], root)
+    return float(out[0]) if np.ndim(cfg.w) == 0 else out
 
 
 def _validated_intervals(intervals):

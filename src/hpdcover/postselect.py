@@ -85,7 +85,7 @@ def post_selection_set(cfg: PriorConfig, x: float) -> PostSelectionSet:
     _require_finite("x", x)
     if abs(x) < cfg.lam:
         raise ValueError(f"|x| = {abs(x)} < lam = {cfg.lam}: observation was not selected")
-    curves = lambda thetas: endpoint_values(cfg, thetas)
+    curves = lambda thetas, rows=None: endpoint_values(cfg, thetas)
     _, a, b = member_intervals(curves, x, *_set_window(cfg, x), [cfg.lam, -cfg.lam, x, -x])
     return PostSelectionSet(x=float(x), alpha=cfg.alpha, lam=cfg.lam, intervals=tuple(zip(a.tolist(), b.tolist())))
 

@@ -24,7 +24,9 @@ calling curves once per round for both endpoints; coverage.dip_search runs
 it on U at 1e-8, and on C only where no corner of C or domain end is the dip.
 Inversion is the same scan: sign_change_roots reads the roots of fn off
 {fn >= 0}, the pair (fn, -inf) at level 0, whose U margin is fn.  Everything
-is vectorized so that one pass can serve many windows and levels at once.
+is vectorized so that one pass can serve many windows and levels at once,
+and many curve pairs: the endpoint table has one row per pair (per config
+of one law and lam, for coverage), each level scanned on every row.
 Every grid has N_BASE base points, a constant that no caller sets.
 """
 
@@ -136,19 +138,20 @@ def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
     stop = lambda a, b: np.maximum(tol / 128.0, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
     s = stop(cells[0], cells[2])
     at = np.flatnonzero(cells[2] - cells[0] > s)
+    a, ga, b, gb = cells[:, at]
     s = s[at]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while at.size:
-            a, ga, b, gb = cells[:, at]
             w = b - a
             spans = w / s
-            m = section_count(at.size, bisect_iters(spans, 1.0))
-            k = 1 + max(0, math.ceil(math.log(4.0 * float(np.max(spans)) / m, 8)))
+            widest = float(spans.max())
+            m = section_count(at.size, bisect_iters(widest, 1.0))
+            k = 1 + max(0, math.ceil(math.log(4.0 * widest / m, 8)))
             # The cell as fractions 0 .. 1 with its samples sorted between.
             # Cluster points outside it sort before 0 or after 1 and take the
             # end margins; a NaN secant leaves its cluster NaN, sorted last.
             frac = np.empty((at.size, m + 2 * k + 1))
-            frac[:, :m] = np.arange(m) / m
+            frac[:, :m] = _uniform(m)
             frac[:, m:-1] = (ga / (ga - gb))[:, None] + _cluster(k) / spans[:, None]
             frac[:, -1] = 1.0
             frac.sort(axis=1)
@@ -160,14 +163,22 @@ def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
             flags = g >= 0.0
             j = np.argmax(flags != flags[:, :1], axis=1)
             r = np.arange(at.size)
-            kept = xs[r, j - 1], g[r, j - 1], xs[r, j], g[r, j]
-            cells[:, at] = kept
-            s = stop(kept[0], kept[2])
-            live = kept[2] - kept[0] > s
-            at, s = at[live], s[live]
+            a, ga, b, gb = xs[r, j - 1], g[r, j - 1], xs[r, j], g[r, j]
+            s = stop(a, b)
+            live = b - a > s
+            if not live.all():
+                done = ~live
+                cells[:, at[done]] = a[done], ga[done], b[done], gb[done]
+                at, a, ga, b, gb, s = at[live], a[live], ga[live], b[live], gb[live], s[live]
         lo, g_lo, hi, g_hi = cells
         t = g_lo / (g_lo - g_hi)
         return lo + (hi - lo) * np.where(t == t, t, 0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform(m: int) -> np.ndarray:
+    """The fractions 0, 1/m, ..., (m - 1)/m of a round's uniform samples."""
+    return np.arange(m) / m
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,39 +264,46 @@ def graze_points(grid: np.ndarray, table, levels, curves):
     """The sliver guard: the grid and its curve table (U, L) with every local
     extremum of U or L that grazes one of ``levels`` between grid points added.
 
-    The candidates of both columns (graze_cells) are refined in one
-    refine_extrema batch that calls curves(xs) -> (U, L) once per round for
-    both endpoints; only the new abscissas are then evaluated, once, and
-    merged into the sorted grid and table.
+    The table may have one row per curve pair, curves as in member_intervals.
+    The candidates of both columns (graze_cells on each column's rows laid
+    end to end, a row's ends excluded) are refined in one refine_extrema
+    batch that calls curves once per round for both endpoints; only the new
+    abscissas are then evaluated, once, and merged into the sorted grid and
+    table.
     """
-    (iu, max_u), (il, max_l) = graze_cells(table[0], levels), graze_cells(table[1], levels)
-    on_u = np.repeat([True, False], [iu.size, il.size])
-    idx = np.concatenate([iu, il])
-    if idx.size == 0:
+    (iu, max_u), (il, max_l) = (graze_cells(np.ravel(v), levels) for v in table)
+    row, idx = np.divmod(np.concatenate([iu, il]), grid.size)
+    keep = np.flatnonzero((0 < idx) & (idx < grid.size - 1))
+    if keep.size == 0:
         return grid, table
-    column = lambda xs, rows: np.where(on_u[rows], *curves(xs))
-    extra = refine_extrema(column, grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l]))[0]
+    on_u, row, idx = keep < iu.size, row[keep], idx[keep]
+    column = lambda xs, rows: np.where(on_u[rows], *curves(xs, row[rows]))
+    extra = refine_extrema(column, grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l])[keep])[0]
     extra = np.setdiff1d(extra, grid)
     at = np.searchsorted(grid, extra)
-    return np.insert(grid, at, extra), tuple(np.insert(v, at, x) for v, x in zip(table, curves(extra)))
+    flat = (at + grid.size * np.arange(np.size(table[0]) // grid.size)[:, None]).ravel()  # at, in every row
+    grow = lambda v, x: np.insert(np.ravel(v), flat, np.ravel(x)).reshape(np.shape(v)[:-1] + (-1,))
+    return np.insert(grid, at, extra), tuple(grow(v, x) for v, x in zip(table, curves(extra)))
 
 
 def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (level j, cell k, curve c) where t_j <= U (c = 0) or L <= t_j (c = 1)
     flips on grid cell k -> k + 1.
 
-    table = (U, L) on a sorted grid, levels t sorted, and level j's window
-    the grid points i0[j] .. i1[j] - 1 (i0 and i1 nondecreasing, as for
-    equal-width windows about sorted levels); only cells inside the window
-    are returned.  One searchsorted per column (a comparison, given one
-    level) counts, at each grid point, the levels on the false side of each
-    flag, NaN counting as +inf in L and -inf in U so that its flag is false;
-    a cell flips level j on a curve exactly when j lies between the curve's
-    counts at its two ends, so a cell where both curves flip one level is
-    listed twice.  The triples come back as the L crossings, then the U
-    crossings, each sorted by cell, then level.
+    table = (U, L) on a sorted grid of n points (or (rows, n) tables, every
+    level scanned on every row, cell k of row r numbered r n + k), levels t
+    sorted, and level j's window the grid points i0[j] .. i1[j] - 1 (i0 and
+    i1 nondecreasing, as for equal-width windows about sorted levels); only
+    cells inside the window are returned.  One searchsorted per column (a
+    comparison, given one level) counts, at each grid point, the levels on
+    the false side of each flag, NaN counting as +inf in L and -inf in U so
+    that its flag is false; a cell flips level j on a curve exactly when j
+    lies between the curve's counts at its two ends, so a cell where both
+    curves flip one level is listed twice.  The triples come back as the L
+    crossings, then the U crossings, each sorted by cell, then level.
     """
-    upper, lower = table
+    n_grid = np.shape(table[0])[-1]
+    upper, lower = (np.ravel(v) for v in table)
     levels = np.atleast_1d(np.asarray(levels, float))
     m = levels.size
     # L <= t_j for j >= c_l; t_j <= U for j < m - c_u (searchsorted sorts NaN
@@ -297,12 +315,14 @@ def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray, np.nd
         c_u = np.searchsorted(-levels[::-1], -upper, "left")
     k = np.flatnonzero((c_l[1:] != c_l[:-1]) | (c_u[1:] != c_u[:-1]))
     # The L flips of each cell, then its U flips, clipped to the levels whose
-    # window holds the cell (i0[j] <= k and k + 1 < i1[j]).
+    # window holds the cell (i0[j] <= k and k + 1 < i1[j], so never a cell
+    # from one row to the next).
     a = np.concatenate([c_l[k], m - c_u[k]])
     b = np.concatenate([c_l[k + 1], m - c_u[k + 1]])
     curve, k = np.repeat([1, 0], k.size), np.concatenate([k, k])
-    lo = np.maximum(np.minimum(a, b), np.searchsorted(i1, k + 1, "right"))
-    n = np.maximum(np.minimum(np.maximum(a, b), np.searchsorted(i0, k, "right")) - lo, 0)
+    cell = k % n_grid
+    lo = np.maximum(np.minimum(a, b), np.searchsorted(i1, cell + 1, "right"))
+    n = np.maximum(np.minimum(np.maximum(a, b), np.searchsorted(i0, cell, "right")) - lo, 0)
     end = np.cumsum(n)
     j = np.repeat(lo - end + n, n) + np.arange(end[-1] if end.size else 0)
     return j, np.repeat(k, n), np.repeat(curve, n)
@@ -337,27 +357,43 @@ def _member_stretches(cuts, group, curve, start, lo, hi):
 def member_intervals(curves, levels, lo, hi, specials, reach=None):
     """Connected components of {x in [lo_j, hi_j] : L(x) <= t_j <= U(x)} for every level t_j.
 
-    curves(xs) -> (U, L) is the curve pair; NaN values compare false.  levels
-    are sorted with equal-width windows [lo_j, hi_j] (or scalars for one
-    level), reach as in build_grid.  One endpoint table on a grid over the
+    curves(xs) -> (U, L) is the curve pair, or one row per pair ((rows,
+    len(xs)) arrays), and curves(xs, rows) gives row rows[k]'s pair at
+    xs[k]; NaN values compare false.  levels are sorted with equal-width
+    windows [lo_j, hi_j] (or scalars for one level), each scanned on every
+    row, reach as in build_grid.  One endpoint table on a grid over the
     union of the windows passes through the graze_points sliver guard for
     all levels, the crossings of each curve come from crossing_cells, and
     every crossing is refined on its own curve's margin (U - t or t - L),
-    read at its cell's ends alone, in one refine_boundaries batch.  The set
-    is where both flags hold.  Returns flat arrays (owner, a, b), grouped by
-    level; stretches of one level that touch (within 1e-15) are merged.
+    read at its cell's ends alone, in one refine_boundaries batch, but for
+    one whose other curve's flag is false at both cell ends, which cannot
+    bound the set and keeps its flip at the cell's left end.  The set is
+    where both flags hold.  Returns flat arrays (owner, a, b), owner =
+    row * len(levels) + j, grouped by owner; touching stretches (within
+    1e-15) of one owner are merged.
     """
     levels, lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in (levels, lo, hi))
     grid = build_grid(lo, hi, specials, reach)
-    grid, table = graze_points(grid, curves(grid), levels, curves)
+    grid, table = graze_points(grid, tuple(np.atleast_2d(v) for v in curves(grid)), levels, curves)
     i0, i1 = np.searchsorted(grid, lo, "left"), np.searchsorted(grid, hi, "right")
-    owner, cell, curve = crossing_cells(table, levels, i0, i1)
-    # Crossing r's margin on its own curve: U - t, or t - L = -(L - t).
-    sign, t = 1.0 - 2.0 * curve, levels[owner]
-    margin = lambda ul, rows=slice(None): sign[rows] * (np.where(curve[rows] == 0, *ul) - t[rows])
-    g_lo, g_hi = (margin([v[c] for v in table]) for c in (cell, cell + 1))
-    cuts = refine_boundaries(lambda xs, r: margin(curves(xs), r), grid[cell], grid[cell + 1], g_lo, g_hi, BISECT_TOL)
-    start = np.array([levels <= table[0][i0], table[1][i0] <= levels])
+    owner, k, curve = crossing_cells(table, levels, i0, i1)
+    (row, cell), t, ends, on_u = np.divmod(k, grid.size), levels[owner], np.array([k, k + 1]), curve == 0
+    # A crossing bounds the set where the other curve's flag holds at an end
+    # of its cell; it is refined on its own margin, U - t or t - L = -(L - t).
+    u_end, l_end = (v.ravel()[ends] - t for v in table)
+    bound = np.flatnonzero(np.where(on_u, np.fmin(*l_end) <= 0.0, np.fmax(*u_end) >= 0.0))
+    g_lo, g_hi = np.where(on_u, u_end, -l_end)[:, bound]
+    owner, (row, on_u, t_b, cell_b) = row * levels.size + owner, (v[bound] for v in (row, on_u, t, cell))
+
+    def margin(xs, q):
+        u = on_u[q]
+        d = np.where(u, *curves(xs, row[q])) - t_b[q]
+        return np.where(u, d, -d)
+
+    cuts = grid[cell]
+    cuts[bound] = refine_boundaries(margin, grid[cell_b], grid[cell_b + 1], g_lo, g_hi, BISECT_TOL)
+    start = np.array([levels <= table[0][:, i0], table[1][:, i0] <= levels]).reshape(2, -1)
+    lo, hi = (np.concatenate([v] * len(table[0])) for v in (lo, hi))
     owner, a, b = _member_stretches(cuts, owner, curve, start, lo, hi)
     touch = (a[1:] <= b[:-1] + 1e-15) & (owner[1:] == owner[:-1])
     new = np.flatnonzero(np.append(True, ~touch)[: a.size])
@@ -378,7 +414,7 @@ def sign_change_roots(fn, lo, hi, specials, accept_tol: float):
     accept_tol (jumps of a discontinuous fn and NaN edges, not roots) are
     dropped.  Tangent roots are not guaranteed.
     """
-    curves = lambda xs: (fn(xs)[0], np.full(np.shape(xs), -np.inf))
+    curves = lambda xs, rows=None: (fn(xs)[0], np.full(np.shape(xs), -np.inf))
     _, a, b = member_intervals(curves, 0.0, lo, hi, specials)
     ends = np.sort(np.concatenate([a, b]))
     ends = ends[(lo < ends) & (ends < hi)]

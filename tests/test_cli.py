@@ -481,14 +481,23 @@ def test_cli_coverage_partial_failure(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 3  # header + the two points of the healthy config
     assert lines[1].startswith("0.5,1,")
+    # The failing configs leave the healthy configs' rows as their own run
+    # writes them, each w of lambda 0.5 still batched with the other.
+    both, healthy = tmp_path / "both.csv", tmp_path / "healthy.csv"
+    args = ["coverage", "--dist", "laplace", "--w", "0.25,1", "--alpha", "0.05", "--grid", "1:4:4"]
+    assert main(args + ["--lambda=-1,0.5", "--out", str(both)]) == 1
+    assert capsys.readouterr().err.count("coverage failed at lambda=-1.0 w=") == 2
+    assert main(args + ["--lambda", "0.5", "--out", str(healthy)]) == 0
+    assert both.read_bytes() == healthy.read_bytes()
 
 
 def test_cli_coverage_computes_each_listed_curve_once(tmp_path, monkeypatch):
     # A (lambda, w) listed twice is scanned once and written at both places;
-    # 0 and -0 are different values and get a curve each.
+    # 0 and -0 are different values and get a curve each.  Exact curves run
+    # as one batch per lambda (_coverage_curves), each distinct w once in it.
     calls = []
-    real = cli_mod.coverage_curve
-    monkeypatch.setattr(cli_mod, "coverage_curve", lambda cfg, *a, **k: calls.append(cfg.lam) or real(cfg, *a, **k))
+    real = cli_mod._coverage_curves
+    monkeypatch.setattr(cli_mod, "_coverage_curves", lambda cfgs, *a, **k: calls.extend(c.lam for c in cfgs) or real(cfgs, *a, **k))
     args = ["coverage", "--dist", "laplace", "--w", "0.5", "--grid", "1:3:3"]
     dup, distinct = tmp_path / "dup.csv", tmp_path / "distinct.csv"
     assert main(args + ["--lambda", "1,1,-0,0,1", "--out", str(dup)]) == 0
@@ -498,6 +507,72 @@ def test_cli_coverage_computes_each_listed_curve_once(tmp_path, monkeypatch):
     header, one, rest = lines[0], lines[1:4], lines[4:]
     assert [row.split(b",")[0] for row in rest] == [b"-0"] * 3 + [b"0"] * 3
     assert dup.read_bytes() == b"".join([header, *one, *one, *rest, *one])
+
+
+def test_cli_coverage_batch_rows_match_single_config_runs(tmp_path, monkeypatch):
+    # Each lambda's w run as one batch; every config's rows equal its own
+    # single-config run to 1e-10, and byte for byte where the batch holds
+    # that config alone (--w 1).
+    batches = []
+    real = cli_mod._coverage_curves
+    monkeypatch.setattr(cli_mod, "_coverage_curves", lambda cfgs, *a, **k: batches.append(len(cfgs)) or real(cfgs, *a, **k))
+    args = ["coverage", "--dist", "laplace", "--alpha", "0.05", "--grid", "-3:9:13"]
+
+    def run(lams, ws):
+        out = tmp_path / f"cov-{lams}-{ws}.csv"
+        assert main(args + ["--lambda", lams, "--w", ws, "--out", str(out)]) == 0
+        return out.read_text().splitlines()[1:]
+
+    def numbers(rows):
+        return np.array([[float(v) for v in row.split(",")[-11:-3]] for row in rows])
+
+    batched = run("0.5,5", "0.25,1")
+    assert batches == [2, 2]
+    for k, (lam, w) in enumerate([("0.5", "0.25"), ("0.5", "1"), ("5", "0.25"), ("5", "1")]):
+        alone = numbers(run(lam, w))
+        assert np.allclose(numbers(batched[13 * k : 13 * (k + 1)]), alone, rtol=0.0, atol=1e-10)
+    assert run("0.5,5", "1") == [f"{lam},1," + row for lam in ("0.5", "5") for row in run(lam, "1")]
+
+
+def test_cli_figure_one_computes_each_listed_curve_once(tmp_path, monkeypatch):
+    # --w 0.5,0.5 is scanned once and its rows written twice.
+    import hpdcover.figures as figures_mod
+
+    calls = []
+    real = figures_mod._coverage_curves
+    monkeypatch.setattr(figures_mod, "_coverage_curves", lambda cfgs, *a, **k: calls.append([c.w for c in cfgs]) or real(cfgs, *a, **k))
+    argv = ["figure", "1", "--dist", "laplace", "--lambda", "0.5", "--fig-grid-n", "2", "--no-mirror"]
+    main(argv + ["--w", "0.5,0.5", "--outdir", str(tmp_path / "dup")])
+    main(argv + ["--w", "0.5", "--outdir", str(tmp_path / "one")])
+    assert calls == [[0.5], [0.5]]
+    header, *rows = (tmp_path / "one" / "figure1.csv").read_text().splitlines(keepends=True)
+    assert (tmp_path / "dup" / "figure1.csv").read_text() == "".join([header, *rows, *rows])
+
+
+def test_figure_one_makes_one_scan_and_one_atom_solve_per_law_and_lambda(tmp_path, monkeypatch):
+    # A deterministic work count, not a timing: the benchmark's figure 1
+    # batches every w of one law and lambda, so 3 laws x 2 lambdas make six
+    # atom_threshold solves and six member_intervals scans (per config,
+    # 18 and 24).
+    import hpdcover.posterior as posterior_mod
+    import hpdcover.scanning as scanning_mod
+
+    counts = dict.fromkeys(("atom_threshold", "member_intervals"), 0)
+    modules = [m for k, m in sys.modules.items() if k.startswith("hpdcover") and m is not None]
+    for name, owner in (("atom_threshold", posterior_mod), ("member_intervals", scanning_mod)):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    main(["figure", "1", "--dist", "gaussian,laplace,t3", "--lambda", "0.5,5", "--fig-grid-n", "4",
+          "--outdir", str(tmp_path)])
+    assert counts == {"atom_threshold": 6, "member_intervals": 6}
 
 
 def test_thread_count_env_cap(monkeypatch):

@@ -739,7 +739,7 @@ def _exact_sorted_per_theta0(cfg, ts, half, fractions=True):
     live = np.flatnonzero(~fixed)
     if live.size:
         lv = ts[live]
-        curves = lambda xs: cv.endpoint_values(cfg, xs)
+        curves = lambda xs, rows=None: cv.endpoint_values(cfg, xs)
         grid = sc.build_grid(lv - half, lv + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha])
         grid, (upper, lower) = sc.graze_points(grid, curves(grid), lv, curves)
         i0 = np.searchsorted(grid, lv - half, "left")
@@ -1258,3 +1258,50 @@ def test_monte_carlo_peak_memory(law):
         finally:
             tracemalloc.stop()
         assert peak <= cap * 2**20
+
+
+@pytest.mark.parametrize(
+    "law, lam, ws",
+    [
+        ("laplace", 0.5, (1e-6, 0.25, 1.0, 0.125)),  # atom configs with different t_alpha beside w = 1
+        ("gaussian", 0.0, (0.5, 1.0)),  # theta0 = 0 is open at w = 1 and fixed by the atom at w < 1
+        ("t3", 5.0, (1.0, 0.25)),
+    ],
+)
+def test_column_batch_matches_per_config_scans(law, lam, ws):
+    # One scan serves every w of one law and lambda: each config's rows equal
+    # its own scan at every theta0 (negative ones, 0, +-lam and two far
+    # theta0 whose windows overlap no other), bit for bit where the atom/band
+    # rule fixes the row and within 1e-10 where the shared solve moves a cut.
+    # The batch's t_alpha come from one solve, bit for bit each config's own.
+    from hpdcover.posterior import _with_w, atom_threshold
+
+    cfgs = [PriorConfig(parse_dist_spec(law), lam, w, ALPHA) for w in ws]
+    theta = np.sort(np.concatenate([np.linspace(-lam - 6.0, lam + 9.0, 23), [0.0, lam, -lam, lam + 60.0, -lam - 90.0]]))
+    reports = coverage_mod._coverage_curves(cfgs, theta)
+    batched = atom_threshold(_with_w(cfgs[0], np.array(ws)[:, None]))
+    for cfg, rep, t_alpha in zip(cfgs, reports, batched):
+        assert np.float64(cfg.t_alpha).tobytes() == t_alpha.tobytes()
+        got = np.column_stack([rep.C, rep.C_minus, rep.C_plus, *rep.fractions.values()])
+        want = coverage_mod._exact_batch(cfg, theta)
+        fixed = hpd_mod._fixed_cover(cfg, theta)[0]
+        assert np.array_equal(got[fixed], want[fixed])
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_column_endpoint_rows_match_their_configs_where_the_slab_share_underflows():
+    # Deep in a wide gaussian band s = G(|x| - lam) + G(-lam - |x|) underflows
+    # to 0; a w = 1 row of a column config must still never read ATOM there,
+    # and every row equals its own config's endpoint pass bit for bit.
+    from hpdcover.posterior import _with_w
+
+    ws = (0.5, 1.0, 1e-6)
+    cfgs = [PriorConfig(parse_dist_spec("gaussian"), 40.0, w, ALPHA) for w in ws]
+    xs = np.linspace(-50.0, 50.0, 2001)
+    assert np.any(hpd_mod.tail_levels(cfgs[1], np.abs(xs))[0] == 0.0)
+    upper, lower, codes = hpd_mod.endpoints(_with_w(cfgs[0], np.array(ws)[:, None]), xs)
+    assert upper.shape == (len(ws), xs.size)
+    for k, cfg in enumerate(cfgs):
+        want = hpd_mod.endpoints(cfg, xs)
+        assert all(np.array_equal(v[k], ref, equal_nan=True) for v, ref in zip((upper, lower, codes), want))
+    assert not np.any(codes[1] == Regime.ATOM)

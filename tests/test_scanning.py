@@ -258,7 +258,7 @@ def test_graze_points_multiple_levels():
     grid = np.linspace(0.0, 4.0 * np.pi, 200)
     calls = []
 
-    def curves(xs):
+    def curves(xs, rows=None):
         calls.append(xs.size)
         return np.sin(xs), np.cos(xs - 1.0)
 
@@ -558,7 +558,7 @@ def test_member_intervals_keeps_a_set_inside_one_cell():
     # curves monotone, so no graze point is added; each curve's crossing is
     # refined on its own margin and the set is where both flags hold.
     a, b, t = 0.3001234, 0.3001244, 0.7
-    curves = lambda xs: (t + 50.0 * (xs - a), t + 50.0 * (xs - b))
+    curves = lambda xs, rows=None: (t + 50.0 * (xs - a), t + 50.0 * (xs - b))
     owner, lo, hi = member_intervals(curves, t, -1.0, 1.0, [])
     assert owner.tolist() == [0]
     assert abs(lo[0] - a) <= TOL and abs(hi[0] - b) <= TOL
@@ -567,7 +567,7 @@ def test_member_intervals_keeps_a_set_inside_one_cell():
 def test_member_intervals_many_levels(coarse):
     # {x : x - 1 <= t <= x + 1} = [t - 1, t + 1], with the NaN band |x| < 0.5
     # cut out; one scan serves every level, including a duplicate.
-    def curves(xs):
+    def curves(xs, rows=None):
         nan = np.abs(xs) < 0.5
         return np.where(nan, np.nan, xs + 1.0), np.where(nan, np.nan, xs - 1.0)
 
@@ -597,3 +597,39 @@ def test_query_scans_stay_within_endpoint_call_budget(monkeypatch, law):
         calls.clear()
         inverse = invert_upper(PriorConfig(dist, lam, w, 0.05), target)
         assert len(calls) <= 5 and calls[-1] == len(inverse.roots)
+
+
+def test_member_intervals_refines_only_crossings_that_can_bound_the_set(monkeypatch):
+    # A crossing whose other curve's flag is false at both ends of its cell
+    # cannot bound the member set once the sliver guard has run, so
+    # member_intervals keeps its flip at the cell's left end unrefined.
+    # Against refining every crossing (the reference below), fewer cells are
+    # refined and (owner, a, b) moves by at most 1e-12.
+    from hpdcover.figures import _coverage_grid
+
+    cfg = PriorConfig(parse_dist_spec("laplace"), 5.0, 0.5, 0.05)
+    ts = _coverage_grid(cfg.dist, cfg.lam, cfg.alpha, 4, False)
+    half = hpd_mod._half_width(cfg)
+    specials = [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha]
+    curves = lambda xs, rows=None: hpd_mod.endpoint_values(cfg, xs)
+
+    grid = build_grid(ts - half, ts + half, specials)
+    grid, table = graze_points(grid, curves(grid), ts, curves)
+    i0, i1 = np.searchsorted(grid, ts - half, "left"), np.searchsorted(grid, ts + half, "right")
+    j, k, c = crossing_cells(table, ts, i0, i1)
+    sign, t = 1.0 - 2.0 * c, ts[j]
+    margin = lambda ul, r=slice(None): sign[r] * (np.where(c[r] == 0, *ul) - t[r])
+    g_lo, g_hi = (margin([v[i] for v in table]) for i in (k, k + 1))
+    cuts = refine_boundaries(lambda xs, r: margin(curves(xs), r), grid[k], grid[k + 1], g_lo, g_hi, TOL)
+    start = np.array([ts <= table[0][i0], table[1][i0] <= ts])
+    owner, a, b = scanning_mod._member_stretches(cuts, j, c, start, ts - half, ts + half)
+    new = np.flatnonzero(np.append(True, ~((a[1:] <= b[:-1] + 1e-15) & (owner[1:] == owner[:-1])))[: a.size])
+    want = owner[new], a[new], b[np.append(new[1:], a.size)[: new.size] - 1]
+
+    refined = []
+    real = scanning_mod.refine_boundaries
+    monkeypatch.setattr(scanning_mod, "refine_boundaries", lambda m, lo, *args: refined.append(np.size(lo)) or real(m, lo, *args))
+    got = member_intervals(curves, ts, ts - half, ts + half, specials)
+    assert refined and refined[0] < j.size
+    assert np.array_equal(got[0], want[0])
+    assert np.max(np.abs(np.concatenate(got[1:]) - np.concatenate(want[1:]))) <= 1e-12
