@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coverage import _coverage_curves, check_coverage_bounds, coverage_mc, thread_count
+from .coverage import _coverage_curves, check_coverage_bounds, thread_count
 from .distributions import Distribution, make_distribution, uniform_blocks
 from .figures import (
     coverage_panels_rows,

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import interval_mass, uniform_blocks
-from .hpd import (Regime, _finite_theta0, _fixed_cover, _half_width, _levels, _upper_corners, endpoint_values,
-                  onesided_endpoints, regime_codes, upper_values)
+from .hpd import (Regime, _finite_theta0, _fixed_cover, _half_width, _levels, _upper_profile, endpoint_values,
+                  onesided_endpoints, regime_codes)
 from .posterior import PriorConfig, _rows, _with_w
 from .scanning import TOL_TAIL, member_intervals, refine_extrema
 
@@ -357,21 +357,6 @@ def predicted_dip_level(cfg: PriorConfig) -> float:
     return 1.0 - 1.5 * a + a * float(cfg.dist.cdf(0.5 * float(cfg.dist.ppf(a))))
 
 
-def _min_upper_from_band_edge(cfg: PriorConfig) -> tuple[float, bool]:
-    """(min U over x >= max(lam, t_alpha), whether the edge holds it): the smallest
-    target whose upper inverse reaches past the band edge, at the edge itself (the
-    gaussian U rises from it) or where one extremum-mode solve within G^{-1}(1 - alpha/2)
-    + 2 of it finds it to 1e-8 (1 + |x|): quadratic there, U settles long before x."""
-    lo = max(cfg.lam, cfg.t_alpha)
-    if not math.isfinite(lo):
-        raise ValueError("upper endpoint undefined everywhere (saturated atom)")
-    lo += 1e-9
-    hi = lo + float(cfg.dist.ppf_upper(cfg.alpha / 2.0)) + 2.0
-    inner = float(refine_extrema(lambda x, rows: upper_values(cfg, x), [lo], [hi], False, tol=1e-8)[1][0])
-    edge = float(upper_values(cfg, lo)[0])
-    return min(inner, edge), edge <= inner
-
-
 @dataclass(frozen=True)
 class DipResult:
     """Minimum coverage over the targets reachable by the upper endpoint
@@ -391,26 +376,27 @@ def dip_search(cfg: PriorConfig) -> DipResult:
     """Locate min C(theta0) over {theta0 : sup U^{-1}(theta0) >= lam}.
 
     That domain is the half-line [min U on [lam or t_alpha, inf), inf) since
-    U is continuous there and grows without bound.  One batch scan takes 63
-    interior theta0 of [domain_lo, lam + 3.2 G^{-1}(1 - alpha/2)], its left end and
-    each corner U(x_b) of C (hpd._upper_corners).  Either of the last as the batch
-    minimum is the dip; else an extremum-mode solve on the best sample's sub-cells
-    goes on to 1e-4 (1 + theta0), c_min off by about C's slope times that.  The
-    left end is domain_lo itself where min U sits at the band edge, and domain_lo +
-    1e-6 (1 + domain_lo), off the double root of U = theta0, where it is interior.
+    U is continuous there and grows without bound.  One theta0-free pass of U
+    (hpd._upper_profile) gives domain_lo and the corners U(x_b) of C.  One batch scan
+    takes 63 interior theta0 of [domain_lo, max(lam + 3.2 G^{-1}(1 - alpha/2), domain_lo
+    + 1)], its left end and the corners inside.  Either of the last as the batch minimum
+    is the dip; else an extremum-mode solve on the best sample's sub-cells goes on to
+    1e-5 (1 + theta0), c_min off by about C's slope times that.  The left end is domain_lo
+    itself where min U sits at the band edge, and domain_lo + 1e-6 (1 + domain_lo), off
+    the double root of U = theta0, where it is interior.
     """
-    domain_lo, at_edge = _min_upper_from_band_edge(cfg)
-    hi = max(cfg.lam + 3.2 * float(cfg.dist.ppf_upper(cfg.alpha / 2.0)), domain_lo + 1.0)
+    hi = cfg.lam + 3.2 * float(cfg.dist.ppf_upper(cfg.alpha / 2.0))
+    domain_lo, at_edge, corners = _upper_profile(cfg, hi)
+    hi = max(hi, domain_lo + 1.0)
     c_many = lambda ts, rows=None: _exact_batch(cfg, ts, fractions=False)[:, 0]
     edge = domain_lo if at_edge else domain_lo + 1e-6 * (1.0 + domain_lo)
-    corners = _upper_corners(cfg, max(cfg.lam, cfg.t_alpha), hi)
     ends = np.linspace(domain_lo, hi, 65)
     ts = np.concatenate([ends[1:-1], [edge], corners[(edge < corners) & (corners < hi)]])
     c = c_many(ts)
     k = int(np.argmin(c))
     theta, c_min = ts[k : k + 1], c[k : k + 1]
     if k < ends.size - 2:  # no corner or end is the batch minimum
-        theta, c_min = refine_extrema(c_many, ends[k : k + 1], ends[k + 2 : k + 3], False, tol=1e-4)
+        theta, c_min = refine_extrema(c_many, ends[k : k + 1], ends[k + 2 : k + 3], False, tol=1e-5)
     return DipResult(
         theta_at_min=float(theta[0]),
         c_min=float(c_min[0]),

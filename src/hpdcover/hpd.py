@@ -28,7 +28,7 @@ from enum import IntEnum
 import numpy as np
 
 from .posterior import PriorConfig, _require_finite, tail_levels
-from .scanning import BISECT_TOL, TOL_TAIL, refine_boundaries, sign_change_roots
+from .scanning import BISECT_TOL, TOL_TAIL, refine_boundaries, refine_extrema, sign_change_roots
 
 __all__ = [
     "Regime",
@@ -164,16 +164,26 @@ def _endpoint_pass(cfg: PriorConfig, x):
     return upper, lower, codes, r, kg, sk
 
 
-def _upper_corners(cfg: PriorConfig, lo: float, hi: float) -> np.ndarray:
-    """U at every II -> I boundary x_b in [lo, hi], 0 < lo, where its slope jumps: one
-    level stage on 256 points brackets each (two closer than a step are missed), and one
-    refine_boundaries call settles it on the smooth margin q1 - T of tail_levels."""
-    xs = np.linspace(lo, hi, 256)
-    codes = _levels(cfg, xs)[1]
+def _upper_profile(cfg: PriorConfig, end: float) -> tuple[float, bool, np.ndarray]:
+    """(min U on x >= x0 = max(lam, t_alpha) + 1e-9, whether x0 holds it, U at each II -> I boundary x_b, a
+    slope jump) from one endpoints pass on 256 points of [x0, max(end, x0 + g2 + 2, x0 + g4 + 1)], g_k = G^{-1}(1 -
+    alpha/k), past min U + 1 as no level on x >= lam is below alpha sk / 2 >= alpha / 4.  The codes bracket
+    each x_b (two closer than a step are missed), settled by one refine_boundaries call on q1 - T; one
+    extremum-mode solve on the best sample's two sub-cells finds min U to 1e-8 (1 + |x|), U(x0) the edge candidate."""
+    x0 = max(cfg.lam, cfg.t_alpha) + 1e-9
+    if not np.isfinite(x0):
+        raise ValueError("upper endpoint undefined everywhere (saturated atom)")
+    g2, g4 = cfg.dist.ppf_upper(np.array([cfg.alpha / 2.0, cfg.alpha / 4.0]))
+    xs = np.linspace(x0, max(end, x0 + g2 + 2.0, x0 + g4 + 1.0), 256)
+    ups, _, codes = endpoints(cfg, xs)
     k = np.flatnonzero((codes[:-1] == _II) & (codes[1:] == _I))
     margin = lambda x, rows=None: np.subtract(*tail_levels(cfg, x)[3:5])
     g = margin(np.concatenate([xs[k], xs[k + 1]]))
-    return upper_values(cfg, refine_boundaries(margin, xs[k], xs[k + 1], g[: k.size], g[k.size :], BISECT_TOL))
+    x_b = refine_boundaries(margin, xs[k], xs[k + 1], g[: k.size], g[k.size :], BISECT_TOL)
+    i = int(np.nanargmin(ups))
+    fn = lambda x, rows: upper_values(cfg, x)
+    inner = float(refine_extrema(fn, xs[[max(i - 1, 0)]], xs[[min(i + 1, 255)]], False, tol=1e-8)[1][0])
+    return min(inner, float(ups[0])), bool(ups[0] <= inner), upper_values(cfg, x_b)
 
 
 def regime_codes(cfg: PriorConfig, x) -> np.ndarray:
@@ -298,8 +308,11 @@ def _set_window(cfg: PriorConfig, level: float) -> tuple[float, float]:
 
 
 def _half_width(cfg: PriorConfig) -> float:
-    """Coverage scan half-width: _member_reach (no mass lost), or G^{-1}(1 - TOL_TAIL / 2) if smaller."""
-    return min(float(cfg.dist.ppf_upper(TOL_TAIL / 2.0)), _member_reach(cfg))
+    """Coverage scan half-width: _member_reach (no mass lost), or G^{-1}(1 - TOL_TAIL / 2) if smaller; kept
+    in the config's __dict__ as t_alpha is.  A column config's rows share law, lam and alpha, so one serves all."""
+    if "_half_width" not in vars(cfg):
+        vars(cfg)["_half_width"] = min(float(cfg.dist.ppf_upper(TOL_TAIL / 2.0)), _member_reach(cfg))
+    return vars(cfg)["_half_width"]
 
 
 def _fixed_cover(cfg: PriorConfig, theta0):

@@ -393,15 +393,15 @@ def test_dip_search_saturated_atom_raises():
         dip_search(cfg)
 
 
-def _dense_grid_dip(cfg, lo, hi, n=201, zoom_n=41):
+def _dense_grid_dip(cfg, lo, hi, n=201, zoom_n=41, spacing=1e-6):
     """min C over [lo, hi] from the exact batch on zoomed dense grids, each
-    re-centred on the previous grid minimum, to a spacing below 1e-6; no
-    solver involved."""
+    re-centred on the previous grid minimum, to a spacing below ``spacing``;
+    no solver involved."""
     xs = np.linspace(lo, hi, n)
     while True:
         c = coverage_mod._exact_batch(cfg, xs, fractions=False)[:, 0]
         i = int(np.argmin(c))
-        if xs[1] - xs[0] < 1e-6:
+        if xs[1] - xs[0] < spacing:
             return float(c[i])
         xs = np.linspace(xs[max(i - 2, 0)], xs[min(i + 2, xs.size - 1)], zoom_n)
 
@@ -460,6 +460,83 @@ def test_dip_search_falls_back_off_the_corners(monkeypatch):
     assert abs(dip.c_min - coverage_exact(cfg, dip.theta_at_min).C) <= 1e-10
 
 
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+def test_dip_fallback_settles_near_the_dense_grid_minimum(law):
+    # At lam 0.001 no corner or domain end wins the batch, so the extremum
+    # solve on C decides c_min.  At its old 1e-4 (1 + theta0) it stopped
+    # 5.2e-10 (laplace) to 4.2e-9 (gaussian) above this reference.
+    cfg = PriorConfig(parse_dist_spec(law), 0.001, 1.0, ALPHA)
+    dip = dip_search(cfg)
+    ref = _dense_grid_dip(cfg, dip.domain_lo, _dip_range_hi(cfg, dip), spacing=1e-7)
+    assert abs(dip.c_min - ref) <= 3e-10
+
+
+def _corners_on_the_codes(cfg, lo, hi, n=20001):
+    """U at each II -> I change of the regime codes on [lo, hi]: a dense code
+    sample brackets each change and bisection on the codes alone settles it."""
+    xs = np.linspace(lo, hi, n)
+    codes = regime_codes(cfg, xs)
+    k = np.flatnonzero((codes[:-1] == Regime.II) & (codes[1:] == Regime.I))
+    a, b = xs[k], xs[k + 1]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        below = regime_codes(cfg, mid) == Regime.II
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    return upper_values(cfg, 0.5 * (a + b))
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
+@pytest.mark.parametrize("lam", [0.5, 2.0, 5.0, 12.0])
+@pytest.mark.parametrize("w", [1.0, 0.25])
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_upper_corners_match_a_bisection_on_the_codes(law, lam, w, alpha):
+    # Every corner of C in the dip range [domain_lo, hi): as many as the
+    # dense code reference finds, each U(x_b) within 1e-9 of it.
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, alpha)
+    far = lam + 3.2 * float(cfg.dist.ppf_upper(alpha / 2.0))
+    domain_lo, _, corners = hpd_mod._upper_profile(cfg, far)
+    hi = max(far, domain_lo + 1.0)
+    ref = _corners_on_the_codes(cfg, max(lam, cfg.t_alpha), hi)
+    got = np.sort(corners[corners < hi])
+    ref = np.sort(ref[ref < hi])
+    assert got.size == ref.size
+    assert np.all(np.abs(got - ref) <= 1e-9)
+
+
+@pytest.mark.parametrize("law, lam", [("laplace", 5.0), ("gaussian", 0.001)])
+def test_dip_search_work_outside_its_batches(monkeypatch, law, lam):
+    # Outside its _exact_batch scans one dip_search makes one sampled endpoint
+    # pass of U (and one at the corners it finds), one boundary-mode solve
+    # for the corners and at most one extremum-mode solve of U.
+    cfg = PriorConfig(parse_dist_spec(law), lam, 1.0, ALPHA)
+    corners = hpd_mod._upper_profile(cfg, cfg.lam + 3.2 * float(cfg.dist.ppf_upper(ALPHA / 2.0)))[2].size
+    inside, passes, calls = [], [], {}
+
+    def counted(name, fn):
+        def wrapped(*args, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            inside.append(name)
+            try:
+                return fn(*args, **kw)
+            finally:
+                inside.pop()
+        return wrapped
+
+    real_pass = hpd_mod._endpoint_pass
+
+    def endpoint_pass(c, x):
+        if not inside:
+            passes.append(np.size(x))
+        return real_pass(c, x)
+
+    monkeypatch.setattr(hpd_mod, "_endpoint_pass", endpoint_pass)
+    for mod, name in [(hpd_mod, "refine_boundaries"), (hpd_mod, "refine_extrema"), (coverage_mod, "_exact_batch")]:
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    dip_search(cfg)
+    assert calls["refine_boundaries"] == 1 and calls.get("refine_extrema", 0) <= 1
+    assert sorted(passes) == sorted([256, corners])
+
+
 @pytest.mark.parametrize("law", ["laplace", "t3"])
 def test_dip_search_at_the_domain_closed_left_end(law):
     # At lam 0.5, w 0.25 min U sits at the atom threshold and C rises from
@@ -482,6 +559,24 @@ def test_dip_search_reaches_the_domain_left_end(law, alpha):
     cfg = PriorConfig(parse_dist_spec(law), 0.5, 0.25, alpha)
     dip = dip_search(cfg)
     assert dip.c_min <= coverage_exact(cfg, dip.domain_lo).C + 1e-12
+
+
+@pytest.mark.parametrize("law, lam, w, alpha, scans", [
+    ("laplace", 5.0, 1.0, ALPHA, "dip_level"),
+    ("subexp:0.5", 12.0, 1.0, 0.1, "dip_level"),  # the dip's fallback solve runs
+    ("t3", 0.5, 1e-3, ALPHA, "early_c_plus_ceiling"),
+])
+def test_check_coverage_bounds_computes_the_scan_half_width_once(monkeypatch, law, lam, w, alpha, scans):
+    # The above-grid batch, then dip_search's batches or early_c_plus's each
+    # scan with _half_width (two to four calls); it is formed once per config.
+    cfg = PriorConfig(parse_dist_spec(law), lam, w, alpha)
+    calls = []
+    real = hpd_mod._member_reach
+    monkeypatch.setattr(hpd_mod, "_member_reach", lambda c: calls.append(1) or real(c))
+    report = check_coverage_bounds(cfg, lam + np.linspace(0.5, 7.0, 8))
+    assert {c.name: c.status for c in report.checks}[scans] != "skipped"
+    assert len(calls) == 1
+    assert hpd_mod._half_width(cfg) == min(float(cfg.dist.ppf_upper(scanning_mod.TOL_TAIL / 2.0)), real(cfg))
 
 
 def test_check_bounds_panel_config():

@@ -71,3 +71,25 @@ def test_each_refusal_is_raised_from_one_site():
             if isinstance(node, ast.Raise) and (text := _message_text(node)):
                 sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
     assert {text: where for text, where in sites.items() if len(where) > 1} == {}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads: star and __future__ imports
+    and names listed in its __all__ (re-exports) are exempt."""
+    tree = ast.parse(path.read_text())
+    imported, exported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= {e.value for e in node.value.elts}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read | exported]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # cli.py imported coverage_mc, which no CLI command calls.
+    paths = sorted(Path(hpdcover.__file__).parent.glob("*.py"))
+    assert [hit for path in paths for hit in _unused_imports(path)] == []
