@@ -22,6 +22,7 @@ one-sided analogue (uniform prior on (lam, inf)) used as a baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -302,8 +303,11 @@ def _member_reach(cfg: PriorConfig) -> float:
 
 def _set_window(cfg: PriorConfig, level: float) -> tuple[float, float]:
     """Window [max(-b, level - reach), min(b, level + reach)] of a one-level set scan (an inversion,
-    a post-selection set), reach = _member_reach, b = |level| + G^{-1}(1 - TOL_TAIL) + lam."""
-    b, reach = abs(level) + cfg.dist.ppf_upper(TOL_TAIL) + cfg.lam, _member_reach(cfg)
+    a post-selection set), reach = _member_reach, b = |level| + G^{-1}(1 - TOL_TAIL) + lam; that
+    quantile is kept in the law's __dict__, as _half_width is in the config's."""
+    if "_tail_reach" not in vars(cfg.dist):
+        vars(cfg.dist)["_tail_reach"] = cfg.dist.ppf_upper(TOL_TAIL)
+    b, reach = abs(level) + vars(cfg.dist)["_tail_reach"] + cfg.lam, _member_reach(cfg)
     return max(-b, level - reach), min(b, level + reach)
 
 
@@ -380,22 +384,28 @@ def smallest_lower_inverse(cfg: PriorConfig, theta0: float) -> float:
 
     Valid for finite theta0 above both lam and t_alpha, where every solution
     sits in regime I so the fixed point of x = theta0 + r1(x) is the infimum.
-    The iterates increase monotonically until a step moves them by at most
-    1e-12; a decrease, or 10,000 steps without that, raises RuntimeError.
+    theta0 > t_alpha is read off the atom margin of the first step's
+    tail_levels call (negative, as off the ATOM codes), so a valid call solves
+    no t_alpha.  The iterates increase until a step moves them by at most
+    max(1e-12, 16 ulp(a)), above the rounding noise of theta0 + r1(a); a
+    larger decrease, or 10,000 steps without that, raises RuntimeError.
     """
     _finite_theta0(theta0)
-    if not theta0 > max(cfg.lam, cfg.t_alpha):
+    a = float(theta0)
+    levels = tail_levels(cfg, np.array([abs(a)]))  # at |x| = a where a > lam
+    if not (a > cfg.lam and (levels[6] is None or levels[6][0] < 0.0)):
         raise ValueError(
             f"theta0 = {theta0} must exceed max(lam, t_alpha) = {max(cfg.lam, cfg.t_alpha)}"
         )
-    a = float(theta0)
     for _ in range(10_000):
-        nxt = theta0 + float(cfg.dist.ppf_upper(tail_levels(cfg, np.array([a]))[3])[0])
-        if nxt < a - 1e-12:
+        nxt = theta0 + float(cfg.dist.ppf_upper(levels[3])[0])
+        tol = max(1e-12, 16.0 * math.ulp(a))
+        if nxt < a - tol:
             raise RuntimeError(f"fixed-point iterates decreased at a = {a}")
-        if abs(nxt - a) <= 1e-12:
+        if abs(nxt - a) <= tol:
             return nxt
         a = nxt
+        levels = tail_levels(cfg, np.array([a]))
     raise RuntimeError("fixed-point iteration did not converge in 10000 steps")
 
 

@@ -85,7 +85,8 @@ def build_grid(lo, hi, specials, reach=None) -> np.ndarray:
     band edges, the atom threshold, the target of an inversion or
     post-selection scan; coverage adds none for theta0) gets a ladder
     p +- BISECT_TOL 8^j, j >= -1, out to the first rung at or past the step
-    (_cluster's offsets), kept with p itself where it falls on a piece.
+    (_cluster's offsets), kept with p itself where it falls on a piece.  The
+    parts are deduplicated as np.unique does it (its sort, then a mask), bit for bit.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(hi, float))
     if not np.all(lo < hi):
@@ -96,21 +97,20 @@ def build_grid(lo, hi, specials, reach=None) -> np.ndarray:
     starts, ends = np.concatenate([lo[:1], lo[breaks + 1]]), np.concatenate([hi[breaks], hi[-1:]])
     width = hi[0] - lo[0]
     span = width + N_BASE / 64.0 * (0.5 * width if reach is None else reach)
-    step = min(np.sum(ends - starts), span) / (N_BASE - 1)
+    step = min((ends - starts).sum(), span) / (N_BASE - 1)
     k = 2 + max(0, math.ceil(math.log(step / BISECT_TOL, 8)))
-    ladder = (pts[:, None] + np.append(BISECT_TOL * _cluster(k), 0.0)).ravel()
+    ladder = (pts[:, None] + np.concatenate([BISECT_TOL * _cluster(k), [0.0]])).ravel()
     parts = [lo, hi]
     for a, b in zip(starts, ends):
         parts.append(np.linspace(a, b, int(math.ceil((b - a) / step - 1e-6)) + 1))
         parts.append(ladder[(a <= ladder) & (ladder <= b)])
-    return np.unique(np.concatenate(parts))
+    grid = np.sort(np.concatenate(parts))
+    return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
 def bisect_iters(widths, tol: float) -> int:
     """Bisection steps that bring the widest cell to tol (0 for no cells)."""
-    if np.size(widths) == 0:
-        return 0
-    return min(80, math.ceil(math.log2(max(float(np.max(widths)), tol) / tol)) + 1)
+    return 0 if np.size(widths) == 0 else min(80, math.ceil(math.log2(max(float(np.max(widths)), tol) / tol)) + 1)
 
 
 def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
@@ -134,43 +134,40 @@ def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
     point (the midpoint where a margin is NaN) is returned, within a few ulp
     of a smooth root; no call is made for an empty cell array.
     """
-    cells = np.array([lo, g_lo, hi, g_hi], float).reshape(4, -1)
+    cells = np.array([lo, hi, g_lo, g_hi], float).reshape(4, -1)
     stop = lambda a, b: np.maximum(tol / 128.0, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
-    s = stop(cells[0], cells[2])
-    at = np.flatnonzero(cells[2] - cells[0] > s)
-    a, ga, b, gb = cells[:, at]
-    s = s[at]
+    s = stop(cells[0], cells[1])
+    at = np.flatnonzero(cells[1] - cells[0] > s)
+    cur, s = cells[:, at], s[at]  # the open cells' (a, b, g_a, g_b) and stops
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while at.size:
+            a, b, ga, gb = cur
             w = b - a
             spans = w / s
-            widest = float(spans.max())
-            m = section_count(at.size, bisect_iters(widest, 1.0))
-            k = 1 + max(0, math.ceil(math.log(4.0 * widest / m, 8)))
+            m = section_count(at.size, bisect_iters(spans, 1.0))
+            k = 1 + max(0, math.ceil(math.log(4.0 * spans.max() / m, 8)))
             # The cell as fractions 0 .. 1 with its samples sorted between.
             # Cluster points outside it sort before 0 or after 1 and take the
             # end margins; a NaN secant leaves its cluster NaN, sorted last.
             frac = np.empty((at.size, m + 2 * k + 1))
             frac[:, :m] = _uniform(m)
-            frac[:, m:-1] = (ga / (ga - gb))[:, None] + _cluster(k) / spans[:, None]
+            np.add((ga / (ga - gb))[:, None], _cluster(k) / spans[:, None], out=frac[:, m:-1])
             frac[:, -1] = 1.0
             frac.sort(axis=1)
             xs = a[:, None] + w[:, None] * frac
             right = frac > 0.0
             g = np.where(right, gb[:, None], ga[:, None])
             inside = right & (frac < 1.0)
-            g[inside] = margin(xs[inside], np.repeat(at, frac.shape[1])[inside.ravel()])
+            g[inside] = margin(xs[inside], at[np.nonzero(inside)[0]])
             flags = g >= 0.0
-            j = np.argmax(flags != flags[:, :1], axis=1)
-            r = np.arange(at.size)
-            a, ga, b, gb = xs[r, j - 1], g[r, j - 1], xs[r, j], g[r, j]
-            s = stop(a, b)
-            live = b - a > s
+            j = (flags != flags[:, :1]).argmax(axis=1) + np.arange(0, g.size, g.shape[1]) - [[1], [0]]
+            cur = np.concatenate([xs.ravel()[j], g.ravel()[j]])
+            s = stop(cur[0], cur[1])
+            live = cur[1] - cur[0] > s
             if not live.all():
-                done = ~live
-                cells[:, at[done]] = a[done], ga[done], b[done], gb[done]
-                at, a, ga, b, gb, s = at[live], a[live], ga[live], b[live], gb[live], s[live]
-        lo, g_lo, hi, g_hi = cells
+                cells[:, at[~live]] = cur[:, ~live]
+                at, cur, s = at[live], cur[:, live], s[live]
+        lo, hi, g_lo, g_hi = cells
         t = g_lo / (g_lo - g_hi)
         return lo + (hi - lo) * np.where(t == t, t, 0.5)
 
@@ -234,25 +231,23 @@ def graze_cells(vals: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
     """
     levels = np.sort(np.atleast_1d(np.asarray(levels, float)))
     with np.errstate(invalid="ignore"):
-        dv = np.diff(vals)
+        dv = vals[1:] - vals[:-1]
         up, down = dv >= 0, dv <= 0
-    # at: the slopes after which the next one is of another kind (rise, fall,
-    # flat or NaN, as across a constant +-inf stretch).  A peak is a sign step
-    # of -2 there, or two steps of -1 around a flat stretch; a pit is the same
-    # with +2 and +1.
+    # at: the slopes after which the next one is of another kind (rise, fall, flat or NaN, as
+    # across a constant +-inf stretch).  A turn is a sign step of +-2 there, or two equal steps
+    # of +-1 around a flat stretch: a peak where the step is negative, else a pit.
     at = np.flatnonzero((up[:-1] != up[1:]) | (down[:-1] != down[1:]))
-    if at.size == 0:
-        return at, np.empty(0, bool)
     step = np.sign(dv[at + 1]) - np.sign(dv[at])
-    prev = np.append(np.nan, step[:-1])
-    peak = (step == -2) | ((step == -1) & (prev == -1))
-    turn = peak | (step == 2) | ((step == 1) & (prev == 1))
-    idx, maximize = at[turn] + 1, peak[turn]
+    size = np.abs(step)
+    turn = (size == 2) | ((size == 1) & (np.concatenate([[np.nan], step[:-1]]) == step))
+    idx, maximize = at[turn] + 1, step[turn] < 0
+    if idx.size == 0:
+        return idx, maximize
     v = vals[idx]
     # the nearest level at or above a peak, at or below a pit
     j = np.where(maximize, np.searchsorted(levels, v, "left"), np.searchsorted(levels, v, "right") - 1)
     ok = (j >= 0) & (j < levels.size)
-    level = levels[np.clip(j, 0, levels.size - 1)]
+    level = levels.take(j, mode="clip")
     margin = np.where(maximize, level - v, v - level)
     span = np.abs(dv[idx - 1]) + np.abs(dv[idx])
     with np.errstate(invalid="ignore"):
@@ -265,20 +260,21 @@ def graze_points(grid: np.ndarray, table, levels, curves):
     extremum of U or L that grazes one of ``levels`` between grid points added.
 
     The table may have one row per curve pair, curves as in member_intervals.
-    The candidates of both columns (graze_cells on each column's rows laid
-    end to end, a row's ends excluded) are refined in one refine_extrema
-    batch that calls curves once per round for both endpoints; only the new
-    abscissas are then evaluated, once, and merged into the sorted grid and
-    table.
+    One graze_cells pass over every row of U, then of L, laid end to end (a
+    NaN between the columns, a row's ends excluded) finds the candidates,
+    refined in one refine_extrema batch that calls curves once per round for
+    both endpoints; only the new abscissas are then evaluated, once, and
+    merged into the sorted grid and table.
     """
-    (iu, max_u), (il, max_l) = (graze_cells(np.ravel(v), levels) for v in table)
-    row, idx = np.divmod(np.concatenate([iu, il]), grid.size)
+    i, maximize = graze_cells(np.concatenate([np.ravel(table[0]), [np.nan], np.ravel(table[1])]), levels)
+    on_u = i < np.size(table[0])
+    row, idx = np.divmod(np.where(on_u, i, i - np.size(table[0]) - 1), grid.size)
     keep = np.flatnonzero((0 < idx) & (idx < grid.size - 1))
     if keep.size == 0:
         return grid, table
-    on_u, row, idx = keep < iu.size, row[keep], idx[keep]
+    on_u, row, idx = on_u[keep], row[keep], idx[keep]
     column = lambda xs, rows: np.where(on_u[rows], *curves(xs, row[rows]))
-    extra = refine_extrema(column, grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l])[keep])[0]
+    extra = refine_extrema(column, grid[idx - 1], grid[idx + 1], maximize[keep])[0]
     extra = np.setdiff1d(extra, grid)
     at = np.searchsorted(grid, extra)
     flat = (at + grid.size * np.arange(np.size(table[0]) // grid.size)[:, None]).ravel()  # at, in every row
@@ -294,13 +290,13 @@ def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray, np.nd
     level scanned on every row, cell k of row r numbered r n + k), levels t
     sorted, and level j's window the grid points i0[j] .. i1[j] - 1 (i0 and
     i1 nondecreasing, as for equal-width windows about sorted levels); only
-    cells inside the window are returned.  One searchsorted per column (a
-    comparison, given one level) counts, at each grid point, the levels on
-    the false side of each flag, NaN counting as +inf in L and -inf in U so
-    that its flag is false; a cell flips level j on a curve exactly when j
-    lies between the curve's counts at its two ends, so a cell where both
-    curves flip one level is listed twice.  The triples come back as the L
-    crossings, then the U crossings, each sorted by cell, then level.
+    cells inside the window are returned.  One searchsorted per column
+    counts, at each grid point, the levels on the false side of each flag,
+    NaN counting as +inf in L and -inf in U so that its flag is false; a
+    cell flips level j on a curve exactly when j lies between the curve's
+    counts at its two ends (given one level, where its flag changes), so a
+    cell where both curves flip one level is listed twice.  The triples come
+    back as the L crossings, then the U crossings, each sorted by cell, then level.
     """
     n_grid = np.shape(table[0])[-1]
     upper, lower = (np.ravel(v) for v in table)
@@ -308,12 +304,16 @@ def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray, np.nd
     m = levels.size
     # L <= t_j for j >= c_l; t_j <= U for j < m - c_u (searchsorted sorts NaN
     # above every level, so a NaN end is false for every level).
-    if m == 1:
-        c_l, c_u = ~(lower <= levels[0]), ~(levels[0] <= upper)
+    if m == 1:  # the flags themselves
+        c_l, c_u = lower <= levels[0], levels[0] <= upper
     else:
         c_l = np.searchsorted(levels, lower, "left")
         c_u = np.searchsorted(-levels[::-1], -upper, "left")
     k = np.flatnonzero((c_l[1:] != c_l[:-1]) | (c_u[1:] != c_u[:-1]))
+    if m == 1:  # the cells of the window where each curve's flag flips
+        k = k[(i0[0] <= k % n_grid) & (k % n_grid + 1 < i1[0])]
+        on = np.concatenate([c_l[k] != c_l[k + 1], c_u[k] != c_u[k + 1]])
+        return np.zeros(np.count_nonzero(on), int), np.concatenate([k, k])[on], 1 - np.flatnonzero(on) // k.size
     # The L flips of each cell, then its U flips, clipped to the levels whose
     # window holds the cell (i0[j] <= k and k + 1 < i1[j], so never a cell
     # from one row to the next).
@@ -339,16 +339,16 @@ def _member_stretches(cuts, group, curve, start, lo, hi):
     n_cut = np.bincount(group, minlength=n_group)
     order = np.lexsort((cuts, group))
     # Group g's edges lo[g], its sorted cuts, hi[g] as one block of the flat edges.
-    block = np.cumsum(n_cut + 2) - n_cut - 2
+    block = (n_cut + 2).cumsum() - n_cut - 2
     at = np.arange(cuts.size) + 2 * group[order] + 1
     edges = np.empty(cuts.size + 2 * n_group)
     edges[block], edges[block + n_cut + 1], edges[at] = lo, hi, cuts[order]
     # Each curve's flip parity up to each edge, counted from its block's lo.
     odd = np.zeros((2, edges.size), int)
     odd[curve[order], at] = 1
-    odd = np.cumsum(odd, axis=1) & 1
+    odd = odd.cumsum(axis=1) & 1
     group = np.repeat(np.arange(n_group), n_cut + 2)
-    flag = np.all(start[:, group] ^ (odd != odd[:, block[group]]), axis=0)
+    flag = np.logical_and(*(start[:, group] ^ (odd != odd[:, block[group]])))
     left, right = edges[:-1], edges[1:]
     on = flag[:-1] & (group[1:] == group[:-1]) & (right > left)
     return group[:-1][on], left[on], right[on]
@@ -396,8 +396,8 @@ def member_intervals(curves, levels, lo, hi, specials, reach=None):
     lo, hi = (np.concatenate([v] * len(table[0])) for v in (lo, hi))
     owner, a, b = _member_stretches(cuts, owner, curve, start, lo, hi)
     touch = (a[1:] <= b[:-1] + 1e-15) & (owner[1:] == owner[:-1])
-    new = np.flatnonzero(np.append(True, ~touch)[: a.size])
-    return owner[new], a[new], b[np.append(new[1:], a.size)[: new.size] - 1]
+    new = np.flatnonzero(np.concatenate([[True], ~touch])[: a.size])
+    return owner[new], a[new], b[np.concatenate([new[1:], [a.size]])[: new.size] - 1]
 
 
 def sign_change_roots(fn, lo, hi, specials, accept_tol: float):

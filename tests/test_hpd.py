@@ -734,6 +734,88 @@ def test_smallest_lower_inverse_far_beyond_band():
         assert lower_values(cfg, fp)[0] == pytest.approx(theta0, abs=1e-9 * fp)
 
 
+@pytest.mark.parametrize(
+    "lam, w, alpha, theta0",
+    [
+        (1e-9, 1.0, 0.030353122584999018, 95.89410169913609),
+        (7.7486914687624076, 1.0, 0.0006393843659594056, 32.507182078635864),
+        (2.152255437951143, 0.25, 3.144199700946498e-05, 3.335361059954863),
+    ],
+)
+def test_smallest_lower_inverse_stops_at_the_rounding_noise_of_a_large_answer(lam, w, alpha, theta0):
+    # Answers of 916, 4435 and 10228: late iterates flip by a few ulps of the
+    # answer (+-1.02e-12 about 915.85506806246 in the first), more than the
+    # absolute 1e-12 that the stop rule and the decrease guard used to allow,
+    # so each call raised "fixed-point iterates decreased".
+    cfg = PriorConfig(parse_dist_spec("subexp:0.3"), lam, w, alpha)
+    got = smallest_lower_inverse(cfg, theta0)
+    root = invert_lower(cfg, theta0).inf
+    assert got > 512.0 and abs(got - root) <= 16.0 * math.ulp(root)
+
+
+def test_smallest_lower_inverse_decrease_guard_scales_with_the_answer(monkeypatch):
+    # r1 is replaced by a scripted sequence.  At a = 4096 a step back of 10
+    # ulps (9.1e-12) is rounding noise and ends the iteration; a step back of
+    # 2 at a = 11 is a genuine decrease and still raises.
+    cfg = config("laplace", 5.0, 1.0)
+    radii = iter([4088.0, 4088.0 - 10.0 * math.ulp(4096.0)])
+    monkeypatch.setattr(cfg.dist, "ppf_upper", lambda q: np.array([next(radii)]))
+    assert smallest_lower_inverse(cfg, 8.0) == 4096.0 - 10.0 * math.ulp(4096.0)
+    radii = iter([3.0, 1.0])
+    with pytest.raises(RuntimeError, match=r"^fixed-point iterates decreased at a = 11\.0$"):
+        smallest_lower_inverse(cfg, 8.0)
+
+
+def _validity_sweep():
+    """(law, lam, w, alpha) over five laws: lam up to 50, w from 1 down to
+    1e-9, alpha from 1e-6 to 0.5, and atoms that hold beyond the 2^20
+    bracket cap (t_alpha = +inf)."""
+    rng = np.random.default_rng(3901)
+    for law in ["gaussian", "laplace", "t3", "subexp:0.5", "subexp:0.3"]:
+        for i in range(12):
+            lam = 0.0 if i == 0 else float(rng.uniform(0.0, 50.0))
+            w = 1.0 if i % 4 == 1 else float(10.0 ** rng.uniform(-9.0, -0.1))
+            yield law, lam, w, float(10.0 ** rng.uniform(-6.0, math.log10(0.5)))
+    yield "t3", 1.0, 1e-30, 0.05
+    yield "subexp:0.3", 3.0, 1e-300, 0.01
+
+
+def test_smallest_lower_inverse_validity_reads_the_atom_margin():
+    # A call is valid where theta0 > max(lam, t_alpha); the atom margin of
+    # the first step's tail levels decides it, so a valid call never solves
+    # t_alpha.  theta0 runs over lam, t_alpha, their float neighbours and
+    # values past the bracket cap (where a +inf t_alpha's atom still holds).
+    inf_seen = 0
+    for law, lam, w, alpha in _validity_sweep():
+        dist = parse_dist_spec(law)
+        edge = max(lam, PriorConfig(dist, lam, w, alpha).t_alpha)
+        inf_seen += edge == math.inf
+        thetas = {lam, math.nextafter(lam, math.inf), 2.0**21, 3e6}
+        if math.isfinite(edge):
+            thetas |= {edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf), edge + 0.5}
+        for theta0 in sorted(thetas):
+            cfg = PriorConfig(dist, lam, w, alpha)
+            if theta0 > edge:
+                fp = smallest_lower_inverse(cfg, theta0)
+                assert "t_alpha" not in vars(cfg) and fp >= theta0, (law, lam, w, alpha, theta0)
+            else:
+                want = f"theta0 = {theta0} must exceed max(lam, t_alpha) = {edge}"
+                with pytest.raises(ValueError) as err:
+                    smallest_lower_inverse(cfg, theta0)
+                assert str(err.value) == want
+    assert inf_seen == 2
+
+
+def test_smallest_lower_inverse_answers_past_a_saturated_bracket():
+    # t3, w 1e-30: the atom holds out to about 6.4e7, past the 2^20 bracket
+    # cap, so t_alpha reads +inf; at theta0 = 1e8 the margin is negative and
+    # the fixed point is a valid answer, which the t_alpha rule refused.
+    cfg = PriorConfig(parse_dist_spec("t3"), 1.0, 1e-30, 0.05)
+    fp = smallest_lower_inverse(cfg, 1e8)
+    assert cfg.t_alpha == math.inf
+    assert lower_values(cfg, fp)[0] == pytest.approx(1e8, rel=1e-12)
+
+
 def test_onesided_requires_pure_slab():
     cfg = config("laplace", 1.0, 0.5)
     with pytest.raises(ValueError):

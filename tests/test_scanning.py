@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import hpdcover.hpd as hpd_mod
+import hpdcover.posterior as posterior_mod
 import hpdcover.scanning as scanning_mod
-from hpdcover import PriorConfig, invert_upper, post_selection_set
+from hpdcover import PriorConfig, invert_upper, post_selection_set, smallest_lower_inverse
 from hpdcover.cli import parse_dist_spec
 from hpdcover.scanning import (
     BISECT_TOL,
@@ -283,6 +284,117 @@ def test_graze_points_multiple_levels():
     assert np.allclose(peaks, np.sort([0.5 * np.pi, 2.5 * np.pi, 1.0, 1.0 + 2.0 * np.pi]), rtol=0.0, atol=1e-7)
     assert np.allclose(pits, np.sort([1.5 * np.pi, 3.5 * np.pi, 1.0 + np.pi, 1.0 + 3.0 * np.pi]), rtol=0.0, atol=1e-7)
     assert np.allclose(both, np.sort(np.concatenate([peaks, pits])), rtol=0.0, atol=1e-12)
+
+
+def _grid_parts(lo, hi, specials, reach=None):
+    """build_grid's parts in the order it concatenates them: the window
+    edges, then per piece of the union its base points and ladder points."""
+    lo, hi = np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(hi, float))
+    pts = np.array([p for p in specials if p is not None and math.isfinite(p)], float)
+    breaks = np.flatnonzero(lo[1:] > hi[:-1])
+    starts, ends = np.append(lo[0], lo[breaks + 1]), np.append(hi[breaks], hi[-1])
+    width = hi[0] - lo[0]
+    step = min(np.sum(ends - starts), width + N_BASE / 64.0 * (0.5 * width if reach is None else reach)) / (N_BASE - 1)
+    rungs = TOL * 8.0 ** (np.arange(2 + max(0, math.ceil(math.log(step / TOL, 8)))) - 1.0)
+    ladder = (pts[:, None] + np.concatenate([-rungs[::-1], rungs, [0.0]])).ravel()
+    parts = [lo, hi]
+    for a, b in zip(starts, ends):
+        parts += [np.linspace(a, b, math.ceil((b - a) / step - 1e-6) + 1), ladder[(a <= ladder) & (ladder <= b)]]
+    return parts
+
+
+@pytest.mark.parametrize(
+    "lo, hi, specials",
+    [
+        ([-0.0], [1.0], [0.0, -0.0]),
+        ([-1.0], [-0.0], [0.0, -0.5]),
+        ([0.0], [1.0], [-0.0, 0.25]),
+        ([0.0], [N_BASE - 1.0], [7.0, 100.0, 4000.5]),
+        ([-0.0, 0.3, 10.0, 10.2], [2.0, 2.3, 12.0, 12.2], [1.0, 10.5, 100.0, None]),
+    ],
+    ids=["minus_zero_edge", "minus_zero_end", "plus_zero_edge", "specials_on_base_points", "batch"],
+)
+def test_build_grid_is_np_unique_of_its_parts(lo, hi, specials):
+    # The sort and duplicate mask keep np.unique's grid bit for bit: which of
+    # a -0.0 window edge and the +0.0 base and ladder points stays is its
+    # sort's choice, and a special on a base point (step 1 on [0, N_BASE - 1])
+    # is one grid point.
+    got = build_grid(np.array(lo), np.array(hi), specials)
+    want = np.unique(np.concatenate(_grid_parts(lo, hi, specials)))
+    assert np.count_nonzero(got == 0.0) == (min(lo) <= 0.0 <= max(hi))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _graze_points_by_column(grid, table, levels, curves):
+    """The sliver guard with one graze_cells pass per column, U then L."""
+    (iu, max_u), (il, max_l) = (graze_cells(np.ravel(v), levels) for v in table)
+    row, idx = np.divmod(np.concatenate([iu, il]), grid.size)
+    keep = np.flatnonzero((0 < idx) & (idx < grid.size - 1))
+    if keep.size == 0:
+        return grid, table
+    on_u, row, idx = keep < iu.size, row[keep], idx[keep]
+    column = lambda xs, rows: np.where(on_u[rows], *curves(xs, row[rows]))
+    extra = refine_extrema(column, grid[idx - 1], grid[idx + 1], np.concatenate([max_u, max_l])[keep])[0]
+    extra = np.setdiff1d(extra, grid)
+    at = np.searchsorted(grid, extra)
+    flat = (at + grid.size * np.arange(np.size(table[0]) // grid.size)[:, None]).ravel()
+    grow = lambda v, x: np.insert(np.ravel(v), flat, np.ravel(x)).reshape(np.shape(v)[:-1] + (-1,))
+    return np.insert(grid, at, extra), tuple(grow(v, x) for v, x in zip(table, curves(extra)))
+
+
+def _graze_case(law, kind):
+    """(grid, table, levels, curves) of a scan whose table has a graze candidate."""
+    if kind == "column":
+        # A coverage-style column config, one row per w, with a level 1e-6
+        # below each row's min U beyond the band edge.
+        base = PriorConfig(parse_dist_spec(law), 2.0, 1.0, 0.05)
+        cfg = posterior_mod._with_w(base, np.array([[0.25], [0.5], [1.0]]))
+        curves = lambda xs, rows=np.arange(3)[:, None]: hpd_mod.endpoint_values(posterior_mod._rows(cfg, rows), xs)
+        lows = [hpd_mod._upper_profile(PriorConfig(base.dist, 2.0, w, 0.05), 10.0)[0] - 1e-6 for w in (0.25, 0.5, 1.0)]
+        levels = np.sort(np.concatenate([np.linspace(2.5, 6.0, 6), lows]))
+        half, t_alpha = hpd_mod._half_width(cfg), np.ravel(cfg.t_alpha)
+        grid = build_grid(levels - half, levels + half, [2.0, -2.0, *t_alpha, *-t_alpha])
+        return grid, curves(grid), levels, curves
+    # The post-selection pins of test_scan_pins 1e-6 below min U, and an
+    # inversion at that target: U - theta0 and sign_change_roots' -inf column.
+    x = {"laplace": 7.996593500395057, "t3": 8.236196453628608, "subexp:0.5": 32.45316974683144}[law]
+    cfg = PriorConfig(parse_dist_spec(law), 5.0, 1.0, 0.05)
+    if kind == "inversion":
+        curves = lambda xs, rows=None: (hpd_mod.upper_values(cfg, xs) - x, np.full(np.shape(xs), -np.inf))
+        levels = [0.0]
+    else:
+        curves = lambda xs, rows=None: hpd_mod.endpoint_values(cfg, xs)
+        levels = [x]
+    grid = build_grid(*hpd_mod._set_window(cfg, x), [5.0, -5.0, x, -x])
+    return grid, tuple(np.atleast_2d(v) for v in curves(grid)), levels, curves
+
+
+@pytest.mark.parametrize(
+    "law, kind",
+    [("laplace", "post_selection"), ("t3", "post_selection"), ("subexp:0.5", "post_selection"),
+     ("laplace", "column"), ("laplace", "inversion")],
+)
+def test_graze_points_one_pass_matches_the_column_passes(law, kind):
+    # One graze_cells pass over U and L laid end to end, a NaN between them,
+    # finds the candidates the per-column passes find, in the same order, so
+    # the grown grid and table are the same bit for bit.
+    grid, table, levels, curves = _graze_case(law, kind)
+    got, want = graze_points(grid, table, levels, curves), _graze_points_by_column(grid, table, levels, curves)
+    assert got[0].size > grid.size and np.array_equal(got[0], want[0])
+    assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got[1], want[1]))
+
+
+def test_graze_points_columns_meet_through_a_nan():
+    # U ends below L's first value and L starts flat, then falls: laid end to
+    # end with nothing between them, the rise into L's flat start and its
+    # fall would read as a peak just under the level.  Alone, L has no peak
+    # there, and the NaN between the columns keeps it so.
+    grid = np.linspace(0.0, 1.0, 9)
+    table = (0.1 * grid, np.array([0.5, 0.5, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0, -0.1]))
+    curves = lambda xs, rows=None: (0.1 * xs, np.interp(xs, grid, table[1]))
+    assert graze_cells(np.concatenate(table), 0.5 + 1e-9)[0].tolist() == [11]
+    assert graze_points(grid, table, 0.5 + 1e-9, curves)[0] is grid
+    assert _graze_points_by_column(grid, table, 0.5 + 1e-9, curves)[0] is grid
 
 
 def _bisection_reference(pred, lo, hi, lo_flag, iters):
@@ -597,6 +709,33 @@ def test_query_scans_stay_within_endpoint_call_budget(monkeypatch, law):
         calls.clear()
         inverse = invert_upper(PriorConfig(dist, lam, w, 0.05), target)
         assert len(calls) <= 5 and calls[-1] == len(inverse.roots)
+
+
+@pytest.mark.parametrize("law, counts", [
+    ("gaussian", (3, 4)), ("laplace", (3, 4)), ("t3", (3, 5)), ("subexp:0.5", (3, 4)),
+])
+def test_one_answer_work_counts(monkeypatch, law, counts):
+    # The fixed cost of one answer, pinned so that a new pass cannot slip in:
+    # a post-selection set is one endpoint table and two boundary rounds, an
+    # inversion one more round or check call, each with one graze_cells pass
+    # over both columns; a valid fixed-point inverse solves no t_alpha.
+    ends, grazes, solves = [], [], []
+    real_pass, real_graze, real_solve = hpd_mod._endpoint_pass, scanning_mod.graze_cells, posterior_mod.atom_threshold
+    monkeypatch.setattr(hpd_mod, "_endpoint_pass", lambda cfg, x: ends.append(1) or real_pass(cfg, x))
+    monkeypatch.setattr(scanning_mod, "graze_cells", lambda v, t: grazes.append(1) or real_graze(v, t))
+    monkeypatch.setattr(posterior_mod, "atom_threshold", lambda cfg: solves.append(1) or real_solve(cfg))
+    dist = parse_dist_spec(law)
+    for call, arg, n_ends in zip((post_selection_set, invert_upper), (5.0, 6.0), counts):
+        ends.clear(), grazes.clear()
+        call(PriorConfig(dist, 2.0, 1.0, 0.05), arg)
+        assert (len(ends), len(grazes)) == (n_ends, 1), call.__name__
+    solves.clear()
+    cfg = PriorConfig(dist, 2.0, 0.25, 0.05)
+    smallest_lower_inverse(cfg, 6.0)
+    assert solves == [] and "t_alpha" not in vars(cfg)
+    with pytest.raises(ValueError, match="must exceed max"):
+        smallest_lower_inverse(cfg, 1.0)
+    assert solves == [1]
 
 
 def test_member_intervals_refines_only_crossings_that_can_bound_the_set(monkeypatch):
