@@ -27,7 +27,7 @@ Inversion is the same scan: sign_change_roots reads the roots of fn off
 is vectorized so that one pass can serve many windows and levels at once,
 and many curve pairs: the endpoint table has one row per pair (per config
 of one law and lam, for coverage), each level scanned on every row.
-Every grid has N_BASE base points, a constant that no caller sets.
+Two constants that no caller sets size every grid (build_grid).
 """
 
 from __future__ import annotations
@@ -46,12 +46,13 @@ BISECT_TOL = 1e-10
 # The error-law mass a truncated scan window may leave outside it.
 TOL_TAIL = 1e-9
 
-# Base points of every membership and inversion scan grid, spread at one
-# step over the union of the scan's windows (build_grid).
+# Base points per span (a window plus 64 reach) of a wide scan union, and
+# of a narrow union whole, spread at one step over the union (build_grid).
 N_BASE = 4096
+_SCAN_POINTS = 1024
 
 # Fixed cost of one curve call in points' worth: an endpoint table costs
-# 120-300 us per call plus 0.13-0.5 us per point (2-vCPU VM).  It sizes the
+# 65-120 us per call plus 0.06-0.25 us per point (2-vCPU Xeon VM).  It sizes the
 # uniform samples of a solver round: these set the round count of extremum
 # mode and bound that of jump and NaN-edge boundaries, while a smooth
 # boundary settles through its regula falsi cluster in two or three rounds
@@ -74,14 +75,18 @@ def build_grid(lo, hi, specials, reach=None) -> np.ndarray:
 
     lo and hi may also be sorted arrays of equal-width windows: the grid then
     covers their union at one step on every piece, so its size follows the
-    union, not the window count.  The step is min(U, w + N_BASE / 64 reach)
-    / (N_BASE - 1), U the total length of the union's connected pieces and w
-    one window's width: N_BASE points spread over the union until it runs
-    N_BASE / 128 = 32 spans of 2 reach past its first window, reach (default
-    w / 2) being how far from its level a window's crossings lie.  So one
-    window keeps the step w / (N_BASE - 1), and every window keeps at least
-    (N_BASE - 1) w / (w + N_BASE / 64 reach) base points, 124 for reach
-    w / 2.  Every window edge is a grid point.  Each special abscissa p (the
+    union, not the window count.  The step is min(U / (_SCAN_POINTS - 1),
+    (w + N_BASE / 64 reach) / (N_BASE - 1)), U the total length of the
+    union's connected pieces, w one window's width and reach (default w / 2)
+    how far from its level a window's crossings lie: one window gets
+    _SCAN_POINTS points, and past about (w + 64 reach) / 4 of union every
+    window keeps (N_BASE - 1) w / (w + N_BASE / 64 reach) base points or
+    more, 124 at the default reach.  The base grid only separates crossings
+    and exposes grazes (ladders, the sliver guard and the boundary solver
+    set the accuracy), so 1,024 is chosen for speed: a coarser grid needs
+    more solver rounds (2,011, 2,075, 2,177 endpoint calls for 1,300 point
+    queries at 2,048, 1,024, 512), and 512 measured no faster, 2,048 slower.
+    Every window edge is a grid point.  Each special abscissa p (the
     band edges, the atom threshold, the target of an inversion or
     post-selection scan; coverage adds none for theta0) gets a ladder
     p +- BISECT_TOL 8^j, j >= -1, out to the first rung at or past the step
@@ -89,15 +94,15 @@ def build_grid(lo, hi, specials, reach=None) -> np.ndarray:
     parts are deduplicated as np.unique does it (its sort, then a mask), bit for bit.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(hi, float))
-    if not np.all(lo < hi):
-        raise ValueError(f"empty scan window [{lo[0]}, {hi[0]}]")
+    if not (ok := lo < hi).all():
+        raise ValueError(f"empty scan window [{lo[~ok][0]}, {hi[~ok][0]}]")
     pts = np.array([p for p in specials if p is not None], float)
     pts = pts[np.isfinite(pts)]
     breaks = np.nonzero(lo[1:] > hi[:-1])[0]
     starts, ends = np.concatenate([lo[:1], lo[breaks + 1]]), np.concatenate([hi[breaks], hi[-1:]])
     width = hi[0] - lo[0]
     span = width + N_BASE / 64.0 * (0.5 * width if reach is None else reach)
-    step = min((ends - starts).sum(), span) / (N_BASE - 1)
+    step = min((ends - starts).sum() / (_SCAN_POINTS - 1), span / (N_BASE - 1))
     k = 2 + max(0, math.ceil(math.log(step / BISECT_TOL, 8)))
     ladder = (pts[:, None] + np.concatenate([BISECT_TOL * _cluster(k), [0.0]])).ravel()
     parts = [lo, hi]

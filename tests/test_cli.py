@@ -145,8 +145,8 @@ def test_cli_flag_overrides_an_empty_list_in_the_config(tmp_path, line, flag, va
 def test_cli_refuses_the_removed_scan_settings(tmp_path, capsys, flag, key, value):
     # Special abscissas get a fixed geometric ladder, truncated windows a
     # fixed tail cut (scanning.TOL_TAIL) and every scan grid a fixed size
-    # (scanning.N_BASE), so none is a setting: the flag and the config key
-    # are each refused with one error line.
+    # rule (scanning.build_grid), so none is a setting: the flag and the
+    # config key are each refused with one error line.
     args = ["coverage", "--dist", "laplace", "--grid", "5.5:9:2", "--out", str(tmp_path / "c.csv")]
     with pytest.raises(SystemExit) as exc:
         main(args + [flag, value])

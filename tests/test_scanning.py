@@ -29,9 +29,9 @@ TOL = BISECT_TOL
 
 @pytest.fixture
 def coarse(monkeypatch):
-    """Scan grids of 256 base points: a step wide enough to hide a sliver
-    between grid points, and exact step figures to check."""
-    monkeypatch.setattr(scanning_mod, "N_BASE", 256)
+    """Narrow scan grids of 256 base points: a step wide enough to hide a
+    sliver between grid points, and exact step figures to check."""
+    monkeypatch.setattr(scanning_mod, "_SCAN_POINTS", 256)
 
 
 def _ladder(p, step):
@@ -44,14 +44,14 @@ def _ladder(p, step):
     return p + np.concatenate([-rungs[::-1], [0.0], rungs])
 
 
-def _old_rule_grid(lo, hi, specials, n_base):
-    """The single-window rule written out: n_base points from lo to hi, and
+def _one_window_grid(lo, hi, specials, n_scan):
+    """The single-window rule written out: n_scan points from lo to hi, and
     each special's ladder at that step, kept inside the window."""
-    step = (hi - lo) / (n_base - 1)
+    step = (hi - lo) / (n_scan - 1)
     pts = [p for p in specials if p is not None and math.isfinite(p)]
     ladders = np.concatenate([[], *(_ladder(p, step) for p in pts)])
     inside = ladders[(lo <= ladders) & (ladders <= hi)]
-    return np.unique(np.concatenate([[lo, hi], np.linspace(lo, hi, n_base), inside]))
+    return np.unique(np.concatenate([[lo, hi], np.linspace(lo, hi, n_scan), inside]))
 
 
 def test_build_grid_single_window(coarse):
@@ -70,17 +70,25 @@ def test_build_grid_single_window(coarse):
         build_grid(1.0, 1.0, [])
 
 
+def test_build_grid_names_the_empty_window():
+    # The first window with lo >= hi or a NaN edge is named, not the batch's first.
+    with pytest.raises(ValueError, match=r"^empty scan window \[5\.0, 5\.0\]$"):
+        build_grid(np.array([0.0, 1.0, 5.0]), np.array([2.0, 3.0, 5.0]), [])
+    with pytest.raises(ValueError, match=r"^empty scan window \[1\.0, nan\]$"):
+        build_grid(np.array([0.0, 1.0, 4.0]), np.array([2.0, np.nan, 6.0]), [])
+
+
 @pytest.mark.parametrize(
     "lo, hi, specials",
     [(-3.0, 5.0, [0.5, None, math.inf, 9.0]), (0.137 - 6.3, 0.137 + 6.3, [0.5, -0.5, 2.9, -2.9]),
      (1e3, 1e3 + 0.7, [1e3 + 0.2]), (-40.0, 11.0, [])],
 )
-@pytest.mark.parametrize("n_base", [256, N_BASE], ids=["scan0", "scan1"])
-def test_build_grid_one_window_keeps_the_single_window_rule(monkeypatch, lo, hi, specials, n_base):
-    # One window, passed as scalars or as length-1 arrays, gets N_BASE points
-    # at step (hi - lo) / (N_BASE - 1), bit for bit.
-    monkeypatch.setattr(scanning_mod, "N_BASE", n_base)
-    want = _old_rule_grid(lo, hi, specials, n_base)
+@pytest.mark.parametrize("n_scan", [256, scanning_mod._SCAN_POINTS], ids=["scan0", "scan1"])
+def test_build_grid_one_window_keeps_the_single_window_rule(monkeypatch, lo, hi, specials, n_scan):
+    # One window, passed as scalars or as length-1 arrays, gets _SCAN_POINTS
+    # points at step (hi - lo) / (_SCAN_POINTS - 1), bit for bit.
+    monkeypatch.setattr(scanning_mod, "_SCAN_POINTS", n_scan)
+    want = _one_window_grid(lo, hi, specials, n_scan)
     assert np.array_equal(build_grid(lo, hi, specials), want)
     assert np.array_equal(build_grid(np.array([lo]), np.array([hi]), specials), want)
 
@@ -90,21 +98,27 @@ def _base_points(grid, a, b):
 
 
 def test_build_grid_disjoint_windows_share_one_step(coarse):
-    # Pieces [0, 11] and [20, 28] (three windows of width 8): 256 points
-    # over their total length 19, so the step is 19 / 255 on both pieces and
-    # each piece is evenly spaced from edge to edge with ceil(length / step)
-    # cells: 148 on the first, 108 on the second.
+    # Pieces [0, 8] and [20, 28] (two windows of width 8): 256 points over
+    # their total length 16, so the step is 16 / 255 on both pieces and each
+    # is evenly spaced from edge to edge with ceil(length / step) = 128 cells.
+    two = build_grid(np.array([0.0, 20.0]), np.array([8.0, 28.0]), [])
+    assert np.array_equal(two, np.union1d(np.linspace(0.0, 8.0, 129), np.linspace(20.0, 28.0, 129)))
+    # Pieces [0, 11] and [20, 28] (three windows): their total length 19 is
+    # past (8 + N_BASE / 64 * 4) (255 / 4095) = 16.4, so the step stops at
+    # the wide-union bound 264 / 4095 on both pieces: 171 cells on the
+    # first, 125 on the second.
     lo = np.array([0.0, 3.0, 20.0])
     grid = build_grid(lo, lo + 8.0, [])
-    first = np.union1d(np.linspace(0.0, 11.0, 149), [3.0, 8.0])
+    step = (8.0 + N_BASE / 64.0 * 4.0) / (N_BASE - 1)
+    first = np.union1d(np.linspace(0.0, 11.0, 172), [3.0, 8.0])
     assert np.array_equal(_base_points(grid, 0.0, 11.0), first)
-    assert np.array_equal(_base_points(grid, 20.0, 28.0), np.linspace(20.0, 28.0, 109))
-    assert grid.size == 149 + 109 + 2
+    assert np.array_equal(_base_points(grid, 20.0, 28.0), np.linspace(20.0, 28.0, 126))
+    assert grid.size == 172 + 126 + 2
     assert np.all(np.isin(np.concatenate([lo, lo + 8.0]), grid))
     # Specials add their ladders at that step on the piece that holds them,
     # cut at the piece's end, and a special in the gap adds nothing.
     dense = build_grid(lo, lo + 8.0, [5.0, 27.95, 15.0])
-    ladders = np.concatenate([_ladder(5.0, 19.0 / 255), _ladder(27.95, 19.0 / 255)])
+    ladders = np.concatenate([_ladder(5.0, step), _ladder(27.95, step)])
     assert np.array_equal(dense, np.union1d(grid, ladders[ladders <= 28.0]))
     assert np.count_nonzero(ladders > 28.0) == 1 and 15.0 not in dense
 
@@ -294,7 +308,8 @@ def _grid_parts(lo, hi, specials, reach=None):
     breaks = np.flatnonzero(lo[1:] > hi[:-1])
     starts, ends = np.append(lo[0], lo[breaks + 1]), np.append(hi[breaks], hi[-1])
     width = hi[0] - lo[0]
-    step = min(np.sum(ends - starts), width + N_BASE / 64.0 * (0.5 * width if reach is None else reach)) / (N_BASE - 1)
+    span = width + N_BASE / 64.0 * (0.5 * width if reach is None else reach)
+    step = min(np.sum(ends - starts) / (scanning_mod._SCAN_POINTS - 1), span / (N_BASE - 1))
     rungs = TOL * 8.0 ** (np.arange(2 + max(0, math.ceil(math.log(step / TOL, 8)))) - 1.0)
     ladder = (pts[:, None] + np.concatenate([-rungs[::-1], rungs, [0.0]])).ravel()
     parts = [lo, hi]
@@ -309,7 +324,7 @@ def _grid_parts(lo, hi, specials, reach=None):
         ([-0.0], [1.0], [0.0, -0.0]),
         ([-1.0], [-0.0], [0.0, -0.5]),
         ([0.0], [1.0], [-0.0, 0.25]),
-        ([0.0], [N_BASE - 1.0], [7.0, 100.0, 4000.5]),
+        ([0.0], [scanning_mod._SCAN_POINTS - 1.0], [7.0, 100.0, 1000.5]),
         ([-0.0, 0.3, 10.0, 10.2], [2.0, 2.3, 12.0, 12.2], [1.0, 10.5, 100.0, None]),
     ],
     ids=["minus_zero_edge", "minus_zero_end", "plus_zero_edge", "specials_on_base_points", "batch"],
@@ -317,7 +332,7 @@ def _grid_parts(lo, hi, specials, reach=None):
 def test_build_grid_is_np_unique_of_its_parts(lo, hi, specials):
     # The sort and duplicate mask keep np.unique's grid bit for bit: which of
     # a -0.0 window edge and the +0.0 base and ladder points stays is its
-    # sort's choice, and a special on a base point (step 1 on [0, N_BASE - 1])
+    # sort's choice, and a special on a base point (step 1 on [0, _SCAN_POINTS - 1])
     # is one grid point.
     got = build_grid(np.array(lo), np.array(hi), specials)
     want = np.unique(np.concatenate(_grid_parts(lo, hi, specials)))
@@ -583,6 +598,9 @@ def _nan_gap(xs):
     ids=["nan_gap", "root_pair_in_one_cell"],
 )
 def test_sign_change_roots_one_window(coarse, fn, roots):
+    # The root pair lies inside one base cell, so the sliver guard is what finds it.
+    base = build_grid(-3.0, 3.0, [])
+    assert np.searchsorted(base, 1.01 - 1e-3) == np.searchsorted(base, 1.01 + 1e-3)
     calls = []
 
     def tagged(xs):
@@ -712,13 +730,14 @@ def test_query_scans_stay_within_endpoint_call_budget(monkeypatch, law):
 
 
 @pytest.mark.parametrize("law, counts", [
-    ("gaussian", (3, 4)), ("laplace", (3, 4)), ("t3", (3, 5)), ("subexp:0.5", (3, 4)),
+    ("gaussian", (3, 4)), ("laplace", (4, 5)), ("t3", (4, 5)), ("subexp:0.5", (3, 4)),
 ])
 def test_one_answer_work_counts(monkeypatch, law, counts):
     # The fixed cost of one answer, pinned so that a new pass cannot slip in:
-    # a post-selection set is one endpoint table and two boundary rounds, an
-    # inversion one more round or check call, each with one graze_cells pass
-    # over both columns; a valid fixed-point inverse solves no t_alpha.
+    # a post-selection set is one endpoint table and two or three boundary
+    # rounds, an inversion one more round or check call, each with one
+    # graze_cells pass over both columns; a valid fixed-point inverse solves
+    # no t_alpha.
     ends, grazes, solves = [], [], []
     real_pass, real_graze, real_solve = hpd_mod._endpoint_pass, scanning_mod.graze_cells, posterior_mod.atom_threshold
     monkeypatch.setattr(hpd_mod, "_endpoint_pass", lambda cfg, x: ends.append(1) or real_pass(cfg, x))
