@@ -28,6 +28,7 @@ are skipped by those checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,9 +81,9 @@ _ERLANG_Y_CAP = 1e3
 # ns/elem and peaks at 21.7 MB in blocks of 2^16, against 60 and 18.1 MB in
 # blocks of 2^14.
 # Arrays of up to _SCALAR_MAX elements go element by element as numpy
-# scalars, which skips most of the per-call cost of array ufuncs: t3 ppf
-# takes 17 us at one element and 28 at three, against 46 at eight and 70 or
-# more at 64.
+# scalars, which skips most of the per-call cost of array ufuncs: t3 ppf takes
+# 8 us on a numpy scalar, 13 at one element and 29 at four, against 36-61 us
+# by array ufuncs (subexp(0.5): 9, 17 and 37 against 46-48 us).
 _BLOCK = 1 << 16
 _SCALAR_MAX = 4
 # uniform_blocks takes the uniforms of this many draws from one Philox stream;
@@ -97,15 +98,27 @@ def _is_real(value) -> bool:
 
 def _where(cond, a, b):
     """np.where that keeps numpy scalars scalar, so one solver serves both."""
-    return np.where(cond, a, b) if np.ndim(cond) else (a if cond else b)
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _out(buf):
+    """out= of an in-place ufunc: buf on arrays, None (a new scalar) on numpy scalars."""
+    return buf if isinstance(buf, np.ndarray) else None
+
+
+def _put(b, a, cond):
+    """b with a where cond: np.copyto into an array b, a new numpy scalar otherwise."""
+    return np.copyto(b, a, where=cond) or b if isinstance(b, np.ndarray) else (a if cond else b)
 
 
 def _elementwise(fn, a, *args):
-    """fn(a, *args) over the flat array a, in blocks or element by element.
+    """fn(a, *args) over the flat array a (or a numpy scalar), in blocks or element by element.
 
     fn is elementwise, so neither way changes a bit: numpy scalars run the
     same ufunc loops as arrays, and blocks keep fn's temporaries small.
     """
+    if not isinstance(a, np.ndarray):
+        return fn(a, *args)
     if a.size <= _SCALAR_MAX:
         return np.array([fn(v, *args) for v in a], dtype=float)
     out = np.empty_like(a)
@@ -204,13 +217,28 @@ def _erlang_tail_root(q, k: int):
     return y
 
 
+def _float(x):
+    """x as a float array; a numpy float64 stays a scalar."""
+    return x if isinstance(x, np.float64) else np.asarray(x, float)
+
+
+def _tail_mass(p):
+    """(p, q = min(p, 1 - p)) for a quantile: a numpy float64 p stays one, else a float array, q flat."""
+    p = _float(p)
+    return (p, min(p, 1.0 - p)) if isinstance(p, np.float64) else (p, np.minimum(p, 1.0 - p).reshape(-1))
+
+
 def _signed_quantile(p, q, mag):
     """Quantile from its magnitude on the tail mass q = min(p, 1 - p).
 
-    ``q`` and ``mag`` are the flattened arrays of a tail solver; the ends and
-    the centre, where the solvers divide zero by zero, are set exactly: q = 0
-    gives infinity, q = 1/2 gives 0, and p outside [0, 1] gives NaN.
+    ``q`` and ``mag`` are the flattened arrays of a tail solver (or numpy
+    scalars); the ends and the centre, where the solvers divide zero by
+    zero, are set exactly: q = 0 gives infinity, q = 1/2 gives 0, and p
+    outside [0, 1] gives NaN.
     """
+    if not isinstance(mag, np.ndarray):
+        mag = np.float64(np.inf if q == 0.0 else 0.0 if q == 0.5 else np.nan if q < 0.0 else mag)
+        return -mag if p < 0.5 else mag
     mag[q == 0.0] = np.inf
     mag[q == 0.5] = 0.0
     mag[q < 0.0] = np.nan
@@ -244,9 +272,11 @@ class Distribution:
 
         Evaluated as -ppf(q) through the symmetry G^{-1}(1-q) = -G^{-1}(q),
         which keeps full relative accuracy for tiny q where 1 - q would
-        round to 1; q is clipped to [0, 1], where ppf gives -inf and +inf.
+        round to 1; q is clipped to [0, 1], where ppf gives -inf and +inf
+        (a float q on a numpy scalar).
         """
-        return -self.ppf(np.minimum(np.maximum(q, 0.0), 1.0))
+        q = np.float64(min(max(q, 0.0), 1.0)) if isinstance(q, float) else np.minimum(np.maximum(q, 0.0), 1.0)
+        return -self.ppf(q)
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -260,7 +290,7 @@ class Gaussian(Distribution):
     tail_cstar = 2.0
 
     def pdf(self, x):
-        x = np.asarray(x, float)
+        x = _float(x)
         # x * x overflows to inf beyond |x| = 1.34e154, where exp gives the exact 0.
         with np.errstate(over="ignore"):
             return np.exp(-0.5 * x * x) / _SQRT2PI
@@ -293,10 +323,13 @@ class Laplace(Distribution):
         return np.multiply(0.5, np.exp(np.negative(t, out=t), out=t), out=t)
 
     def ppf(self, p):
-        p = np.asarray(p, float)
         # log(2q) on q = min(p, 1 - p), given the sign of p - 1/2 without a
         # masked pass; formed as -1/2 - (-p), so that a NaN p flips its sign
-        # bit as -log(2(1 - p)) does.
+        # bit as -log(2(1 - p)) does.  In place on arrays.
+        if isinstance(p, np.float64):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.copysign(np.log(min(p, 1.0 - p) * 2.0), -0.5 - (-p))
+        p = np.asarray(p, float)
         q = np.minimum(p, 1.0 - p, out=np.empty_like(p))
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(np.multiply(q, 2.0, out=q), out=q)
@@ -322,10 +355,10 @@ class StudentT3(Distribution):
     _NORM = 2.0 / (math.pi * _SQRT3)
 
     def pdf(self, x):
-        x = np.asarray(x, float)
+        x = _float(x)
         # The square overflows to inf beyond |x| = 2e77 and at inf, where the quotient is the exact 0.
         with np.errstate(over="ignore"):
-            return self._NORM / (1.0 + x * x / 3.0) ** 2
+            return self._NORM / np.square(1.0 + x * x / 3.0)
 
     cdf = Distribution.cdf
 
@@ -335,8 +368,7 @@ class StudentT3(Distribution):
             return _elementwise(_t3_half_tail, t.reshape(-1)).reshape(t.shape)
 
     def ppf(self, p):
-        p = np.asarray(p, float)
-        q = np.minimum(p, 1.0 - p).reshape(-1)
+        p, q = _tail_mass(p)
         # q = 0 meets t = 0 and 0/0; _signed_quantile sets those entries.
         with np.errstate(divide="ignore", invalid="ignore"):
             x = _elementwise(_t3_tail_root, q)
@@ -368,11 +400,10 @@ class SubExponential(Distribution):
         self._erlang = int(k) if k == int(k) and k <= _ERLANG_MAX_SHAPE else 0
         self._norm = self.eta / (2.0 * special.gamma(self._shape))
         self.tail_gamma = 0.8 * (1.5**self.eta - 1.0)
-        self.tail_cstar = self._calibrate_cstar(self.tail_gamma)
 
     def pdf(self, x):
-        x = np.asarray(x, float)
-        return self._norm * np.exp(-np.abs(x) ** self.eta)
+        # ** on an array (0-d for a scalar): a numpy scalar's ** rounds otherwise.
+        return self._norm * np.exp(-np.asarray(np.abs(x), float) ** self.eta)
 
     cdf = Distribution.cdf
 
@@ -383,25 +414,27 @@ class SubExponential(Distribution):
         return 0.5 * special.gammaincc(self._shape, t**self.eta)
 
     def ppf(self, p):
-        p = np.asarray(p, float)
-        q = np.minimum(p, 1.0 - p).reshape(-1)
+        p, q = _tail_mass(p)
         with np.errstate(divide="ignore", invalid="ignore"):
             if self._erlang:
                 y = _elementwise(_erlang_tail_root, q, self._erlang)
             else:
                 y = special.gammainccinv(self._shape, 2.0 * q)
-        return _signed_quantile(p, q, y**self._shape)
+        return _signed_quantile(p, q, np.asarray(y) ** self._shape)
 
-    def _calibrate_cstar(self, gamma: float) -> float:
-        # Empirical envelope of both tail-decay ratios, with a 2x margin.
-        t = np.concatenate(
-            [np.geomspace(1e-12, 0.5, 160), np.linspace(0.5, 1.0 - 1e-9, 160)]
-        )
-        rep = check_tail_decay(self, gamma, 1.0, t, np.linspace(0.0, 25.0**self._shape, 400))
-        return 2.0 * max(rep.max_t_ratio, rep.max_x_ratio, 1.0)
+    tail_cstar = property(lambda self: _subexp_cstar(self.eta))
 
     def __repr__(self):
         return f"SubExponential(eta={self.eta:g})"
+
+
+@functools.cache
+def _subexp_cstar(eta: float) -> float:
+    """tail_cstar of SubExponential(eta), once per eta: the envelope of both tail-decay ratios, 2x."""
+    law = SubExponential(eta)
+    t = np.concatenate([np.geomspace(1e-12, 0.5, 160), np.linspace(0.5, 1.0 - 1e-9, 160)])
+    rep = check_tail_decay(law, law.tail_gamma, 1.0, t, np.linspace(0.0, 25.0**law._shape, 400))
+    return 2.0 * max(rep.max_t_ratio, rep.max_x_ratio, 1.0)
 
 
 _ALIASES = {

@@ -28,6 +28,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .distributions import _out, _put, _where
 from .posterior import PriorConfig, _require_finite, tail_levels
 from .scanning import BISECT_TOL, TOL_TAIL, refine_boundaries, refine_extrema, sign_change_roots
 
@@ -70,6 +71,7 @@ class Regime(IntEnum):
 # The codes as int8 scalars: numpy converts a Regime member anew at each use.
 _ATOM, _I, _II, _III, _IV = map(np.int8, Regime)
 _PRODUCTS_MIN = 512  # points from which _levels selects by 0/1 products
+_POINTS_MAX = 3  # passes of up to this many points go point by point: laplace 16/27/39/50 us at 1-4, arrays 40-44
 
 
 class InversionError(ValueError):
@@ -104,7 +106,7 @@ def endpoints(cfg: PriorConfig, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _endpoint_pass(cfg, x)[:3]
 
 
-def _levels(cfg: PriorConfig, x: np.ndarray):
+def _levels(cfg: PriorConfig, x):
     """Level stage of the endpoint pass, one lower_tail call: (q, codes, kg, sk).
 
     q is each x's selected tail level, q1 on I, q3 on III and q2 on II/IV,
@@ -115,27 +117,26 @@ def _levels(cfg: PriorConfig, x: np.ndarray):
     are the spike term and normalizer of tail_levels, left intact: q2 is
     written over s, which the atom margin no longer needs, so that hpd_set
     reads the atom mass kg / sk off this pass.  With no atom kg is None and
-    sk is s, overwritten.  From _PRODUCTS_MIN points on q and the codes
-    are each a sum of 0/1 products with one nonzero term (all levels are
-    finite, NaN stays NaN), the codes in int8; below it masked copies pick
-    the same values at about 10 us less per call, while the products take
-    22% less time at 4096 points.
+    sk is s, overwritten on arrays; a numpy float64 x takes the same body on
+    numpy scalars (the scalar route).  From _PRODUCTS_MIN points on q and the
+    codes are each a sum of 0/1 products with one nonzero term (all levels
+    are finite, NaN stays NaN), the codes in int8; below it masked copies
+    pick the same values at about 10 us less per call, while the products
+    take 22% less time at 4096 points.
     """
-    alpha, sabs = cfg.alpha, np.abs(x)
+    alpha, sabs = cfg.alpha, abs(x)
     s, kg, sk, q1, tail, below, margin = tail_levels(cfg, sabs)
     # r = G^{-1}(1 - q) falls as q rises: regime I (|x| - lam > r1) reads
     # q1 > G(lam - |x|), and III (r3 >= |x| + lam) reads q3 <= G(-lam - |x|).
     one = (q1 > tail) & (sabs > cfg.lam)
     open_ = sabs == sabs if margin is None else margin < 0
-    q3 = np.multiply(0.5 * alpha, sk, out=tail)
+    q3 = np.multiply(0.5 * alpha, sk, out=_out(tail))
     third = q3 <= below
-    q2 = np.multiply(alpha, sk, out=s)
+    q2 = np.multiply(alpha, sk, out=_out(s))
     q2 -= below
     if q1.size < _PRODUCTS_MIN:
-        np.copyto(q2, q3, where=third)
-        np.copyto(q2, q1, where=one)
-        codes = np.where(one, _I, np.where(third, _III, np.where(x > 0, _II, _IV)))
-        return q2, np.where(open_, codes, _ATOM), kg, sk
+        codes = _where(one, _I, _where(third, _III, _where(x > 0, _II, _IV)))
+        return _put(_put(q2, q3, third), q1, one), _where(open_, codes, _ATOM), kg, sk
     not_one, not_third = ~one, ~third
     q = np.multiply(third, q3, out=q3)
     q += np.multiply(not_third, q2, out=q2)
@@ -146,23 +147,27 @@ def _levels(cfg: PriorConfig, x: np.ndarray):
 
 
 def _endpoint_pass(cfg: PriorConfig, x):
-    """endpoints, the radius r of each regime (r1 on I, r3 on III, r2 on
-    II/IV) and the level stage's kg and sk (see _levels).
+    """endpoints, the radius r of each regime (r1 on I, r3 on III, r2 on II/IV) and the level stage's kg
+    and sk (see _levels), as arrays; up to _POINTS_MAX points of a scalar-w config go point by point (_pass)."""
+    arr = np.atleast_1d(np.asarray(x, float))
+    if not 0 < arr.size <= _POINTS_MAX or isinstance(cfg.w, np.ndarray):
+        return _pass(cfg, arr)
+    cols = zip(*(_pass(cfg, v) for v in arr.flat))
+    return tuple(None if c[0] is None else np.array(c).reshape(arr.shape) for c in cols)
+
+
+def _pass(cfg: PriorConfig, x):
+    """The endpoint pass on a float array, or on one numpy float64 x.
 
     The level stage (_levels), then one quantile call r = G^{-1}(1 - q):
     U = x + r but -lam on IV, L = -(r - x) (so that a zero L keeps its sign)
     but lam on II, and both are NaN on ATOM.
     """
-    arr = np.atleast_1d(np.asarray(x, float))
-    q, codes, kg, sk = _levels(cfg, arr)
+    q, codes, kg, sk = _levels(cfg, x)
     r = cfg.dist.ppf_upper(q)
-    upper = arr + r
-    np.copyto(upper, -cfg.lam, where=codes == _IV)
-    lower = -(r - arr)
-    np.copyto(lower, cfg.lam, where=codes == _II)
+    upper, lower = _put(x + r, -cfg.lam, codes == _IV), _put(-(r - x), cfg.lam, codes == _II)
     atom = codes == _ATOM
-    upper[atom] = lower[atom] = np.nan
-    return upper, lower, codes, r, kg, sk
+    return _put(upper, np.nan, atom), _put(lower, np.nan, atom), codes, r, kg, sk
 
 
 def _upper_profile(cfg: PriorConfig, end: float) -> tuple[float, bool, np.ndarray]:
@@ -173,7 +178,8 @@ def _upper_profile(cfg: PriorConfig, end: float) -> tuple[float, bool, np.ndarra
     extremum-mode solve on the best sample's two sub-cells finds min U to 1e-8 (1 + |x|), U(x0) the edge candidate."""
     x0 = max(cfg.lam, cfg.t_alpha) + 1e-9
     if not np.isfinite(x0):
-        raise ValueError("upper endpoint undefined everywhere (saturated atom)")
+        raise ValueError("saturated atom: the atom threshold lies past the 2^20 bracket cap of atom_threshold, "
+                         "so the dip domain is not located")
     g2, g4 = cfg.dist.ppf_upper(np.array([cfg.alpha / 2.0, cfg.alpha / 4.0]))
     xs = np.linspace(x0, max(end, x0 + g2 + 2.0, x0 + g4 + 1.0), 256)
     ups, _, codes = endpoints(cfg, xs)
@@ -228,16 +234,16 @@ class CredibleSet:
 
 
 def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
-    """Assemble the full credible set at observation x from one endpoint pass.
+    """Assemble the full credible set at observation x from one endpoint pass on numpy scalars.
 
     The atom mass kg / D(x) divides the spike term and normalizer that the
     pass's level stage formed (_levels), so the answer costs one
     tail_levels call; it equals posterior.atom_mass bit for bit.
     """
     _require_finite("x", x)
-    up, low, codes, r, kg, sk = _endpoint_pass(cfg, x)
-    regime, lam = Regime(int(codes[0])), cfg.lam
-    upper, lower = float(up[0]), float(low[0])  # NaN on the atom region
+    up, low, code, r, kg, sk = _pass(cfg, np.float64(x))
+    regime, lam = Regime(int(code)), cfg.lam
+    upper, lower = float(up), float(low)  # NaN on the atom region
     if regime is Regime.ATOM:
         pieces = []
     elif lam == 0.0:
@@ -247,7 +253,7 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
         if upper >= lam:
             pieces.append((max(lower, lam), upper))
     # Regime I is 2 r1 as in hpd_length, not U - L with its rounded ends.
-    length = 2.0 * float(r[0]) if regime is Regime.I else float(sum(b - a for a, b in pieces))
+    length = 2.0 * float(r) if regime is Regime.I else float(sum(b - a for a, b in pieces))
     # Only a prior with an atom has an atom region, so ATOM sets include it too.
     return CredibleSet(
         x=float(x),
@@ -257,7 +263,7 @@ def hpd_set(cfg: PriorConfig, x: float) -> CredibleSet:
         intervals=tuple(pieces),
         length=length,
         atom_included=cfg.has_atom,
-        atom_mass=0.0 if kg is None else float(kg[0] / sk[0]),
+        atom_mass=0.0 if kg is None else float(kg / sk),
     )
 
 
@@ -386,26 +392,27 @@ def smallest_lower_inverse(cfg: PriorConfig, theta0: float) -> float:
     sits in regime I so the fixed point of x = theta0 + r1(x) is the infimum.
     theta0 > t_alpha is read off the atom margin of the first step's
     tail_levels call (negative, as off the ATOM codes), so a valid call solves
-    no t_alpha.  The iterates increase until a step moves them by at most
-    max(1e-12, 16 ulp(a)), above the rounding noise of theta0 + r1(a); a
-    larger decrease, or 10,000 steps without that, raises RuntimeError.
+    no t_alpha.  Each step runs on numpy scalars (the scalar route).  The
+    iterates increase until a step moves them by at most max(1e-12, 16
+    ulp(a)), above the rounding noise of theta0 + r1(a); a larger decrease,
+    or 10,000 steps without that, raises RuntimeError.
     """
     _finite_theta0(theta0)
     a = float(theta0)
-    levels = tail_levels(cfg, np.array([abs(a)]))  # at |x| = a where a > lam
-    if not (a > cfg.lam and (levels[6] is None or levels[6][0] < 0.0)):
+    levels = tail_levels(cfg, np.float64(abs(a)))  # at |x| = a where a > lam
+    if not (a > cfg.lam and (levels[6] is None or levels[6] < 0.0)):
         raise ValueError(
             f"theta0 = {theta0} must exceed max(lam, t_alpha) = {max(cfg.lam, cfg.t_alpha)}"
         )
     for _ in range(10_000):
-        nxt = theta0 + float(cfg.dist.ppf_upper(levels[3])[0])
+        nxt = theta0 + float(cfg.dist.ppf_upper(levels[3]))
         tol = max(1e-12, 16.0 * math.ulp(a))
         if nxt < a - tol:
             raise RuntimeError(f"fixed-point iterates decreased at a = {a}")
         if abs(nxt - a) <= tol:
             return nxt
         a = nxt
-        levels = tail_levels(cfg, np.array([a]))
+        levels = tail_levels(cfg, np.float64(a))
     raise RuntimeError("fixed-point iteration did not converge in 10000 steps")
 
 

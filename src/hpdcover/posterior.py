@@ -103,18 +103,19 @@ def _require_finite(name: str, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _as_array(x):
-    arr = np.asarray(x, float)
-    return np.atleast_1d(arr), arr.ndim == 0
+def _sabs(x):
+    """|x| as a float array, or a numpy float64 for a scalar x (tail_levels' scalar route)."""
+    return np.abs(np.asarray(x, float))
 
 
-def _ret(arr, scalar):
-    return float(arr[0]) if scalar else arr
+def _ret(v):
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def tail_levels(cfg: PriorConfig, sabs):
-    """(s, kg, s + kg, q1, T, B, margin) at |x| = sabs (an array) from one lower_tail
-    call on | |x| - lam | and lam + |x|: T = G(-| |x| - lam |), B = G(-lam - |x|).
+    """(s, kg, s + kg, q1, T, B, margin) at |x| = sabs from one lower_tail call on
+    | |x| - lam | and lam + |x|: T = G(-| |x| - lam |), B = G(-lam - |x|); sabs is a float
+    array, or a numpy float64 that gets numpy scalars from the same body (the scalar route).
 
     s = gap_complement is the slab's share of the shifted error mass, kg =
     (1-w)/w g(x) the spike term and q1 the tail level of r1.  With f = (|x| >
@@ -130,18 +131,17 @@ def tail_levels(cfg: PriorConfig, sabs):
     never reads ATOM, even where s underflows to 0.
     """
     d, lam, alpha = cfg.dist, cfg.lam, cfg.alpha
-    args = np.empty((2,) + sabs.shape)
-    np.abs(np.subtract(sabs, lam, out=args[0]), out=args[0])
-    np.add(sabs, lam, out=args[1])
-    tail, below = d.lower_tail(args)
-    far = sabs > lam
-    s = np.abs(np.subtract(far, tail, out=args[0]), out=args[0])
+    # Rows | |x| - lam | and lam + |x| (>= 0), then |f - T| and |(1 - f) - T|, in place.
+    args = np.add.outer((-lam, lam), sabs)
+    tails = d.lower_tail(np.abs(args, out=args))
+    tail, below, far = tails[0], tails[1], sabs > lam
+    np.abs(np.subtract([far, ~far], tail, out=args), out=args)
+    s, gap = args[0], args[1]
     s += below
     kg = (1.0 - cfg.w) / cfg.w * d.pdf(sabs) if cfg.has_atom else None
     sk = s if kg is None else s + kg
-    q1 = np.multiply(alpha, sk)
+    q1 = alpha * sk
     margin = None if kg is None else q1 - s
-    gap = np.abs(np.subtract(~far, tail, out=args[1]), out=args[1])
     gap -= below
     q1 += gap
     q1 *= 0.5
@@ -159,8 +159,7 @@ def gap_complement(cfg: PriorConfig, x):
     This is the slab's share of the shifted error mass; the additive form
     avoids cancellation when the band carries almost all the mass.
     """
-    arr, scalar = _as_array(x)
-    return _ret(tail_levels(cfg, np.abs(arr))[0], scalar)
+    return _ret(tail_levels(cfg, _sabs(x))[0])
 
 
 def posterior_normalizer(cfg: PriorConfig, x):
@@ -169,18 +168,17 @@ def posterior_normalizer(cfg: PriorConfig, x):
     The slab posterior density at theta is g(theta - x) / D(x); the atom
     carries (1-w)/w * g(x) / D(x).
     """
-    arr, scalar = _as_array(x)
-    return _ret(tail_levels(cfg, np.abs(arr))[2], scalar)
+    return _ret(tail_levels(cfg, _sabs(x))[2])
 
 
 def atom_mass(cfg: PriorConfig, x):
     """Posterior probability of {theta = 0} given X = x; zero when w = 1."""
-    arr, scalar = _as_array(x)
+    sabs = _sabs(x)
     if not cfg.has_atom:
-        return _ret(np.zeros_like(arr), scalar)
+        return _ret(np.zeros_like(sabs))
     # The spike's share kg / (kg + s) stays finite where the density underflows.
-    _, kg, sk = tail_levels(cfg, np.abs(arr))[:3]
-    return _ret(kg / sk, scalar)
+    _, kg, sk = tail_levels(cfg, sabs)[:3]
+    return _ret(kg / sk)
 
 
 def atom_threshold(cfg: PriorConfig):
@@ -244,8 +242,8 @@ def posterior_probability(cfg: PriorConfig, x: float, intervals, include_atom: b
         for lo, hi in (left, right):
             if lo < hi:
                 total += float(interval_mass(d, lo - x, hi - x))
-    _, kg, sk = tail_levels(cfg, np.abs(np.atleast_1d(float(x))))[:3]
-    prob = total / float(sk[0])
+    _, kg, sk = tail_levels(cfg, _sabs(x))[:3]
+    prob = total / float(sk)
     if include_atom and kg is not None:
-        prob += float(kg[0] / sk[0])
+        prob += float(kg / sk)
     return float(prob)

@@ -112,7 +112,7 @@ def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) 
     cfg.require_no_atom("post-selection coverage")
     blocks = uniform_blocks(n, seed)  # the one draw rule; draws lazily
     t = _finite_theta0(theta0)
-    q = float(_levels(cfg, t)[0][0])
+    q = float(_levels(cfg, t[0])[0])
     band = np.concatenate([-cfg.lam - t, cfg.lam - t])  # selection is Z <= band[0] or Z >= band[1]
     tails = cfg.dist.lower_tail(np.abs(band))
     below, above = np.where(band <= 0.0, tails, 1.0 - tails)

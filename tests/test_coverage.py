@@ -393,6 +393,17 @@ def test_dip_search_saturated_atom_raises():
         dip_search(cfg)
 
 
+def test_dip_search_past_the_bracket_cap_names_the_cap():
+    # t3, lam 1, w 1e-30: the atom holds past atom_threshold's 2^20 bracket
+    # cap, so t_alpha reads +inf, yet U is defined further out; the refusal
+    # says that the dip domain is not located, not that U is undefined.
+    cfg = PriorConfig(parse_dist_spec("t3"), 1.0, 1e-30, ALPHA)
+    assert cfg.t_alpha == math.inf
+    assert float(upper_values(cfg, 7e7)[0]) == pytest.approx(7.0000003e7, rel=1e-9)
+    with pytest.raises(ValueError, match=r"^saturated atom: .* 2\^20 bracket cap .*dip domain is not located$"):
+        dip_search(cfg)
+
+
 def _dense_grid_dip(cfg, lo, hi, n=201, zoom_n=41, spacing=1e-6):
     """min C over [lo, hi] from the exact batch on zoomed dense grids, each
     re-centred on the previous grid minimum, to a spacing below ``spacing``;

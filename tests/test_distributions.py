@@ -73,14 +73,14 @@ def test_cdf_derivative_matches_density(name):
 def test_laplace_ppf_matches_masked_selection_bits():
     # ppf signs log(2 min(p, 1 - p)) by p - 1/2 in place; it must equal the
     # selection np.where(p <= 0.5, log(2p), -log(2(1 - p))) bit for bit, NaN
-    # sign included.
+    # sign included.  A numpy scalar p takes the scalar route and stays one.
     d = make_distribution("laplace")
     specials = np.array([0.0, 0.5, 1.0, np.nan, -np.nan, np.nextafter(0.5, 1.0), 1e-300])
     for p in (np.random.default_rng(5).random(1 << 16), specials, *specials):
         with np.errstate(divide="ignore"):
             want = np.where(p <= 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
         got = d.ppf(p)
-        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+        assert isinstance(got, np.ndarray if p.ndim else np.float64) and got.tobytes() == want.tobytes()
 
 
 def test_laplace_closed_forms():
@@ -180,6 +180,24 @@ def test_tail_decay_half_point_with_doubling_constant():
         gamma = 0.4
         rep = check_tail_decay(d, gamma=gamma, cstar=2.0 ** (1.0 + gamma), t_grid=[0.5])
         assert rep.t_pass.all()
+
+
+def test_subexp_cstar_is_calibrated_once_per_eta(monkeypatch):
+    # The calibration grid (320 x 400 tail-decay ratios) runs once per eta,
+    # not once per construction, and gives the envelope it always gave.
+    calls = []
+    real = distributions_mod.check_tail_decay
+    monkeypatch.setattr(distributions_mod, "check_tail_decay", lambda *a: calls.append(a[1:3]) or real(*a))
+    eta = 0.4271  # a shape no other test builds, so the cache starts empty here
+    first = SubExponential(eta).tail_cstar
+    assert len(calls) == 1
+    second = SubExponential(eta)
+    assert second.tail_cstar == first and len(calls) == 1
+    t = np.concatenate([np.geomspace(1e-12, 0.5, 160), np.linspace(0.5, 1.0 - 1e-9, 160)])
+    for e in (eta, 0.5, 0.3):
+        d = SubExponential(e)
+        rep = real(d, d.tail_gamma, 1.0, t, np.linspace(0.0, 25.0 ** (1.0 / e), 400))
+        assert d.tail_cstar == 2.0 * max(rep.max_t_ratio, rep.max_x_ratio, 1.0)
 
 
 def test_default_certificates_verify():

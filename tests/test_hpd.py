@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -702,6 +703,72 @@ def test_fixed_point_steps_on_r1_alone(law):
         assert counted.calls["lower_tail"] == counted.calls["ppf"] == steps and counted.calls["cdf"] == 0
 
 
+def _scalar_route_points(cfg, rng):
+    """0, -0.0, +-lam, +-t_alpha, +-1e3 and +-2^21 with their float neighbours,
+    then seeded x over [-12, 12] and log-spaced out to 1e3."""
+    base = [0.0, cfg.lam, 1e3, 2.0**21] + ([cfg.t_alpha] if math.isfinite(cfg.t_alpha) else [])
+    near = [np.nextafter(v, d) for v in base for d in (-np.inf, np.inf)]
+    xs = np.concatenate([base, near, rng.uniform(-12.0, 12.0, 160), np.geomspace(12.0, 1e3, 40)])
+    return np.concatenate([xs, -xs])
+
+
+def _same_bits(a, b):
+    return np.asarray(a).dtype == np.asarray(b).dtype and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5", "subexp:0.3"])
+@pytest.mark.parametrize("w", [1.0, 0.25, 0.02])
+def test_scalar_route_matches_the_array_route_bit_for_bit(law, w):
+    # A one-point answer runs the level stage, the quantile and the U/L
+    # assembly on numpy scalars; every output equals the array pass's, in
+    # both of _levels' selections (masked copies and 0/1 products), with
+    # every warning an error.  A numpy scalar's ** rounds unlike the array
+    # power (subexp:0.3 takes gammaincc, and kg reads the density's power),
+    # so a route that raised scalars to eta would differ in kg, sk and r.
+    rng = np.random.default_rng(4101)
+    for lam in (0.5, 3.0):
+        cfg = PriorConfig(parse_dist_spec(law), lam, w, 0.05)
+        xs = _scalar_route_points(cfg, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small = hpd_mod._endpoint_pass(cfg, xs)
+            big = hpd_mod._endpoint_pass(cfg, np.tile(xs, -(-hpd_mod._PRODUCTS_MIN // xs.size)))
+            points = [hpd_mod._pass(cfg, np.float64(x)) for x in xs]
+            sets = [hpd_set(cfg, float(x)) for x in xs]
+        assert xs.size < hpd_mod._PRODUCTS_MIN <= big[0].size
+        for i, (x, point, hs) in enumerate(zip(xs, points, sets)):
+            up, low, code, r, kg, sk = point
+            assert isinstance(up, float) and isinstance(code, np.int8)
+            for table in (small, big):
+                assert all(_same_bits(v, col[i]) for v, col in zip((up, low, code, r), table)), (lam, x)
+                assert kg is table[4] is None or (_same_bits(kg, table[4][i]) and _same_bits(sk, table[5][i])), (lam, x)
+            assert _same_bits(hs.upper, float(up)) and _same_bits(hs.lower, float(low)) and hs.regime == code
+            assert hs.atom_mass == (0.0 if kg is None else float(small[4][i] / small[5][i]))
+
+
+def _array_fixed_point(cfg, theta0):
+    """smallest_lower_inverse's iteration on one-element arrays (no validity check)."""
+    a = float(theta0)
+    while True:
+        nxt = theta0 + float(cfg.dist.ppf_upper(posterior_mod.tail_levels(cfg, np.array([a]))[3])[0])
+        if abs(nxt - a) <= max(1e-12, 16.0 * math.ulp(a)):
+            return nxt
+        a = nxt
+
+
+@pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5", "subexp:0.3"])
+def test_fixed_point_steps_on_scalars_match_the_array_steps(law):
+    # Each step of smallest_lower_inverse runs on numpy scalars; the answer
+    # is that of the same iteration on one-element arrays, bit for bit.
+    for lam, w in ((0.5, 1.0), (3.0, 0.25), (2.0, 0.02)):
+        cfg = PriorConfig(parse_dist_spec(law), lam, w, 0.05)
+        for theta0 in (max(lam, cfg.t_alpha) + 0.5, 9.0, 1e3, 2.0**21):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = smallest_lower_inverse(cfg, theta0)
+            assert _same_bits(got, _array_fixed_point(cfg, theta0)), (lam, w, theta0)
+
+
 def test_fixed_point_agrees_with_scan():
     cfg = config("laplace", 5.0, 1.0)
     for theta0 in (6.0, 9.5, 14.0):
@@ -759,7 +826,7 @@ def test_smallest_lower_inverse_decrease_guard_scales_with_the_answer(monkeypatc
     # 2 at a = 11 is a genuine decrease and still raises.
     cfg = config("laplace", 5.0, 1.0)
     radii = iter([4088.0, 4088.0 - 10.0 * math.ulp(4096.0)])
-    monkeypatch.setattr(cfg.dist, "ppf_upper", lambda q: np.array([next(radii)]))
+    monkeypatch.setattr(cfg.dist, "ppf_upper", lambda q: np.float64(next(radii)))  # steps run on scalars
     assert smallest_lower_inverse(cfg, 8.0) == 4096.0 - 10.0 * math.ulp(4096.0)
     radii = iter([3.0, 1.0])
     with pytest.raises(RuntimeError, match=r"^fixed-point iterates decreased at a = 11\.0$"):

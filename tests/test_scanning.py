@@ -737,21 +737,33 @@ def test_one_answer_work_counts(monkeypatch, law, counts):
     # a post-selection set is one endpoint table and two or three boundary
     # rounds, an inversion one more round or check call, each with one
     # graze_cells pass over both columns; a valid fixed-point inverse solves
-    # no t_alpha.
-    ends, grazes, solves = [], [], []
+    # no t_alpha.  One-point work takes the scalar route: a set, each
+    # fixed-point step and an inversion's root check call the level stage
+    # (tail_levels) on numpy scalars, never on an array.
+    ends, grazes, solves, arrays = [], [], [], []
     real_pass, real_graze, real_solve = hpd_mod._endpoint_pass, scanning_mod.graze_cells, posterior_mod.atom_threshold
+    real_levels = hpd_mod.tail_levels
     monkeypatch.setattr(hpd_mod, "_endpoint_pass", lambda cfg, x: ends.append(1) or real_pass(cfg, x))
     monkeypatch.setattr(scanning_mod, "graze_cells", lambda v, t: grazes.append(1) or real_graze(v, t))
     monkeypatch.setattr(posterior_mod, "atom_threshold", lambda cfg: solves.append(1) or real_solve(cfg))
+    monkeypatch.setattr(hpd_mod, "tail_levels",
+                        lambda cfg, s: arrays.append(isinstance(s, np.ndarray)) or real_levels(cfg, s))
     dist = parse_dist_spec(law)
     for call, arg, n_ends in zip((post_selection_set, invert_upper), (5.0, 6.0), counts):
-        ends.clear(), grazes.clear()
-        call(PriorConfig(dist, 2.0, 1.0, 0.05), arg)
+        ends.clear(), grazes.clear(), arrays.clear()
+        answer = call(PriorConfig(dist, 2.0, 1.0, 0.05), arg)
         assert (len(ends), len(grazes)) == (n_ends, 1), call.__name__
+    assert 0 < len(answer.roots) <= hpd_mod._POINTS_MAX and arrays[-len(answer.roots):] == [False] * len(answer.roots)
     solves.clear()
     cfg = PriorConfig(dist, 2.0, 0.25, 0.05)
+    for x in (0.5, 3.0, -7.0):
+        arrays.clear()
+        hpd_mod.hpd_set(cfg, x)
+        assert arrays == [False]
+    arrays.clear()
     smallest_lower_inverse(cfg, 6.0)
     assert solves == [] and "t_alpha" not in vars(cfg)
+    assert len(arrays) > 1 and not any(arrays)
     with pytest.raises(ValueError, match="must exceed max"):
         smallest_lower_inverse(cfg, 1.0)
     assert solves == [1]
