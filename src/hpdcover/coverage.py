@@ -110,7 +110,7 @@ def _scan_theta0(theta0, reach: float) -> np.ndarray:
     return ts
 
 
-def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, fractions: bool = True) -> np.ndarray:
+def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, fractions: bool = True, specials=()) -> np.ndarray:
     """Rows (C, C-, C+, frac_I..frac_IV) for one run of sorted theta0, or
     (C, C-, C+) alone without ``fractions``; a block of them per row of a
     column config.
@@ -119,7 +119,8 @@ def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, fractions: bool
     membership set in its window of every theta0 the atom/band rule leaves
     open in some row; C- and C+ are its masses on [theta0, inf) and (-inf,
     theta0).  Where the rule fixes membership, the set is the whole window
-    (C = 1, C- = C+ = 1/2 exactly) or empty.
+    (C = 1, C- = C+ = 1/2 exactly) or empty.  The grid holds +-lam, +-t_alpha
+    and the caller's specials (abscissas where a boundary is known to sit).
     """
     n_t, lead = ts.size, np.shape(cfg.w)[:-1]
     fixed, atom0 = (np.reshape(v, (-1, n_t)) for v in _fixed_cover(cfg, ts))
@@ -130,7 +131,7 @@ def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, fractions: bool
         levels = ts[live]
         t_alpha = np.ravel(cfg.t_alpha)
         curves = lambda xs, rows=np.arange(n_r)[:, None]: endpoint_values(_rows(cfg, rows), xs)
-        specials = [cfg.lam, -cfg.lam, *t_alpha, *-t_alpha]
+        specials = [cfg.lam, -cfg.lam, *t_alpha, *-t_alpha, *specials]
         owner, a, b = member_intervals(curves, levels, levels - half, levels + half, specials)
         owner = owner // live.size * n_t + live[owner % live.size]  # row * n_t + theta0 index
         keep = ~fixed.ravel()[owner]
@@ -157,7 +158,7 @@ def _exact_sorted(cfg: PriorConfig, ts: np.ndarray, half: float, fractions: bool
     return out.reshape(lead + out.shape[1:])
 
 
-def _exact_batch(cfg: PriorConfig, theta0, fractions: bool = True) -> np.ndarray:
+def _exact_batch(cfg: PriorConfig, theta0, fractions: bool = True, specials=()) -> np.ndarray:
     """Exact coverage rows (C, C-, C+, frac_I..frac_IV), one per theta0, in input order;
     (C, C-, C+) alone without ``fractions``, for callers that read no regime.
     A column config (posterior._with_w: configs of one law, lam and alpha,
@@ -168,7 +169,7 @@ def _exact_batch(cfg: PriorConfig, theta0, fractions: bool = True) -> np.ndarray
     all, one shared grid each (_exact_sorted).  As L(x) = -U(-x), reflecting
     x keeps C and swaps regimes II and IV and the sides of x = theta0 (a
     null set), so -theta0 takes the row of |theta0| with C-/C+ and
-    frac_II/IV swapped.
+    frac_II/IV swapped.  specials go to every run's grid (_exact_sorted).
     """
     half = _half_width(cfg)
     ts = _scan_theta0(theta0, half)
@@ -178,7 +179,7 @@ def _exact_batch(cfg: PriorConfig, theta0, fractions: bool = True) -> np.ndarray
         return np.empty(lead + (0, len(cols)))
     mag, inv = np.unique(np.abs(ts), return_inverse=True)
     run = max(1, _RUN // math.prod(lead))
-    rows = np.concatenate([_exact_sorted(cfg, mag[i : i + run], half, fractions)
+    rows = np.concatenate([_exact_sorted(cfg, mag[i : i + run], half, fractions, specials)
                            for i in range(0, mag.size, run)], axis=-2)[..., inv, :]
     return np.where((ts < 0.0)[:, None], rows[..., cols], rows)
 
@@ -379,16 +380,17 @@ def dip_search(cfg: PriorConfig) -> DipResult:
     U is continuous there and grows without bound.  One theta0-free pass of U
     (hpd._upper_profile) gives domain_lo and the corners U(x_b) of C.  One batch scan
     takes 63 interior theta0 of [domain_lo, max(lam + 3.2 G^{-1}(1 - alpha/2), domain_lo
-    + 1)], its left end and the corners inside.  Either of the last as the batch minimum
+    + 1)], its left end and the corners inside; every scan here has the x_b on its grid,
+    as a corner's boundary root sits on the kink of U.  Either of the last as the batch minimum
     is the dip; else an extremum-mode solve on the best sample's sub-cells goes on to
     1e-5 (1 + theta0), c_min off by about C's slope times that.  The left end is domain_lo
     itself where min U sits at the band edge, and domain_lo + 1e-6 (1 + domain_lo), off
     the double root of U = theta0, where it is interior.
     """
     hi = cfg.lam + 3.2 * float(cfg.dist.ppf_upper(cfg.alpha / 2.0))
-    domain_lo, at_edge, corners = _upper_profile(cfg, hi)
+    domain_lo, at_edge, corners, x_b = _upper_profile(cfg, hi)
     hi = max(hi, domain_lo + 1.0)
-    c_many = lambda ts, rows=None: _exact_batch(cfg, ts, fractions=False)[:, 0]
+    c_many = lambda ts, rows=None: _exact_batch(cfg, ts, fractions=False, specials=x_b)[:, 0]
     edge = domain_lo if at_edge else domain_lo + 1e-6 * (1.0 + domain_lo)
     ends = np.linspace(domain_lo, hi, 65)
     ts = np.concatenate([ends[1:-1], [edge], corners[(edge < corners) & (corners < hi)]])

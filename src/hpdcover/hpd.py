@@ -170,12 +170,13 @@ def _pass(cfg: PriorConfig, x):
     return _put(upper, np.nan, atom), _put(lower, np.nan, atom), codes, r, kg, sk
 
 
-def _upper_profile(cfg: PriorConfig, end: float) -> tuple[float, bool, np.ndarray]:
+def _upper_profile(cfg: PriorConfig, end: float) -> tuple[float, bool, np.ndarray, np.ndarray]:
     """(min U on x >= x0 = max(lam, t_alpha) + 1e-9, whether x0 holds it, U at each II -> I boundary x_b, a
-    slope jump) from one endpoints pass on 256 points of [x0, max(end, x0 + g2 + 2, x0 + g4 + 1)], g_k = G^{-1}(1 -
-    alpha/k), past min U + 1 as no level on x >= lam is below alpha sk / 2 >= alpha / 4.  The codes bracket
-    each x_b (two closer than a step are missed), settled by one refine_boundaries call on q1 - T; one
-    extremum-mode solve on the best sample's two sub-cells finds min U to 1e-8 (1 + |x|), U(x0) the edge candidate."""
+    slope jump, and the x_b) from one endpoints pass on 256 points of [x0, max(end, x0 + g2 + 2, x0 + g4 + 1)],
+    g_k = G^{-1}(1 - alpha/k), past min U + 1 as no level on x >= lam is below alpha sk / 2 >= alpha / 4.  The
+    codes bracket each x_b (two closer than a step are missed), settled by one refine_boundaries call on q1 - T
+    with the next sample as its third; one extremum-mode solve on the best sample's two sub-cells finds min U to
+    1e-8 (1 + |x|), U(x0) the edge candidate."""
     x0 = max(cfg.lam, cfg.t_alpha) + 1e-9
     if not np.isfinite(x0):
         raise ValueError("saturated atom: the atom threshold lies past the 2^20 bracket cap of atom_threshold, "
@@ -185,12 +186,13 @@ def _upper_profile(cfg: PriorConfig, end: float) -> tuple[float, bool, np.ndarra
     ups, _, codes = endpoints(cfg, xs)
     k = np.flatnonzero((codes[:-1] == _II) & (codes[1:] == _I))
     margin = lambda x, rows=None: np.subtract(*tail_levels(cfg, x)[3:5])
-    g = margin(np.concatenate([xs[k], xs[k + 1]]))
-    x_b = refine_boundaries(margin, xs[k], xs[k + 1], g[: k.size], g[k.size :], BISECT_TOL)
+    ends = np.array([k, k + 1, np.minimum(k + 2, xs.size - 1)])  # the cell and its next sample
+    g = margin(xs[ends].ravel()).reshape(ends.shape)
+    x_b = refine_boundaries(margin, xs[k], xs[k + 1], g[0], g[1], BISECT_TOL, (xs[ends[2]], g[2]))
     i = int(np.nanargmin(ups))
     fn = lambda x, rows: upper_values(cfg, x)
     inner = float(refine_extrema(fn, xs[[max(i - 1, 0)]], xs[[min(i + 1, 255)]], False, tol=1e-8)[1][0])
-    return min(inner, float(ups[0])), bool(ups[0] <= inner), upper_values(cfg, x_b)
+    return min(inner, float(ups[0])), bool(ups[0] <= inner), upper_values(cfg, x_b), x_b
 
 
 def regime_codes(cfg: PriorConfig, x) -> np.ndarray:

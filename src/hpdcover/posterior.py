@@ -200,8 +200,9 @@ def atom_threshold(cfg: PriorConfig):
     inner = np.flatnonzero(k)
     if inner.size:
         k, g, r = k[inner], g[inner], np.arange(inner.size)
+        past = np.minimum(k + 1, _BRACKET.size - 1)  # the next bracket point, past the cell
         root = refine_boundaries(lambda t, q: margin(t, inner[q]), _BRACKET[k - 1], _BRACKET[k],
-                                 g[r, k - 1], g[r, k], 0.0)
+                                 g[r, k - 1], g[r, k], 0.0, (_BRACKET[past], g[r, past]))
         # The floats about each root, where the first negative margin is read off.
         near = np.maximum(root.view(np.int64)[:, None] + np.arange(-16, 17), 0).view(np.float64)
         j = np.argmax(margin(near, inner[:, None]) < 0, axis=1)

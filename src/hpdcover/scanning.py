@@ -14,8 +14,8 @@ mode, refine_boundaries) and every extremum (extremum mode, refine_extrema).
 A crossing is the sign change of its own curve's margin, U - t or t - L,
 and the member set is where both flags hold, so a set inside one cell, its
 ends on different curves, is kept.  Each round adds a geometric cluster
-about the regula falsi estimate from the bracket's end margins, so a smooth
-boundary settles below BISECT_TOL / 128 in two or three rounds, while the
+about the inverse quadratic through the bracket and the next sample, so a
+smooth boundary settles below BISECT_TOL / 128 in two rounds, while the
 uniform points narrow a jump or NaN edge as fast as multisection alone.  An
 extremum keeps the two sub-cells around its best sample each round, down to
 a relative tol set by the caller: graze_points, the one sliver guard, runs
@@ -55,8 +55,8 @@ _SCAN_POINTS = 1024
 # 65-120 us per call plus 0.06-0.25 us per point (2-vCPU Xeon VM).  It sizes the
 # uniform samples of a solver round: these set the round count of extremum
 # mode and bound that of jump and NaN-edge boundaries, while a smooth
-# boundary settles through its regula falsi cluster in two or three rounds
-# whatever the section count.
+# boundary settles through its interpolation cluster in two rounds whatever
+# the section count.
 _CALL_POINTS = 2000
 
 
@@ -118,74 +118,81 @@ def bisect_iters(widths, tol: float) -> int:
     return 0 if np.size(widths) == 0 else min(80, math.ceil(math.log2(max(float(np.max(widths)), tol) / tol)) + 1)
 
 
-def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
+def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float, near=None) -> np.ndarray:
     """Boundary mode: the point where the flag margin >= 0 changes in each (lo, hi) cell.
 
     margin(xs, rows) gives signed margins at the flat abscissas xs, where
     rows[k] is the index of the cell xs[k] belongs to (for per-cell context
     such as a level); NaN counts as false.  g_lo and g_hi are the margins at
-    the cell ends, whose flags differ.  Each round evaluates, in one call,
-    the m - 1 uniform interior points of every open cell (m from
-    section_count) and a geometric cluster about its regula falsi estimate
-    from the end margins (none where a margin is NaN): offsets stop * 8^i /
-    8 on both sides, out to half the widest open cell's uniform step, those
-    outside a cell not evaluated.  It keeps the first sub-cell where the
-    flag changes, with its end margins, so a smooth root is bracketed within
-    seven times the error of a secant step on the previous bracket and
-    converges superlinearly, while a jump or NaN edge narrows m-fold per
-    round as in plain multisection.  Each cell retires once its width is at
-    most stop = max(tol / 128, 4 ulp(|x|)), |x| the larger of its current
-    ends, a bound that ends the rounds at any |x|, and its regula falsi
-    point (the midpoint where a margin is NaN) is returned, within a few ulp
-    of a smooth root; no call is made for an empty cell array.
+    the cell ends, whose flags differ; near = (x_c, g_c) is a third sample
+    past each cell, such as the next grid point.  Each round evaluates, in
+    one call, the m - 1 uniform interior points of every open cell (m from
+    section_count) and a geometric cluster about the inverse quadratic through
+    its three samples, or its regula falsi point where that is not inside it
+    (no third sample, a NaN margin, equal margins): offsets stop * 8^i / 8 on
+    both sides, out to half the widest open cell's uniform step, those outside
+    a cell not evaluated.  It keeps the first sub-cell where the flag changes
+    and the sample past it, so a smooth cell a grid step wide settles in two
+    rounds (three without near), a jump or NaN edge narrows m-fold per round
+    as in plain multisection.  Each cell retires once its width is at most
+    stop = max(tol / 128, 4 ulp(|x|)), |x| the larger of its current ends,
+    and its regula falsi point (the midpoint where a margin is NaN) is
+    returned, within a few ulp of a smooth root; no call for no cells.
     """
-    cells = np.array([lo, hi, g_lo, g_hi], float).reshape(4, -1)
-    stop = lambda a, b: np.maximum(tol / 128.0, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    x_c, g_c = (hi, g_hi) if near is None else near  # a copy of an end gives regula falsi
+    cells = np.array([lo, hi, x_c, g_lo, g_hi, g_c], float).reshape(6, -1)  # (a, b, c, g_a, g_b, g_c)
+    floor = tol / 128.0
+    stop = lambda a, b: np.maximum(floor, 4.0 * np.spacing(np.maximum(b, -a)))  # max(|a|, |b|) as a < b
     s = stop(cells[0], cells[1])
-    at = np.flatnonzero(cells[1] - cells[0] > s)
-    cur, s = cells[:, at], s[at]  # the open cells' (a, b, g_a, g_b) and stops
+    ulp_bound, d = bool((s > floor).any()), cells[1:3] - cells[0]  # else every sub-cell's stop is floor
+    at = np.flatnonzero(d[0] > s)
+    cur, d, s = cells[:, at], d[:, at], s[at]  # the open cells, (b - a, c - a) and stops
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while at.size:
-            a, b, ga, gb = cur
-            w = b - a
-            spans = w / s
-            m = section_count(at.size, bisect_iters(spans, 1.0))
-            k = 1 + max(0, math.ceil(math.log(4.0 * spans.max() / m, 8)))
-            # The cell as fractions 0 .. 1 with its samples sorted between.
-            # Cluster points outside it sort before 0 or after 1 and take the
-            # end margins; a NaN secant leaves its cluster NaN, sorted last.
-            frac = np.empty((at.size, m + 2 * k + 1))
-            frac[:, :m] = _uniform(m)
-            np.add((ga / (ga - gb))[:, None], _cluster(k) / spans[:, None], out=frac[:, m:-1])
-            frac[:, -1] = 1.0
+            ga, gb, gc = cur[3:]
+            top = (d[0] / s).max()  # the widest span
+            m = section_count(at.size, math.ceil(math.log2(top)) + 1)  # bisect_iters of the spans
+            k = 1 + max(0, math.ceil(math.log(4.0 * top / m, 8)))
+            # The centre as an offset from a: Neville's blend (g_b ac - g_c rf) / (g_b - g_c) of
+            # the secant roots rf on (a, b) and ac on (a, c), or rf where that is not inside.
+            rf_ac = d * ga / (ga - cur[4:6])
+            t = np.subtract(*(cur[4:6] * rf_ac[::-1])) / (gb - gc)
+            t = np.where((0.0 < t) & (t < d[0]), t, rf_ac[0])
+            # Offsets from a, sorted: cluster points outside the cell take its end margins, b comes
+            # twice so that a sample follows every sub-cell, and a NaN centre's cluster sorts last.
+            row, starts = _round(at.size, m, k)
+            frac = d[0][:, None] * row
+            np.add(t[:, None], _cluster(k) * s[:, None], out=frac[:, m:-2])
             frac.sort(axis=1)
-            xs = a[:, None] + w[:, None] * frac
+            xs = cur[0][:, None] + frac
             right = frac > 0.0
             g = np.where(right, gb[:, None], ga[:, None])
-            inside = right & (frac < 1.0)
-            g[inside] = margin(xs[inside], at[np.nonzero(inside)[0]])
+            inside = right & (frac < d[0][:, None])
+            g[inside] = margin(xs[inside], at.repeat(inside.sum(axis=1)))
             flags = g >= 0.0
-            j = (flags != flags[:, :1]).argmax(axis=1) + np.arange(0, g.size, g.shape[1]) - [[1], [0]]
+            j = (flags != flags[:, :1]).argmax(axis=1) + starts
             cur = np.concatenate([xs.ravel()[j], g.ravel()[j]])
-            s = stop(cur[0], cur[1])
-            live = cur[1] - cur[0] > s
+            s = stop(cur[0], cur[1]) if ulp_bound else s
+            d = cur[1:3] - cur[0]
+            live = d[0] > s
             if not live.all():
                 cells[:, at[~live]] = cur[:, ~live]
-                at, cur, s = at[live], cur[:, live], s[live]
-        lo, hi, g_lo, g_hi = cells
+                at, cur, d, s = at[live], cur[:, live], d[:, live], s[live]
+        lo, hi, _, g_lo, g_hi, _ = cells
         t = g_lo / (g_lo - g_hi)
         return lo + (hi - lo) * np.where(t == t, t, 0.5)
 
 
-@functools.lru_cache(maxsize=None)
-def _uniform(m: int) -> np.ndarray:
-    """The fractions 0, 1/m, ..., (m - 1)/m of a round's uniform samples."""
-    return np.arange(m) / m
+@functools.lru_cache(maxsize=256)
+def _round(n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A round's sample row in cell widths (m uniform, 2k cluster slots, 1, 1) and n rows' flat starts + (-1, 0, 1)."""
+    row = np.concatenate([np.arange(m) / m, np.zeros(2 * k), [1.0, 1.0]])
+    return row, np.arange(0, n * row.size, row.size) + np.array([[-1], [0], [1]])
 
 
 @functools.lru_cache(maxsize=None)
 def _cluster(k: int) -> np.ndarray:
-    """Offsets +-8^(i - 1), i < k, of a regula falsi cluster in units of the
+    """Offsets +-8^(i - 1), i < k, of a round's cluster in units of the
     stopping width: a root within one stopping width of the estimate lands in
     a sub-cell no wider than that, the inner ring 7/8 of it."""
     pw = 8.0 ** (np.arange(k) - 1.0)
@@ -382,12 +389,14 @@ def member_intervals(curves, levels, lo, hi, specials, reach=None):
     grid, table = graze_points(grid, tuple(np.atleast_2d(v) for v in curves(grid)), levels, curves)
     i0, i1 = np.searchsorted(grid, lo, "left"), np.searchsorted(grid, hi, "right")
     owner, k, curve = crossing_cells(table, levels, i0, i1)
-    (row, cell), t, ends, on_u = np.divmod(k, grid.size), levels[owner], np.array([k, k + 1]), curve == 0
+    (row, cell), t, on_u = np.divmod(k, grid.size), levels[owner], curve == 0
+    past = np.minimum(cell + 2, grid.size - 1)  # the next grid point (the last cell's end)
+    ends = np.array([k, k + 1, k - cell + past])
     # A crossing bounds the set where the other curve's flag holds at an end
     # of its cell; it is refined on its own margin, U - t or t - L = -(L - t).
     u_end, l_end = (v.ravel()[ends] - t for v in table)
-    bound = np.flatnonzero(np.where(on_u, np.fmin(*l_end) <= 0.0, np.fmax(*u_end) >= 0.0))
-    g_lo, g_hi = np.where(on_u, u_end, -l_end)[:, bound]
+    bound = np.flatnonzero(np.where(on_u, np.fmin(*l_end[:2]) <= 0.0, np.fmax(*u_end[:2]) >= 0.0))
+    g_lo, g_hi, g_c = np.where(on_u, u_end, -l_end)[:, bound]
     owner, (row, on_u, t_b, cell_b) = row * levels.size + owner, (v[bound] for v in (row, on_u, t, cell))
 
     def margin(xs, q):
@@ -396,7 +405,8 @@ def member_intervals(curves, levels, lo, hi, specials, reach=None):
         return np.where(u, d, -d)
 
     cuts = grid[cell]
-    cuts[bound] = refine_boundaries(margin, grid[cell_b], grid[cell_b + 1], g_lo, g_hi, BISECT_TOL)
+    near = grid[past[bound]], g_c
+    cuts[bound] = refine_boundaries(margin, grid[cell_b], grid[cell_b + 1], g_lo, g_hi, BISECT_TOL, near)
     start = np.array([levels <= table[0][:, i0], table[1][:, i0] <= levels]).reshape(2, -1)
     lo, hi = (np.concatenate([v] * len(table[0])) for v in (lo, hi))
     owner, a, b = _member_stretches(cuts, owner, curve, start, lo, hi)

@@ -575,6 +575,34 @@ def test_figure_one_makes_one_scan_and_one_atom_solve_per_law_and_lambda(tmp_pat
     assert counts == {"atom_threshold": 6, "member_intervals": 6}
 
 
+def test_figure_one_settles_every_scan_boundary_in_two_rounds(tmp_path, monkeypatch):
+    # A deterministic round count, not a timing: at the benchmark's figure 1
+    # density each of the six member_intervals scans refines its boundaries
+    # in one refine_boundaries call of at most two rounds (a regula falsi
+    # centre takes three), and the three atom_threshold solves with an atom
+    # row take three rounds each (4, 3 and 5 with a regula falsi centre).
+    import hpdcover.posterior as posterior_mod
+    import hpdcover.scanning as scanning_mod
+
+    rounds = {"member_intervals": [], "atom_threshold": []}
+    real = scanning_mod.refine_boundaries
+
+    def counted(name):
+        def refine(margin, *args):
+            calls = []
+            out = real(lambda xs, rows: calls.append(1) or margin(xs, rows), *args)
+            rounds[name].append(len(calls))
+            return out
+        return refine
+
+    monkeypatch.setattr(scanning_mod, "refine_boundaries", counted("member_intervals"))
+    monkeypatch.setattr(posterior_mod, "refine_boundaries", counted("atom_threshold"))
+    main(["figure", "1", "--dist", "gaussian,laplace,t3", "--lambda", "0.5,5", "--fig-grid-n", "4",
+          "--outdir", str(tmp_path)])
+    assert len(rounds["member_intervals"]) == 6 and max(rounds["member_intervals"]) <= 2
+    assert rounds["atom_threshold"] == [3, 3, 3]
+
+
 def test_thread_count_env_cap(monkeypatch):
     from hpdcover.coverage import thread_count
 

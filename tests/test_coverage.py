@@ -505,7 +505,7 @@ def test_upper_corners_match_a_bisection_on_the_codes(law, lam, w, alpha):
     # dense code reference finds, each U(x_b) within 1e-9 of it.
     cfg = PriorConfig(parse_dist_spec(law), lam, w, alpha)
     far = lam + 3.2 * float(cfg.dist.ppf_upper(alpha / 2.0))
-    domain_lo, _, corners = hpd_mod._upper_profile(cfg, far)
+    domain_lo, _, corners, _ = hpd_mod._upper_profile(cfg, far)
     hi = max(far, domain_lo + 1.0)
     ref = _corners_on_the_codes(cfg, max(lam, cfg.t_alpha), hi)
     got = np.sort(corners[corners < hi])
@@ -635,8 +635,8 @@ def test_check_bounds_c_minus_floor_fails_on_a_lowered_c_minus(monkeypatch, tmp_
     # cstar * alpha**(1+gamma) = 0.060 of laplace at alpha 0.05.
     real = coverage_mod._exact_batch
 
-    def lowered(cfg, theta0, fractions=True):
-        rows = real(cfg, theta0, fractions)
+    def lowered(cfg, theta0, fractions=True, specials=()):
+        rows = real(cfg, theta0, fractions, specials)
         rows[:, 1] -= 0.1
         return rows
 
@@ -832,12 +832,14 @@ def test_exact_batch_without_fractions_is_the_first_three_columns(law, lam, w):
     assert coverage_mod._exact_batch(cfg, [], fractions=False).shape == (0, 3)
 
 
-def _exact_sorted_per_theta0(cfg, ts, half, fractions=True):
+def _exact_sorted_per_theta0(cfg, ts, half, fractions=True, specials=()):
     """The exact scan with each theta0's membership set found by a flag loop
     over its own window, the per-theta0 scan that crossing_cells replaced,
     its transitions of the combined flag refined by the same boundary solver
-    on the combined margin min(U - t, t - L), not on each curve's own.  The theta0 that the atom/band rule fixes are not scanned:
-    their set is the whole window (the atom) or empty (the band)."""
+    on the combined margin min(U - t, t - L), not on each curve's own, with
+    the grid point past each cell as the solver's third sample.  The theta0
+    that the atom/band rule fixes are not scanned: their set is the whole
+    window (the atom) or empty (the band)."""
     cv, sc = coverage_mod, scanning_mod
     n_t = ts.size
     fixed, atom0 = hpd_mod._fixed_cover(cfg, ts)
@@ -846,7 +848,7 @@ def _exact_sorted_per_theta0(cfg, ts, half, fractions=True):
     if live.size:
         lv = ts[live]
         curves = lambda xs, rows=None: cv.endpoint_values(cfg, xs)
-        grid = sc.build_grid(lv - half, lv + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha])
+        grid = sc.build_grid(lv - half, lv + half, [cfg.lam, -cfg.lam, cfg.t_alpha, -cfg.t_alpha, *specials])
         grid, (upper, lower) = sc.graze_points(grid, curves(grid), lv, curves)
         i0 = np.searchsorted(grid, lv - half, "left")
         i1 = np.searchsorted(grid, lv + half, "right")
@@ -860,9 +862,10 @@ def _exact_sorted_per_theta0(cfg, ts, half, fractions=True):
         owner, cell = (np.concatenate(c) for c in zip(*cells))
         # The combined margin min(U - t, t - L), whose sign is the set's flag.
         level_margin = lambda u, l, t: np.minimum(u - t, t - l)
-        g_lo, g_hi = (level_margin(upper[i], lower[i], lv[owner]) for i in (cell, cell + 1))
+        past = np.minimum(cell + 2, grid.size - 1)
+        g_lo, g_hi, g_c = (level_margin(upper[i], lower[i], lv[owner]) for i in (cell, cell + 1, past))
         margin = lambda xs, rows: level_margin(*curves(xs), lv[owner[rows]])
-        cuts = sc.refine_boundaries(margin, grid[cell], grid[cell + 1], g_lo, g_hi, sc.BISECT_TOL)
+        cuts = sc.refine_boundaries(margin, grid[cell], grid[cell + 1], g_lo, g_hi, sc.BISECT_TOL, (grid[past], g_c))
 
         # Stretches between consecutive cuts, alternating from the start
         # flag; stretches of one theta0 that touch are merged.
