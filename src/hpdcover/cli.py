@@ -17,7 +17,6 @@ import dataclasses
 import functools
 import json
 import math
-import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coverage import _coverage_curves, check_coverage_bounds, thread_count
+from .coverage import _bits, _coverage_curves, check_coverage_bounds, thread_count
 from .distributions import Distribution, make_distribution, uniform_blocks
 from .figures import (
     coverage_panels_rows,
@@ -206,11 +205,6 @@ def _cmd_hpd(rc: RunConfig) -> int:
     return 0
 
 
-def _bits(*values) -> bytes:
-    """The float bits of values, a key that keeps 0.0 and -0.0 apart."""
-    return struct.pack(f"<{len(values)}d", *values)
-
-
 def _cmd_coverage(rc: RunConfig) -> int:
     grid = parse_grid_spec(rc.grid)
     law = rc.law()
@@ -328,7 +322,7 @@ def _cmd_figure(rc: RunConfig, fig_id: int) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--dist", help="gaussian | laplace | t3 | subexp:ETA (a comma list for figure 1 only)")
+    p.add_argument("--dist", help="gaussian | laplace | t3 | subexp:ETA, ETA in [0.01, 1] (comma list: figure 1 only)")
     p.add_argument("--lambda", dest="lam", help="band half-width (comma list allowed)")
     p.add_argument("--w", help="slab weight in (0, 1] (comma list allowed; figure 1 draws "
                                "0.125,0.25,0.5,1 when no w is given)")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -99,13 +100,14 @@ _EDGE_SPACING = 2.0**-26
 
 
 def _scan_theta0(theta0, reach: float) -> np.ndarray:
-    """theta0 as a flat finite array (hpd._finite_theta0); ValueError naming the
-    largest |theta0| if its window edge |theta0| + reach is spaced above _EDGE_SPACING."""
+    """theta0 as a flat finite array (hpd._finite_theta0); ValueError if a window edge |theta0| + reach is
+    spaced above _EDGE_SPACING, naming the largest |theta0|, or the law's half-width reach if it alone is."""
     ts = _finite_theta0(theta0)
     edge = np.abs(ts).max(initial=0.0) + reach
     if np.spacing(edge) > _EDGE_SPACING:
-        far = float(ts[np.argmax(np.abs(ts))])
-        raise ValueError(f"theta0 = {far!r} is too large for an exact scan: the float spacing "
+        what = (f"the error law's scan half-width {reach:g}" if np.spacing(reach) > _EDGE_SPACING
+                else f"theta0 = {float(ts[np.argmax(np.abs(ts))])!r}")
+        raise ValueError(f"{what} is too large for an exact scan: the float spacing "
                          f"at its window edge {edge:g} is {np.spacing(edge):g}, above {_EDGE_SPACING:g}")
     return ts
 
@@ -282,6 +284,11 @@ def coverage_curve(
 ) -> CoverageReport:
     """Coverage over a sorted theta0 grid, the one-config case of _coverage_curves."""
     return _coverage_curves([cfg], grid, method, n, seed, threads)[0]
+
+
+def _bits(*values) -> bytes:
+    """The float bits of values, the key of a curve listed twice (cli, figures): 0.0 and -0.0 stay apart."""
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def _coverage_curves(cfgs, grid, method: str = "exact", n: int = 10**6, seed: int = 0,

@@ -68,6 +68,10 @@ _ERLANG_MAX_SHAPE = 3
 # Beyond this y, Q(k, y) rounds to zero for every k <= _ERLANG_MAX_SHAPE;
 # capping y there keeps exp(-y) * S(y) from forming 0 * inf at |x| = inf.
 _ERLANG_Y_CAP = 1e3
+# The smallest subexp shape: below eta = 0.00976 (bisected) ppf(1e-300) =
+# -y**(1/eta) overflows, below 0.0058 Gamma(1/eta) does; from 0.01 on, ppf,
+# cdf and tail_cstar are finite and warning-free for p in [1e-300, 1 - 1e-16].
+_SUBEXP_MIN_ETA = 0.01
 
 # The closed-form kernels and the uniform stream (uniform_blocks) run on
 # blocks of this many elements, which keeps temporaries in cache and out of
@@ -376,7 +380,7 @@ class StudentT3(Distribution):
 
 
 class SubExponential(Distribution):
-    """Errors with density proportional to exp(-|x|**eta), eta in (0, 1].
+    """Errors with density proportional to exp(-|x|**eta), eta in [0.01, 1].
 
     eta = 1 recovers the Laplace model.  The normalizing constant is
     eta / (2 * Gamma(1/eta)), and G(-|x|) = Q(1/eta, |x|**eta) / 2 with Q the
@@ -391,8 +395,8 @@ class SubExponential(Distribution):
     def __init__(self, eta: float):
         if not (_is_real(eta) and math.isfinite(eta)):
             raise ValueError(f"subexp shape must be a finite real number, got {eta!r}")
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"subexp shape must lie in (0, 1], got {eta}")
+        if not _SUBEXP_MIN_ETA <= eta <= 1.0:
+            raise ValueError(f"subexp shape must lie in [{_SUBEXP_MIN_ETA:g}, 1], got {eta}")
         self.eta = float(eta)
         self.name = f"subexp({self.eta:g})"
         self._shape = 1.0 / self.eta
@@ -449,12 +453,12 @@ _ALIASES = {
 def make_distribution(name: str, eta: float | None = None) -> Distribution:
     """Build a distribution by name: gaussian | laplace | t3 | subexp.
 
-    The subexponential family requires its shape ``eta`` in (0, 1].
+    The subexponential family requires its shape ``eta`` in [0.01, 1].
     """
     key = name.strip().lower()
     if key in ("subexp", "subexponential"):
         if eta is None:
-            raise ValueError("subexp requires a shape parameter eta in (0, 1]")
+            raise ValueError(f"subexp requires a shape parameter eta in [{_SUBEXP_MIN_ETA:g}, 1]")
         return SubExponential(eta)
     if key in _ALIASES:
         if eta is not None:

@@ -12,11 +12,10 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
-from .coverage import _coverage_curves
+from .coverage import _bits, _coverage_curves
 from .distributions import Distribution
 from .hpd import Regime, endpoints, hpd_length, hpd_radii, regime_codes
 from .posterior import PriorConfig, atom_mass, posterior_normalizer
@@ -68,7 +67,7 @@ def coverage_panels_rows(
         "frac_I", "frac_II", "frac_III", "frac_IV",
     ]
     blocks, curves = [], {}
-    key = lambda dist, lam, w: (dist, struct.pack("<2d", lam, w))
+    key = lambda dist, lam, w: (dist, _bits(lam, w))
     for dist in dists:
         for lam in lams:
             fresh = {key(dist, lam, w): w for w in ws if key(dist, lam, w) not in curves}

@@ -19,7 +19,7 @@ The conditional coverage P(theta0 in PS(X) | |X| >= lam) is computed in
 closed form (conditional_coverage_exact) and sampled as a cross-check
 (conditional_coverage_mc).  The sampled check never forms a draw: G is
 increasing, so selection and membership are both thresholds on the seeded
-uniform stream, and an estimate costs one lower_tail call, one level-stage
+uniform stream, and an estimate costs one cdf call, one level-stage
 call and a few comparisons per uniform.
 """
 
@@ -102,8 +102,8 @@ def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) 
     G(-|Z|) = min(u, 1 - u) >= q: the level test of coverage._draw_flags with
     x and theta0 swapped, on the draw's own uniform.  G is increasing, so
     selection |theta0 + G^{-1}(u)| >= lam reads u <= G(-lam - theta0) or
-    u >= G(lam - theta0), two thresholds from one lower_tail call (a
-    threshold above 1/2 is 1 - G(-|t|), within half an ulp of 1, where the
+    u >= G(lam - theta0), two thresholds from one Distribution.cdf call (a
+    threshold above 1/2 is within half an ulp of 1 - G(-|t|), where the
     uniforms are 2^-53 apart).  Both tests sit in u-space, so the counts are
     those of the draws x themselves except for a draw within rounding of a
     threshold.  Returns (coverage estimate, binomial standard error,
@@ -113,9 +113,7 @@ def conditional_coverage_mc(cfg: PriorConfig, theta0: float, n: int, seed: int) 
     blocks = uniform_blocks(n, seed)  # the one draw rule; draws lazily
     t = _finite_theta0(theta0)
     q = float(_levels(cfg, t[0])[0])
-    band = np.concatenate([-cfg.lam - t, cfg.lam - t])  # selection is Z <= band[0] or Z >= band[1]
-    tails = cfg.dist.lower_tail(np.abs(band))
-    below, above = np.where(band <= 0.0, tails, 1.0 - tails)
+    below, above = cfg.dist.cdf(np.concatenate([-cfg.lam - t, cfg.lam - t]))  # G(-lam - theta0), G(lam - theta0)
     kept = 0
     covered = 0
     for u in blocks:

@@ -118,29 +118,28 @@ def bisect_iters(widths, tol: float) -> int:
     return 0 if np.size(widths) == 0 else min(80, math.ceil(math.log2(max(float(np.max(widths)), tol) / tol)) + 1)
 
 
-def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float, near=None) -> np.ndarray:
+def refine_boundaries(margin, lo, hi, g_lo, g_hi, tol: float, near) -> np.ndarray:
     """Boundary mode: the point where the flag margin >= 0 changes in each (lo, hi) cell.
 
     margin(xs, rows) gives signed margins at the flat abscissas xs, where
     rows[k] is the index of the cell xs[k] belongs to (for per-cell context
     such as a level); NaN counts as false.  g_lo and g_hi are the margins at
-    the cell ends, whose flags differ; near = (x_c, g_c) is a third sample
-    past each cell, such as the next grid point.  Each round evaluates, in
-    one call, the m - 1 uniform interior points of every open cell (m from
-    section_count) and a geometric cluster about the inverse quadratic through
-    its three samples, or its regula falsi point where that is not inside it
-    (no third sample, a NaN margin, equal margins): offsets stop * 8^i / 8 on
-    both sides, out to half the widest open cell's uniform step, those outside
-    a cell not evaluated.  It keeps the first sub-cell where the flag changes
-    and the sample past it, so a smooth cell a grid step wide settles in two
-    rounds (three without near), a jump or NaN edge narrows m-fold per round
-    as in plain multisection.  Each cell retires once its width is at most
-    stop = max(tol / 128, 4 ulp(|x|)), |x| the larger of its current ends,
-    and its regula falsi point (the midpoint where a margin is NaN) is
-    returned, within a few ulp of a smooth root; no call for no cells.
+    the cell ends, whose flags differ; near = (x_c, g_c) is a third sample past
+    each cell, such as the next grid point (a copy of hi, g_hi is none).  Each
+    round evaluates, in one call, the m - 1 uniform interior points of every
+    open cell (m from section_count) and a geometric cluster about the inverse
+    quadratic through its three samples, or its regula falsi point where that
+    is not inside it (no third sample, a NaN margin, equal margins): offsets
+    stop * 8^i / 8 on both sides, out to half the widest open cell's uniform
+    step, those outside a cell not evaluated.  It keeps the first sub-cell
+    where the flag changes and the sample past it, so a smooth cell a grid step
+    wide settles in two rounds, a jump or NaN edge narrows m-fold per round as
+    in plain multisection.  Each cell retires once its width is at most
+    stop = max(tol / 128, 4 ulp(|x|)), |x| the larger of its current ends, and
+    its regula falsi point (the midpoint where a margin is NaN) is returned,
+    within a few ulp of a smooth root; no call for no cells.
     """
-    x_c, g_c = (hi, g_hi) if near is None else near  # a copy of an end gives regula falsi
-    cells = np.array([lo, hi, x_c, g_lo, g_hi, g_c], float).reshape(6, -1)  # (a, b, c, g_a, g_b, g_c)
+    cells = np.array([lo, hi, near[0], g_lo, g_hi, near[1]], float).reshape(6, -1)  # (a, b, c, g_a, g_b, g_c)
     floor = tol / 128.0
     stop = lambda a, b: np.maximum(floor, 4.0 * np.spacing(np.maximum(b, -a)))  # max(|a|, |b|) as a < b
     s = stop(cells[0], cells[1])
@@ -289,9 +288,7 @@ def graze_points(grid: np.ndarray, table, levels, curves):
     extra = refine_extrema(column, grid[idx - 1], grid[idx + 1], maximize[keep])[0]
     extra = np.setdiff1d(extra, grid)
     at = np.searchsorted(grid, extra)
-    flat = (at + grid.size * np.arange(np.size(table[0]) // grid.size)[:, None]).ravel()  # at, in every row
-    grow = lambda v, x: np.insert(np.ravel(v), flat, np.ravel(x)).reshape(np.shape(v)[:-1] + (-1,))
-    return np.insert(grid, at, extra), tuple(grow(v, x) for v, x in zip(table, curves(extra)))
+    return np.insert(grid, at, extra), tuple(np.insert(v, at, x, axis=-1) for v, x in zip(table, curves(extra)))
 
 
 def crossing_cells(table, levels, i0, i1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -278,19 +278,24 @@ def test_non_finite_theta0_is_refused_as_by_the_exact_scan(call, theta0):
         call(config("laplace", 1.0, 1.0), theta0)
 
 
-@pytest.mark.parametrize("theta0", [1e14, -1e14, 1e300])
-def test_exact_scans_refuse_a_theta0_past_float_resolution(tmp_path, capsys, theta0):
+@pytest.mark.parametrize("law, theta0, culprit", [
+    *(pytest.param("laplace", t, rf"theta0 = {re.escape(repr(t))}", id=repr(t)) for t in (1e14, -1e14, 1e300)),
+    pytest.param("subexp:0.12", 1.0, r"the error law's scan half-width \d\.\d+e\+(09|13)", id="subexp:0.12"),
+])
+def test_exact_scans_refuse_a_theta0_past_float_resolution(tmp_path, capsys, law, theta0, culprit):
     # Cut abscissas round to ulp(theta0): at laplace lam 1 the scan read
     # C(1e14) = 0.950212931632 and exited 0, while 1e300 failed on an "empty
-    # scan window [1e+300, 1e+300]".
-    cfg = config("laplace", 1.0, 1.0)
-    refusal = rf"^theta0 = {re.escape(repr(theta0))} is too large for an exact scan: "
+    # scan window [1e+300, 1e+300]".  At subexp:0.12 the law's half-width
+    # alone puts every window edge past the bound, yet the refusal blamed
+    # theta0 = 1.0.
+    cfg = PriorConfig(parse_dist_spec(law), 1.0, 1.0, ALPHA)
+    refusal = rf"^{culprit} is too large for an exact scan: "
     for call in (coverage_exact, onesided_coverage_exact):
         for arg in (theta0, [6.0, theta0]):
             with pytest.raises(ValueError, match=refusal):
                 call(cfg, arg)
     out = tmp_path / "c.csv"
-    argv = ["coverage", "--dist", "laplace", "--lambda", "1", "--grid", f"{theta0!r}:{theta0!r}:1", "--out", str(out)]
+    argv = ["coverage", "--dist", law, "--lambda", "1", "--grid", f"{theta0!r}:{theta0!r}:1", "--out", str(out)]
     assert cli_main(argv) == 1
     assert "is too large for an exact scan" in capsys.readouterr().err
 

@@ -151,6 +151,21 @@ def test_make_distribution_errors():
         make_distribution("gaussian", eta=0.5)
 
 
+def test_subexp_shapes_end_where_the_kernels_stay_finite():
+    # Below eta = 0.00976 the quantile overflows: at 0.009 ppf_upper(1e-300)
+    # warned "overflow encountered in power", at 0.007 `coverage --dist
+    # subexp:0.007` failed on "cannot convert float infinity to integer", and
+    # at 0.001 tail_cstar raised OverflowError.  Warnings are errors here.
+    for eta in (0.0099, 0.009, 0.007, 0.001):
+        with pytest.raises(ValueError, match=r"subexp shape must lie in \[0\.01, 1\], got "):
+            parse_dist_spec(f"subexp:{eta}")
+    d = parse_dist_spec("subexp:0.01")
+    p = np.concatenate([np.geomspace(1e-300, 0.5, 200), 1.0 - np.geomspace(0.5, 1e-16, 60)])
+    x = d.ppf(p)
+    assert np.isfinite(x).all() and np.isfinite(d.cdf(x)).all() and np.isfinite(d.pdf(x)).all()
+    assert np.isfinite(d.ppf_upper(1e-300)) and math.isfinite(d.tail_cstar)
+
+
 def test_interval_mass_tail_accuracy():
     d = make_distribution("laplace")
     # Mass of [20, 21]: exact value (e^-20 - e^-21)/2.

@@ -93,3 +93,28 @@ def test_no_module_imports_a_name_it_never_uses():
     # cli.py imported coverage_mc, which no CLI command calls.
     paths = sorted(Path(hpdcover.__file__).parent.glob("*.py"))
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+def _lower_tail_callers(path: Path) -> list[str]:
+    """module:function of every ``.lower_tail(`` call in a module, the
+    innermost def or class around it (empty at module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "lower_tail":
+                found.append(f"{path.stem}:{scope}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named else scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_the_cdf_fold_has_one_home():
+    # Distribution.cdf folds lower_tail(|x|) about zero; postselect folded it
+    # again by hand for its selection thresholds.  Only the laws themselves
+    # and the level stage, which reads both tails of one call, call it.
+    paths = sorted(Path(hpdcover.__file__).parent.glob("*.py"))
+    calls = [hit for path in paths if path.stem != "distributions" for hit in _lower_tail_callers(path)]
+    assert calls == ["posterior:tail_levels"]

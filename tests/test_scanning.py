@@ -449,7 +449,8 @@ def _ends(margin, lo, hi):
 
 def test_multisection_finds_known_transitions_within_half_tol():
     margin, lo, hi, cut = _step_cells()
-    found = refine_boundaries(margin, lo, hi, *_ends(margin, lo, hi), TOL)
+    g_lo, g_hi = _ends(margin, lo, hi)
+    found = refine_boundaries(margin, lo, hi, g_lo, g_hi, TOL, (hi, g_hi))
     # Every cell ends no wider than the stopping width TOL / 128.
     assert np.max(np.abs(found - cut)) <= TOL / 128
     pred = lambda xs, rows: margin(xs, rows) >= 0.0
@@ -462,7 +463,8 @@ def test_multisection_per_cell_start_flags():
     margin, lo, hi, cut = _step_cells()
     sign = np.where(np.arange(lo.size) % 2 == 1, -1.0, 1.0)
     flipped = lambda xs, rows: sign[rows] * margin(xs, rows)
-    found = refine_boundaries(flipped, lo, hi, *_ends(flipped, lo, hi), TOL)
+    g_lo, g_hi = _ends(flipped, lo, hi)
+    found = refine_boundaries(flipped, lo, hi, g_lo, g_hi, TOL, (hi, g_hi))
     assert np.max(np.abs(found - cut)) <= TOL / 128
 
 
@@ -492,7 +494,8 @@ def test_boundaries_smooth_roots_in_three_rounds(n_cells):
         calls.append(xs.size)
         return margin(xs, rows)
 
-    found = refine_boundaries(counted, lo, hi, *_ends(margin, lo, hi), TOL)
+    g_lo, g_hi = _ends(margin, lo, hi)
+    found = refine_boundaries(counted, lo, hi, g_lo, g_hi, TOL, (hi, g_hi))  # no third sample
     assert 1 <= len(calls) <= 3
     # The regula falsi point of the last bracket is within a few ulp.
     assert np.all(np.abs(found - root) <= 4.0 * np.spacing(np.abs(root)))
@@ -519,10 +522,10 @@ def test_boundaries_smooth_roots_in_two_rounds_with_a_neighbour(n_cells):
 
 def test_boundaries_centre_falls_back_to_regula_falsi():
     # Where the third sample cannot place an inverse quadratic inside the
-    # cell, the first round samples exactly the points it samples with no
-    # third sample: a NaN margin or abscissa, a copy of an end (equal
-    # margins), or an interpolated point outside the cell.  A usable third
-    # sample moves the cluster.
+    # cell, the first round samples exactly the points it samples given a
+    # copy of the cell's end, which is no third sample: a NaN margin or
+    # abscissa, a margin equal to the end's, or an interpolated point outside
+    # the cell.  A usable third sample moves the cluster.
     lo, hi = np.array([0.0]), np.array([1.0])
     margin = lambda xs, rows: np.expm1(xs - 0.3)
     g_lo, g_hi = _ends(margin, lo, hi)
@@ -532,9 +535,9 @@ def test_boundaries_centre_falls_back_to_regula_falsi():
         refine_boundaries(lambda xs, rows: seen.append(np.sort(xs)) or margin(xs, rows), lo, hi, g_lo, g_hi, TOL, near)
         return seen[0]
 
-    plain = first_round(None)
+    plain = first_round((hi, g_hi))
     g_c = margin(np.array([2.0]), None)
-    for near in ((2.0, np.nan), (np.nan, g_c), (hi, g_hi), (2.0, g_hi), (2.0, g_hi + 1e-4)):
+    for near in ((2.0, np.nan), (np.nan, g_c), (2.0, g_hi), (2.0, g_hi + 1e-4)):
         assert np.array_equal(first_round(tuple(np.atleast_1d(v) for v in near)), plain), near
     assert not np.array_equal(first_round((np.array([2.0]), g_c)), plain)
 
@@ -555,7 +558,7 @@ def test_multisection_round_count(n_cells, iters):
     hi = lo + np.where(np.arange(n_cells) % 2 == 0, 1.0, 1.5)
     stop = 1.5 / 2.0 ** (iters - 1)
     assert bisect_iters((hi - lo) / stop, 1.0) == iters
-    found = refine_boundaries(margin, lo, hi, -np.ones(n_cells), np.ones(n_cells), 128.0 * stop)
+    found = refine_boundaries(margin, lo, hi, -np.ones(n_cells), np.ones(n_cells), 128.0 * stop, (hi, np.ones(n_cells)))
     sections = section_count(n_cells, iters)
     assert 2 <= sections <= 128 and sections & (sections - 1) == 0
     assert len(calls) <= math.ceil(iters / math.log2(sections))
@@ -578,7 +581,7 @@ def test_boundaries_nan_edges_keep_multisection_schedule(n_cells):
         calls.append(xs.size)
         return np.where(xs < cut[rows], np.nan, 1.0 + xs * xs)
 
-    found = refine_boundaries(margin, lo, hi, np.full(n_cells, np.nan), 1.0 + hi * hi, TOL)
+    found = refine_boundaries(margin, lo, hi, np.full(n_cells, np.nan), 1.0 + hi * hi, TOL, (hi, 1.0 + hi * hi))
     iters = bisect_iters((hi - lo) / (TOL / 128), 1.0)
     sections = section_count(n_cells, iters)
     assert len(calls) <= math.ceil(iters / math.log2(sections))
@@ -602,7 +605,8 @@ def test_boundaries_terminate_at_large_abscissa(at):
             assert len(calls) <= 20, "rounds do not terminate"
             return fn(xs, rows)
 
-        found = refine_boundaries(counted, lo, hi, *_ends(fn, lo, hi), TOL)
+        g_lo, g_hi = _ends(fn, lo, hi)
+        found = refine_boundaries(counted, lo, hi, g_lo, g_hi, TOL, (hi, g_hi))
         assert len(calls) <= rounds
         assert np.all(np.abs(found - root) <= atol)
 
@@ -618,7 +622,7 @@ def test_multisection_empty_input_makes_no_call():
     def margin(xs, rows):
         raise AssertionError("margin called on no cells")
 
-    out = refine_boundaries(margin, np.empty(0), np.empty(0), np.empty(0), np.empty(0), TOL)
+    out = refine_boundaries(margin, np.empty(0), np.empty(0), np.empty(0), np.empty(0), TOL, (np.empty(0), np.empty(0)))
     assert isinstance(out, np.ndarray) and out.size == 0
     assert bisect_iters(np.empty(0), TOL) == 0
 
@@ -831,7 +835,7 @@ def test_member_intervals_refines_only_crossings_that_can_bound_the_set(monkeypa
     sign, t = 1.0 - 2.0 * c, ts[j]
     margin = lambda ul, r=slice(None): sign[r] * (np.where(c[r] == 0, *ul) - t[r])
     g_lo, g_hi = (margin([v[i] for v in table]) for i in (k, k + 1))
-    cuts = refine_boundaries(lambda xs, r: margin(curves(xs), r), grid[k], grid[k + 1], g_lo, g_hi, TOL)
+    cuts = refine_boundaries(lambda xs, r: margin(curves(xs), r), grid[k], grid[k + 1], g_lo, g_hi, TOL, (grid[k + 1], g_hi))
     start = np.array([ts <= table[0][i0], table[1][i0] <= ts])
     owner, a, b = scanning_mod._member_stretches(cuts, j, c, start, ts - half, ts + half)
     new = np.flatnonzero(np.append(True, ~((a[1:] <= b[:-1] + 1e-15) & (owner[1:] == owner[:-1])))[: a.size])
