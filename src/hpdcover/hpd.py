@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import _out, _put, _where
 from .posterior import PriorConfig, _require_finite, tail_levels
-from .scanning import BISECT_TOL, TOL_TAIL, refine_boundaries, refine_extrema, sign_change_roots
+from .scanning import _SCAN_POINTS, BISECT_TOL, TOL_TAIL, refine_boundaries, refine_extrema, sign_change_roots
 
 __all__ = [
     "Regime",
@@ -350,7 +350,12 @@ def _finite_theta0(theta0) -> np.ndarray:
 
 
 def _invert_endpoint(cfg: PriorConfig, column: int, theta0: float) -> InverseSet:
-    """Roots of endpoint = theta0 for column 0 (U) or 1 (L) of the endpoints pass."""
+    """Roots of endpoint = theta0 for column 0 (U) or 1 (L) of the endpoints pass.
+
+    t_alpha is solved, and +-t_alpha put on the grid, only where there is an atom and its margin is not
+    negative at the window's least |x| less the reach of build_grid's ladder (under 8 base steps): atom mass
+    falls in |x|, so elsewhere neither lies in the window, and grid and roots are as with +-t_alpha, bit for bit.
+    """
     _finite_theta0(theta0)
 
     def fn(xs):
@@ -359,7 +364,9 @@ def _invert_endpoint(cfg: PriorConfig, column: int, theta0: float) -> InverseSet
 
     # One window about theta0; the atom region inside it is NaN, outside the set.
     lo, hi = _set_window(cfg, theta0)
-    specials = [cfg.lam, -cfg.lam, theta0, cfg.t_alpha, -cfg.t_alpha]
+    reach = 8.0 * (hi - lo) / (_SCAN_POINTS - 1)  # bounds the ladder that build_grid puts about t_alpha
+    atom = cfg.has_atom and tail_levels(cfg, np.float64(max(0.0, lo - reach, -hi - reach)))[6] >= 0.0
+    specials = [cfg.lam, -cfg.lam, theta0] + ([cfg.t_alpha, -cfg.t_alpha] if atom else [])
     allr, codes = sign_change_roots(fn, lo, hi, specials, 1e-6 * (1.0 + abs(theta0)))
     if allr.size == 0:
         raise InversionError(

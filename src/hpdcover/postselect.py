@@ -6,14 +6,15 @@ Conditionally on the selection event |X| >= lam, PS covers the true mean
 with probability at least 1 - alpha, because the conditional law of X given
 selection has exactly the renormalized-slab form of the posterior, so
 P(X in CS(theta0) | |X| >= lam) equals the posterior credibility of CS(theta0).
-PS(x) is one call of the scanning module's level-set scan on the curve pair
-theta -> (U(theta), L(theta)) at the single level x: one endpoint table on a
-grid over theta, shared by the crossing counts and the sliver guard (one
-endpoint call per extremum-mode multisection round for both curves), with
-each crossing of U and of L refined by the same solver in boundary mode, on
-hpd._set_window about x, the window of inversion too.  credible_set_contains
-tests x in CS(theta) pointwise: the atom/band rule where it decides, else
-L(theta) <= x <= U(theta), the two flags the scan itself reads.
+At w = 1, CS(theta) is the ball |y - theta| <= rho(theta) less the open band,
+rho = G^{-1}(1 - q(theta)), and a selected x lies outside the band, so theta
+is in PS(x) iff G(-|x - theta|) >= q(theta): the level test that
+conditional_coverage_mc samples.  PS(x) is one call of the scanning module's
+level-set scan on the pair (its margin, -inf) at level 0, as sign_change_roots
+scans, on hpd._set_window about x (the window of inversion too): its table,
+sliver guard and boundary rounds call the level stage and one cdf, no quantile.
+credible_set_contains, the scan's oracle, tests x in CS(theta) on the endpoints:
+the atom/band rule where it decides, else L(theta) <= x <= U(theta).
 
 The conditional coverage P(theta0 in PS(X) | |X| >= lam) is computed in
 closed form (conditional_coverage_exact) and sampled as a cross-check
@@ -75,18 +76,17 @@ def credible_set_contains(cfg: PriorConfig, data_values, x: float):
 
 
 def post_selection_set(cfg: PriorConfig, x: float) -> PostSelectionSet:
-    """Compute PS(x) = {theta : x in CS(theta)} by membership scan over theta.
+    """Compute PS(x) = {theta : x in CS(theta)} as the level set of the level test.
 
-    Any theta with x within the credible set it would generate belongs to
-    PS(x); the set is a finite interval union found by the same scan plus
-    boundary solver used for coverage.
+    theta is in PS(x) iff G(-|x - theta|) >= q(theta) (hpd._levels), the identity conditional_coverage_mc
+    samples; the scan and boundary solver of coverage find the roots of its margin at level 0.
     """
     cfg.require_no_atom("a post-selection set")
     _require_finite("x", x)
     if abs(x) < cfg.lam:
         raise ValueError(f"|x| = {abs(x)} < lam = {cfg.lam}: observation was not selected")
-    curves = lambda thetas, rows=None: endpoint_values(cfg, thetas)
-    _, a, b = member_intervals(curves, x, *_set_window(cfg, x), [cfg.lam, -cfg.lam, x, -x])
+    margin = lambda ts, rows=None: (cfg.dist.cdf(-np.abs(x - ts)) - _levels(cfg, ts)[0], np.full(np.shape(ts), -np.inf))
+    _, a, b = member_intervals(margin, 0.0, *_set_window(cfg, x), [cfg.lam, -cfg.lam, x, -x])
     return PostSelectionSet(x=float(x), alpha=cfg.alpha, lam=cfg.lam, intervals=tuple(zip(a.tolist(), b.tolist())))
 
 

@@ -758,16 +758,18 @@ def test_member_intervals_many_levels(coarse):
 
 @pytest.mark.parametrize("law", ["gaussian", "laplace", "t3", "subexp:0.5"])
 def test_query_scans_stay_within_endpoint_call_budget(monkeypatch, law):
-    # A post-selection set is one endpoint table and at most three boundary
-    # rounds; an inversion makes at most one call more, the one that checks
-    # its roots and reads their regimes.  Refinement in a fixed
+    # A post-selection set is one level-stage table and at most three
+    # boundary rounds, with no endpoint pass; an inversion is one endpoint
+    # table, at most three rounds and one call more, the one that checks its
+    # roots and reads their regimes.  Refinement in a fixed
     # ceil(iters / log2 m) rounds (four to seven here) breaks either budget.
-    calls = []
-    real = hpd_mod._endpoint_pass
+    calls, levels = [], []
+    real, real_levels = hpd_mod._endpoint_pass, hpd_mod.tail_levels
     monkeypatch.setattr(hpd_mod, "_endpoint_pass", lambda cfg, x: calls.append(np.size(x)) or real(cfg, x))
+    monkeypatch.setattr(hpd_mod, "tail_levels", lambda cfg, s: levels.append(1) or real_levels(cfg, s))
     dist = parse_dist_spec(law)
     post_selection_set(PriorConfig(dist, 2.0, 1.0, 0.05), 5.0)
-    assert len(calls) <= 4
+    assert calls == [] and len(levels) <= 4  # the level stage alone
     for lam, w, target in ((2.0, 1.0, 6.0), (2.0, 0.5, 6.0), (0.5, 1.0, 3.5)):
         calls.clear()
         inverse = invert_upper(PriorConfig(dist, lam, w, 0.05), target)
@@ -778,29 +780,37 @@ def test_query_scans_stay_within_endpoint_call_budget(monkeypatch, law):
     ("gaussian", (3, 4)), ("laplace", (3, 4)), ("t3", (3, 4)), ("subexp:0.5", (3, 4)),
 ])
 def test_one_answer_work_counts(monkeypatch, law, counts):
-    # The fixed cost of one answer, pinned so that a new pass cannot slip in:
-    # a post-selection set is one endpoint table and two boundary rounds,
-    # an inversion one more call (the one that checks its roots), each with one
-    # graze_cells pass over both columns; a valid fixed-point inverse solves
-    # no t_alpha.  One-point work takes the scalar route: a set, each
-    # fixed-point step and an inversion's root check call the level stage
-    # (tail_levels) on numpy scalars, never on an array.
-    ends, grazes, solves, arrays = [], [], [], []
+    # The fixed cost of one answer, pinned so that a new pass cannot slip in.
+    # counts = (level-stage calls of a post-selection set, endpoint passes of
+    # an inversion).  A post-selection set scans the level test alone: the
+    # table and two boundary rounds call the level stage, with no endpoint
+    # pass and no quantile but the window's two, on Python floats.  An
+    # inversion is one endpoint table, two rounds and the call that checks
+    # its roots; each scan makes one graze_cells pass over both columns.  An
+    # inversion whose window misses the atom region and a valid fixed-point
+    # inverse solve no t_alpha.  One-point work takes the scalar route: a
+    # set, each fixed-point step and an inversion's root check call the
+    # level stage (tail_levels) on numpy scalars, never on an array.
+    ends, grazes, solves, arrays, quantiles = [], [], [], [], []
     real_pass, real_graze, real_solve = hpd_mod._endpoint_pass, scanning_mod.graze_cells, posterior_mod.atom_threshold
     real_levels = hpd_mod.tail_levels
+    dist = parse_dist_spec(law)
+    real_ppf = dist.ppf_upper
     monkeypatch.setattr(hpd_mod, "_endpoint_pass", lambda cfg, x: ends.append(1) or real_pass(cfg, x))
     monkeypatch.setattr(scanning_mod, "graze_cells", lambda v, t: grazes.append(1) or real_graze(v, t))
     monkeypatch.setattr(posterior_mod, "atom_threshold", lambda cfg: solves.append(1) or real_solve(cfg))
     monkeypatch.setattr(hpd_mod, "tail_levels",
                         lambda cfg, s: arrays.append(isinstance(s, np.ndarray)) or real_levels(cfg, s))
-    dist = parse_dist_spec(law)
-    for call, arg, n_ends in zip((post_selection_set, invert_upper), (5.0, 6.0), counts):
-        ends.clear(), grazes.clear(), arrays.clear()
-        answer = call(PriorConfig(dist, 2.0, 1.0, 0.05), arg)
-        assert (len(ends), len(grazes)) == (n_ends, 1), call.__name__
+    monkeypatch.setattr(dist, "ppf_upper", lambda q: quantiles.append(type(q)) or real_ppf(q))
+    post_selection_set(PriorConfig(dist, 2.0, 1.0, 0.05), 5.0)
+    assert (len(ends), arrays, len(grazes)) == (0, [True] * counts[0], 1)
+    assert quantiles == [float, float]
+    ends.clear(), grazes.clear(), arrays.clear()
+    answer = invert_upper(PriorConfig(dist, 2.0, 1.0, 0.05), 6.0)
+    assert (len(ends), len(grazes)) == (counts[1], 1)
     assert 0 < len(answer.roots) <= hpd_mod._POINTS_MAX and arrays[-len(answer.roots):] == [False] * len(answer.roots)
-    solves.clear()
     cfg = PriorConfig(dist, 2.0, 0.25, 0.05)
+    assert invert_upper(cfg, 12.0).roots and solves == [] and "t_alpha" not in vars(cfg)
     for x in (0.5, 3.0, -7.0):
         arrays.clear()
         hpd_mod.hpd_set(cfg, x)
